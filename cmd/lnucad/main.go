@@ -216,7 +216,6 @@ func main() {
 		Flight:   flight,
 	}
 	var coord *fleet.Coordinator
-	routeLabel := orchestrator.RouteLabel
 	if *fleetMode {
 		coord = fleet.NewCoordinator(fleet.Config{
 			LeaseTTL:    *leaseTTL,
@@ -228,7 +227,6 @@ func main() {
 			Spans:       tracer.Recorder(),
 		})
 		ocfg.Run = coord.Dispatch
-		routeLabel = fleet.RouteLabel
 	}
 	orch := orchestrator.New(ocfg)
 
@@ -269,7 +267,7 @@ func main() {
 	}
 	srv := &http.Server{
 		Addr:    *addr,
-		Handler: obs.Middleware(handler, log, registry, routeLabel),
+		Handler: obs.Middleware(handler, log, registry, orchestrator.RouteLabel),
 	}
 
 	errc := make(chan error, 2)

@@ -4,11 +4,11 @@
 //  1. resolve a 4-core workload mix from the 28-benchmark catalog;
 //  2. run it directly through exp.RunMix — twice — to show the
 //     simulation is deterministic (identical per-core stats);
-//  3. compute the single-core baselines and report per-core slowdown,
-//     aggregate throughput and weighted speedup;
+//  3. ask a Local runner for the single-core baselines and report
+//     per-core slowdown, aggregate throughput and weighted speedup;
 //  4. run the identical mix as one declarative lightnuca.Request
-//     through the public Local runner — twice — and show the rerun (and
-//     the baselines inside the mix run) are served 100% from the
+//     through the same runner — twice — and show the rerun (and the
+//     baselines inside the mix run) are served 100% from the
 //     content-addressed result cache.
 //
 // Run it with:
@@ -67,10 +67,18 @@ func main() {
 	}
 	fmt.Printf("deterministic: both runs took %d cycles with identical per-core stats\n\n", r1.Cycles)
 
-	// 3. Single-core baselines give the contention picture.
-	baseline, err := exp.Baselines(context.Background(), exp.Spec{Kind: kind, Levels: 3}, benchmarks, exp.Quick, *seed)
-	if err != nil {
-		fail("%v", err)
+	// 3. Single-core baselines give the contention picture. Each is an
+	// ordinary single-core Request; a benchmark the mix repeats is a
+	// cache hit the second time.
+	ctx := context.Background()
+	runner := &lightnuca.Local{}
+	baseline := map[string]float64{}
+	for _, b := range benchmarks {
+		res, err := runner.Run(ctx, lightnuca.Request{Hierarchy: *hier, Benchmark: b, Mode: "quick", Seed: *seed})
+		if err != nil {
+			fail("baseline %s: %v", b, err)
+		}
+		baseline[b] = res.IPC
 	}
 	fmt.Println(exp.MixTable(r1, baseline))
 	ws, err := exp.WeightedSpeedup(r1.PerCore, baseline)
@@ -81,22 +89,21 @@ func main() {
 	fmt.Printf("weighted speedup:     %.3f of %d ideal — the gap is LLC + memory-channel contention\n\n", ws, *cores)
 
 	// 4. The same mix as one declarative lnuca-run-v1 Request through
-	// the public Runner API: the first run simulates (mix + baselines,
-	// each baseline memoized under its own single-core content key);
-	// the identical rerun is served from the content-addressed cache
-	// without touching the simulator. Submitting this Request to a
-	// lnucad service instead (lightnuca.NewClient) yields the very same
-	// key, so the two share results.
-	runner := &lightnuca.Local{}
+	// the public Runner API: the first run simulates the mix only (its
+	// baselines are step 3's runs, memoized under their own single-core
+	// content keys); the identical rerun is served from the
+	// content-addressed cache without touching the simulator. Submitting
+	// this Request to a lnucad service instead (lightnuca.NewClient)
+	// yields the very same key, so the two share results.
 	req := lightnuca.Request{Hierarchy: *hier, Cores: *cores, Mix: *mix, Mode: "quick", Seed: *seed}
-	res1, err := runner.Run(context.Background(), req)
+	res1, err := runner.Run(ctx, req)
 	if err != nil {
 		fail("runner: %v", err)
 	}
 	fmt.Printf("runner result: weighted speedup %.3f, throughput %.3f IPC (key %.12s...)\n",
 		res1.WeightedSpeedup, res1.ThroughputIPC, res1.Key)
 
-	res2, err := runner.Run(context.Background(), req)
+	res2, err := runner.Run(ctx, req)
 	if err != nil {
 		fail("rerun: %v", err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,20 +21,23 @@ func main() {
 	}
 	configs := []struct {
 		name   string
-		h      lightnuca.Hierarchy
+		h      string
 		levels int
 	}{
-		{"L2-256KB", lightnuca.Conventional, 0},
-		{"LN2-72KB", lightnuca.LNUCAPlusL3, 2},
-		{"LN3-144KB", lightnuca.LNUCAPlusL3, 3},
-		{"LN4-248KB", lightnuca.LNUCAPlusL3, 4},
+		{"L2-256KB", "conventional", 0},
+		{"LN2-72KB", "ln+l3", 2},
+		{"LN3-144KB", "ln+l3", 3},
+		{"LN4-248KB", "ln+l3", 4},
 	}
 
+	var runner lightnuca.Runner = &lightnuca.Local{}
 	results := map[string]map[string]cell{}
 	for _, b := range benchmarks {
 		results[b] = map[string]cell{}
 		for _, c := range configs {
-			res, err := lightnuca.Run(c.h, b, lightnuca.Options{Levels: c.levels, Seed: 1})
+			res, err := runner.Run(context.Background(), lightnuca.Request{
+				Hierarchy: c.h, Levels: c.levels, Benchmark: b, Seed: 1,
+			})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -181,29 +181,6 @@ func profilesFor(names []string) ([]workload.Profile, error) {
 	return out, nil
 }
 
-// Baselines measures the single-core IPC of every distinct benchmark in
-// benchmarks under the given spec, mode and seed: the denominators of
-// WeightedSpeedup. The orchestrator resolves these through its result
-// cache instead; this helper serves cache-less callers (CLI, examples).
-func Baselines(ctx context.Context, spec Spec, benchmarks []string, mode Mode, seed uint64) (map[string]float64, error) {
-	out := make(map[string]float64, len(benchmarks))
-	for _, b := range benchmarks {
-		if _, done := out[b]; done {
-			continue
-		}
-		p, ok := workload.ByName(b)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown benchmark %q", b)
-		}
-		r := RunOneCtx(ctx, spec, p, mode, seed, nil)
-		if r.Err != nil {
-			return nil, fmt.Errorf("exp: baseline %s: %w", b, r.Err)
-		}
-		out[b] = r.IPC
-	}
-	return out, nil
-}
-
 // WeightedSpeedup is the Snavely-Tullsen multi-programmed metric:
 // sum over cores of IPC_shared / IPC_alone. N equals perfect scaling;
 // below N measures what contention for the shared LLC and the memory

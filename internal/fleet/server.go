@@ -115,17 +115,6 @@ func (c *Coordinator) handleTraceFetch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// RouteLabel normalizes fleet API paths for metric labels and falls
-// back to the orchestrator's normalizer for everything else — the one
-// route function a fleet-backed lnucad hands to obs.Middleware.
-func RouteLabel(r *http.Request) string {
-	switch p := r.URL.Path; p {
-	case PathLease, PathHeartbeat, PathComplete:
-		return p
-	default:
-		if strings.HasPrefix(p, PathTraces) {
-			return PathTraces + "{id}"
-		}
-	}
-	return orchestrator.RouteLabel(r)
-}
+// RouteLabel forwards to orchestrator.RouteLabel, the one route
+// normalizer, which labels the /fleet/v1/* routes too.
+func RouteLabel(r *http.Request) string { return orchestrator.RouteLabel(r) }

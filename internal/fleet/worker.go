@@ -31,8 +31,9 @@ type WorkerConfig struct {
 	// Client performs the HTTP calls (default: a client with a 30s
 	// timeout).
 	Client *http.Client
-	// Run executes one leased job (default: orchestrator.SimRunWithTraces
-	// over Cache and Traces). Tests inject stubs here.
+	// Run executes one leased job (default: orchestrator.Engine.Run over
+	// Cache and Traces — the function a local daemon's pool runs). Tests
+	// inject stubs here.
 	Run orchestrator.RunFunc
 	// Cache backs mix-job baseline resolution on this worker (default: a
 	// fresh memory-only cache). Results still flow back to the
@@ -95,7 +96,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Traces = trace.NewStore("")
 	}
 	if cfg.Run == nil {
-		cfg.Run = orchestrator.SimRunWithTraces(cfg.Cache, cfg.Traces)
+		cfg.Run = orchestrator.NewEngine(cfg.Cache, cfg.Traces).Run
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 100 * time.Millisecond

@@ -45,7 +45,7 @@ func BenchmarkSubmitWarmCache(b *testing.B) {
 // BenchmarkStatsSetJSONRoundTrip measures serializing and restoring a
 // real run's statistics set, the payload every /v1/jobs poll carries.
 func BenchmarkStatsSetJSONRoundTrip(b *testing.B) {
-	res, err := SimRun(context.Background(), Job{
+	res, err := NewEngine(NewCache(0, ""), nil).Run(context.Background(), Job{
 		Kind: hier.Conventional, Benchmark: "403.gcc",
 		Mode: exp.Mode{Name: "bench", Warmup: 500, Measure: 3000}, Seed: 1,
 	}, nil)

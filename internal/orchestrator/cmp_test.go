@@ -179,7 +179,7 @@ func TestCacheDiscardsCorruptEntry(t *testing.T) {
 var tinyMode = exp.Mode{Name: "tiny", Warmup: 1_000, Measure: 4_000}
 
 // TestMixJobEndToEnd runs a real 2-core mix through the default
-// SimRunWith path: per-core results, throughput, weighted speedup from
+// Engine.Run path: per-core results, throughput, weighted speedup from
 // cached baselines, and a second submission served 100% from cache.
 func TestMixJobEndToEnd(t *testing.T) {
 	o := New(Config{Workers: 1})
@@ -249,13 +249,13 @@ func TestMixJobEndToEnd(t *testing.T) {
 
 // TestMixBaselineSingleflight: two concurrent mix runs that share their
 // baseline benchmarks must not duplicate baseline simulations — the
-// per-key singleflight in SimRunWith serializes them through the cache.
-// Run under -race in CI; the assertion here is that both runs complete,
-// agree on the shared baselines, and leave exactly one cache entry per
-// distinct computation.
+// engine's per-key singleflight serializes them through the cache.
+// Every simulation leaves one lnuca.run.measure span, so the span count
+// is the run count: two mixes plus one run per distinct baseline.
 func TestMixBaselineSingleflight(t *testing.T) {
 	cache := NewCache(0, "")
-	rf := SimRunWith(cache)
+	e := NewEngine(cache, nil)
+	ctx, sims := countSims(context.Background())
 
 	mixes := []string{"403.gcc,456.hmmer", "456.hmmer,403.gcc"}
 	results := make([]*JobResult, len(mixes))
@@ -270,7 +270,7 @@ func TestMixBaselineSingleflight(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			results[i], errs[i] = rf(context.Background(), j, nil)
+			results[i], errs[i] = e.Run(ctx, j, nil)
 		}(i, m)
 	}
 	wg.Wait()
@@ -279,13 +279,14 @@ func TestMixBaselineSingleflight(t *testing.T) {
 			t.Fatalf("mix %d: %v", i, err)
 		}
 	}
-	// 2 mix baselines cached (the mix results themselves are Put by the
-	// orchestrator worker, which is not involved here).
+	if got := sims(); got != 4 {
+		t.Fatalf("%d simulations, want 4 (2 mixes + 1 per distinct baseline)", got)
+	}
+	// 2 mix baselines cached (Run does not publish the mix results
+	// themselves; Do and the orchestrator worker do).
 	if got := cache.Len(); got != 2 {
 		t.Fatalf("cache holds %d entries, want 2 baselines", got)
 	}
-	// Same per-benchmark baselines -> the reversed mix reports the same
-	// weighted speedup (per-core IPCs are per-position deterministic).
 	for i, r := range results {
 		if r.WeightedSpeedup <= 0 {
 			t.Fatalf("mix %d: weighted speedup %v", i, r.WeightedSpeedup)

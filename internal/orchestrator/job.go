@@ -138,23 +138,31 @@ func (j *Job) normalizeLevels() error {
 	return nil
 }
 
-// normalizeTrace canonicalizes a trace-replay job. The trace content
-// hash pins the benchmark provenance, the seed and the windows, so a
-// trace job names only a hierarchy and the hash — anything else the
-// caller tried to pin alongside is a conflict, rejected loudly rather
-// than silently ignored.
-func (j Job) normalizeTrace() (Job, error) {
+// traceConflict is the one validator of what may accompany a trace. The
+// trace content hash pins the benchmark provenance, the seed and the
+// windows, so a trace job names only a hierarchy and the hash — anything
+// else the caller tried to pin alongside is a conflict, rejected loudly
+// rather than silently ignored.
+func (j Job) traceConflict() error {
 	switch {
 	case j.Benchmark != "":
-		return j, fmt.Errorf("orchestrator: a run replays either a trace or a benchmark, not both (trace %s, benchmark %q)", j.Trace, j.Benchmark)
+		return fmt.Errorf("orchestrator: a run replays either a trace or a benchmark, not both (trace %s, benchmark %q)", j.Trace, j.Benchmark)
 	case j.Cores != 0 || j.Mix != "" || len(j.MixBenchmarks) != 0:
-		return j, fmt.Errorf("orchestrator: trace runs are single-core — drop cores/mix (trace %s)", j.Trace)
+		return fmt.Errorf("orchestrator: trace runs are single-core — drop cores/mix (trace %s)", j.Trace)
 	case j.Seed != 0:
-		return j, fmt.Errorf("orchestrator: the trace pins the seed — drop seed %d (trace %s)", j.Seed, j.Trace)
+		return fmt.Errorf("orchestrator: the trace pins the seed — drop seed %d (trace %s)", j.Seed, j.Trace)
 	case j.Mode != (exp.Mode{}):
-		return j, fmt.Errorf("orchestrator: the trace pins the simulation windows — drop mode/warmup/measure (trace %s)", j.Trace)
+		return fmt.Errorf("orchestrator: the trace pins the simulation windows — drop mode/warmup/measure (trace %s)", j.Trace)
 	case !trace.ValidID(j.Trace):
-		return j, fmt.Errorf("orchestrator: malformed trace id %q (want a 64-hex-digit lnuca-trace-v1 content hash)", j.Trace)
+		return fmt.Errorf("orchestrator: malformed trace id %q (want a 64-hex-digit lnuca-trace-v1 content hash)", j.Trace)
+	}
+	return nil
+}
+
+// normalizeTrace canonicalizes a trace-replay job.
+func (j Job) normalizeTrace() (Job, error) {
+	if err := j.traceConflict(); err != nil {
+		return j, err
 	}
 	if err := j.normalizeLevels(); err != nil {
 		return j, err

@@ -276,18 +276,25 @@ func (j *Journal) Close() error {
 	return err
 }
 
+// takeCredit consumes one open-time replay token for key, reporting
+// whether there was one.
+func (j *Journal) takeCredit(key string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.credit[key] == 0 {
+		return false
+	}
+	j.credit[key]--
+	return true
+}
+
 // submitted records a job entering the queue. A key the open-time
 // compaction already wrote a line for consumes its replay credit
 // instead of appending a duplicate.
 func (j *Journal) submitted(id, key string, req Request) {
-	j.mu.Lock()
-	if j.credit[key] > 0 {
-		j.credit[key]--
-		j.mu.Unlock()
-		return
+	if !j.takeCredit(key) {
+		j.append(journalEvent{Op: "submit", ID: id, Key: key, Request: &req})
 	}
-	j.mu.Unlock()
-	j.append(journalEvent{Op: "submit", ID: id, Key: key, Request: &req})
 }
 
 // ended records a job reaching a terminal state.

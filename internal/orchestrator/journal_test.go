@@ -165,6 +165,41 @@ func TestJournalCachedReplayBalances(t *testing.T) {
 	}
 }
 
+// TestJournalWarmSubmitsAppendNothing: a cache hit that balances no
+// journaled submission writes no end event, so warm submits neither
+// grow the file nor pay its fsync — the journal's size tracks the live
+// queue.
+func TestJournalWarmSubmitsAppendNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.journal")
+	j := journalAt(t, path)
+	defer j.Close()
+	cache := NewCache(0, "")
+	o := New(Config{Workers: 1, Cache: cache, Journal: j, Run: countingRun(&sync.Mutex{}, new(int))})
+	defer o.Close()
+
+	job, err := quickJob("403.gcc").Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Put(job.Key(), stubResult(job))
+	for i := 0; i < 8; i++ {
+		rec, err := o.Submit(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Cached {
+			t.Fatalf("warm submit %d missed the cache: %+v", i, rec)
+		}
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 0 {
+		t.Fatalf("8 warm submits grew an empty journal to %d bytes", fi.Size())
+	}
+}
+
 // TestJournalToleratesTruncatedLine: a crash can cut the final append
 // short; the loader must keep every intact line.
 func TestJournalToleratesTruncatedLine(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs/tracez"
 	"repro/internal/pqueue"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Status is a job's lifecycle state.
@@ -79,193 +78,6 @@ type JobRecord struct {
 	Worker string `json:"worker,omitempty"`
 }
 
-// RunFunc executes one normalized job. The orchestrator cancels ctx to
-// abort the run; progress receives (committed, total) instruction counts.
-type RunFunc func(ctx context.Context, j Job, progress func(done, total uint64)) (*JobResult, error)
-
-// SimRun is the production RunFunc for single-core jobs: it drives the
-// exp harness. Mix jobs additionally need the result cache (for their
-// single-core baselines); the orchestrator wires SimRunWith by default.
-func SimRun(ctx context.Context, j Job, progress func(done, total uint64)) (*JobResult, error) {
-	prof, ok := workload.ByName(j.Benchmark)
-	if !ok {
-		return nil, fmt.Errorf("orchestrator: unknown benchmark %q", j.Benchmark)
-	}
-	r := exp.RunOneCtx(ctx, j.Spec(), prof, j.Mode, j.Seed, progress)
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	res := ResultOf(r)
-	emitPhaseSpans(ctx, res.Phases)
-	return res, nil
-}
-
-// emitPhaseSpans reconstructs the run's build/warmup/measure phases as
-// spans ending now, from the durations the exp harness measured. The
-// tracer is consulted strictly AFTER the run — the kernel hot loop
-// never sees a span — and the reconstructed spans are children of
-// whatever span ctx carries (the local run span, or a fleet worker's
-// execute span).
-func emitPhaseSpans(ctx context.Context, ph *exp.Phases) {
-	if ph == nil || tracez.TracerFrom(ctx) == nil {
-		return
-	}
-	//lnuca:allow(determinism) span timestamps reconstructed from measured phase durations; telemetry only, never in result content or keys
-	end := time.Now()
-	secs := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	mStart := end.Add(-secs(ph.MeasureSeconds))
-	wStart := mStart.Add(-secs(ph.WarmupSeconds))
-	bStart := wStart.Add(-secs(ph.BuildSeconds))
-	b, _ := tracez.StartSpanAt(ctx, "lnuca.run.build", bStart)
-	b.FinishAt(wStart)
-	w, _ := tracez.StartSpanAt(ctx, "lnuca.run.warmup", wStart)
-	w.FinishAt(mStart)
-	m, _ := tracez.StartSpanAt(ctx, "lnuca.run.measure", mStart)
-	m.FinishAt(end)
-}
-
-// SimRunWith is SimRunWithTraces without a trace store: trace jobs fail
-// with a configuration error instead of replaying.
-func SimRunWith(cache *Cache) RunFunc {
-	return SimRunWithTraces(cache, nil)
-}
-
-// SimRunWithTraces returns the production RunFunc backed by a result
-// cache and a trace store. Trace jobs resolve their recorded stream
-// through the store and replay it; single-core jobs run directly; mix
-// jobs run the CMP and then resolve
-// their weighted-speedup baselines — one single-core run per distinct
-// benchmark in the mix, under the same hierarchy, mode and seed —
-// through the cache. A per-key singleflight inside the returned closure
-// keeps concurrent workers whose mixes share a benchmark from
-// simulating the same baseline twice: the loser waits for the winner's
-// cache.Put and rereads. (This singleflight is scoped to baseline runs;
-// a user-submitted single-core job racing a baseline with the same key
-// can still compute it once more — the orchestrator's job-level
-// coalescing cannot be consulted from here, and routing baselines
-// through the job queue would deadlock a fully-occupied pool. The race
-// costs at most one duplicate run and both sides publish identical
-// results.) Progress budgets one single-core window per core plus one
-// per distinct baseline, so a mix job keeps reporting honest progress
-// while its baselines run.
-func SimRunWithTraces(cache *Cache, traces *trace.Store) RunFunc {
-	var mu sync.Mutex
-	inflight := make(map[string]chan struct{})
-
-	// baselineIPC resolves one benchmark's single-core IPC through the
-	// cache, simulating on a miss (at most one simulation per key at a
-	// time across workers).
-	baselineIPC := func(ctx context.Context, single Job, progress func(done, total uint64)) (float64, error) {
-		key := single.Key()
-		for {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			if cached, ok := cache.Get(key); ok && cached.Valid() {
-				return cached.IPC, nil
-			}
-			mu.Lock()
-			if done, busy := inflight[key]; busy {
-				mu.Unlock()
-				// Another worker is simulating this baseline; wait for
-				// it to publish (or fail), then reconsult the cache.
-				select {
-				case <-done:
-				case <-ctx.Done():
-					return 0, ctx.Err()
-				}
-				continue
-			}
-			done := make(chan struct{})
-			inflight[key] = done
-			mu.Unlock()
-
-			res, err := SimRun(ctx, single, progress)
-			if err == nil {
-				cache.PutCtx(ctx, key, res)
-			}
-			mu.Lock()
-			delete(inflight, key)
-			mu.Unlock()
-			close(done)
-			if err != nil {
-				return 0, fmt.Errorf("baseline %s: %w", single.Benchmark, err)
-			}
-			return res.IPC, nil
-		}
-	}
-
-	return func(ctx context.Context, j Job, progress func(done, total uint64)) (*JobResult, error) {
-		if j.Trace != "" {
-			if traces == nil {
-				return nil, fmt.Errorf("orchestrator: no trace store configured for trace run %s", j.Trace)
-			}
-			tr, err := traces.Get(j.Trace)
-			if err != nil {
-				return nil, err
-			}
-			r := exp.ReplayOneCtx(ctx, j.Spec(), tr, progress)
-			if r.Err != nil {
-				return nil, r.Err
-			}
-			res := ResultOf(r)
-			emitPhaseSpans(ctx, res.Phases)
-			return res, nil
-		}
-		if !j.IsMix() {
-			return SimRun(ctx, j, progress)
-		}
-		// Distinct baselines, in mix order.
-		var distinct []string
-		seen := map[string]bool{}
-		for _, b := range j.MixBenchmarks {
-			if !seen[b] {
-				seen[b] = true
-				distinct = append(distinct, b)
-			}
-		}
-		budget := j.Mode.Warmup + j.Mode.Measure
-		mixUnits := uint64(j.Cores) * budget
-		totalUnits := mixUnits + uint64(len(distinct))*budget
-		stage := func(offset uint64) func(done, total uint64) {
-			if progress == nil {
-				return nil
-			}
-			return func(done, _ uint64) { progress(offset+done, totalUnits) }
-		}
-
-		r := exp.RunMixCtx(ctx, j.MixSpec(), j.Mode, j.Seed, stage(0))
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		baselines := make(map[string]float64, len(distinct))
-		for i, bench := range distinct {
-			single, err := Job{
-				Kind: j.Kind, Levels: j.Levels, Benchmark: bench,
-				Mode: j.Mode, Seed: j.Seed,
-			}.Normalize()
-			if err != nil {
-				return nil, err
-			}
-			ipc, err := baselineIPC(ctx, single, stage(mixUnits+uint64(i)*budget))
-			if err != nil {
-				return nil, err
-			}
-			baselines[bench] = ipc
-		}
-		if progress != nil {
-			progress(totalUnits, totalUnits)
-		}
-		ws, err := exp.WeightedSpeedup(r.PerCore, baselines)
-		if err != nil {
-			return nil, err
-		}
-		res := MixResultOf(r, ws)
-		emitPhaseSpans(ctx, res.Phases)
-		return res, nil
-	}
-}
-
 // Config tunes an Orchestrator.
 type Config struct {
 	// Workers bounds concurrent simulations (default: 2).
@@ -276,8 +88,8 @@ type Config struct {
 	// resolve their recorded streams through (default: a fresh
 	// memory-only store).
 	Traces *trace.Store
-	// Run executes one job (default: SimRunWithTraces over Cache and
-	// Traces). Tests inject stubs here.
+	// Run executes one job (default: Engine.Run over Cache and Traces).
+	// Tests inject stubs here.
 	Run RunFunc
 	// RecordCap bounds retained job records (default: 4096). Terminal
 	// records beyond the cap are pruned oldest-first so a long-running
@@ -411,7 +223,7 @@ func New(cfg Config) *Orchestrator {
 		cfg.Traces = trace.NewStore("")
 	}
 	if cfg.Run == nil {
-		cfg.Run = SimRunWithTraces(cfg.Cache, cfg.Traces)
+		cfg.Run = NewEngine(cfg.Cache, cfg.Traces).Run
 	}
 	if cfg.RecordCap <= 0 {
 		cfg.RecordCap = 4096
@@ -605,15 +417,16 @@ func (o *Orchestrator) SubmitCtx(ctx context.Context, j Job) (JobRecord, error) 
 	if err != nil {
 		return JobRecord{}, err
 	}
-	span, sctx := o.cfg.Tracer.Start(ctx, "lnuca.orch.submit")
-	rec, err := o.submit(sctx, nj)
-	span.SetError(err)
-	span.Finish()
-	return rec, err
+	return o.submit(ctx, nj)
 }
 
-// submit accepts a pre-normalized job; ctx carries the submit span.
-func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
+// submit accepts a pre-normalized job under a submit span.
+func (o *Orchestrator) submit(ctx context.Context, nj Job) (_ JobRecord, err error) {
+	span, ctx := o.cfg.Tracer.Start(ctx, "lnuca.orch.submit")
+	defer func() {
+		span.SetError(err)
+		span.Finish()
+	}()
 	key := nj.Key()
 
 	o.mu.Lock()
@@ -621,17 +434,9 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 		o.mu.Unlock()
 		return JobRecord{}, ErrClosed
 	}
-	// Singleflight: merge onto the live task for this content — unless
-	// its cancellation was already requested, in which case a fresh
-	// submission must not inherit the pending cancel.
-	if live, ok := o.byKey[key]; ok && !live.canceled {
-		o.submitted++
-		o.coalesced++
-		rec := o.snapshot(live)
-		rec.Coalesced = true
+	if rec, ok := o.coalesceLocked(key); ok {
 		o.mu.Unlock()
-		o.traceCoalesced(ctx, live.traceID, rec.ID)
-		o.log.Debug("job coalesced", "job_id", rec.ID, "key", key)
+		o.noteCoalesced(ctx, rec)
 		return rec, nil
 	}
 	o.mu.Unlock()
@@ -661,12 +466,13 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 		o.mu.Unlock()
 		hit, _ := tracez.StartSpan(ctx, "lnuca.orch.cachehit")
 		hit.Finish()
-		// Balance a possibly replayed journal entry for this key: a
-		// pending submission resubmitted after a restart may now be a
-		// cache hit, and without an end event it would stay pending in
-		// the journal forever. Unmatched end events are ignored on load.
-		if o.cfg.Journal != nil {
-			o.cfg.Journal.ended(t.id, key, StatusDone)
+		// Only a replayed submission has a journal line to balance: a
+		// pending entry resubmitted after a restart that is now a cache
+		// hit would otherwise stay pending forever. Every other cache hit
+		// — the warm-submit hot path — appends (and syncs) nothing, so
+		// the file keeps tracking the live queue.
+		if j := o.cfg.Journal; j != nil && j.takeCredit(key) {
+			j.ended(t.id, key, StatusDone)
 		}
 		o.log.Info("job cached", "job_id", rec.ID, "key", key)
 		return rec, nil
@@ -687,14 +493,9 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 	}
 	// A concurrent identical submission may have won the race while the
 	// cache was consulted; coalesce late rather than double-compute.
-	if live, ok := o.byKey[key]; ok && !live.canceled {
-		o.submitted++
-		o.coalesced++
-		rec := o.snapshot(live)
-		rec.Coalesced = true
+	if rec, ok := o.coalesceLocked(key); ok {
 		o.mu.Unlock()
-		o.traceCoalesced(ctx, live.traceID, rec.ID)
-		o.log.Debug("job coalesced", "job_id", rec.ID, "key", key)
+		o.noteCoalesced(ctx, rec)
 		return rec, nil
 	}
 	// Backpressure: a bounded queue rejects rather than buffers without
@@ -743,16 +544,34 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 	return rec, nil
 }
 
-// traceCoalesced records a coalesced submission in both places it is
-// visible: an instant span on the SUBMITTER's trace (its story ends
-// with "merged onto jobID") and an event on the WINNER's trace (other
-// submissions piled onto it).
-func (o *Orchestrator) traceCoalesced(ctx context.Context, winnerTraceID, jobID string) {
+// coalesceLocked is the job-level singleflight: it merges a submission
+// onto the live task for this content and counts it — unless that
+// task's cancellation was already requested, in which case a fresh
+// submission must not inherit the pending cancel.
+func (o *Orchestrator) coalesceLocked(key string) (JobRecord, bool) {
+	live, ok := o.byKey[key]
+	if !ok || live.canceled {
+		return JobRecord{}, false
+	}
+	o.submitted++
+	o.coalesced++
+	rec := o.snapshot(live)
+	rec.Coalesced = true
+	return rec, true
+}
+
+// noteCoalesced records a coalesced submission in the log and in both
+// places a trace shows it: an instant span on the SUBMITTER's trace (its
+// story ends with "merged onto jobID") and an event on the WINNER's
+// trace (other submissions piled onto it) — rec is the winner's
+// snapshot.
+func (o *Orchestrator) noteCoalesced(ctx context.Context, rec JobRecord) {
 	cs, _ := tracez.StartSpan(ctx, "lnuca.orch.coalesce")
 	cs.Finish()
-	if winnerTraceID != "" {
-		o.cfg.Flight.Event("coalesced", winnerTraceID, "submission "+tracez.TraceIDFrom(ctx)+" merged onto "+jobID)
+	if rec.TraceID != "" {
+		o.cfg.Flight.Event("coalesced", rec.TraceID, "submission "+tracez.TraceIDFrom(ctx)+" merged onto "+rec.ID)
 	}
+	o.log.Debug("job coalesced", "job_id", rec.ID, "key", rec.Key)
 }
 
 // runStartedKey carries the per-task run-(re)start callback through the
@@ -818,6 +637,43 @@ func (o *Orchestrator) newTaskLocked(j Job, key string) *task {
 	}
 	o.records[t.id] = t
 	return t
+}
+
+// finishLocked is the one terminal transition of a task that was queued
+// or running: status, finish time, singleflight release, lifecycle
+// counter, span close, retention. err is the run's error (nil for done,
+// and for a task canceled before it ran).
+func (o *Orchestrator) finishLocked(t *task, status Status, err error) {
+	t.status = status
+	//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
+	t.finishedAt = time.Now()
+	// A cancel-then-resubmit may have replaced this key's live task;
+	// only remove the entry if it is still ours.
+	if o.byKey[t.key] == t {
+		delete(o.byKey, t.key)
+	}
+	switch status {
+	case StatusDone:
+		o.executed++
+	case StatusFailed:
+		o.failed++
+	default:
+		o.canceled++
+	}
+	// Whichever phase is still open closes here — queue for a task that
+	// never ran, run for one that did (finishing a span twice records
+	// once; a nil span is a no-op).
+	t.queueSpan.FinishAt(t.finishedAt)
+	if t.worker != "" {
+		t.runSpan.SetAttr("worker", t.worker)
+	}
+	t.runSpan.SetAttr("status", string(status))
+	t.runSpan.SetError(err)
+	t.runSpan.FinishAt(t.finishedAt)
+	t.jobSpan.SetAttr("status", string(status))
+	t.jobSpan.SetError(err)
+	t.jobSpan.FinishAt(t.finishedAt)
+	o.markTerminalLocked(t)
 }
 
 // markTerminalLocked registers a task that just reached a terminal
@@ -890,18 +746,8 @@ func (o *Orchestrator) Cancel(id string) (JobRecord, bool) {
 		if t.heapIdx >= 0 {
 			o.queue.RemoveAt(t.heapIdx)
 		}
-		if o.byKey[t.key] == t {
-			delete(o.byKey, t.key)
-		}
-		t.status = StatusCanceled
 		t.canceled = true
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		t.finishedAt = time.Now()
-		o.canceled++
-		t.queueSpan.FinishAt(t.finishedAt)
-		t.jobSpan.SetAttr("status", string(StatusCanceled))
-		t.jobSpan.FinishAt(t.finishedAt)
-		o.markTerminalLocked(t)
+		o.finishLocked(t, StatusCanceled, nil)
 		// An explicit cancel is journaled (unlike the implicit ones during
 		// Close): the user asked for the job not to run, so a restart must
 		// not resurrect it.
@@ -936,8 +782,8 @@ func (o *Orchestrator) SubmitSweep(jobs []Job) (string, []JobRecord, error) {
 	}
 	recs := make([]JobRecord, 0, len(normalized))
 	ids := make([]string, 0, len(normalized))
-	for _, j := range normalized {
-		rec, err := o.Submit(j)
+	for _, nj := range normalized {
+		rec, err := o.submit(context.Background(), nj)
 		if err != nil {
 			return "", nil, err
 		}
@@ -1084,17 +930,7 @@ func (o *Orchestrator) Close() {
 	// journal keeps these jobs pending.
 	for o.queue.Len() > 0 {
 		t, _ := o.queue.Pop()
-		t.status = StatusCanceled
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		t.finishedAt = time.Now()
-		if o.byKey[t.key] == t {
-			delete(o.byKey, t.key)
-		}
-		o.canceled++
-		t.queueSpan.FinishAt(t.finishedAt)
-		t.jobSpan.SetAttr("status", string(StatusCanceled))
-		t.jobSpan.FinishAt(t.finishedAt)
-		o.markTerminalLocked(t)
+		o.finishLocked(t, StatusCanceled, nil)
 	}
 	//lnuca:allow(determinism) cancellation order is unobservable; every remaining task is canceled regardless of order
 	for _, t := range o.records {
@@ -1159,40 +995,20 @@ func (o *Orchestrator) worker() {
 			o.cache.PutCtx(ctx, t.key, res)
 		}
 		o.mu.Lock()
-		// A cancel-then-resubmit may have replaced this key's live task;
-		// only remove the entry if it is still ours.
-		if o.byKey[t.key] == t {
-			delete(o.byKey, t.key)
-		}
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		t.finishedAt = time.Now()
-		ran := t.finishedAt.Sub(t.startedAt)
+		status := StatusDone
 		switch {
 		case err != nil && (errors.Is(err, context.Canceled) || t.canceled):
-			t.status = StatusCanceled
+			status = StatusCanceled
 			t.errMsg = context.Canceled.Error()
-			o.canceled++
 		case err != nil:
-			t.status = StatusFailed
+			status = StatusFailed
 			t.errMsg = err.Error()
-			o.failed++
 		default:
-			t.status = StatusDone
 			t.result = res
-			o.executed++
 		}
-		status := t.status
+		o.finishLocked(t, status, err)
+		ran := t.finishedAt.Sub(t.startedAt)
 		closing := o.closed
-		if t.worker != "" {
-			t.runSpan.SetAttr("worker", t.worker)
-		}
-		t.runSpan.SetAttr("status", string(status))
-		t.runSpan.SetError(err)
-		t.runSpan.FinishAt(t.finishedAt)
-		t.jobSpan.SetAttr("status", string(status))
-		t.jobSpan.SetError(err)
-		t.jobSpan.FinishAt(t.finishedAt)
-		o.markTerminalLocked(t)
 		o.mu.Unlock()
 
 		// Journal the terminal transition — except for jobs the shutdown

@@ -364,42 +364,8 @@ func TestSweepExpansionAndStatus(t *testing.T) {
 	}
 }
 
-// TestSimRunEndToEnd exercises the production RunFunc against the real
-// simulator, including progress reporting and mid-run cancellation.
-func TestSimRunEndToEnd(t *testing.T) {
-	job, err := Job{Kind: hier.Conventional, Benchmark: "403.gcc",
-		Mode: exp.Mode{Name: "tiny", Warmup: 500, Measure: 3000}, Seed: 1}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var progressed bool
-	res, err := SimRun(context.Background(), job, func(done, total uint64) {
-		if total != 3500 {
-			t.Errorf("progress total = %d, want 3500", total)
-		}
-		progressed = true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC <= 0 || res.Cycles == 0 || res.Stats == nil {
-		t.Fatalf("implausible result: %+v", res)
-	}
-	if !progressed {
-		t.Error("no progress reported")
-	}
-
-	// Cancellation mid-run: a pre-cancelled context must abort promptly
-	// with context.Canceled.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := SimRun(ctx, job, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run returned %v", err)
-	}
-}
-
 func TestJobResultJSONRoundTrip(t *testing.T) {
-	res, err := SimRun(context.Background(), Job{Kind: hier.Conventional,
+	res, err := NewEngine(NewCache(0, ""), nil).Run(context.Background(), Job{Kind: hier.Conventional,
 		Benchmark: "403.gcc", Mode: exp.Mode{Name: "tiny", Warmup: 200, Measure: 2000}, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/hier"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -65,9 +64,9 @@ type Request struct {
 }
 
 // parse maps a Request onto the un-normalized job model: schema check,
-// hierarchy and mode name resolution, window overrides. Validation that
-// needs the workload catalog (benchmarks, mixes) happens in
-// Job.Normalize.
+// hierarchy and mode name resolution, window overrides, trace
+// conflicts. Validation that needs the workload catalog (benchmarks,
+// mixes) happens in Job.Normalize.
 func (r Request) parse() (Job, error) {
 	if r.Schema != "" && r.Schema != RequestSchema {
 		return Job{}, fmt.Errorf("orchestrator: unsupported request schema %q (want %q)", r.Schema, RequestSchema)
@@ -76,37 +75,18 @@ func (r Request) parse() (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
+	// A trace pins its own windows, so an empty mode must stay empty
+	// there instead of defaulting to quick.
 	var mode exp.Mode
-	if r.Trace != "" {
-		// Everything a trace pins (workload, windows, seed) is rejected
-		// up front when named alongside it, so a conflicting request
-		// fails at parse time — before any queue or store is consulted —
-		// with an error naming the conflict. The same checks live in
-		// Job.normalizeTrace for callers that build Jobs directly.
-		switch {
-		case r.Benchmark != "":
-			return Job{}, fmt.Errorf("orchestrator: a run replays either a trace or a benchmark, not both (trace %s, benchmark %q)", r.Trace, r.Benchmark)
-		case r.Cores != 0 || r.Mix != "":
-			return Job{}, fmt.Errorf("orchestrator: trace runs are single-core — drop cores/mix (trace %s)", r.Trace)
-		case r.Mode != "" || r.Warmup != 0 || r.Measure != 0:
-			// The trace content hash pins the windows; resolving a mode
-			// here would make the defaulted window part of the request
-			// and silently conflict with the trace's own.
-			return Job{}, fmt.Errorf("orchestrator: a trace run replays the recorded windows — drop mode/warmup/measure (trace %s)", r.Trace)
-		case r.Seed != 0:
-			return Job{}, fmt.Errorf("orchestrator: the trace pins the seed — drop seed %d (trace %s)", r.Seed, r.Trace)
-		case !trace.ValidID(r.Trace):
-			return Job{}, fmt.Errorf("orchestrator: malformed trace id %q (want a 64-hex-digit lnuca-trace-v1 content hash)", r.Trace)
-		}
-	} else {
+	if r.Trace == "" || r.Mode != "" {
 		if mode, err = ParseMode(r.Mode); err != nil {
 			return Job{}, err
 		}
-		if r.Warmup != 0 || r.Measure != 0 {
-			mode = exp.Mode{Name: "custom", Warmup: r.Warmup, Measure: r.Measure}
-		}
 	}
-	return Job{
+	if r.Warmup != 0 || r.Measure != 0 {
+		mode = exp.Mode{Name: "custom", Warmup: r.Warmup, Measure: r.Measure}
+	}
+	j := Job{
 		Kind:      kind,
 		Levels:    r.Levels,
 		Benchmark: r.Benchmark,
@@ -116,7 +96,13 @@ func (r Request) parse() (Job, error) {
 		Mode:      mode,
 		Seed:      r.Seed,
 		Priority:  r.Priority,
-	}, nil
+	}
+	if r.Trace != "" {
+		// A request naming something its trace already pins fails here,
+		// at parse time — before any queue or store is consulted.
+		err = j.traceConflict()
+	}
+	return j, err
 }
 
 // Job parses and normalizes the request into the canonical job the
@@ -219,6 +205,20 @@ type SweepRequest struct {
 // deterministic, so submitting the expanded requests one by one is
 // content-equivalent to submitting the sweep.
 func (s SweepRequest) Expand() ([]Request, error) {
+	jobs, err := s.Jobs()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Request, len(jobs))
+	for i, j := range jobs {
+		out[i] = RequestOf(j)
+	}
+	return out, nil
+}
+
+// Jobs expands the sweep into un-normalized jobs, ready for SubmitSweep
+// (which normalizes and validates each cell).
+func (s SweepRequest) Jobs() ([]Job, error) {
 	if s.Schema != "" && s.Schema != RequestSchema {
 		return nil, fmt.Errorf("orchestrator: unsupported sweep schema %q (want %q)", s.Schema, RequestSchema)
 	}
@@ -245,29 +245,8 @@ func (s SweepRequest) Expand() ([]Request, error) {
 		benches = workload.Names()
 	}
 	jobs := ExpandSweep(kinds, s.Levels, benches, mode, s.Seed)
-	out := make([]Request, len(jobs))
-	for i, j := range jobs {
-		r := RequestOf(j)
-		r.Priority = s.Priority
-		out[i] = r
-	}
-	return out, nil
-}
-
-// Jobs expands and parses the sweep into un-normalized jobs, ready for
-// SubmitSweep (which normalizes and validates each cell).
-func (s SweepRequest) Jobs() ([]Job, error) {
-	reqs, err := s.Expand()
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]Job, len(reqs))
-	for i, r := range reqs {
-		j, err := r.parse()
-		if err != nil {
-			return nil, fmt.Errorf("sweep cell %d: %w", i, err)
-		}
-		jobs[i] = j
+	for i := range jobs {
+		jobs[i].Priority = s.Priority
 	}
 	return jobs, nil
 }

@@ -216,7 +216,7 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A real (non-stub) run path: New wires SimRunWithTraces over its
+	// A real (non-stub) run path: New wires Engine.Run over its
 	// own cache and trace store when Run is nil.
 	o := New(Config{Workers: 1})
 	defer o.Close()

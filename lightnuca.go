@@ -49,7 +49,6 @@ import (
 	"fmt"
 
 	"repro/internal/exp"
-	"repro/internal/hier"
 	"repro/internal/lnuca"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
@@ -145,25 +144,6 @@ const (
 	StatusCanceled = orchestrator.StatusCanceled
 )
 
-// Hierarchy selects one of the four organizations of Fig. 1.
-type Hierarchy = hier.Kind
-
-// The four evaluated hierarchies.
-const (
-	// Conventional is L1 32KB / L2 256KB / L3 8MB.
-	Conventional = hier.Conventional
-	// LNUCAPlusL3 replaces the L2 with an L-NUCA.
-	LNUCAPlusL3 = hier.LNUCAL3
-	// DNUCA is L1 / 8MB D-NUCA (the DN-4x8 baseline).
-	DNUCA = hier.DNUCAOnly
-	// LNUCAPlusDNUCA inserts an L-NUCA between L1 and the D-NUCA.
-	LNUCAPlusDNUCA = hier.LNUCADNUCA
-)
-
-// HierarchyName renders a Hierarchy as the canonical Request.Hierarchy
-// spelling ("conventional", "ln+l3", "dn-4x8", "ln+dn-4x8").
-func HierarchyName(h Hierarchy) string { return orchestrator.KindName(h) }
-
 // Result summarizes one measured window. Key is the run's lnuca-job-v2
 // content address — identical for the same logical run regardless of
 // which Runner (or CLI, or HTTP call) produced it — and Cached reports
@@ -235,46 +215,6 @@ func resultFrom(key string, jr *orchestrator.JobResult, cached bool) Result {
 		out.Energy.Add(b, jr.EnergyPJ[b])
 	}
 	return out
-}
-
-// Options tune a run submitted through the deprecated Run entry point.
-//
-// Deprecated: build a Request instead; it carries the same fields plus
-// the CMP mode, and flows unchanged through every front-end.
-type Options struct {
-	// Levels selects the L-NUCA depth (2..6; default 3).
-	Levels int
-	// Seed makes runs reproducible (default 1).
-	Seed uint64
-	// WarmupInstructions and MeasureInstructions size the run (defaults:
-	// the harness "quick" mode; the paper uses 200M + 100M). Setting a
-	// warmup without a measured window is rejected.
-	WarmupInstructions, MeasureInstructions uint64
-}
-
-// defaultRunner backs the deprecated Run shim; repeated identical runs
-// memoize in process.
-var defaultRunner Local
-
-// Run simulates one benchmark on one hierarchy and reports the measured
-// window.
-//
-// Deprecated: use a Runner with a Request — Run(h, b, opt) is exactly
-//
-//	(&lightnuca.Local{}).Run(ctx, lightnuca.Request{
-//		Hierarchy: lightnuca.HierarchyName(h), Benchmark: b,
-//		Levels: opt.Levels, Seed: opt.Seed,
-//		Warmup: opt.WarmupInstructions, Measure: opt.MeasureInstructions,
-//	})
-func Run(h Hierarchy, benchmark string, opt Options) (Result, error) {
-	return defaultRunner.Run(context.Background(), Request{
-		Hierarchy: HierarchyName(h),
-		Levels:    opt.Levels,
-		Benchmark: benchmark,
-		Warmup:    opt.WarmupInstructions,
-		Measure:   opt.MeasureInstructions,
-		Seed:      opt.Seed,
-	})
 }
 
 // Record executes one single-core Request in process — exactly the run

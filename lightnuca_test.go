@@ -1,14 +1,20 @@
 package lightnuca_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	lightnuca "repro"
 )
 
+// run executes one request on a fresh Local runner.
+func run(req lightnuca.Request) (lightnuca.Result, error) {
+	return (&lightnuca.Local{}).Run(context.Background(), req)
+}
+
 func TestRunQuickstartPath(t *testing.T) {
-	res, err := lightnuca.Run(lightnuca.LNUCAPlusL3, "453.povray", lightnuca.Options{})
+	res, err := run(lightnuca.Request{Hierarchy: "ln+l3", Benchmark: "453.povray"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +33,7 @@ func TestRunQuickstartPath(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := lightnuca.Run(lightnuca.Conventional, "999.bogus", lightnuca.Options{}); err == nil {
+	if _, err := run(lightnuca.Request{Hierarchy: "conventional", Benchmark: "999.bogus"}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -52,7 +58,7 @@ func TestBenchmarksDefensiveCopy(t *testing.T) {
 	if fresh[0] != orig {
 		t.Fatalf("catalog mutated through the returned slice: %q", fresh[0])
 	}
-	if _, err := lightnuca.Run(lightnuca.Conventional, orig, lightnuca.Options{}); err != nil {
+	if _, err := run(lightnuca.Request{Hierarchy: "conventional", Benchmark: orig}); err != nil {
 		t.Fatalf("catalog lookup broken after mutation: %v", err)
 	}
 }
@@ -60,9 +66,7 @@ func TestBenchmarksDefensiveCopy(t *testing.T) {
 // TestRunRejectsHalfSpecifiedWindow: a warmup without a measured window
 // used to be silently ignored; it must now be an error.
 func TestRunRejectsHalfSpecifiedWindow(t *testing.T) {
-	_, err := lightnuca.Run(lightnuca.Conventional, "403.gcc", lightnuca.Options{
-		WarmupInstructions: 1000,
-	})
+	_, err := run(lightnuca.Request{Hierarchy: "conventional", Benchmark: "403.gcc", Warmup: 1000})
 	if err == nil {
 		t.Fatal("warmup-only window accepted")
 	}
@@ -98,10 +102,9 @@ func TestAreaTable(t *testing.T) {
 }
 
 func TestCustomWindow(t *testing.T) {
-	res, err := lightnuca.Run(lightnuca.Conventional, "403.gcc", lightnuca.Options{
-		WarmupInstructions:  1000,
-		MeasureInstructions: 5000,
-		Seed:                7,
+	res, err := run(lightnuca.Request{
+		Hierarchy: "conventional", Benchmark: "403.gcc",
+		Warmup: 1000, Measure: 5000, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

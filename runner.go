@@ -15,12 +15,13 @@ import (
 // CLIs and the service never recompute each other's runs.
 //
 // CMP mix requests resolve their weighted-speedup baselines through the
-// same cache — one single-core run per distinct benchmark in the mix,
+// same engine — one single-core run per distinct benchmark in the mix,
 // memoized under its own key.
 //
-// Local is safe for concurrent use once configured (identical
-// concurrent Requests coalesce onto a single simulation); the
-// configuration fields must not be changed after the first Run.
+// Local is safe for concurrent use once configured (concurrent work on
+// one content key, top-level or baseline, coalesces onto a single
+// simulation); the configuration fields must not be changed after the
+// first Run.
 type Local struct {
 	// CacheDir optionally backs the runner with a directory of
 	// <key>.json results (empty = in-memory only).
@@ -40,18 +41,14 @@ type Local struct {
 	once   sync.Once
 	cache  *orchestrator.Cache
 	traces *TraceStore
-	run    orchestrator.RunFunc
-
-	mu       sync.Mutex
-	inflight map[string]chan struct{}
+	engine *orchestrator.Engine
 }
 
 func (l *Local) init() {
 	l.once.Do(func() {
 		l.cache = orchestrator.NewCache(l.CacheEntries, l.CacheDir)
 		l.traces = trace.NewStore(l.TraceDir)
-		l.run = orchestrator.SimRunWithTraces(l.cache, l.traces)
-		l.inflight = make(map[string]chan struct{})
+		l.engine = orchestrator.NewEngine(l.cache, l.traces)
 	})
 }
 
@@ -72,53 +69,22 @@ func (l *Local) Traces() *TraceStore {
 	return l.traces
 }
 
-// Run implements Runner: normalize, look up, simulate on a miss, store.
-// Concurrent Runs of the same content key coalesce — one simulates, the
-// rest wait and read its published result. The context is polled
-// between simulation chunks, so cancellation lands mid-run.
+// Run implements Runner: normalize, then get-or-simulate through the
+// engine. Concurrent Runs of the same content key — and a mix's
+// baseline of that key — coalesce: one simulates, the rest wait and
+// read its published result. The context is polled between simulation
+// chunks, so cancellation lands mid-run.
 func (l *Local) Run(ctx context.Context, req Request) (Result, error) {
 	l.init()
 	job, err := req.Job()
 	if err != nil {
 		return Result{}, err
 	}
-	key := job.Key()
-	for {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		if res, ok := l.cache.Get(key); ok {
-			return resultFrom(key, res, true), nil
-		}
-		l.mu.Lock()
-		if done, busy := l.inflight[key]; busy {
-			l.mu.Unlock()
-			// Another Run is simulating this content; wait for it to
-			// publish (or fail), then reconsult the cache.
-			select {
-			case <-done:
-				continue
-			case <-ctx.Done():
-				return Result{}, ctx.Err()
-			}
-		}
-		done := make(chan struct{})
-		l.inflight[key] = done
-		l.mu.Unlock()
-
-		res, err := l.run(ctx, job, l.OnProgress)
-		if err == nil {
-			l.cache.Put(key, res)
-		}
-		l.mu.Lock()
-		delete(l.inflight, key)
-		l.mu.Unlock()
-		close(done)
-		if err != nil {
-			return Result{}, err
-		}
-		return resultFrom(key, res, false), nil
+	res, cached, err := l.engine.Do(ctx, job, l.OnProgress)
+	if err != nil {
+		return Result{}, err
 	}
+	return resultFrom(job.Key(), res, cached), nil
 }
 
 // CacheStats reports the runner's result-cache hit/miss counters.

@@ -2,11 +2,36 @@ package lightnuca_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	lightnuca "repro"
+	"repro/internal/obs/tracez"
 )
+
+// holdUntilMiss returns an OnProgress hook that, on its first call —
+// i.e. from inside a running simulation — fires started and then holds
+// that simulation until another Run has missed the runner's cache, so
+// the two provably overlap.
+func holdUntilMiss(t *testing.T, local *lightnuca.Local, started chan<- struct{}) func(done, total uint64) {
+	var once sync.Once
+	return func(_, _ uint64) {
+		once.Do(func() {
+			_, before := local.CacheStats()
+			close(started)
+			deadline := time.Now().Add(10 * time.Second)
+			for _, misses := local.CacheStats(); misses == before; _, misses = local.CacheStats() {
+				if time.Now().After(deadline) {
+					t.Error("no concurrent Run reached the cache")
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
 
 // TestLocalResultDetachedFromCache: a caller mutating the Stats or
 // PerCore of a returned Result must not corrupt what the runner's cache
@@ -113,5 +138,96 @@ func TestLocalCoalescesConcurrentRuns(t *testing.T) {
 	}
 	if simulated != 1 {
 		t.Fatalf("%d of %d concurrent identical runs simulated, want exactly 1", simulated, n)
+	}
+}
+
+// TestLocalFailedWinnerLetsWaiterRetry: a Run that coalesced onto a
+// simulation whose caller then gave up must not inherit the failure —
+// nothing was published, so the waiter simulates for itself.
+func TestLocalFailedWinnerLetsWaiterRetry(t *testing.T) {
+	local := &lightnuca.Local{}
+	started := make(chan struct{})
+	local.OnProgress = holdUntilMiss(t, local, started)
+	req := lightnuca.Request{
+		Hierarchy: "conventional", Benchmark: "429.mcf",
+		Warmup: 500, Measure: 3000, Seed: 3,
+	}
+	winnerCtx, giveUp := context.WithCancel(context.Background())
+	defer giveUp()
+	winnerErr := make(chan error, 1)
+	go func() {
+		_, err := local.Run(winnerCtx, req)
+		winnerErr <- err
+	}()
+	<-started
+	waiter := make(chan lightnuca.Result, 1)
+	go func() {
+		res, err := local.Run(context.Background(), req)
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		waiter <- res
+	}()
+	// The hook releases the winner once the waiter has missed the cache;
+	// the winner's next context poll then sees the cancellation.
+	giveUp()
+	if err := <-winnerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("winner returned %v, want context.Canceled", err)
+	}
+	if res := <-waiter; res.Cached || res.IPC <= 0 {
+		t.Fatalf("waiter after a failed winner: cached=%v IPC=%v, want a fresh simulation", res.Cached, res.IPC)
+	}
+}
+
+// TestLocalMixBaselineSharesTopLevelRun: a mix's baseline and a
+// concurrent top-level Run of the same content key are one simulation.
+// Every simulation leaves one lnuca.run.measure span, so the span count
+// is the run count: the mix plus one run per distinct benchmark.
+func TestLocalMixBaselineSharesTopLevelRun(t *testing.T) {
+	local := &lightnuca.Local{}
+	mix := lightnuca.Request{
+		Hierarchy: "conventional", Cores: 2, Mix: "403.gcc,456.hmmer",
+		Warmup: 500, Measure: 3000, Seed: 1,
+	}
+	single := mix
+	single.Cores, single.Mix, single.Benchmark = 0, "", "403.gcc"
+
+	// The first simulation progress reported past the mix's own budget
+	// (2 cores x 3500) comes from inside its first baseline, 403.gcc.
+	const mixUnits = 2 * 3500
+	started := make(chan struct{})
+	hold := holdUntilMiss(t, local, started)
+	local.OnProgress = func(done, total uint64) {
+		if done > mixUnits {
+			hold(done, total)
+		}
+	}
+	var col tracez.Collector
+	ctx := tracez.WithTracer(context.Background(), tracez.New(&col))
+
+	mixErr := make(chan error, 1)
+	go func() {
+		_, err := local.Run(ctx, mix)
+		mixErr <- err
+	}()
+	<-started
+	res, err := local.Run(ctx, single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-mixErr; err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cached {
+		t.Error("top-level run simulated a key the mix's baseline was already simulating")
+	}
+	sims := 0
+	for _, s := range col.Drain() {
+		if s.Name == "lnuca.run.measure" {
+			sims++
+		}
+	}
+	if sims != 3 {
+		t.Fatalf("%d simulations, want 3 (the mix + one per distinct benchmark)", sims)
 	}
 }
