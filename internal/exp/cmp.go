@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/hier"
 	"repro/internal/stats"
@@ -62,16 +61,10 @@ func RunMix(spec MixSpec, mode Mode, seed uint64) MixResult {
 	return RunMixCtx(context.Background(), spec, mode, seed, nil)
 }
 
-// RunMixCtx executes one multi-programmed measurement: build the CMP,
-// functionally prewarm every core's levels, advance until every core
-// clears the warmup budget, then measure until every core clears the
-// total budget. Cores that finish early keep running — they must keep
-// contending for the shared LLC while slower cores measure, the standard
-// multi-programmed methodology. The context is polled between chunks;
-// progress (when non-nil) receives (committed, total) instruction counts
-// summed over cores.
-//
-//lnuca:allow(determinism) Phases wall-time telemetry; stripped at Cache.Put so cached results stay byte-identical
+// RunMixCtx executes one multi-programmed measurement through the
+// shared loop (see measure): the CMP is built with one benchmark per
+// core, and the window is read back per core. progress (when non-nil)
+// receives (committed, total) instruction counts summed over cores.
 func RunMixCtx(ctx context.Context, spec MixSpec, mode Mode, seed uint64, progress func(done, total uint64)) MixResult {
 	res := MixResult{Spec: spec, Phases: &Phases{}}
 	profs, err := profilesFor(spec.Benchmarks)
@@ -79,81 +72,23 @@ func RunMixCtx(ctx context.Context, spec MixSpec, mode Mode, seed uint64, progre
 		res.Err = err
 		return res
 	}
-	buildStart := time.Now()
-	sys, err := hier.BuildCMP(spec.Kind, profs, hier.CMPOptions{
-		LNUCALevels:         spec.Levels,
-		Seed:                seed,
-		ShuffleRegistration: spec.ShuffleRegistration,
-		Ungated:             spec.Ungated,
-	})
-	res.Phases.BuildSeconds = time.Since(buildStart).Seconds()
+	w, err := measure(ctx, func() (*hier.System, error) {
+		return hier.BuildCMP(spec.Kind, profs, hier.CMPOptions{
+			LNUCALevels:         spec.Levels,
+			Seed:                seed,
+			ShuffleRegistration: spec.ShuffleRegistration,
+			Ungated:             spec.Ungated,
+		})
+	}, "mix "+spec.Label(), mode, progress)
+	res.Phases = w.phases
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	kernelStart := sys.Kernel.Stats()
-	warmupStart := time.Now()
-	sys.Prewarm()
-
-	n := uint64(len(profs))
-	total := mode.Warmup + mode.Measure
-	report := func() {
-		if progress != nil {
-			var done uint64
-			for _, c := range sys.Cores {
-				got := c.Committed
-				if got > total {
-					got = total
-				}
-				done += got
-			}
-			progress(done, n*total)
-		}
-	}
-	// A stalled machine must fail loudly, not spin: with the slowest
-	// catalog profiles under full contention IPC stays above ~1/50, so
-	// this cap is two orders of magnitude of headroom.
-	cycleCap := 1000*total + 1_000_000
-
-	// advance runs chunks until every core commits at least target,
-	// clamping near the boundary like RunOneCtx does.
-	const chunk = 2048
-	advance := func(target uint64) error {
-		for sys.MinCommitted() < target {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if sys.Kernel.Cycle() > cycleCap {
-				return fmt.Errorf("exp: mix %s stalled: min committed %d/%d after %d cycles",
-					spec.Label(), sys.MinCommitted(), target, sys.Kernel.Cycle())
-			}
-			sys.Run(clampChunk(chunk, target-sys.MinCommitted(), sys.Cores[0].MaxCommitPerCycle()))
-			report()
-		}
-		return nil
-	}
-
-	if err := advance(mode.Warmup); err != nil {
-		res.Err = err
-		return res
-	}
-	startStats := sys.Collect()
-	startCycles := sys.Kernel.Cycle()
-	res.Phases.WarmupSeconds = time.Since(warmupStart).Seconds()
-	measureStart := time.Now()
-	if err := advance(total); err != nil {
-		res.Err = err
-		return res
-	}
-	endStats := sys.Collect()
-
-	res.Stats = stats.Delta(endStats, startStats)
-	res.Cycles = sys.Kernel.Cycle() - startCycles
+	res.Stats, res.Cycles = w.stats, w.cycles
 	res.PerCore = make([]CoreResult, len(profs))
-	var committedAll uint64
 	for i := range profs {
 		committed := res.Stats.Counter(fmt.Sprintf("c%d.core.committed", i))
-		committedAll += committed
 		cr := CoreResult{Benchmark: spec.Benchmarks[i], Committed: committed}
 		if res.Cycles > 0 {
 			cr.IPC = float64(committed) / float64(res.Cycles)
@@ -161,8 +96,6 @@ func RunMixCtx(ctx context.Context, spec MixSpec, mode Mode, seed uint64, progre
 		res.PerCore[i] = cr
 		res.Throughput += cr.IPC
 	}
-	res.Phases.fillMeasure(committedAll, time.Since(measureStart))
-	res.Phases.fillKernel(sys.Kernel.Stats().Delta(kernelStart))
 	return res
 }
 

@@ -97,94 +97,141 @@ func RunOne(spec Spec, prof workload.Profile, mode Mode, seed uint64) Result {
 // simulation chunks so a long run can be cancelled mid-flight; progress
 // (when non-nil) receives (committed, total) instruction counts as the
 // run advances. A cancelled run returns ctx.Err() in Result.Err.
-//
-//lnuca:allow(determinism) Phases wall-time telemetry; stripped at Cache.Put so cached results stay byte-identical
 func RunOneCtx(ctx context.Context, spec Spec, prof workload.Profile, mode Mode, seed uint64, progress func(done, total uint64)) Result {
-	res := Result{Spec: spec, Bench: prof, Phases: &Phases{}}
-	buildStart := time.Now()
-	sys, err := buildOne(spec, prof, mode, seed, nil)
-	res.Phases.BuildSeconds = time.Since(buildStart).Seconds()
+	res, _ := runOne(ctx, spec, prof, mode, seed, nil, progress)
+	return res
+}
+
+// runOne is the single-core measurement shared by live, recording and
+// replay runs: it measures the system the spec describes and converts
+// the window into a Result. stream, when non-nil, replaces the synthetic
+// generator (recording, replay). The system is returned for what a
+// caller still needs of it (nil when the build failed).
+func runOne(ctx context.Context, spec Spec, prof workload.Profile, mode Mode, seed uint64, stream cpu.Stream, progress func(done, total uint64)) (Result, *hier.System) {
+	res := Result{Spec: spec, Bench: prof}
+	w, err := measure(ctx, func() (*hier.System, error) {
+		return hier.Build(spec.Kind, prof, hier.Options{
+			LNUCALevels:         spec.Levels,
+			Seed:                seed,
+			MaxInstr:            mode.Warmup + mode.Measure,
+			ShuffleRegistration: spec.ShuffleRegistration,
+			Ungated:             spec.Ungated,
+			Stream:              stream,
+		})
+	}, spec.Label()+" / "+prof.Name, mode, progress)
+	res.Phases = w.phases
 	if err != nil {
 		res.Err = err
-		return res
+		return res, w.sys
 	}
-	return measureOne(ctx, sys, mode, res, progress)
+	res.Stats, res.Cycles, res.LoadLat = w.stats, w.cycles, w.loadLat
+	if res.Cycles > 0 {
+		res.IPC = float64(res.Stats.Counter("core.committed")) / float64(res.Cycles)
+	}
+	res.Energy = w.sys.Energy(res.Stats, res.Cycles)
+	return res, w.sys
 }
 
-// buildOne assembles the single-core system a spec describes; stream,
-// when non-nil, replaces the synthetic generator (recording, replay).
-func buildOne(spec Spec, prof workload.Profile, mode Mode, seed uint64, stream cpu.Stream) (*hier.System, error) {
-	return hier.Build(spec.Kind, prof, hier.Options{
-		LNUCALevels:         spec.Levels,
-		Seed:                seed,
-		MaxInstr:            mode.Warmup + mode.Measure,
-		ShuffleRegistration: spec.ShuffleRegistration,
-		Ungated:             spec.Ungated,
-		Stream:              stream,
-	})
+// window is what measure hands back: the machine, the measured window's
+// delta statistics, its length on the shared clock, core 0's
+// load-latency delta, and the run's Phases (filled as far as it got).
+type window struct {
+	sys     *hier.System
+	stats   *stats.Set
+	cycles  uint64
+	loadLat *stats.Histogram
+	phases  *Phases
 }
 
-// measureOne is the single-core measurement loop shared by live,
-// recording and replay runs: functional prewarm, timed warmup window,
-// then the measured window (delta statistics).
+// measure is the one measurement loop, shared by live, recording, replay
+// and mix runs: build, functional prewarm, advance until every core
+// clears the warmup budget, snapshot, advance until every core clears
+// the total budget (or the kernel stops: a single core at MaxInstr, a
+// replayed trace at its end), then the delta. Cores of a mix that finish
+// early keep running — they must keep contending for the shared LLC
+// while slower cores measure, the standard multi-programmed methodology.
+// The context is polled between chunks; progress (when non-nil) receives
+// (committed, total) instruction counts summed over cores, each core's
+// share clamped to its budget. label names the run in the stall error.
 //
 //lnuca:allow(determinism) Phases wall-time telemetry; stripped at Cache.Put so cached results stay byte-identical
-func measureOne(ctx context.Context, sys *hier.System, mode Mode, res Result, progress func(done, total uint64)) Result {
-	if res.Phases == nil {
-		res.Phases = &Phases{}
+func measure(ctx context.Context, build func() (*hier.System, error), label string, mode Mode, progress func(done, total uint64)) (window, error) {
+	w := window{phases: &Phases{}}
+	buildStart := time.Now()
+	sys, err := build()
+	w.phases.BuildSeconds = time.Since(buildStart).Seconds()
+	if err != nil {
+		return w, err
 	}
+	w.sys = sys
 	kernelStart := sys.Kernel.Stats()
 	warmupStart := time.Now()
-	total := mode.Warmup + mode.Measure
 	sys.Prewarm()
 
+	total := mode.Warmup + mode.Measure
 	report := func() {
 		if progress != nil {
-			progress(sys.Core.Committed, total)
+			var done uint64
+			for _, c := range sys.Cores {
+				done += min(c.Committed, total)
+			}
+			progress(done, uint64(len(sys.Cores))*total)
 		}
 	}
+	// A stalled machine must fail loudly, not spin: with the slowest
+	// catalog profiles under full contention IPC stays above ~1/50, so
+	// this cap is two orders of magnitude of headroom.
+	cycleCap := 1000*total + 1_000_000
 
-	// Warmup window: run until the core commits the warmup budget. The
+	// advance runs chunks until every core commits at least target. The
 	// final chunks are clamped to the remaining budget so the measured
 	// window starts within a commit-width of the boundary — a fixed-size
 	// final chunk would overshoot by up to chunk-1 committed
 	// instructions and make the window start a function of the chunk
 	// constant.
 	const chunk = 2048
-	for sys.Core.Committed < mode.Warmup && !sys.Kernel.Stopped() {
-		if err := ctx.Err(); err != nil {
-			res.Err = err
-			return res
+	advance := func(target uint64) error {
+		for sys.MinCommitted() < target && !sys.Kernel.Stopped() {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if sys.Kernel.Cycle() > cycleCap {
+				return fmt.Errorf("exp: %s stalled: min committed %d/%d after %d cycles",
+					label, sys.MinCommitted(), target, sys.Kernel.Cycle())
+			}
+			sys.Run(clampChunk(chunk, target-sys.MinCommitted(), sys.Core.MaxCommitPerCycle()))
+			report()
 		}
-		sys.Run(clampChunk(chunk, mode.Warmup-sys.Core.Committed, sys.Core.MaxCommitPerCycle()))
-		report()
+		return nil
+	}
+
+	if err := advance(mode.Warmup); err != nil {
+		return w, err
 	}
 	startStats := sys.Collect()
-	startCycles := sys.Core.Cycles
+	startCycles := sys.Kernel.Cycle()
 	startLoadLat := sys.Core.LoadLatHist.Clone()
-	res.Phases.WarmupSeconds = time.Since(warmupStart).Seconds()
+	startCommitted := committedSum(sys)
+	w.phases.WarmupSeconds = time.Since(warmupStart).Seconds()
 	measureStart := time.Now()
+	if err := advance(total); err != nil {
+		return w, err
+	}
+	w.stats = stats.Delta(sys.Collect(), startStats)
+	w.cycles = sys.Kernel.Cycle() - startCycles
+	w.loadLat = sys.Core.LoadLatHist.Delta(startLoadLat)
+	w.phases.fillMeasure(committedSum(sys)-startCommitted, time.Since(measureStart))
+	w.phases.fillKernel(sys.Kernel.Stats().Delta(kernelStart))
+	return w, nil
+}
 
-	for !sys.Kernel.Stopped() {
-		if err := ctx.Err(); err != nil {
-			res.Err = err
-			return res
-		}
-		sys.Run(chunk)
-		report()
+// committedSum totals committed instructions over the machine's cores.
+func committedSum(sys *hier.System) uint64 {
+	var sum uint64
+	for _, c := range sys.Cores {
+		sum += c.Committed
 	}
-	endStats := sys.Collect()
-	res.Stats = stats.Delta(endStats, startStats)
-	res.Cycles = sys.Core.Cycles - startCycles
-	res.LoadLat = sys.Core.LoadLatHist.Delta(startLoadLat)
-	committed := res.Stats.Counter("core.committed")
-	if res.Cycles > 0 {
-		res.IPC = float64(committed) / float64(res.Cycles)
-	}
-	res.Energy = sys.Energy(res.Stats, res.Cycles)
-	res.Phases.fillMeasure(committed, time.Since(measureStart))
-	res.Phases.fillKernel(sys.Kernel.Stats().Delta(kernelStart))
-	return res
+	return sum
 }
 
 // clampChunk sizes a simulation chunk (in cycles) so that a core with

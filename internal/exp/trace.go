@@ -11,7 +11,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -23,25 +22,13 @@ import (
 // generator, so the trace also replays to completion on hierarchies
 // whose cores run further ahead than the recording one did. On error the
 // trace is nil.
-//
-//lnuca:allow(determinism) Phases wall-time telemetry; stripped at Cache.Put so cached results stay byte-identical
 func RecordOneCtx(ctx context.Context, spec Spec, prof workload.Profile, mode Mode, seed uint64, progress func(done, total uint64)) (Result, *trace.Trace) {
-	res := Result{Spec: spec, Bench: prof}
 	gen, err := workload.NewGenerator(prof, seed)
 	if err != nil {
-		res.Err = err
-		return res, nil
+		return Result{Spec: spec, Bench: prof, Err: err}, nil
 	}
 	rec := trace.NewRecorder(gen)
-	res.Phases = &Phases{}
-	buildStart := time.Now()
-	sys, err := buildOne(spec, prof, mode, seed, rec)
-	res.Phases.BuildSeconds = time.Since(buildStart).Seconds()
-	if err != nil {
-		res.Err = err
-		return res, nil
-	}
-	res = measureOne(ctx, sys, mode, res, progress)
+	res, _ := runOne(ctx, spec, prof, mode, seed, rec, progress)
 	if res.Err != nil {
 		return res, nil
 	}
@@ -59,27 +46,14 @@ func RecordOneCtx(ctx context.Context, spec Spec, prof workload.Profile, mode Mo
 // reproduces the recording run's functional prewarm), the seed, and the
 // warmup/measure windows. Replaying on the hierarchy that recorded the
 // trace yields statistics bit-identical to the live run.
-//
-//lnuca:allow(determinism) Phases wall-time telemetry; stripped at Cache.Put so cached results stay byte-identical
 func ReplayOneCtx(ctx context.Context, spec Spec, tr *trace.Trace, progress func(done, total uint64)) Result {
 	hdr := tr.Header
 	mode := Mode{Name: "trace", Warmup: hdr.Warmup, Measure: hdr.Measure}
-	res := Result{Spec: spec}
 	prof, ok := workload.ByName(hdr.Benchmark)
 	if !ok {
-		res.Err = fmt.Errorf("exp: trace %s records unknown benchmark %q", hdr.ID, hdr.Benchmark)
-		return res
+		return Result{Spec: spec, Err: fmt.Errorf("exp: trace %s records unknown benchmark %q", hdr.ID, hdr.Benchmark)}
 	}
-	res.Bench = prof
-	res.Phases = &Phases{}
-	buildStart := time.Now()
-	sys, err := buildOne(spec, prof, mode, hdr.Seed, trace.NewReplayer(tr))
-	res.Phases.BuildSeconds = time.Since(buildStart).Seconds()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res = measureOne(ctx, sys, mode, res, progress)
+	res, sys := runOne(ctx, spec, prof, mode, hdr.Seed, trace.NewReplayer(tr), progress)
 	if res.Err != nil {
 		return res
 	}

@@ -168,4 +168,74 @@ func TestCMPRejectsBadConfigs(t *testing.T) {
 	if _, err := BuildCMP(LNUCAL3, []workload.Profile{prof}, CMPOptions{LNUCALevels: 9}); err == nil {
 		t.Fatal("9 levels accepted")
 	}
+	// The single-core options are rejected, not ignored.
+	if _, err := BuildCMP(LNUCAL3, []workload.Profile{prof}, CMPOptions{MaxInstr: 1000}); err == nil {
+		t.Fatal("MaxInstr accepted")
+	}
+	gen, err := workload.NewGenerator(prof, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildCMP(LNUCAL3, []workload.Profile{prof}, CMPOptions{Stream: gen}); err == nil {
+		t.Fatal("Stream accepted")
+	}
+}
+
+// TestOneMachineSeam pins what separates the two entry points of the one
+// builder, for every kind: a Build machine has one core wired straight
+// to the last level — no arbiter, Core is Cores[0], unprefixed
+// statistics — and a BuildCMP machine of the same kind has the arbiter
+// and "c<i>."-prefixed statistics. Both keep registration-shuffle
+// equivalence through the shared builder.
+func TestOneMachineSeam(t *testing.T) {
+	profs := mixProfiles(t, "403.gcc", "470.lbm")
+	has := func(set *stats.Set, prefix string) bool { return len(set.Sub(prefix).Names()) > 0 }
+	for _, kind := range []Kind{Conventional, LNUCAL3, DNUCAOnly, LNUCADNUCA} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			ran := func(sys *System, err error) *System {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Prewarm()
+				sys.Run(30_000)
+				if sys.MinCommitted() == 0 {
+					t.Fatalf("%s: a core committed nothing in 30k cycles", sys.Name)
+				}
+				return sys
+			}
+			single := func(shuffle uint64) *System {
+				return ran(Build(kind, profs[0], Options{Seed: 3, ShuffleRegistration: shuffle}))
+			}
+			duo := func(shuffle uint64) *System {
+				return ran(BuildCMP(kind, profs, CMPOptions{Seed: 3, ShuffleRegistration: shuffle}))
+			}
+
+			s := single(0)
+			if len(s.Cores) != 1 || s.Cores[0] != s.Core || s.Arb != nil {
+				t.Fatalf("Build: %d cores, Arb %v, Core is Cores[0]: %v", len(s.Cores), s.Arb, s.Cores[0] == s.Core)
+			}
+			set := s.Collect()
+			if has(set, "c0") || has(set, "arb") || set.Counter("core.committed") == 0 {
+				t.Errorf("Build statistics must be unprefixed and arbiter-free:\n%s", set)
+			}
+			if got, want := single(11).Collect().String(), set.String(); got != want {
+				t.Errorf("Build: shuffled registration changed the statistics")
+			}
+
+			d := duo(0)
+			if len(d.Cores) != 2 || d.Cores[0] != d.Core || d.Arb == nil {
+				t.Fatalf("BuildCMP: %d cores, Arb %v, Core is Cores[0]: %v", len(d.Cores), d.Arb, d.Cores[0] == d.Core)
+			}
+			set = d.Collect()
+			if !has(set, "c0") || !has(set, "c1") || !has(set, "arb") || has(set, "core") {
+				t.Errorf("BuildCMP statistics must be c<i>.-prefixed with arbiter counters:\n%s", set)
+			}
+			if got, want := duo(11).Collect().String(), set.String(); got != want {
+				t.Errorf("BuildCMP: shuffled registration changed the statistics")
+			}
+		})
+	}
 }

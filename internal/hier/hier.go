@@ -1,7 +1,9 @@
 // Package hier assembles the four cache hierarchies the paper evaluates
 // (Fig. 1): the conventional three-level baseline, the L-NUCA backed by
 // the same L3, the D-NUCA baseline, and the L-NUCA backed by the D-NUCA.
-// It also owns the Table I energy constants and converts run statistics
+// There is one machine, System, with N >= 1 cores: Build wires the
+// single-core one, BuildCMP the same machine with an arbiter in front of
+// the shared last level and "c<i>."-prefixed statistics. It also owns the Table I energy constants and converts run statistics
 // into the Fig. 4(b)/5(b) energy breakdowns.
 package hier
 
@@ -70,16 +72,23 @@ var (
 	dnucaLink     = nocpower.LinkSpec{Bits: 256, LengthMM: 1.0}
 )
 
+// MaxCMPCores bounds a CMP build; the paper-scale LLC stops making sense
+// beyond 8 contenders.
+const MaxCMPCores = 8
+
+// coreAddrStride separates per-core address spaces (4GB each, far beyond
+// any region a profile touches).
+const coreAddrStride = mem.Addr(1) << 32
+
 // Options tune a built system.
 type Options struct {
-	// LNUCALevels selects 2..4 (72KB..248KB) fabrics; ignored otherwise.
+	// LNUCALevels selects 2..6 (72KB..552KB) fabrics, default 3; ignored
+	// otherwise.
 	LNUCALevels int
 	// Seed drives all randomized behaviour (routing, workload).
 	Seed uint64
-	// Core overrides the processor model (zero value = Table I default).
-	Core cpu.Config
 	// MaxInstr bounds committed instructions (the paper runs 100M after
-	// warmup; scaled-down runs preserve the shape).
+	// warmup; scaled-down runs preserve the shape). Build only.
 	MaxInstr uint64
 	// ShuffleRegistration, when non-zero, registers components with the
 	// kernel in a seeded permuted order. Results must not change — the
@@ -94,32 +103,71 @@ type Options struct {
 	// generator for prof: the hook the trace subsystem uses to record
 	// (a capturing wrapper around the generator) and to replay (a
 	// recorded trace). prof still selects the functional prewarm, so a
-	// replay warms exactly what the recording run warmed.
+	// replay warms exactly what the recording run warmed. Build only.
 	Stream cpu.Stream
 }
 
-// System is one fully-wired simulated machine.
+// CMPOptions tunes a BuildCMP machine: Options without the single-core
+// MaxInstr and Stream, which BuildCMP rejects.
+type CMPOptions = Options
+
+// System is one fully-wired simulated machine: N >= 1 out-of-order
+// cores, each with its own private first levels (L1+L2, or an L-NUCA
+// fabric, per the four Fig. 1 organizations), over one 8MB last level —
+// an SRAM L3 or a D-NUCA — and, behind it, the single main-memory
+// channel.
+//
+// Each core runs its own benchmark in a disjoint address space (core
+// index << 32), the standard multi-programmed methodology: no sharing,
+// pure capacity and bandwidth contention, as in the CMP NUCA studies
+// this mode is modeled after.
 type System struct {
 	Kind   Kind
 	Name   string
 	Kernel *sim.Kernel
+	Cores  []*cpu.Core
+	// Per-core private levels (empty where the kind has none).
+	L1s     []*cache.Controller // conventional / D-NUCA hierarchies
+	L2s     []*cache.Controller // conventional only
+	Fabrics []*lnuca.Fabric     // LNUCAL3 and LNUCADNUCA
+	// Core 0 and its private levels: the whole private side of a Build
+	// machine.
 	Core   *cpu.Core
-	L1     *cache.Controller // conventional / D-NUCA hierarchies
-	L2     *cache.Controller // conventional only
-	L3     *cache.Controller // conventional and LNUCAL3
-	Fabric *lnuca.Fabric     // LNUCAL3 and LNUCADNUCA
-	DN     *dnuca.DNUCA      // DNUCAOnly and LNUCADNUCA
+	L1     *cache.Controller
+	L2     *cache.Controller
+	Fabric *lnuca.Fabric
+	// Last level: L3 for Conventional/LNUCAL3, DN otherwise.
+	L3 *cache.Controller
+	DN *dnuca.DNUCA
+	// Arb sits between the private sides and the last level of a BuildCMP
+	// machine (nil in a Build one): a round-robin bandwidth arbiter,
+	// which is where inter-core interference becomes visible — its
+	// grant/conflict counters are the contention statistics.
+	Arb    *mem.Arbiter
 	Memory *mem.MainMemory
 
-	ids     mem.IDSource
-	levels  int
-	profile workload.Profile
+	ids      mem.IDSource
+	levels   int
+	profiles []workload.Profile
 }
 
-// l1Config returns the Table I L1 as a write-through controller.
-func l1Config() cache.ControllerConfig {
+// CMPSystem is a System built by BuildCMP.
+type CMPSystem = System
+
+// CoreOffset returns core i's address-space base.
+func CoreOffset(i int) mem.Addr { return mem.Addr(i) * coreAddrStride }
+
+// coreSeed derives core i's seed from the run seed; distinct per core so
+// two copies of one benchmark do not run in lockstep.
+func coreSeed(seed uint64, i int) uint64 {
+	return seed + uint64(i)*0x9E3779B97F4A7C15
+}
+
+// l1Config returns the Table I L1 as a write-through controller, named
+// "L1"+suffix.
+func l1Config(suffix string) cache.ControllerConfig {
 	return cache.ControllerConfig{
-		Name:             "L1",
+		Name:             "L1" + suffix,
 		Bank:             cache.BankConfig{SizeBytes: 32 << 10, Ways: 4, BlockBytes: 32},
 		CompletionCycles: 0, // port crossings model the 2-cycle completion
 		InitiationCycles: 1,
@@ -132,10 +180,10 @@ func l1Config() cache.ControllerConfig {
 	}
 }
 
-// l2Config returns the Table I 256KB L2.
-func l2Config() cache.ControllerConfig {
+// l2Config returns the Table I 256KB L2, named "L2"+suffix.
+func l2Config(suffix string) cache.ControllerConfig {
 	return cache.ControllerConfig{
-		Name:             "L2",
+		Name:             "L2" + suffix,
 		Bank:             cache.BankConfig{SizeBytes: 256 << 10, Ways: 8, BlockBytes: 64},
 		CompletionCycles: 4,
 		InitiationCycles: 2,
@@ -168,8 +216,55 @@ func l3Config() cache.ControllerConfig {
 	}
 }
 
-// Build wires a complete system running the given workload profile.
+// Build wires a single-core system running the given workload profile:
+// the private side of the kind wired straight to the last level.
 func Build(kind Kind, prof workload.Profile, opt Options) (*System, error) {
+	s, err := build(kind, []workload.Profile{prof}, opt, false)
+	if err != nil {
+		return nil, err
+	}
+	s.Name = kind.String()
+	if kind == LNUCAL3 || kind == LNUCADNUCA {
+		s.Name = fmt.Sprintf("LN%d", s.levels)
+		if kind == LNUCADNUCA {
+			s.Name += "+DN-4x8"
+		} else {
+			s.Name += fmt.Sprintf("-%dKB", 32+8*lnuca.NumTilesForLevels(s.levels))
+		}
+	}
+	return s, nil
+}
+
+// BuildCMP wires a CMP running one workload profile per core. Every core
+// gets the private side of the chosen Fig. 1 organization; the 8MB last
+// level and the memory channel are shared through the arbiter, component
+// names carry the core index and statistics a "c<i>." prefix.
+func BuildCMP(kind Kind, profs []workload.Profile, opt CMPOptions) (*CMPSystem, error) {
+	n := len(profs)
+	if n < 1 || n > MaxCMPCores {
+		return nil, fmt.Errorf("hier: CMP wants 1..%d cores, got %d", MaxCMPCores, n)
+	}
+	// Cores never stop the kernel on their own (MaxInstr 0): in a
+	// multi-programmed run a finished core keeps executing to keep
+	// pressure on the shared levels while slower cores measure.
+	if opt.MaxInstr != 0 || opt.Stream != nil {
+		return nil, fmt.Errorf("hier: MaxInstr and Stream are single-core options, not a CMP's")
+	}
+	s, err := build(kind, profs, opt, true)
+	if err != nil {
+		return nil, err
+	}
+	s.Name = fmt.Sprintf("%dx %s", n, kind.String())
+	return s, nil
+}
+
+// build is the one machine builder: per profile a core and the private
+// side of the kind (core i seeded coreSeed(seed, i), its address space
+// at CoreOffset(i)), then the last level and memory once. shared puts
+// the arbiter in front of the last level and the core index into
+// component names; without it the single private side feeds the last
+// level directly.
+func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*System, error) {
 	if opt.LNUCALevels == 0 {
 		opt.LNUCALevels = 3
 	}
@@ -177,79 +272,97 @@ func Build(kind Kind, prof workload.Profile, opt Options) (*System, error) {
 		return nil, fmt.Errorf("hier: unsupported L-NUCA levels %d", opt.LNUCALevels)
 	}
 	s := &System{
-		Kind:    kind,
-		Kernel:  sim.NewKernel(),
-		levels:  opt.LNUCALevels,
-		profile: prof,
-	}
-	s.Name = kind.String()
-	if kind == LNUCAL3 || kind == LNUCADNUCA {
-		s.Name = fmt.Sprintf("LN%d", opt.LNUCALevels)
-		if kind == LNUCADNUCA {
-			s.Name += "+DN-4x8"
-		} else {
-			s.Name += fmt.Sprintf("-%dKB", 32+8*lnuca.NumTilesForLevels(opt.LNUCALevels))
-		}
+		Kind:     kind,
+		Kernel:   sim.NewKernel(),
+		levels:   opt.LNUCALevels,
+		profiles: profs,
 	}
 
-	stream := opt.Stream
-	var err error
-	if stream == nil {
-		if stream, err = workload.NewGenerator(prof, opt.Seed); err != nil {
+	var comps []sim.Component
+	upPorts := make([]*mem.Port, len(profs))
+	for i, prof := range profs {
+		seed := coreSeed(opt.Seed, i)
+		coreName, suffix := "core", ""
+		if shared {
+			coreName, suffix = fmt.Sprintf("core%d", i), fmt.Sprintf(".%d", i)
+		}
+		stream := opt.Stream
+		if stream == nil {
+			gen, err := workload.NewGeneratorAt(prof, seed, CoreOffset(i))
+			if err != nil {
+				return nil, err
+			}
+			stream = gen
+		}
+		cpuPort := mem.NewPort(8, 8)
+		core := cpu.New(coreName, cpu.Config{}, stream, cpuPort, &s.ids, opt.MaxInstr)
+		s.Cores = append(s.Cores, core)
+		comps = append(comps, core)
+
+		llcSide := mem.NewPort(8, 8)
+		switch kind {
+		case Conventional:
+			l1l2 := mem.NewPort(8, 8)
+			l1 := cache.NewController(l1Config(suffix), cpuPort, l1l2, &s.ids)
+			l2 := cache.NewController(l2Config(suffix), l1l2, llcSide, &s.ids)
+			s.L1s = append(s.L1s, l1)
+			s.L2s = append(s.L2s, l2)
+			comps = append(comps, l1, l2)
+		case DNUCAOnly:
+			l1 := cache.NewController(l1Config(suffix), cpuPort, llcSide, &s.ids)
+			s.L1s = append(s.L1s, l1)
+			comps = append(comps, l1)
+		case LNUCAL3, LNUCADNUCA:
+			fcfg := lnuca.DefaultConfig(opt.LNUCALevels)
+			fcfg.Name += suffix
+			fcfg.Seed = seed | 1
+			fab, err := lnuca.NewFabric(fcfg, cpuPort, llcSide, &s.ids)
+			if err != nil {
+				return nil, err
+			}
+			s.Fabrics = append(s.Fabrics, fab)
+			comps = append(comps, fab)
+		default:
+			return nil, fmt.Errorf("hier: unknown kind %d", kind)
+		}
+		upPorts[i] = llcSide
+	}
+	s.Core = s.Cores[0]
+	if s.L1s != nil {
+		s.L1 = s.L1s[0]
+	}
+	if s.L2s != nil {
+		s.L2 = s.L2s[0]
+	}
+	if s.Fabrics != nil {
+		s.Fabric = s.Fabrics[0]
+	}
+
+	// The last level's upstream port: the one private side's own, or the
+	// arbiter's shared side.
+	llcUp := upPorts[0]
+	if shared {
+		llcUp = mem.NewPort(2*len(profs), 2*len(profs))
+		arb, err := mem.NewArbiter(mem.ArbiterConfig{Name: "llc-arb"}, upPorts, llcUp)
+		if err != nil {
 			return nil, err
 		}
+		s.Arb = arb
+		comps = append(comps, arb)
 	}
-
-	cpuPort := mem.NewPort(8, 8)
-	coreCfg := opt.Core
-	if coreCfg.FetchWidth == 0 {
-		coreCfg = cpu.DefaultConfig()
-	}
-	s.Core = cpu.New("core", coreCfg, stream, cpuPort, &s.ids, opt.MaxInstr)
-	comps := []sim.Component{s.Core}
 
 	memPort := mem.NewPort(8, 8)
 	switch kind {
-	case Conventional:
-		l1l2 := mem.NewPort(8, 8)
-		l2l3 := mem.NewPort(8, 8)
-		s.L1 = cache.NewController(l1Config(), cpuPort, l1l2, &s.ids)
-		s.L2 = cache.NewController(l2Config(), l1l2, l2l3, &s.ids)
-		s.L3 = cache.NewController(l3Config(), l2l3, memPort, &s.ids)
-		comps = append(comps, s.L1, s.L2, s.L3)
-	case LNUCAL3:
-		lnl3 := mem.NewPort(8, 8)
-		fcfg := lnuca.DefaultConfig(opt.LNUCALevels)
-		fcfg.Seed = opt.Seed | 1
-		s.Fabric, err = lnuca.NewFabric(fcfg, cpuPort, lnl3, &s.ids)
+	case Conventional, LNUCAL3:
+		s.L3 = cache.NewController(l3Config(), llcUp, memPort, &s.ids)
+		comps = append(comps, s.L3)
+	case DNUCAOnly, LNUCADNUCA:
+		var err error
+		s.DN, err = dnuca.New(dnuca.DefaultConfig(), llcUp, memPort, &s.ids)
 		if err != nil {
 			return nil, err
 		}
-		s.L3 = cache.NewController(l3Config(), lnl3, memPort, &s.ids)
-		comps = append(comps, s.Fabric, s.L3)
-	case DNUCAOnly:
-		l1dn := mem.NewPort(8, 8)
-		s.L1 = cache.NewController(l1Config(), cpuPort, l1dn, &s.ids)
-		s.DN, err = dnuca.New(dnuca.DefaultConfig(), l1dn, memPort, &s.ids)
-		if err != nil {
-			return nil, err
-		}
-		comps = append(comps, s.L1, s.DN)
-	case LNUCADNUCA:
-		lndn := mem.NewPort(8, 8)
-		fcfg := lnuca.DefaultConfig(opt.LNUCALevels)
-		fcfg.Seed = opt.Seed | 1
-		s.Fabric, err = lnuca.NewFabric(fcfg, cpuPort, lndn, &s.ids)
-		if err != nil {
-			return nil, err
-		}
-		s.DN, err = dnuca.New(dnuca.DefaultConfig(), lndn, memPort, &s.ids)
-		if err != nil {
-			return nil, err
-		}
-		comps = append(comps, s.Fabric, s.DN)
-	default:
-		return nil, fmt.Errorf("hier: unknown kind %d", kind)
+		comps = append(comps, s.DN)
 	}
 	s.Memory = mem.NewMainMemory("dram", mem.DefaultMainMemoryConfig(), memPort)
 	comps = append(comps, s.Memory)
@@ -276,43 +389,44 @@ func registerAll(k *sim.Kernel, comps []sim.Component, shuffle uint64) {
 	}
 }
 
-// Prewarm performs functional warmup: it installs the workload's hot,
-// warm and cool regions into the structures that would hold them in
-// steady state, the same role SimPoint-style checkpoint warming plays for
-// the paper's 200M-instruction warmup.
+// Prewarm performs functional warmup: it installs each core's hot, warm
+// and cool regions into the structures that would hold them in steady
+// state — its own private levels and the last level all cores share —
+// the same role SimPoint-style checkpoint warming plays for the paper's
+// 200M-instruction warmup.
 func (s *System) Prewarm() {
-	hotB, hotKB := workload.HotRange(s.profile)
-	warmB, warmKB := workload.WarmRange(s.profile)
-	coolB, coolKB := workload.CoolRange(s.profile)
-
 	fill32 := func(bank *cache.Bank, base mem.Addr, kb int) {
 		for off := 0; off < kb<<10; off += 32 {
 			bank.Fill(base+mem.Addr(off), false)
 		}
 	}
-	switch s.Kind {
-	case Conventional:
-		fill32(s.L1.Bank(), hotB, hotKB)
-		for off := 0; off < warmKB<<10; off += 64 {
-			s.L2.Bank().Fill(warmB+mem.Addr(off), false)
+	for i, prof := range s.profiles {
+		off := CoreOffset(i)
+		hotB, hotKB := workload.HotRange(prof)
+		warmB, warmKB := workload.WarmRange(prof)
+		coolB, coolKB := workload.CoolRange(prof)
+		hotB, warmB, coolB = hotB+off, warmB+off, coolB+off
+
+		if s.Fabrics != nil {
+			fill32(s.Fabrics[i].RTileBank(), hotB, hotKB)
+			prewarmTiles(s.Fabrics[i], warmB, warmKB)
+		} else {
+			fill32(s.L1s[i].Bank(), hotB, hotKB)
 		}
-		prewarmLLC(s.L3, hotB, hotKB, warmB, warmKB, coolB, coolKB)
-	case LNUCAL3:
-		fill32(s.Fabric.RTileBank(), hotB, hotKB)
-		prewarmTiles(s.Fabric, warmB, warmKB)
-		prewarmLLC(s.L3, hotB, hotKB, warmB, warmKB, coolB, coolKB)
-	case DNUCAOnly:
-		fill32(s.L1.Bank(), hotB, hotKB)
-		prewarmDN(s.DN, hotB, hotKB, warmB, warmKB, coolB, coolKB)
-	case LNUCADNUCA:
-		fill32(s.Fabric.RTileBank(), hotB, hotKB)
-		prewarmTiles(s.Fabric, warmB, warmKB)
-		prewarmDN(s.DN, hotB, hotKB, warmB, warmKB, coolB, coolKB)
+		if s.L2s != nil {
+			for o := 0; o < warmKB<<10; o += 64 {
+				s.L2s[i].Bank().Fill(warmB+mem.Addr(o), false)
+			}
+		}
+		if s.L3 != nil {
+			prewarmLLC(s.L3, hotB, hotKB, warmB, warmKB, coolB, coolKB)
+		} else {
+			prewarmDN(s.DN, hotB, hotKB, warmB, warmKB, coolB, coolKB)
+		}
 	}
 }
 
-// prewarmLLC installs hot+warm+cool into an inclusive SRAM LLC (the
-// shared structure in CMP builds; per-system in single-core ones).
+// prewarmLLC installs hot+warm+cool into an inclusive SRAM LLC.
 func prewarmLLC(l3 *cache.Controller, hotB mem.Addr, hotKB int, warmB mem.Addr, warmKB int, coolB mem.Addr, coolKB int) {
 	for off := 0; off < (coolKB+warmKB+hotKB)<<10; off += 128 {
 		a := mem.Addr(off)
@@ -383,30 +497,61 @@ func prewarmDN(dn *dnuca.DNUCA, hotB mem.Addr, hotKB int, warmB mem.Addr, warmKB
 	put(coolB, coolKB, 1)
 }
 
-// Run advances the system until the core finishes or maxCycles elapse,
-// returning the executed cycle count.
+// Run advances the system by at most maxCycles (fewer when a core
+// reaches MaxInstr or exhausts its stream), returning the executed cycle
+// count.
 func (s *System) Run(maxCycles uint64) uint64 {
 	return s.Kernel.Run(maxCycles)
 }
 
-// Collect gathers every component's statistics.
+// MinCommitted returns the smallest committed-instruction count across
+// cores: the multi-programmed window boundary tracker.
+func (s *System) MinCommitted() uint64 {
+	min := s.Cores[0].Committed
+	for _, c := range s.Cores[1:] {
+		if c.Committed < min {
+			min = c.Committed
+		}
+	}
+	return min
+}
+
+// Collect gathers every component's statistics. Behind an arbiter each
+// core's private side is namespaced under "c<i>." and the arbiter's
+// counters join the set; shared structures are always global.
 func (s *System) Collect() *stats.Set {
 	set := stats.NewSet()
-	s.Core.Collect("core", set)
-	if s.L1 != nil {
-		s.L1.Collect("l1", set)
-	}
-	if s.L2 != nil {
-		s.L2.Collect("l2", set)
+	for i, core := range s.Cores {
+		per := set
+		if s.Arb != nil {
+			per = stats.NewSet()
+		}
+		core.Collect("core", per)
+		if s.L1s != nil {
+			s.L1s[i].Collect("l1", per)
+		}
+		if s.L2s != nil {
+			s.L2s[i].Collect("l2", per)
+		}
+		if s.Fabrics != nil {
+			s.Fabrics[i].Collect("ln", per)
+		}
+		if s.Arb != nil {
+			set.MergePrefixed(fmt.Sprintf("c%d", i), per)
+		}
 	}
 	if s.L3 != nil {
 		s.L3.Collect("l3", set)
 	}
-	if s.Fabric != nil {
-		s.Fabric.Collect("ln", set)
-	}
 	if s.DN != nil {
 		s.DN.Collect("dn", set)
+	}
+	if s.Arb != nil {
+		for i := range s.Arb.Granted {
+			set.Add(fmt.Sprintf("arb.grants.c%d", i), s.Arb.Granted[i])
+			set.Add(fmt.Sprintf("arb.conflicts.c%d", i), s.Arb.Conflicts[i])
+		}
+		set.Add("arb.resp_routed", s.Arb.RespRouted)
 	}
 	set.Add("mem.reads", s.Memory.Reads)
 	set.Add("mem.writebacks", s.Memory.Writebacks)
@@ -474,10 +619,13 @@ func (s *System) addDNDynamic(a *power.Accountant, set *stats.Set) {
 	a.AddDynamicPJ(float64(set.Counter("dn.net_flit_hops")) * dnucaLink.TraversalPJ())
 }
 
-// CheckInvariants verifies structural invariants (used by tests).
+// CheckInvariants verifies per-fabric structural invariants (used by
+// tests).
 func (s *System) CheckInvariants() error {
-	if s.Fabric != nil {
-		return s.Fabric.CheckExclusion()
+	for i, f := range s.Fabrics {
+		if err := f.CheckExclusion(); err != nil {
+			return fmt.Errorf("core %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -26,9 +26,6 @@ type Local struct {
 	// CacheDir optionally backs the runner with a directory of
 	// <key>.json results (empty = in-memory only).
 	CacheDir string
-	// CacheEntries bounds the in-memory LRU (0 = the orchestrator
-	// default).
-	CacheEntries int
 	// TraceDir optionally backs the runner's trace store with a
 	// directory of <id>.lntrace files — point it at lnucad's -traces
 	// directory and a trace uploaded to the service replays locally too
@@ -46,7 +43,7 @@ type Local struct {
 
 func (l *Local) init() {
 	l.once.Do(func() {
-		l.cache = orchestrator.NewCache(l.CacheEntries, l.CacheDir)
+		l.cache = orchestrator.NewCache(0, l.CacheDir)
 		l.traces = trace.NewStore(l.TraceDir)
 		l.engine = orchestrator.NewEngine(l.cache, l.traces)
 	})
