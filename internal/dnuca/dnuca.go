@@ -123,7 +123,10 @@ type DNUCA struct {
 	down *mem.Port
 	ids  *mem.IDSource
 
-	banks    []*bank // index = row*Cols + col
+	banks []*bank // index = row*Cols + col; bank i sits at mesh node i+Cols
+	// queued is the set of banks whose job queue is non-empty: runBanks
+	// and NextEvent walk it instead of every bank.
+	queued   sim.BitSet
 	ctrl     noc.Coord
 	mshr     *cache.MSHRFile
 	wbuf     *cache.WriteBuffer
@@ -172,6 +175,7 @@ func New(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*DNUCA, error) {
 		searches: make(map[mem.Addr]*pendingSearch),
 	}
 	d.banks = make([]*bank, cfg.Rows*cfg.Cols)
+	d.queued = sim.NewBitSet(len(d.banks))
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
 			d.banks[r*cfg.Cols+c] = &bank{
@@ -316,9 +320,13 @@ func (d *DNUCA) toMemory(now sim.Cycle, line mem.Addr) {
 	d.memQ.Push(&mem.Req{ID: d.ids.Next(), Addr: line, Kind: mem.Read, Issued: now})
 }
 
-// ejectBanks enqueues arriving work at each bank.
+// ejectBanks enqueues arriving work at each bank the mesh holds a
+// delivery for. It runs after ejectController has emptied the
+// controller's node, so every node left in the walk is a bank's.
 func (d *DNUCA) ejectBanks(now sim.Cycle) {
-	for _, b := range d.banks {
+	for n := d.mesh.NextDelivery(0); n >= 0; n = d.mesh.NextDelivery(n + 1) {
+		i := n - d.cfg.Cols
+		b := d.banks[i]
 		for {
 			m, ok := d.mesh.EjectOne(b.pos)
 			if !ok {
@@ -326,16 +334,22 @@ func (d *DNUCA) ejectBanks(now sim.Cycle) {
 			}
 			b.jobs.Push(bankJob{p: m.Payload.(payload), arrived: now})
 		}
+		d.queued.Set(i)
 	}
 }
 
-// runBanks starts one job per free bank and emits its outcome.
+// runBanks starts one job per free bank with queued work, in bank
+// order, and emits its outcome.
 func (d *DNUCA) runBanks(now sim.Cycle) {
-	for _, b := range d.banks {
-		if b.jobs.Len() == 0 || b.busyUntil > now {
+	for i := d.queued.Next(0); i >= 0; i = d.queued.Next(i + 1) {
+		b := d.banks[i]
+		if b.busyUntil > now {
 			continue
 		}
 		job, _ := b.jobs.Pop()
+		if b.jobs.Len() == 0 {
+			d.queued.Clear(i)
+		}
 		b.busyUntil = now + sim.Cycle(d.cfg.BankInitiation)
 		d.BankAccesses++
 		row := b.pos.Y - 1
@@ -541,10 +555,8 @@ func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 		return 0, false
 	}
 	wake := sim.Never
-	for _, b := range d.banks {
-		if b.jobs.Len() == 0 {
-			continue
-		}
+	for i := d.queued.Next(0); i >= 0; i = d.queued.Next(i + 1) {
+		b := d.banks[i]
 		if b.busyUntil <= now {
 			return 0, false
 		}
@@ -608,8 +620,8 @@ func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	return wake, true
 }
 
-// SkipTo implements sim.Quiescent: replay the mesh's round-robin
-// rotation over the skipped cycles and apply per-cycle reject counters.
+// SkipTo implements sim.Quiescent: advance the mesh's round-robin
+// pointer over the skipped cycles and apply per-cycle reject counters.
 func (d *DNUCA) SkipTo(now, target sim.Cycle) {
 	delta := target - now
 	d.mesh.SkipIdle(delta)

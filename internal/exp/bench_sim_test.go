@@ -5,9 +5,9 @@ package exp
 // instructions per wall-second — plus the simulated-cycle rate and, for
 // the gated kernel, the fraction of cycles the quiescence fast-forward
 // skipped. BenchmarkSimFig5QuickGated vs BenchmarkSimFig5QuickUngated is
-// the acceptance comparison for the activity-gated kernel: same runs,
-// same results (the equivalence tests pin bit-identity), different
-// wall-clock.
+// the same runs with the same results (the equivalence tests pin
+// bit-identity) at different wall-clock; CI checks only that gated is
+// not slower, since cheap stepped cycles shrink the gap by design.
 
 import (
 	"testing"

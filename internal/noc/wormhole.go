@@ -29,30 +29,9 @@ type flit struct {
 type vcState struct {
 	buf []flit
 	// routed is set once the head flit has picked an output.
-	routed  bool
-	outDir  Dir
-	outVC   int
-	credits int // unused on Local ejection
-}
-
-// outOwner records which input VC currently owns an output VC (from head
-// until tail, the wormhole invariant).
-type outOwner struct {
-	active bool
-	inDir  Dir
-	inVC   int
-}
-
-type router struct {
-	pos Coord
-	// in[dir][vc] input-buffered virtual channels.
-	in [NumDirs][]vcState
-	// owner[dir][vc] output VC reservations.
-	owner [NumDirs][]outOwner
-	// ejected messages awaiting pickup by the local node.
-	ejectQ sim.Queue[*Message]
-	// rrNext rotates switch-allocation priority for fairness.
-	rrNext int
+	routed bool
+	outDir Dir
+	outVC  int
 }
 
 // MeshConfig parameterizes a wormhole mesh.
@@ -80,17 +59,40 @@ func (c MeshConfig) Validate() error {
 // XY routing plus guaranteed ejection (unbounded eject queues drained by
 // the owner) makes the network provably deadlock-free, the same argument
 // the paper invokes for L-NUCA's acyclic networks.
+//
+// Router state is laid out by index, not as one object per router: a
+// node is y*Width+x, and input VC vc of port dir at a node is slot
+// node*slots + dir*VCs + vc. Three activity sets name the slots and
+// nodes that hold work, so a Step costs in proportion to the flits and
+// messages that exist, not to the size of the mesh.
 type Mesh struct {
-	cfg     MeshConfig
-	routers []*router
+	cfg    MeshConfig
+	slots  int          // input VCs per router: NumDirs*VCs
+	stride [NumDirs]int // node index offset of the neighbour in each direction
 
-	// injectQ holds messages not yet converted to flits, per node.
-	injectQ [][]*Message
+	vcs []vcState
+	// owner[node*slots+dir*VCs+vc] is set while output VC vc of port dir
+	// is reserved by a message (from head until tail, the wormhole
+	// invariant).
+	owner []bool
+	// injectQ holds messages not yet converted to flits, per node;
+	// ejectQ holds delivered messages awaiting pickup by the local node.
+	injectQ, ejectQ []sim.Queue[*Message]
 
-	// Per-Step scratch, hoisted out of the cycle loop so steady-state
-	// stepping allocates nothing.
-	moves    []move
-	takenAll []outTaken
+	// Activity sets, maintained wherever a buffer or queue changes
+	// between empty and non-empty.
+	busy      sim.BitSet // slots whose buffer holds a flit
+	staged    sim.BitSet // nodes whose injectQ is non-empty
+	delivered sim.BitSet // nodes whose ejectQ is non-empty
+
+	// rr rotates switch-allocation priority for fairness: every router
+	// starts its scan of input VCs at slot rr, and rr advances once per
+	// cycle for all of them.
+	rr int
+
+	// moves is per-Step scratch, hoisted out of the cycle loop so
+	// steady-state stepping allocates nothing.
+	moves []move
 
 	// ejected counts messages delivered but not yet picked up, so Quiet
 	// is O(1).
@@ -103,36 +105,28 @@ type Mesh struct {
 	TotalHops                   uint64
 }
 
-// outTaken tracks which output ports a router granted this cycle.
-type outTaken struct{ taken [NumDirs]bool }
-
 // NewMesh builds a mesh; it panics on invalid configuration (wiring bug).
 func NewMesh(cfg MeshConfig) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Mesh{cfg: cfg}
 	n := cfg.Width * cfg.Height
-	m.routers = make([]*router, n)
-	m.injectQ = make([][]*Message, n)
-	m.takenAll = make([]outTaken, n)
-	for i := range m.routers {
-		r := &router{pos: Coord{i % cfg.Width, i / cfg.Width}}
-		for d := 0; d < NumDirs; d++ {
-			r.in[d] = make([]vcState, cfg.VCs)
-			r.owner[d] = make([]outOwner, cfg.VCs)
-		}
-		m.routers[i] = r
+	slots := NumDirs * cfg.VCs
+	return &Mesh{
+		cfg:       cfg,
+		slots:     slots,
+		stride:    [NumDirs]int{North: cfg.Width, East: 1, South: -cfg.Width, West: -1},
+		vcs:       make([]vcState, n*slots),
+		owner:     make([]bool, n*slots),
+		injectQ:   make([]sim.Queue[*Message], n),
+		ejectQ:    make([]sim.Queue[*Message], n),
+		busy:      sim.NewBitSet(n * slots),
+		staged:    sim.NewBitSet(n),
+		delivered: sim.NewBitSet(n),
 	}
-	return m
 }
 
-// Config returns the mesh configuration.
-func (m *Mesh) Config() MeshConfig { return m.cfg }
-
-func (m *Mesh) at(c Coord) *router {
-	return m.routers[c.Y*m.cfg.Width+c.X]
-}
+func (m *Mesh) node(c Coord) int { return c.Y*m.cfg.Width + c.X }
 
 // InBounds reports whether c is a valid node.
 func (m *Mesh) InBounds(c Coord) bool {
@@ -149,188 +143,127 @@ func (m *Mesh) Inject(msg *Message, now sim.Cycle) bool {
 	if msg.Flits <= 0 {
 		msg.Flits = 1
 	}
-	idx := msg.Src.Y*m.cfg.Width + msg.Src.X
-	if len(m.injectQ[idx]) >= m.cfg.VCDepth {
+	n := m.node(msg.Src)
+	if m.injectQ[n].Len() >= m.cfg.VCDepth {
 		return false
 	}
 	msg.Injected = now
-	m.injectQ[idx] = append(m.injectQ[idx], msg)
+	m.injectQ[n].Push(msg)
+	m.staged.Set(n)
 	m.MsgsInjected++
 	return true
-}
-
-// Eject drains delivered messages at node c. It allocates a fresh
-// slice; cycle-loop callers should drain with EjectOne instead.
-func (m *Mesh) Eject(c Coord) []*Message {
-	r := m.at(c)
-	if r.ejectQ.Len() == 0 {
-		return nil
-	}
-	out := make([]*Message, 0, r.ejectQ.Len())
-	for {
-		msg, ok := r.ejectQ.Pop()
-		if !ok {
-			return out
-		}
-		m.ejected--
-		out = append(out, msg)
-	}
 }
 
 // EjectOne pops a single delivered message at node c, if any. The
 // queue's ring storage is reused, so draining allocates nothing.
 func (m *Mesh) EjectOne(c Coord) (*Message, bool) {
-	msg, ok := m.at(c).ejectQ.Pop()
+	n := m.node(c)
+	msg, ok := m.ejectQ[n].Pop()
 	if ok {
 		m.ejected--
+		if m.ejectQ[n].Len() == 0 {
+			m.delivered.Clear(n)
+		}
 	}
 	return msg, ok
 }
 
-// move is a staged flit transfer computed during the allocation pass and
-// applied afterwards, giving single-cycle-per-hop semantics without
-// order dependence between routers.
+// NextDelivery returns the lowest node index (y*Width+x) at or above
+// from that holds a delivered message awaiting EjectOne, or -1. The
+// owner walks it instead of polling every node:
+//
+//	for n := m.NextDelivery(0); n >= 0; n = m.NextDelivery(n + 1)
+func (m *Mesh) NextDelivery(from int) int { return m.delivered.Next(from) }
+
+// move is a flit transfer staged during the allocation pass and applied
+// afterwards, giving single-cycle-per-hop semantics without order
+// dependence between routers. The flit is the head of slot from when
+// the move is applied: a VC is granted at most once per cycle and
+// arrivals join at the back.
 type move struct {
-	from     *router
-	fromDir  Dir
-	fromVC   int
-	to       *router // nil for ejection
-	toDir    Dir
-	toVC     int
-	f        flit
-	lastFlit bool
+	node int // router the flit leaves
+	from int // its input VC slot
+	to   int // downstream input VC slot; -1 for ejection
 }
 
 // Step advances the mesh by one cycle.
 func (m *Mesh) Step(now sim.Cycle) {
+	vcs := m.cfg.VCs
 	// Stage injections: convert one message per node per cycle into flits
 	// on a free Local input VC.
-	for idx, q := range m.injectQ {
-		if len(q) == 0 {
-			continue
-		}
-		r := m.routers[idx]
-		for vc := 0; vc < m.cfg.VCs; vc++ {
-			st := &r.in[Local][vc]
-			if len(st.buf) == 0 && !st.routed {
-				msg := q[0]
-				m.injectQ[idx] = q[1:]
-				for i := 0; i < msg.Flits; i++ {
-					st.buf = append(st.buf, flit{
-						msg:  msg,
-						head: i == 0,
-						tail: i == msg.Flits-1,
-					})
-				}
-				break
-			}
-		}
-	}
-
-	// Allocation pass: each router picks at most one flit per output
-	// direction, reading only current buffer state. The staging slices
-	// live on the Mesh and are reset here, not reallocated.
-	moves := m.moves[:0]
-	takenAll := m.takenAll
-	for i := range takenAll {
-		takenAll[i] = outTaken{}
-	}
-
-	for ri, r := range m.routers {
-		// Round-robin over input (dir, vc) pairs for fairness.
-		total := NumDirs * m.cfg.VCs
-		for k := 0; k < total; k++ {
-			slot := (r.rrNext + k) % total
-			inDir := Dir(slot / m.cfg.VCs)
-			inVC := slot % m.cfg.VCs
-			st := &r.in[inDir][inVC]
-			if len(st.buf) == 0 {
+	for n := m.staged.Next(0); n >= 0; n = m.staged.Next(n + 1) {
+		local := n*m.slots + int(Local)*vcs
+		for g := local; g < local+vcs; g++ {
+			st := &m.vcs[g]
+			if len(st.buf) != 0 || st.routed {
 				continue
 			}
-			f := st.buf[0]
-			// Route computation on head flit.
-			if f.head && !st.routed {
-				st.outDir = XYRoute(r.pos, f.msg.Dst)
-				st.outVC = -1
-				st.routed = true
+			msg, _ := m.injectQ[n].Pop()
+			if m.injectQ[n].Len() == 0 {
+				m.staged.Clear(n)
 			}
-			if !st.routed {
-				continue // body flit of a stream whose head is gone: impossible, but safe
-			}
-			out := st.outDir
-			if takenAll[ri].taken[out] {
-				continue // output port already granted this cycle
-			}
-			if out == Local {
-				// Ejection consumes the flit immediately (guaranteed
-				// consumption keeps the network deadlock-free).
-				moves = append(moves, move{
-					from: r, fromDir: inDir, fromVC: inVC,
-					to: nil, f: f, lastFlit: f.tail,
+			for i := 0; i < msg.Flits; i++ {
+				st.buf = append(st.buf, flit{
+					msg:  msg,
+					head: i == 0,
+					tail: i == msg.Flits-1,
 				})
-				takenAll[ri].taken[out] = true
-				continue
 			}
-			next := m.at(r.pos.Step(out))
-			inPortAtNext := out.Opposite()
-			// Virtual-channel allocation on head flits.
-			if st.outVC < 0 {
-				for vc := 0; vc < m.cfg.VCs; vc++ {
-					own := &next.in[inPortAtNext][vc]
-					owner := &r.owner[out][vc]
-					if !owner.active && len(own.buf) == 0 && !own.routed {
-						st.outVC = vc
-						owner.active = true
-						owner.inDir = inDir
-						owner.inVC = inVC
-						break
-					}
-				}
-				if st.outVC < 0 {
-					continue // no VC available this cycle
-				}
-			}
-			// Buffer space check (credit-equivalent, conservative: flits
-			// leaving downstream this cycle do not free space until next).
-			dstBuf := &next.in[inPortAtNext][st.outVC]
-			if len(dstBuf.buf) >= m.cfg.VCDepth {
-				continue
-			}
-			moves = append(moves, move{
-				from: r, fromDir: inDir, fromVC: inVC,
-				to: next, toDir: inPortAtNext, toVC: st.outVC,
-				f: f, lastFlit: f.tail,
-			})
-			takenAll[ri].taken[out] = true
+			m.busy.Set(g)
+			break
 		}
-		r.rrNext = (r.rrNext + 1) % total
 	}
+
+	// Allocation pass: each router that holds a flit picks at most one
+	// flit per output direction, reading only current buffer state.
+	// Routers are visited in ascending index and a router's non-empty
+	// input VCs in rotation order from rr, wrapping; g is always the
+	// router's lowest busy slot.
+	moves := m.moves[:0]
+	for g := m.busy.Next(0); g >= 0; {
+		node := g / m.slots
+		pivot, end := node*m.slots+m.rr, (node+1)*m.slots
+		var taken [NumDirs]bool // output ports granted this cycle
+		for s := m.busy.Next(pivot); s >= 0 && s < end; s = m.busy.Next(s + 1) {
+			moves = m.arbitrate(moves, node, s, &taken)
+		}
+		for s := g; s >= 0 && s < pivot; s = m.busy.Next(s + 1) {
+			moves = m.arbitrate(moves, node, s, &taken)
+		}
+		g = m.busy.Next(end)
+	}
+	m.rr = (m.rr + 1) % m.slots
 
 	// Apply pass.
 	for _, mv := range moves {
-		src := &mv.from.in[mv.fromDir][mv.fromVC]
+		src := &m.vcs[mv.from]
+		f := src.buf[0]
 		copy(src.buf, src.buf[1:])
 		src.buf = src.buf[:len(src.buf)-1]
+		if len(src.buf) == 0 {
+			m.busy.Clear(mv.from)
+		}
 		m.FlitHops++
-		if mv.to == nil {
+		if mv.to < 0 {
 			// Ejection.
-			if mv.f.tail {
-				mv.f.msg.Delivered = now
+			if f.tail {
+				f.msg.Delivered = now
 				m.MsgsDelivered++
-				lat := uint64(now - mv.f.msg.Injected)
-				m.TotalLatency += lat
-				m.TotalHops += uint64(Manhattan(mv.f.msg.Src, mv.f.msg.Dst))
-				m.at(mv.f.msg.Dst).ejectQ.Push(mv.f.msg)
+				m.TotalLatency += uint64(now - f.msg.Injected)
+				m.TotalHops += uint64(Manhattan(f.msg.Src, f.msg.Dst))
+				m.ejectQ[mv.node].Push(f.msg)
+				m.delivered.Set(mv.node)
 				m.ejected++
 			}
 		} else {
-			dst := &mv.to.in[mv.toDir][mv.toVC]
-			dst.buf = append(dst.buf, mv.f)
+			dst := &m.vcs[mv.to]
+			dst.buf = append(dst.buf, f)
+			m.busy.Set(mv.to)
 		}
-		if mv.lastFlit {
+		if f.tail {
 			// Tail passed: release the wormhole reservations.
-			if src.routed && src.outDir != Local && src.outVC >= 0 {
-				mv.from.owner[src.outDir][src.outVC] = outOwner{}
+			if src.outDir != Local {
+				m.owner[mv.node*m.slots+int(src.outDir)*vcs+src.outVC] = false
 			}
 			src.routed = false
 			src.outVC = 0
@@ -338,6 +271,58 @@ func (m *Mesh) Step(now sim.Cycle) {
 		}
 	}
 	m.moves = moves[:0]
+}
+
+// arbitrate runs route computation, VC allocation and switch allocation
+// for the head-of-line flit of busy slot g at router node, and stages
+// its move when it wins an output port.
+func (m *Mesh) arbitrate(moves []move, node, g int, taken *[NumDirs]bool) []move {
+	vcs := m.cfg.VCs
+	st := &m.vcs[g]
+	f := st.buf[0]
+	// Route computation on head flit.
+	if f.head && !st.routed {
+		st.outDir = XYRoute(Coord{node % m.cfg.Width, node / m.cfg.Width}, f.msg.Dst)
+		st.outVC = -1
+		st.routed = true
+	}
+	if !st.routed {
+		return moves // body flit of a stream whose head is gone: impossible, but safe
+	}
+	out := st.outDir
+	if taken[out] {
+		return moves // output port already granted this cycle
+	}
+	if out == Local {
+		// Ejection consumes the flit immediately (guaranteed
+		// consumption keeps the network deadlock-free).
+		taken[out] = true
+		return append(moves, move{node: node, from: g, to: -1})
+	}
+	// First input VC of the facing port at the downstream router.
+	next := (node+m.stride[out])*m.slots + int(out.Opposite())*vcs
+	// Virtual-channel allocation on head flits.
+	if st.outVC < 0 {
+		own := node*m.slots + int(out)*vcs
+		for vc := 0; vc < vcs; vc++ {
+			if d := &m.vcs[next+vc]; !m.owner[own+vc] && len(d.buf) == 0 && !d.routed {
+				st.outVC = vc
+				m.owner[own+vc] = true
+				break
+			}
+		}
+		if st.outVC < 0 {
+			return moves // no VC available this cycle
+		}
+	}
+	// Buffer space check (credit-equivalent, conservative: flits
+	// leaving downstream this cycle do not free space until next).
+	to := next + st.outVC
+	if len(m.vcs[to].buf) >= m.cfg.VCDepth {
+		return moves
+	}
+	taken[out] = true
+	return append(moves, move{node: node, from: g, to: to})
 }
 
 // Quiet reports whether the mesh holds no traffic at all: nothing
@@ -348,14 +333,11 @@ func (m *Mesh) Quiet() bool {
 	return m.InFlight() == 0 && m.ejected == 0
 }
 
-// SkipIdle advances every router's round-robin pointer by delta cycles,
-// exactly what delta no-op Steps of a Quiet mesh would have done. The
-// owner of the mesh calls it when it fast-forwards the clock.
+// SkipIdle advances the round-robin pointer by delta cycles, exactly
+// what delta no-op Steps of a Quiet mesh would have done. The owner of
+// the mesh calls it when it fast-forwards the clock.
 func (m *Mesh) SkipIdle(delta uint64) {
-	total := NumDirs * m.cfg.VCs
-	for _, r := range m.routers {
-		r.rrNext = (r.rrNext + int(delta%uint64(total))) % total
-	}
+	m.rr = (m.rr + int(delta%uint64(m.slots))) % m.slots
 }
 
 // InFlight returns the number of injected-but-undelivered messages.
