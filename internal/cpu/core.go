@@ -129,7 +129,6 @@ type robEntry struct {
 	doneAt     sim.Cycle
 	inFlight   bool // load waiting on memory
 	mispredict bool
-	reqID      uint64
 	tlbExtra   int
 }
 
@@ -146,8 +145,12 @@ type Core struct {
 	// Decode queue between fetch and dispatch.
 	decq sim.Queue[decoded]
 
-	// ROB is a ring of in-flight ops; seq of head entry = headSeq.
+	// ROB is a ring of in-flight ops; seq of head entry = headSeq. The
+	// ring is allocated at the next power of two >= cfg.ROBSize so a seq
+	// maps to its slot with robMask; dispatch bounds the occupancy by
+	// cfg.ROBSize, so the spare slots are never live.
 	rob     []robEntry
+	robMask uint64
 	headSeq uint64
 	tailSeq uint64 // next seq to allocate
 
@@ -160,10 +163,15 @@ type Core struct {
 	// Store buffer: committed stores draining to the cache.
 	storeBuf sim.Queue[mem.Addr]
 
+	// storeLines counts the live issued stores — issued in the ROB, or
+	// committed into the store buffer — per forwarding line, hashed into
+	// storeLineSlots. Zero proves storeForward has nothing to find; a
+	// non-zero count (a match or a collision) falls through to the scan.
+	storeLines [storeLineSlots]uint32
+
 	// Fetch gating after a mispredicted branch.
 	fetchResumeAt sim.Cycle
 	fetchBlocked  bool
-	blockingSeq   uint64
 
 	// Load completion routing.
 	loadBySeq map[uint64]uint64 // reqID -> seq
@@ -193,6 +201,18 @@ type Core struct {
 	LoadLatHist *stats.Histogram
 }
 
+// forwardLineBytes is the granularity at which a load matches an older
+// store for forwarding.
+const forwardLineBytes = 32
+
+// storeLineSlots sizes the storeLines counting filter (a power of two).
+const storeLineSlots = 256
+
+// storeLineSlot hashes the forwarding line of a into the filter.
+func storeLineSlot(a mem.Addr) int {
+	return int(a/forwardLineBytes) & (storeLineSlots - 1)
+}
+
 // loadLatBuckets bounds the per-cycle load-latency buckets; DRAM-bound
 // loads beyond it land in the histogram's overflow bucket.
 const loadLatBuckets = 512
@@ -203,6 +223,10 @@ func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSour
 	if cfg.FetchWidth <= 0 {
 		cfg = DefaultConfig()
 	}
+	ring := 1
+	for ring < cfg.ROBSize {
+		ring <<= 1
+	}
 	c := &Core{
 		name:      name,
 		cfg:       cfg,
@@ -210,7 +234,8 @@ func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSour
 		port:      port,
 		ids:       ids,
 		bpred:     NewBPred(),
-		rob:       make([]robEntry, cfg.ROBSize),
+		rob:       make([]robEntry, ring),
+		robMask:   uint64(ring - 1),
 		loadBySeq: make(map[uint64]uint64),
 		tlb:       make([]uint64, cfg.TLBEntries),
 		maxInstr:  maxInstr,
@@ -228,7 +253,7 @@ func (c *Core) Name() string { return c.name }
 
 // robAt returns the ROB entry for seq.
 func (c *Core) robAt(seq uint64) *robEntry {
-	return &c.rob[seq%uint64(len(c.rob))]
+	return &c.rob[seq&c.robMask]
 }
 
 // robOccupancy returns in-flight op count.
@@ -329,6 +354,7 @@ func (c *Core) drainStoreBuffer(now sim.Cycle) {
 		return
 	}
 	addr, _ := c.storeBuf.Pop()
+	c.storeLines[storeLineSlot(addr)]--
 	//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
 	c.port.Down.Push(&mem.Req{ID: c.ids.Next(), Addr: addr, Kind: mem.Write, Issued: now})
 }
@@ -385,12 +411,12 @@ func (c *Core) tryExecute(e *robEntry, now sim.Cycle) bool {
 		c.loadBySeq[id] = e.seq
 		e.issued = true
 		e.inFlight = true
-		e.reqID = id
 		e.tlbExtra = extra // TLB walk delays data visibility
 		c.LoadsIssued++
 		return true
 	case ClassStore:
 		_ = c.tlbLookup(e.op.Addr)
+		c.storeLines[storeLineSlot(e.op.Addr)]++
 		e.issued = true
 		e.done = true
 		e.doneAt = now + 1
@@ -468,7 +494,6 @@ func (c *Core) dispatch(now sim.Cycle) {
 			c.Branches++
 			if dec.mispredict {
 				c.Mispredicts++
-				c.blockingSeq = seq
 			}
 		}
 		//lnuca:allow(hotalloc) issue queue grows to a ROB-bounded high-water mark, then reuses
@@ -654,15 +679,20 @@ func (c *Core) SkipTo(now, target sim.Cycle) {
 // storeForward reports whether an older store to the same line can
 // forward (store buffer or in-flight LSQ stores).
 func (c *Core) storeForward(a mem.Addr) bool {
-	line := a.Line(32)
+	return c.storeLines[storeLineSlot(a)] != 0 && c.scanStores(a.Line(forwardLineBytes))
+}
+
+// scanStores is storeForward's exhaustive search for a live issued store
+// to line.
+func (c *Core) scanStores(line mem.Addr) bool {
 	for i := 0; i < c.storeBuf.Len(); i++ {
-		if c.storeBuf.At(i).Line(32) == line {
+		if c.storeBuf.At(i).Line(forwardLineBytes) == line {
 			return true
 		}
 	}
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		e := c.robAt(seq)
-		if e.op.Class == ClassStore && e.issued && e.op.Addr.Line(32) == line {
+		if e.op.Class == ClassStore && e.issued && e.op.Addr.Line(forwardLineBytes) == line {
 			return true
 		}
 	}

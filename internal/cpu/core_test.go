@@ -63,12 +63,19 @@ func (m *fastMem) Eval(k *sim.Kernel) {
 }
 func (m *fastMem) Commit(k *sim.Kernel) { m.port.Up.Tick() }
 
-// runCore simulates a core over the stream until it stops (or maxCycles).
+// runCore simulates a Table I core over the stream until it stops (or
+// maxCycles).
 func runCore(t *testing.T, ops []Op, repeat bool, maxInstr uint64, memDelay sim.Cycle) (*Core, *fastMem) {
+	t.Helper()
+	return runCoreCfg(t, DefaultConfig(), ops, repeat, maxInstr, memDelay)
+}
+
+// runCoreCfg is runCore with an explicit core configuration.
+func runCoreCfg(t *testing.T, cfg Config, ops []Op, repeat bool, maxInstr uint64, memDelay sim.Cycle) (*Core, *fastMem) {
 	t.Helper()
 	port := mem.NewPort(8, 8)
 	var ids mem.IDSource
-	core := New("cpu", DefaultConfig(), &sliceStream{ops: ops, repeat: repeat}, port, &ids, maxInstr)
+	core := New("cpu", cfg, &sliceStream{ops: ops, repeat: repeat}, port, &ids, maxInstr)
 	fm := &fastMem{port: port, delay: memDelay}
 	k := sim.NewKernel()
 	k.MustRegister(core)

@@ -99,6 +99,9 @@ type Counters struct {
 	StallMSHRFull, StallNoVictimSlot uint64
 }
 
+// storeQueueEntries bounds the r-tile store queue (Fabric.storeQ).
+const storeQueueEntries = 8
+
 type retryEntry struct {
 	at  sim.Cycle
 	msg searchMsg
@@ -138,6 +141,17 @@ type Fabric struct {
 
 	allD []*dlink
 	allU []*ulink
+
+	// Activity sets (DESIGN.md, "Activity inside a component"): a cycle
+	// walks these, in ascending index, instead of every tile and link.
+	// searching holds the tiles whose MA register is valid or was set
+	// this cycle — after Commit, exactly the valid ones. transport and
+	// replacement hold the tiles with a visible message on a Transport
+	// input, a visible block on a Replacement input. touchedD and
+	// touchedU index allD and allU (linkRef): the links sent on, popped
+	// or removed from since their last tick.
+	searching, transport, replacement sim.BitSet
+	touchedD, touchedU                sim.BitSet
 
 	searchQ     sim.Queue[searchMsg]
 	launchedNow bool
@@ -199,16 +213,24 @@ func NewFabric(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*Fabric, erro
 	f.C.TileReadHitsByLevel = make([]uint64, cfg.Levels+1)
 	f.lastLevelN = RingSize(cfg.Levels)
 
-	// Instantiate tiles.
+	// Instantiate tiles, and size the activity sets once.
 	f.tiles = make([]*tile, geom.NumTiles())
+	nD, nU := 0, len(geom.RTileReplaceOut)
 	for i := range geom.Sites {
 		f.tiles[i] = &tile{site: &geom.Sites[i], bank: cache.NewBank(cfg.TileBank)}
+		nD += len(geom.Sites[i].TransportOut)
+		nU += len(geom.Sites[i].ReplaceOut)
 	}
+	f.searching = sim.NewBitSet(len(f.tiles))
+	f.transport = sim.NewBitSet(len(f.tiles))
+	f.replacement = sim.NewBitSet(len(f.tiles))
+	f.touchedD = sim.NewBitSet(nD)
+	f.touchedU = sim.NewBitSet(nU)
 	// Wire transport links.
 	for i := range geom.Sites {
 		s := &geom.Sites[i]
 		for _, dst := range s.TransportOut {
-			l := newDLink(cfg.LinkBufEntries)
+			l := newDLink(cfg.LinkBufEntries, linkRef{id: len(f.allD), dst: dst, touched: f.touchedD})
 			f.allD = append(f.allD, l)
 			f.tiles[i].dOut = append(f.tiles[i].dOut, l)
 			if dst == RTileID {
@@ -222,14 +244,14 @@ func NewFabric(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*Fabric, erro
 	for i := range geom.Sites {
 		s := &geom.Sites[i]
 		for _, dst := range s.ReplaceOut {
-			l := newULink(cfg.LinkBufEntries)
+			l := newULink(cfg.LinkBufEntries, linkRef{id: len(f.allU), dst: dst, touched: f.touchedU})
 			f.allU = append(f.allU, l)
 			f.tiles[i].uOut = append(f.tiles[i].uOut, l)
 			f.tiles[dst].uIn = append(f.tiles[dst].uIn, l)
 		}
 	}
 	for _, dst := range geom.RTileReplaceOut {
-		l := newULink(cfg.LinkBufEntries)
+		l := newULink(cfg.LinkBufEntries, linkRef{id: len(f.allU), dst: dst, touched: f.touchedU})
 		f.allU = append(f.allU, l)
 		f.rtUOut = append(f.rtUOut, l)
 		f.tiles[dst].uIn = append(f.tiles[dst].uIn, l)
@@ -258,19 +280,59 @@ func (f *Fabric) Eval(k *sim.Kernel) {
 	f.drainOutputs(now)
 }
 
-// Commit implements sim.Component.
+// Commit implements sim.Component. It ticks the MA registers in
+// searching and the touched links only: for every other register (empty,
+// nothing scheduled) and link (nothing staged, nothing popped, not used)
+// the tick is the identity. A ticked link's destination tile re-derives
+// its membership of the pending set from its inputs, which is the only
+// time that membership can change.
 func (f *Fabric) Commit(k *sim.Kernel) {
-	for _, t := range f.tiles {
-		t.ma.Tick()
+	for i := f.searching.Next(0); i >= 0; i = f.searching.Next(i + 1) {
+		ma := &f.tiles[i].ma
+		ma.Tick()
+		if !ma.Valid() {
+			f.searching.Clear(i)
+		}
 	}
-	for _, l := range f.allD {
+	for i := f.touchedD.Next(0); i >= 0; i = f.touchedD.Next(i + 1) {
+		f.touchedD.Clear(i)
+		l := f.allD[i]
 		l.tick()
+		if l.dst != RTileID {
+			f.refreshTransport(l.dst)
+		}
 	}
-	for _, l := range f.allU {
+	for i := f.touchedU.Next(0); i >= 0; i = f.touchedU.Next(i + 1) {
+		f.touchedU.Clear(i)
+		l := f.allU[i]
 		l.tick()
+		f.refreshReplacement(l.dst)
 	}
 	f.up.Up.Tick()
 	f.down.Down.Tick()
+}
+
+// refreshTransport enters tile id in the transport set when one of its
+// Transport inputs holds a visible message, and removes it otherwise.
+func (f *Fabric) refreshTransport(id int) {
+	for _, in := range f.tiles[id].dIn {
+		if in.ch.Len() > 0 {
+			f.transport.Set(id)
+			return
+		}
+	}
+	f.transport.Clear(id)
+}
+
+// refreshReplacement is refreshTransport for the Replacement inputs.
+func (f *Fabric) refreshReplacement(id int) {
+	for _, in := range f.tiles[id].uIn {
+		if in.len() > 0 {
+			f.replacement.Set(id)
+			return
+		}
+	}
+	f.replacement.Clear(id)
 }
 
 // evalSearch runs the Search operation on every tile whose MA register
@@ -278,10 +340,11 @@ func (f *Fabric) Commit(k *sim.Kernel) {
 // hit extraction into the Transport network, miss propagation to the leaf
 // tiles, and miss voting at the last level (Sections II, III).
 func (f *Fabric) evalSearch(now sim.Cycle) {
-	for _, t := range f.tiles {
+	for i := f.searching.Next(0); i >= 0; i = f.searching.Next(i + 1) {
+		t := f.tiles[i]
 		msg, ok := t.ma.Get()
 		if !ok {
-			continue
+			continue // set by a parent this cycle; valid from the next
 		}
 		f.C.SearchLookups++
 		line := msg.line
@@ -328,7 +391,6 @@ func (f *Fabric) evalSearch(now sim.Cycle) {
 				blk:      blk,
 				hitCycle: now,
 				minHops:  noc.Manhattan(t.site.Pos, noc.Coord{}),
-				level:    t.site.Level,
 			})
 			continue
 		}
@@ -344,8 +406,14 @@ func (f *Fabric) propagate(t *tile, msg searchMsg) {
 		f.vote(msg)
 		return
 	}
-	for _, c := range t.site.SearchChildren {
+	f.broadcast(t.site.SearchChildren, msg)
+}
+
+// broadcast writes msg into the MA registers of the given tiles.
+func (f *Fabric) broadcast(children []int, msg searchMsg) {
+	for _, c := range children {
 		f.tiles[c].ma.Set(msg)
+		f.searching.Set(c)
 		f.C.SearchTraversals++
 	}
 }
@@ -484,7 +552,8 @@ func (f *Fabric) pickULink(links []*ulink) *ulink {
 // hop closer to the r-tile (store-and-forward, one message per output link
 // per cycle; hit injections from evalSearch have already claimed theirs).
 func (f *Fabric) evalTransportForward(now sim.Cycle) {
-	for _, t := range f.tiles {
+	for i := f.transport.Next(0); i >= 0; i = f.transport.Next(i + 1) {
+		t := f.tiles[i]
 		for _, in := range t.dIn {
 			m, ok := in.ch.Peek()
 			if !ok {
@@ -494,7 +563,7 @@ func (f *Fabric) evalTransportForward(now sim.Cycle) {
 			if out == nil {
 				continue // back-pressure: message waits in the buffer
 			}
-			in.ch.Pop()
+			in.pop()
 			out.send(m)
 			f.C.TransportHops++
 		}
@@ -506,15 +575,13 @@ func (f *Fabric) evalTransportForward(now sim.Cycle) {
 // (when its set has room) or read out a victim into an On output channel
 // to make room (Section III.C).
 func (f *Fabric) evalReplacement(now sim.Cycle) {
-	for _, t := range f.tiles {
+	for i := f.replacement.Next(0); i >= 0; i = f.replacement.Next(i + 1) {
+		t := f.tiles[i]
 		if t.ma.Valid() {
 			continue // Replacement only uses Search-idle cycles.
 		}
 		// Round-robin the input links so neither starves.
 		n := len(t.uIn)
-		if n == 0 {
-			continue
-		}
 		for k := 0; k < n; k++ {
 			in := t.uIn[(t.rrIn+k)%n]
 			blk, ok := in.peek()
@@ -587,7 +654,7 @@ func (f *Fabric) evalRTile(now sim.Cycle) {
 			f.C.StallNoVictimSlot++
 			continue // back-pressure: no victim slot this cycle
 		}
-		in.ch.Pop()
+		in.pop()
 		f.C.TransportDelivered++
 		f.C.TransportActualCycles += uint64(now - m.hitCycle)
 		f.C.TransportMinCycles += uint64(m.minHops)
@@ -697,7 +764,7 @@ func (f *Fabric) acceptCPU(now sim.Cycle, req *mem.Req) bool {
 		// Absorb into the store queue (the r-tile is "a conventional L1
 		// cache extended with flow control", Section II); the array is
 		// updated as the queue drains.
-		if f.storeQ.Len() >= 8 {
+		if f.storeQ.Len() >= storeQueueEntries {
 			return false
 		}
 		f.storeQ.Push(req)
@@ -752,10 +819,7 @@ func (f *Fabric) missCPU(now sim.Cycle, req *mem.Req, line mem.Addr, kind mem.Ki
 func (f *Fabric) launchSearch(msg searchMsg) {
 	f.launchedNow = true
 	f.C.SearchesLaunched++
-	for _, c := range f.geom.RTileSearchChildren {
-		f.tiles[c].ma.Set(msg)
-		f.C.SearchTraversals++
-	}
+	f.broadcast(f.geom.RTileSearchChildren, msg)
 }
 
 // evalRetries re-launches contention-bounced searches that are due.
@@ -851,10 +915,8 @@ func (f *Fabric) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	if f.searchQ.Len() > 0 {
 		return 0, false
 	}
-	for _, t := range f.tiles {
-		if t.ma.Valid() {
-			return 0, false
-		}
+	if f.searching.Next(0) >= 0 {
+		return 0, false
 	}
 	// Timed queues.
 	for i := range f.retryQ {
@@ -875,17 +937,16 @@ func (f *Fabric) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	}
 	// Transport forwarding: a buffered message moves when its tile has
 	// any On output (blocked messages wait silently).
-	for _, t := range f.tiles {
-		for _, in := range t.dIn {
-			if in.ch.Len() > 0 && anyDLinkOn(t.dOut) {
-				return 0, false
-			}
+	for i := f.transport.Next(0); i >= 0; i = f.transport.Next(i + 1) {
+		if anyDLinkOn(f.tiles[i].dOut) {
+			return 0, false
 		}
 	}
 	// Replacement: a tile with an incoming block acts when its set has
 	// room or a victim can leave (exit corners drop clean victims and
 	// need write-buffer space for dirty ones).
-	for _, t := range f.tiles {
+	for i := f.replacement.Next(0); i >= 0; i = f.replacement.Next(i + 1) {
+		t := f.tiles[i]
 		for _, in := range t.uIn {
 			blk, ok := in.peek()
 			if !ok {
@@ -934,7 +995,7 @@ func (f *Fabric) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 			// re-counting a read and a read miss.
 			f.skipBlockedReads++
 		default:
-			if f.storeQ.Len() < 8 {
+			if f.storeQ.Len() < storeQueueEntries {
 				return 0, false
 			}
 		}

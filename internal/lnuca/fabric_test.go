@@ -353,6 +353,15 @@ func TestTransportRatioNearOneUnderLightLoad(t *testing.T) {
 	}
 }
 
+// inject stages a block on a Transport link from outside the fabric's
+// Eval. It goes through send, so the link is ticked at the next Commit,
+// and gives back the one-message-per-cycle claim, so the link's owner
+// still sees nothing but the buffer occupancy.
+func inject(l *dlink, line mem.Addr) {
+	l.send(transMsg{blk: blockMsg{line: line}})
+	l.used = false
+}
+
 func TestContentionMarkedRestart(t *testing.T) {
 	h := newFabHarness(t, 2)
 	// Plant the target block in the west tile.
@@ -363,14 +372,14 @@ func TestContentionMarkedRestart(t *testing.T) {
 	// drains one message per cycle, so refill one per cycle. The fakes
 	// use distinct lines so they just fill the r-tile.
 	out := h.f.tiles[westID].dOut[0]
-	out.ch.Push(transMsg{blk: blockMsg{line: 0x7000}})
-	out.ch.Push(transMsg{blk: blockMsg{line: 0x7020}})
+	inject(out, 0x7000)
+	inject(out, 0x7020)
 	h.read(1, line)
 	fake := mem.Addr(0x8000)
 	for i := 0; i < 8; i++ {
 		h.k.Step()
 		if out.ch.CanPush() {
-			out.ch.Push(transMsg{blk: blockMsg{line: fake}})
+			inject(out, fake)
 			fake += 0x20
 		}
 	}

@@ -17,7 +17,6 @@ type transMsg struct {
 	blk      blockMsg
 	hitCycle sim.Cycle
 	minHops  int
-	level    int
 }
 
 // searchMsg is a miss request on the Search network. Messages are
@@ -30,18 +29,29 @@ type searchMsg struct {
 	marked bool // contention-marked (Section III.C, transport back-pressure)
 }
 
+// linkRef is what a link knows of its place in the fabric: its index in
+// Fabric.allD or allU, the tile it ends at (RTileID for the r-tile), and
+// the fabric's set of links of its kind whose next tick is not the
+// identity. Every send, pop and remove enters the link there, so
+// Fabric.Commit ticks only those.
+type linkRef struct {
+	id, dst int
+	touched sim.BitSet
+}
+
+func (r *linkRef) touch() { r.touched.Set(r.id) }
+
 // dlink is one unidirectional Transport link with its two-entry
 // store-and-forward buffer and On/Off back-pressure (Section III.B). The
 // used flag enforces one message per link per cycle.
 type dlink struct {
+	linkRef
 	ch   *mem.Chan[transMsg]
 	used bool
-	// Hops counts traversals for the energy model.
-	Hops uint64
 }
 
-func newDLink(depth int) *dlink {
-	return &dlink{ch: mem.NewChan[transMsg](depth)}
+func newDLink(depth int, ref linkRef) *dlink {
+	return &dlink{linkRef: ref, ch: mem.NewChan[transMsg](depth)}
 }
 
 // on reports whether the link can accept a message this cycle (the On/Off
@@ -51,7 +61,13 @@ func (l *dlink) on() bool { return !l.used && l.ch.CanPush() }
 func (l *dlink) send(m transMsg) {
 	l.ch.Push(m)
 	l.used = true
-	l.Hops++
+	l.touch()
+}
+
+// pop removes the oldest visible message.
+func (l *dlink) pop() {
+	l.ch.Pop()
+	l.touch()
 }
 
 func (l *dlink) tick() {
@@ -63,20 +79,19 @@ func (l *dlink) tick() {
 // address comparators (Section III.C): the Search operation can find and
 // extract in-transit blocks, which is what prevents false misses.
 type ulink struct {
+	linkRef
 	items    []blockMsg
 	staged   []blockMsg
 	startLen int
 	depth    int
 	used     bool
-	// Hops counts traversals for the energy model.
-	Hops uint64
 }
 
-func newULink(depth int) *ulink {
+func newULink(depth int, ref linkRef) *ulink {
 	if depth <= 0 {
 		depth = 1
 	}
-	return &ulink{depth: depth}
+	return &ulink{linkRef: ref, depth: depth}
 }
 
 // on reports whether the link can accept a block this cycle.
@@ -91,7 +106,7 @@ func (l *ulink) send(b blockMsg) {
 	//lnuca:allow(hotalloc) staged grows to the link-width high-water mark, then reuses
 	l.staged = append(l.staged, b)
 	l.used = true
-	l.Hops++
+	l.touch()
 }
 
 // peek returns the oldest visible block without removing it.
@@ -111,6 +126,7 @@ func (l *ulink) pop() (blockMsg, bool) {
 	b := l.items[0]
 	copy(l.items, l.items[1:])
 	l.items = l.items[:len(l.items)-1]
+	l.touch()
 	return b, true
 }
 
@@ -122,6 +138,7 @@ func (l *ulink) remove(line mem.Addr) (blockMsg, bool) {
 			b := l.items[i]
 			//lnuca:allow(hotalloc) in-place filter into the slice's own backing array; no growth
 			l.items = append(l.items[:i], l.items[i+1:]...)
+			l.touch()
 			return b, true
 		}
 	}
@@ -141,9 +158,11 @@ func (l *ulink) contains(line mem.Addr) bool {
 func (l *ulink) len() int { return len(l.items) }
 
 func (l *ulink) tick() {
-	//lnuca:allow(hotalloc) items grow to the link-occupancy high-water mark, then reuse
-	l.items = append(l.items, l.staged...)
-	l.staged = l.staged[:0]
+	if len(l.staged) > 0 {
+		//lnuca:allow(hotalloc) items grow to the link-occupancy high-water mark, then reuse
+		l.items = append(l.items, l.staged...)
+		l.staged = l.staged[:0]
+	}
 	l.startLen = len(l.items)
 	l.used = false
 }

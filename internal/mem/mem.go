@@ -138,8 +138,10 @@ func (c *Chan[T]) Pop() (T, bool) {
 // Tick publishes staged pushes. Call exactly once per cycle from the
 // owning component's Commit.
 func (c *Chan[T]) Tick() {
-	c.items = append(c.items, c.staged...)
-	c.staged = c.staged[:0]
+	if len(c.staged) > 0 {
+		c.items = append(c.items, c.staged...)
+		c.staged = c.staged[:0]
+	}
 	c.startLen = len(c.items)
 }
 
