@@ -212,7 +212,7 @@ func (d *driver) Eval(k *sim.Kernel) {
 			break
 		}
 		if req.Kind == mem.Read && d.down.Up.CanPush() {
-			d.down.Up.Push(&mem.Resp{ID: req.ID, Addr: req.Addr})
+			d.down.Up.Push(mem.Resp{ID: req.ID, Addr: req.Addr})
 		}
 	}
 	// Moderate, bursty demand: enough to expose contention without
@@ -221,7 +221,7 @@ func (d *driver) Eval(k *sim.Kernel) {
 		d.issued++
 		addr := mem.Addr(0x100000 + (d.rng.Intn(27*64))*d.blockBytes)
 		d.inflight[d.issued] = k.Cycle()
-		d.up.Down.Push(&mem.Req{ID: d.issued, Addr: addr, Kind: mem.Read, Issued: k.Cycle()})
+		d.up.Down.Push(mem.Req{ID: d.issued, Addr: addr, Kind: mem.Read, Issued: k.Cycle()})
 	}
 	if d.done >= d.total {
 		k.Stop()

@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -64,6 +65,10 @@ type Bank struct {
 	sets    [][]way
 	numSets int
 	occ     int
+	// Validate makes the block size and the set count powers of two, so
+	// an address maps to its set with a shift and a mask.
+	blockShift uint
+	setMask    uint64
 }
 
 // NewBank builds a bank; it panics on invalid geometry (a wiring bug).
@@ -77,7 +82,11 @@ func NewBank(cfg BankConfig) *Bank {
 	for i := range sets {
 		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
-	return &Bank{cfg: cfg, sets: sets, numSets: n}
+	return &Bank{
+		cfg: cfg, sets: sets, numSets: n,
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		setMask:    uint64(n - 1),
+	}
 }
 
 // Config returns the bank geometry.
@@ -85,7 +94,7 @@ func (b *Bank) Config() BankConfig { return b.cfg }
 
 // setIndex maps an address to its set.
 func (b *Bank) setIndex(a mem.Addr) int {
-	return int((uint64(a) / uint64(b.cfg.BlockBytes)) % uint64(b.numSets))
+	return int(uint64(a) >> b.blockShift & b.setMask)
 }
 
 // Line returns the block frame address of a in this bank's geometry.

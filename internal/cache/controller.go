@@ -97,12 +97,12 @@ type Controller struct {
 }
 
 type timedResp struct {
-	resp  *mem.Resp
+	resp  mem.Resp
 	ready sim.Cycle
 }
 
 type timedReq struct {
-	req   *mem.Req
+	req   mem.Req
 	ready sim.Cycle
 }
 
@@ -198,8 +198,7 @@ func (c *Controller) handleFills(now sim.Cycle) {
 		for _, t := range targets {
 			if t.Kind == mem.Read {
 				c.pending.Push(timedResp{
-					//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-					resp:  &mem.Resp{ID: t.ReqID, Addr: t.Addr, Done: now},
+					resp:  mem.Resp{ID: t.ReqID, Addr: t.Addr, Done: now},
 					ready: now + sim.Cycle(c.cfg.BusCycles),
 				})
 			}
@@ -251,7 +250,7 @@ func (c *Controller) acceptRequests(now sim.Cycle) {
 
 // acceptRead processes one read; it reports false when the read must stall
 // (and therefore block the request queue, preserving order).
-func (c *Controller) acceptRead(now sim.Cycle, req *mem.Req) bool {
+func (c *Controller) acceptRead(now sim.Cycle, req mem.Req) bool {
 	line := c.bank.Line(req.Addr)
 	// Forward from a pending write: the block's data is newer here than
 	// in the array or downstream.
@@ -260,8 +259,7 @@ func (c *Controller) acceptRead(now sim.Cycle, req *mem.Req) bool {
 		c.ReadHits++
 		c.WBufForwards++
 		c.pending.Push(timedResp{
-			//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-			resp:  &mem.Resp{ID: req.ID, Addr: req.Addr},
+			resp:  mem.Resp{ID: req.ID, Addr: req.Addr},
 			ready: now + sim.Cycle(c.cfg.CompletionCycles+c.cfg.BusCycles),
 		})
 		return true
@@ -286,8 +284,7 @@ func (c *Controller) acceptRead(now sim.Cycle, req *mem.Req) bool {
 	if c.bank.Access(line, false) {
 		c.ReadHits++
 		c.pending.Push(timedResp{
-			//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-			resp:  &mem.Resp{ID: req.ID, Addr: req.Addr},
+			resp:  mem.Resp{ID: req.ID, Addr: req.Addr},
 			ready: now + sim.Cycle(c.cfg.CompletionCycles+c.cfg.BusCycles),
 		})
 		return true
@@ -306,8 +303,7 @@ func (c *Controller) queueFetch(line mem.Addr, issued sim.Cycle, now sim.Cycle) 
 		m.SentDown = true
 	}
 	c.fetchQ.Push(timedReq{
-		//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-		req: &mem.Req{
+		req: mem.Req{
 			ID:     c.ids.Next(),
 			Addr:   line,
 			Kind:   mem.Read,
@@ -379,8 +375,7 @@ func (c *Controller) drainWriteBuffer(now sim.Cycle) {
 // forwardDown pushes a write or writeback downstream (space was checked or
 // is checked by the caller; when full, it queues on fetchQ semantics).
 func (c *Controller) forwardDown(line mem.Addr, kind mem.Kind) {
-	//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-	req := &mem.Req{ID: c.ids.Next(), Addr: line, Kind: kind}
+	req := mem.Req{ID: c.ids.Next(), Addr: line, Kind: kind}
 	if c.down.Down.CanPush() {
 		c.down.Down.Push(req)
 	} else {

@@ -54,11 +54,11 @@ func (h *ctrlHarness) Eval(k *sim.Kernel) {
 func (h *ctrlHarness) Commit(k *sim.Kernel) { h.up.Down.Tick() }
 
 func (h *ctrlHarness) read(id uint64, a mem.Addr) {
-	h.up.Down.Push(&mem.Req{ID: id, Addr: a, Kind: mem.Read, Issued: h.k.Cycle()})
+	h.up.Down.Push(mem.Req{ID: id, Addr: a, Kind: mem.Read, Issued: h.k.Cycle()})
 }
 
 func (h *ctrlHarness) write(id uint64, a mem.Addr) {
-	h.up.Down.Push(&mem.Req{ID: id, Addr: a, Kind: mem.Write, Issued: h.k.Cycle()})
+	h.up.Down.Push(mem.Req{ID: id, Addr: a, Kind: mem.Write, Issued: h.k.Cycle()})
 }
 
 func (h *ctrlHarness) runUntil(t *testing.T, id uint64, max int) sim.Cycle {
@@ -192,7 +192,7 @@ func TestControllerReadAfterWriteForwardsFromBuffer(t *testing.T) {
 
 func TestControllerWritebackBypassOnMiss(t *testing.T) {
 	h := newCtrlHarness(t, l2Config())
-	h.up.Down.Push(&mem.Req{ID: 0, Addr: 0x6000, Kind: mem.Writeback})
+	h.up.Down.Push(mem.Req{ID: 0, Addr: 0x6000, Kind: mem.Writeback})
 	for i := 0; i < 300; i++ {
 		h.k.Step()
 	}
@@ -208,7 +208,7 @@ func TestControllerWritebackHitMarksDirty(t *testing.T) {
 	h := newCtrlHarness(t, l2Config())
 	h.read(1, 0x7000)
 	h.runUntil(t, 1, 500)
-	h.up.Down.Push(&mem.Req{ID: 0, Addr: 0x7000, Kind: mem.Writeback})
+	h.up.Down.Push(mem.Req{ID: 0, Addr: 0x7000, Kind: mem.Writeback})
 	for i := 0; i < 50; i++ {
 		h.k.Step()
 	}

@@ -30,7 +30,7 @@ type MSHR struct {
 // L1/L2 (8 for L3) and allows 4 secondary misses to merge per entry.
 type MSHRFile struct {
 	entries      []*MSHR
-	freelist     []*MSHR // retired entries recycled by Allocate
+	freelist     []*MSHR // the maxEntries-len(entries) entries not in use
 	maxEntries   int
 	maxSecondary int
 
@@ -47,11 +47,16 @@ func NewMSHRFile(maxEntries, maxSecondary int) *MSHRFile {
 	if maxSecondary < 0 {
 		maxSecondary = 0
 	}
-	return &MSHRFile{
+	f := &MSHRFile{
 		entries:      make([]*MSHR, 0, maxEntries),
+		freelist:     make([]*MSHR, maxEntries),
 		maxEntries:   maxEntries,
 		maxSecondary: maxSecondary,
 	}
+	for i := range f.freelist {
+		f.freelist[i] = &MSHR{Targets: make([]Target, 0, 1+maxSecondary)}
+	}
+	return f
 }
 
 // Lookup returns the MSHR for line, or nil.
@@ -70,28 +75,25 @@ func (f *MSHRFile) Full() bool { return len(f.entries) >= f.maxEntries }
 // Len returns the number of live entries.
 func (f *MSHRFile) Len() int { return len(f.entries) }
 
+// Cap returns the number of entries the file can hold.
+func (f *MSHRFile) Cap() int { return f.maxEntries }
+
 // Allocate creates an entry for a primary miss on line. It returns nil
-// when the file is full (the caller must stall). Entries released by
-// Free are recycled, so a steady-state miss stream allocates nothing.
+// when the file is full (the caller must stall). Every entry the file
+// can hold was built with it, so a miss stream allocates nothing.
 func (f *MSHRFile) Allocate(line mem.Addr, t Target) *MSHR {
 	if f.Full() {
 		f.FullStalls++
 		return nil
 	}
-	var m *MSHR
-	if n := len(f.freelist); n > 0 {
-		m = f.freelist[n-1]
-		f.freelist = f.freelist[:n-1]
-		m.Line = line
-		//lnuca:allow(hotalloc) recycled entry appends into its retained Targets capacity
-		m.Targets = append(m.Targets[:0], t)
-		m.SentDown = false
-	} else {
-		//lnuca:allow(hotalloc) first allocation of an entry; the freelist recycles it afterwards
-		m = &MSHR{Line: line, Targets: make([]Target, 1, 1+f.maxSecondary)}
-		m.Targets[0] = t
-	}
-	//lnuca:allow(hotalloc) grows to a high-water mark, then reuses the backing array; steady state is allocation-free
+	n := len(f.freelist) - 1
+	m := f.freelist[n]
+	f.freelist = f.freelist[:n]
+	m.Line = line
+	//lnuca:allow(hotalloc) appends into the entry's Targets capacity, fixed at 1+maxSecondary
+	m.Targets = append(m.Targets[:0], t)
+	m.SentDown = false
+	//lnuca:allow(hotalloc) appends into capacity fixed at maxEntries; Full bounds the length
 	f.entries = append(f.entries, m)
 	f.Primary++
 	return m
@@ -104,7 +106,7 @@ func (f *MSHRFile) Merge(m *MSHR, t Target) bool {
 		f.MergeRejects++
 		return false
 	}
-	//lnuca:allow(hotalloc) targets grow to the per-entry secondary cap, then the entry is recycled
+	//lnuca:allow(hotalloc) appends into the entry's Targets capacity; CanMerge bounds the length
 	m.Targets = append(m.Targets, t)
 	f.Secondary++
 	return true
@@ -125,7 +127,7 @@ func (f *MSHRFile) Free(line mem.Addr) []Target {
 		if m.Line == line {
 			//lnuca:allow(hotalloc) in-place filter into the slice's own backing array; no growth
 			f.entries = append(f.entries[:i], f.entries[i+1:]...)
-			//lnuca:allow(hotalloc) freelist grows to the live-entry high-water mark, then recycles
+			//lnuca:allow(hotalloc) appends into capacity fixed at maxEntries
 			f.freelist = append(f.freelist, m)
 			return m.Targets
 		}

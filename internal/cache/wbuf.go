@@ -26,7 +26,7 @@ func NewWriteBuffer(max int) *WriteBuffer {
 	if max <= 0 {
 		max = 1
 	}
-	return &WriteBuffer{max: max}
+	return &WriteBuffer{max: max, entries: make([]WBEntry, 0, max)}
 }
 
 // Add inserts a write for line, coalescing with an existing entry of the
@@ -47,7 +47,7 @@ func (w *WriteBuffer) Add(line mem.Addr, kind mem.Kind) bool {
 		w.FullRejects++
 		return false
 	}
-	//lnuca:allow(hotalloc) entries grow to the buffer's fixed max, then reuse capacity
+	//lnuca:allow(hotalloc) appends into capacity fixed at max; the check above bounds the length
 	w.entries = append(w.entries, WBEntry{Line: line, Kind: kind})
 	w.Inserted++
 	return true

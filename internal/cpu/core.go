@@ -8,6 +8,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -130,6 +131,65 @@ type robEntry struct {
 	inFlight   bool // load waiting on memory
 	mispredict bool
 	tlbExtra   int
+
+	// Wake-up state. readyAt is the first cycle the op may issue,
+	// max(dispatched+1, doneAt of every done producer); it is final once
+	// waitFor, the count of producers not yet done, reaches zero, which is
+	// when the op enters its queue's candidate set. wakeHead heads the
+	// list of ops waiting on this op's result, and wakeNext[k] continues
+	// the list this op joined for its k-th dependency. A link is
+	// 1 + 2*slot + k; zero ends a list.
+	readyAt  sim.Cycle
+	waitFor  uint8
+	queue    uint8
+	wakeHead int32
+	wakeNext [2]int32
+}
+
+// The issue queues, in issue priority order.
+const (
+	qMem = iota
+	qInt
+	qFP
+	numIQ
+)
+
+// queueOf returns the issue queue ops of class cl wait in.
+func queueOf(cl Class) int {
+	switch cl {
+	case ClassFP:
+		return qFP
+	case ClassLoad, ClassStore:
+		return qMem
+	default:
+		return qInt
+	}
+}
+
+// issueQueue is one issue window: n ops dispatched and not yet issued
+// (at most limit), of which ready holds the ROB slots of the candidates,
+// the ops whose producers are all done, and cand counts them. Nothing
+// polls the others: the producer that completes last moves an op into
+// ready (Core.wake).
+type issueQueue struct {
+	n, limit int
+	ready    sim.BitSet
+	cand     int
+}
+
+// add makes the op in ROB slot a candidate.
+func (q *issueQueue) add(slot int) {
+	q.ready.Set(slot)
+	q.cand++
+}
+
+// next returns the first candidate after slot i in ring order; the
+// caller knows there is one.
+func (q *issueQueue) next(i int) int {
+	if i = q.ready.Next(i + 1); i < 0 {
+		i = q.ready.Next(0)
+	}
+	return i
 }
 
 // Core is the out-of-order processor model. It talks to the first cache
@@ -154,8 +214,8 @@ type Core struct {
 	headSeq uint64
 	tailSeq uint64 // next seq to allocate
 
-	// Issue queues hold ROB seqs awaiting issue.
-	intQ, fpQ, memQ []uint64
+	// Issue queues, indexed qMem, qInt, qFP.
+	iq [numIQ]issueQueue
 
 	// lsq tracks in-flight memory ops (loads and stores pre-commit).
 	lsqCount int
@@ -173,11 +233,14 @@ type Core struct {
 	fetchResumeAt sim.Cycle
 	fetchBlocked  bool
 
-	// Load completion routing.
-	loadBySeq map[uint64]uint64 // reqID -> seq
+	// Load completion routing: request ID -> seq.
+	loads loadTable
 
-	// dTLB: direct-mapped over page numbers.
-	tlb []uint64
+	// dTLB: direct-mapped over page numbers. With a power-of-two page
+	// size and entry count (tlbPow2) the lookup is a shift and a mask.
+	tlb       []uint64
+	tlbPow2   bool
+	pageShift uint
 
 	streamDone bool
 	maxInstr   uint64
@@ -228,25 +291,34 @@ func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSour
 		ring <<= 1
 	}
 	c := &Core{
-		name:      name,
-		cfg:       cfg,
-		stream:    stream,
-		port:      port,
-		ids:       ids,
-		bpred:     NewBPred(),
-		rob:       make([]robEntry, ring),
-		robMask:   uint64(ring - 1),
-		loadBySeq: make(map[uint64]uint64),
-		tlb:       make([]uint64, cfg.TLBEntries),
-		maxInstr:  maxInstr,
+		name:     name,
+		cfg:      cfg,
+		stream:   stream,
+		port:     port,
+		ids:      ids,
+		bpred:    NewBPred(),
+		rob:      make([]robEntry, ring),
+		robMask:  uint64(ring - 1),
+		loads:    newLoadTable(cfg.LSQSize),
+		tlb:      make([]uint64, cfg.TLBEntries),
+		maxInstr: maxInstr,
 
 		LoadLatHist: stats.NewHistogram(loadLatBuckets),
+	}
+	for qi, limit := range [numIQ]int{qMem: cfg.MemIQ, qInt: cfg.IntIQ, qFP: cfg.FPIQ} {
+		c.iq[qi] = issueQueue{limit: limit, ready: sim.NewBitSet(ring)}
 	}
 	for i := range c.tlb {
 		c.tlb[i] = ^uint64(0)
 	}
+	if pow2(cfg.PageBytes) && pow2(cfg.TLBEntries) {
+		c.tlbPow2 = true
+		c.pageShift = uint(bits.TrailingZeros(uint(cfg.PageBytes)))
+	}
 	return c
 }
+
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Name implements sim.Component.
 func (c *Core) Name() string { return c.name }
@@ -258,23 +330,6 @@ func (c *Core) robAt(seq uint64) *robEntry {
 
 // robOccupancy returns in-flight op count.
 func (c *Core) robOccupancy() int { return int(c.tailSeq - c.headSeq) }
-
-// depReady reports whether the producer at distance d from seq has a
-// visible result at cycle now.
-func (c *Core) depReady(seq uint64, d int32, now sim.Cycle) bool {
-	if d <= 0 {
-		return true
-	}
-	if uint64(d) > seq {
-		return true
-	}
-	p := seq - uint64(d)
-	if p < c.headSeq {
-		return true // already committed
-	}
-	e := c.robAt(p)
-	return e.done && e.doneAt <= now
-}
 
 // Eval implements sim.Component.
 func (c *Core) Eval(k *sim.Kernel) {
@@ -303,16 +358,16 @@ func (c *Core) drainResponses(now sim.Cycle) {
 		if !ok {
 			return
 		}
-		seq, ok := c.loadBySeq[resp.ID]
+		seq, ok := c.loads.take(resp.ID)
 		if !ok {
 			continue // store ack or stale
 		}
-		delete(c.loadBySeq, resp.ID)
 		e := c.robAt(seq)
 		if e.seq == seq && e.inFlight {
 			e.inFlight = false
 			e.done = true
 			e.doneAt = now + sim.Cycle(e.tlbExtra)
+			c.wake(e)
 			c.LoadLatencySum += uint64(e.doneAt - e.dispatched)
 			c.LoadsCompleted++
 			c.LoadLatHist.Observe(int(e.doneAt - e.dispatched))
@@ -355,38 +410,76 @@ func (c *Core) drainStoreBuffer(now sim.Cycle) {
 	}
 	addr, _ := c.storeBuf.Pop()
 	c.storeLines[storeLineSlot(addr)]--
-	//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-	c.port.Down.Push(&mem.Req{ID: c.ids.Next(), Addr: addr, Kind: mem.Write, Issued: now})
+	c.port.Down.Push(mem.Req{ID: c.ids.Next(), Addr: addr, Kind: mem.Write, Issued: now})
 }
 
-// issueFrom issues up to width ready ops from q (oldest first), returning
-// the updated queue and the number of issue slots consumed.
-func (c *Core) issueFrom(q []uint64, width int, now sim.Cycle) ([]uint64, int) {
-	if width <= 0 {
-		return q, 0
+// await makes the op e at seq wait for the producer d ops back, its k-th
+// dependency. A producer that is done bounds readyAt; one that is not
+// gets e on its wake list. A producer that has left the ROB completed
+// before e was dispatched and constrains nothing.
+func (c *Core) await(e *robEntry, seq uint64, d int32, k int32) {
+	if d <= 0 || uint64(d) > seq {
+		return
 	}
+	p := seq - uint64(d)
+	if p < c.headSeq {
+		return
+	}
+	pe := c.robAt(p)
+	if pe.done {
+		if pe.doneAt > e.readyAt {
+			e.readyAt = pe.doneAt
+		}
+		return
+	}
+	e.waitFor++
+	e.wakeNext[k] = pe.wakeHead
+	pe.wakeHead = 1 + 2*int32(seq&c.robMask) + k
+}
+
+// wake hands the completion time of p, just done, to every op on its wake
+// list; an op whose last producer this was becomes an issue candidate.
+func (c *Core) wake(p *robEntry) {
+	for l := p.wakeHead; l != 0; {
+		slot, k := int(l-1)>>1, (l-1)&1
+		e := &c.rob[slot]
+		l = e.wakeNext[k]
+		if p.doneAt > e.readyAt {
+			e.readyAt = p.doneAt
+		}
+		if e.waitFor--; e.waitFor == 0 {
+			c.iq[e.queue].add(slot)
+		}
+	}
+	p.wakeHead = 0
+}
+
+// issueFrom issues up to width ready ops from q, oldest first, and returns
+// the number of issue slots consumed. Slots in ring order from the head's
+// are seqs in ascending order, so the walk visits the candidates in the
+// order a scan of the whole queue would; left counts those it has yet to
+// visit, among them any that wake adds mid-walk, which are younger than
+// their producer and so still ahead.
+func (c *Core) issueFrom(q *issueQueue, width int, now sim.Cycle) int {
 	used := 0
-	kept := q[:0]
-	for _, seq := range q {
-		if used >= width {
-			//lnuca:allow(hotalloc) in-place filter into the slice's own backing array; no growth
-			kept = append(kept, seq)
+	i := int(c.headSeq&c.robMask) - 1
+	for left := q.cand; left > 0 && used < width; left-- {
+		i = q.next(i)
+		e := &c.rob[i]
+		if e.readyAt > now || !c.tryExecute(e, now) {
 			continue
 		}
-		e := c.robAt(seq)
-		if e.dispatched >= now || !c.depReady(seq, e.op.Dep1, now) || !c.depReady(seq, e.op.Dep2, now) {
-			//lnuca:allow(hotalloc) in-place filter into the slice's own backing array; no growth
-			kept = append(kept, seq)
-			continue
-		}
-		if !c.tryExecute(e, now) {
-			//lnuca:allow(hotalloc) in-place filter into the slice's own backing array; no growth
-			kept = append(kept, seq)
-			continue
+		q.ready.Clear(i)
+		q.cand--
+		q.n--
+		if e.done {
+			had := q.cand
+			c.wake(e)
+			left += q.cand - had // the candidates wake added to this queue
 		}
 		used++
 	}
-	return kept, used
+	return used
 }
 
 // tryExecute starts execution of a ready op; false means structural stall
@@ -406,9 +499,8 @@ func (c *Core) tryExecute(e *robEntry, now sim.Cycle) bool {
 			return false
 		}
 		id := c.ids.Next()
-		//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-		c.port.Down.Push(&mem.Req{ID: id, Addr: e.op.Addr, Kind: mem.Read, Issued: now})
-		c.loadBySeq[id] = e.seq
+		c.port.Down.Push(mem.Req{ID: id, Addr: e.op.Addr, Kind: mem.Read, Issued: now})
+		c.loads.put(id, e.seq)
 		e.issued = true
 		e.inFlight = true
 		e.tlbExtra = extra // TLB walk delays data visibility
@@ -451,10 +543,9 @@ func (c *Core) tryExecute(e *robEntry, now sim.Cycle) bool {
 // slots (Table I: "4(INT or MEM)"); memory ops get priority since loads
 // gate dependents.
 func (c *Core) issue(now sim.Cycle) {
-	var used int
-	c.memQ, used = c.issueFrom(c.memQ, c.cfg.IntMemIssue, now)
-	c.intQ, _ = c.issueFrom(c.intQ, c.cfg.IntMemIssue-used, now)
-	c.fpQ, _ = c.issueFrom(c.fpQ, c.cfg.FPIssue, now)
+	used := c.issueFrom(&c.iq[qMem], c.cfg.IntMemIssue, now)
+	c.issueFrom(&c.iq[qInt], c.cfg.IntMemIssue-used, now)
+	c.issueFrom(&c.iq[qFP], c.cfg.FPIssue, now)
 }
 
 // dispatch moves decoded ops into the ROB and issue queues.
@@ -465,29 +556,30 @@ func (c *Core) dispatch(now sim.Cycle) {
 			return
 		}
 		op := c.decq.Front().op
-		var q *[]uint64
-		var limit int
-		switch op.Class {
-		case ClassFP:
-			q, limit = &c.fpQ, c.cfg.FPIQ
-		case ClassLoad, ClassStore:
-			q, limit = &c.memQ, c.cfg.MemIQ
-			if c.lsqCount >= c.cfg.LSQSize {
-				c.StallLSQ++
-				return
-			}
-		default:
-			q, limit = &c.intQ, c.cfg.IntIQ
+		qi := queueOf(op.Class)
+		if qi == qMem && c.lsqCount >= c.cfg.LSQSize {
+			c.StallLSQ++
+			return
 		}
-		if len(*q) >= limit {
+		q := &c.iq[qi]
+		if q.n >= q.limit {
 			c.StallIQFull++
 			return
 		}
 		dec, _ := c.decq.Pop()
 		seq := c.tailSeq
 		c.tailSeq++
-		*c.robAt(seq) = robEntry{op: op, seq: seq, dispatched: now, mispredict: dec.mispredict}
-		if op.Class == ClassLoad || op.Class == ClassStore {
+		e := c.robAt(seq)
+		*e = robEntry{op: op, seq: seq, dispatched: now, mispredict: dec.mispredict, readyAt: now + 1, queue: uint8(qi)}
+		c.await(e, seq, op.Dep1, 0)
+		if op.Dep2 != op.Dep1 {
+			c.await(e, seq, op.Dep2, 1)
+		}
+		q.n++
+		if e.waitFor == 0 {
+			q.add(int(seq & c.robMask))
+		}
+		if qi == qMem {
 			c.lsqCount++
 		}
 		if op.Class == ClassBranch {
@@ -496,8 +588,6 @@ func (c *Core) dispatch(now sim.Cycle) {
 				c.Mispredicts++
 			}
 		}
-		//lnuca:allow(hotalloc) issue queue grows to a ROB-bounded high-water mark, then reuses
-		*q = append(*q, seq)
 	}
 }
 
@@ -588,14 +678,12 @@ func (c *Core) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 
 	// Dispatch: would the decode-queue head move into the ROB?
 	if c.decq.Len() > 0 {
-		switch op := c.decq.Front().op; {
+		switch qi := queueOf(c.decq.Front().op.Class); {
 		case c.robOccupancy() >= c.cfg.ROBSize:
 			c.skipStall = &c.StallROBFull
-		case (op.Class == ClassLoad || op.Class == ClassStore) && c.lsqCount >= c.cfg.LSQSize:
+		case qi == qMem && c.lsqCount >= c.cfg.LSQSize:
 			c.skipStall = &c.StallLSQ
-		case op.Class == ClassFP && len(c.fpQ) >= c.cfg.FPIQ,
-			(op.Class == ClassLoad || op.Class == ClassStore) && len(c.memQ) >= c.cfg.MemIQ,
-			op.Class != ClassFP && op.Class != ClassLoad && op.Class != ClassStore && len(c.intQ) >= c.cfg.IntIQ:
+		case c.iq[qi].n >= c.iq[qi].limit:
 			c.skipStall = &c.StallIQFull
 		default:
 			return 0, false // the head would dispatch
@@ -616,44 +704,25 @@ func (c *Core) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 		}
 	}
 
-	// Issue queues: the expensive scan last. An op is issuable at
-	// max(dispatched+1, producers' doneAt); in-flight producers mean an
-	// external wake (the response drain is an active cycle).
-	for _, q := range [3][]uint64{c.memQ, c.intQ, c.fpQ} {
-		for _, seq := range q {
-			e := c.robAt(seq)
-			t := e.dispatched + 1
-			external := false
-			for _, d := range [2]int32{e.op.Dep1, e.op.Dep2} {
-				if d <= 0 || uint64(d) > seq {
-					continue
-				}
-				p := seq - uint64(d)
-				if p < c.headSeq {
-					continue // producer already committed
-				}
-				pe := c.robAt(p)
-				if !pe.done {
-					external = true // waiting on an in-flight load
-					break
-				}
-				if pe.doneAt > t {
-					t = pe.doneAt
-				}
-			}
-			if external {
-				continue
-			}
-			if t <= now {
-				// Ready now: everything but a load blocked on a full
-				// memory port (and with no forwarding hit) executes.
-				if e.op.Class != ClassLoad || c.storeForward(e.op.Addr) || c.port.Down.CanPush() {
-					return 0, false
+	// Issue queues: only the candidates, whose readyAt is final. An op
+	// with a producer not yet done waits on an in-flight load (an external
+	// wake: the response drain is an active cycle) or on an op that is
+	// itself in a queue.
+	for qi := range c.iq {
+		q := &c.iq[qi]
+		for i, left := -1, q.cand; left > 0; left-- {
+			i = q.next(i)
+			e := &c.rob[i]
+			if e.readyAt > now {
+				if e.readyAt < wake {
+					wake = e.readyAt
 				}
 				continue
 			}
-			if t < wake {
-				wake = t
+			// Ready now: everything but a load blocked on a full memory
+			// port (and with no forwarding hit) executes.
+			if e.op.Class != ClassLoad || c.storeForward(e.op.Addr) || c.port.Down.CanPush() {
+				return 0, false
 			}
 		}
 	}
@@ -702,8 +771,14 @@ func (c *Core) scanStores(line mem.Addr) bool {
 // tlbLookup returns the extra latency of a TLB miss (0 on hit) and
 // installs the translation.
 func (c *Core) tlbLookup(a mem.Addr) int {
-	page := uint64(a) / uint64(c.cfg.PageBytes)
-	idx := page % uint64(len(c.tlb))
+	var page, idx uint64
+	if c.tlbPow2 {
+		page = uint64(a) >> c.pageShift
+		idx = page & uint64(len(c.tlb)-1)
+	} else {
+		page = uint64(a) / uint64(c.cfg.PageBytes)
+		idx = page % uint64(len(c.tlb))
+	}
 	if c.tlb[idx] == page {
 		return 0
 	}

@@ -32,7 +32,7 @@ type fastMem struct {
 	port    *mem.Port
 	delay   sim.Cycle
 	pending []struct {
-		r  *mem.Resp
+		r  mem.Resp
 		at sim.Cycle
 	}
 	Reads, Writes uint64
@@ -49,9 +49,9 @@ func (m *fastMem) Eval(k *sim.Kernel) {
 		if req.Kind == mem.Read {
 			m.Reads++
 			m.pending = append(m.pending, struct {
-				r  *mem.Resp
+				r  mem.Resp
 				at sim.Cycle
-			}{&mem.Resp{ID: req.ID, Addr: req.Addr}, now + m.delay})
+			}{mem.Resp{ID: req.ID, Addr: req.Addr}, now + m.delay})
 		} else {
 			m.Writes++
 		}

@@ -1,0 +1,478 @@
+package cpu
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
+
+// phasedStream is an endless seeded op stream that moves, every few
+// hundred ops, between the dependency shapes the issue stage treats
+// differently.
+type phasedStream struct {
+	rng      *sim.Rand
+	mode     int
+	left     int
+	lastLoad int32 // ops since the previous load
+	lines    [4]mem.Addr
+}
+
+const (
+	modeChase  = iota // loads chained to the previous load, far apart
+	modeFP            // FP chains with mixed latencies, Dep1 == Dep2
+	modeStores        // store bursts, then loads of the same lines (forwarding)
+	modeWide          // independent ops: full-width issue, slot sharing
+	modeMixed         // everything, long dependency distances, branches
+	streamModes
+)
+
+func (s *phasedStream) Next() (Op, bool) {
+	if s.left == 0 {
+		s.mode = s.rng.Intn(streamModes)
+		s.left = 100 + s.rng.Intn(400)
+		for i := range s.lines {
+			s.lines[i] = mem.Addr(s.rng.Intn(1<<22)) &^ 31
+		}
+	}
+	s.left--
+	s.lastLoad++
+	op := s.draw()
+	if op.Class == ClassLoad {
+		s.lastLoad = 0
+	}
+	return op, true
+}
+
+func (s *phasedStream) draw() Op {
+	rng := s.rng
+	far := func() mem.Addr { return mem.Addr(rng.Intn(1 << 24)) } // 4096 pages: TLB misses
+	switch s.mode {
+	case modeChase:
+		if rng.Intn(3) == 0 {
+			return Op{Class: ClassLoad, Addr: far(), Dep1: s.lastLoad}
+		}
+		return Op{Class: ClassInt, Dep1: s.lastLoad, Dep2: int32(rng.Intn(3))}
+	case modeFP:
+		d := int32(1 + rng.Intn(4))
+		switch rng.Intn(4) {
+		case 0:
+			return Op{Class: ClassFP, Dep1: d, Dep2: d, Lat: uint8(1 + rng.Intn(12))}
+		case 1:
+			return Op{Class: ClassFP, Dep1: 1, Lat: 20} // backs the FP queue up
+		default:
+			return Op{Class: ClassFP, Dep1: d, Dep2: int32(rng.Intn(30))}
+		}
+	case modeStores:
+		a := s.lines[rng.Intn(len(s.lines))] + mem.Addr(rng.Intn(32))
+		if s.left%24 < 12 {
+			return Op{Class: ClassStore, Addr: a, Dep1: int32(rng.Intn(3))}
+		}
+		return Op{Class: ClassLoad, Addr: a, Dep1: int32(rng.Intn(5))}
+	case modeWide:
+		switch rng.Intn(6) {
+		case 0:
+			return Op{Class: ClassLoad, Addr: s.lines[0]}
+		case 1:
+			return Op{Class: ClassFP}
+		default:
+			return Op{Class: ClassInt}
+		}
+	}
+	d1, d2 := int32(rng.Intn(6)), int32(rng.Intn(120))
+	switch rng.Intn(8) {
+	case 0, 1:
+		return Op{Class: ClassLoad, Addr: far(), Dep1: d1}
+	case 2:
+		return Op{Class: ClassStore, Addr: far(), Dep1: d1}
+	case 3:
+		return Op{Class: ClassBranch, PC: uint64(rng.Intn(64) * 16), Taken: rng.Bool(0.6), Dep1: d1}
+	case 4:
+		return Op{Class: ClassFP, Dep1: d1, Dep2: d2}
+	default:
+		return Op{Class: ClassInt, Dep1: d1, Dep2: d2, Lat: uint8(rng.Intn(3))}
+	}
+}
+
+// slowMem is a next level behind a two-entry port that accepts one
+// request every `every` cycles and answers reads `delay` cycles later:
+// loads find the port full and retry, the store buffer backs up into
+// commit, and the ROB and the queues fill behind them.
+type slowMem struct {
+	port     *mem.Port
+	delay    sim.Cycle
+	every    sim.Cycle
+	acceptAt sim.Cycle
+	pending  sim.Queue[timedLoad]
+}
+
+type timedLoad struct {
+	resp mem.Resp
+	at   sim.Cycle
+}
+
+func (m *slowMem) Name() string { return "mem" }
+
+func (m *slowMem) Eval(k *sim.Kernel) {
+	now := k.Cycle()
+	if now >= m.acceptAt {
+		if req, ok := m.port.Down.Pop(); ok {
+			m.acceptAt = now + m.every
+			if req.Kind == mem.Read {
+				m.pending.Push(timedLoad{mem.Resp{ID: req.ID, Addr: req.Addr}, now + m.delay})
+			}
+		}
+	}
+	for m.pending.Len() > 0 && m.pending.Front().at <= now && m.port.Up.CanPush() {
+		p, _ := m.pending.Pop()
+		m.port.Up.Push(p.resp)
+	}
+}
+
+func (m *slowMem) Commit(k *sim.Kernel) { m.port.Up.Tick() }
+
+func (m *slowMem) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
+	wake := sim.Never
+	if m.port.Down.Len() > 0 {
+		if now >= m.acceptAt {
+			return 0, false
+		}
+		wake = m.acceptAt
+	}
+	if m.pending.Len() > 0 {
+		switch at := m.pending.Front().at; {
+		case at > now:
+			if at < wake {
+				wake = at
+			}
+		case m.port.Up.CanPush():
+			return 0, false
+		}
+	}
+	return wake, true
+}
+
+func (m *slowMem) SkipTo(now, target sim.Cycle) {}
+
+// issueSide is one machine of the pair: core -> slowMem on its own
+// kernel. core is the Core whose state is inspected; comp is what the
+// kernel runs — core itself, or the polling reference over it.
+type issueSide struct {
+	k    *sim.Kernel
+	core *Core
+	ref  *refCore
+	mem  *slowMem
+	comp sim.Quiescent
+}
+
+func newIssueSide(cfg Config, seed uint64, reference bool) *issueSide {
+	port := mem.NewPort(2, 2)
+	s := &issueSide{
+		k:    sim.NewKernel(),
+		core: New("cpu", cfg, &phasedStream{rng: sim.NewRand(seed)}, port, &mem.IDSource{}, 0),
+		mem:  &slowMem{port: port, delay: 30, every: 4},
+	}
+	s.comp = s.core
+	if reference {
+		s.ref = &refCore{Core: s.core}
+		s.comp = s.ref
+	}
+	s.k.MustRegister(s.comp)
+	s.k.MustRegister(s.mem)
+	return s
+}
+
+// allIdle polls both components the way the kernel will and returns
+// the earliest wake when each is idle.
+func (s *issueSide) allIdle(now sim.Cycle) (sim.Cycle, bool) {
+	cw, idle := s.comp.NextEvent(now)
+	if !idle {
+		return 0, false
+	}
+	mw, idle := s.mem.NextEvent(now)
+	if !idle {
+		return 0, false
+	}
+	if mw < cw {
+		cw = mw
+	}
+	return cw, true
+}
+
+// coreCounters is every statistic the core exports.
+type coreCounters struct {
+	committed, cycles, loads, stores, mispredicts, branches, tlbMisses uint64
+	stallROB, stallIQ, stallLSQ, stallSB, fetchBlocked                 uint64
+	loadLatency, loadsCompleted                                        uint64
+}
+
+func countersOf(c *Core) coreCounters {
+	return coreCounters{c.Committed, c.Cycles, c.LoadsIssued, c.StoresCommitted, c.Mispredicts, c.Branches, c.TLBMisses,
+		c.StallROBFull, c.StallIQFull, c.StallLSQ, c.StallSBFull, c.FetchBlockedCycles, c.LoadLatencySum, c.LoadsCompleted}
+}
+
+// skipFlags is the bookkeeping NextEvent leaves for SkipTo; the stall
+// counter it points at is named by its index.
+type skipFlags struct {
+	sb, fetchBlocked bool
+	stall            int
+}
+
+func skipFlagsOf(c *Core) skipFlags {
+	f := skipFlags{sb: c.skipSB, fetchBlocked: c.skipFetchBlocked, stall: -1}
+	for i, p := range []*uint64{&c.StallROBFull, &c.StallLSQ, &c.StallIQFull} {
+		if c.skipStall == p {
+			f.stall = i
+		}
+	}
+	return f
+}
+
+// pipelineState is the core's state outside the ROB entries.
+type pipelineState struct {
+	head, tail          uint64
+	lsq, decq, storeBuf int
+	fetchResumeAt       sim.Cycle
+	fetchBlocked, ended bool
+	loadsInMemory       int
+	storeLines          [storeLineSlots]uint32
+}
+
+func pipelineOf(c *Core) pipelineState {
+	return pipelineState{c.headSeq, c.tailSeq, c.lsqCount, c.decq.Len(), c.storeBuf.Len(),
+		c.fetchResumeAt, c.fetchBlocked, c.streamDone, c.loads.n, c.storeLines}
+}
+
+// compareCores fails on the first difference between the production
+// core p and the polling reference r.
+func compareCores(t *testing.T, now sim.Cycle, p *Core, r *refCore) {
+	t.Helper()
+	if got, want := countersOf(p), countersOf(r.Core); got != want {
+		t.Fatalf("cycle %d: counters differ:\n got %+v\nwant %+v", now, got, want)
+	}
+	if got, want := pipelineOf(p), pipelineOf(r.Core); got != want {
+		t.Fatalf("cycle %d: pipeline state differs:\n got %+v\nwant %+v", now, got, want)
+	}
+	if !reflect.DeepEqual(p.tlb, r.tlb) || !reflect.DeepEqual(p.LoadLatHist, r.LoadLatHist) {
+		t.Fatalf("cycle %d: TLB contents or load-latency histogram differ", now)
+	}
+	for seq := p.headSeq; seq < p.tailSeq; seq++ {
+		pe, re := p.robAt(seq), r.robAt(seq)
+		if pe.op != re.op || pe.seq != re.seq || pe.dispatched != re.dispatched || pe.issued != re.issued ||
+			pe.done != re.done || pe.doneAt != re.doneAt || pe.inFlight != re.inFlight ||
+			pe.mispredict != re.mispredict || pe.tlbExtra != re.tlbExtra {
+			t.Fatalf("cycle %d: ROB entry %d differs:\n got %+v\nwant %+v", now, seq, *pe, *re)
+		}
+	}
+	// Queue contents: the un-issued ops of each class are the
+	// reference's queue, in its (age) order.
+	var queued [numIQ][]uint64
+	for seq := p.headSeq; seq < p.tailSeq; seq++ {
+		if e := p.robAt(seq); !e.issued {
+			queued[e.queue] = append(queued[e.queue], seq)
+		}
+	}
+	for qi, want := range [numIQ][]uint64{qMem: r.memQ, qInt: r.intQ, qFP: r.fpQ} {
+		if p.iq[qi].n != len(want) || !reflect.DeepEqual(queued[qi], append([]uint64(nil), want...)) {
+			t.Fatalf("cycle %d: queue %d holds %d ops %v, reference %v", now, qi, p.iq[qi].n, queued[qi], want)
+		}
+	}
+}
+
+// checkCandidateSets recounts, from the ROB alone, what the wake-up
+// state of the production core summarises: an un-issued op is a
+// candidate exactly when every producer still in the ROB is done, its
+// readyAt is then max(dispatched+1, their doneAt) or already past,
+// waitFor counts its un-done producers, and nothing else is in a set.
+func checkCandidateSets(t *testing.T, now sim.Cycle, c *Core) {
+	t.Helper()
+	var want [numIQ]sim.BitSet
+	for qi := range want {
+		want[qi] = sim.NewBitSet(len(c.rob))
+	}
+	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+		e := c.robAt(seq)
+		if e.issued {
+			continue
+		}
+		readyAt, waiting := e.dispatched+1, 0
+		deps := []int32{e.op.Dep1, e.op.Dep2}
+		if e.op.Dep1 == e.op.Dep2 {
+			deps = deps[:1]
+		}
+		for _, d := range deps {
+			if d <= 0 || uint64(d) > seq || seq-uint64(d) < c.headSeq {
+				continue
+			}
+			switch pe := c.robAt(seq - uint64(d)); {
+			case !pe.done:
+				waiting++
+			case pe.doneAt > readyAt:
+				readyAt = pe.doneAt
+			}
+		}
+		if int(e.waitFor) != waiting {
+			t.Fatalf("cycle %d: seq %d waits for %d producers, %d are not done", now, seq, e.waitFor, waiting)
+		}
+		if waiting == 0 {
+			// A producer that has since committed may still bound readyAt,
+			// with a doneAt no later than the cycle it retired in.
+			if e.readyAt < readyAt || (e.readyAt > readyAt && e.readyAt >= now) {
+				t.Fatalf("cycle %d: seq %d readyAt %d, recount %d", now, seq, e.readyAt, readyAt)
+			}
+			want[e.queue].Set(int(seq & c.robMask))
+		}
+	}
+	for qi := range want {
+		n := 0
+		for i := want[qi].Next(0); i >= 0; i = want[qi].Next(i + 1) {
+			n++
+		}
+		if !reflect.DeepEqual(c.iq[qi].ready, want[qi]) || c.iq[qi].cand != n {
+			t.Fatalf("cycle %d: queue %d candidates %v (counted %d), recount %v", now, qi, c.iq[qi].ready, c.iq[qi].cand, want[qi])
+		}
+	}
+}
+
+// refusedLoad reports whether this cycle's oldest ready memory op is a
+// load that tryExecute will refuse: nothing forwards to it and the port
+// has been full since the cycle began.
+func refusedLoad(c *Core, now sim.Cycle) bool {
+	if c.port.Down.CanPush() || c.cfg.IntMemIssue <= 0 {
+		return false
+	}
+	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+		e := c.robAt(seq)
+		if !e.issued && e.queue == qMem && c.iq[qMem].ready.Has(int(seq&c.robMask)) && e.readyAt <= now {
+			return e.op.Class == ClassLoad && !c.storeForward(e.op.Addr)
+		}
+	}
+	return false
+}
+
+// TestIssueMatchesPollingReference drives the wake-up-driven core and
+// the polling reference with the same seeded stream against the same
+// slow memory — through gated and ungated phases, single cycles and
+// multi-cycle fast-forwards — and compares everything observable on
+// every cycle.
+func TestIssueMatchesPollingReference(t *testing.T) {
+	cycles := sim.Cycle(30_000)
+	if testing.Short() {
+		cycles = 8_000
+	}
+	seen := map[string]uint64{}
+	for _, v := range []struct {
+		rob, lsq, intLat int
+		seed             uint64
+	}{
+		{rob: 96, lsq: 64, intLat: 1, seed: 5},
+		{rob: 100, lsq: 12, intLat: 1, seed: 6}, // a short LSQ stalls dispatch before the memory queue fills
+		{rob: 128, lsq: 64, intLat: 1, seed: 7},
+		{rob: 128, lsq: 64, intLat: 0, seed: 8}, // a consumer issues in the cycle its producer does, mid-walk
+	} {
+		t.Run(fmt.Sprintf("ROB%d/LSQ%d/IntLatency%d", v.rob, v.lsq, v.intLat), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.ROBSize, cfg.LSQSize, cfg.IntLatency = v.rob, v.lsq, v.intLat
+			p, r := newIssueSide(cfg, v.seed, false), newIssueSide(cfg, v.seed, true)
+			phase := sim.NewRand(v.seed ^ 0x5ca1ab1e)
+			for now := sim.Cycle(0); now < cycles; now = p.k.Cycle() {
+				if now%128 == 0 {
+					gated := phase.Bool(0.7)
+					p.k.SetGating(gated)
+					r.k.SetGating(gated)
+				}
+				pw, pi := p.comp.NextEvent(now)
+				rw, ri := r.comp.NextEvent(now)
+				if pw != rw || pi != ri || skipFlagsOf(p.core) != skipFlagsOf(r.core) {
+					t.Fatalf("cycle %d: NextEvent = (%d, %v) skips %+v, reference (%d, %v) skips %+v",
+						now, pw, pi, skipFlagsOf(p.core), rw, ri, skipFlagsOf(r.core))
+				}
+				if pi {
+					seen["idle polls"]++
+				}
+				if refusedLoad(p.core, now) {
+					seen["port-full load retries"]++
+				}
+				// One cycle, or — when the whole machine is idle until a
+				// known wake — one fast-forward over the gap.
+				budget := uint64(1)
+				if wake, idle := p.allIdle(now); idle && wake != sim.Never && p.k.Gating() {
+					budget = wake - now
+					seen["fast-forwards"]++
+				} else if !p.k.Gating() {
+					seen["ungated cycles"]++
+				}
+				if a, b := p.k.Run(budget), r.k.Run(budget); a != b || p.k.Cycle() != r.k.Cycle() {
+					t.Fatalf("cycle %d: kernels advanced %d and %d cycles", now, a, b)
+				}
+				compareCores(t, p.k.Cycle(), p.core, r.ref)
+				checkCandidateSets(t, p.k.Cycle(), p.core)
+			}
+			c := p.core
+			for name, n := range map[string]uint64{
+				"commits": c.Committed, "loads": c.LoadsCompleted, "mispredicts": c.Mispredicts,
+				"tlb misses": c.TLBMisses, "forwarded loads": c.LoadsIssued - uint64(c.loads.n) - c.LoadsCompleted,
+				"rob-full stalls": c.StallROBFull, "iq-full stalls": c.StallIQFull, "lsq-full stalls": c.StallLSQ,
+				"store-buffer-full stalls": c.StallSBFull, "fetch-blocked cycles": c.FetchBlockedCycles,
+			} {
+				seen[name] += n
+			}
+		})
+	}
+	t.Logf("exercised: %v", seen)
+	for _, name := range []string{
+		"commits", "loads", "mispredicts", "tlb misses", "forwarded loads", "rob-full stalls", "iq-full stalls",
+		"lsq-full stalls", "store-buffer-full stalls", "fetch-blocked cycles", "idle polls", "fast-forwards",
+		"ungated cycles", "port-full load retries",
+	} {
+		if seen[name] == 0 {
+			t.Errorf("the stream never produced %s", name)
+		}
+	}
+}
+
+// TestLoadTableMatchesMap holds the open-addressed table against a map
+// through fills to its bound and removals in the middle of probe runs,
+// with IDs that collide (a stride of the table size) and IDs that do not.
+func TestLoadTableMatchesMap(t *testing.T) {
+	const maxLoads = 12
+	tab := newLoadTable(maxLoads)
+	model := map[uint64]uint64{}
+	rng := sim.NewRand(9)
+	var live []uint64
+	next := uint64(0)
+	for step := 0; step < 20_000; step++ {
+		if len(live) < maxLoads && rng.Intn(2) == 0 {
+			next += []uint64{1, uint64(len(tab.ids)), 3}[rng.Intn(3)]
+			tab.put(next, uint64(step))
+			model[next] = uint64(step)
+			live = append(live, next)
+		} else if len(live) > 0 {
+			i := rng.Intn(len(live))
+			id := live[i]
+			live = append(live[:i], live[i+1:]...)
+			if seq, ok := tab.take(id); !ok || seq != model[id] {
+				t.Fatalf("step %d: take(%d) = %d, %v; want %d", step, id, seq, ok, model[id])
+			}
+			delete(model, id)
+		}
+		if _, ok := tab.take(next + 1); ok {
+			t.Fatalf("step %d: take of an absent ID succeeded", step)
+		}
+		if tab.n != len(model) {
+			t.Fatalf("step %d: table counts %d, model %d", step, tab.n, len(model))
+		}
+	}
+	for _, id := range live {
+		if seq, ok := tab.take(id); !ok || seq != model[id] {
+			t.Fatalf("drain: take(%d) = %d, %v; want %d", id, seq, ok, model[id])
+		}
+	}
+	for i, id := range tab.ids {
+		if id != 0 {
+			t.Fatalf("slot %d still holds %d after the drain", i, id)
+		}
+	}
+}

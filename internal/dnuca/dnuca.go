@@ -83,7 +83,7 @@ const (
 	mWB                     // bank -> controller: dirty victim writeback
 )
 
-// payload rides noc.Message.Payload.
+// payload is what a D-NUCA mesh message carries (noc.Message.Payload).
 type payload struct {
 	kind  msgKind
 	line  mem.Addr
@@ -117,7 +117,7 @@ type pendingSearch struct {
 // memory).
 type DNUCA struct {
 	cfg  Config
-	mesh *noc.Mesh
+	mesh *noc.Mesh[payload]
 	rng  *sim.Rand
 	up   *mem.Port
 	down *mem.Port
@@ -126,16 +126,18 @@ type DNUCA struct {
 	banks []*bank // index = row*Cols + col; bank i sits at mesh node i+Cols
 	// queued is the set of banks whose job queue is non-empty: runBanks
 	// and NextEvent walk it instead of every bank.
-	queued   sim.BitSet
-	ctrl     noc.Coord
-	mshr     *cache.MSHRFile
-	wbuf     *cache.WriteBuffer
-	searches map[mem.Addr]*pendingSearch
-	injectQ  []*noc.Message
-	memQ     sim.Queue[*mem.Req]
+	queued sim.BitSet
+	ctrl   noc.Coord
+	mshr   *cache.MSHRFile
+	wbuf   *cache.WriteBuffer
+	// searches are the multicasts in flight, found by line. Each belongs
+	// to a live MSHR, which bounds them.
+	searches []pendingSearch
+	injectQ  []noc.Message[payload]
+	memQ     sim.Queue[mem.Req]
 	msgID    uint64
 
-	pendingResp sim.Queue[*mem.Resp]
+	pendingResp sim.Queue[mem.Resp]
 
 	// Quiescence bookkeeping: per-cycle counter increments of blocked
 	// idle states, recorded by NextEvent and applied by SkipTo.
@@ -160,20 +162,20 @@ func New(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*DNUCA, error) {
 	}
 	d := &DNUCA{
 		cfg: cfg,
-		mesh: noc.NewMesh(noc.MeshConfig{
+		mesh: noc.NewMesh[payload](noc.MeshConfig{
 			Width:  cfg.Cols,
 			Height: cfg.Rows + 1, // row 0 hosts the controller
 			VCs:    cfg.VCs, VCDepth: cfg.VCDepth,
 		}),
-		rng:      sim.NewRand(cfg.Seed),
-		up:       up,
-		down:     down,
-		ids:      ids,
-		ctrl:     noc.Coord{X: 0, Y: 0},
-		mshr:     cache.NewMSHRFile(cfg.MSHREntries, cfg.MSHRSecondary),
-		wbuf:     cache.NewWriteBuffer(cfg.WriteBufEntries),
-		searches: make(map[mem.Addr]*pendingSearch),
+		rng:  sim.NewRand(cfg.Seed),
+		up:   up,
+		down: down,
+		ids:  ids,
+		ctrl: noc.Coord{X: 0, Y: 0},
+		mshr: cache.NewMSHRFile(cfg.MSHREntries, cfg.MSHRSecondary),
+		wbuf: cache.NewWriteBuffer(cfg.WriteBufEntries),
 	}
+	d.searches = make([]pendingSearch, 0, d.mshr.Cap())
 	d.banks = make([]*bank, cfg.Rows*cfg.Cols)
 	d.queued = sim.NewBitSet(len(d.banks))
 	for r := 0; r < cfg.Rows; r++ {
@@ -201,8 +203,8 @@ func (d *DNUCA) bankAt(col, row int) *bank { return d.banks[row*d.cfg.Cols+col] 
 // send queues a message for mesh injection.
 func (d *DNUCA) send(now sim.Cycle, src, dst noc.Coord, flits int, p payload) {
 	d.msgID++
-	//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-	d.injectQ = append(d.injectQ, &noc.Message{
+	//lnuca:allow(hotalloc) injectQ grows to a high-water mark of messages awaiting injection, then reuses
+	d.injectQ = append(d.injectQ, noc.Message[payload]{
 		ID:      d.msgID,
 		Src:     src,
 		Dst:     dst,
@@ -261,10 +263,10 @@ func (d *DNUCA) ejectController(now sim.Cycle) {
 		if !ok {
 			break
 		}
-		p := m.Payload.(payload)
+		p := m.Payload
 		switch p.kind {
 		case mHit:
-			s := d.searches[p.line]
+			s := d.search(p.line)
 			if s == nil || s.hit {
 				break // duplicate or stale
 			}
@@ -274,7 +276,7 @@ func (d *DNUCA) ejectController(now sim.Cycle) {
 			d.SearchesResolved++
 			d.finishLine(now, p.line)
 		case mNack:
-			s := d.searches[p.line]
+			s := d.search(p.line)
 			if s == nil || s.hit {
 				break
 			}
@@ -282,15 +284,14 @@ func (d *DNUCA) ejectController(now sim.Cycle) {
 			if s.nacks >= d.cfg.Rows {
 				// Global miss: fetch from memory.
 				d.GlobalMisses++
-				delete(d.searches, p.line)
+				d.endSearch(s)
 				d.toMemory(now, p.line)
 			}
 		case mWB:
 			// A tail-bank dirty victim leaves the cache entirely: it goes
 			// straight to memory, not through the store path (which would
 			// re-allocate it).
-			//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-			d.memQ.Push(&mem.Req{
+			d.memQ.Push(mem.Req{
 				ID: d.ids.Next(), Addr: p.line, Kind: mem.Writeback, Issued: now,
 			})
 			d.Writebacks++
@@ -300,11 +301,10 @@ func (d *DNUCA) ejectController(now sim.Cycle) {
 
 // finishLine retires the MSHR for line and queues responses.
 func (d *DNUCA) finishLine(now sim.Cycle, line mem.Addr) {
-	delete(d.searches, line)
+	d.endSearch(d.search(line))
 	for _, t := range d.mshr.Free(line) {
 		if t.Kind == mem.Read {
-			//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-			d.pendingResp.Push(&mem.Resp{ID: t.ReqID, Addr: t.Addr})
+			d.pendingResp.Push(mem.Resp{ID: t.ReqID, Addr: t.Addr})
 		}
 	}
 }
@@ -316,8 +316,7 @@ func (d *DNUCA) toMemory(now sim.Cycle, line mem.Addr) {
 	if m != nil {
 		m.SentDown = true
 	}
-	//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-	d.memQ.Push(&mem.Req{ID: d.ids.Next(), Addr: line, Kind: mem.Read, Issued: now})
+	d.memQ.Push(mem.Req{ID: d.ids.Next(), Addr: line, Kind: mem.Read, Issued: now})
 }
 
 // ejectBanks enqueues arriving work at each bank the mesh holds a
@@ -332,7 +331,7 @@ func (d *DNUCA) ejectBanks(now sim.Cycle) {
 			if !ok {
 				break
 			}
-			b.jobs.Push(bankJob{p: m.Payload.(payload), arrived: now})
+			b.jobs.Push(bankJob{p: m.Payload, arrived: now})
 		}
 		d.queued.Set(i)
 	}
@@ -444,11 +443,10 @@ func (d *DNUCA) acceptUpstream(now sim.Cycle) {
 	}
 }
 
-func (d *DNUCA) acceptRead(now sim.Cycle, req *mem.Req, line mem.Addr) bool {
+func (d *DNUCA) acceptRead(now sim.Cycle, req mem.Req, line mem.Addr) bool {
 	d.Reads++
 	if d.wbuf.Contains(line) {
-		//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-		d.pendingResp.Push(&mem.Resp{ID: req.ID, Addr: req.Addr})
+		d.pendingResp.Push(mem.Resp{ID: req.ID, Addr: req.Addr})
 		return true
 	}
 	tg := cache.Target{ReqID: req.ID, Addr: req.Addr, Kind: mem.Read, Issued: req.Issued}
@@ -463,6 +461,26 @@ func (d *DNUCA) acceptRead(now sim.Cycle, req *mem.Req, line mem.Addr) bool {
 	return true
 }
 
+// search returns the multicast in flight for line, or nil. The pointer
+// is valid until the next launchSearch or endSearch.
+func (d *DNUCA) search(line mem.Addr) *pendingSearch {
+	for i := range d.searches {
+		if d.searches[i].line == line {
+			return &d.searches[i]
+		}
+	}
+	return nil
+}
+
+// endSearch forgets s, an element of searches; nil is a no-op.
+func (d *DNUCA) endSearch(s *pendingSearch) {
+	if s != nil {
+		last := len(d.searches) - 1
+		*s = d.searches[last]
+		d.searches = d.searches[:last]
+	}
+}
+
 // launchSearch multicasts a lookup to every bank of the line's column.
 func (d *DNUCA) launchSearch(now sim.Cycle, line mem.Addr, write bool) {
 	col := d.column(line)
@@ -470,8 +488,8 @@ func (d *DNUCA) launchSearch(now sim.Cycle, line mem.Addr, write bool) {
 	if write {
 		kind = mWrite
 	}
-	//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-	d.searches[line] = &pendingSearch{line: line, write: write}
+	//lnuca:allow(hotalloc) appends into capacity fixed at the MSHR count; the caller just allocated this line's MSHR
+	d.searches = append(d.searches, pendingSearch{line: line, write: write})
 	for r := 0; r < d.cfg.Rows; r++ {
 		b := d.bankAt(col, r)
 		d.send(now, d.ctrl, b.pos, 1, payload{kind: kind, line: line})
@@ -493,8 +511,7 @@ func (d *DNUCA) consumeMemory(now sim.Cycle) {
 		for _, t := range d.mshr.Free(line) {
 			switch t.Kind {
 			case mem.Read:
-				//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-				d.pendingResp.Push(&mem.Resp{ID: t.ReqID, Addr: t.Addr})
+				d.pendingResp.Push(mem.Resp{ID: t.ReqID, Addr: t.Addr})
 			case mem.Write:
 				dirty = true
 			}
@@ -520,7 +537,7 @@ func (d *DNUCA) drainDown(now sim.Cycle) {
 			if d.mshr.Merge(m, cache.Target{ReqID: 0, Addr: e.Line, Kind: mem.Write}) {
 				d.wbuf.Pop()
 			}
-		case d.searches[e.Line] != nil:
+		case d.search(e.Line) != nil:
 			// A write search for this line is already out; wait.
 		default:
 			if !d.mshr.Full() {
@@ -604,7 +621,7 @@ func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 				return 0, false
 			}
 			d.skipMergeRejects++
-		case d.searches[e.Line] != nil:
+		case d.search(e.Line) != nil:
 			// A write search is already out: wait for it (its traffic is
 			// covered by the mesh/bank checks above).
 		case !d.mshr.Full():
@@ -631,7 +648,7 @@ func (d *DNUCA) SkipTo(now, target sim.Cycle) {
 }
 
 // Mesh exposes the network (stats/energy).
-func (d *DNUCA) Mesh() *noc.Mesh { return d.mesh }
+func (d *DNUCA) Mesh() *noc.Mesh[payload] { return d.mesh }
 
 // MSHROccupancy returns live MSHR entries (tests).
 func (d *DNUCA) MSHROccupancy() int { return d.mshr.Len() }

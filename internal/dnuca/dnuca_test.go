@@ -53,11 +53,11 @@ func (h *dnHarness) Eval(k *sim.Kernel) {
 func (h *dnHarness) Commit(k *sim.Kernel) { h.up.Down.Tick() }
 
 func (h *dnHarness) read(id uint64, a mem.Addr) {
-	h.up.Down.Push(&mem.Req{ID: id, Addr: a, Kind: mem.Read, Issued: h.k.Cycle()})
+	h.up.Down.Push(mem.Req{ID: id, Addr: a, Kind: mem.Read, Issued: h.k.Cycle()})
 }
 
 func (h *dnHarness) write(a mem.Addr) {
-	h.up.Down.Push(&mem.Req{ID: 0, Addr: a, Kind: mem.Write, Issued: h.k.Cycle()})
+	h.up.Down.Push(mem.Req{ID: 0, Addr: a, Kind: mem.Write, Issued: h.k.Cycle()})
 }
 
 func (h *dnHarness) runUntil(t *testing.T, id uint64, max int) sim.Cycle {

@@ -29,7 +29,7 @@ func blockedHead(t *testing.T, sameLine bool) (*DNUCA, *sim.Kernel, *mem.Port) {
 	k.SetGating(false)
 	k.MustRegister(d)
 
-	up.Down.Push(&mem.Req{ID: 1, Addr: 0x10000, Kind: mem.Read})
+	up.Down.Push(mem.Req{ID: 1, Addr: 0x10000, Kind: mem.Read})
 	up.Down.Tick()
 	k.Run(300) // search multicasts, all banks nack, fetch leaves; DRAM never answers
 
@@ -37,7 +37,7 @@ func blockedHead(t *testing.T, sameLine bool) (*DNUCA, *sim.Kernel, *mem.Port) {
 	if sameLine {
 		second = 0x10000
 	}
-	up.Down.Push(&mem.Req{ID: 2, Addr: second, Kind: mem.Read})
+	up.Down.Push(mem.Req{ID: 2, Addr: second, Kind: mem.Read})
 	up.Down.Tick()
 	k.Run(20) // settle into the blocked-head steady state
 	return d, k, up
@@ -141,7 +141,7 @@ func refNextEvent(d *DNUCA, now sim.Cycle) (sim.Cycle, bool) {
 				return 0, false
 			}
 			d.skipMergeRejects++
-		case d.searches[e.Line] != nil:
+		case d.search(e.Line) != nil:
 		case !d.mshr.Full():
 			return 0, false
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // HotAlloc returns the analyzer that statically backs the
-// hier.BenchmarkStepAllocs 0 allocs/cycle pin: inside any function
+// hier.TestSteadyStateAllocatesNothing 0 allocs/cycle pin: inside any function
 // reachable from the sim.Component / sim.Quiescent hot path (Eval,
 // Commit, NextEvent, SkipTo, and the kernel's Step/Run), it flags the
 // constructs that heap-allocate or hash on every cycle — make/new,

@@ -160,11 +160,11 @@ type Fabric struct {
 	votes       []voteRec
 	lastLevelN  int
 
-	pendingResp sim.Queue[*mem.Resp]
-	toL3Q       sim.Queue[*mem.Req]
+	pendingResp sim.Queue[mem.Resp]
+	toL3Q       sim.Queue[mem.Req]
 	// storeQ absorbs CPU stores like a conventional L1 write queue, so
 	// loads never wait behind store bursts at the port.
-	storeQ sim.Queue[*mem.Req]
+	storeQ sim.Queue[mem.Req]
 
 	// Quiescence bookkeeping: per-cycle counter increments of blocked
 	// idle states, recorded by NextEvent and applied by SkipTo.
@@ -478,8 +478,7 @@ func (f *Fabric) evalGlobalMiss(now sim.Cycle) {
 			}
 			continue
 		}
-		//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-		f.toL3Q.Push(&mem.Req{
+		f.toL3Q.Push(mem.Req{
 			ID: f.ids.Next(), Addr: g.msg.line, Kind: mem.Read, Issued: now,
 		})
 	}
@@ -731,31 +730,28 @@ func (f *Fabric) fillRTile(now sim.Cycle, blk blockMsg) bool {
 	f.C.RTileFills++
 	for _, tg := range targets {
 		if tg.Kind == mem.Read {
-			//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-			f.pendingResp.Push(&mem.Resp{ID: tg.ReqID, Addr: line})
+			f.pendingResp.Push(mem.Resp{ID: tg.ReqID, Addr: line})
 		}
 	}
 	return true
 }
 
 // acceptCPU handles one CPU request; false means stall (leave it queued).
-func (f *Fabric) acceptCPU(now sim.Cycle, req *mem.Req) bool {
+func (f *Fabric) acceptCPU(now sim.Cycle, req mem.Req) bool {
 	line := req.Addr.Line(f.cfg.RTileBank.BlockBytes)
 	switch req.Kind {
 	case mem.Read:
 		f.C.RTileReads++
 		if f.rtile.Access(line, false) {
 			f.C.RTileReadHits++
-			//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-			f.pendingResp.Push(&mem.Resp{ID: req.ID, Addr: line})
+			f.pendingResp.Push(mem.Resp{ID: req.ID, Addr: line})
 			return true
 		}
 		if f.wbuf.Contains(line) {
 			// Pending forwarded write: serve from the buffer.
 			f.C.RTileReadHits++
 			f.C.WBufForwards++
-			//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-			f.pendingResp.Push(&mem.Resp{ID: req.ID, Addr: line})
+			f.pendingResp.Push(mem.Resp{ID: req.ID, Addr: line})
 			return true
 		}
 		f.C.RTileReadMisses++
@@ -796,7 +792,7 @@ func (f *Fabric) drainStores(now sim.Cycle) {
 }
 
 // missCPU merges or allocates an MSHR and queues the search launch.
-func (f *Fabric) missCPU(now sim.Cycle, req *mem.Req, line mem.Addr, kind mem.Kind) bool {
+func (f *Fabric) missCPU(now sim.Cycle, req mem.Req, line mem.Addr, kind mem.Kind) bool {
 	tg := cache.Target{ReqID: req.ID, Addr: line, Kind: kind, Issued: req.Issued}
 	if m := f.mshr.Lookup(line); m != nil {
 		return f.mshr.Merge(m, tg)
@@ -848,8 +844,7 @@ func (f *Fabric) drainOutputs(now sim.Cycle) {
 	// One buffered write per cycle, after demand fetches.
 	if e, ok := f.wbuf.Peek(); ok && f.down.Down.CanPush() {
 		f.wbuf.Pop()
-		//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-		f.down.Down.Push(&mem.Req{ID: f.ids.Next(), Addr: e.Line, Kind: e.Kind, Issued: now})
+		f.down.Down.Push(mem.Req{ID: f.ids.Next(), Addr: e.Line, Kind: e.Kind, Issued: now})
 	}
 }
 
@@ -1002,7 +997,7 @@ func (f *Fabric) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	}
 	// Store-queue head.
 	if f.storeQ.Len() > 0 {
-		line := (*f.storeQ.Front()).Addr.Line(f.cfg.RTileBank.BlockBytes)
+		line := f.storeQ.Front().Addr.Line(f.cfg.RTileBank.BlockBytes)
 		if f.rtile.Probe(line) || !f.missCPUIdle(line) {
 			return 0, false
 		}

@@ -51,7 +51,7 @@ func (d *equivDriver) Eval(k *sim.Kernel) {
 		if !ok {
 			break
 		}
-		d.got = append(d.got, *r)
+		d.got = append(d.got, r)
 	}
 	if now < d.nextAt {
 		return
@@ -68,7 +68,7 @@ func (d *equivDriver) Eval(k *sim.Kernel) {
 	// Up to the r-tile's two ports a cycle.
 	for n := 0; n < 2 && d.port.Down.CanPush() && d.rng.Bool(d.density); n++ {
 		d.id++
-		req := &mem.Req{ID: d.id, Kind: mem.Read, Issued: now}
+		req := mem.Req{ID: d.id, Kind: mem.Read, Issued: now}
 		switch {
 		case d.burst > 0:
 			d.burst--
@@ -166,7 +166,7 @@ func (l *slowL3) Eval(k *sim.Kernel) {
 	}
 	for l.pending.Len() > 0 && l.pending.Front().at <= now && l.port.Up.CanPush() {
 		p, _ := l.pending.Pop()
-		l.port.Up.Push(&p.resp)
+		l.port.Up.Push(p.resp)
 	}
 }
 

@@ -15,7 +15,7 @@ type fakeL3 struct {
 	port    *mem.Port
 	delay   sim.Cycle
 	pending []struct {
-		resp *mem.Resp
+		resp mem.Resp
 		at   sim.Cycle
 	}
 	Reads, Writes uint64
@@ -34,9 +34,9 @@ func (l *fakeL3) Eval(k *sim.Kernel) {
 		case mem.Read:
 			l.Reads++
 			l.pending = append(l.pending, struct {
-				resp *mem.Resp
+				resp mem.Resp
 				at   sim.Cycle
-			}{&mem.Resp{ID: req.ID, Addr: req.Addr}, now + l.delay})
+			}{mem.Resp{ID: req.ID, Addr: req.Addr}, now + l.delay})
 		default:
 			l.Writes++
 		}
@@ -98,11 +98,11 @@ func (h *fabHarness) Eval(k *sim.Kernel) {
 func (h *fabHarness) Commit(k *sim.Kernel) { h.up.Down.Tick() }
 
 func (h *fabHarness) read(id uint64, a mem.Addr) {
-	h.up.Down.Push(&mem.Req{ID: id, Addr: a, Kind: mem.Read, Issued: h.k.Cycle()})
+	h.up.Down.Push(mem.Req{ID: id, Addr: a, Kind: mem.Read, Issued: h.k.Cycle()})
 }
 
 func (h *fabHarness) write(a mem.Addr) {
-	h.up.Down.Push(&mem.Req{ID: 0, Addr: a, Kind: mem.Write, Issued: h.k.Cycle()})
+	h.up.Down.Push(mem.Req{ID: 0, Addr: a, Kind: mem.Write, Issued: h.k.Cycle()})
 }
 
 func (h *fabHarness) runUntil(t *testing.T, id uint64, max int) sim.Cycle {

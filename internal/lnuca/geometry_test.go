@@ -286,7 +286,7 @@ func TestLinkCountsReasonable(t *testing.T) {
 	// rows x 5 cols arrangement) would have far more unidirectional
 	// links; the specialized networks must stay below that.
 	full := noc.MeshConfig{Width: 5, Height: 3, VCs: 1, VCDepth: 1}
-	fullLinks := noc.NewMesh(full).NumLinks()
+	fullLinks := noc.NewMesh[struct{}](full).NumLinks()
 	total := g.SearchLinks() + g.TransportLinks() + g.ReplacementLinks()
 	if total > 2*fullLinks {
 		t.Errorf("specialized networks use %d links vs %d for a mesh; too many", total, fullLinks)

@@ -181,11 +181,11 @@ func (d *detDriver) Eval(k *sim.Kernel) {
 			break
 		}
 		if req.Kind == mem.Read && d.down.Up.CanPush() {
-			d.down.Up.Push(&mem.Resp{ID: req.ID, Addr: req.Addr})
+			d.down.Up.Push(mem.Resp{ID: req.ID, Addr: req.Addr})
 		}
 	}
 	if d.issued < d.n && d.up.Down.CanPush() {
-		d.up.Down.Push(&mem.Req{
+		d.up.Down.Push(mem.Req{
 			ID: uint64(d.issued + 1), Addr: mem.Addr(0x8000 + d.issued*0x20),
 			Kind: mem.Read, Issued: k.Cycle(),
 		})

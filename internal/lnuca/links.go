@@ -91,7 +91,7 @@ func newULink(depth int, ref linkRef) *ulink {
 	if depth <= 0 {
 		depth = 1
 	}
-	return &ulink{linkRef: ref, depth: depth}
+	return &ulink{linkRef: ref, depth: depth, items: make([]blockMsg, 0, depth), staged: make([]blockMsg, 0, depth)}
 }
 
 // on reports whether the link can accept a block this cycle.
@@ -103,7 +103,7 @@ func (l *ulink) send(b blockMsg) {
 	if !l.on() {
 		panic("lnuca: ulink overflow — caller must check on()")
 	}
-	//lnuca:allow(hotalloc) staged grows to the link-width high-water mark, then reuses
+	//lnuca:allow(hotalloc) appends into capacity fixed at depth; on() bounds the length
 	l.staged = append(l.staged, b)
 	l.used = true
 	l.touch()
@@ -159,7 +159,7 @@ func (l *ulink) len() int { return len(l.items) }
 
 func (l *ulink) tick() {
 	if len(l.staged) > 0 {
-		//lnuca:allow(hotalloc) items grow to the link-occupancy high-water mark, then reuse
+		//lnuca:allow(hotalloc) appends into capacity fixed at depth; on() bounded what was staged
 		l.items = append(l.items, l.staged...)
 		l.staged = l.staged[:0]
 	}

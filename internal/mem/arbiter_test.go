@@ -39,7 +39,7 @@ func (s *streamer) Eval(k *sim.Kernel) {
 	if s.port.Down.CanPush() {
 		id := s.ids.Next()
 		s.sent[id] = true
-		s.port.Down.Push(&Req{ID: id, Addr: Addr(id * 64), Kind: Read, Issued: k.Cycle()})
+		s.port.Down.Push(Req{ID: id, Addr: Addr(id * 64), Kind: Read, Issued: k.Cycle()})
 	}
 }
 
@@ -63,7 +63,7 @@ func (s *sink) Eval(k *sim.Kernel) {
 			return
 		}
 		s.port.Down.Pop()
-		s.port.Up.Push(&Resp{ID: req.ID, Addr: req.Addr, Done: k.Cycle()})
+		s.port.Up.Push(Resp{ID: req.ID, Addr: req.Addr, Done: k.Cycle()})
 		s.served++
 	}
 }
@@ -207,7 +207,7 @@ func TestArbiterRoutesWritebacksWithoutTracking(t *testing.T) {
 	k := sim.NewKernel()
 	k.MustRegister(arb)
 
-	up[0].Down.Push(&Req{ID: ids.Next(), Addr: 0x40, Kind: Writeback})
+	up[0].Down.Push(Req{ID: ids.Next(), Addr: 0x40, Kind: Writeback})
 	up[0].Down.Tick()
 	k.Step()
 	k.Step()
@@ -222,7 +222,7 @@ func TestArbiterRoutesWritebacksWithoutTracking(t *testing.T) {
 	// reads): tracking them would leak an owner entry per store for the
 	// whole run.
 	down.Down.Pop()
-	up[0].Down.Push(&Req{ID: ids.Next(), Addr: 0x80, Kind: Write})
+	up[0].Down.Push(Req{ID: ids.Next(), Addr: 0x80, Kind: Write})
 	up[0].Down.Tick()
 	k.Step()
 	k.Step()

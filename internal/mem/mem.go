@@ -48,7 +48,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Req is a request traveling down the hierarchy.
+// Req is a request traveling down the hierarchy. Req and Resp travel by
+// value: a channel or queue slot holds the message itself, so sending one
+// allocates nothing and nobody holds a message past its Pop.
 type Req struct {
 	ID     uint64
 	Addr   Addr
@@ -90,7 +92,9 @@ func NewChan[T any](capacity int) *Chan[T] {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Chan[T]{capacity: capacity}
+	// Both buffers are bounded by capacity; allocating them here keeps
+	// Push and Tick from growing them at a later high-water mark.
+	return &Chan[T]{capacity: capacity, items: make([]T, 0, capacity), staged: make([]T, 0, capacity)}
 }
 
 // CanPush reports whether a push this cycle is guaranteed to fit. It is
@@ -161,14 +165,14 @@ func (c *Chan[T]) Snapshot() []T {
 // responses flow up. The component on each side Ticks its outbound channel.
 type Port struct {
 	// Down carries requests from the upper level to the lower level.
-	Down *Chan[*Req]
+	Down *Chan[Req]
 	// Up carries responses from the lower level to the upper level.
-	Up *Chan[*Resp]
+	Up *Chan[Resp]
 }
 
 // NewPort creates a port with the given queue depths.
 func NewPort(downCap, upCap int) *Port {
-	return &Port{Down: NewChan[*Req](downCap), Up: NewChan[*Resp](upCap)}
+	return &Port{Down: NewChan[Req](downCap), Up: NewChan[Resp](upCap)}
 }
 
 // MainMemoryConfig parameterizes the DRAM model (Table I).
@@ -231,7 +235,7 @@ type MainMemory struct {
 }
 
 type pendingResp struct {
-	req  *Req
+	req  Req
 	done sim.Cycle
 }
 
@@ -269,8 +273,7 @@ func (m *MainMemory) Eval(k *sim.Kernel) {
 	for m.inFlight.Len() > 0 && m.inFlight.Front().done <= now && m.port.Up.CanPush() {
 		p, _ := m.inFlight.Pop()
 		m.TotalLatency += uint64(now - p.req.Issued)
-		//lnuca:allow(hotalloc) per-transaction message, not per-cycle; hier.BenchmarkStepAllocs pins steady state at 0 allocs/cycle
-		m.port.Up.Push(&Resp{ID: p.req.ID, Addr: p.req.Addr, Done: now})
+		m.port.Up.Push(Resp{ID: p.req.ID, Addr: p.req.Addr, Done: now})
 	}
 }
 

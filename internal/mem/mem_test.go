@@ -175,7 +175,7 @@ type memHarness struct {
 	mm   *MainMemory
 	k    *sim.Kernel
 
-	got []*Resp
+	got []Resp
 }
 
 func newMemHarness() *memHarness {
@@ -199,14 +199,14 @@ func (h *memHarness) Eval(k *sim.Kernel) {
 }
 func (h *memHarness) Commit(k *sim.Kernel) { h.port.Down.Tick() }
 
-func (h *memHarness) send(req *Req) {
+func (h *memHarness) send(req Req) {
 	req.Issued = h.k.Cycle()
 	h.port.Down.Push(req)
 }
 
 func TestMainMemoryReadLatency(t *testing.T) {
 	h := newMemHarness()
-	h.send(&Req{ID: 1, Addr: 0x1000, Kind: Read})
+	h.send(Req{ID: 1, Addr: 0x1000, Kind: Read})
 	for i := 0; i < 400 && len(h.got) == 0; i++ {
 		h.k.Step()
 	}
@@ -226,7 +226,7 @@ func TestMainMemoryReadLatency(t *testing.T) {
 
 func TestMainMemoryWritebackNoResponse(t *testing.T) {
 	h := newMemHarness()
-	h.send(&Req{ID: 1, Addr: 0x2000, Kind: Writeback})
+	h.send(Req{ID: 1, Addr: 0x2000, Kind: Writeback})
 	for i := 0; i < 300; i++ {
 		h.k.Step()
 	}
@@ -240,8 +240,8 @@ func TestMainMemoryWritebackNoResponse(t *testing.T) {
 
 func TestMainMemoryBandwidthSerialization(t *testing.T) {
 	h := newMemHarness()
-	h.send(&Req{ID: 1, Addr: 0x1000, Kind: Read})
-	h.send(&Req{ID: 2, Addr: 0x2000, Kind: Read})
+	h.send(Req{ID: 1, Addr: 0x1000, Kind: Read})
+	h.send(Req{ID: 2, Addr: 0x2000, Kind: Read})
 	for i := 0; i < 600 && len(h.got) < 2; i++ {
 		h.k.Step()
 	}
@@ -262,7 +262,7 @@ func TestMainMemoryManyRequestsAllServed(t *testing.T) {
 	h := newMemHarness()
 	const n = 6
 	for i := 0; i < n; i++ {
-		h.send(&Req{ID: uint64(i + 1), Addr: Addr(0x1000 * (i + 1)), Kind: Read})
+		h.send(Req{ID: uint64(i + 1), Addr: Addr(0x1000 * (i + 1)), Kind: Read})
 		h.k.Step()
 	}
 	for i := 0; i < 3000 && len(h.got) < n; i++ {

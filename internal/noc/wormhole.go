@@ -6,28 +6,39 @@ import (
 	"repro/internal/sim"
 )
 
-// Message is a multi-flit packet traveling through a wormhole mesh.
-type Message struct {
+// Message is a multi-flit packet traveling through a wormhole mesh,
+// carrying a payload of its owner's type P. Messages are values: Inject
+// copies one in, it moves from router to router inside the mesh, and
+// EjectOne copies it out, so a message costs no allocation.
+type Message[P any] struct {
 	ID      uint64
 	Src     Coord
 	Dst     Coord
 	Flits   int
-	Payload interface{}
+	Payload P
 	// Injected is stamped by the mesh when the head flit enters the
 	// network; Delivered when the tail flit ejects.
 	Injected, Delivered sim.Cycle
 }
 
-// flit is the wormhole flow-control unit.
+// flit is the wormhole flow-control unit. It belongs to the message of
+// the VC that buffers it.
 type flit struct {
-	msg  *Message
 	head bool
 	tail bool
 }
 
+// maxMessageFlits sizes the flit buffers (Table I: 1-5 flits per
+// message); a longer message still fits, its injection VC grows.
+const maxMessageFlits = 5
+
 // vcState tracks an input virtual channel's wormhole reservation.
-type vcState struct {
+type vcState[P any] struct {
 	buf []flit
+	// msg is the message the flits in buf belong to. A VC is reserved
+	// from head to tail, so it buffers one message at a time: msg
+	// arrives with the head flit and holds until the tail has left.
+	msg Message[P]
 	// routed is set once the head flit has picked an output.
 	routed bool
 	outDir Dir
@@ -65,19 +76,19 @@ func (c MeshConfig) Validate() error {
 // node*slots + dir*VCs + vc. Three activity sets name the slots and
 // nodes that hold work, so a Step costs in proportion to the flits and
 // messages that exist, not to the size of the mesh.
-type Mesh struct {
+type Mesh[P any] struct {
 	cfg    MeshConfig
 	slots  int          // input VCs per router: NumDirs*VCs
 	stride [NumDirs]int // node index offset of the neighbour in each direction
 
-	vcs []vcState
+	vcs []vcState[P]
 	// owner[node*slots+dir*VCs+vc] is set while output VC vc of port dir
 	// is reserved by a message (from head until tail, the wormhole
 	// invariant).
 	owner []bool
 	// injectQ holds messages not yet converted to flits, per node;
 	// ejectQ holds delivered messages awaiting pickup by the local node.
-	injectQ, ejectQ []sim.Queue[*Message]
+	injectQ, ejectQ []sim.Queue[Message[P]]
 
 	// Activity sets, maintained wherever a buffer or queue changes
 	// between empty and non-empty.
@@ -106,37 +117,48 @@ type Mesh struct {
 }
 
 // NewMesh builds a mesh; it panics on invalid configuration (wiring bug).
-func NewMesh(cfg MeshConfig) *Mesh {
+func NewMesh[P any](cfg MeshConfig) *Mesh[P] {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := cfg.Width * cfg.Height
 	slots := NumDirs * cfg.VCs
-	return &Mesh{
+	m := &Mesh[P]{
 		cfg:       cfg,
 		slots:     slots,
 		stride:    [NumDirs]int{North: cfg.Width, East: 1, South: -cfg.Width, West: -1},
-		vcs:       make([]vcState, n*slots),
+		vcs:       make([]vcState[P], n*slots),
 		owner:     make([]bool, n*slots),
-		injectQ:   make([]sim.Queue[*Message], n),
-		ejectQ:    make([]sim.Queue[*Message], n),
+		injectQ:   make([]sim.Queue[Message[P]], n),
+		ejectQ:    make([]sim.Queue[Message[P]], n),
 		busy:      sim.NewBitSet(n * slots),
 		staged:    sim.NewBitSet(n),
 		delivered: sim.NewBitSet(n),
 	}
+	// One backing array for every flit buffer, so no VC allocates the
+	// first time traffic reaches it.
+	depth := cfg.VCDepth
+	if depth < maxMessageFlits {
+		depth = maxMessageFlits
+	}
+	flits := make([]flit, len(m.vcs)*depth)
+	for i := range m.vcs {
+		m.vcs[i].buf = flits[i*depth : i*depth : (i+1)*depth]
+	}
+	return m
 }
 
-func (m *Mesh) node(c Coord) int { return c.Y*m.cfg.Width + c.X }
+func (m *Mesh[P]) node(c Coord) int { return c.Y*m.cfg.Width + c.X }
 
 // InBounds reports whether c is a valid node.
-func (m *Mesh) InBounds(c Coord) bool {
+func (m *Mesh[P]) InBounds(c Coord) bool {
 	return c.X >= 0 && c.X < m.cfg.Width && c.Y >= 0 && c.Y < m.cfg.Height
 }
 
 // Inject queues msg for injection at its source node. It returns false
 // when the source-local injection staging is saturated (more than VCDepth
 // messages waiting), modeling finite injection bandwidth.
-func (m *Mesh) Inject(msg *Message, now sim.Cycle) bool {
+func (m *Mesh[P]) Inject(msg Message[P], now sim.Cycle) bool {
 	if !m.InBounds(msg.Src) || !m.InBounds(msg.Dst) {
 		panic(fmt.Sprintf("noc: inject out of bounds: %v -> %v", msg.Src, msg.Dst))
 	}
@@ -156,7 +178,7 @@ func (m *Mesh) Inject(msg *Message, now sim.Cycle) bool {
 
 // EjectOne pops a single delivered message at node c, if any. The
 // queue's ring storage is reused, so draining allocates nothing.
-func (m *Mesh) EjectOne(c Coord) (*Message, bool) {
+func (m *Mesh[P]) EjectOne(c Coord) (Message[P], bool) {
 	n := m.node(c)
 	msg, ok := m.ejectQ[n].Pop()
 	if ok {
@@ -173,7 +195,7 @@ func (m *Mesh) EjectOne(c Coord) (*Message, bool) {
 // owner walks it instead of polling every node:
 //
 //	for n := m.NextDelivery(0); n >= 0; n = m.NextDelivery(n + 1)
-func (m *Mesh) NextDelivery(from int) int { return m.delivered.Next(from) }
+func (m *Mesh[P]) NextDelivery(from int) int { return m.delivered.Next(from) }
 
 // move is a flit transfer staged during the allocation pass and applied
 // afterwards, giving single-cycle-per-hop semantics without order
@@ -187,7 +209,7 @@ type move struct {
 }
 
 // Step advances the mesh by one cycle.
-func (m *Mesh) Step(now sim.Cycle) {
+func (m *Mesh[P]) Step(now sim.Cycle) {
 	vcs := m.cfg.VCs
 	// Stage injections: convert one message per node per cycle into flits
 	// on a free Local input VC.
@@ -198,16 +220,12 @@ func (m *Mesh) Step(now sim.Cycle) {
 			if len(st.buf) != 0 || st.routed {
 				continue
 			}
-			msg, _ := m.injectQ[n].Pop()
+			st.msg, _ = m.injectQ[n].Pop()
 			if m.injectQ[n].Len() == 0 {
 				m.staged.Clear(n)
 			}
-			for i := 0; i < msg.Flits; i++ {
-				st.buf = append(st.buf, flit{
-					msg:  msg,
-					head: i == 0,
-					tail: i == msg.Flits-1,
-				})
+			for i := 0; i < st.msg.Flits; i++ {
+				st.buf = append(st.buf, flit{head: i == 0, tail: i == st.msg.Flits-1})
 			}
 			m.busy.Set(g)
 			break
@@ -247,16 +265,20 @@ func (m *Mesh) Step(now sim.Cycle) {
 		if mv.to < 0 {
 			// Ejection.
 			if f.tail {
-				f.msg.Delivered = now
+				msg := src.msg
+				msg.Delivered = now
 				m.MsgsDelivered++
-				m.TotalLatency += uint64(now - f.msg.Injected)
-				m.TotalHops += uint64(Manhattan(f.msg.Src, f.msg.Dst))
-				m.ejectQ[mv.node].Push(f.msg)
+				m.TotalLatency += uint64(now - msg.Injected)
+				m.TotalHops += uint64(Manhattan(msg.Src, msg.Dst))
+				m.ejectQ[mv.node].Push(msg)
 				m.delivered.Set(mv.node)
 				m.ejected++
 			}
 		} else {
 			dst := &m.vcs[mv.to]
+			if f.head {
+				dst.msg = src.msg
+			}
 			dst.buf = append(dst.buf, f)
 			m.busy.Set(mv.to)
 		}
@@ -276,13 +298,13 @@ func (m *Mesh) Step(now sim.Cycle) {
 // arbitrate runs route computation, VC allocation and switch allocation
 // for the head-of-line flit of busy slot g at router node, and stages
 // its move when it wins an output port.
-func (m *Mesh) arbitrate(moves []move, node, g int, taken *[NumDirs]bool) []move {
+func (m *Mesh[P]) arbitrate(moves []move, node, g int, taken *[NumDirs]bool) []move {
 	vcs := m.cfg.VCs
 	st := &m.vcs[g]
 	f := st.buf[0]
 	// Route computation on head flit.
 	if f.head && !st.routed {
-		st.outDir = XYRoute(Coord{node % m.cfg.Width, node / m.cfg.Width}, f.msg.Dst)
+		st.outDir = XYRoute(Coord{node % m.cfg.Width, node / m.cfg.Width}, st.msg.Dst)
 		st.outVC = -1
 		st.routed = true
 	}
@@ -329,24 +351,24 @@ func (m *Mesh) arbitrate(moves []move, node, g int, taken *[NumDirs]bool) []move
 // staged for injection, no flit buffered in any router, and no ejected
 // message awaiting pickup. A Quiet mesh's Step is a no-op except for
 // the round-robin pointer rotation, which SkipIdle replays.
-func (m *Mesh) Quiet() bool {
+func (m *Mesh[P]) Quiet() bool {
 	return m.InFlight() == 0 && m.ejected == 0
 }
 
 // SkipIdle advances the round-robin pointer by delta cycles, exactly
 // what delta no-op Steps of a Quiet mesh would have done. The owner of
 // the mesh calls it when it fast-forwards the clock.
-func (m *Mesh) SkipIdle(delta uint64) {
+func (m *Mesh[P]) SkipIdle(delta uint64) {
 	m.rr = (m.rr + int(delta%uint64(m.slots))) % m.slots
 }
 
 // InFlight returns the number of injected-but-undelivered messages.
-func (m *Mesh) InFlight() int {
+func (m *Mesh[P]) InFlight() int {
 	return int(m.MsgsInjected - m.MsgsDelivered)
 }
 
 // AvgLatency returns the mean injection-to-delivery latency in cycles.
-func (m *Mesh) AvgLatency() float64 {
+func (m *Mesh[P]) AvgLatency() float64 {
 	if m.MsgsDelivered == 0 {
 		return 0
 	}
@@ -355,7 +377,7 @@ func (m *Mesh) AvgLatency() float64 {
 
 // NumLinks returns the number of unidirectional inter-router links, the
 // quantity the paper compares against its specialized topologies.
-func (m *Mesh) NumLinks() int {
+func (m *Mesh[P]) NumLinks() int {
 	w, h := m.cfg.Width, m.cfg.Height
 	return 2 * (w*(h-1) + h*(w-1))
 }

@@ -28,7 +28,7 @@ type delivery struct {
 type meshPair struct {
 	t   *testing.T
 	cfg MeshConfig
-	m   *Mesh
+	m   *Mesh[struct{}]
 	ref *refMesh
 	now sim.Cycle
 	id  uint64
@@ -37,7 +37,7 @@ type meshPair struct {
 }
 
 func newMeshPair(t *testing.T, cfg MeshConfig) *meshPair {
-	return &meshPair{t: t, cfg: cfg, m: NewMesh(cfg), ref: newRefMesh(cfg)}
+	return &meshPair{t: t, cfg: cfg, m: NewMesh[struct{}](cfg), ref: newRefMesh(cfg)}
 }
 
 func (p *meshPair) coord(n int) Coord { return Coord{n % p.cfg.Width, n / p.cfg.Width} }
@@ -46,9 +46,9 @@ func (p *meshPair) coord(n int) Coord { return Coord{n % p.cfg.Width, n / p.cfg.
 func (p *meshPair) inject(src, dst Coord, flits int) {
 	p.t.Helper()
 	p.id++
-	a := &Message{ID: p.id, Src: src, Dst: dst, Flits: flits}
-	b := &Message{ID: p.id, Src: src, Dst: dst, Flits: flits}
-	if got, want := p.m.Inject(a, p.now), p.ref.Inject(b, p.now); got != want {
+	a := testMessage{ID: p.id, Src: src, Dst: dst, Flits: flits}
+	b := a
+	if got, want := p.m.Inject(a, p.now), p.ref.Inject(&b, p.now); got != want {
 		p.t.Fatalf("cycle %d: Inject(%v->%v) = %v, reference %v", p.now, src, dst, got, want)
 	}
 }
@@ -154,7 +154,7 @@ func (p *meshPair) compare() {
 						len(want.buf), want.routed, want.outDir, want.outVC)
 				}
 				for i := range st.buf {
-					if st.buf[i].msg.ID != want.buf[i].msg.ID || st.buf[i].head != want.buf[i].head || st.buf[i].tail != want.buf[i].tail {
+					if st.msg.ID != want.buf[i].msg.ID || st.buf[i].head != want.buf[i].head || st.buf[i].tail != want.buf[i].tail {
 						p.t.Fatalf("cycle %d slot %d flit %d differs from the reference", p.now, g, i)
 					}
 				}
@@ -245,7 +245,7 @@ func TestMeshMatchesFullScanReference(t *testing.T) {
 func TestMeshSkipIdleEqualsIdleSteps(t *testing.T) {
 	cfg := equivConfigs[0]
 	schedule := func(n int, skip bool) []delivery {
-		m := NewMesh(cfg)
+		m := NewMesh[struct{}](cfg)
 		now := sim.Cycle(0)
 		if skip {
 			m.SkipIdle(uint64(n))
@@ -262,7 +262,7 @@ func TestMeshSkipIdleEqualsIdleSteps(t *testing.T) {
 		for sent := 0; sent < 60 || !m.Quiet(); now++ {
 			if sent < 60 {
 				src := Coord{cfg.Width - 1 - rng.Intn(2), rng.Intn(cfg.Height)}
-				if m.Inject(&Message{ID: uint64(sent + 1), Src: src, Dst: Coord{0, 0}, Flits: 3}, now) {
+				if m.Inject(testMessage{ID: uint64(sent + 1), Src: src, Dst: Coord{0, 0}, Flits: 3}, now) {
 					sent++
 				}
 			}

@@ -5,13 +5,34 @@ package noc
 // injection slice and keeps one round-robin pointer per router. Step and
 // SkipIdle are kept verbatim as the reference the production Mesh is
 // compared against, cycle by cycle (wormhole_equiv_test.go); only the
-// type names changed (refMesh, refMove).
+// type names changed (refMesh, refMove, and refFlit and refVCState, the
+// flit that points at its message and the VC that buffers such flits,
+// as they stood before messages became values).
 
 import (
 	"fmt"
 
 	"repro/internal/sim"
 )
+
+// testMessage is the message the mesh tests send: no payload.
+type testMessage = Message[struct{}]
+
+// refFlit is the wormhole flow-control unit.
+type refFlit struct {
+	msg  *testMessage
+	head bool
+	tail bool
+}
+
+// refVCState tracks an input virtual channel's wormhole reservation.
+type refVCState struct {
+	buf []refFlit
+	// routed is set once the head flit has picked an output.
+	routed bool
+	outDir Dir
+	outVC  int
+}
 
 // outOwner records which input VC currently owns an output VC (from head
 // until tail, the wormhole invariant).
@@ -24,11 +45,11 @@ type outOwner struct {
 type router struct {
 	pos Coord
 	// in[dir][vc] input-buffered virtual channels.
-	in [NumDirs][]vcState
+	in [NumDirs][]refVCState
 	// owner[dir][vc] output VC reservations.
 	owner [NumDirs][]outOwner
 	// ejected messages awaiting pickup by the local node.
-	ejectQ sim.Queue[*Message]
+	ejectQ sim.Queue[*testMessage]
 	// rrNext rotates switch-allocation priority for fairness.
 	rrNext int
 }
@@ -45,7 +66,7 @@ type refMesh struct {
 	routers []*router
 
 	// injectQ holds messages not yet converted to flits, per node.
-	injectQ [][]*Message
+	injectQ [][]*testMessage
 
 	// Per-Step scratch, hoisted out of the cycle loop so steady-state
 	// stepping allocates nothing.
@@ -74,12 +95,12 @@ func newRefMesh(cfg MeshConfig) *refMesh {
 	m := &refMesh{cfg: cfg}
 	n := cfg.Width * cfg.Height
 	m.routers = make([]*router, n)
-	m.injectQ = make([][]*Message, n)
+	m.injectQ = make([][]*testMessage, n)
 	m.takenAll = make([]outTaken, n)
 	for i := range m.routers {
 		r := &router{pos: Coord{i % cfg.Width, i / cfg.Width}}
 		for d := 0; d < NumDirs; d++ {
-			r.in[d] = make([]vcState, cfg.VCs)
+			r.in[d] = make([]refVCState, cfg.VCs)
 			r.owner[d] = make([]outOwner, cfg.VCs)
 		}
 		m.routers[i] = r
@@ -99,7 +120,7 @@ func (m *refMesh) InBounds(c Coord) bool {
 // Inject queues msg for injection at its source node. It returns false
 // when the source-local injection staging is saturated (more than VCDepth
 // messages waiting), modeling finite injection bandwidth.
-func (m *refMesh) Inject(msg *Message, now sim.Cycle) bool {
+func (m *refMesh) Inject(msg *testMessage, now sim.Cycle) bool {
 	if !m.InBounds(msg.Src) || !m.InBounds(msg.Dst) {
 		panic(fmt.Sprintf("noc: inject out of bounds: %v -> %v", msg.Src, msg.Dst))
 	}
@@ -118,7 +139,7 @@ func (m *refMesh) Inject(msg *Message, now sim.Cycle) bool {
 
 // EjectOne pops a single delivered message at node c, if any. The
 // queue's ring storage is reused, so draining allocates nothing.
-func (m *refMesh) EjectOne(c Coord) (*Message, bool) {
+func (m *refMesh) EjectOne(c Coord) (*testMessage, bool) {
 	msg, ok := m.at(c).ejectQ.Pop()
 	if ok {
 		m.ejected--
@@ -136,7 +157,7 @@ type refMove struct {
 	to       *router // nil for ejection
 	toDir    Dir
 	toVC     int
-	f        flit
+	f        refFlit
 	lastFlit bool
 }
 
@@ -155,7 +176,7 @@ func (m *refMesh) Step(now sim.Cycle) {
 				msg := q[0]
 				m.injectQ[idx] = q[1:]
 				for i := 0; i < msg.Flits; i++ {
-					st.buf = append(st.buf, flit{
+					st.buf = append(st.buf, refFlit{
 						msg:  msg,
 						head: i == 0,
 						tail: i == msg.Flits-1,

@@ -6,13 +6,13 @@ import (
 	"repro/internal/sim"
 )
 
-func dnucaMesh() *Mesh {
+func dnucaMesh() *Mesh[struct{}] {
 	// Table I: 4 VCs, 4-flit buffers; an 8x4 mesh like DN-4x8.
-	return NewMesh(MeshConfig{Width: 8, Height: 4, VCs: 4, VCDepth: 4})
+	return NewMesh[struct{}](MeshConfig{Width: 8, Height: 4, VCs: 4, VCDepth: 4})
 }
 
 // drain picks up every message delivered at c and returns how many.
-func drain(m *Mesh, c Coord) int {
+func drain(m *Mesh[struct{}], c Coord) int {
 	n := 0
 	for {
 		if _, ok := m.EjectOne(c); !ok {
@@ -41,7 +41,7 @@ func TestMeshConfigValidate(t *testing.T) {
 
 func TestMeshSingleMessageLatency(t *testing.T) {
 	m := dnucaMesh()
-	msg := &Message{ID: 1, Src: Coord{0, 0}, Dst: Coord{3, 2}, Flits: 1}
+	msg := testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{3, 2}, Flits: 1}
 	if !m.Inject(msg, 0) {
 		t.Fatal("inject failed")
 	}
@@ -70,7 +70,7 @@ func TestMeshSingleMessageLatency(t *testing.T) {
 func TestMeshMultiFlitWormhole(t *testing.T) {
 	m := dnucaMesh()
 	// A 5-flit message (Table I: 1-5 flits per message).
-	msg := &Message{ID: 1, Src: Coord{0, 0}, Dst: Coord{7, 3}, Flits: 5}
+	msg := testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{7, 3}, Flits: 5}
 	m.Inject(msg, 0)
 	for now := sim.Cycle(0); now < 200; now++ {
 		m.Step(now)
@@ -92,9 +92,9 @@ func TestMeshAllMessagesDelivered(t *testing.T) {
 	rng := sim.NewRand(7)
 	want := 0
 	delivered := 0
-	var pendingInject []*Message
+	var pendingInject []testMessage
 	for i := 0; i < 200; i++ {
-		pendingInject = append(pendingInject, &Message{
+		pendingInject = append(pendingInject, testMessage{
 			ID:    uint64(i + 1),
 			Src:   Coord{rng.Intn(8), rng.Intn(4)},
 			Dst:   Coord{rng.Intn(8), rng.Intn(4)},
@@ -124,9 +124,9 @@ func TestMeshAllMessagesDelivered(t *testing.T) {
 
 func TestMeshHeavyContentionSingleSink(t *testing.T) {
 	// All nodes hammer one sink: the network must not deadlock or drop.
-	m := NewMesh(MeshConfig{Width: 4, Height: 4, VCs: 2, VCDepth: 2})
+	m := NewMesh[struct{}](MeshConfig{Width: 4, Height: 4, VCs: 2, VCDepth: 2})
 	sink := Coord{0, 0}
-	var queued []*Message
+	var queued []testMessage
 	id := uint64(0)
 	for x := 0; x < 4; x++ {
 		for y := 0; y < 4; y++ {
@@ -135,7 +135,7 @@ func TestMeshHeavyContentionSingleSink(t *testing.T) {
 			}
 			for k := 0; k < 6; k++ {
 				id++
-				queued = append(queued, &Message{ID: id, Src: Coord{x, y}, Dst: sink, Flits: 3})
+				queued = append(queued, testMessage{ID: id, Src: Coord{x, y}, Dst: sink, Flits: 3})
 			}
 		}
 	}
@@ -156,7 +156,7 @@ func TestMeshHeavyContentionSingleSink(t *testing.T) {
 func TestMeshContentionIncreasesLatency(t *testing.T) {
 	// One message alone vs the same message with background traffic.
 	solo := dnucaMesh()
-	msg := &Message{ID: 1, Src: Coord{0, 0}, Dst: Coord{7, 0}, Flits: 3}
+	msg := testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{7, 0}, Flits: 3}
 	solo.Inject(msg, 0)
 	for now := sim.Cycle(0); now < 200 && solo.MsgsDelivered == 0; now++ {
 		solo.Step(now)
@@ -167,13 +167,17 @@ func TestMeshContentionIncreasesLatency(t *testing.T) {
 	busy := dnucaMesh()
 	// Background: many same-row messages fighting for the same links.
 	for i := 0; i < 12; i++ {
-		busy.Inject(&Message{ID: uint64(100 + i), Src: Coord{i % 4, 0}, Dst: Coord{7, 0}, Flits: 5}, 0)
+		busy.Inject(testMessage{ID: uint64(100 + i), Src: Coord{i % 4, 0}, Dst: Coord{7, 0}, Flits: 5}, 0)
 	}
-	probe := &Message{ID: 1, Src: Coord{0, 0}, Dst: Coord{7, 0}, Flits: 3}
+	probe := testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{7, 0}, Flits: 3}
 	busy.Inject(probe, 0)
 	for now := sim.Cycle(0); now < 5000 && probe.Delivered == 0; now++ {
 		busy.Step(now)
-		drain(busy, Coord{7, 0})
+		for got, ok := busy.EjectOne(Coord{7, 0}); ok; got, ok = busy.EjectOne(Coord{7, 0}) {
+			if got.ID == probe.ID {
+				probe = got // the delivered copy carries the stamps
+			}
+		}
 	}
 	if probe.Delivered == 0 {
 		t.Fatal("probe never delivered under load")
@@ -199,22 +203,28 @@ func TestMeshInjectBounds(t *testing.T) {
 			t.Fatal("out-of-bounds inject should panic")
 		}
 	}()
-	m.Inject(&Message{Src: Coord{99, 0}, Dst: Coord{0, 0}, Flits: 1}, 0)
+	m.Inject(testMessage{Src: Coord{99, 0}, Dst: Coord{0, 0}, Flits: 1}, 0)
 }
 
 func TestMeshZeroFlitClamped(t *testing.T) {
 	m := dnucaMesh()
-	msg := &Message{ID: 1, Src: Coord{0, 0}, Dst: Coord{1, 0}, Flits: 0}
-	m.Inject(msg, 0)
-	if msg.Flits != 1 {
-		t.Fatal("zero-flit message should clamp to 1")
+	m.Inject(testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{1, 0}, Flits: 0}, 0)
+	for now := sim.Cycle(0); now < 50; now++ {
+		m.Step(now)
+		if msg, ok := m.EjectOne(Coord{1, 0}); ok {
+			if msg.Flits != 1 {
+				t.Fatal("zero-flit message should clamp to 1")
+			}
+			return
+		}
 	}
+	t.Fatal("zero-flit message never delivered")
 }
 
 func TestMeshLocalDelivery(t *testing.T) {
 	// Src == Dst must still work (loopback through the local port).
 	m := dnucaMesh()
-	msg := &Message{ID: 1, Src: Coord{2, 2}, Dst: Coord{2, 2}, Flits: 2}
+	msg := testMessage{ID: 1, Src: Coord{2, 2}, Dst: Coord{2, 2}, Flits: 2}
 	m.Inject(msg, 0)
 	for now := sim.Cycle(0); now < 50; now++ {
 		m.Step(now)
@@ -233,7 +243,7 @@ func TestMeshAvgLatencyStat(t *testing.T) {
 	if m.AvgLatency() != 0 {
 		t.Fatal("AvgLatency of idle mesh should be 0")
 	}
-	m.Inject(&Message{ID: 1, Src: Coord{0, 0}, Dst: Coord{1, 0}, Flits: 1}, 0)
+	m.Inject(testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{1, 0}, Flits: 1}, 0)
 	for now := sim.Cycle(0); now < 50 && m.MsgsDelivered == 0; now++ {
 		m.Step(now)
 	}

@@ -170,3 +170,56 @@ func TestQueueRingSemantics(t *testing.T) {
 		t.Fatalf("drained to %d, want %d", expect, next)
 	}
 }
+
+// TestQueueWrapMask checks the masked ring against a slice model across
+// several growths, each taken with the head mid-ring so grow linearizes
+// wrapped contents, and pins the power-of-two invariant the mask needs.
+func TestQueueWrapMask(t *testing.T) {
+	var q Queue[int]
+	var model []int
+	rng := NewRand(3)
+	check := func() {
+		t.Helper()
+		if n := len(q.buf); n&(n-1) != 0 {
+			t.Fatalf("ring length %d is not a power of two", n)
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("Len = %d, model has %d", q.Len(), len(model))
+		}
+		for i, want := range model {
+			if got := q.At(i); got != want {
+				t.Fatalf("At(%d) = %d, want %d (ring %d, head %d)", i, got, want, len(q.buf), q.head)
+			}
+		}
+		if len(model) > 0 {
+			if got := *q.Front(); got != model[0] {
+				t.Fatalf("Front = %d, want %d", got, model[0])
+			}
+		}
+	}
+	next, growths := 0, 0
+	// Occupancy drifts upwards (3 pushes per 2 pops on average), so the
+	// ring wraps many times at each size before it doubles.
+	for step := 0; step < 4000; step++ {
+		if rng.Intn(5) < 3 {
+			before := len(q.buf)
+			q.Push(next)
+			model = append(model, next)
+			next++
+			if len(q.buf) != before {
+				growths++
+			}
+		} else if v, ok := q.Pop(); ok != (len(model) > 0) {
+			t.Fatalf("Pop ok = %v with %d modelled items", ok, len(model))
+		} else if ok {
+			if v != model[0] {
+				t.Fatalf("Pop = %d, want %d", v, model[0])
+			}
+			model = model[1:]
+		}
+		check()
+	}
+	if growths < 5 {
+		t.Fatalf("only %d growths exercised", growths)
+	}
+}

@@ -7,6 +7,10 @@ package sim
 // allocation rate is zero. Semantics are exactly those of the slice
 // queues it replaces: FIFO order, Peek/Pop from the front, Push to the
 // back.
+//
+// Invariant: len(buf) is zero or a power of two (grow starts at 8 and
+// doubles), so a position wraps with `& (len(buf)-1)` — no division on
+// the per-instruction path.
 type Queue[T any] struct {
 	buf  []T
 	head int
@@ -21,7 +25,7 @@ func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
@@ -51,7 +55,7 @@ func (q *Queue[T]) Pop() (T, bool) {
 	}
 	v := q.buf[q.head]
 	q.buf[q.head] = zero // drop references for GC
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return v, true
 }
@@ -62,10 +66,10 @@ func (q *Queue[T]) At(i int) T {
 	if i < 0 || i >= q.n {
 		panic("sim: Queue index out of range")
 	}
-	return q.buf[(q.head+i)%len(q.buf)]
+	return q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
-// grow doubles the ring, linearizing the contents.
+// grow doubles the ring (8 at first), linearizing the contents.
 func (q *Queue[T]) grow() {
 	capacity := len(q.buf) * 2
 	if capacity == 0 {
@@ -73,7 +77,7 @@ func (q *Queue[T]) grow() {
 	}
 	buf := make([]T, capacity)
 	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = buf
 	q.head = 0

@@ -71,7 +71,7 @@ type Quiescent interface {
 // loop nil-checks it before every call, so an unprobed kernel pays one
 // predictable branch per cycle and nothing else; a probed kernel pays
 // one interface call with scalar arguments — no allocation either way
-// (hier.BenchmarkStepAllocs pins 0 allocs/cycle with a probe attached).
+// (hier.TestSteadyStateAllocatesNothing runs with a probe attached).
 //
 // Implementations must not block and must not mutate simulation state;
 // they see activity, they do not steer it.
@@ -449,6 +449,28 @@ func (r *Rand) Intn(n int) int {
 // Float64 returns a value in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
+}
+
+// RunAbove is `for n < max && r.Float64() > p { n++ }`: it consumes the
+// same draws and returns n, but keeps the state in a register and
+// compares integers (Float64 scales a 53-bit integer by a power of two,
+// which is exact, so Float64() > p exactly when that integer exceeds
+// floor(p * 2^53)). A geometric draw is one serial chain of these steps.
+func (r *Rand) RunAbove(p float64, max int) int {
+	limit := uint64(p * (1 << 53))
+	x := r.state
+	n := 0
+	for n < max {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		if (x*0x2545F4914F6CDD1D)>>11 <= limit {
+			break
+		}
+		n++
+	}
+	r.state = x
+	return n
 }
 
 // Bool returns true with probability p.

@@ -333,11 +333,8 @@ func (g *Generator) depDist() int32 {
 		return 0
 	}
 	// Geometric with success probability 1/m, capped to stay inside a
-	// 128-entry ROB window.
-	d := int32(1)
-	for d < 96 && g.rng.Float64() > 1.0/float64(m) {
-		d++
-	}
+	// 128-entry ROB window: 1 + the run of draws above 1/m, at most 96.
+	d := int32(1 + g.rng.RunAbove(1.0/float64(m), 95))
 	if g.rng.Float64() < 0.25 {
 		return 0 // a quarter of ops start fresh chains
 	}
