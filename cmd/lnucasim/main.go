@@ -19,6 +19,7 @@
 //	lnucasim -exp table2
 //	lnucasim -exp fig4a,fig4b -mode full
 //	lnucasim -exp all -benches 403.gcc,482.sphinx3
+//	lnucasim -exp all -cache /tmp/lnuca-results   (a rerun simulates nothing)
 //	lnucasim -cores 4 -mix mixed -hier ln+l3
 //	lnucasim -cores 2 -mix 429.mcf,470.lbm -hier conventional -seed 3
 //	lnucasim -record perl.lntrace -benches 400.perlbench -hier ln+l3
@@ -29,8 +30,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	lightnuca "repro"
 	"repro/internal/exp"
@@ -50,7 +54,7 @@ func main() {
 		mixFlag    = flag.String("mix", "mixed", "CMP workload mix: a named mix ("+strings.Join(workload.MixNames(), "|")+"), 'random', or a comma list of benchmarks")
 		hierFlag   = flag.String("hier", "ln+l3", "CMP hierarchy: conventional, ln+l3, dn-4x8, or ln+dn-4x8")
 		levelsFlag = flag.Int("levels", 3, "L-NUCA levels for CMP L-NUCA hierarchies (2..6)")
-		cacheFlag  = flag.String("cache", "", "result cache directory shared with lnucad/lnucasweep (CMP and trace modes)")
+		cacheFlag  = flag.String("cache", "", "result cache directory shared with lnucad/lnucasweep")
 		recordFlag = flag.String("record", "", "record the run of the single -benches benchmark into this .lntrace file")
 		traceFlag  = flag.String("trace", "", "replay this .lntrace file against -hier instead of generating a workload")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -69,6 +73,9 @@ func main() {
 	if err := validateTraceFlags(*recordFlag, *traceFlag, *coresFlag, *benchFlag, set); err != nil {
 		fatalf("%v", err)
 	}
+	if *modeFlag != "quick" && *modeFlag != "full" {
+		fatalf("unknown -mode %q (quick|full)", *modeFlag)
+	}
 
 	prof, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -82,126 +89,166 @@ func main() {
 		}
 	}()
 
-	mode := exp.Quick
-	if *modeFlag == "full" {
-		mode = exp.Full
-	} else if *modeFlag != "quick" {
-		fatalf("unknown -mode %q (quick|full)", *modeFlag)
-	}
+	// One runner for the whole invocation, whichever mode it runs in:
+	// every simulation is a declarative lnuca-run-v1 Request through the
+	// same engine and, with -cache, the same content-addressed store the
+	// service and lnucasweep use — so this run's results are cache hits
+	// for every other front-end, and theirs for this one. Ctrl-C cancels
+	// the runs in flight.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	runner := &lightnuca.Local{CacheDir: *cacheFlag}
 
-	if *traceFlag != "" {
-		runTraceReplay(*traceFlag, *hierFlag, *levelsFlag, *cacheFlag)
-		return
-	}
-	if *recordFlag != "" {
-		runRecord(*recordFlag, lightnuca.Request{
+	switch {
+	case *traceFlag != "":
+		runTraceReplay(ctx, runner, *traceFlag, *hierFlag, *levelsFlag)
+	case *recordFlag != "":
+		runRecord(ctx, *recordFlag, lightnuca.Request{
 			Hierarchy: *hierFlag,
 			Levels:    *levelsFlag,
 			Benchmark: strings.TrimSpace(*benchFlag),
 			Mode:      *modeFlag,
 			Seed:      *seedFlag,
 		})
-		return
-	}
-
-	if *coresFlag > 0 {
-		// CMP mode: the flags assemble the one declarative run schema
-		// (lnuca-run-v1) shared with the library and the lnucad HTTP
-		// API, so this run's content key — and cached result — is the
-		// same whichever front-end computes it.
-		runCMPMix(lightnuca.Request{
+	case *coresFlag > 0:
+		runCMPMix(ctx, runner, lightnuca.Request{
 			Hierarchy: *hierFlag,
 			Levels:    *levelsFlag,
 			Cores:     *coresFlag,
 			Mix:       *mixFlag,
 			Mode:      *modeFlag,
 			Seed:      *seedFlag,
-		}, *cacheFlag)
-		return
-	}
-
-	benches := workload.Suite()
-	if *benchFlag != "" {
-		benches = benches[:0]
-		for _, name := range strings.Split(*benchFlag, ",") {
-			p, ok := workload.ByName(strings.TrimSpace(name))
-			if !ok {
-				fatalf("unknown benchmark %q; known: %s", name, strings.Join(workload.Names(), ", "))
+		})
+	default:
+		benches := workload.Suite()
+		if *benchFlag != "" {
+			benches = benches[:0]
+			for _, name := range strings.Split(*benchFlag, ",") {
+				p, ok := workload.ByName(strings.TrimSpace(name))
+				if !ok {
+					fatalf("unknown benchmark %q; known: %s", name, strings.Join(workload.Names(), ", "))
+				}
+				benches = append(benches, p)
 			}
-			benches = append(benches, p)
 		}
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-
-	if all || want["table1"] {
-		fmt.Println(exp.Table1())
-	}
-	if all || want["table2"] {
-		fmt.Println(exp.Table2())
-		fmt.Println("paper: L2-256KB 0.91 mm2; LN2 0.46 / LN3 0.86 / LN4 1.59 mm2; network 14.0/18.8/19.0%")
-		fmt.Println()
-	}
-
-	needConv := all || want["fig4a"] || want["fig4b"] || want["table3"]
-	needDN := all || want["fig5a"] || want["fig5b"]
-
-	if needConv {
-		fmt.Printf("running conventional matrix (%d benchmarks x 4 configs, %s mode)...\n",
-			len(benches), mode.Name)
-		results := exp.Matrix(exp.ConventionalSpecs(), benches, mode, *seedFlag)
-		if err := exp.FirstError(results); err != nil {
+		want := map[string]bool{}
+		for _, e := range strings.Split(*expFlag, ",") {
+			want[strings.TrimSpace(e)] = true
+		}
+		if err := printExperiments(ctx, os.Stdout, runner, want, benches, *modeFlag, *seedFlag); err != nil {
 			fatalf("simulation failed: %v", err)
 		}
-		if all || want["fig4a"] {
-			fmt.Println(exp.FigIPC("Fig 4(a): IPC harmonic mean, conventional hierarchies", exp.ConventionalSpecs(), results))
-			fmt.Println("paper: LN2..LN4 gain 5.4-6.2% (int), 14.3-15.4% (fp) over L2-256KB")
-			fmt.Println()
-		}
-		if all || want["fig4b"] {
-			fmt.Println(exp.FigEnergy("Fig 4(b): total energy normalized to L2-256KB", exp.ConventionalSpecs(), results))
-			fmt.Println("paper: savings 16.5% (LN2) .. 10.5% (LN4); L3 static dominates")
-			fmt.Println()
-		}
-		if all || want["table3"] {
-			fmt.Println(exp.Table3Render(exp.Table3(results)))
-			fmt.Println("paper: Le2 58.7/40.9% (int/fp), all-levels up to 88.6/87.7%; ratio <= 1.014")
-			fmt.Println()
-		}
 	}
-	if needDN {
-		fmt.Printf("running D-NUCA matrix (%d benchmarks x 4 configs, %s mode)...\n",
-			len(benches), mode.Name)
-		results := exp.Matrix(exp.DNUCASpecs(), benches, mode, *seedFlag)
-		if err := exp.FirstError(results); err != nil {
-			fatalf("simulation failed: %v", err)
-		}
-		if all || want["fig5a"] {
-			fmt.Println(exp.FigIPC("Fig 5(a): IPC harmonic mean, D-NUCA hierarchies", exp.DNUCASpecs(), results))
-			fmt.Println("paper: LN2+DN gains 4.2% (int) / 6.8% (fp), roughly flat in levels")
-			fmt.Println()
-		}
-		if all || want["fig5b"] {
-			fmt.Println(exp.FigEnergy("Fig 5(b): total energy normalized to DN-4x8", exp.DNUCASpecs(), results))
-			fmt.Println("paper: savings 4.25% (LN2+DN) .. 0.2% (LN4+DN)")
-			fmt.Println()
-		}
+	if hits, misses := runner.CacheStats(); hits+misses > 0 {
+		fmt.Println(runner.CacheSummary())
 	}
 }
 
+// figureSet is one of the paper's two evaluation matrices: the
+// hierarchies of the Sweep that runs it (DESIGN.md's experiment index
+// gives the whole body, as one could POST it to /v1/sweeps) and the specs
+// its tables are labelled by.
+type figureSet struct {
+	name        string
+	hierarchies []string
+	specs       []exp.Spec
+}
+
+var (
+	fig4Set = figureSet{"conventional", []string{"conventional", "ln+l3"}, exp.ConventionalSpecs()}
+	fig5Set = figureSet{"D-NUCA", []string{"dn-4x8", "ln+dn-4x8"}, exp.DNUCASpecs()}
+)
+
+// run executes the set over benches through the runner, every cell a
+// get-or-simulate by content key, and hands the cells to the table
+// generators. Sweep.Expand yields hierarchy x levels x benchmark in the
+// order of specs x benches, so run i is cell (i / len(benches), i %
+// len(benches)).
+func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner, benches []workload.Profile, mode string, seed uint64) ([]exp.Result, error) {
+	fmt.Fprintf(w, "running %s matrix (%d benchmarks x %d configs, %s mode)...\n",
+		s.name, len(benches), len(s.specs), mode)
+	sweep := lightnuca.Sweep{Hierarchies: s.hierarchies, Levels: []int{2, 3, 4}, Mode: mode, Seed: seed}
+	for _, b := range benches {
+		sweep.Benchmarks = append(sweep.Benchmarks, b.Name)
+	}
+	reqs, err := sweep.Expand()
+	if err != nil {
+		return nil, err
+	}
+	runs, err := lightnuca.RunAll(ctx, runner, reqs, 0)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]exp.Result, len(runs))
+	for i, r := range runs {
+		cells[i] = exp.Result{
+			Spec: s.specs[i/len(benches)], Bench: benches[i%len(benches)],
+			IPC: r.IPC, Cycles: r.Cycles, Stats: r.Stats, Energy: r.Energy,
+		}
+	}
+	return cells, nil
+}
+
+// printExperiments regenerates the tables and figures want names ("all"
+// for every one), simulating each matrix it needs once.
+func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner, want map[string]bool, benches []workload.Profile, mode string, seed uint64) error {
+	all := want["all"]
+	if all || want["table1"] {
+		fmt.Fprintln(w, exp.Table1())
+	}
+	if all || want["table2"] {
+		fmt.Fprintln(w, exp.Table2())
+		fmt.Fprintln(w, "paper: L2-256KB 0.91 mm2; LN2 0.46 / LN3 0.86 / LN4 1.59 mm2; network 14.0/18.8/19.0%")
+		fmt.Fprintln(w)
+	}
+	if all || want["fig4a"] || want["fig4b"] || want["table3"] {
+		results, err := fig4Set.run(ctx, w, runner, benches, mode, seed)
+		if err != nil {
+			return err
+		}
+		if all || want["fig4a"] {
+			fmt.Fprintln(w, exp.FigIPC("Fig 4(a): IPC harmonic mean, conventional hierarchies", fig4Set.specs, results))
+			fmt.Fprintln(w, "paper: LN2..LN4 gain 5.4-6.2% (int), 14.3-15.4% (fp) over L2-256KB")
+			fmt.Fprintln(w)
+		}
+		if all || want["fig4b"] {
+			fmt.Fprintln(w, exp.FigEnergy("Fig 4(b): total energy normalized to L2-256KB", fig4Set.specs, results))
+			fmt.Fprintln(w, "paper: savings 16.5% (LN2) .. 10.5% (LN4); L3 static dominates")
+			fmt.Fprintln(w)
+		}
+		if all || want["table3"] {
+			fmt.Fprintln(w, exp.Table3Render(exp.Table3(results)))
+			fmt.Fprintln(w, "paper: Le2 58.7/40.9% (int/fp), all-levels up to 88.6/87.7%; ratio <= 1.014")
+			fmt.Fprintln(w)
+		}
+	}
+	if all || want["fig5a"] || want["fig5b"] {
+		results, err := fig5Set.run(ctx, w, runner, benches, mode, seed)
+		if err != nil {
+			return err
+		}
+		if all || want["fig5a"] {
+			fmt.Fprintln(w, exp.FigIPC("Fig 5(a): IPC harmonic mean, D-NUCA hierarchies", fig5Set.specs, results))
+			fmt.Fprintln(w, "paper: LN2+DN gains 4.2% (int) / 6.8% (fp), roughly flat in levels")
+			fmt.Fprintln(w)
+		}
+		if all || want["fig5b"] {
+			fmt.Fprintln(w, exp.FigEnergy("Fig 5(b): total energy normalized to DN-4x8", fig5Set.specs, results))
+			fmt.Fprintln(w, "paper: savings 4.25% (LN2+DN) .. 0.2% (LN4+DN)")
+			fmt.Fprintln(w)
+		}
+	}
+	return nil
+}
+
 // runCMPMix executes one multi-programmed run described by the
-// declarative request and prints the per-core report plus the
-// multi-programmed aggregates. The runner memoizes in the same
-// content-addressed store the service uses, so the single-core
-// baselines the mix run computes internally are read back as cache
-// hits for the "alone IPC" column.
-func runCMPMix(req lightnuca.Request, cacheDir string) {
-	ctx := context.Background()
-	runner := &lightnuca.Local{CacheDir: cacheDir}
+// declarative request — the lnuca-run-v1 schema shared with the library
+// and the lnucad HTTP API, so its content key and cached result are the
+// same whichever front-end computes it — and prints the per-core report
+// plus the multi-programmed aggregates. The single-core baselines the mix
+// run resolved through the runner are read back as cache hits for the
+// "alone IPC" column.
+func runCMPMix(ctx context.Context, runner *lightnuca.Local, req lightnuca.Request) {
 	nreq, err := req.Normalize()
 	if err != nil {
 		fatalf("%v", err)
@@ -213,8 +260,6 @@ func runCMPMix(req lightnuca.Request, cacheDir string) {
 		fatalf("mix failed: %v", err)
 	}
 
-	// The mix run resolved its weighted-speedup baselines through the
-	// runner's cache; re-request them for the per-core table.
 	baseline := make(map[string]float64, res.Cores)
 	for _, c := range res.PerCore {
 		if _, done := baseline[c.Benchmark]; done {
@@ -283,8 +328,8 @@ func validateTraceFlags(record, replay string, cores int, benches string, set ma
 }
 
 // runRecord records one live single-core run into a trace file.
-func runRecord(path string, req lightnuca.Request) {
-	res, tr, err := lightnuca.Record(context.Background(), req)
+func runRecord(ctx context.Context, path string, req lightnuca.Request) {
+	res, tr, err := lightnuca.Record(ctx, req)
 	if err != nil {
 		fatalf("record: %v", err)
 	}
@@ -300,8 +345,8 @@ func runRecord(path string, req lightnuca.Request) {
 }
 
 // runTraceReplay replays a trace file against a hierarchy through the
-// shared Local runner (and, with -cache, the shared result store).
-func runTraceReplay(path, hier string, levels int, cacheDir string) {
+// invocation's runner (and, with -cache, the shared result store).
+func runTraceReplay(ctx context.Context, runner *lightnuca.Local, path, hier string, levels int) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -310,12 +355,11 @@ func runTraceReplay(path, hier string, levels int, cacheDir string) {
 	if err != nil {
 		fatalf("%s: %v", path, err)
 	}
-	runner := &lightnuca.Local{CacheDir: cacheDir}
 	id, err := runner.ImportTrace(tr)
 	if err != nil {
 		fatalf("import: %v", err)
 	}
-	res, err := runner.Run(context.Background(), lightnuca.Request{Hierarchy: hier, Levels: levels, Trace: id})
+	res, err := runner.Run(ctx, lightnuca.Request{Hierarchy: hier, Levels: levels, Trace: id})
 	if err != nil {
 		fatalf("replay: %v", err)
 	}

@@ -69,7 +69,7 @@ func main() {
 		runner = &lightnuca.Local{CacheDir: *cacheDir}
 	}
 
-	err = runSweep(*ablate, *instr, *cacheDir, *jobs, runner)
+	err = runSweep(*ablate, *instr, *jobs, runner)
 	if perr := prof.Stop(); err == nil {
 		err = perr
 	}
@@ -83,7 +83,7 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func runSweep(ablate string, instr uint64, cacheDir string, jobs int, runner lightnuca.Runner) error {
+func runSweep(ablate string, instr uint64, jobs int, runner lightnuca.Runner) error {
 	switch ablate {
 	case "routing":
 		return sweepFabric("transport routing", []fabricVariant{
@@ -109,7 +109,7 @@ func runSweep(ablate string, instr uint64, cacheDir string, jobs int, runner lig
 		fmt.Println("  the sweep shows the capacity effect alone.")
 		return nil
 	case "levels":
-		return sweepLevels(instr, cacheDir, jobs, runner)
+		return sweepLevels(instr, jobs, runner)
 	default:
 		return fmt.Errorf("unknown -ablate %q", ablate)
 	}
@@ -240,7 +240,7 @@ func (d *driver) Commit(k *sim.Kernel) {
 // the one shared Local runner, up to -j points at a time; with -cache
 // the content-addressed store persists on disk and is shared with
 // lnucad.
-func sweepLevels(instr uint64, cacheDir string, jobs int, runner lightnuca.Runner) error {
+func sweepLevels(instr uint64, jobs int, runner lightnuca.Runner) error {
 	var reqs []lightnuca.Request
 	for levels := 2; levels <= 6; levels++ {
 		for _, name := range benchNames {
@@ -276,12 +276,7 @@ func sweepLevels(instr uint64, cacheDir string, jobs int, runner lightnuca.Runne
 	}
 	fmt.Println(t)
 	if local, ok := runner.(*lightnuca.Local); ok {
-		hits, misses := local.CacheStats()
-		where := "in memory"
-		if cacheDir != "" {
-			where = cacheDir
-		}
-		fmt.Printf("result cache: %d hits, %d misses (%s)\n", hits, misses, where)
+		fmt.Println(local.CacheSummary())
 	}
 	return nil
 }

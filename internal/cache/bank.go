@@ -223,23 +223,6 @@ func (b *Bank) ExtractVictim(a mem.Addr) (Victim, bool) {
 	return v, true
 }
 
-// ExtractLRUAny removes and returns the least-recently filled valid block
-// scanning from set 0 — used by tiles that must surrender a block when
-// their chosen set is empty. ok is false when the bank is empty.
-func (b *Bank) ExtractLRUAny() (Victim, bool) {
-	for si := range b.sets {
-		set := b.sets[si]
-		for i := len(set) - 1; i >= 0; i-- {
-			if set[i].valid {
-				v := Victim{Addr: set[i].line, Dirty: set[i].dirty}
-				b.Invalidate(v.Addr)
-				return v, true
-			}
-		}
-	}
-	return Victim{}, false
-}
-
 // Occupancy returns the number of valid blocks in the bank.
 func (b *Bank) Occupancy() int { return b.occ }
 

@@ -159,21 +159,6 @@ func TestBankExtractVictim(t *testing.T) {
 	}
 }
 
-func TestBankExtractLRUAny(t *testing.T) {
-	b := mkBank(t, 8192, 2, 32)
-	if _, ok := b.ExtractLRUAny(); ok {
-		t.Fatal("empty bank should have nothing to extract")
-	}
-	b.Fill(0x40, true)
-	v, ok := b.ExtractLRUAny()
-	if !ok || v.Addr != 0x40 || !v.Dirty {
-		t.Fatalf("ExtractLRUAny = %+v,%v", v, ok)
-	}
-	if b.Occupancy() != 0 {
-		t.Fatal("bank should be empty")
-	}
-}
-
 func TestBankLinesEnumeration(t *testing.T) {
 	b := mkBank(t, 8192, 2, 32)
 	want := map[mem.Addr]bool{0x0: true, 0x20: true, 0x1000: true}

@@ -298,10 +298,6 @@ func (c *Controller) acceptRead(now sim.Cycle, req mem.Req) bool {
 // queueFetch originates a downstream fetch for line, delayed by the miss
 // determination time.
 func (c *Controller) queueFetch(line mem.Addr, issued sim.Cycle, now sim.Cycle) {
-	m := c.mshr.Lookup(line)
-	if m != nil {
-		m.SentDown = true
-	}
 	c.fetchQ.Push(timedReq{
 		req: mem.Req{
 			ID:     c.ids.Next(),
@@ -351,11 +347,7 @@ func (c *Controller) drainWriteBuffer(now sim.Cycle) {
 				return
 			}
 			c.wbuf.Pop()
-			kind := e.Kind
-			if c.cfg.Policy == WriteThrough && kind == mem.Write {
-				kind = mem.Write
-			}
-			c.forwardDown(line, kind)
+			c.forwardDown(line, e.Kind)
 			c.WritesApplied++
 		default:
 			// Copy-back write-allocate: fetch the block, mark dirty on

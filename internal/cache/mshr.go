@@ -21,9 +21,6 @@ type Target struct {
 type MSHR struct {
 	Line    mem.Addr
 	Targets []Target
-	// SentDown records whether the downstream fetch has been issued
-	// (allocation and issue can be separated by downstream backpressure).
-	SentDown bool
 }
 
 // MSHRFile is a bounded set of MSHRs. Table I gives 16 entries for
@@ -92,7 +89,6 @@ func (f *MSHRFile) Allocate(line mem.Addr, t Target) *MSHR {
 	m.Line = line
 	//lnuca:allow(hotalloc) appends into the entry's Targets capacity, fixed at 1+maxSecondary
 	m.Targets = append(m.Targets[:0], t)
-	m.SentDown = false
 	//lnuca:allow(hotalloc) appends into capacity fixed at maxEntries; Full bounds the length
 	f.entries = append(f.entries, m)
 	f.Primary++
@@ -133,15 +129,4 @@ func (f *MSHRFile) Free(line mem.Addr) []Target {
 		}
 	}
 	return nil
-}
-
-// PendingIssue returns entries whose downstream fetch has not been sent.
-func (f *MSHRFile) PendingIssue() []*MSHR {
-	var out []*MSHR
-	for _, m := range f.entries {
-		if !m.SentDown {
-			out = append(out, m)
-		}
-	}
-	return out
 }

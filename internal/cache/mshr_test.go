@@ -73,17 +73,6 @@ func TestMSHRSecondaryMergeLimit(t *testing.T) {
 	}
 }
 
-func TestMSHRPendingIssue(t *testing.T) {
-	f := NewMSHRFile(4, 4)
-	a := f.Allocate(0x100, Target{ReqID: 1})
-	b := f.Allocate(0x200, Target{ReqID: 2})
-	a.SentDown = true
-	pend := f.PendingIssue()
-	if len(pend) != 1 || pend[0] != b {
-		t.Fatalf("PendingIssue = %v", pend)
-	}
-}
-
 func TestMSHRDegenerateSizes(t *testing.T) {
 	f := NewMSHRFile(0, -1)
 	if f.Allocate(0x1, Target{}) == nil {

@@ -312,10 +312,6 @@ func (d *DNUCA) finishLine(now sim.Cycle, line mem.Addr) {
 // toMemory issues a block fetch downstream (via a small queue in fetchQ
 // semantics: the drainDown step pushes it).
 func (d *DNUCA) toMemory(now sim.Cycle, line mem.Addr) {
-	m := d.mshr.Lookup(line)
-	if m != nil {
-		m.SentDown = true
-	}
 	d.memQ.Push(mem.Req{ID: d.ids.Next(), Addr: line, Kind: mem.Read, Issued: now})
 }
 

@@ -176,20 +176,3 @@ func TestClampChunk(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkCMPMix2(b *testing.B) {
-	spec := MixSpec{Kind: hier.LNUCAL3, Levels: 3, Benchmarks: []string{"403.gcc", "470.lbm"}}
-	for i := 0; i < b.N; i++ {
-		if r := RunMix(spec, Quick, 1); r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-}
-
-func BenchmarkCMPMix4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := RunMix(quadMix(), Quick, 1); r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-}

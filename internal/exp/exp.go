@@ -7,8 +7,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/cpu"
@@ -253,39 +251,6 @@ func clampChunk(chunk, rem uint64, commitWidth int) uint64 {
 	return chunk
 }
 
-// Matrix runs every benchmark under every spec, in parallel across
-// CPU cores; each run is internally deterministic given the seed.
-func Matrix(specs []Spec, benches []workload.Profile, mode Mode, seed uint64) []Result {
-	type job struct{ si, bi int }
-	jobs := make(chan job)
-	out := make([]Result, len(specs)*len(benches))
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs)*len(benches) {
-		workers = len(specs) * len(benches)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				out[j.si*len(benches)+j.bi] = RunOne(specs[j.si], benches[j.bi], mode, seed)
-			}
-		}()
-	}
-	for si := range specs {
-		for bi := range benches {
-			jobs <- job{si, bi}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return out
-}
-
 // byClass splits results for one spec into INT and FP IPC lists.
 func byClass(results []Result, spec Spec) (intIPC, fpIPC []float64) {
 	for _, r := range results {
@@ -322,29 +287,4 @@ func SumEnergy(results []Result, spec Spec) power.Breakdown {
 		}
 	}
 	return total
-}
-
-// SumCounter totals a counter over one spec's results, split by class.
-func SumCounter(results []Result, spec Spec, key string) (intSum, fpSum uint64) {
-	for _, r := range results {
-		if r.Spec != spec || r.Err != nil {
-			continue
-		}
-		if r.Bench.Class == workload.Int {
-			intSum += r.Stats.Counter(key)
-		} else {
-			fpSum += r.Stats.Counter(key)
-		}
-	}
-	return
-}
-
-// FirstError returns the first failed run, if any.
-func FirstError(results []Result) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("%s / %s: %w", r.Spec.Label(), r.Bench.Name, r.Err)
-		}
-	}
-	return nil
 }

@@ -10,21 +10,35 @@ import (
 	"repro/internal/workload"
 )
 
-// convMatrixOnce memoizes the conventional-spec matrix that both
-// TestFig4Shape and TestTable3Shape consume: the runs are identical
-// (same specs, benches, mode, seed — the same content keys the
-// orchestrator's result cache would coalesce), so simulating them twice
-// only doubled the suite's wall time.
+// cells runs every benchmark under every spec at seed 1, spec-major — the
+// order the figure tables are indexed in — and fails the test on the
+// first bad run. The CLI gets the same cells through lightnuca.RunAll,
+// which this package sits below.
+func cells(t *testing.T, specs []Spec, benches []workload.Profile, mode Mode) []Result {
+	t.Helper()
+	var out []Result
+	for _, s := range specs {
+		for _, b := range benches {
+			r := RunOne(s, b, mode, 1)
+			if r.Err != nil {
+				t.Fatalf("%s / %s: %v", s.Label(), b.Name, r.Err)
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// convCells holds the Fig. 4 cells TestFig4Shape and TestTable3Shape both
+// read, simulated once.
 var (
-	convMatrixOnce    sync.Once
-	convMatrixResults []Result
+	convCellsOnce sync.Once
+	convCells     []Result
 )
 
-func sharedConvMatrix() []Result {
-	convMatrixOnce.Do(func() {
-		convMatrixResults = Matrix(ConventionalSpecs(), testBenches(), Quick, 1)
-	})
-	return convMatrixResults
+func sharedConvCells(t *testing.T) []Result {
+	convCellsOnce.Do(func() { convCells = cells(t, ConventionalSpecs(), testBenches(), Quick) })
+	return convCells
 }
 
 // testBenches picks a small, class-balanced subset so the harness tests
@@ -65,25 +79,6 @@ func TestRunOneProducesSaneResult(t *testing.T) {
 	}
 }
 
-func TestMatrixCoversAllCells(t *testing.T) {
-	specs := []Spec{{Kind: hier.Conventional}, {Kind: hier.LNUCAL3, Levels: 2}}
-	benches := testBenches()[:2]
-	results := Matrix(specs, benches, Quick, 1)
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("got %d results, want 4", len(results))
-	}
-	seen := map[string]bool{}
-	for _, r := range results {
-		seen[r.Spec.Label()+"/"+r.Bench.Name] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("duplicate or missing cells: %v", seen)
-	}
-}
-
 func TestSpecLabels(t *testing.T) {
 	cases := map[Spec]string{
 		{Kind: hier.Conventional}:          "L2-256KB",
@@ -108,10 +103,7 @@ func TestFig4Shape(t *testing.T) {
 		t.Skip("matrix run in -short mode")
 	}
 	specs := ConventionalSpecs()
-	results := sharedConvMatrix()
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
+	results := sharedConvCells(t)
 	baseInt, baseFP := HarmonicIPC(results, specs[0])
 	for _, s := range specs[1:] {
 		i, f := HarmonicIPC(results, s)
@@ -149,10 +141,7 @@ func TestTable3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
 	}
-	results := sharedConvMatrix()
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
+	results := sharedConvCells(t)
 	rows := Table3(results)
 	if len(rows) != 3 {
 		t.Fatalf("Table III rows = %d, want 3", len(rows))
@@ -200,10 +189,7 @@ func TestFig5Shape(t *testing.T) {
 	// already stable at this scale.
 	benches := testBenches()[:4]
 	fig5Mode := Mode{Name: "fig5-test", Warmup: Quick.Warmup / 2, Measure: Quick.Measure / 2}
-	results := Matrix(specs, benches, fig5Mode, 1)
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
+	results := cells(t, specs, benches, fig5Mode)
 	baseInt, baseFP := HarmonicIPC(results, specs[0])
 	for _, s := range specs[1:] {
 		i, f := HarmonicIPC(results, s)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/orchestrator"
-	"repro/internal/pqueue"
 	"repro/internal/trace"
 )
 
@@ -65,8 +65,7 @@ type fleetJob struct {
 	req      orchestrator.Request
 	attempt  int // leases granted so far
 	seq      uint64
-	heapIdx  int
-	readyAt  time.Time // backoff gate; zero = dispatchable now
+	readyAt  time.Time // backoff gate of a requeued job; leasable once passed
 	canceled bool
 	leaseID  string // current lease, "" when queued
 	progress func(done, total uint64)
@@ -95,17 +94,18 @@ type lease struct {
 	deadline time.Time
 }
 
-// Coordinator owns the fleet's job queue and lease table. Its Dispatch
-// method is an orchestrator.RunFunc: the orchestrator's worker pool
-// becomes the dispatch-concurrency bound, and every job the fleet
-// executes flows through the orchestrator's usual submit, coalesce,
-// cache and counter paths.
+// Coordinator owns the fleet's lease table. Its Dispatch method is an
+// orchestrator.RunFunc: the orchestrator's worker pool becomes the
+// dispatch-concurrency bound, and every job the fleet executes flows
+// through the orchestrator's usual submit, coalesce, cache and counter
+// paths. The orchestrator's queue is the service's one priority queue:
+// only its pool goroutines call Dispatch, so waiting never holds more
+// than orchestrator.Config.Workers jobs and a scan orders it.
 type Coordinator struct {
 	cfg Config
 
 	mu      sync.Mutex
-	pending *pqueue.Queue[*fleetJob]
-	delayed []*fleetJob // requeued jobs waiting out their backoff
+	waiting []*fleetJob // dispatched and not leased, backoff-delayed retries included
 	leases  map[string]*lease
 	workers map[string]time.Time // worker name -> last poll
 	seq     uint64
@@ -149,16 +149,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg.Logger = obs.Discard()
 	}
 	c := &Coordinator{
-		cfg: cfg,
-		pending: pqueue.New(
-			func(a, b *fleetJob) bool {
-				if a.priority != b.priority {
-					return a.priority > b.priority
-				}
-				return a.seq < b.seq
-			},
-			func(j *fleetJob, idx int) { j.heapIdx = idx },
-		),
+		cfg:        cfg,
 		leases:     make(map[string]*lease),
 		workers:    make(map[string]time.Time),
 		reaperDone: make(chan struct{}),
@@ -199,7 +190,7 @@ func (c *Coordinator) register(reg *obs.Registry) {
 		func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return float64(c.pending.Len() + len(c.delayed))
+			return float64(len(c.waiting))
 		})
 	reg.GaugeFunc("lnuca_fleet_leases_active",
 		"Jobs currently leased to a worker.",
@@ -257,7 +248,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, j orchestrator.Job, progress
 		key:      j.Key(),
 		priority: j.Priority,
 		req:      orchestrator.RequestOf(j),
-		heapIdx:  -1,
 		progress: progress,
 		done:     make(chan dispatchResult, 1),
 		//lnuca:allow(determinism) dispatch latency telemetry; never result content
@@ -278,7 +268,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, j orchestrator.Job, progress
 	c.seq++
 	fj.id = fmt.Sprintf("fleet-%06d", c.seq)
 	fj.seq = c.seq
-	c.pending.Push(fj)
+	c.waiting = append(c.waiting, fj)
 	c.mu.Unlock()
 	c.log.Info("fleet dispatch", "fleet_id", fj.id, "key", fj.key)
 
@@ -290,10 +280,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, j orchestrator.Job, progress
 	case <-ctx.Done():
 		c.mu.Lock()
 		fj.canceled = true
-		if fj.heapIdx >= 0 {
-			c.pending.RemoveAt(fj.heapIdx)
-		}
-		c.removeDelayedLocked(fj)
+		c.dropWaitingLocked(fj)
 		c.mu.Unlock()
 		c.observeDispatch(fj)
 		c.log.Info("fleet dispatch canceled", "fleet_id", fj.id, "key", fj.key)
@@ -329,33 +316,18 @@ func (c *Coordinator) observeDispatch(fj *fleetJob) {
 	}
 }
 
-// removeDelayedLocked drops fj from the backoff list, if present.
-func (c *Coordinator) removeDelayedLocked(fj *fleetJob) {
-	for i, d := range c.delayed {
-		if d == fj {
-			c.delayed = append(c.delayed[:i], c.delayed[i+1:]...)
-			return
-		}
+// dropWaitingLocked takes fj off the waiting list, if it is on it (a
+// leased job is not).
+func (c *Coordinator) dropWaitingLocked(fj *fleetJob) {
+	if i := slices.Index(c.waiting, fj); i >= 0 {
+		c.waiting = slices.Delete(c.waiting, i, i+1)
 	}
 }
 
-// promoteDueLocked moves backoff-delayed jobs whose time has come back
-// into the dispatchable queue.
-func (c *Coordinator) promoteDueLocked(now time.Time) {
-	kept := c.delayed[:0]
-	for _, fj := range c.delayed {
-		if !fj.readyAt.After(now) {
-			fj.readyAt = time.Time{}
-			c.pending.Push(fj)
-			continue
-		}
-		kept = append(kept, fj)
-	}
-	c.delayed = kept
-}
-
-// Lease grants the next dispatchable job to a polling worker, or nil
-// when there is none. Implements the POST /fleet/v1/lease semantics.
+// Lease grants the next dispatchable job to a polling worker — highest
+// priority first, dispatch order within one priority, requeued jobs
+// skipped until their backoff has passed — or nil when there is none.
+// Implements the POST /fleet/v1/lease semantics.
 func (c *Coordinator) Lease(worker string) *LeaseResponse {
 	//lnuca:allow(determinism) lease deadlines are wall-clock by nature; never result content
 	now := time.Now()
@@ -365,12 +337,20 @@ func (c *Coordinator) Lease(worker string) *LeaseResponse {
 		c.mu.Unlock()
 		return nil
 	}
-	c.promoteDueLocked(now)
-	fj, ok := c.pending.Pop()
-	if !ok {
+	var fj *fleetJob
+	for _, w := range c.waiting {
+		if w.readyAt.After(now) {
+			continue
+		}
+		if fj == nil || w.priority > fj.priority || (w.priority == fj.priority && w.seq < fj.seq) {
+			fj = w
+		}
+	}
+	if fj == nil {
 		c.mu.Unlock()
 		return nil
 	}
+	c.dropWaitingLocked(fj)
 	c.seq++
 	l := &lease{
 		id:       fmt.Sprintf("lease-%06d", c.seq),
@@ -478,7 +458,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 		if fj.attempt > 0 {
 			fj.attempt--
 		}
-		c.pending.Push(fj)
+		c.waiting = append(c.waiting, fj)
 		if c.releases != nil {
 			c.releases.Inc()
 		}
@@ -525,7 +505,7 @@ func (c *Coordinator) requeueLocked(fj *fleetJob, reason string, now time.Time) 
 	}
 	delay := c.backoff(fj.attempt)
 	fj.readyAt = now.Add(delay)
-	c.delayed = append(c.delayed, fj)
+	c.waiting = append(c.waiting, fj)
 	if c.requeues != nil {
 		c.requeues.Inc()
 	}
@@ -623,5 +603,4 @@ func (c *Coordinator) expireLeases(now time.Time) {
 		}
 		c.requeueLocked(fj, fmt.Sprintf("lease %s on worker %s expired", l.id, l.worker), now)
 	}
-	c.promoteDueLocked(now)
 }

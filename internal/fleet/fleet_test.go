@@ -63,7 +63,7 @@ type stack struct {
 }
 
 // startStack wires coordinator, orchestrator and workers together. A
-// nil workerRun leaves each worker on the production Engine.Run
+// nil workerRun leaves each worker on the production Engine.Do
 // default. Close order matters and close() encodes it.
 func startStack(t *testing.T, ccfg Config, ocfg orchestrator.Config, workers int, workerRun orchestrator.RunFunc) *stack {
 	t.Helper()
@@ -476,7 +476,7 @@ func TestFleetByteIdenticalToLocal(t *testing.T) {
 		Config{LeaseTTL: 5 * time.Second},
 		orchestrator.Config{Workers: 2, Cache: orchestrator.NewCache(0, fleetDir)},
 		2,
-		nil) // production Engine.Run on each worker
+		nil) // production Engine.Do on each worker
 	for _, j := range jobs {
 		rec, err := s.orch.Submit(j)
 		if err != nil {

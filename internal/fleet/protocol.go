@@ -1,10 +1,11 @@
 // Package fleet distributes the orchestrator's job execution across
-// worker processes: a coordinator owns the job queue, the result cache
-// and the trace store, and stateless workers pull leased jobs over
-// HTTP, execute them through the same Runner machinery as a local run,
-// and push results back by content hash.
+// worker processes: the orchestrator keeps the job queue, the result
+// cache and the trace store, a coordinator leases the jobs its pool
+// dispatches, and stateless workers pull them over HTTP, get each
+// result the way a local run does (orchestrator.Engine.Do) and push it
+// back by content hash.
 //
-// The coordinator plugs into the orchestrator as its RunFunc
+// The coordinator plugs into the orchestrator as its Config.Run
 // (Coordinator.Dispatch), so every invariant the single-process daemon
 // provides — singleflight coalescing, content-addressed caching,
 // balanced lifecycle counters, byte-identical lnuca-job-v2 cache

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -21,28 +19,13 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad lease body: %v", err)
+	if !orchestrator.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Worker == "" {
-		writeError(w, http.StatusBadRequest, "lease request names no worker")
+		orchestrator.WriteError(w, http.StatusBadRequest, "lease request names no worker")
 		return
 	}
 	resp := c.Lease(req.Worker)
@@ -50,64 +33,54 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	orchestrator.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad heartbeat body: %v", err)
+	if !orchestrator.DecodeJSON(w, r, &req) {
 		return
 	}
 	cancel, ok := c.Heartbeat(req.LeaseID, req.Done, req.Total)
 	if !ok {
-		writeError(w, http.StatusGone, "lease %s is no longer held — abort the run", req.LeaseID)
+		orchestrator.WriteError(w, http.StatusGone, "lease %s is no longer held — abort the run", req.LeaseID)
 		return
 	}
-	writeJSON(w, http.StatusOK, HeartbeatResponse{Cancel: cancel})
+	orchestrator.WriteJSON(w, http.StatusOK, HeartbeatResponse{Cancel: cancel})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad complete body: %v", err)
+	if !orchestrator.DecodeJSON(w, r, &req) {
 		return
 	}
 	if !c.Complete(req) {
-		writeError(w, http.StatusGone, "lease %s is no longer held — the job was requeued", req.LeaseID)
+		orchestrator.WriteError(w, http.StatusGone, "lease %s is no longer held — the job was requeued", req.LeaseID)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	orchestrator.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleTraceFetch serves a stored trace's raw lnuca-trace-v1 frame to
 // a worker whose local store misses the hash a leased job names.
 func (c *Coordinator) handleTraceFetch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		orchestrator.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, PathTraces)
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "bad trace path %q", r.URL.Path)
+		orchestrator.WriteError(w, http.StatusNotFound, "bad trace path %q", r.URL.Path)
 		return
 	}
 	tr, err := c.cfg.Traces.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		orchestrator.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	data, err := tr.Encode()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		orchestrator.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -31,13 +31,14 @@ type WorkerConfig struct {
 	// Client performs the HTTP calls (default: a client with a 30s
 	// timeout).
 	Client *http.Client
-	// Run executes one leased job (default: orchestrator.Engine.Run over
-	// Cache and Traces — the function a local daemon's pool runs). Tests
-	// inject stubs here.
+	// Run executes one leased job (default: orchestrator.Engine.Do over
+	// Cache and Traces — get-or-simulate, the way every in-process caller
+	// gets a result). Tests inject stubs here.
 	Run orchestrator.RunFunc
-	// Cache backs mix-job baseline resolution on this worker (default: a
-	// fresh memory-only cache). Results still flow back to the
-	// coordinator through the lease protocol, not this cache.
+	// Cache memoizes this worker's runs and its mix jobs' baselines
+	// (default: a fresh memory-only cache): a leased key it already holds
+	// is served from it, not simulated again. Results still flow back to
+	// the coordinator through the lease protocol, not this cache.
 	Cache *orchestrator.Cache
 	// Traces is the worker-local trace store; recorded streams a leased
 	// job names are fetched from the coordinator on a local miss
@@ -62,8 +63,8 @@ type WorkerConfig struct {
 }
 
 // Worker is a pull-based fleet execution node: it polls the coordinator
-// for leased jobs, runs them through the same RunFunc machinery as a
-// local daemon, heartbeats while running, and pushes the result back.
+// for leased jobs, gets each result through the same engine as a local
+// run, heartbeats while running, and pushes the result back.
 // Workers hold no durable state the fleet depends on — killing one
 // mid-job only costs a lease timeout and a retry elsewhere.
 type Worker struct {
@@ -96,7 +97,11 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Traces = trace.NewStore("")
 	}
 	if cfg.Run == nil {
-		cfg.Run = orchestrator.NewEngine(cfg.Cache, cfg.Traces).Run
+		engine := orchestrator.NewEngine(cfg.Cache, cfg.Traces)
+		cfg.Run = func(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
+			res, _, err := engine.Do(ctx, j, progress)
+			return res, err
+		}
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 100 * time.Millisecond

@@ -1,11 +1,7 @@
 package hier
 
-// Steady-state stepping benchmarks: one op = one kernel cycle of a
-// fully-built system, so ns/op reads as ns/cycle. Their allocs/op column
-// is testing's integer division of the allocation count by b.N — it
-// printed 0 while the run path made 0.2 to 0.6 allocations a cycle — so
-// it pins nothing; TestSteadyStateAllocatesNothing counts mallocs
-// instead.
+// The steady-state allocation pin. (Speed — ns per stepped cycle, per
+// hierarchy — is lnucabench's sim.step_ns.* under -trace 1.)
 
 import (
 	"runtime"
@@ -75,35 +71,4 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
-}
-
-// BenchmarkStepAllocs times the full cycle loop (Eval+Commit of every
-// component), per hierarchy.
-func BenchmarkStepAllocs(b *testing.B) {
-	for _, kind := range []Kind{Conventional, LNUCAL3, DNUCAOnly, LNUCADNUCA} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			sys := benchSystem(b, kind)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Kernel.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkGatedCycleAllocs is the same loop through the gated Run path
-// (poll + active-set stepping + fast-forward).
-func BenchmarkGatedCycleAllocs(b *testing.B) {
-	sys := benchSystem(b, LNUCAL3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	ran := sys.Run(uint64(b.N))
-	b.StopTimer()
-	if ran == 0 {
-		b.Fatal("no cycles ran")
-	}
-	b.ReportMetric(100*float64(sys.Kernel.SkippedCycles)/float64(sys.Kernel.Cycle()),
-		"skipped_pct")
 }

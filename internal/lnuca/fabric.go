@@ -801,8 +801,7 @@ func (f *Fabric) missCPU(now sim.Cycle, req mem.Req, line mem.Addr, kind mem.Kin
 		f.C.StallMSHRFull++
 		return false
 	}
-	m := f.mshr.Allocate(line, tg)
-	m.SentDown = true
+	f.mshr.Allocate(line, tg)
 	f.searchQ.Push(searchMsg{
 		line:   line,
 		reqID:  req.ID,

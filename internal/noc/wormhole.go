@@ -367,14 +367,6 @@ func (m *Mesh[P]) InFlight() int {
 	return int(m.MsgsInjected - m.MsgsDelivered)
 }
 
-// AvgLatency returns the mean injection-to-delivery latency in cycles.
-func (m *Mesh[P]) AvgLatency() float64 {
-	if m.MsgsDelivered == 0 {
-		return 0
-	}
-	return float64(m.TotalLatency) / float64(m.MsgsDelivered)
-}
-
 // NumLinks returns the number of unidirectional inter-router links, the
 // quantity the paper compares against its specialized topologies.
 func (m *Mesh[P]) NumLinks() int {

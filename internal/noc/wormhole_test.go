@@ -240,14 +240,14 @@ func TestMeshLocalDelivery(t *testing.T) {
 
 func TestMeshAvgLatencyStat(t *testing.T) {
 	m := dnucaMesh()
-	if m.AvgLatency() != 0 {
-		t.Fatal("AvgLatency of idle mesh should be 0")
+	if m.TotalLatency != 0 {
+		t.Fatal("idle mesh should have accumulated no latency")
 	}
 	m.Inject(testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{1, 0}, Flits: 1}, 0)
 	for now := sim.Cycle(0); now < 50 && m.MsgsDelivered == 0; now++ {
 		m.Step(now)
 	}
-	if m.AvgLatency() <= 0 {
-		t.Fatalf("AvgLatency = %v, want positive", m.AvgLatency())
+	if m.MsgsDelivered != 1 || m.TotalLatency == 0 {
+		t.Fatalf("delivered %d messages over %d cycles of latency, want 1 over a positive count", m.MsgsDelivered, m.TotalLatency)
 	}
 }

@@ -47,12 +47,6 @@ func (l LinkSpec) TraversalPJ() float64 {
 		ArbiterPJPerEvent
 }
 
-// CrossbarPJ returns the energy of one message through a crossbar of the
-// given width.
-func CrossbarPJ(bits int) float64 {
-	return float64(bits) * CrossbarPJPerBit
-}
-
 // RouterSpec describes one router/tile-switch for area purposes.
 type RouterSpec struct {
 	// InLinks and OutLinks count unidirectional connections.

@@ -30,11 +30,10 @@ func TestLinkEnergyScalesWithWidthAndLength(t *testing.T) {
 }
 
 func TestCrossbarEnergy(t *testing.T) {
-	if CrossbarPJ(256) <= CrossbarPJ(64) {
+	wide := Tally{Bits: 256, CrossbarTraversals: 1}
+	narrow := Tally{Bits: 64, CrossbarTraversals: 1}
+	if wide.EnergyPJ() <= narrow.EnergyPJ() {
 		t.Error("crossbar energy must scale with width")
-	}
-	if CrossbarPJ(0) != 0 {
-		t.Error("zero-width crossbar should cost nothing")
 	}
 }
 

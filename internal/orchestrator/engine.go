@@ -16,22 +16,16 @@ import (
 // abort the run; progress receives (committed, total) instruction counts.
 type RunFunc func(ctx context.Context, j Job, progress func(done, total uint64)) (*JobResult, error)
 
-// Engine is the one in-process way to execute a job: Run simulates, Do
-// is get-or-simulate by content key. lightnuca.Local calls Do for every
-// request; the orchestrator's pool and fleet workers default their
-// RunFunc to Run (the pool does its own cache lookup, coalescing and
-// Put around it); a mix resolves its weighted-speedup baselines through
-// Do, so a baseline and a top-level Do of the same key share one
-// simulation.
-//
-// Known limit: the pool coalesces on Orchestrator.byKey, not on the
-// engine, and routing baselines through the job queue would deadlock a
-// fully occupied pool — so a pool job and another job's baseline of the
-// same key can still both simulate. The race costs at most one duplicate
-// run and both sides publish identical results.
+// Engine is the one get-or-simulate in the tree. Do is a cache lookup,
+// then flight: the per-key step that executes a job and publishes its
+// result before releasing the key. lightnuca.Local, a fleet worker's
+// default RunFunc and a mix's baselines call Do; the orchestrator's pool
+// enters flight directly, Submit having made (and counted) the lookup.
+// One map of keys in flight: a process simulates a key once at a time.
 type Engine struct {
 	cache  *Cache
 	traces *trace.Store // nil: trace jobs fail with a configuration error
+	exec   RunFunc      // what a flight executes: Run, or the orchestrator's Config.Run
 
 	mu       sync.Mutex
 	inflight map[string]chan struct{} // per-key singleflight; closed when the run ends
@@ -39,55 +33,61 @@ type Engine struct {
 
 // NewEngine returns an engine over a result cache and a trace store.
 func NewEngine(cache *Cache, traces *trace.Store) *Engine {
-	return &Engine{cache: cache, traces: traces, inflight: make(map[string]chan struct{})}
+	e := &Engine{cache: cache, traces: traces, inflight: make(map[string]chan struct{})}
+	e.exec = e.Run
+	return e
 }
 
-// SimRunWithTraces returns the production RunFunc: Engine.Run over
-// cache and traces.
+// SimRunWithTraces returns the bare simulating RunFunc, Engine.Run over
+// cache and traces, with no lookup or publishing around it.
 func SimRunWithTraces(cache *Cache, traces *trace.Store) RunFunc {
 	return NewEngine(cache, traces).Run
 }
 
 // Do returns the job's result and whether it was served without
-// simulating here: a cache hit, or a concurrent Do of the same key that
-// this call waited for. Otherwise this call runs the job and publishes
-// the result before releasing the key. A failed run publishes nothing,
-// so its waiters retry.
+// simulating here: a cache hit, or a concurrent flight of the same key
+// that this call waited for.
 func (e *Engine) Do(ctx context.Context, j Job, progress func(done, total uint64)) (*JobResult, bool, error) {
 	key := j.Key()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if res, ok := e.cache.Get(key); ok {
-			return res, true, nil
-		}
-		e.mu.Lock()
-		if done, busy := e.inflight[key]; busy {
-			e.mu.Unlock()
-			// Another Do is simulating this content; wait for it to
-			// publish (or fail), then reconsult the cache.
-			select {
-			case <-done:
-				continue
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		}
-		done := make(chan struct{})
-		e.inflight[key] = done
-		e.mu.Unlock()
-
-		res, err := e.Run(ctx, j, progress)
-		if err == nil {
-			e.cache.PutCtx(ctx, key, res)
-		}
-		e.mu.Lock()
-		delete(e.inflight, key)
-		e.mu.Unlock()
-		close(done)
-		return res, false, err
+	if res, ok := e.cache.Get(key); ok {
+		return res, true, nil
 	}
+	return e.flight(ctx, key, j, progress)
+}
+
+// flight is what follows a cache miss. The first caller for a key
+// executes the job and publishes the result before it releases the key;
+// callers that arrive meanwhile wait for the release and read the cache.
+// A failed run publishes nothing, so its waiters take the key in turn.
+func (e *Engine) flight(ctx context.Context, key string, j Job, progress func(done, total uint64)) (*JobResult, bool, error) {
+	for ctx.Err() == nil {
+		e.mu.Lock()
+		held, busy := e.inflight[key]
+		if !busy {
+			held = make(chan struct{})
+			e.inflight[key] = held
+		}
+		e.mu.Unlock()
+		if !busy {
+			res, err := e.exec(ctx, j, progress)
+			if err == nil {
+				e.cache.PutCtx(ctx, key, res) // ctx attributes an injected persist fault to the job's trace
+			}
+			e.mu.Lock()
+			delete(e.inflight, key)
+			e.mu.Unlock()
+			close(held)
+			return res, false, err
+		}
+		select {
+		case <-held:
+			if res, ok := e.cache.Get(key); ok {
+				return res, true, nil
+			}
+		case <-ctx.Done():
+		}
+	}
+	return nil, false, ctx.Err()
 }
 
 // Run simulates one normalized job: a trace job replays its recorded

@@ -3,8 +3,10 @@ package orchestrator
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exp"
@@ -134,5 +136,57 @@ func TestEngineDoGetOrSimulate(t *testing.T) {
 	}
 	if _, cached, err := e.Do(ctx, job, nil); err != nil || !cached {
 		t.Fatalf("rerun: cached=%v err=%v, want a cache hit", cached, err)
+	}
+}
+
+// TestPoolAndBaselineShareOneFlight: a queued job and an in-process Do of
+// the same key — what a mix's baseline resolution is — meet in the one
+// engine. While the pool executes K, Do(K) waits for it and is served the
+// published result; the run function is entered once.
+func TestPoolAndBaselineShareOneFlight(t *testing.T) {
+	var runs atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	o := New(Config{Workers: 1, Run: func(ctx context.Context, j Job, _ func(done, total uint64)) (*JobResult, error) {
+		if runs.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return stubResult(j), nil
+	}})
+	defer o.Close()
+
+	job := tinyJob(t, "403.gcc")
+	rec, err := o.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	type outcome struct {
+		res    *JobResult
+		served bool
+		err    error
+	}
+	baseline := make(chan outcome, 1)
+	go func() {
+		res, served, err := o.engine.Do(context.Background(), job, nil)
+		baseline <- outcome{res, served, err}
+	}()
+	// Submit's lookup was the first miss; Do's is the second. Past it, Do
+	// can only find the key in flight, so the pool is released only then.
+	for o.cache.Misses() < 2 {
+		runtime.Gosched()
+	}
+	close(release)
+
+	out := <-baseline
+	if out.err != nil || !out.served || out.res.IPC != stubResult(job).IPC {
+		t.Fatalf("Do = %+v, served=%v, err=%v; want the pool's result, served without simulating", out.res, out.served, out.err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("the run function was entered %d times for one key, want 1", n)
+	}
+	if got := waitDone(t, o, rec.ID); got.Status != StatusDone || got.Result.IPC != stubResult(job).IPC {
+		t.Fatalf("pool job: %+v", got)
 	}
 }

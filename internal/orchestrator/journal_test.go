@@ -28,13 +28,23 @@ func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.journal")
 
 	// Phase 1: run two jobs to completion. Nothing should be pending.
+	// The stub holds every run until both submits have returned: submit
+	// appends its journal line after releasing the lock, so an instant
+	// job's end line can otherwise precede its submit line and read as
+	// pending (a replay of it is a cache hit; see CHANGES.md, PR 17).
 	j := journalAt(t, path)
-	o := New(Config{Workers: 1, Journal: j, Run: countingRun(&sync.Mutex{}, new(int))})
+	submitted := make(chan struct{})
+	run := countingRun(&sync.Mutex{}, new(int))
+	o := New(Config{Workers: 1, Journal: j, Run: func(ctx context.Context, job Job, progress func(done, total uint64)) (*JobResult, error) {
+		<-submitted
+		return run(ctx, job, progress)
+	}})
 	a, err := o.Submit(quickJob("403.gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := o.Submit(quickJob("429.mcf"))
+	close(submitted)
 	waitDone(t, o, a.ID)
 	waitDone(t, o, b.ID)
 	o.Close()
@@ -251,7 +261,7 @@ func TestJournalCompaction(t *testing.T) {
 // submissions still land.
 func TestQueueCapBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	started := make(chan struct{})
+	started := make(chan struct{}, 1) // buffered: the stub's non-blocking send must not be lost when it runs before the receive below
 	o := New(Config{Workers: 1, QueueCap: 2, Run: func(ctx context.Context, job Job, _ func(uint64, uint64)) (*JobResult, error) {
 		select {
 		case started <- struct{}{}:
@@ -323,7 +333,7 @@ func TestRateLimiter(t *testing.T) {
 // HTTP layer: a full queue answers 429 with a Retry-After hint.
 func TestServerQueueFullAnd429(t *testing.T) {
 	release := make(chan struct{})
-	started := make(chan struct{})
+	started := make(chan struct{}, 1) // buffered: the stub's non-blocking send must not be lost when it runs before the receive below
 	o := New(Config{Workers: 1, QueueCap: 1, Run: func(ctx context.Context, job Job, _ func(uint64, uint64)) (*JobResult, error) {
 		select {
 		case started <- struct{}{}:

@@ -88,8 +88,8 @@ type Config struct {
 	// resolve their recorded streams through (default: a fresh
 	// memory-only store).
 	Traces *trace.Store
-	// Run executes one job (default: Engine.Run over Cache and Traces).
-	// Tests inject stubs here.
+	// Run, when set, replaces Engine.Run as what the engine executes on a
+	// miss (a fleet coordinator's Dispatch, a test stub); nothing else.
 	Run RunFunc
 	// RecordCap bounds retained job records (default: 4096). Terminal
 	// records beyond the cap are pruned oldest-first so a long-running
@@ -169,6 +169,7 @@ type Orchestrator struct {
 	cfg    Config
 	cache  *Cache
 	traces *trace.Store
+	engine *Engine // the pool enters its flight step after submit's lookup
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -222,9 +223,6 @@ func New(cfg Config) *Orchestrator {
 	if cfg.Traces == nil {
 		cfg.Traces = trace.NewStore("")
 	}
-	if cfg.Run == nil {
-		cfg.Run = NewEngine(cfg.Cache, cfg.Traces).Run
-	}
 	if cfg.RecordCap <= 0 {
 		cfg.RecordCap = 4096
 	}
@@ -235,6 +233,7 @@ func New(cfg Config) *Orchestrator {
 		cfg:     cfg,
 		cache:   cfg.Cache,
 		traces:  cfg.Traces,
+		engine:  NewEngine(cfg.Cache, cfg.Traces),
 		queue:   newTaskQueue(),
 		records: make(map[string]*task),
 		byKey:   make(map[string]*task),
@@ -242,6 +241,9 @@ func New(cfg Config) *Orchestrator {
 		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
 		started: time.Now(),
 		log:     cfg.Logger,
+	}
+	if cfg.Run != nil {
+		o.engine.exec = cfg.Run
 	}
 	o.metricsSnap.Store(&Metrics{})
 	o.cond = sync.NewCond(&o.mu)
@@ -943,8 +945,8 @@ func (o *Orchestrator) Close() {
 	o.wg.Wait()
 }
 
-// worker is one pool goroutine: pop the highest-priority task, run it,
-// publish the result.
+// worker is one pool goroutine: pop the highest-priority task and get its
+// result through the engine.
 func (o *Orchestrator) worker() {
 	defer o.wg.Done()
 	for {
@@ -980,20 +982,15 @@ func (o *Orchestrator) worker() {
 		o.log.Info("job started", "job_id", t.id, "key", t.key,
 			"queue_seconds", queued.Seconds())
 
-		res, err := o.cfg.Run(ctx, t.job, func(done, total uint64) {
+		// submit made (and counted) the lookup, so the pool enters the
+		// engine past it. The result is published before the key, then
+		// byKey, is released: a submission in between coalesces or hits.
+		res, _, err := o.engine.flight(ctx, t.key, t.job, func(done, total uint64) {
 			t.progDone.Store(done)
 			t.progTotal.Store(total)
 		})
 		cancel()
 
-		// Publish the result before releasing the singleflight entry:
-		// otherwise an identical submission landing in between would
-		// neither coalesce nor hit the cache, and re-simulate. The run
-		// context (canceled, but its values intact) attributes injected
-		// persist faults to this job's trace.
-		if err == nil {
-			o.cache.PutCtx(ctx, t.key, res)
-		}
 		o.mu.Lock()
 		status := StatusDone
 		switch {

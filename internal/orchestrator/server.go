@@ -82,7 +82,7 @@ func (s *Server) SetSubmitLimit(rps float64, burst int) {
 // throttleSubmit enforces the per-client submit limit; it reports
 // whether the request was rejected (response already written).
 func (s *Server) throttleSubmit(w http.ResponseWriter, r *http.Request) bool {
-	if s.limit == nil {
+	if s.limit == nil || r.Method != http.MethodPost {
 		return false
 	}
 	client := r.RemoteAddr
@@ -103,34 +103,70 @@ func (s *Server) throttleSubmit(w http.ResponseWriter, r *http.Request) bool {
 func writeThrottled(w http.ResponseWriter, wait time.Duration, format string, args ...interface{}) {
 	secs := int(wait/time.Second) + 1 // round up; Retry-After takes whole seconds
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, format, args...)
+	WriteError(w, http.StatusTooManyRequests, format, args...)
 }
 
-// writeDegraded answers 503 with a Retry-After hint: the daemon is
-// read-only while its journal/store cannot make accepted work durable.
-// Unlike the 429 backpressure path this is not the client's fault, and
-// the hint is longer — disks do not heal in a second.
-func writeDegraded(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "10")
-	writeError(w, http.StatusServiceUnavailable, "%v", err)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON, WriteError and DecodeJSON are exported for the fleet's lease
+// routes, which lnucad mounts next to this API.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+func WriteError(w http.ResponseWriter, code int, format string, args ...interface{}) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// maxJSONBody bounds a JSON request body; the largest the API moves, a
+// completion carrying an 8-core LN+DN mix result, is 11 KB.
+const maxJSONBody = 1 << 20
+
+// DecodeJSON is the one way a JSON POST body enters the service: false
+// means it answered 405 (not a POST), 413 (over maxJSONBody) or 400.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	if r.Method != http.MethodPost {
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxJSONBody)
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		WriteError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", r.URL.Path, maxJSONBody)
+	case err != nil:
+		WriteError(w, http.StatusBadRequest, "bad %s body: %v", r.URL.Path, err)
+	}
+	return err == nil
+}
+
+// submitFailed answers a Submit error — 429 for a full queue, 503 for a
+// degraded store, 422 otherwise — and reports whether there was one.
+func submitFailed(w http.ResponseWriter, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case errors.Is(err, ErrQueueFull):
+		writeThrottled(w, time.Second, "%v", err)
+	case errors.Is(err, ErrDegraded):
+		// Read-only while the journal/store cannot make accepted work
+		// durable. Not the client's fault, and disks do not heal in a
+		// second: a longer hint than the 429's.
+		w.Header().Set("Retry-After", "10")
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
+	}
+	return true
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"status":         "ok",
 		"version":        s.build.Version,
 		"commit":         s.build.Commit,
@@ -146,20 +182,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // scraper sends.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	if wantsPrometheus(r) {
 		reg := s.orch.Registry()
 		if reg == nil {
-			writeError(w, http.StatusNotAcceptable, "no metrics registry configured; only the JSON snapshot is available")
+			WriteError(w, http.StatusNotAcceptable, "no metrics registry configured; only the JSON snapshot is available")
 			return
 		}
 		w.Header().Set("Content-Type", obs.ContentType)
 		_ = reg.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.orch.Metrics())
+	WriteJSON(w, http.StatusOK, s.orch.Metrics())
 }
 
 // wantsPrometheus decides the /metrics representation: an explicit
@@ -223,107 +259,78 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		// same Request the library and CLI front-ends build, so any
 		// entry path yields the same content key.
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad job body: %v", err)
+		if !DecodeJSON(w, r, &req) {
 			return
 		}
 		job, err := req.parse()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		// A submitted traceparent ties this job's spans to the caller's
 		// trace (Client sends one); absent, the job roots a fresh trace.
 		rec, err := s.orch.SubmitCtx(tracez.Extract(r.Context(), r.Header.Get(tracez.HeaderName)), job)
-		if errors.Is(err, ErrQueueFull) {
-			writeThrottled(w, time.Second, "%v", err)
-			return
-		}
-		if errors.Is(err, ErrDegraded) {
-			writeDegraded(w, err)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		if submitFailed(w, err) {
 			return
 		}
 		code := http.StatusAccepted
 		if rec.Status == StatusDone {
 			code = http.StatusOK // served straight from the cache
 		}
-		writeJSON(w, code, rec)
+		WriteJSON(w, code, rec)
 	case http.MethodGet:
 		status := Status(r.URL.Query().Get("status"))
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		WriteJSON(w, http.StatusOK, map[string]interface{}{
 			"jobs": s.orch.List(status),
 		})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 	}
 }
 
 func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "bad job path %q", r.URL.Path)
+		WriteError(w, http.StatusNotFound, "bad job path %q", r.URL.Path)
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		rec, ok := s.orch.Get(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %q", id)
+			WriteError(w, http.StatusNotFound, "unknown job %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, rec)
+		WriteJSON(w, http.StatusOK, rec)
 	case http.MethodDelete:
 		rec, ok := s.orch.Cancel(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %q", id)
+			WriteError(w, http.StatusNotFound, "unknown job %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, rec)
+		WriteJSON(w, http.StatusOK, rec)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 	}
 }
 
 func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	if s.throttleSubmit(w, r) {
-		return
-	}
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad sweep body: %v", err)
+	if s.throttleSubmit(w, r) || !DecodeJSON(w, r, &req) {
 		return
 	}
 	jobs, err := req.Jobs()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Cells accepted before a full queue or a degraded store rejected the
+	// rest keep running; a retried sweep re-dedups them (coalesce, cache).
 	sid, recs, err := s.orch.SubmitSweep(jobs)
-	if errors.Is(err, ErrQueueFull) {
-		// Cells accepted before the queue filled keep running; retrying
-		// the sweep later re-dedups them via coalescing and the cache.
-		writeThrottled(w, time.Second, "%v", err)
+	if submitFailed(w, err) {
 		return
 	}
-	if errors.Is(err, ErrDegraded) {
-		// Same partial-acceptance semantics as a filled queue: the sweep
-		// retried after recovery re-dedups already-accepted cells.
-		writeDegraded(w, err)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]interface{}{
+	WriteJSON(w, http.StatusAccepted, map[string]interface{}{
 		"id":   sid,
 		"jobs": recs,
 	})
@@ -331,25 +338,25 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweepByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/sweeps/")
 	if sid, ok := strings.CutSuffix(id, "/progress"); ok {
 		prog, ok := s.orch.Progress(sid)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown sweep %q", sid)
+			WriteError(w, http.StatusNotFound, "unknown sweep %q", sid)
 			return
 		}
-		writeJSON(w, http.StatusOK, prog)
+		WriteJSON(w, http.StatusOK, prog)
 		return
 	}
 	st, ok := s.orch.Sweep(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", id)
+		WriteError(w, http.StatusNotFound, "unknown sweep %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // maxTraceBytes bounds a trace upload; the full-mode window encodes to
@@ -365,25 +372,25 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		data, err := io.ReadAll(io.LimitReader(r.Body, maxTraceBytes+1))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading trace body: %v", err)
+			WriteError(w, http.StatusBadRequest, "reading trace body: %v", err)
 			return
 		}
 		if len(data) > maxTraceBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, "trace exceeds %d bytes", maxTraceBytes)
+			WriteError(w, http.StatusRequestEntityTooLarge, "trace exceeds %d bytes", maxTraceBytes)
 			return
 		}
 		hdr, err := s.orch.Traces().PutBytes(data)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, hdr)
+		WriteJSON(w, http.StatusCreated, hdr)
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		WriteJSON(w, http.StatusOK, map[string]interface{}{
 			"traces": s.orch.Traces().List(),
 		})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 	}
 }
 
@@ -392,7 +399,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // distributed trace from the flight recorder.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/traces/")
@@ -401,15 +408,15 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "bad trace path %q", r.URL.Path)
+		WriteError(w, http.StatusNotFound, "bad trace path %q", r.URL.Path)
 		return
 	}
 	hdr, err := s.orch.Traces().Header(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, hdr)
+	WriteJSON(w, http.StatusOK, hdr)
 }
 
 // serveSpans resolves a job ID (or, as a fallback, a raw 32-hex trace
@@ -417,7 +424,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveSpans(w http.ResponseWriter, id string) {
 	fr := s.orch.Flight()
 	if fr == nil {
-		writeError(w, http.StatusNotFound, "tracing is not enabled on this daemon")
+		WriteError(w, http.StatusNotFound, "tracing is not enabled on this daemon")
 		return
 	}
 	jobID := ""
@@ -430,15 +437,15 @@ func (s *Server) serveSpans(w http.ResponseWriter, id string) {
 		traceID = id
 	}
 	if traceID == "" {
-		writeError(w, http.StatusNotFound, "job %q has no recorded trace", id)
+		WriteError(w, http.StatusNotFound, "job %q has no recorded trace", id)
 		return
 	}
 	spans := fr.Spans(traceID)
 	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "no spans recorded for %q", id)
+		WriteError(w, http.StatusNotFound, "no spans recorded for %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"job_id":   jobID,
 		"trace_id": traceID,
 		"spans":    spans,
@@ -455,24 +462,19 @@ const maxSpanBatch = 512
 // validated and must carry lnuca.-dotted names; the endpoint is
 // telemetry-only and never affects job state.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+	var body struct {
+		Spans []tracez.Span `json:"spans"`
+	}
+	if !DecodeJSON(w, r, &body) {
 		return
 	}
 	rec := s.orch.SpanRecorder()
 	if rec == nil {
-		writeError(w, http.StatusNotFound, "tracing is not enabled on this daemon")
-		return
-	}
-	var body struct {
-		Spans []tracez.Span `json:"spans"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad span body: %v", err)
+		WriteError(w, http.StatusNotFound, "tracing is not enabled on this daemon")
 		return
 	}
 	if len(body.Spans) > maxSpanBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "span batch exceeds %d spans", maxSpanBatch)
+		WriteError(w, http.StatusRequestEntityTooLarge, "span batch exceeds %d spans", maxSpanBatch)
 		return
 	}
 	accepted := 0
@@ -486,7 +488,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		rec.Record(sp)
 		accepted++
 	}
-	writeJSON(w, http.StatusAccepted, map[string]interface{}{
+	WriteJSON(w, http.StatusAccepted, map[string]interface{}{
 		"accepted": accepted,
 		"dropped":  len(body.Spans) - accepted,
 	})
@@ -498,7 +500,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 // work.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	q := r.URL.Query()
@@ -516,7 +518,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}{{"warmup", &req.Warmup}, {"measure", &req.Measure}, {"seed", &req.Seed}} {
 		if v := q.Get(f.name); v != "" {
 			if *f.dst, err = strconv.ParseUint(v, 10, 64); err != nil {
-				writeError(w, http.StatusBadRequest, "bad %s: %v", f.name, err)
+				WriteError(w, http.StatusBadRequest, "bad %s: %v", f.name, err)
 				return
 			}
 		}
@@ -527,34 +529,34 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}{{"levels", &req.Levels}, {"cores", &req.Cores}} {
 		if v := q.Get(f.name); v != "" {
 			if *f.dst, err = strconv.Atoi(v); err != nil {
-				writeError(w, http.StatusBadRequest, "bad %s: %v", f.name, err)
+				WriteError(w, http.StatusBadRequest, "bad %s: %v", f.name, err)
 				return
 			}
 		}
 	}
 	job, err := req.parse()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	res, ok, err := s.orch.Lookup(job)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for this configuration")
+		WriteError(w, http.StatusNotFound, "no cached result for this configuration")
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"benchmarks": workload.Names(),
 		"mixes":      append(workload.MixNames(), workload.RandomMixName),
 	})

@@ -231,22 +231,6 @@ func ArithmeticMean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeometricMean returns the geometric mean of xs (NaN when empty or when
-// any entry is non-positive).
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
 // SpeedupPercent returns the relative improvement of v over base in
 // percent: 100*(v-base)/base.
 func SpeedupPercent(v, base float64) float64 {
@@ -298,10 +282,6 @@ func (h *Histogram) Observe(v int) {
 
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// NumBuckets returns the in-range bucket count (the [0, n) of
-// NewHistogram); samples at or beyond it land in the overflow bucket.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // Clone returns an independent deep copy (nil stays nil), so a snapshot
 // taken at a window boundary is immune to later Observes.

@@ -54,8 +54,3 @@ const (
 func Seconds(cycles uint64) float64 {
 	return float64(cycles) * CycleSeconds
 }
-
-// CyclesPerNanosecond reports how many clock cycles fit in one nanosecond.
-func CyclesPerNanosecond() float64 {
-	return 1e3 / CyclePicoseconds
-}

@@ -35,14 +35,6 @@ func TestCyclePicoseconds(t *testing.T) {
 	}
 }
 
-func TestCyclesPerNanosecond(t *testing.T) {
-	got := CyclesPerNanosecond()
-	// 300 ps cycle -> 3.33 cycles per ns.
-	if got < 3.0 || got > 3.7 {
-		t.Fatalf("CyclesPerNanosecond = %v, want ~3.33", got)
-	}
-}
-
 func TestDeviceClassString(t *testing.T) {
 	cases := []struct {
 		d    DeviceClass

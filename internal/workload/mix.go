@@ -128,25 +128,3 @@ func ResolveMix(spec string, cores int, seed uint64) ([]string, error) {
 	return nil, fmt.Errorf("workload: unknown mix %q (want one of %s, %s, or a comma-separated benchmark list)",
 		spec, strings.Join(MixNames(), ", "), RandomMixName)
 }
-
-// MixProfiles resolves a mix spec to full profiles.
-func MixProfiles(spec string, cores int, seed uint64) ([]Profile, error) {
-	names, err := ResolveMix(spec, cores, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Profile, len(names))
-	for i, n := range names {
-		p, ok := ByName(n)
-		if !ok {
-			return nil, fmt.Errorf("workload: unknown benchmark %q", n)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// MixLabel renders a resolved mix compactly for job records and tables.
-func MixLabel(benchmarks []string) string {
-	return strings.Join(benchmarks, "+")
-}

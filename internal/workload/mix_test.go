@@ -97,25 +97,6 @@ func TestResolveExplicitMix(t *testing.T) {
 	}
 }
 
-func TestMixLabel(t *testing.T) {
-	if got := MixLabel([]string{"a", "b"}); got != "a+b" {
-		t.Fatalf("MixLabel = %q", got)
-	}
-}
-
-func TestMixProfiles(t *testing.T) {
-	profs, err := MixProfiles("memory", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profs) != 4 {
-		t.Fatalf("%d profiles", len(profs))
-	}
-	if profs[0].Name != "429.mcf" {
-		t.Fatalf("memory mix starts with %s", profs[0].Name)
-	}
-}
-
 // TestGeneratorAddressSpaceOffset: a CMP core's generator must never
 // produce addresses outside its own 4GB window, and the stream must be
 // the same stream merely shifted.

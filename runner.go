@@ -2,6 +2,7 @@ package lightnuca
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/orchestrator"
@@ -88,4 +89,14 @@ func (l *Local) Run(ctx context.Context, req Request) (Result, error) {
 func (l *Local) CacheStats() (hits, misses uint64) {
 	l.init()
 	return l.cache.Hits(), l.cache.Misses()
+}
+
+// CacheSummary renders CacheStats as the line the CLIs end a run with.
+func (l *Local) CacheSummary() string {
+	hits, misses := l.CacheStats()
+	where := "in memory"
+	if l.CacheDir != "" {
+		where = l.CacheDir
+	}
+	return fmt.Sprintf("result cache: %d hits, %d misses (%s)", hits, misses, where)
 }
