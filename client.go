@@ -458,32 +458,71 @@ func (c *Client) SubmitSweep(ctx context.Context, sweep Sweep) (SweepSubmission,
 	return sub, err
 }
 
-// Sweep polls a sweep's aggregated status.
+// Sweep polls a sweep's aggregated status, every cell's record included.
 func (c *Client) Sweep(ctx context.Context, id string) (SweepStatus, error) {
+	return c.sweepSince(ctx, id, 0)
+}
+
+// sweepSince fetches a sweep's status with only the records that changed
+// after cursor since (0: all of them).
+func (c *Client) sweepSince(ctx context.Context, id string, since uint64) (SweepStatus, error) {
+	path := "/v1/sweeps/" + url.PathEscape(id)
+	if since > 0 {
+		path += "?since=" + strconv.FormatUint(since, 10)
+	}
 	var st SweepStatus
-	err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+url.PathEscape(id), nil, &st)
+	err := c.do(ctx, http.MethodGet, path, nil, &st)
 	return st, err
 }
 
 // WaitSweep polls a sweep until every cell is terminal, streaming each
-// aggregated snapshot to onUpdate when non-nil.
+// aggregated snapshot to onUpdate when non-nil, and returns the last:
+// every cell's record, in sweep order, with its result.
+//
+// Each poll names the cursor of the answer before it, so the service
+// sends a record once per status transition instead of once per poll;
+// WaitSweep merges those deltas, by job ID, into the records of its first
+// answer (a cell the sweep lists twice is updated in both places), and a
+// service that ignores the cursor and sends everything merges to the same
+// snapshot. The counts in a snapshot are as of its poll; a live cell's
+// progress and timeline are as of that cell's last transition —
+// GET /v1/sweeps/{id}/progress is the live view.
 func (c *Client) WaitSweep(ctx context.Context, id string, onUpdate func(SweepStatus)) (SweepStatus, error) {
 	ticker := time.NewTicker(c.pollInterval())
 	defer ticker.Stop()
+	var merged SweepStatus
+	var at map[string][]int // job ID -> its positions in merged.Jobs
 	for {
-		st, err := c.Sweep(ctx, id)
+		st, err := c.sweepSince(ctx, id, merged.Cursor)
 		if err != nil {
 			return SweepStatus{}, err
 		}
-		if onUpdate != nil {
-			onUpdate(st)
+		if at == nil {
+			at = make(map[string][]int, len(st.Jobs))
+			for i, rec := range st.Jobs {
+				at[rec.ID] = append(at[rec.ID], i)
+			}
+		} else {
+			for _, rec := range st.Jobs {
+				for _, i := range at[rec.ID] {
+					merged.Jobs[i] = rec
+				}
+			}
+			st.Jobs = merged.Jobs
 		}
-		if st.Done {
-			return st, nil
+		merged = st
+		if onUpdate != nil {
+			// A copy: the callback may keep it, the next merge writes Jobs.
+			snap := merged
+			snap.Jobs = append([]JobRecord(nil), merged.Jobs...)
+			onUpdate(snap)
+		}
+		if merged.Done {
+			return merged, nil
 		}
 		select {
 		case <-ctx.Done():
-			return st, ctx.Err()
+			return merged, ctx.Err()
 		case <-ticker.C:
 		}
 	}

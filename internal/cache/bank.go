@@ -171,6 +171,46 @@ func (b *Bank) Fill(a mem.Addr, dirty bool) (Victim, bool) {
 	return evicted, hasVictim
 }
 
+// PreloadRange installs every block of [base, base+bytes) clean, leaving
+// the bank exactly as Fill(base+off, false) for off = 0, BlockBytes, ...
+// < bytes would, victims dropped — but set by set rather than block by
+// block: a set receives every numSets-th block of the range, so it ends
+// up holding those blocks newest first, then what it held before,
+// truncated to its ways. The range must hold no block already present
+// (functional warmup regions are disjoint by construction); one that
+// does is a wiring bug and panics.
+func (b *Bank) PreloadRange(base mem.Addr, bytes int) {
+	first := b.Line(base)
+	blocks := (bytes + b.cfg.BlockBytes - 1) >> b.blockShift
+	end := first + mem.Addr(blocks)<<b.blockShift
+	s0 := b.setIndex(first)
+	for j := 0; j < blocks && j < b.numSets; j++ {
+		set := b.sets[(s0+j)&int(b.setMask)]
+		held := 0
+		for held < len(set) && set[held].valid {
+			if l := set[held].line; l >= first && l < end {
+				panic(fmt.Sprintf("cache: PreloadRange [%#x,%#x) over resident block %#x", first, end, l))
+			}
+			held++
+		}
+		// Blocks j, j+numSets, ... of the range map here; the last is newest.
+		fresh := (blocks-1-j)/b.numSets + 1
+		newest := j + (fresh-1)*b.numSets
+		if fresh > len(set) {
+			fresh = len(set)
+		}
+		keep := held
+		if keep > len(set)-fresh {
+			keep = len(set) - fresh
+		}
+		copy(set[fresh:fresh+keep], set[:keep])
+		for i := 0; i < fresh; i++ {
+			set[i] = way{line: first + mem.Addr(newest-i*b.numSets)<<b.blockShift, valid: true}
+		}
+		b.occ += fresh + keep - held
+	}
+}
+
 // Invalidate removes the block containing a, returning whether it was
 // present and whether it was dirty. Used for content exclusion: when an
 // L-NUCA tile hits, the block leaves the tile.

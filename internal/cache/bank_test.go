@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 func mkBank(t *testing.T, size, ways, block int) *Bank {
@@ -237,4 +238,71 @@ func TestBankCapacity(t *testing.T) {
 	if b.Occupancy() != 256 {
 		t.Fatalf("Occupancy = %d, want 256", b.Occupancy())
 	}
+}
+
+// TestPreloadRangeMatchesFillLoop: on seeded random geometries, prior
+// content and ranges, PreloadRange leaves every set — line, valid and
+// dirty, way by way — and the occupancy exactly as the block-by-block
+// Fill loop it replaces does; a range over a resident block panics.
+func TestPreloadRangeMatchesFillLoop(t *testing.T) {
+	rng := sim.NewRand(18)
+	for trial := 0; trial < 300; trial++ {
+		ways := 1 + rng.Intn(16)
+		sets := 1 << rng.Intn(13)
+		block := 32 << rng.Intn(3)
+		cfg := BankConfig{SizeBytes: ways * sets * block, Ways: ways, BlockBytes: block}
+		got, want := NewBank(cfg), NewBank(cfg)
+
+		// One block up to three times the capacity, so sets overflow and
+		// evict old and new blocks alike; the size is cut short of a
+		// block multiple two times in three.
+		capacity := ways * sets
+		if capacity > 4096 && trial%4 != 0 {
+			capacity = 4096 // most big banks get a partial range: not every set is touched
+		}
+		blocks := 1 + rng.Intn(3*capacity)
+		base := mem.Addr(1<<20+rng.Intn(1<<16)) * mem.Addr(block)
+		bytes := blocks * block
+		if rng.Intn(3) > 0 {
+			bytes -= rng.Intn(block)
+		}
+		end := base + mem.Addr(blocks*block)
+
+		for n := rng.Intn(2 * ways * sets); n > 0; n-- {
+			a := mem.Addr(rng.Intn(1<<22)) * mem.Addr(block)
+			if a >= base {
+				a += end - base // keep prior content outside the range
+			}
+			dirty := rng.Bool(0.3)
+			got.Fill(a, dirty)
+			want.Fill(a, dirty)
+		}
+
+		got.PreloadRange(base, bytes)
+		for off := 0; off < bytes; off += block {
+			want.Fill(base+mem.Addr(off), false)
+		}
+
+		if got.Occupancy() != want.Occupancy() {
+			t.Fatalf("trial %d %+v range %d blocks: Occupancy = %d, Fill loop leaves %d",
+				trial, cfg, blocks, got.Occupancy(), want.Occupancy())
+		}
+		for s := range want.sets {
+			for w := range want.sets[s] {
+				if got.sets[s][w] != want.sets[s][w] {
+					t.Fatalf("trial %d %+v range %d blocks: set %d way %d = %+v, Fill loop leaves %+v",
+						trial, cfg, blocks, s, w, got.sets[s][w], want.sets[s][w])
+				}
+			}
+		}
+	}
+
+	b := mkBank(t, 8192, 2, 32)
+	b.Fill(0x1040, true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PreloadRange over a resident block did not panic")
+		}
+	}()
+	b.PreloadRange(0x1000, 256)
 }

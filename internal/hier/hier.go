@@ -393,13 +393,10 @@ func registerAll(k *sim.Kernel, comps []sim.Component, shuffle uint64) {
 // and cool regions into the structures that would hold them in steady
 // state — its own private levels and the last level all cores share —
 // the same role SimPoint-style checkpoint warming plays for the paper's
-// 200M-instruction warmup.
+// 200M-instruction warmup. A region that goes whole into one bank is
+// preloaded set by set (cache.Bank.PreloadRange); tiles and D-NUCA banks
+// are chosen per line by free space, so those go in line by line.
 func (s *System) Prewarm() {
-	fill32 := func(bank *cache.Bank, base mem.Addr, kb int) {
-		for off := 0; off < kb<<10; off += 32 {
-			bank.Fill(base+mem.Addr(off), false)
-		}
-	}
 	for i, prof := range s.profiles {
 		off := CoreOffset(i)
 		hotB, hotKB := workload.HotRange(prof)
@@ -408,15 +405,13 @@ func (s *System) Prewarm() {
 		hotB, warmB, coolB = hotB+off, warmB+off, coolB+off
 
 		if s.Fabrics != nil {
-			fill32(s.Fabrics[i].RTileBank(), hotB, hotKB)
+			s.Fabrics[i].RTileBank().PreloadRange(hotB, hotKB<<10)
 			prewarmTiles(s.Fabrics[i], warmB, warmKB)
 		} else {
-			fill32(s.L1s[i].Bank(), hotB, hotKB)
+			s.L1s[i].Bank().PreloadRange(hotB, hotKB<<10)
 		}
 		if s.L2s != nil {
-			for o := 0; o < warmKB<<10; o += 64 {
-				s.L2s[i].Bank().Fill(warmB+mem.Addr(o), false)
-			}
+			s.L2s[i].Bank().PreloadRange(warmB, warmKB<<10)
 		}
 		if s.L3 != nil {
 			prewarmLLC(s.L3, hotB, hotKB, warmB, warmKB, coolB, coolKB)
@@ -426,20 +421,12 @@ func (s *System) Prewarm() {
 	}
 }
 
-// prewarmLLC installs hot+warm+cool into an inclusive SRAM LLC.
+// prewarmLLC installs cool, then warm, then hot into an inclusive SRAM
+// LLC, so the hottest region ends up most recently used.
 func prewarmLLC(l3 *cache.Controller, hotB mem.Addr, hotKB int, warmB mem.Addr, warmKB int, coolB mem.Addr, coolKB int) {
-	for off := 0; off < (coolKB+warmKB+hotKB)<<10; off += 128 {
-		a := mem.Addr(off)
-		switch {
-		case off < coolKB<<10:
-			a += coolB
-		case off < (coolKB+warmKB)<<10:
-			a = warmB + a - mem.Addr(coolKB<<10)
-		default:
-			a = hotB + a - mem.Addr((coolKB+warmKB)<<10)
-		}
-		l3.Bank().Fill(a, false)
-	}
+	l3.Bank().PreloadRange(coolB, coolKB<<10)
+	l3.Bank().PreloadRange(warmB, warmKB<<10)
+	l3.Bank().PreloadRange(hotB, hotKB<<10)
 }
 
 // prewarmTiles spreads warm-region lines across the fabric tiles,

@@ -140,6 +140,9 @@ type task struct {
 	canceled bool // cancel requested while still queued
 	seq      uint64
 	heapIdx  int // -1 when not queued
+	// rev is the orchestrator revision at this task's last status
+	// transition: what a sweep poll's since= cursor is compared with.
+	rev uint64
 
 	// Lifecycle timestamps; startedAt/finishedAt are zero until the
 	// transition happens. For fleet-dispatched jobs startedAt is reset
@@ -179,6 +182,7 @@ type Orchestrator struct {
 	sweeps   map[string][]string
 	terminal []string // terminal record IDs, oldest first (pruning order)
 	seq      uint64
+	rev      uint64 // status transitions so far; see setStatusLocked
 	closed   bool
 	wg       sync.WaitGroup
 
@@ -453,7 +457,7 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (_ JobRecord, err err
 		o.submitted++
 		o.cached++
 		t := o.newTaskLocked(nj, key)
-		t.status = StatusDone
+		o.setStatusLocked(t, StatusDone)
 		t.cached = true
 		t.result = res
 		t.traceID = tracez.TraceIDFrom(ctx)
@@ -519,7 +523,7 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (_ JobRecord, err err
 	}
 	o.submitted++
 	t := o.newTaskLocked(nj, key)
-	t.status = StatusQueued
+	o.setStatusLocked(t, StatusQueued)
 	//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
 	t.submittedAt = time.Now()
 	// The job root span opens here and closes at the terminal
@@ -641,12 +645,20 @@ func (o *Orchestrator) newTaskLocked(j Job, key string) *task {
 	return t
 }
 
+// setStatusLocked is the one place a task's status changes. It stamps the
+// task with the next revision, so a sweep poll that names the revision it
+// last saw (SweepSince) is sent only the records that moved since.
+func (o *Orchestrator) setStatusLocked(t *task, s Status) {
+	o.rev++
+	t.status, t.rev = s, o.rev
+}
+
 // finishLocked is the one terminal transition of a task that was queued
 // or running: status, finish time, singleflight release, lifecycle
 // counter, span close, retention. err is the run's error (nil for done,
 // and for a task canceled before it ran).
 func (o *Orchestrator) finishLocked(t *task, status Status, err error) {
-	t.status = status
+	o.setStatusLocked(t, status)
 	//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
 	t.finishedAt = time.Now()
 	// A cancel-then-resubmit may have replaced this key's live task;
@@ -807,20 +819,40 @@ type SweepStatus struct {
 	ByState map[Status]int `json:"by_state"`
 	// Pruned counts cells whose terminal records aged out of the
 	// retention cap; they completed, but their snapshots are gone.
-	Pruned int         `json:"pruned,omitempty"`
-	Done   bool        `json:"done"` // every job terminal
-	Jobs   []JobRecord `json:"jobs"`
+	Pruned int  `json:"pruned,omitempty"`
+	Done   bool `json:"done"` // every job terminal
+	// Jobs holds, in sweep order, the cells that changed status after the
+	// revision the request named: every retained cell when it named none.
+	Jobs []JobRecord `json:"jobs"`
+	// Cursor is the revision this answer is current to: passed back as
+	// since, the next answer carries only what changed after it.
+	Cursor uint64 `json:"cursor"`
 }
 
-// Sweep returns the aggregated status of a sweep.
-func (o *Orchestrator) Sweep(id string) (SweepStatus, bool) {
+// Sweep returns the aggregated status of a sweep with every retained
+// cell's record.
+func (o *Orchestrator) Sweep(id string) (SweepStatus, bool) { return o.SweepSince(id, 0) }
+
+// SweepSince returns the status of a sweep as a delta: the counts cover
+// every cell, Jobs only the cells whose status changed after revision
+// since (a Cursor from an earlier answer; 0 selects them all). A cell is
+// therefore sent once per transition — queued, running, terminal with its
+// result — and a poll costs what changed, not what exists. A live cell's
+// progress and timeline are as of its last transition, not of the poll:
+// Progress (GET /v1/sweeps/{id}/progress) is the live view. Asking again
+// with the same since returns at least the same records, so a retried
+// poll loses nothing.
+func (o *Orchestrator) SweepSince(id string, since uint64) (SweepStatus, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	ids, ok := o.sweeps[id]
 	if !ok {
 		return SweepStatus{}, false
 	}
-	st := SweepStatus{ID: id, Total: len(ids), ByState: map[Status]int{}, Done: true}
+	st := SweepStatus{
+		ID: id, Total: len(ids), ByState: map[Status]int{}, Done: true, Cursor: o.rev,
+		Jobs: []JobRecord{}, // "jobs":[] on the wire when nothing changed, not null
+	}
 	for _, jid := range ids {
 		t, ok := o.records[jid]
 		if !ok {
@@ -828,12 +860,13 @@ func (o *Orchestrator) Sweep(id string) (SweepStatus, bool) {
 			st.Pruned++
 			continue
 		}
-		rec := o.snapshot(t)
-		st.ByState[rec.Status]++
-		if !rec.Status.Terminal() {
+		st.ByState[t.status]++
+		if !t.status.Terminal() {
 			st.Done = false
 		}
-		st.Jobs = append(st.Jobs, rec)
+		if t.rev > since {
+			st.Jobs = append(st.Jobs, o.snapshot(t))
+		}
 	}
 	return st, true
 }
@@ -959,7 +992,7 @@ func (o *Orchestrator) worker() {
 			return
 		}
 		t, _ := o.queue.Pop()
-		t.status = StatusRunning
+		o.setStatusLocked(t, StatusRunning)
 		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
 		t.startedAt = time.Now()
 		queued := t.startedAt.Sub(t.submittedAt)

@@ -23,7 +23,7 @@ import (
 //	GET    /v1/jobs/{id}   poll one job (result inlined when done)
 //	DELETE /v1/jobs/{id}   cancel a queued or running job
 //	POST   /v1/sweeps      submit a benchmark x hierarchy matrix
-//	GET    /v1/sweeps/{id} aggregated sweep status
+//	GET    /v1/sweeps/{id} aggregated sweep status (?since=<cursor>: only the records changed since)
 //	GET    /v1/sweeps/{id}/progress  per-point progress, ETA, stragglers
 //	POST   /v1/traces      upload a recorded lnuca-trace-v1 stream
 //	GET    /v1/traces      list stored traces
@@ -351,7 +351,16 @@ func (s *Server) handleSweepByID(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, prog)
 		return
 	}
-	st, ok := s.orch.Sweep(id)
+	// since is the cursor of an earlier answer: absent, every record.
+	var since uint64
+	if v := r.URL.Query().Get("since"); v != "" {
+		var err error
+		if since, err = strconv.ParseUint(v, 10, 64); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad since: %v", err)
+			return
+		}
+	}
+	st, ok := s.orch.SweepSince(id, since)
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown sweep %q", id)
 		return

@@ -258,7 +258,7 @@ func (g *Generator) Next() (cpu.Op, bool) {
 	g.seq++
 	g.lastLoadDist++
 	r := g.rng.Float64()
-	p := g.p
+	p := &g.p
 	switch {
 	case r < p.LoadFrac:
 		return g.loadOp(), true
@@ -351,7 +351,7 @@ func (g *Generator) address() (mem.Addr, zone) {
 // rawAddress draws from the region mixture in the canonical (base-0)
 // address space.
 func (g *Generator) rawAddress() (mem.Addr, zone) {
-	p := g.p
+	p := &g.p
 	r := g.rng.Float64()
 	switch {
 	case r < p.HotFrac:

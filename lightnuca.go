@@ -111,7 +111,9 @@ type CoreResult = exp.CoreResult
 // result once done.
 type JobRecord = orchestrator.JobRecord
 
-// SweepStatus aggregates the records of one submitted sweep.
+// SweepStatus aggregates the records of one submitted sweep. From
+// Client.Sweep, RunSweep and WaitSweep its Jobs hold every cell; Cursor
+// is what WaitSweep passes back so each poll carries only what changed.
 type SweepStatus = orchestrator.SweepStatus
 
 // Metrics is the lnucad operational counter snapshot (GET /metrics).
