@@ -194,7 +194,8 @@ func reportDrift(pass *Pass, at token.Pos, schema, what string, want, got []stri
 }
 
 // structLines renders the serialized shape of a named struct: one line
-// per field with name, type (package-qualified), and json tag.
+// per field encoding/json can reach (exported, or embedded) with name,
+// type (package-qualified), and json tag.
 func structLines(pass *Pass, name string) ([]string, token.Pos, error) {
 	obj := pass.Pkg.Scope().Lookup(name)
 	if obj == nil {
@@ -208,6 +209,9 @@ func structLines(pass *Pass, name string) ([]string, token.Pos, error) {
 	lines := make([]string, 0, st.NumFields())
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
+		if !f.Exported() && !f.Embedded() {
+			continue // encoding/json never sees it: no part of the serialized shape
+		}
 		tag := reflect.StructTag(st.Tag(i)).Get("json")
 		lines = append(lines, fmt.Sprintf("%s %s json:%q", f.Name(), types.TypeString(f.Type(), qual), tag))
 	}

@@ -12,7 +12,8 @@ func goldenSchemaSpecs() (SchemaManifest, []SchemaSpec) {
 	manifest := SchemaManifest{
 		"test-v1": {
 			Structs: map[string][]string{
-				"Stable":  {`A int json:"a"`, `B string json:"b"`},
+				// Stable also has an unexported memo []byte: no line for it.
+				"Stable":  {`A int json:"a"`, `B string json:"b"`, `base schema.base json:""`},
 				"Drifted": {`A int json:"a"`, `B int json:"b"`},
 			},
 			Formats: map[string][]string{"Key": {"%s|a=%d"}},

@@ -11,10 +11,18 @@ const keySchema = "test-v1"
 
 const minor = 3 // want `const minor = 3 drifted from manifest value 2`
 
-// Stable matches its committed fingerprint exactly.
+// Stable matches its committed fingerprint exactly: memo is unexported,
+// so encoding/json never sees it and the fingerprint leaves it out; the
+// embedded base it does see, through its promoted field.
 type Stable struct {
 	A int    `json:"a"`
 	B string `json:"b"`
+	base
+	memo []byte
+}
+
+type base struct {
+	C int `json:"c"`
 }
 
 // Drifted renames the manifest's `B int json:"b"` field: the break the

@@ -149,20 +149,34 @@ func (c *Cache) PutCtx(ctx context.Context, key string, res *JobResult) {
 		cp.Phases = nil
 		res = &cp
 	}
+	if c.dir == "" {
+		c.install(key, res)
+		return
+	}
+	// Encode once: these bytes go to the file and stay on the entry, where
+	// MarshalJSON serves them on every later hit. The entry is a copy, so
+	// the caller's struct is left as it came.
+	data, err := res.encode()
+	if err == nil && res != nil {
+		entry := *res
+		entry.stored = data
+		res = &entry
+	}
 	c.install(key, res)
-	if c.dir != "" {
-		if err := c.save(key, res, tracez.TraceIDFrom(ctx)); err != nil {
-			// The store is an optimization; a failed write only costs a
-			// recomputation in a future process. But consecutive failures
-			// are a sick disk, and feed Degraded.
-			n := c.writeErrs.Add(1)
-			fmt.Fprintf(os.Stderr, "orchestrator: cache store: %v (%d consecutive)\n", err, n)
-			if n == degradedAfter {
-				fmt.Fprintf(os.Stderr, "orchestrator: cache %s: %d consecutive write failures — entering degraded (read-only) mode\n", c.dir, n)
-			}
-		} else {
-			c.writeErrs.Store(0)
+	if err == nil {
+		err = c.save(key, data, tracez.TraceIDFrom(ctx))
+	}
+	if err != nil {
+		// The store is an optimization; a failed write only costs a
+		// recomputation in a future process. But consecutive failures
+		// are a sick disk, and feed Degraded.
+		n := c.writeErrs.Add(1)
+		fmt.Fprintf(os.Stderr, "orchestrator: cache store: %v (%d consecutive)\n", err, n)
+		if n == degradedAfter {
+			fmt.Fprintf(os.Stderr, "orchestrator: cache %s: %d consecutive write failures — entering degraded (read-only) mode\n", c.dir, n)
 		}
+	} else {
+		c.writeErrs.Store(0)
 	}
 }
 
@@ -238,6 +252,14 @@ func (c *Cache) load(key string) (*JobResult, bool) {
 		c.discardCorrupt(path, fmt.Errorf("decoded result is structurally invalid"))
 		return nil, false
 	}
+	if res.Phases != nil {
+		// Put never stores Phases: a foreign or hand-edited file. Cached
+		// results carry none, so neither does this one, and it is encoded
+		// per hit — its file's bytes are not what it now says.
+		res.Phases = nil
+	} else {
+		res.stored = data
+	}
 	return &res, true
 }
 
@@ -248,11 +270,7 @@ func (c *Cache) discardCorrupt(path string, cause error) {
 	}
 }
 
-func (c *Cache) save(key string, res *JobResult, traceID string) error {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
+func (c *Cache) save(key string, data []byte, traceID string) error {
 	// Write-to-temp + atomic rename, with a unique temp name per writer:
 	// concurrent processes (fleet workers, a coordinator, CLIs sharing
 	// one cache dir) may persist the same key at once, and a shared temp

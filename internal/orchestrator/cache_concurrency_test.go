@@ -17,6 +17,10 @@ func TestCacheConcurrentWritersSameKey(t *testing.T) {
 	dir := t.TempDir()
 	res := &JobResult{Config: "LN3-144KB", Benchmark: "403.gcc",
 		IPC: 1.25, Cycles: 800}
+	data, err := res.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	const writers = 16
 	const keys = 4
 	var wg sync.WaitGroup
@@ -28,7 +32,7 @@ func TestCacheConcurrentWritersSameKey(t *testing.T) {
 			c := NewCache(0, dir)
 			for k := 0; k < keys; k++ {
 				key := strings.Repeat("k", 8) + string(rune('a'+k))
-				if err := c.save(key, res, ""); err != nil {
+				if err := c.save(key, data, ""); err != nil {
 					errCh <- err
 				}
 			}

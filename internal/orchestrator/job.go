@@ -15,6 +15,7 @@ package orchestrator
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -269,6 +270,27 @@ type JobResult struct {
 	// cached results carry no Phases and cache entries stay byte-stable
 	// across executions.
 	Phases *exp.Phases `json:"phases,omitempty"`
+
+	// stored is this result's encoding as its file in a Cache's store holds
+	// it, set by the Cache that wrote or read that file and by nothing else.
+	stored []byte
+}
+
+// MarshalJSON serves a file-backed cache entry the bytes its store holds,
+// produced once when it was put or loaded, instead of encoding it again on
+// every hit. Every other result encodes in full: one no file-backed cache
+// holds, and a fresh one, which carries the Phases the store strips.
+func (r *JobResult) MarshalJSON() ([]byte, error) {
+	if r.stored != nil && r.Phases == nil {
+		return r.stored, nil
+	}
+	return r.encode()
+}
+
+// encode is the result's full encoding, stored bytes or not.
+func (r *JobResult) encode() ([]byte, error) {
+	type fields JobResult // the same fields, without MarshalJSON
+	return json.Marshal((*fields)(r))
 }
 
 // Valid reports whether a decoded result is structurally plausible: the

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -20,10 +19,14 @@ type Set struct {
 }
 
 // NewSet returns an empty statistics set.
-func NewSet() *Set {
+func NewSet() *Set { return newSet(0, 0) }
+
+// newSet returns an empty set with room for that many counters and
+// scalars, for a caller that knows what it is about to fill in.
+func newSet(counters, scalars int) *Set {
 	return &Set{
-		counters: make(map[string]uint64),
-		scalars:  make(map[string]float64),
+		counters: make(map[string]uint64, counters),
+		scalars:  make(map[string]float64, scalars),
 	}
 }
 
@@ -83,7 +86,7 @@ func (s *Set) Clone() *Set {
 	if s == nil {
 		return nil
 	}
-	out := NewSet()
+	out := newSet(len(s.counters), len(s.scalars))
 	for k, v := range s.counters {
 		out.counters[k] = v
 	}
@@ -119,7 +122,7 @@ func (s *Set) MergePrefixed(prefix string, other *Set) {
 // prefix stripped: the inverse of MergePrefixed, used to slice one
 // core's view out of a CMP run.
 func (s *Set) Sub(prefix string) *Set {
-	out := NewSet()
+	out := newSet(len(s.counters), len(s.scalars)) // an upper bound: every entry under the prefix
 	p := prefix + "."
 	for k, v := range s.counters {
 		if strings.HasPrefix(k, p) {
@@ -138,7 +141,7 @@ func (s *Set) Sub(prefix string) *Set {
 // standard way to measure a window after warmup. Scalars are copied from
 // end, since most are end-of-run summaries.
 func Delta(end, start *Set) *Set {
-	out := NewSet()
+	out := newSet(len(end.counters), len(end.scalars))
 	for k, v := range end.counters {
 		sv := start.counters[k]
 		if v >= sv {
@@ -170,36 +173,6 @@ func (s *Set) String() string {
 		fmt.Fprintf(&b, "%s=%g\n", k, s.scalars[k])
 	}
 	return b.String()
-}
-
-// setJSON is the wire form of a Set: two plain maps, so results are
-// servable over HTTP and storable in the orchestrator's file cache.
-type setJSON struct {
-	Counters map[string]uint64  `json:"counters"`
-	Scalars  map[string]float64 `json:"scalars,omitempty"`
-}
-
-// MarshalJSON renders the set as {"counters": {...}, "scalars": {...}}.
-func (s *Set) MarshalJSON() ([]byte, error) {
-	return json.Marshal(setJSON{Counters: s.counters, Scalars: s.scalars})
-}
-
-// UnmarshalJSON restores a set written by MarshalJSON. The receiver is
-// reset; a zero-value Set becomes usable.
-func (s *Set) UnmarshalJSON(data []byte) error {
-	var w setJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	s.counters = w.Counters
-	s.scalars = w.Scalars
-	if s.counters == nil {
-		s.counters = make(map[string]uint64)
-	}
-	if s.scalars == nil {
-		s.scalars = make(map[string]float64)
-	}
-	return nil
 }
 
 // HarmonicMean returns the harmonic mean of xs. The paper's Figures 4(a)
@@ -343,53 +316,6 @@ func (h *Histogram) Delta(start *Histogram) *Histogram {
 		out.any = true
 	}
 	return out
-}
-
-// histogramJSON is the wire form of a Histogram. Buckets are serialized
-// in full (index = sample value), so an unmarshaled histogram keeps the
-// exact bucket range and counts of the original.
-type histogramJSON struct {
-	Buckets  []uint64 `json:"buckets"`
-	Overflow uint64   `json:"overflow,omitempty"`
-	Count    uint64   `json:"count"`
-	Sum      uint64   `json:"sum"`
-	Min      int      `json:"min,omitempty"`
-	Max      int      `json:"max,omitempty"`
-}
-
-// MarshalJSON renders the histogram so results carrying one are servable
-// over HTTP and storable in the orchestrator's file cache.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{
-		Buckets:  h.buckets,
-		Overflow: h.overflow,
-		Count:    h.count,
-		Sum:      h.sum,
-		Min:      h.Min(),
-		Max:      h.Max(),
-	})
-}
-
-// UnmarshalJSON restores a histogram written by MarshalJSON. The receiver
-// is reset; a zero-value Histogram becomes usable.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if w.Buckets == nil {
-		w.Buckets = make([]uint64, 1)
-	}
-	*h = Histogram{
-		buckets:  w.Buckets,
-		overflow: w.Overflow,
-		count:    w.Count,
-		sum:      w.Sum,
-		min:      w.Min,
-		max:      w.Max,
-		any:      w.Count > 0,
-	}
-	return nil
 }
 
 // Sum returns the sum of all samples.

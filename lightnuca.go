@@ -190,10 +190,10 @@ type Result struct {
 }
 
 // resultFrom converts the orchestrator's servable result into the public
-// Result shape. Stats and PerCore are deep-copied: jr may be (or become)
-// a live cache entry shared by every later hit on the same key, and a
-// caller mutating its Result must not corrupt what the cache serves
-// next.
+// Result shape, handing it jr's Stats, LoadLatency, PerCore and Phases
+// rather than copies: jr must be the caller's own — a record Client just
+// decoded, a run nobody else holds — never a live cache entry (see
+// Local.Run).
 func resultFrom(key string, jr *orchestrator.JobResult, cached bool) Result {
 	out := Result{
 		Key:             key,
@@ -203,15 +203,12 @@ func resultFrom(key string, jr *orchestrator.JobResult, cached bool) Result {
 		IPC:             jr.IPC,
 		Cycles:          jr.Cycles,
 		Cores:           jr.Cores,
-		PerCore:         append([]CoreResult(nil), jr.PerCore...),
+		PerCore:         jr.PerCore,
 		ThroughputIPC:   jr.ThroughputIPC,
 		WeightedSpeedup: jr.WeightedSpeedup,
-		LoadLatency:     jr.LoadLatency.Clone(),
-		Stats:           jr.Stats.Clone(),
-	}
-	if jr.Phases != nil {
-		ph := *jr.Phases
-		out.Phases = &ph
+		LoadLatency:     jr.LoadLatency,
+		Stats:           jr.Stats,
+		Phases:          jr.Phases,
 	}
 	for b := power.Bucket(0); b < 4; b++ {
 		out.Energy.Add(b, jr.EnergyPJ[b])

@@ -82,7 +82,15 @@ func (l *Local) Run(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFrom(job.Key(), res, cached), nil
+	// res is, or shares its statistics with, a live cache entry that every
+	// later hit on the key is served: the caller gets deep copies, so
+	// mutating its Result cannot corrupt what the cache serves next. (Its
+	// Phases are this execution's alone; an entry has none.)
+	out := resultFrom(job.Key(), res, cached)
+	out.PerCore = append([]CoreResult(nil), out.PerCore...)
+	out.LoadLatency = out.LoadLatency.Clone()
+	out.Stats = out.Stats.Clone()
+	return out, nil
 }
 
 // CacheStats reports the runner's result-cache hit/miss counters.
