@@ -3,13 +3,9 @@
 // the machine-checked versions of the invariants the benchmarks and
 // golden tests pin at runtime.
 //
-// Standalone, over import patterns (the CI entry point):
+// Linting, over import patterns (the CI entry point):
 //
 //	go run ./cmd/lnucalint ./...
-//
-// As a vet tool (one package per invocation, driven by the go command):
-//
-//	go vet -vettool=$(which lnucalint) ./...
 //
 // Regenerating the schema manifest after a deliberate, version-bumped
 // schema change (the go:generate target of internal/lint):
@@ -20,13 +16,9 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -38,31 +30,11 @@ func main() {
 func run() int {
 	writeSchemas := flag.String("write-schemas", "", "recompute the schema manifest and write it to `path` instead of linting")
 	quiet := flag.Bool("q", false, "suppress the suppression-count summary")
-	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON (go vet -vettool protocol)")
-	version := flag.String("V", "", "if 'full', print version and exit (go vet -vettool protocol)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: lnucalint [-write-schemas path] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	args := flag.Args()
-
-	// The go command's -vettool driver probes the tool before use:
-	// `-V=full` for a cache-keying version line, `-flags` for the JSON
-	// list of tool flags it may forward (none beyond the protocol's own).
-	if *version == "full" {
-		return printVersion()
-	}
-	if *printFlags {
-		fmt.Println("[]")
-		return 0
-	}
-
-	// go vet -vettool invokes the tool with a single *.cfg argument
-	// describing one package; everything else is the standalone path.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVet(args[0])
-	}
 
 	analyzers, err := lint.RepoAnalyzers()
 	if err != nil {
@@ -74,7 +46,7 @@ func run() int {
 		return runWriteSchemas(*writeSchemas)
 	}
 
-	patterns := args
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -101,20 +73,6 @@ func run() int {
 	return 0
 }
 
-// printVersion answers the -V=full probe with the line cmd/go expects:
-// the executable path, the word "version", and a content hash it can
-// use as a build cache key.
-func printVersion() int {
-	prog := os.Args[0]
-	h := sha256.New()
-	if f, err := os.Open(prog); err == nil {
-		_, _ = io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel buildID=%x\n", prog, h.Sum(nil))
-	return 0
-}
-
 func runWriteSchemas(path string) int {
 	// Load by module-path pattern so the generator sees every schema
 	// package no matter which directory `go generate` runs it from.
@@ -138,92 +96,5 @@ func runWriteSchemas(path string) int {
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "lnucalint: wrote %s (%d schemas)\n", path, len(manifest))
-	return 0
-}
-
-// vetConfig is the subset of the go vet unitchecker protocol the tool
-// consumes: cmd/go writes a JSON config per package and expects the
-// tool to analyze exactly those files, write the (for us, empty) facts
-// file, and exit non-zero on findings.
-type vetConfig struct {
-	ImportPath                string
-	Dir                       string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVet(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			_ = os.WriteFile(cfg.VetxOutput, []byte{}, 0o644)
-		}
-	}
-	// Dependency passes only collect facts; the suite keeps none, so an
-	// empty vetx file is the complete answer.
-	if cfg.VetxOnly {
-		writeVetx()
-		return 0
-	}
-	// Export files are keyed by resolved path; the type-checker asks by
-	// source-level import path, so route lookups through ImportMap.
-	exports := make(map[string]string, len(cfg.PackageFile)+len(cfg.ImportMap))
-	for p, f := range cfg.PackageFile {
-		exports[p] = f
-	}
-	for src, real := range cfg.ImportMap {
-		if f, ok := cfg.PackageFile[real]; ok {
-			exports[src] = f
-		}
-	}
-	pkg, err := lint.LoadVetPackage(cfg.ImportPath, cfg.GoFiles, exports)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	analyzers, err := lint.RepoAnalyzers()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	all, _, err := lint.Run([]*lint.Package{pkg}, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	// The vet driver also runs the tool over test variants; test files
-	// (fakes, drivers) are exempt from the hot-path and determinism
-	// contracts, matching the standalone mode, which never loads them.
-	var diags []lint.Diagnostic
-	for _, d := range all {
-		if !strings.HasSuffix(d.Pos.Filename, "_test.go") {
-			diags = append(diags, d)
-		}
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	writeVetx()
 	return 0
 }

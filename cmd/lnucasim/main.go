@@ -8,11 +8,7 @@
 // aggregate throughput, and weighted speedup against the single-core
 // baselines.
 //
-// With -record FILE it records one benchmark's run (named by -benches)
-// into a replayable lnuca-trace-v1 file while the normal measurement
-// proceeds; with -trace FILE it replays a recorded trace against -hier
-// instead of generating a workload (see also the dedicated lnucatrace
-// CLI).
+// Capturing and replaying instruction traces is lnucatrace's job.
 //
 // Examples:
 //
@@ -22,8 +18,6 @@
 //	lnucasim -exp all -cache /tmp/lnuca-results   (a rerun simulates nothing)
 //	lnucasim -cores 4 -mix mixed -hier ln+l3
 //	lnucasim -cores 2 -mix 429.mcf,470.lbm -hier conventional -seed 3
-//	lnucasim -record perl.lntrace -benches 400.perlbench -hier ln+l3
-//	lnucasim -trace perl.lntrace -hier conventional
 package main
 
 import (
@@ -33,13 +27,14 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
 	lightnuca "repro"
 	"repro/internal/exp"
+	"repro/internal/hier"
 	"repro/internal/obs"
-	"repro/internal/orchestrator"
 	"repro/internal/profiling"
 	"repro/internal/workload"
 )
@@ -55,8 +50,6 @@ func main() {
 		hierFlag   = flag.String("hier", "ln+l3", "CMP hierarchy: conventional, ln+l3, dn-4x8, or ln+dn-4x8")
 		levelsFlag = flag.Int("levels", 3, "L-NUCA levels for CMP L-NUCA hierarchies (2..6)")
 		cacheFlag  = flag.String("cache", "", "result cache directory shared with lnucad/lnucasweep")
-		recordFlag = flag.String("record", "", "record the run of the single -benches benchmark into this .lntrace file")
-		traceFlag  = flag.String("trace", "", "replay this .lntrace file against -hier instead of generating a workload")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		version    = flag.Bool("version", false, "print version information and exit")
@@ -68,11 +61,6 @@ func main() {
 		return
 	}
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateTraceFlags(*recordFlag, *traceFlag, *coresFlag, *benchFlag, set); err != nil {
-		fatalf("%v", err)
-	}
 	if *modeFlag != "quick" && *modeFlag != "full" {
 		fatalf("unknown -mode %q (quick|full)", *modeFlag)
 	}
@@ -99,18 +87,7 @@ func main() {
 	defer stop()
 	runner := &lightnuca.Local{CacheDir: *cacheFlag}
 
-	switch {
-	case *traceFlag != "":
-		runTraceReplay(ctx, runner, *traceFlag, *hierFlag, *levelsFlag)
-	case *recordFlag != "":
-		runRecord(ctx, *recordFlag, lightnuca.Request{
-			Hierarchy: *hierFlag,
-			Levels:    *levelsFlag,
-			Benchmark: strings.TrimSpace(*benchFlag),
-			Mode:      *modeFlag,
-			Seed:      *seedFlag,
-		})
-	case *coresFlag > 0:
+	if *coresFlag > 0 {
 		runCMPMix(ctx, runner, lightnuca.Request{
 			Hierarchy: *hierFlag,
 			Levels:    *levelsFlag,
@@ -119,7 +96,7 @@ func main() {
 			Mode:      *modeFlag,
 			Seed:      *seedFlag,
 		})
-	default:
+	} else {
 		benches := workload.Suite()
 		if *benchFlag != "" {
 			benches = benches[:0]
@@ -144,19 +121,18 @@ func main() {
 	}
 }
 
-// figureSet is one of the paper's two evaluation matrices: the
-// hierarchies of the Sweep that runs it (DESIGN.md's experiment index
-// gives the whole body, as one could POST it to /v1/sweeps) and the specs
-// its tables are labelled by.
+// figureSet is one of the paper's two evaluation matrices: the specs its
+// tables are labelled by, which also name the hierarchies of the Sweep
+// that runs it (DESIGN.md's experiment index gives the whole body, as
+// one could POST it to /v1/sweeps).
 type figureSet struct {
-	name        string
-	hierarchies []string
-	specs       []exp.Spec
+	name  string
+	specs []exp.Spec
 }
 
 var (
-	fig4Set = figureSet{"conventional", []string{"conventional", "ln+l3"}, exp.ConventionalSpecs()}
-	fig5Set = figureSet{"D-NUCA", []string{"dn-4x8", "ln+dn-4x8"}, exp.DNUCASpecs()}
+	fig4Set = figureSet{"conventional", exp.ConventionalSpecs()}
+	fig5Set = figureSet{"D-NUCA", exp.DNUCASpecs()}
 )
 
 // run executes the set over benches through the runner, every cell a
@@ -167,7 +143,12 @@ var (
 func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner, benches []workload.Profile, mode string, seed uint64) ([]exp.Result, error) {
 	fmt.Fprintf(w, "running %s matrix (%d benchmarks x %d configs, %s mode)...\n",
 		s.name, len(benches), len(s.specs), mode)
-	sweep := lightnuca.Sweep{Hierarchies: s.hierarchies, Levels: []int{2, 3, 4}, Mode: mode, Seed: seed}
+	sweep := lightnuca.Sweep{Levels: []int{2, 3, 4}, Mode: mode, Seed: seed}
+	for _, spec := range s.specs {
+		if h := spec.Kind.RequestName(); !slices.Contains(sweep.Hierarchies, h) {
+			sweep.Hierarchies = append(sweep.Hierarchies, h)
+		}
+	}
 	for _, b := range benches {
 		sweep.Benchmarks = append(sweep.Benchmarks, b.Name)
 	}
@@ -274,7 +255,7 @@ func runCMPMix(ctx context.Context, runner *lightnuca.Local, req lightnuca.Reque
 		baseline[c.Benchmark] = b.IPC
 	}
 
-	kind, err := orchestrator.ParseKind(nreq.Hierarchy)
+	kind, err := hier.ParseKind(nreq.Hierarchy)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -297,75 +278,6 @@ func runCMPMix(ctx context.Context, runner *lightnuca.Local, req lightnuca.Reque
 	}
 	fmt.Printf("shared-LLC arbiter:   %d grants, %d conflict cycles\n", grants, conflicts)
 	fmt.Printf("content key:          %s\n", res.Key)
-}
-
-// validateTraceFlags rejects contradictory trace-mode flag combinations
-// at parse time, before any file or simulator is touched: recording and
-// replaying are exclusive, both are single-core, a replay's workload,
-// seed and windows come from the trace (not -benches/-seed/-mode), and
-// a recording needs exactly one benchmark to name the trace's
-// provenance. set holds the flags the user passed explicitly — a
-// pinned-by-the-trace flag is only a conflict when actually given, not
-// at its default.
-func validateTraceFlags(record, replay string, cores int, benches string, set map[string]bool) error {
-	switch {
-	case record != "" && replay != "":
-		return fmt.Errorf("-record and -trace are exclusive: a run either captures a stream or replays one")
-	case record != "" && cores > 0:
-		return fmt.Errorf("-record is single-core: drop -cores %d", cores)
-	case replay != "" && cores > 0:
-		return fmt.Errorf("-trace replays are single-core: drop -cores %d", cores)
-	case replay != "" && benches != "":
-		return fmt.Errorf("-trace pins the workload to the recorded benchmark: drop -benches %q", benches)
-	case replay != "" && (set["seed"] || set["mode"]):
-		return fmt.Errorf("-trace replays the recorded seed and windows: drop -seed/-mode")
-	case (record != "" || replay != "") && set["exp"]:
-		return fmt.Errorf("-record/-trace runs one benchmark stream, not -exp experiments: drop -exp")
-	case record != "" && (benches == "" || strings.Contains(benches, ",")):
-		return fmt.Errorf("-record needs exactly one benchmark in -benches, got %q", benches)
-	}
-	return nil
-}
-
-// runRecord records one live single-core run into a trace file.
-func runRecord(ctx context.Context, path string, req lightnuca.Request) {
-	res, tr, err := lightnuca.Record(ctx, req)
-	if err != nil {
-		fatalf("record: %v", err)
-	}
-	data, err := tr.Encode()
-	if err != nil {
-		fatalf("encode: %v", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("recorded %s on %s: IPC %.3f over %d cycles\n", req.Benchmark, res.Config, res.IPC, res.Cycles)
-	fmt.Printf("trace %s: id %s (%d ops, %d bytes)\n", path, tr.ID(), tr.Header.Ops, len(data))
-}
-
-// runTraceReplay replays a trace file against a hierarchy through the
-// invocation's runner (and, with -cache, the shared result store).
-func runTraceReplay(ctx context.Context, runner *lightnuca.Local, path, hier string, levels int) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	tr, err := lightnuca.DecodeTrace(data)
-	if err != nil {
-		fatalf("%s: %v", path, err)
-	}
-	id, err := runner.ImportTrace(tr)
-	if err != nil {
-		fatalf("import: %v", err)
-	}
-	res, err := runner.Run(ctx, lightnuca.Request{Hierarchy: hier, Levels: levels, Trace: id})
-	if err != nil {
-		fatalf("replay: %v", err)
-	}
-	fmt.Printf("replayed %s (trace %s, seed %d) on %s: IPC %.3f over %d cycles\n",
-		tr.Header.Benchmark, id[:12], tr.Header.Seed, res.Config, res.IPC, res.Cycles)
-	fmt.Printf("content key: %s\n", res.Key)
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -11,55 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestValidateTraceFlags covers the lnucasim flag path of the trace
-// validation satellite: contradictory -record/-trace combinations are
-// rejected at parse time with errors naming the conflict.
-func TestValidateTraceFlags(t *testing.T) {
-	cases := []struct {
-		name           string
-		record, replay string
-		cores          int
-		benches        string
-		set            []string
-		wantErr        bool
-		wantMention    string
-	}{
-		{name: "plain-experiments", wantErr: false},
-		{name: "cmp-mode", cores: 4, wantErr: false},
-		{name: "record-ok", record: "out.lntrace", benches: "400.perlbench", wantErr: false},
-		{name: "record-with-seed", record: "out.lntrace", benches: "400.perlbench", set: []string{"seed", "mode"}, wantErr: false},
-		{name: "replay-ok", replay: "in.lntrace", wantErr: false},
-		{name: "record-and-replay", record: "a", replay: "b", wantErr: true, wantMention: "exclusive"},
-		{name: "record-with-cores", record: "a", benches: "403.gcc", cores: 2, wantErr: true, wantMention: "single-core"},
-		{name: "replay-with-cores", replay: "a", cores: 2, wantErr: true, wantMention: "single-core"},
-		{name: "replay-with-benches", replay: "a", benches: "403.gcc", wantErr: true, wantMention: "-benches"},
-		{name: "replay-with-seed", replay: "a", set: []string{"seed"}, wantErr: true, wantMention: "recorded seed"},
-		{name: "replay-with-mode", replay: "a", set: []string{"mode"}, wantErr: true, wantMention: "recorded seed"},
-		{name: "replay-with-exp", replay: "a", set: []string{"exp"}, wantErr: true, wantMention: "-exp"},
-		{name: "record-with-exp", record: "a", benches: "403.gcc", set: []string{"exp"}, wantErr: true, wantMention: "-exp"},
-		{name: "record-without-bench", record: "a", wantErr: true, wantMention: "exactly one"},
-		{name: "record-with-bench-list", record: "a", benches: "403.gcc,429.mcf", wantErr: true, wantMention: "exactly one"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			set := map[string]bool{}
-			for _, f := range c.set {
-				set[f] = true
-			}
-			err := validateTraceFlags(c.record, c.replay, c.cores, c.benches, set)
-			if c.wantErr && err == nil {
-				t.Fatal("expected an error")
-			}
-			if !c.wantErr && err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if err != nil && !strings.Contains(err.Error(), c.wantMention) {
-				t.Errorf("error %q should mention %q", err, c.wantMention)
-			}
-		})
-	}
-}
-
 // cachedCount wraps a Runner and counts the results it served without
 // simulating.
 type cachedCount struct {

@@ -271,7 +271,7 @@ func sweepLevels(instr uint64, jobs int, runner lightnuca.Runner) error {
 		if levels == 2 {
 			base = hm
 		}
-		t.AddRowf(fmt.Sprint(levels), fmt.Sprint(32+8*lnuca.NumTilesForLevels(levels)),
+		t.AddRowf(fmt.Sprint(levels), fmt.Sprint(lnuca.CapacityKB(levels)),
 			hm, stats.SpeedupPercent(hm, base))
 	}
 	fmt.Println(t)

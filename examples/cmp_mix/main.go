@@ -26,18 +26,18 @@ import (
 
 	lightnuca "repro"
 	"repro/internal/exp"
-	"repro/internal/orchestrator"
+	"repro/internal/hier"
 	"repro/internal/workload"
 )
 
 func main() {
 	cores := flag.Int("cores", 4, "number of cores (2..8)")
 	mix := flag.String("mix", "mixed", "mix name, 'random', or comma list of benchmarks")
-	hier := flag.String("hier", "ln+l3", "per-core hierarchy: conventional, ln+l3, dn-4x8, ln+dn-4x8")
+	hierFlag := flag.String("hier", "ln+l3", "per-core hierarchy: conventional, ln+l3, dn-4x8, ln+dn-4x8")
 	seed := flag.Uint64("seed", 1, "simulation seed (also fixes 'random' draws)")
 	flag.Parse()
 
-	kind, err := orchestrator.ParseKind(*hier)
+	kind, err := hier.ParseKind(*hierFlag)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -74,7 +74,7 @@ func main() {
 	runner := &lightnuca.Local{}
 	baseline := map[string]float64{}
 	for _, b := range benchmarks {
-		res, err := runner.Run(ctx, lightnuca.Request{Hierarchy: *hier, Benchmark: b, Mode: "quick", Seed: *seed})
+		res, err := runner.Run(ctx, lightnuca.Request{Hierarchy: *hierFlag, Benchmark: b, Mode: "quick", Seed: *seed})
 		if err != nil {
 			fail("baseline %s: %v", b, err)
 		}
@@ -95,7 +95,7 @@ func main() {
 	// content-addressed cache without touching the simulator. Submitting
 	// this Request to a lnucad service instead (lightnuca.NewClient)
 	// yields the very same key, so the two share results.
-	req := lightnuca.Request{Hierarchy: *hier, Cores: *cores, Mix: *mix, Mode: "quick", Seed: *seed}
+	req := lightnuca.Request{Hierarchy: *hierFlag, Cores: *cores, Mix: *mix, Mode: "quick", Seed: *seed}
 	res1, err := runner.Run(ctx, req)
 	if err != nil {
 		fail("runner: %v", err)

@@ -46,24 +46,7 @@ type Spec struct {
 }
 
 // Label renders the configuration name used in the paper.
-func (s Spec) Label() string {
-	switch s.Kind {
-	case hier.LNUCAL3:
-		return fmt.Sprintf("LN%d-%dKB", s.Levels, lnTotalKB(s.Levels))
-	case hier.LNUCADNUCA:
-		return fmt.Sprintf("LN%d + DN-4x8", s.Levels)
-	default:
-		return s.Kind.String()
-	}
-}
-
-func lnTotalKB(levels int) int {
-	n := 0
-	for k := 2; k <= levels; k++ {
-		n += 4*(k-1) + 1
-	}
-	return 32 + 8*n
-}
+func (s Spec) Label() string { return hier.Label(s.Kind, s.Levels) }
 
 // Result is one benchmark x configuration measurement.
 type Result struct {

@@ -65,11 +65,10 @@ func FigEnergy(title string, specs []Spec, results []Result) *stats.Table {
 func Table2() *stats.Table {
 	t := stats.NewTable("Table II: conventional and L-NUCA areas",
 		"config", "L1+L2 / L-NUCA area (mm2)", "network area (mm2)", "network %")
-	t.AddRowf("L2-256KB", area.Conventional(), 0.0, 0.0)
+	t.AddRowf(hier.Label(hier.Conventional, 0), area.Conventional(), 0.0, 0.0)
 	for levels := 2; levels <= 4; levels++ {
 		r := area.LNUCA(levels)
-		t.AddRowf(fmt.Sprintf("LN%d-%dKB", levels, lnTotalKB(levels)),
-			r.TotalMM2, r.NetworkMM2, r.NetworkPct)
+		t.AddRowf(hier.Label(hier.LNUCAL3, levels), r.TotalMM2, r.NetworkMM2, r.NetworkPct)
 	}
 	return t
 }
@@ -99,7 +98,7 @@ func Table3(results []Result) []Table3Row {
 	for _, levels := range []int{2, 3, 4} {
 		spec := Spec{Kind: hier.LNUCAL3, Levels: levels}
 		row := Table3Row{
-			Label:      fmt.Sprintf("LN%d-%dKB", levels, lnTotalKB(levels)),
+			Label:      spec.Label(),
 			Levels:     levels,
 			PctByLevel: map[int][2]float64{},
 		}

@@ -310,10 +310,8 @@ func (c *Coordinator) event(kind, traceID, detail string) {
 }
 
 func (c *Coordinator) observeDispatch(fj *fleetJob) {
-	if c.dispatchSeconds != nil {
-		//lnuca:allow(determinism) dispatch latency telemetry; never result content
-		c.dispatchSeconds.Observe(time.Since(fj.enqueuedAt).Seconds())
-	}
+	//lnuca:allow(determinism) dispatch latency telemetry; never result content
+	c.dispatchSeconds.Observe(time.Since(fj.enqueuedAt).Seconds())
 }
 
 // dropWaitingLocked takes fj off the waiting list, if it is on it (a
@@ -361,9 +359,7 @@ func (c *Coordinator) Lease(worker string) *LeaseResponse {
 	fj.attempt++
 	fj.leaseID = l.id
 	c.leases[l.id] = l
-	if c.leasesGranted != nil {
-		c.leasesGranted.Inc()
-	}
+	c.leasesGranted.Inc()
 	c.log.Info("lease granted", "lease_id", l.id, "fleet_id", fj.id,
 		"key", fj.key, "worker", worker, "attempt", fj.attempt)
 	resp := &LeaseResponse{
@@ -404,9 +400,7 @@ func (c *Coordinator) Heartbeat(leaseID string, done, total uint64) (cancel, ok 
 	canceled := l.job.canceled
 	progress := l.job.progress
 	c.mu.Unlock()
-	if c.heartbeats != nil {
-		c.heartbeats.Inc()
-	}
+	c.heartbeats.Inc()
 	if progress != nil && total > 0 {
 		progress(done, total)
 	}
@@ -425,9 +419,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 	l, found := c.leases[req.LeaseID]
 	if !found {
 		c.mu.Unlock()
-		if c.lateCompletions != nil {
-			c.lateCompletions.Inc()
-		}
+		c.lateCompletions.Inc()
 		return false
 	}
 	delete(c.leases, req.LeaseID)
@@ -440,9 +432,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 	}
 	if req.Error == "" && req.Result != nil {
 		c.mu.Unlock()
-		if c.results != nil {
-			c.results.Inc()
-		}
+		c.results.Inc()
 		c.log.Info("fleet result", "lease_id", l.id, "fleet_id", fj.id,
 			"key", fj.key, "worker", l.worker, "attempt", fj.attempt)
 		c.event("completed", fj.traceID,
@@ -459,9 +449,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 			fj.attempt--
 		}
 		c.waiting = append(c.waiting, fj)
-		if c.releases != nil {
-			c.releases.Inc()
-		}
+		c.releases.Inc()
 		c.log.Info("lease released by draining worker", "lease_id", l.id,
 			"fleet_id", fj.id, "key", fj.key, "worker", l.worker)
 		c.event("lease_released", fj.traceID,
@@ -477,9 +465,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 		errMsg = "worker returned neither result nor error"
 		retryable = true
 	}
-	if c.workerErrors != nil {
-		c.workerErrors.Inc()
-	}
+	c.workerErrors.Inc()
 	c.log.Warn("fleet worker error", "lease_id", l.id, "fleet_id", fj.id,
 		"key", fj.key, "worker", l.worker, "attempt", fj.attempt,
 		"retryable", retryable, "error", errMsg)
@@ -506,9 +492,7 @@ func (c *Coordinator) requeueLocked(fj *fleetJob, reason string, now time.Time) 
 	delay := c.backoff(fj.attempt)
 	fj.readyAt = now.Add(delay)
 	c.waiting = append(c.waiting, fj)
-	if c.requeues != nil {
-		c.requeues.Inc()
-	}
+	c.requeues.Inc()
 	c.log.Warn("fleet requeue", "fleet_id", fj.id, "key", fj.key,
 		"attempt", fj.attempt, "backoff_seconds", delay.Seconds(), "reason", reason)
 	c.event("requeued", fj.traceID,
@@ -517,9 +501,7 @@ func (c *Coordinator) requeueLocked(fj *fleetJob, reason string, now time.Time) 
 
 // failJob delivers a terminal failure to the blocked Dispatch.
 func (c *Coordinator) failJob(fj *fleetJob, err error) {
-	if c.jobsFailed != nil {
-		c.jobsFailed.Inc()
-	}
+	c.jobsFailed.Inc()
 	c.log.Warn("fleet job failed", "fleet_id", fj.id, "key", fj.key,
 		"attempts", fj.attempt, "error", err)
 	c.event("failed", fj.traceID, err.Error())

@@ -141,9 +141,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		lease, err := w.poll(ctx)
 		switch {
 		case err != nil:
-			if w.pollErrors != nil {
-				w.pollErrors.Inc()
-			}
+			w.pollErrors.Inc()
 			w.cfg.Logger.Warn("lease poll failed", "worker", w.cfg.Name, "error", err)
 			w.sleep(ctx, w.cfg.PollInterval)
 		case lease == nil:
@@ -188,10 +186,8 @@ func (w *Worker) poll(ctx context.Context) (*LeaseResponse, error) {
 // job from its lnuca-run-v1 request, resolve any trace it names, run it
 // under a heartbeat, and push the outcome.
 func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
-	if w.busy != nil {
-		w.busy.Set(1)
-		defer w.busy.Set(0)
-	}
+	w.busy.Set(1)
+	defer w.busy.Set(0)
 	log := w.cfg.Logger.With("worker", w.cfg.Name, "lease_id", lease.LeaseID,
 		"fleet_id", lease.JobID, "key", lease.Key)
 	log.Info("lease accepted", "attempt", lease.Attempt)
@@ -396,10 +392,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancelRun context.CancelFunc
 func (w *Worker) complete(ctx context.Context, log *slog.Logger, lease *LeaseResponse, req CompleteRequest) {
 	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
-	if w.jobs != nil {
-		w.jobs.Inc()
-	}
-	if req.Error != "" && w.failures != nil {
+	w.jobs.Inc()
+	if req.Error != "" {
 		w.failures.Inc()
 	}
 	var lastErr error
@@ -456,9 +450,7 @@ func (w *Worker) fetchTrace(ctx context.Context, id string) error {
 	if hdr.ID != id {
 		return fmt.Errorf("trace %s: coordinator served content %s", id, hdr.ID)
 	}
-	if w.traceFetches != nil {
-		w.traceFetches.Inc()
-	}
+	w.traceFetches.Inc()
 	w.cfg.Logger.Info("trace fetched", "trace", id, "worker", w.cfg.Name)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -21,9 +20,6 @@ func benchSystem(tb testing.TB, kind Kind) *System {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// With an activity probe attached: what holds for an instrumented
-	// kernel holds for a bare one.
-	sys.Kernel.SetProbe(&sim.CountingProbe{})
 	sys.Prewarm()
 	// Reach steady state: the growable queues (decode, store buffer,
 	// response and injection queues) at their high-water marks.

@@ -34,7 +34,7 @@ func runCMP(t *testing.T, kind Kind, profs []workload.Profile, opt CMPOptions, t
 	for sys.MinCommitted() < target {
 		if sys.Kernel.Cycle() > cap {
 			t.Fatalf("%s: stalled at %d cycles, min committed %d/%d",
-				sys.Name, sys.Kernel.Cycle(), sys.MinCommitted(), target)
+				sys.Kind, sys.Kernel.Cycle(), sys.MinCommitted(), target)
 		}
 		sys.Run(1024)
 	}
@@ -48,17 +48,17 @@ func TestCMPAllKindsMakeProgress(t *testing.T) {
 		set := sys.Collect()
 		for i := range profs {
 			if got := set.Counter(fmt.Sprintf("c%d.core.committed", i)); got < 4_000 {
-				t.Errorf("%s: core %d committed %d", sys.Name, i, got)
+				t.Errorf("%s: core %d committed %d", sys.Kind, i, got)
 			}
 		}
 		// Both cores must actually reach the shared level.
 		for i := range profs {
 			if set.Counter(fmt.Sprintf("arb.grants.c%d", i)) == 0 {
-				t.Errorf("%s: core %d never used the shared LLC", sys.Name, i)
+				t.Errorf("%s: core %d never used the shared LLC", sys.Kind, i)
 			}
 		}
 		if err := sys.CheckInvariants(); err != nil {
-			t.Errorf("%s: %v", sys.Name, err)
+			t.Errorf("%s: %v", sys.Kind, err)
 		}
 	}
 }
@@ -202,7 +202,7 @@ func TestOneMachineSeam(t *testing.T) {
 				sys.Prewarm()
 				sys.Run(30_000)
 				if sys.MinCommitted() == 0 {
-					t.Fatalf("%s: a core committed nothing in 30k cycles", sys.Name)
+					t.Fatalf("%s: a core committed nothing in 30k cycles", sys.Kind)
 				}
 				return sys
 			}

@@ -22,35 +22,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Kind selects a hierarchy organization.
-type Kind uint8
-
-const (
-	// Conventional is L1 32KB / L2 256KB / L3 8MB (Fig. 1(a)).
-	Conventional Kind = iota
-	// LNUCAL3 replaces the L2 with an L-NUCA (Fig. 1(b)).
-	LNUCAL3
-	// DNUCAOnly is L1 / D-NUCA 8MB (Fig. 1(c)).
-	DNUCAOnly
-	// LNUCADNUCA inserts an L-NUCA between L1 and D-NUCA (Fig. 1(d)).
-	LNUCADNUCA
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Conventional:
-		return "L2-256KB"
-	case LNUCAL3:
-		return "LN+L3"
-	case DNUCAOnly:
-		return "DN-4x8"
-	case LNUCADNUCA:
-		return "LN+DN-4x8"
-	default:
-		return "hier?"
-	}
-}
-
 // Table I energy constants (pJ per access, mW leakage).
 const (
 	L1ReadPJ, L1LeakMW     = 21.2, 12.8
@@ -123,7 +94,6 @@ type CMPOptions = Options
 // this mode is modeled after.
 type System struct {
 	Kind   Kind
-	Name   string
 	Kernel *sim.Kernel
 	Cores  []*cpu.Core
 	// Per-core private levels (empty where the kind has none).
@@ -219,20 +189,7 @@ func l3Config() cache.ControllerConfig {
 // Build wires a single-core system running the given workload profile:
 // the private side of the kind wired straight to the last level.
 func Build(kind Kind, prof workload.Profile, opt Options) (*System, error) {
-	s, err := build(kind, []workload.Profile{prof}, opt, false)
-	if err != nil {
-		return nil, err
-	}
-	s.Name = kind.String()
-	if kind == LNUCAL3 || kind == LNUCADNUCA {
-		s.Name = fmt.Sprintf("LN%d", s.levels)
-		if kind == LNUCADNUCA {
-			s.Name += "+DN-4x8"
-		} else {
-			s.Name += fmt.Sprintf("-%dKB", 32+8*lnuca.NumTilesForLevels(s.levels))
-		}
-	}
-	return s, nil
+	return build(kind, []workload.Profile{prof}, opt, false)
 }
 
 // BuildCMP wires a CMP running one workload profile per core. Every core
@@ -250,12 +207,7 @@ func BuildCMP(kind Kind, profs []workload.Profile, opt CMPOptions) (*CMPSystem, 
 	if opt.MaxInstr != 0 || opt.Stream != nil {
 		return nil, fmt.Errorf("hier: MaxInstr and Stream are single-core options, not a CMP's")
 	}
-	s, err := build(kind, profs, opt, true)
-	if err != nil {
-		return nil, err
-	}
-	s.Name = fmt.Sprintf("%dx %s", n, kind.String())
-	return s, nil
+	return build(kind, profs, opt, true)
 }
 
 // build is the one machine builder: per profile a core and the private
@@ -265,18 +217,17 @@ func BuildCMP(kind Kind, profs []workload.Profile, opt CMPOptions) (*CMPSystem, 
 // component names; without it the single private side feeds the last
 // level directly.
 func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*System, error) {
-	if opt.LNUCALevels == 0 {
-		opt.LNUCALevels = 3
-	}
-	if opt.LNUCALevels < 2 || opt.LNUCALevels > 6 {
-		return nil, fmt.Errorf("hier: unsupported L-NUCA levels %d", opt.LNUCALevels)
+	levels, err := Levels(kind, opt.LNUCALevels)
+	if err != nil {
+		return nil, err
 	}
 	s := &System{
 		Kind:     kind,
 		Kernel:   sim.NewKernel(),
-		levels:   opt.LNUCALevels,
+		levels:   levels,
 		profiles: profs,
 	}
+	org := kinds[kind]
 
 	var comps []sim.Component
 	upPorts := make([]*mem.Port, len(profs))
@@ -300,20 +251,9 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*Syst
 		comps = append(comps, core)
 
 		llcSide := mem.NewPort(8, 8)
-		switch kind {
-		case Conventional:
-			l1l2 := mem.NewPort(8, 8)
-			l1 := cache.NewController(l1Config(suffix), cpuPort, l1l2, &s.ids)
-			l2 := cache.NewController(l2Config(suffix), l1l2, llcSide, &s.ids)
-			s.L1s = append(s.L1s, l1)
-			s.L2s = append(s.L2s, l2)
-			comps = append(comps, l1, l2)
-		case DNUCAOnly:
-			l1 := cache.NewController(l1Config(suffix), cpuPort, llcSide, &s.ids)
-			s.L1s = append(s.L1s, l1)
-			comps = append(comps, l1)
-		case LNUCAL3, LNUCADNUCA:
-			fcfg := lnuca.DefaultConfig(opt.LNUCALevels)
+		switch {
+		case org.hasLNUCA:
+			fcfg := lnuca.DefaultConfig(levels)
 			fcfg.Name += suffix
 			fcfg.Seed = seed | 1
 			fab, err := lnuca.NewFabric(fcfg, cpuPort, llcSide, &s.ids)
@@ -322,8 +262,17 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*Syst
 			}
 			s.Fabrics = append(s.Fabrics, fab)
 			comps = append(comps, fab)
+		case org.hasL2:
+			l1l2 := mem.NewPort(8, 8)
+			l1 := cache.NewController(l1Config(suffix), cpuPort, l1l2, &s.ids)
+			l2 := cache.NewController(l2Config(suffix), l1l2, llcSide, &s.ids)
+			s.L1s = append(s.L1s, l1)
+			s.L2s = append(s.L2s, l2)
+			comps = append(comps, l1, l2)
 		default:
-			return nil, fmt.Errorf("hier: unknown kind %d", kind)
+			l1 := cache.NewController(l1Config(suffix), cpuPort, llcSide, &s.ids)
+			s.L1s = append(s.L1s, l1)
+			comps = append(comps, l1)
 		}
 		upPorts[i] = llcSide
 	}
@@ -352,17 +301,15 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*Syst
 	}
 
 	memPort := mem.NewPort(8, 8)
-	switch kind {
-	case Conventional, LNUCAL3:
-		s.L3 = cache.NewController(l3Config(), llcUp, memPort, &s.ids)
-		comps = append(comps, s.L3)
-	case DNUCAOnly, LNUCADNUCA:
-		var err error
+	if org.dnucaLast {
 		s.DN, err = dnuca.New(dnuca.DefaultConfig(), llcUp, memPort, &s.ids)
 		if err != nil {
 			return nil, err
 		}
 		comps = append(comps, s.DN)
+	} else {
+		s.L3 = cache.NewController(l3Config(), llcUp, memPort, &s.ids)
+		comps = append(comps, s.L3)
 	}
 	s.Memory = mem.NewMainMemory("dram", mem.DefaultMainMemoryConfig(), memPort)
 	comps = append(comps, s.Memory)
@@ -549,33 +496,26 @@ func (s *System) Collect() *stats.Set {
 // the Fig. 4(b)/5(b) breakdown. cycles is the measured window length.
 func (s *System) Energy(set *stats.Set, cycles uint64) power.Breakdown {
 	var a power.Accountant
-	switch s.Kind {
-	case Conventional:
-		a.AddDynamicPJ(float64(set.Counter("l1.bank_accesses")) * L1ReadPJ)
-		a.AddDynamicPJ(float64(set.Counter("l2.bank_accesses")) * L2ReadPJ)
-		a.AddDynamicPJ(float64(set.Counter("l3.bank_accesses")) * L3ReadPJ)
-		a.AddLeakage(power.StaticL1RT, L1LeakMW)
-		a.AddLeakage(power.StaticMid, L2LeakMW)
-		a.AddLeakage(power.StaticLLC, L3LeakMW)
-	case LNUCAL3:
+	// The private side, then the last level.
+	a.AddLeakage(power.StaticL1RT, L1LeakMW)
+	if s.Fabric != nil {
 		s.addFabricDynamic(&a, set)
-		a.AddDynamicPJ(float64(set.Counter("l3.bank_accesses")) * L3ReadPJ)
 		tiles := float64(lnuca.NumTilesForLevels(s.levels))
-		a.AddLeakage(power.StaticL1RT, L1LeakMW)
 		a.AddLeakage(power.StaticMid, tiles*(TileLeakMW+RouterLeakPerTileMW))
-		a.AddLeakage(power.StaticLLC, L3LeakMW)
-	case DNUCAOnly:
+	} else {
 		a.AddDynamicPJ(float64(set.Counter("l1.bank_accesses")) * L1ReadPJ)
-		s.addDNDynamic(&a, set)
-		a.AddLeakage(power.StaticL1RT, L1LeakMW)
+		if s.L2 != nil {
+			a.AddDynamicPJ(float64(set.Counter("l2.bank_accesses")) * L2ReadPJ)
+			a.AddLeakage(power.StaticMid, L2LeakMW)
+		}
+	}
+	if s.DN != nil {
+		a.AddDynamicPJ(float64(set.Counter("dn.bank_accesses")) * DNReadPJ)
+		a.AddDynamicPJ(float64(set.Counter("dn.net_flit_hops")) * dnucaLink.TraversalPJ())
 		a.AddLeakage(power.StaticLLC, 32*DNBankLeakMW)
-	case LNUCADNUCA:
-		s.addFabricDynamic(&a, set)
-		s.addDNDynamic(&a, set)
-		tiles := float64(lnuca.NumTilesForLevels(s.levels))
-		a.AddLeakage(power.StaticL1RT, L1LeakMW)
-		a.AddLeakage(power.StaticMid, tiles*(TileLeakMW+RouterLeakPerTileMW))
-		a.AddLeakage(power.StaticLLC, 32*DNBankLeakMW)
+	} else {
+		a.AddDynamicPJ(float64(set.Counter("l3.bank_accesses")) * L3ReadPJ)
+		a.AddLeakage(power.StaticLLC, L3LeakMW)
 	}
 	return a.Finish(cycles)
 }
@@ -598,12 +538,6 @@ func (s *System) addFabricDynamic(a *power.Accountant, set *stats.Set) {
 	a.AddDynamicPJ(float64(set.Counter("ln.search_traversals")) * searchLink.TraversalPJ())
 	a.AddDynamicPJ(float64(set.Counter("ln.transport_hops")+set.Counter("ln.transport_delivered")) * transportLink.TraversalPJ())
 	a.AddDynamicPJ(float64(set.Counter("ln.replacement_hops")) * (transportLink.TraversalPJ() + TileFillPJ))
-}
-
-// addDNDynamic charges the D-NUCA's banks and wormhole mesh.
-func (s *System) addDNDynamic(a *power.Accountant, set *stats.Set) {
-	a.AddDynamicPJ(float64(set.Counter("dn.bank_accesses")) * DNReadPJ)
-	a.AddDynamicPJ(float64(set.Counter("dn.net_flit_hops")) * dnucaLink.TraversalPJ())
 }
 
 // CheckInvariants verifies per-fabric structural invariants (used by

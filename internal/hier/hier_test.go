@@ -39,15 +39,11 @@ func TestAllHierarchiesComplete(t *testing.T) {
 }
 
 func TestNamesDistinguishConfigs(t *testing.T) {
-	prof, _ := workload.ByName("403.gcc")
-	s2, _ := Build(LNUCAL3, prof, Options{LNUCALevels: 2, MaxInstr: 1})
-	s3, _ := Build(LNUCAL3, prof, Options{LNUCALevels: 3, MaxInstr: 1})
-	if s2.Name != "LN2-72KB" || s3.Name != "LN3-144KB" {
-		t.Fatalf("names = %q, %q; want LN2-72KB, LN3-144KB", s2.Name, s3.Name)
+	if l2, l3 := Label(LNUCAL3, 2), Label(LNUCAL3, 3); l2 != "LN2-72KB" || l3 != "LN3-144KB" {
+		t.Fatalf("labels = %q, %q; want LN2-72KB, LN3-144KB", l2, l3)
 	}
-	sd, _ := Build(LNUCADNUCA, prof, Options{LNUCALevels: 2, MaxInstr: 1})
-	if sd.Name != "LN2+DN-4x8" {
-		t.Fatalf("name = %q, want LN2+DN-4x8", sd.Name)
+	if ld := Label(LNUCADNUCA, 2); ld != "LN2 + DN-4x8" {
+		t.Fatalf("label = %q, want LN2 + DN-4x8", ld)
 	}
 }
 

@@ -157,32 +157,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadVetPackage type-checks one package the way `go vet -vettool`
-// describes it: an explicit file list plus an import-path→export-file
-// map supplied by cmd/go's vet config.
-func LoadVetPackage(importPath string, goFiles []string, packageFile map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, packageFile)
-	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: package %s has no Go files", importPath)
-	}
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
-	}
-	return &Package{Path: importPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
 // stdExports memoizes the stdlib export-data map used by LoadDir (the
 // testdata loader). It is built once per process by listing the
 // standard library packages testdata is allowed to import, plus their

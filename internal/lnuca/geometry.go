@@ -78,6 +78,10 @@ func NumTilesForLevels(n int) int {
 	return total
 }
 
+// CapacityKB returns the total capacity of an n-level L-NUCA, the 32KB
+// r-tile plus 8KB per tile: 72, 144, 248 for n = 2, 3, 4.
+func CapacityKB(n int) int { return 32 + 8*NumTilesForLevels(n) }
+
 // NewGeometry constructs the fabric structure for the given number of
 // levels (including the r-tile level, so levels >= 2).
 func NewGeometry(levels int) (*Geometry, error) {

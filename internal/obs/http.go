@@ -80,10 +80,8 @@ func Middleware(next http.Handler, log *slog.Logger, reg *Registry, route func(*
 		if route != nil {
 			label = route(r)
 		}
-		if requests != nil {
-			requests.With(r.Method, label, strconv.Itoa(sw.status)).Inc()
-			seconds.With(r.Method, label).Observe(elapsed.Seconds())
-		}
+		requests.With(r.Method, label, strconv.Itoa(sw.status)).Inc()
+		seconds.With(r.Method, label).Observe(elapsed.Seconds())
 		log.Info("http request",
 			"request_id", id,
 			"method", r.Method,

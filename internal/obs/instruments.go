@@ -11,15 +11,24 @@ import (
 // atomic add; scrapes read the value atomically. The zero value is
 // usable, but counters should come from Registry.Counter so they are
 // exported.
+//
+// The update methods of Counter, Gauge and Histogram — and With on their
+// Vec families — are no-ops on a nil receiver, as tracez.Span's are: a
+// component built without a Registry holds nil instruments and calls
+// them unguarded.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -36,10 +45,17 @@ type Gauge struct {
 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add adds delta (may be negative).
 func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
@@ -79,6 +95,9 @@ func newHistogram(upper []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for i < len(h.upper) && v > h.upper[i] {
 		i++

@@ -184,6 +184,9 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the counter for one label-value tuple, creating it on
 // first use. The tuple length must match the registered label schema.
 func (v *CounterVec) With(values ...string) *Counter {
+	if v == nil {
+		return nil
+	}
 	return v.fam.child(values, func() sample { return &Counter{} }).(*Counter)
 }
 
@@ -202,6 +205,9 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 // With returns the histogram for one label-value tuple, creating it on
 // first use.
 func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
 	return v.fam.child(values, func() sample { return newHistogram(v.fam.buckets) }).(*Histogram)
 }
 

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -417,4 +419,38 @@ func TestExpBuckets(t *testing.T) {
 		}
 	}
 	mustPanic(t, "bad ExpBuckets", func() { ExpBuckets(0, 2, 3) })
+}
+
+// TestNilInstrumentsAreNoOps: a component built without a Registry holds
+// nil instruments and calls them unguarded; every update method, and With
+// on the Vec families, must then do nothing.
+func TestNilInstrumentsAreNoOps(t *testing.T) {
+	var (
+		c  *Counter
+		g  *Gauge
+		h  *Histogram
+		cv *CounterVec
+		hv *HistogramVec
+	)
+	for name, call := range map[string]func(){
+		"Counter.Inc":               func() { c.Inc() },
+		"Counter.Add":               func() { c.Add(3) },
+		"Gauge.Set":                 func() { g.Set(1) },
+		"Gauge.Add":                 func() { g.Add(-1) },
+		"Histogram.Observe":         func() { h.Observe(0.5) },
+		"CounterVec.With.Inc":       func() { cv.With("GET", "/x", "200").Inc() },
+		"HistogramVec.With.Observe": func() { hv.With("GET", "/x").Observe(0.5) },
+		"Middleware without registry": func() {
+			Middleware(http.NotFoundHandler(), nil, nil, nil).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s on nil panicked: %v", name, r)
+				}
+			}()
+			call()
+		}()
+	}
 }

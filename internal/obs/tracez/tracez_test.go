@@ -274,3 +274,37 @@ func TestTracezHandler(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseHeader: a traceparent arrives from whoever calls the service.
+// No value panics the parser; one it accepts names a valid context whose
+// own rendering parses back to it and differs from the input only in the
+// version and flags bytes; one it refuses leaves the context as it was.
+func FuzzParseHeader(f *testing.F) {
+	_, ctx := New(nil).Start(context.Background(), "lnuca.worker.execute")
+	f.Add(Inject(ctx)) // what a worker really sends
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, header string) {
+		sc, ok := ParseHeader(header)
+		got := FromContext(Extract(context.Background(), header))
+		if !ok {
+			if sc != (SpanContext{}) || got != (SpanContext{}) {
+				t.Fatalf("%q refused, yet yields %+v / %+v", header, sc, got)
+			}
+			return
+		}
+		if !sc.Valid() || got != sc {
+			t.Fatalf("%q accepted as %+v (valid %v), Extract carries %+v", header, sc, sc.Valid(), got)
+		}
+		out := sc.Header()
+		if back, ok := ParseHeader(out); !ok || back != sc {
+			t.Fatalf("%q: Header() %q parses to %+v, %v; want %+v", header, out, back, ok, sc)
+		}
+		if want := "00" + header[2:len(header)-2] + "01"; out != want {
+			t.Fatalf("%q: Header() = %q, want %q", header, out, want)
+		}
+	})
+}

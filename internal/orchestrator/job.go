@@ -102,7 +102,8 @@ func (j Job) Normalize() (Job, error) {
 			return j, fmt.Errorf("orchestrator: unknown benchmark %q", j.Benchmark)
 		}
 	}
-	if err := j.normalizeLevels(); err != nil {
+	var err error
+	if j.Levels, err = hier.Levels(j.Kind, j.Levels); err != nil {
 		return j, err
 	}
 	if j.Mode.Warmup == 0 && j.Mode.Measure == 0 {
@@ -118,25 +119,6 @@ func (j Job) Normalize() (Job, error) {
 		j.Hierarchy = j.Spec().Label()
 	}
 	return j, nil
-}
-
-// normalizeLevels canonicalizes the L-NUCA depth for the job's
-// hierarchy: defaulted and bounded where one exists, cleared otherwise.
-func (j *Job) normalizeLevels() error {
-	switch j.Kind {
-	case hier.LNUCAL3, hier.LNUCADNUCA:
-		if j.Levels == 0 {
-			j.Levels = 3
-		}
-		if j.Levels < 2 || j.Levels > 6 {
-			return fmt.Errorf("orchestrator: unsupported L-NUCA levels %d", j.Levels)
-		}
-	case hier.Conventional, hier.DNUCAOnly:
-		j.Levels = 0
-	default:
-		return fmt.Errorf("orchestrator: unknown hierarchy kind %d", j.Kind)
-	}
-	return nil
 }
 
 // traceConflict is the one validator of what may accompany a trace. The
@@ -165,7 +147,8 @@ func (j Job) normalizeTrace() (Job, error) {
 	if err := j.traceConflict(); err != nil {
 		return j, err
 	}
-	if err := j.normalizeLevels(); err != nil {
+	var err error
+	if j.Levels, err = hier.Levels(j.Kind, j.Levels); err != nil {
 		return j, err
 	}
 	j.Hierarchy = j.Spec().Label()
@@ -211,22 +194,6 @@ func (j Job) Key() string {
 	}
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:])
-}
-
-// ParseKind maps user-facing hierarchy names (paper labels and common
-// aliases, case-insensitive) onto hier.Kind.
-func ParseKind(name string) (hier.Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "conventional", "conv", "l2", "l2-256kb":
-		return hier.Conventional, nil
-	case "ln+l3", "lnuca", "lnuca-l3", "lnuca+l3", "ln":
-		return hier.LNUCAL3, nil
-	case "dn-4x8", "dnuca", "dn":
-		return hier.DNUCAOnly, nil
-	case "ln+dn-4x8", "lnuca-dnuca", "lnuca+dnuca", "ln+dn":
-		return hier.LNUCADNUCA, nil
-	}
-	return 0, fmt.Errorf("orchestrator: unknown hierarchy %q (want one of conventional, ln+l3, dn-4x8, ln+dn-4x8)", name)
 }
 
 // ParseMode resolves a mode name ("quick", "full", or "") to its window

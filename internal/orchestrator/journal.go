@@ -26,12 +26,14 @@ import (
 //	{"op":"submit","id":"job-000123","key":"<sha256>","request":{...}}  // lnuca-run-v1
 //	{"op":"end","id":"job-000123","key":"<sha256>","status":"done"}
 //
-// Events are matched by content key, counting submits against ends, so
-// the journal is insensitive to append interleaving (a stub job can
-// reach its terminal state before the submit append lands) and to a
-// cancel-then-resubmit reusing a key. A crash-truncated final line is
-// skipped on load, costing at worst one duplicate resubmission — which
-// the orchestrator's coalescing and cache make free.
+// Events are matched by content key as a signed balance of submits
+// minus ends, and a key is pending while its balance is positive. That
+// makes the journal insensitive to append interleaving — submit journals
+// after it releases the orchestrator's lock, so a fast job's end line
+// can land first and take the key to -1 until its submit brings it back
+// to 0 — and to a cancel-then-resubmit reusing a key. A crash-truncated
+// final line is skipped on load, costing at worst one duplicate
+// resubmission — which the orchestrator's coalescing and cache make free.
 //
 // Graceful shutdown (Orchestrator.Close) deliberately does not write
 // end events for the jobs it cancels: a drained queue is exactly what
@@ -86,10 +88,11 @@ func OpenJournal(path string) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("orchestrator: journal dir: %w", err)
 	}
-	pending, torn, err := loadPending(path)
-	if err != nil {
-		return nil, err
+	raw, err := os.ReadFile(path) // a missing file is an empty journal
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("orchestrator: journal load: %w", err)
 	}
+	pending, torn := loadPending(raw)
 	if torn >= 0 {
 		// A crash tore the final append mid-line. Physically truncate the
 		// file back to its last intact record before anything else: even
@@ -151,10 +154,10 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f, path: path, pending: pending, credit: credit}, nil
 }
 
-// loadPending replays the journal file and returns the requests whose
-// submit count exceeds their end count, in first-submission order,
-// plus the byte offset of a torn final line (-1 when the tail is
-// intact). A missing file is an empty journal.
+// loadPending replays the journal file's bytes and returns the requests
+// whose submit count exceeds their end count, wherever the ends stand
+// relative to the submits, in first-submission order, plus the byte
+// offset of a torn final line (-1 when the tail is intact).
 //
 // Every complete append ends with '\n', so a final segment without one
 // is a torn write — a crash mid-append — whatever its bytes happen to
@@ -163,17 +166,10 @@ func OpenJournal(path string) (*Journal, error) {
 // reported for truncation, never an error: losing the newest record is
 // the journal's documented worst case, losing the whole queue is not.
 // Complete-but-unparseable lines elsewhere are foreign and skipped.
-func loadPending(path string) ([]Request, int64, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, -1, nil
-	}
-	if err != nil {
-		return nil, -1, fmt.Errorf("orchestrator: journal load: %w", err)
-	}
+func loadPending(raw []byte) ([]Request, int64) {
 	type entry struct {
-		open  int // submits minus ends
-		first int // line of first submission, for stable ordering
+		open  int // submits minus ends; negative while an end has outrun its submit
+		first int // line of first submission, for stable ordering; 0 before one is seen
 		req   Request
 	}
 	entries := map[string]*entry{}
@@ -197,20 +193,21 @@ func loadPending(path string) ([]Request, int64, error) {
 			continue // foreign line
 		}
 		e := entries[ev.Key]
+		if e == nil {
+			e = &entry{}
+			entries[ev.Key] = e
+		}
 		switch ev.Op {
 		case "submit":
 			if ev.Request == nil {
 				continue
 			}
-			if e == nil {
-				e = &entry{first: line, req: *ev.Request}
-				entries[ev.Key] = e
+			if e.first == 0 {
+				e.first, e.req = line, *ev.Request
 			}
 			e.open++
 		case "end":
-			if e != nil && e.open > 0 {
-				e.open--
-			}
+			e.open--
 		}
 	}
 	var open []*entry
@@ -224,7 +221,7 @@ func loadPending(path string) ([]Request, int64, error) {
 	for i, e := range open {
 		out[i] = e.req
 	}
-	return out, torn, nil
+	return out, torn
 }
 
 // Pending returns the requests that were submitted but not terminal

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -28,23 +29,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.journal")
 
 	// Phase 1: run two jobs to completion. Nothing should be pending.
-	// The stub holds every run until both submits have returned: submit
-	// appends its journal line after releasing the lock, so an instant
-	// job's end line can otherwise precede its submit line and read as
-	// pending (a replay of it is a cache hit; see CHANGES.md, PR 17).
 	j := journalAt(t, path)
-	submitted := make(chan struct{})
-	run := countingRun(&sync.Mutex{}, new(int))
-	o := New(Config{Workers: 1, Journal: j, Run: func(ctx context.Context, job Job, progress func(done, total uint64)) (*JobResult, error) {
-		<-submitted
-		return run(ctx, job, progress)
-	}})
+	o := New(Config{Workers: 1, Journal: j, Run: countingRun(&sync.Mutex{}, new(int))})
 	a, err := o.Submit(quickJob("403.gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := o.Submit(quickJob("429.mcf"))
-	close(submitted)
 	waitDone(t, o, a.ID)
 	waitDone(t, o, b.ID)
 	o.Close()
@@ -106,6 +97,50 @@ func TestJournalRoundTrip(t *testing.T) {
 	j3.Close()
 	if pend := journalAt(t, path).Pending(); len(pend) != 0 {
 		t.Fatalf("pending after replay = %d, want 0", len(pend))
+	}
+}
+
+// TestJournalEndBeforeSubmit: submit journals after it releases the
+// orchestrator's lock, so an instant job's end line can land before its
+// submit line. The balance is signed: the pair still cancels, a second
+// submit is still pending, and an end whose submit never landed leaves
+// nothing behind.
+func TestJournalEndBeforeSubmit(t *testing.T) {
+	req := RequestOf(quickJob("403.gcc"))
+	key, err := req.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(ev journalEvent) string {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data) + "\n"
+	}
+	submit := line(journalEvent{Op: "submit", ID: "job-000001", Key: key, Request: &req})
+	end := line(journalEvent{Op: "end", ID: "job-000001", Key: key, Status: StatusDone})
+	for _, c := range []struct {
+		name, file string
+		pending    int
+	}{
+		{"end,submit", end + submit, 0},
+		{"end,submit,submit", end + submit + submit, 1},
+		{"end alone", end, 0},
+	} {
+		path := filepath.Join(t.TempDir(), "queue.journal")
+		if err := os.WriteFile(path, []byte(c.file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j := journalAt(t, path)
+		pend := j.Pending()
+		j.Close()
+		if len(pend) != c.pending {
+			t.Errorf("%s: %d pending, want %d", c.name, len(pend), c.pending)
+		}
+		if c.pending == 1 && pend[0] != req {
+			t.Errorf("%s: pending request = %+v, want %+v", c.name, pend[0], req)
+		}
 	}
 }
 

@@ -876,12 +876,12 @@ func (o *Orchestrator) SweepSince(id string, since uint64) (SweepStatus, bool) {
 // default depth 3. Non-L-NUCA hierarchies contribute one spec each.
 func ExpandSweep(kinds []hier.Kind, levels []int, benchmarks []string, mode exp.Mode, seed uint64) []Job {
 	if len(levels) == 0 {
-		levels = []int{3}
+		levels = []int{hier.DefaultLevels}
 	}
 	var jobs []Job
 	for _, k := range kinds {
 		lvls := []int{0}
-		if k == hier.LNUCAL3 || k == hier.LNUCADNUCA {
+		if k.HasLNUCA() {
 			lvls = levels
 		}
 		for _, lv := range lvls {
@@ -1009,9 +1009,7 @@ func (o *Orchestrator) worker() {
 		t.cancel = cancel
 		o.mu.Unlock()
 
-		if o.queueSeconds != nil {
-			o.queueSeconds.Observe(queued.Seconds())
-		}
+		o.queueSeconds.Observe(queued.Seconds())
 		o.log.Info("job started", "job_id", t.id, "key", t.key,
 			"queue_seconds", queued.Seconds())
 
@@ -1047,9 +1045,7 @@ func (o *Orchestrator) worker() {
 			o.cfg.Journal.ended(t.id, t.key, status)
 		}
 
-		if o.runSeconds != nil {
-			o.runSeconds.Observe(ran.Seconds())
-		}
+		o.runSeconds.Observe(ran.Seconds())
 		switch status {
 		case StatusDone:
 			o.observeRun(res)
@@ -1072,14 +1068,12 @@ func (o *Orchestrator) observeRun(res *JobResult) {
 		return
 	}
 	ph := res.Phases
-	if o.runMIPS != nil && ph.MIPS > 0 {
+	if ph.MIPS > 0 {
 		o.runMIPS.Observe(ph.MIPS)
 	}
-	if o.simSteps != nil {
-		o.simSteps.Add(ph.SteppedCycles)
-		o.simSkipped.Add(ph.FastForwardedCycles)
-		o.simInstr.Add(ph.Instructions)
-	}
+	o.simSteps.Add(ph.SteppedCycles)
+	o.simSkipped.Add(ph.FastForwardedCycles)
+	o.simInstr.Add(ph.Instructions)
 }
 
 // runMIPS extracts a result's MIPS for logging (0 when unmeasured).

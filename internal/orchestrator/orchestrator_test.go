@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -396,6 +397,8 @@ func TestJobResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseKind: a request names its hierarchy by request name, alias or
+// paper label in any case (the table is hier's; TestKindTable walks it).
 func TestParseKind(t *testing.T) {
 	for name, want := range map[string]hier.Kind{
 		"conventional": hier.Conventional,
@@ -404,13 +407,14 @@ func TestParseKind(t *testing.T) {
 		"DN-4x8":       hier.DNUCAOnly,
 		"LN+DN-4x8":    hier.LNUCADNUCA,
 	} {
-		got, err := ParseKind(name)
-		if err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v", name, got, err)
+		j, err := Request{Hierarchy: name, Benchmark: "403.gcc"}.Job()
+		if err != nil || j.Kind != want {
+			t.Errorf("hierarchy %q parsed to %v, %v", name, j.Kind, err)
 		}
 	}
-	if _, err := ParseKind("l4-extreme"); err == nil {
-		t.Error("bogus hierarchy accepted")
+	_, err := Request{Hierarchy: "l4-extreme", Benchmark: "403.gcc"}.Job()
+	if err == nil || !strings.Contains(err.Error(), "unknown hierarchy") {
+		t.Errorf("bogus hierarchy: err = %v, want unknown hierarchy", err)
 	}
 }
 

@@ -71,7 +71,7 @@ func (r Request) parse() (Job, error) {
 	if r.Schema != "" && r.Schema != RequestSchema {
 		return Job{}, fmt.Errorf("orchestrator: unsupported request schema %q (want %q)", r.Schema, RequestSchema)
 	}
-	kind, err := ParseKind(r.Hierarchy)
+	kind, err := hier.ParseKind(r.Hierarchy)
 	if err != nil {
 		return Job{}, err
 	}
@@ -144,7 +144,7 @@ func (r Request) Normalize() (Request, error) {
 func RequestOf(j Job) Request {
 	r := Request{
 		Schema:    RequestSchema,
-		Hierarchy: KindName(j.Kind),
+		Hierarchy: j.Kind.RequestName(),
 		Levels:    j.Levels,
 		Benchmark: j.Benchmark,
 		Cores:     j.Cores,
@@ -169,22 +169,6 @@ func RequestOf(j Job) Request {
 	return r
 }
 
-// KindName is the canonical request spelling of a hierarchy kind — the
-// primary name ParseKind accepts.
-func KindName(k hier.Kind) string {
-	switch k {
-	case hier.Conventional:
-		return "conventional"
-	case hier.LNUCAL3:
-		return "ln+l3"
-	case hier.DNUCAOnly:
-		return "dn-4x8"
-	case hier.LNUCADNUCA:
-		return "ln+dn-4x8"
-	}
-	return k.String()
-}
-
 // SweepRequest declares a benchmark x hierarchy x levels matrix — the
 // POST /v1/sweeps body, and the client-side fan-out unit. An empty
 // Benchmarks list means the full 28-benchmark suite; Levels applies to
@@ -200,6 +184,11 @@ type SweepRequest struct {
 	Seed        uint64   `json:"seed,omitempty"`
 	Priority    int      `json:"priority,omitempty"`
 }
+
+// maxSweepCells bounds what one sweep may expand to: 2 KB of repeated
+// hierarchies and levels in a POST /v1/sweeps body is millions of cells.
+// The paper's two matrices are 224.
+const maxSweepCells = 16384
 
 // Expand fans the matrix out into one Request per cell. Expansion is
 // deterministic, so submitting the expanded requests one by one is
@@ -227,7 +216,7 @@ func (s SweepRequest) Jobs() ([]Job, error) {
 	}
 	kinds := make([]hier.Kind, len(s.Hierarchies))
 	for i, h := range s.Hierarchies {
-		k, err := ParseKind(h)
+		k, err := hier.ParseKind(h)
 		if err != nil {
 			return nil, err
 		}
@@ -243,6 +232,20 @@ func (s SweepRequest) Jobs() ([]Job, error) {
 	benches := s.Benchmarks
 	if len(benches) == 0 {
 		benches = workload.Names()
+	}
+	// The lists multiply, so the product is checked before a cell is
+	// allocated — in float64, where three outside lengths cannot wrap and
+	// every count near the bound is exact.
+	rows, perLN := 0.0, float64(max(len(s.Levels), 1))
+	for _, k := range kinds {
+		if k.HasLNUCA() {
+			rows += perLN
+		} else {
+			rows++
+		}
+	}
+	if cells := rows * float64(len(benches)); cells > maxSweepCells {
+		return nil, fmt.Errorf("orchestrator: sweep expands to %.0f cells, over the %d one sweep may hold", cells, maxSweepCells)
 	}
 	jobs := ExpandSweep(kinds, s.Levels, benches, mode, s.Seed)
 	for i := range jobs {

@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -441,5 +444,59 @@ func TestHTTPRealSimulation(t *testing.T) {
 	}
 	if rec.Result.Stats == nil || rec.Result.Stats.Counter("core.committed") == 0 {
 		t.Error("stats not served")
+	}
+}
+
+// TestSweepCellBound: the lists of a sweep multiply, so a 2 KB body of
+// repeated hierarchies and levels names millions of cells. It is refused
+// by count, before a cell is allocated or anything is recorded; the
+// paper's two matrices together (224 cells) still go through.
+func TestSweepCellBound(t *testing.T) {
+	big := SweepRequest{}
+	for i := 0; i < 300; i++ {
+		big.Hierarchies = append(big.Hierarchies, "ln")
+		big.Levels = append(big.Levels, 3)
+	}
+	const cells = "2520000" // 300 x 300 x the 28-benchmark suite
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := big.Expand()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), cells) {
+		t.Fatalf("Expand of a %s-cell sweep: err = %v, want a refusal naming the count", cells, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; elapsed > 50*time.Millisecond || grew > 1<<20 {
+		t.Errorf("refusal took %v and allocated %d bytes: the sweep was expanded first", elapsed, grew)
+	}
+
+	path := filepath.Join(t.TempDir(), "queue.journal")
+	ts, o := newTestServer(t, Config{Workers: 2, Journal: journalAt(t, path)})
+	resp := postJSON(t, ts.URL+"/v1/sweeps", big)
+	var apiErr struct{ Error string }
+	decodeBody(t, resp, &apiErr)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, cells) {
+		t.Fatalf("oversized sweep: %d %q, want 400 naming %s cells", resp.StatusCode, apiErr.Error, cells)
+	}
+	if n := len(o.List("")); n != 0 {
+		t.Errorf("refused sweep left %d job records", n)
+	}
+	if _, ok := o.Sweep("sweep-0001"); ok {
+		t.Error("refused sweep was recorded")
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) != 0 {
+		t.Errorf("refused sweep journaled %d bytes (err %v)", len(data), err)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{
+		Hierarchies: []string{"conventional", "ln+l3", "dn-4x8", "ln+dn-4x8"},
+		Levels:      []int{2, 3, 4},
+	})
+	var accepted struct{ Jobs []JobRecord }
+	decodeBody(t, resp, &accepted)
+	if resp.StatusCode != http.StatusAccepted || len(accepted.Jobs) != 224 {
+		t.Fatalf("224-cell sweep: %d with %d jobs, want 202 with 224", resp.StatusCode, len(accepted.Jobs))
 	}
 }

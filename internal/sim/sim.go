@@ -9,10 +9,7 @@
 // the simulation is exactly reproducible.
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Cycle is a simulation timestamp in processor clock cycles.
 type Cycle = uint64
@@ -67,23 +64,6 @@ type Quiescent interface {
 	SkipTo(now, target Cycle)
 }
 
-// Probe observes kernel progress for metrics and telemetry. The hot
-// loop nil-checks it before every call, so an unprobed kernel pays one
-// predictable branch per cycle and nothing else; a probed kernel pays
-// one interface call with scalar arguments — no allocation either way
-// (hier.TestSteadyStateAllocatesNothing runs with a probe attached).
-//
-// Implementations must not block and must not mutate simulation state;
-// they see activity, they do not steer it.
-type Probe interface {
-	// OnCycle fires once per executed (non-skipped) cycle with the
-	// number of components that evaluated and the total registered.
-	// Fully-stepped cycles report active == total.
-	OnCycle(active, total int)
-	// OnFastForward fires on each bulk clock advance covering [from, to).
-	OnFastForward(from, to Cycle)
-}
-
 // Kernel owns the clock and the component list.
 type Kernel struct {
 	cycle      Cycle
@@ -92,7 +72,6 @@ type Kernel struct {
 	names      map[string]bool
 	stopped    bool
 	gating     bool
-	probe      Probe
 
 	// idle is the per-poll active-set scratch, reused across cycles.
 	idle []bool
@@ -150,10 +129,6 @@ func (k *Kernel) MustRegister(c Component) {
 	}
 }
 
-// SetProbe attaches (or, with nil, detaches) an activity probe. Call
-// before Run; the kernel is not safe for concurrent mutation.
-func (k *Kernel) SetProbe(p Probe) { k.probe = p }
-
 // Cycle returns the current cycle number.
 func (k *Kernel) Cycle() Cycle { return k.cycle }
 
@@ -174,9 +149,6 @@ func (k *Kernel) Step() {
 	k.cycle++
 	k.SteppedCycles++
 	k.ActiveEvals += uint64(len(k.components))
-	if k.probe != nil {
-		k.probe.OnCycle(len(k.components), len(k.components))
-	}
 }
 
 // Run steps the simulation until Stop is called or maxCycles elapse.
@@ -239,9 +211,6 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 			k.cycle = wake
 			k.FastForwards++
 			k.SkippedCycles += wake - now
-			if k.probe != nil {
-				k.probe.OnFastForward(now, wake)
-			}
 			continue
 		}
 		// Partial step: Eval the active set, advance the rest by one
@@ -262,9 +231,6 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 		k.cycle++
 		k.SteppedCycles++
 		k.ActiveEvals += uint64(active)
-		if k.probe != nil {
-			k.probe.OnCycle(active, len(k.components))
-		}
 	}
 	return k.cycle - start
 }
@@ -340,30 +306,6 @@ func (s KernelStats) AvgActive() float64 {
 		return 0
 	}
 	return float64(s.ActiveEvals) / float64(s.Stepped)
-}
-
-// CountingProbe is a ready-made Probe that accumulates activity into
-// atomic counters, safe to read while the simulation runs (e.g. from a
-// metrics scrape on another goroutine).
-type CountingProbe struct {
-	// Cycles counts OnCycle firings (executed cycles); ActiveEvals sums
-	// their active-component counts.
-	Cycles, ActiveEvals atomic.Uint64
-	// FastForwards counts OnFastForward firings; SkippedCycles sums the
-	// cycles they covered.
-	FastForwards, SkippedCycles atomic.Uint64
-}
-
-// OnCycle implements Probe.
-func (p *CountingProbe) OnCycle(active, total int) {
-	p.Cycles.Add(1)
-	p.ActiveEvals.Add(uint64(active))
-}
-
-// OnFastForward implements Probe.
-func (p *CountingProbe) OnFastForward(from, to Cycle) {
-	p.FastForwards.Add(1)
-	p.SkippedCycles.Add(to - from)
 }
 
 // Reg is a single-entry register with two-phase semantics: writers set the
