@@ -175,7 +175,15 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body io.Reader
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// The body is read once, into a buffer of the length the service states
+	// (it sends a finished body; ReadFrom wants MinRead spare to see the
+	// EOF), and decoded where it lies.
+	var data bytes.Buffer
+	data.Grow(int(min(max(resp.ContentLength, 0), 16<<20)) + bytes.MinRead)
+	if _, err = data.ReadFrom(resp.Body); err == nil {
+		err = orchestrator.Unmarshal(data.Bytes(), out)
+	}
+	if err != nil {
 		return fmt.Errorf("lightnuca: decode %s %s: %w", method, path, err)
 	}
 	return nil
@@ -437,10 +445,7 @@ func (c *Client) Lookup(ctx context.Context, req Request) (Result, bool, error) 
 
 // SweepSubmission is the service's answer to a sweep: its ID plus the
 // per-cell records.
-type SweepSubmission struct {
-	ID   string      `json:"id"`
-	Jobs []JobRecord `json:"jobs"`
-}
+type SweepSubmission = orchestrator.SweepSubmission
 
 // SubmitSweep fans a Sweep out on the service: one job per matrix cell,
 // deduplicated and cache-served exactly as individual Submits would be.

@@ -458,7 +458,7 @@ func (w *Worker) fetchTrace(ctx context.Context, id string) error {
 // post sends one JSON request and decodes the response into out (when
 // non-nil and the status carries a body worth decoding).
 func (w *Worker) post(ctx context.Context, path string, body, out interface{}) (int, error) {
-	data, err := json.Marshal(body)
+	data, err := orchestrator.AppendJSON(nil, body)
 	if err != nil {
 		return 0, err
 	}

@@ -258,7 +258,10 @@ func (c *Cache) load(key string) (*JobResult, bool) {
 		// per hit — its file's bytes are not what it now says.
 		res.Phases = nil
 	} else {
-		res.stored = data
+		// A hit splices these bytes into its answer as they are, so they are
+		// made here, once, what encoding/json made of a file's bytes on every
+		// hit before: compact and HTML-escaped, as a file Put wrote already is.
+		res.stored, _ = json.Marshal(json.RawMessage(data)) // data has just decoded: it marshals
 	}
 	return &res, true
 }

@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -108,11 +108,29 @@ func writeThrottled(w http.ResponseWriter, wait time.Duration, format string, ar
 
 // WriteJSON, WriteError and DecodeJSON are exported for the fleet's lease
 // routes, which lnucad mounts next to this API.
+//
+// WriteJSON sends what json.NewEncoder(w).Encode(v) would, finished before
+// the status line is: a v that does not encode is a 500, not code with an
+// empty body.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
+	buf := bodies.Get().(*[]byte)
+	defer bodies.Put(buf)
+	body, err := AppendJSON((*buf)[:0], v)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding the response: %v", err)
+		return
+	}
+	body = append(body, '\n')
+	*buf = body // grown to this body's size, for the next
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // the client went away; nobody is left to tell
 }
+
+// bodies recycles response buffers, as encoding/json's encoder did its own: a
+// body is finished, written and done with inside WriteJSON.
+var bodies = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 func WriteError(w http.ResponseWriter, code int, format string, args ...interface{}) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
@@ -129,8 +147,10 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxJSONBody)
-	err := json.NewDecoder(r.Body).Decode(v)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	if err == nil {
+		err = Unmarshal(data, v)
+	}
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
@@ -280,9 +300,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, code, rec)
 	case http.MethodGet:
 		status := Status(r.URL.Query().Get("status"))
-		WriteJSON(w, http.StatusOK, map[string]interface{}{
-			"jobs": s.orch.List(status),
-		})
+		WriteJSON(w, http.StatusOK, struct {
+			Jobs []JobRecord `json:"jobs"`
+		}{s.orch.List(status)})
 	default:
 		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 	}
@@ -330,10 +350,14 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	if submitFailed(w, err) {
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, map[string]interface{}{
-		"id":   sid,
-		"jobs": recs,
-	})
+	WriteJSON(w, http.StatusAccepted, SweepSubmission{ID: sid, Jobs: recs})
+}
+
+// SweepSubmission is the answer to POST /v1/sweeps: the sweep's ID and its
+// cells' records.
+type SweepSubmission struct {
+	ID   string      `json:"id"`
+	Jobs []JobRecord `json:"jobs"`
 }
 
 func (s *Server) handleSweepByID(w http.ResponseWriter, r *http.Request) {

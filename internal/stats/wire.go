@@ -134,13 +134,20 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 // UnmarshalJSON restores a set written by MarshalJSON. The receiver is
 // reset; a zero-value Set becomes usable.
 func (s *Set) UnmarshalJSON(data []byte) error {
-	w, ok := scanSet(string(data))
-	if !ok {
+	p := Scanner{Src: string(data)}
+	w, ok := p.set()
+	if !ok || !p.End() {
 		w = setJSON{}
 		if err := json.Unmarshal(data, &w); err != nil {
 			return err
 		}
 	}
+	s.setWire(w)
+	return nil
+}
+
+// setWire makes s the set w describes.
+func (s *Set) setWire(w setJSON) {
 	s.counters = w.Counters
 	s.scalars = w.Scalars
 	if s.counters == nil {
@@ -149,19 +156,25 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	if s.scalars == nil {
 		s.scalars = make(map[string]float64)
 	}
-	return nil
 }
 
 // UnmarshalJSON restores a histogram written by MarshalJSON. The receiver
 // is reset; a zero-value Histogram becomes usable.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
-	w, ok := scanHistogram(string(data))
-	if !ok {
+	p := Scanner{Src: string(data)}
+	w, ok := p.histogram()
+	if !ok || !p.End() {
 		w = histogramJSON{}
 		if err := json.Unmarshal(data, &w); err != nil {
 			return err
 		}
 	}
+	h.setWire(w)
+	return nil
+}
+
+// setWire makes h the histogram w describes.
+func (h *Histogram) setWire(w histogramJSON) {
 	if w.Buckets == nil {
 		w.Buckets = make([]uint64, 1)
 	}
@@ -174,33 +187,40 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 		max:      w.Max,
 		any:      w.Count > 0,
 	}
-	return nil
 }
 
-// scanSet decodes src when it is a set in the canonical shape. Keys are
-// slices of src, so a decoded set costs one string for all of them.
-func scanSet(src string) (setJSON, bool) {
+// Set decodes the set the cursor is at, part of a larger text, as
+// UnmarshalJSON does one that is all of it, and leaves the cursor after it.
+func (p *Scanner) Set() (*Set, bool) {
+	w, ok := p.set()
+	s := new(Set)
+	s.setWire(w)
+	return s, ok
+}
+
+// set scans a set in the canonical shape. Keys are slices of Src, so a
+// decoded set costs one string for all of them.
+func (p *Scanner) set() (setJSON, bool) {
 	var w setJSON
-	p := scanner{src: src}
-	ok := p.list('{', '}', func() bool {
+	ok := p.List('{', '}', func() bool {
 		var ok bool
-		switch k, _ := p.key(); {
+		switch k, _ := p.Key(); {
 		case k == "counters" && w.Counters == nil:
-			w.Counters, ok = scanMap(&p, (*scanner).uint)
+			w.Counters, ok = scanMap(p, (*Scanner).uint)
 		case k == "scalars" && w.Scalars == nil:
-			w.Scalars, ok = scanMap(&p, (*scanner).float)
+			w.Scalars, ok = scanMap(p, (*Scanner).float)
 		}
 		return ok
 	})
-	return w, ok && p.end()
+	return w, ok
 }
 
 // scanMap scans {"name":value,...} into a new non-nil map; a repeated
 // name keeps its last value, as in encoding/json.
-func scanMap[V any](p *scanner, value func(*scanner) (V, bool)) (map[string]V, bool) {
+func scanMap[V any](p *Scanner, value func(*Scanner) (V, bool)) (map[string]V, bool) {
 	m := make(map[string]V, p.hint(":", '}'))
-	ok := p.list('{', '}', func() bool {
-		k, ok := p.key()
+	ok := p.List('{', '}', func() bool {
+		k, ok := p.Key()
 		if ok {
 			m[k], ok = value(p)
 		}
@@ -212,14 +232,21 @@ func scanMap[V any](p *scanner, value func(*scanner) (V, bool)) (map[string]V, b
 // histogramMembers are histogramJSON's member names, in field order.
 var histogramMembers = []string{"buckets", "overflow", "count", "sum", "min", "max"}
 
-// scanHistogram is scanSet for a histogram.
-func scanHistogram(src string) (histogramJSON, bool) {
+// Histogram is Set for a histogram.
+func (p *Scanner) Histogram() (*Histogram, bool) {
+	w, ok := p.histogram()
+	h := new(Histogram)
+	h.setWire(w)
+	return h, ok
+}
+
+// histogram is set for a histogram.
+func (p *Scanner) histogram() (histogramJSON, bool) {
 	var w histogramJSON
 	var seen uint
 	var num [6]uint64 // the number members' values, placed as in histogramMembers
-	p := scanner{src: src}
-	ok := p.list('{', '}', func() bool {
-		k, _ := p.key()
+	ok := p.List('{', '}', func() bool {
+		k, _ := p.Key()
 		i := slices.Index(histogramMembers, k)
 		if i < 0 || seen&(1<<i) != 0 {
 			return false
@@ -231,54 +258,54 @@ func scanHistogram(src string) (histogramJSON, bool) {
 			return ok
 		}
 		w.Buckets = make([]uint64, 0, p.hint(",", ']')+1)
-		return p.list('[', ']', func() bool {
+		return p.List('[', ']', func() bool {
 			v, ok := p.uint()
 			w.Buckets = append(w.Buckets, v)
 			return ok
 		})
 	})
 	w.Overflow, w.Count, w.Sum, w.Min, w.Max = num[1], num[2], num[3], int(num[4]), int(num[5])
-	return w, ok && num[4] <= math.MaxInt && num[5] <= math.MaxInt && p.end()
+	return w, ok && num[4] <= math.MaxInt && num[5] <= math.MaxInt
 }
 
-// scanner is a cursor over one JSON text. False means "not the canonical
+// Scanner is a cursor over one JSON text. False means "not the canonical
 // shape", never why: the reflective decoder produces the error.
-type scanner struct {
-	src string
-	pos int
+type Scanner struct {
+	Src string
+	Pos int
 }
 
 // space skips whitespace.
-func (p *scanner) space() {
-	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\n' || p.src[p.pos] == '\t' || p.src[p.pos] == '\r') {
-		p.pos++
+func (p *Scanner) space() {
+	for p.Pos < len(p.Src) && (p.Src[p.Pos] == ' ' || p.Src[p.Pos] == '\n' || p.Src[p.Pos] == '\t' || p.Src[p.Pos] == '\r') {
+		p.Pos++
 	}
 }
 
 // skip consumes c if it is the next byte.
-func (p *scanner) skip(c byte) bool {
-	if p.pos == len(p.src) || p.src[p.pos] != c {
+func (p *Scanner) skip(c byte) bool {
+	if p.Pos == len(p.Src) || p.Src[p.Pos] != c {
 		return false
 	}
-	p.pos++
+	p.Pos++
 	return true
 }
 
 // eat consumes c if it is the next byte after any whitespace.
-func (p *scanner) eat(c byte) bool {
+func (p *Scanner) eat(c byte) bool {
 	p.space()
 	return p.skip(c)
 }
 
-// end reports whether nothing but whitespace is left.
-func (p *scanner) end() bool {
+// End reports whether nothing but whitespace is left.
+func (p *Scanner) End() bool {
 	p.space()
-	return p.pos == len(p.src)
+	return p.Pos == len(p.Src)
 }
 
-// list scans the object or array that open begins and end closes, calling
+// List scans the object or array that open begins and end closes, calling
 // member with the cursor at each of its members or elements.
-func (p *scanner) list(open, end byte, member func() bool) bool {
+func (p *Scanner) List(open, end byte, member func() bool) bool {
 	if !p.eat(open) {
 		return false
 	}
@@ -295,25 +322,25 @@ func (p *scanner) list(open, end byte, member func() bool) bool {
 
 // hint is how much room to make for the list about to be scanned: a member
 // per separator before its closer, but no more than a large result holds.
-func (p *scanner) hint(sep string, end byte) int {
-	rest := p.src[p.pos:]
+func (p *Scanner) hint(sep string, end byte) int {
+	rest := p.Src[p.Pos:]
 	if i := strings.IndexByte(rest, end); i >= 0 {
 		rest = rest[:i]
 	}
 	return min(strings.Count(rest, sep), 1024)
 }
 
-// key scans a member name of unescaped ASCII and the colon after it; the
+// Key scans a member name of unescaped ASCII and the colon after it; the
 // name is "" whenever it fails.
-func (p *scanner) key() (string, bool) {
+func (p *Scanner) Key() (string, bool) {
 	if !p.eat('"') {
 		return "", false
 	}
-	for start := p.pos; p.pos < len(p.src); p.pos++ {
-		switch c := p.src[p.pos]; {
+	for start := p.Pos; p.Pos < len(p.Src); p.Pos++ {
+		switch c := p.Src[p.Pos]; {
 		case c == '"':
-			k := p.src[start:p.pos]
-			if p.pos++; !p.eat(':') {
+			k := p.Src[start:p.Pos]
+			if p.Pos++; !p.eat(':') {
 				return "", false
 			}
 			return k, true
@@ -324,29 +351,56 @@ func (p *scanner) key() (string, bool) {
 	return "", false
 }
 
-// digits skips a run of decimal digits and returns its length.
-func (p *scanner) digits() int {
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos]-'0' <= 9 {
-		p.pos++
+// Value skips the value the cursor is at, of any shape, up to the comma or
+// closer that ends it. It checks nothing inside: whether that is JSON is for
+// encoding/json to say.
+func (p *Scanner) Value() bool {
+	for depth := 0; p.Pos < len(p.Src); p.Pos++ {
+		switch p.Src[p.Pos] {
+		case '"':
+			for p.Pos++; p.Pos < len(p.Src) && p.Src[p.Pos] != '"'; p.Pos++ {
+				if p.Src[p.Pos] == '\\' {
+					p.Pos++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth < 0 {
+				return true
+			}
+		case ',':
+			if depth == 0 {
+				return true
+			}
+		}
 	}
-	return p.pos - start
+	return false
+}
+
+// digits skips a run of decimal digits and returns its length.
+func (p *Scanner) digits() int {
+	start := p.Pos
+	for p.Pos < len(p.Src) && p.Src[p.Pos]-'0' <= 9 {
+		p.Pos++
+	}
+	return p.Pos - start
 }
 
 // integer skips JSON's int production less the sign: a lone 0, or digits
 // not starting with 0.
-func (p *scanner) integer() bool {
+func (p *Scanner) integer() bool {
 	zero := p.skip('0')
 	return zero != (p.digits() > 0)
 }
 
 // uint scans an unsigned decimal integer that fits 64 bits. A fraction or
 // an exponent after it is for the caller's next eat to refuse.
-func (p *scanner) uint() (v uint64, ok bool) {
+func (p *Scanner) uint() (v uint64, ok bool) {
 	p.space()
-	start := p.pos
+	start := p.Pos
 	ok = p.integer()
-	for _, c := range []byte(p.src[start:p.pos]) {
+	for _, c := range []byte(p.Src[start:p.Pos]) {
 		d := uint64(c - '0')
 		ok = ok && v <= (math.MaxUint64-d)/10
 		v = v*10 + d
@@ -356,9 +410,9 @@ func (p *scanner) uint() (v uint64, ok bool) {
 
 // float scans a number in JSON's grammar and converts it the way
 // encoding/json does, out-of-range included.
-func (p *scanner) float() (float64, bool) {
+func (p *Scanner) float() (float64, bool) {
 	p.space()
-	start := p.pos
+	start := p.Pos
 	p.skip('-')
 	ok := p.integer()
 	if p.skip('.') {
@@ -368,6 +422,6 @@ func (p *scanner) float() (float64, bool) {
 		_ = p.skip('+') || p.skip('-')
 		ok = ok && p.digits() > 0
 	}
-	f, err := strconv.ParseFloat(p.src[start:p.pos], 64)
+	f, err := strconv.ParseFloat(p.Src[start:p.Pos], 64)
 	return f, ok && err == nil
 }

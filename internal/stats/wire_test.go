@@ -316,13 +316,15 @@ func FuzzHistogramJSON(f *testing.F) {
 // not per member (the reflective codec: 260 and 23).
 func TestWireRealResultTakesFastPath(t *testing.T) {
 	setText, histText := realResult(t)
-	w, ok := scanSet(string(setText))
-	if !ok || len(w.Counters) != 54 || len(w.Scalars) != 4 {
-		t.Fatalf("scanSet of a stored result: ok=%v, %d counters, %d scalars; want the 54 and 4 it holds", ok, len(w.Counters), len(w.Scalars))
+	p := Scanner{Src: string(setText)}
+	w, ok := p.set()
+	if !ok || !p.End() || len(w.Counters) != 54 || len(w.Scalars) != 4 {
+		t.Fatalf("scanning a stored result's set: ok=%v, %d counters, %d scalars; want the 54 and 4 it holds", ok, len(w.Counters), len(w.Scalars))
 	}
-	hw, ok := scanHistogram(string(histText))
-	if !ok || len(hw.Buckets) != 512 {
-		t.Fatalf("scanHistogram of a stored result: ok=%v, %d buckets; want its 512", ok, len(hw.Buckets))
+	p = Scanner{Src: string(histText)}
+	hw, ok := p.histogram()
+	if !ok || !p.End() || len(hw.Buckets) != 512 {
+		t.Fatalf("scanning a stored result's histogram: ok=%v, %d buckets; want its 512", ok, len(hw.Buckets))
 	}
 
 	set, hist := NewSet(), NewHistogram(1)
