@@ -384,11 +384,18 @@ func (c *Client) Wait(ctx context.Context, id string, onUpdate func(JobRecord)) 
 }
 
 // Run implements Runner: Submit then Wait, converting the terminal
-// record. A failed or canceled job is an error.
+// record. A failed or canceled job is an error, and so is a request with
+// a machine that the service keyed otherwise: an lnucad older than the
+// member drops it and would run the Table I machine.
 func (c *Client) Run(ctx context.Context, req Request) (Result, error) {
 	rec, err := c.Submit(ctx, req)
 	if err != nil {
 		return Result{}, err
+	}
+	if len(req.Machine) > 0 {
+		if want, err := req.Key(); err != nil || rec.Key != want {
+			return Result{}, fmt.Errorf("lightnuca: lnucad keyed job %s %s, not %s: it does not run machine %v (%v)", rec.ID, rec.Key, want, req.Machine, err)
+		}
 	}
 	if !rec.Status.Terminal() {
 		if rec, err = c.Wait(ctx, rec.ID, nil); err != nil {
@@ -400,37 +407,25 @@ func (c *Client) Run(ctx context.Context, req Request) (Result, error) {
 
 // Lookup consults the service's result cache by request content without
 // enqueuing work: (result, true, nil) on a hit, (zero, false, nil) on a
-// clean miss.
+// clean miss. GET /v1/results cannot name a machine: Run a request that
+// has one, which a cached result answers as fast.
 func (c *Client) Lookup(ctx context.Context, req Request) (Result, bool, error) {
+	if len(req.Machine) > 0 {
+		return Result{}, false, errors.New("lightnuca: Lookup cannot name a machine; Run the request instead")
+	}
 	key, err := req.Key()
 	if err != nil {
 		return Result{}, false, err
 	}
 	q := url.Values{}
-	set := func(k, v string) {
-		if v != "" {
+	for k, v := range map[string]string{
+		"hierarchy": req.Hierarchy, "benchmark": req.Benchmark, "mix": req.Mix, "trace": req.Trace, "mode": req.Mode,
+		"levels": strconv.Itoa(req.Levels), "cores": strconv.Itoa(req.Cores), "warmup": strconv.FormatUint(req.Warmup, 10),
+		"measure": strconv.FormatUint(req.Measure, 10), "seed": strconv.FormatUint(req.Seed, 10),
+	} {
+		if v != "" && v != "0" { // zero means the default, which the service applies too
 			q.Set(k, v)
 		}
-	}
-	set("hierarchy", req.Hierarchy)
-	set("benchmark", req.Benchmark)
-	set("mix", req.Mix)
-	set("trace", req.Trace)
-	set("mode", req.Mode)
-	if req.Levels != 0 {
-		q.Set("levels", strconv.Itoa(req.Levels))
-	}
-	if req.Cores != 0 {
-		q.Set("cores", strconv.Itoa(req.Cores))
-	}
-	if req.Warmup != 0 {
-		q.Set("warmup", strconv.FormatUint(req.Warmup, 10))
-	}
-	if req.Measure != 0 {
-		q.Set("measure", strconv.FormatUint(req.Measure, 10))
-	}
-	if req.Seed != 0 {
-		q.Set("seed", strconv.FormatUint(req.Seed, 10))
 	}
 	var res orchestrator.JobResult
 	err = c.do(ctx, http.MethodGet, "/v1/results?"+q.Encode(), nil, &res)

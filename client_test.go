@@ -1,7 +1,12 @@
 package lightnuca_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -230,5 +235,44 @@ func TestClientTracingPropagates(t *testing.T) {
 		if s.Name == "lnuca.orch.submit" && s.Parent != rootID {
 			t.Fatalf("orch.submit parent = %s, want the client span %s — the traceparent header did not propagate", s.Parent, rootID)
 		}
+	}
+}
+
+// TestClientRunRefusesDroppedMachine: an lnucad older than the machine
+// member decodes a request without it and runs Table I under the plain
+// key. Run must fail rather than hand that back as the machine's result.
+func TestClientRunRefusesDroppedMachine(t *testing.T) {
+	_, orch := stubServer(t, orchestrator.Config{Workers: 1, Run: instantRun})
+	api := orchestrator.NewServer(orch)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			var body map[string]interface{}
+			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+				t.Error(err)
+			}
+			delete(body, "machine")
+			data, _ := json.Marshal(body)
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(data)), int64(len(data))
+		}
+		api.ServeHTTP(w, r)
+	}))
+	defer old.Close()
+	client := lightnuca.NewClient(old.URL)
+	client.PollInterval = time.Millisecond
+	ctx := context.Background()
+
+	req := lightnuca.Request{Hierarchy: "ln+l3", Benchmark: "403.gcc", Machine: map[string]float64{"ln.link_buf": 1}}
+	if _, err := client.Run(ctx, req); err == nil || !strings.Contains(err.Error(), "keyed") {
+		t.Fatalf("Run through a server that drops the machine: err = %v, want a key mismatch", err)
+	}
+	// A machine that sets no row is the plain request: nothing to lose.
+	req.Machine = map[string]float64{"ln.link_buf": 2}
+	if _, err := client.Run(ctx, req); err != nil {
+		t.Fatalf("Table I machine: %v", err)
+	}
+	// GET /v1/results cannot name a machine at all.
+	req.Machine = map[string]float64{"ln.tile_kb": 4}
+	if _, _, err := client.Lookup(ctx, req); err == nil {
+		t.Fatal("Lookup of a machine request answered")
 	}
 }

@@ -33,7 +33,6 @@ import (
 
 	lightnuca "repro"
 	"repro/internal/exp"
-	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/workload"
@@ -174,13 +173,16 @@ func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner
 // for every one), simulating each matrix it needs once.
 func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner, want map[string]bool, benches []workload.Profile, mode string, seed uint64) error {
 	all := want["all"]
+	show := func(t fmt.Stringer, paper string) {
+		fmt.Fprintln(w, t)
+		fmt.Fprintln(w, "paper: "+paper)
+		fmt.Fprintln(w)
+	}
 	if all || want["table1"] {
 		fmt.Fprintln(w, exp.Table1())
 	}
 	if all || want["table2"] {
-		fmt.Fprintln(w, exp.Table2())
-		fmt.Fprintln(w, "paper: L2-256KB 0.91 mm2; LN2 0.46 / LN3 0.86 / LN4 1.59 mm2; network 14.0/18.8/19.0%")
-		fmt.Fprintln(w)
+		show(exp.Table2(), "L2-256KB 0.91 mm2; LN2 0.46 / LN3 0.86 / LN4 1.59 mm2; network 14.0/18.8/19.0%")
 	}
 	if all || want["fig4a"] || want["fig4b"] || want["table3"] {
 		results, err := fig4Set.run(ctx, w, runner, benches, mode, seed)
@@ -188,19 +190,15 @@ func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner,
 			return err
 		}
 		if all || want["fig4a"] {
-			fmt.Fprintln(w, exp.FigIPC("Fig 4(a): IPC harmonic mean, conventional hierarchies", fig4Set.specs, results))
-			fmt.Fprintln(w, "paper: LN2..LN4 gain 5.4-6.2% (int), 14.3-15.4% (fp) over L2-256KB")
-			fmt.Fprintln(w)
+			show(exp.FigIPC("Fig 4(a): IPC harmonic mean, conventional hierarchies", fig4Set.specs, results),
+				"LN2..LN4 gain 5.4-6.2% (int), 14.3-15.4% (fp) over L2-256KB")
 		}
 		if all || want["fig4b"] {
-			fmt.Fprintln(w, exp.FigEnergy("Fig 4(b): total energy normalized to L2-256KB", fig4Set.specs, results))
-			fmt.Fprintln(w, "paper: savings 16.5% (LN2) .. 10.5% (LN4); L3 static dominates")
-			fmt.Fprintln(w)
+			show(exp.FigEnergy("Fig 4(b): total energy normalized to L2-256KB", fig4Set.specs, results),
+				"savings 16.5% (LN2) .. 10.5% (LN4); L3 static dominates")
 		}
 		if all || want["table3"] {
-			fmt.Fprintln(w, exp.Table3Render(exp.Table3(results)))
-			fmt.Fprintln(w, "paper: Le2 58.7/40.9% (int/fp), all-levels up to 88.6/87.7%; ratio <= 1.014")
-			fmt.Fprintln(w)
+			show(exp.Table3Render(exp.Table3(results)), "Le2 58.7/40.9% (int/fp), all-levels up to 88.6/87.7%; ratio <= 1.014")
 		}
 	}
 	if all || want["fig5a"] || want["fig5b"] {
@@ -209,14 +207,12 @@ func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner,
 			return err
 		}
 		if all || want["fig5a"] {
-			fmt.Fprintln(w, exp.FigIPC("Fig 5(a): IPC harmonic mean, D-NUCA hierarchies", fig5Set.specs, results))
-			fmt.Fprintln(w, "paper: LN2+DN gains 4.2% (int) / 6.8% (fp), roughly flat in levels")
-			fmt.Fprintln(w)
+			show(exp.FigIPC("Fig 5(a): IPC harmonic mean, D-NUCA hierarchies", fig5Set.specs, results),
+				"LN2+DN gains 4.2% (int) / 6.8% (fp), roughly flat in levels")
 		}
 		if all || want["fig5b"] {
-			fmt.Fprintln(w, exp.FigEnergy("Fig 5(b): total energy normalized to DN-4x8", fig5Set.specs, results))
-			fmt.Fprintln(w, "paper: savings 4.25% (LN2+DN) .. 0.2% (LN4+DN)")
-			fmt.Fprintln(w)
+			show(exp.FigEnergy("Fig 5(b): total energy normalized to DN-4x8", fig5Set.specs, results),
+				"savings 4.25% (LN2+DN) .. 0.2% (LN4+DN)")
 		}
 	}
 	return nil
@@ -255,20 +251,7 @@ func runCMPMix(ctx context.Context, runner *lightnuca.Local, req lightnuca.Reque
 		baseline[c.Benchmark] = b.IPC
 	}
 
-	kind, err := hier.ParseKind(nreq.Hierarchy)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	benchmarks := make([]string, len(res.PerCore))
-	for i, c := range res.PerCore {
-		benchmarks[i] = c.Benchmark
-	}
-	fmt.Println(exp.MixTable(exp.MixResult{
-		Spec:       exp.MixSpec{Kind: kind, Levels: nreq.Levels, Benchmarks: benchmarks},
-		Cycles:     res.Cycles,
-		PerCore:    res.PerCore,
-		Throughput: res.ThroughputIPC,
-	}, baseline))
+	fmt.Println(exp.MixTable(res.Config, res.PerCore, baseline))
 	fmt.Printf("aggregate throughput: %.3f IPC over %d cycles\n", res.ThroughputIPC, res.Cycles)
 	fmt.Printf("weighted speedup:     %.3f (of %d ideal)\n", res.WeightedSpeedup, res.Cores)
 	var grants, conflicts uint64

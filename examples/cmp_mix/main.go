@@ -80,7 +80,7 @@ func main() {
 		}
 		baseline[b] = res.IPC
 	}
-	fmt.Println(exp.MixTable(r1, baseline))
+	fmt.Println(exp.MixTable(r1.Spec.Label(), r1.PerCore, baseline))
 	ws, err := exp.WeightedSpeedup(r1.PerCore, baseline)
 	if err != nil {
 		fail("%v", err)

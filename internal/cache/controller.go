@@ -172,9 +172,9 @@ func (c *Controller) handleFills(now sim.Cycle) {
 		if !ok {
 			break
 		}
-		// A fill may evict a dirty victim that needs write-buffer space,
-		// and needs a bank port. Check both before committing.
-		if c.wbuf.Full() {
+		// A fill needs a bank port, and write-buffer space when it evicts
+		// a dirty victim. Check both before committing.
+		if c.fillWaitsForWBuf(resp.Addr) {
 			c.StallWBufFull++
 			break
 		}
@@ -204,6 +204,15 @@ func (c *Controller) handleFills(now sim.Cycle) {
 			}
 		}
 	}
+}
+
+// fillWaitsForWBuf: only a fill that evicts a dirty victim needs buffer space.
+func (c *Controller) fillWaitsForWBuf(a mem.Addr) bool {
+	if !c.wbuf.Full() {
+		return false
+	}
+	v, evicts := c.bank.VictimFor(a)
+	return evicts && v.Dirty
 }
 
 // issueFetches pushes queued MSHR fetches downstream once miss
@@ -319,11 +328,8 @@ func (c *Controller) drainWriteBuffer(now sim.Cycle) {
 	switch {
 	case c.mshr.Lookup(line) != nil:
 		// The block is on its way; the fill will apply the write via the
-		// MSHR target below. Merge as a write target.
-		m := c.mshr.Lookup(line)
-		if !c.mshr.Merge(m, Target{ReqID: 0, Addr: line, Kind: mem.Write}) {
-			return // secondary limit: retry next cycle
-		}
+		// MSHR target below.
+		c.mshr.MergeWrite(c.mshr.Lookup(line), Target{ReqID: 0, Addr: line, Kind: mem.Write})
 		c.wbuf.Pop()
 		c.WritesApplied++
 	case c.bank.Probe(line):
@@ -417,8 +423,8 @@ func (c *Controller) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	needPort := false
 
 	// handleFills: a visible downstream response.
-	if c.down.Up.Len() > 0 {
-		if c.wbuf.Full() {
+	if resp, ok := c.down.Up.Peek(); ok {
+		if c.fillWaitsForWBuf(resp.Addr) {
 			c.skipWBufFull++ // StallWBufFull ticks until the buffer drains
 		} else if c.portAvail(now) {
 			return 0, false
@@ -480,12 +486,9 @@ func (c *Controller) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	}
 	// drainWriteBuffer head.
 	if e, ok := c.wbuf.Peek(); ok {
-		switch m := c.mshr.Lookup(e.Line); {
-		case m != nil:
-			if c.mshr.CanMerge(m) {
-				return 0, false
-			}
-			c.skipMergeRejects++
+		switch {
+		case c.mshr.Lookup(e.Line) != nil:
+			return 0, false // MergeWrite always takes it
 		case c.bank.Probe(e.Line):
 			if c.portAvail(now) {
 				return 0, false

@@ -245,6 +245,92 @@ func TestControllerCollect(t *testing.T) {
 	}
 }
 
+// smallL2 is a copy-back L2 with one port, 64 sets of 2 ways, and the
+// MSHR and write-buffer sizes a directed deadlock test wants.
+func smallL2(mshrs, secondary, wbuf int) ControllerConfig {
+	cfg := l2Config()
+	cfg.Bank = BankConfig{SizeBytes: 8 << 10, Ways: 2, BlockBytes: 64}
+	cfg.MSHREntries, cfg.MSHRSecondary, cfg.WriteBufEntries = mshrs, secondary, wbuf
+	return cfg
+}
+
+// missOn puts line x in flight by hand: a primary read miss, whose fetch
+// memory answers once queued.
+func (h *ctrlHarness) missOn(id uint64, x mem.Addr) (m *MSHR, queueFetch func()) {
+	m = h.c.mshr.Allocate(x, Target{ReqID: id, Addr: x, Kind: mem.Read})
+	return m, func() { h.c.queueFetch(x, 0, 0) }
+}
+
+// fillSet fills the set x maps to with other blocks, dirty or clean.
+func (h *ctrlHarness) fillSet(x mem.Addr, dirty bool) {
+	stride := mem.Addr(h.c.bank.numSets * h.c.cfg.Bank.BlockBytes)
+	for w := 1; w <= h.c.cfg.Bank.Ways; w++ {
+		h.c.bank.Fill(x+mem.Addr(w)*stride, dirty)
+	}
+}
+
+// TestFullWriteBufferMergesPastSecondaryLimit builds the wait by hand: the
+// write buffer is full, its head a write to X, X's MSHR at the secondary
+// limit, and X's fill on its way to a set whose victim is dirty. The fill
+// needs a buffer slot for the victim, the head needs a merge slot on X,
+// and X's entry needs the fill. A write wants no response, so it merges
+// past the limit and the buffer drains.
+func TestFullWriteBufferMergesPastSecondaryLimit(t *testing.T) {
+	h := newCtrlHarness(t, smallL2(2, 1, 2))
+	const x, y = mem.Addr(0x1000), mem.Addr(0x20000)
+	m, queueFetch := h.missOn(1, x)
+	if !h.c.mshr.Merge(m, Target{ReqID: 2, Addr: x, Kind: mem.Read}) || h.c.mshr.CanMerge(m) {
+		t.Fatal("setup: X's MSHR is not at its secondary limit")
+	}
+	h.fillSet(x, true)
+	h.c.wbuf.Add(x, mem.Write)
+	h.c.wbuf.Add(y, mem.Write)
+	if !h.c.wbuf.Full() {
+		t.Fatal("setup: write buffer not full")
+	}
+	// Nothing else is pending, so the head alone decides idleness.
+	if _, idle := h.c.NextEvent(h.k.Cycle()); idle {
+		t.Fatal("a head write to a line in flight reads as blocked")
+	}
+	queueFetch()
+	h.runUntil(t, 1, 2000)
+	h.runUntil(t, 2, 2000)
+	if !h.c.Bank().IsDirty(x) {
+		t.Fatal("the merged write did not leave X dirty")
+	}
+}
+
+// TestFillOfCleanVictimSkipsFullWriteBuffer builds the other wait by hand:
+// the write buffer is full, its head a write miss that needs an MSHR, the
+// MSHR file full, and a fill arriving for a set whose LRU way is clean.
+// Only a dirty victim needs a buffer slot, so the fill goes in, frees its
+// MSHR, and the head allocates.
+func TestFillOfCleanVictimSkipsFullWriteBuffer(t *testing.T) {
+	h := newCtrlHarness(t, smallL2(1, 4, 2))
+	const x, w, v = mem.Addr(0x1000), mem.Addr(0x20000), mem.Addr(0x30040)
+	_, queueFetch := h.missOn(1, x)
+	queueFetch()
+	h.fillSet(x, false)
+	h.c.wbuf.Add(w, mem.Write)
+	h.c.wbuf.Add(v, mem.Write)
+	if !h.c.mshr.Full() || !h.c.wbuf.Full() {
+		t.Fatal("setup: MSHR file or write buffer not full")
+	}
+	for i := 0; i < 2000 && h.down.Up.Len() == 0; i++ {
+		h.k.Step()
+	}
+	if _, idle := h.c.NextEvent(h.k.Cycle()); idle {
+		t.Fatal("a fill that evicts a clean victim reads as blocked on the write buffer")
+	}
+	h.runUntil(t, 1, 2000)
+	for i := 0; i < 2000 && h.c.wbuf.Len() > 0; i++ {
+		h.k.Step()
+	}
+	if h.c.wbuf.Len() != 0 || !h.c.Bank().IsDirty(w) {
+		t.Fatalf("write buffer did not drain (%d left) into a dirty W", h.c.wbuf.Len())
+	}
+}
+
 func TestControllerManyRandomRequestsDrain(t *testing.T) {
 	h := newCtrlHarness(t, l2Config())
 	rng := sim.NewRand(42)

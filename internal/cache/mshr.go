@@ -51,7 +51,7 @@ func NewMSHRFile(maxEntries, maxSecondary int) *MSHRFile {
 		maxSecondary: maxSecondary,
 	}
 	for i := range f.freelist {
-		f.freelist[i] = &MSHR{Targets: make([]Target, 0, 1+maxSecondary)}
+		f.freelist[i] = &MSHR{Targets: make([]Target, 0, 2+maxSecondary)} // +1: MergeWrite's slot
 	}
 	return f
 }
@@ -87,7 +87,7 @@ func (f *MSHRFile) Allocate(line mem.Addr, t Target) *MSHR {
 	m := f.freelist[n]
 	f.freelist = f.freelist[:n]
 	m.Line = line
-	//lnuca:allow(hotalloc) appends into the entry's Targets capacity, fixed at 1+maxSecondary
+	//lnuca:allow(hotalloc) appends into the entry's Targets capacity, fixed at 2+maxSecondary
 	m.Targets = append(m.Targets[:0], t)
 	//lnuca:allow(hotalloc) appends into capacity fixed at maxEntries; Full bounds the length
 	f.entries = append(f.entries, m)
@@ -106,6 +106,19 @@ func (f *MSHRFile) Merge(m *MSHR, t Target) bool {
 	m.Targets = append(m.Targets, t)
 	f.Secondary++
 	return true
+}
+
+// MergeWrite merges a write, which waits for no response, into m — past the
+// secondary limit too: refused, it would hold the buffer m's fill needs.
+func (f *MSHRFile) MergeWrite(m *MSHR, t Target) {
+	for _, o := range m.Targets {
+		if o.Kind == mem.Write && !f.CanMerge(m) {
+			return // the fill installs the block dirty already
+		}
+	}
+	//lnuca:allow(hotalloc) appends into the entry's Targets capacity, 2+maxSecondary: one write at most past the limit
+	m.Targets = append(m.Targets, t)
+	f.Secondary++
 }
 
 // CanMerge reports whether m still has secondary-miss room, without

@@ -20,8 +20,9 @@ import (
 // core's private side, and one benchmark per core.
 type MixSpec struct {
 	Kind       hier.Kind
-	Levels     int      // L-NUCA levels where applicable
-	Benchmarks []string // one per core
+	Levels     int          // L-NUCA levels where applicable
+	Machine    hier.Machine // Table I rows overridden; zero is Table I
+	Benchmarks []string     // one per core
 
 	// Ungated / ShuffleRegistration mirror Spec's fields: result-neutral
 	// kernel knobs the equivalence tests cross-product over.
@@ -31,7 +32,7 @@ type MixSpec struct {
 
 // Label renders the configuration name ("4x LN3-144KB").
 func (m MixSpec) Label() string {
-	return fmt.Sprintf("%dx %s", len(m.Benchmarks), Spec{Kind: m.Kind, Levels: m.Levels}.Label())
+	return fmt.Sprintf("%dx %s", len(m.Benchmarks), Spec{Kind: m.Kind, Levels: m.Levels, Machine: m.Machine}.Label())
 }
 
 // CoreResult is one core's measured share of a mix run.
@@ -75,6 +76,7 @@ func RunMixCtx(ctx context.Context, spec MixSpec, mode Mode, seed uint64, progre
 	w, err := measure(ctx, func() (*hier.System, error) {
 		return hier.BuildCMP(spec.Kind, profs, hier.CMPOptions{
 			LNUCALevels:         spec.Levels,
+			Machine:             spec.Machine,
 			Seed:                seed,
 			ShuffleRegistration: spec.ShuffleRegistration,
 			Ungated:             spec.Ungated,
@@ -131,12 +133,16 @@ func WeightedSpeedup(perCore []CoreResult, baseline map[string]float64) (float64
 	return ws, nil
 }
 
-// MixTable renders a mix result as the per-core report the CLI and the
-// walkthrough print.
-func MixTable(r MixResult, baseline map[string]float64) *stats.Table {
-	t := stats.NewTable(fmt.Sprintf("CMP mix: %s [%s]", r.Spec.Label(), strings.Join(r.Spec.Benchmarks, ", ")),
+// MixTable renders a mix's per-core results as the report the CLI and the
+// walkthrough print; config is the mix's label.
+func MixTable(config string, perCore []CoreResult, baseline map[string]float64) *stats.Table {
+	names := make([]string, len(perCore))
+	for i, c := range perCore {
+		names[i] = c.Benchmark
+	}
+	t := stats.NewTable(fmt.Sprintf("CMP mix: %s [%s]", config, strings.Join(names, ", ")),
 		"core", "benchmark", "IPC", "alone IPC", "slowdown")
-	for i, c := range r.PerCore {
+	for i, c := range perCore {
 		alone := baseline[c.Benchmark]
 		slow := "-"
 		aloneS := "-"

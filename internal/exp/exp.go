@@ -33,8 +33,9 @@ var Full = Mode{Name: "full", Warmup: 40_000, Measure: 200_000}
 
 // Spec names one simulation configuration.
 type Spec struct {
-	Kind   hier.Kind
-	Levels int // L-NUCA levels where applicable
+	Kind    hier.Kind
+	Levels  int          // L-NUCA levels where applicable
+	Machine hier.Machine // Table I rows overridden; zero is Table I
 
 	// Ungated forces plain lockstep stepping (no quiescence
 	// fast-forward) and ShuffleRegistration permutes kernel registration
@@ -45,8 +46,14 @@ type Spec struct {
 	ShuffleRegistration uint64
 }
 
-// Label renders the configuration name used in the paper.
-func (s Spec) Label() string { return hier.Label(s.Kind, s.Levels) }
+// Label renders the paper's name for the configuration, and any machine
+// rows it overrides ("LN3-144KB {ln.tile_kb=4}").
+func (s Spec) Label() string {
+	if s.Machine != "" {
+		return fmt.Sprintf("%s {%s}", hier.Label(s.Kind, s.Levels), s.Machine)
+	}
+	return hier.Label(s.Kind, s.Levels)
+}
 
 // Result is one benchmark x configuration measurement.
 type Result struct {
@@ -93,6 +100,7 @@ func runOne(ctx context.Context, spec Spec, prof workload.Profile, mode Mode, se
 	w, err := measure(ctx, func() (*hier.System, error) {
 		return hier.Build(spec.Kind, prof, hier.Options{
 			LNUCALevels:         spec.Levels,
+			Machine:             spec.Machine,
 			Seed:                seed,
 			MaxInstr:            mode.Warmup + mode.Measure,
 			ShuffleRegistration: spec.ShuffleRegistration,
@@ -127,7 +135,8 @@ type window struct {
 // measure is the one measurement loop, shared by live, recording, replay
 // and mix runs: build, functional prewarm, advance until every core
 // clears the warmup budget, snapshot, advance until every core clears
-// the total budget (or the kernel stops: a single core at MaxInstr, a
+// the total budget and has measured the window's budget to within a
+// commit width (or the kernel stops: a single core at MaxInstr, a
 // replayed trace at its end), then the delta. Cores of a mix that finish
 // early keep running — they must keep contending for the shared LLC
 // while slower cores measure, the standard multi-programmed methodology.
@@ -164,15 +173,15 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 	// this cap is two orders of magnitude of headroom.
 	cycleCap := 1000*total + 1_000_000
 
-	// advance runs chunks until every core commits at least target. The
-	// final chunks are clamped to the remaining budget so the measured
-	// window starts within a commit-width of the boundary — a fixed-size
-	// final chunk would overshoot by up to chunk-1 committed
-	// instructions and make the window start a function of the chunk
-	// constant.
+	// advance runs chunks until committed() — the slowest core's count,
+	// or one core's — reaches target. The final chunks are clamped to the
+	// remaining budget so the measured window starts within a
+	// commit-width of the boundary — a fixed-size final chunk would
+	// overshoot by up to chunk-1 committed instructions and make the
+	// window start a function of the chunk constant.
 	const chunk = 2048
-	advance := func(target uint64) error {
-		for sys.MinCommitted() < target && !sys.Kernel.Stopped() {
+	advance := func(target uint64, committed func() uint64) error {
+		for committed() < target && !sys.Kernel.Stopped() {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -180,23 +189,34 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 				return fmt.Errorf("exp: %s stalled: min committed %d/%d after %d cycles",
 					label, sys.MinCommitted(), target, sys.Kernel.Cycle())
 			}
-			sys.Run(clampChunk(chunk, target-sys.MinCommitted(), sys.Core.MaxCommitPerCycle()))
+			sys.Run(clampChunk(chunk, target-committed(), sys.Core.MaxCommitPerCycle()))
 			report()
 		}
 		return nil
 	}
 
-	if err := advance(mode.Warmup); err != nil {
+	if err := advance(mode.Warmup, sys.MinCommitted); err != nil {
 		return w, err
 	}
 	startStats := sys.Collect()
 	startCycles := sys.Kernel.Cycle()
 	startLoadLat := sys.Core.LoadLatHist.Clone()
 	startCommitted := committedSum(sys)
+	starts := make([]uint64, len(sys.Cores))
+	for i, c := range sys.Cores {
+		starts[i] = c.Committed
+	}
 	w.phases.WarmupSeconds = time.Since(warmupStart).Seconds()
 	measureStart := time.Now()
-	if err := advance(total); err != nil {
+	if err := advance(total, sys.MinCommitted); err != nil {
 		return w, err
+	}
+	// A mix core that led at the snapshot and trails now runs on, too.
+	for i, c := range sys.Cores {
+		budget := mode.Measure - min(mode.Measure, uint64(c.MaxCommitPerCycle()))
+		if err := advance(starts[i]+budget, func() uint64 { return c.Committed }); err != nil {
+			return w, err
+		}
 	}
 	w.stats = stats.Delta(sys.Collect(), startStats)
 	w.cycles = sys.Kernel.Cycle() - startCycles

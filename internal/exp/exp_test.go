@@ -218,3 +218,14 @@ func TestTable1Rendering(t *testing.T) {
 		}
 	}
 }
+
+// TestFullModeLBMFinishes: conventional / 470.lbm / full / seed 1 is the
+// cell whose L2 used to deadlock — write buffer full, its head waiting on
+// an MSHR, every MSHR on a fill, every fill on a buffer slot — and fail
+// the documented full-mode figure run with a stall after 241M cycles.
+func TestFullModeLBMFinishes(t *testing.T) {
+	r := RunOne(Spec{Kind: hier.Conventional}, mustProfile(t, "470.lbm"), Full, 1)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/area"
 	"repro/internal/hier"
@@ -103,7 +102,7 @@ func Table3(results []Result) []Table3Row {
 			PctByLevel: map[int][2]float64{},
 		}
 		var sums, ratios [2][]float64 // per class accumulators
-		perLevel := map[int]*[2][]float64{}
+		var perLevel [5][2][]float64  // and per level 2..4
 		for _, r := range results {
 			if r.Spec != spec || r.Err != nil {
 				continue
@@ -125,23 +124,14 @@ func Table3(results []Result) []Table3Row {
 				hits := float64(r.Stats.Counter(fmt.Sprintf("ln.read_hits_le%d", lvl)))
 				pct := 100 * hits / l2Hits
 				all += pct
-				if perLevel[lvl] == nil {
-					perLevel[lvl] = &[2][]float64{}
-				}
 				perLevel[lvl][cls] = append(perLevel[lvl][cls], pct)
 			}
 			sums[cls] = append(sums[cls], all)
 			ratios[cls] = append(ratios[cls], r.Stats.Scalar("ln.transport_ratio"))
 		}
-		lvls := make([]int, 0, len(perLevel))
-		for lvl := range perLevel {
-			lvls = append(lvls, lvl)
-		}
-		sort.Ints(lvls)
-		for _, lvl := range lvls {
-			acc := perLevel[lvl]
-			row.PctByLevel[lvl] = [2]float64{
-				stats.ArithmeticMean(acc[0]), stats.ArithmeticMean(acc[1]),
+		for lvl, acc := range perLevel {
+			if len(acc[0])+len(acc[1]) > 0 {
+				row.PctByLevel[lvl] = [2]float64{stats.ArithmeticMean(acc[0]), stats.ArithmeticMean(acc[1])}
 			}
 		}
 		row.AllLevels = [2]float64{stats.ArithmeticMean(sums[0]), stats.ArithmeticMean(sums[1])}

@@ -657,3 +657,35 @@ func TestFleetRouteLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetCarriesMachine: a request with a machine crosses a lease as the
+// request it is — the worker normalizes it to the coordinator's key, so
+// its key check passes — and runs the machine it names.
+func TestFleetCarriesMachine(t *testing.T) {
+	var mu sync.Mutex
+	var ran []string
+	s := startStack(t, Config{LeaseTTL: 500 * time.Millisecond}, orchestrator.Config{Workers: 1}, 1,
+		func(ctx context.Context, j orchestrator.Job, _ func(done, total uint64)) (*orchestrator.JobResult, error) {
+			mu.Lock()
+			ran = append(ran, j.Spec().Label())
+			mu.Unlock()
+			return stubResult(j), nil
+		})
+	defer s.close()
+	job, err := orchestrator.Request{Hierarchy: "ln+l3", Benchmark: "403.gcc", Machine: map[string]float64{"ln.link_buf": 1}}.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.orch.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec = waitDone(t, s.orch, rec.ID); rec.Status != orchestrator.StatusDone || rec.Key != job.Key() {
+		t.Fatalf("status %s (%q), key %s; want done under %s", rec.Status, rec.Error, rec.Key, job.Key())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 || ran[0] != "LN3-144KB {ln.link_buf=1}" {
+		t.Fatalf("worker ran %v", ran)
+	}
+}

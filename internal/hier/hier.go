@@ -56,6 +56,8 @@ type Options struct {
 	// LNUCALevels selects 2..6 (72KB..552KB) fabrics, default 3; ignored
 	// otherwise.
 	LNUCALevels int
+	// Machine overrides Table I rows (ResolveMachine); zero is Table I.
+	Machine Machine
 	// Seed drives all randomized behaviour (routing, workload).
 	Seed uint64
 	// MaxInstr bounds committed instructions (the paper runs 100M after
@@ -256,6 +258,7 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*Syst
 			fcfg := lnuca.DefaultConfig(levels)
 			fcfg.Name += suffix
 			fcfg.Seed = seed | 1
+			opt.Machine.apply(&fcfg)
 			fab, err := lnuca.NewFabric(fcfg, cpuPort, llcSide, &s.ids)
 			if err != nil {
 				return nil, err

@@ -124,7 +124,7 @@ func (e *Engine) Run(ctx context.Context, j Job, progress func(done, total uint6
 
 // runMix runs the CMP and then resolves its weighted-speedup baselines
 // — one single-core run per distinct benchmark in the mix, under the
-// same hierarchy, mode and seed — through Do, each memoized under its
+// same hierarchy, machine, mode and seed — through Do, each memoized under its
 // own key. Progress budgets one single-core window per core plus one
 // per distinct baseline, so a mix job keeps reporting honest progress
 // while its baselines run.
@@ -155,7 +155,7 @@ func (e *Engine) runMix(ctx context.Context, j Job, progress func(done, total ui
 	baselines := make(map[string]float64, len(distinct))
 	for i, bench := range distinct {
 		single, err := Job{
-			Kind: j.Kind, Levels: j.Levels, Benchmark: bench,
+			Kind: j.Kind, Levels: j.Levels, machine: j.machine, Benchmark: bench,
 			Mode: j.Mode, Seed: j.Seed,
 		}.Normalize()
 		if err != nil {

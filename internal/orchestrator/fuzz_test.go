@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -55,6 +56,10 @@ func FuzzRequestJob(f *testing.F) {
 	f.Add([]byte(`{"hierarchy":"LN","benchmark":"403.gcc","levels":7}`))
 	f.Add([]byte(`{"hierarchy":"ln+dn","cores":3,"mix":"random","seed":18446744073709551615,"warmup":1}`))
 	f.Add([]byte(`{"schema":"lnuca-run-v2","hierarchy":"conv","benchmark":"403.gcc"}`))
+	f.Add([]byte(`{"hierarchy":"ln+l3","benchmark":"403.gcc","machine":{"ln.link_buf":1,"ln.tile_kb":4}}`))
+	f.Add([]byte(`{"hierarchy":"ln+dn","cores":2,"mix":"fp","machine":{"ln.routing":1,"ln.link_buf":2}}`))
+	f.Add([]byte(`{"hierarchy":"conventional","benchmark":"470.lbm","machine":{"ln.tile_kb":3,"l2.mshr":16}}`))
+	f.Add([]byte(`{"hierarchy":"ln","trace":"9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08","machine":{"ln.link_buf":8.5}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r Request
 		if json.Unmarshal(data, &r) != nil {
@@ -75,7 +80,7 @@ func FuzzRequestJob(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: Job accepts, Normalize refuses: %v", data, err)
 		}
-		if n2, err := n1.Normalize(); err != nil || n2 != n1 {
+		if n2, err := n1.Normalize(); err != nil || !reflect.DeepEqual(n2, n1) {
 			t.Fatalf("%s: Normalize is not idempotent:\n once  %+v\n twice %+v (%v)", data, n1, n2, err)
 		}
 	})
@@ -166,7 +171,7 @@ func FuzzLoadPending(f *testing.F) {
 			}
 			got := j.Pending()
 			j.Close()
-			if !slices.Equal(got, want) {
+			if !slices.EqualFunc(got, want, func(a, b Request) bool { return reflect.DeepEqual(a, b) }) {
 				t.Fatalf("open %d: pending %+v, want %+v", pass+1, got, want)
 			}
 		}

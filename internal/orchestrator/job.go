@@ -33,10 +33,11 @@ import (
 // every front-end parses into it via Request.Job — and two Jobs with the
 // same canonical Key are the same computation and share one result.
 type Job struct {
-	Kind      hier.Kind `json:"-"`
-	Hierarchy string    `json:"hierarchy"` // paper-style name, set by Normalize
-	Levels    int       `json:"levels,omitempty"`
-	Benchmark string    `json:"benchmark,omitempty"`
+	Kind      hier.Kind    `json:"-"`
+	Hierarchy string       `json:"hierarchy"` // paper-style name, set by Normalize
+	Levels    int          `json:"levels,omitempty"`
+	machine   hier.Machine // the machine member, as only Request.parse resolves it
+	Benchmark string       `json:"benchmark,omitempty"`
 	// Cores selects the multi-programmed CMP mode when > 1: Cores
 	// out-of-order cores with private first levels over the shared LLC.
 	Cores int `json:"cores,omitempty"`
@@ -157,18 +158,21 @@ func (j Job) normalizeTrace() (Job, error) {
 
 // Spec returns the exp harness spec for a single-core job.
 func (j Job) Spec() exp.Spec {
-	return exp.Spec{Kind: j.Kind, Levels: j.Levels}
+	return exp.Spec{Kind: j.Kind, Levels: j.Levels, Machine: j.machine}
 }
 
 // MixSpec returns the exp harness spec for a mix job.
 func (j Job) MixSpec() exp.MixSpec {
-	return exp.MixSpec{Kind: j.Kind, Levels: j.Levels, Benchmarks: j.MixBenchmarks}
+	return exp.MixSpec{Kind: j.Kind, Levels: j.Levels, Machine: j.machine, Benchmarks: j.MixBenchmarks}
 }
 
 // keySchema versions the content-key format. Bump it whenever the canon
 // string changes meaning, so stale on-disk results become misses instead
 // of silently serving the wrong computation.
 const keySchema = "lnuca-job-v2"
+
+// machineField ends a canon whose machine sets a row (TestMachineKeyGolden).
+const machineField = "|machine="
 
 // Key returns the content address of a normalized job: a SHA-256 over
 // every field that determines the result (mode windows, not the mode's
@@ -181,7 +185,7 @@ const keySchema = "lnuca-job-v2"
 // two shapes cannot collide ("|bench=" vs "|trace=" after the levels
 // field), and non-trace canon strings are byte-for-byte what they were
 // before traces existed, keeping every previously cached result
-// reachable.
+// reachable — and only a machine that sets a row adds a field.
 func (j Job) Key() string {
 	var canon string
 	if j.Trace != "" {
@@ -191,6 +195,9 @@ func (j Job) Key() string {
 		canon = fmt.Sprintf("%s|hier=%s|levels=%d|bench=%s|cores=%d|mix=%s|warmup=%d|measure=%d|seed=%d",
 			keySchema, j.Kind.String(), j.Levels, j.Benchmark, j.Cores,
 			strings.Join(j.MixBenchmarks, ","), j.Mode.Warmup, j.Mode.Measure, j.Seed)
+	}
+	if j.machine != "" {
+		canon += machineField + string(j.machine)
 	}
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:])

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -138,7 +139,7 @@ func TestJournalEndBeforeSubmit(t *testing.T) {
 		if len(pend) != c.pending {
 			t.Errorf("%s: %d pending, want %d", c.name, len(pend), c.pending)
 		}
-		if c.pending == 1 && pend[0] != req {
+		if c.pending == 1 && !reflect.DeepEqual(pend[0], req) {
 			t.Errorf("%s: pending request = %+v, want %+v", c.name, pend[0], req)
 		}
 	}

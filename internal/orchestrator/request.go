@@ -36,6 +36,8 @@ type Request struct {
 	// Levels is the L-NUCA depth (2..6) where the hierarchy has one;
 	// 0 defaults to 3.
 	Levels int `json:"levels,omitempty"`
+	// Machine sets rows of hier's machine table, e.g. {"ln.link_buf": 1}.
+	Machine map[string]float64 `json:"machine,omitempty"`
 	// Benchmark names one catalog workload (single-core runs).
 	Benchmark string `json:"benchmark,omitempty"`
 	// Cores > 1 selects the multi-programmed CMP mode over the shared
@@ -75,6 +77,10 @@ func (r Request) parse() (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
+	machine, err := hier.ResolveMachine(kind, r.Machine)
+	if err != nil {
+		return Job{}, err
+	}
 	// A trace pins its own windows, so an empty mode must stay empty
 	// there instead of defaulting to quick.
 	var mode exp.Mode
@@ -89,6 +95,7 @@ func (r Request) parse() (Job, error) {
 	j := Job{
 		Kind:      kind,
 		Levels:    r.Levels,
+		machine:   machine,
 		Benchmark: r.Benchmark,
 		Cores:     r.Cores,
 		Mix:       r.Mix,
@@ -146,6 +153,7 @@ func RequestOf(j Job) Request {
 		Schema:    RequestSchema,
 		Hierarchy: j.Kind.RequestName(),
 		Levels:    j.Levels,
+		Machine:   j.machine.Values(),
 		Benchmark: j.Benchmark,
 		Cores:     j.Cores,
 		Mix:       j.Mix,

@@ -377,12 +377,17 @@ func (t *Table) AddRow(cells ...string) {
 }
 
 // AddRowf appends a row where each cell is built with fmt.Sprint on the
-// corresponding value; float64 values are rendered with %.3f.
+// corresponding value; float64 values are rendered with %.3f, and a NaN —
+// a mean over nothing — as "—".
 func (t *Table) AddRowf(cells ...interface{}) {
 	row := make([]string, 0, len(cells))
 	for _, c := range cells {
 		switch v := c.(type) {
 		case float64:
+			if math.IsNaN(v) {
+				row = append(row, "—")
+				continue
+			}
 			row = append(row, fmt.Sprintf("%.3f", v))
 		default:
 			row = append(row, fmt.Sprint(v))

@@ -300,6 +300,22 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTableNaNIsDash: a mean over an empty class renders as a dash, the
+// way Table III marks a level a configuration does not have; every other
+// float keeps its three decimals.
+func TestTableNaNIsDash(t *testing.T) {
+	tb := NewTable("", "config", "IPC int", "IPC fp", "int gain %")
+	hm := HarmonicMean(nil)
+	tb.AddRowf("L2-256KB", hm, 0.891, SpeedupPercent(hm, hm))
+	if !math.IsNaN(hm) {
+		t.Fatalf("harmonic mean of nothing is %v, not NaN: the case this test pins is gone", hm)
+	}
+	out := tb.String()
+	if strings.Contains(out, "NaN") || strings.Count(out, "—") != 2 || !strings.Contains(out, "0.891") {
+		t.Errorf("want two dashes and 0.891, no NaN:\n%s", out)
+	}
+}
+
 func TestTableShortRowPadded(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.AddRow("only")
