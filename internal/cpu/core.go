@@ -48,16 +48,17 @@ func (c Class) String() string {
 	}
 }
 
-// Op is one dynamic correct-path micro-operation.
+// Op is one dynamic correct-path micro-operation. The fields run from
+// widest to narrowest so an Op packs into 32 bytes (TestOpSizes).
 type Op struct {
-	Class Class
-	// Dep1/Dep2 are backward distances (in dynamic ops) to producers;
-	// zero means no dependency.
-	Dep1, Dep2 int32
 	// Addr is the effective address of loads and stores.
 	Addr mem.Addr
 	// PC identifies the static instruction (predictor indexing).
 	PC uint64
+	// Dep1/Dep2 are backward distances (in dynamic ops) to producers;
+	// zero means no dependency.
+	Dep1, Dep2 int32
+	Class      Class
 	// Taken is the resolved direction of branches.
 	Taken bool
 	// Lat overrides the execution latency when non-zero.
@@ -198,6 +199,7 @@ type Core struct {
 	name   string
 	cfg    Config
 	stream Stream
+	ahead  *Ahead // stream, when it is a run-ahead supply; nil otherwise
 	port   *mem.Port
 	ids    *mem.IDSource
 	bpred  *BPred
@@ -281,7 +283,8 @@ func storeLineSlot(a mem.Addr) int {
 const loadLatBuckets = 512
 
 // New builds a core reading ops from stream and accessing memory via port.
-// maxInstr bounds the committed instruction count (0 = unbounded).
+// maxInstr bounds the committed instruction count (0 = unbounded). A
+// RunAhead stream is read by indexing its blocks.
 func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSource, maxInstr uint64) *Core {
 	if cfg.FetchWidth <= 0 {
 		cfg = DefaultConfig()
@@ -305,6 +308,7 @@ func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSour
 
 		LoadLatHist: stats.NewHistogram(loadLatBuckets),
 	}
+	c.ahead, _ = stream.(*Ahead)
 	for qi, limit := range [numIQ]int{qMem: cfg.MemIQ, qInt: cfg.IntIQ, qFP: cfg.FPIQ} {
 		c.iq[qi] = issueQueue{limit: limit, ready: sim.NewBitSet(ring)}
 	}
@@ -607,7 +611,13 @@ func (c *Core) fetch(now sim.Cycle) {
 		if c.decq.Len() >= c.cfg.DecodeQueue {
 			return
 		}
-		op, ok := c.stream.Next()
+		var op Op
+		ok := true
+		if c.ahead != nil {
+			op, _ = c.ahead.Next() // inlined: an index into the current block
+		} else {
+			op, ok = c.stream.Next()
+		}
 		if !ok {
 			c.streamDone = true
 			return

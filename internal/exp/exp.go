@@ -142,7 +142,8 @@ type window struct {
 // while slower cores measure, the standard multi-programmed methodology.
 // The context is polled between chunks; progress (when non-nil) receives
 // (committed, total) instruction counts summed over cores, each core's
-// share clamped to its budget. label names the run in the stall error.
+// share clamped to its budget. label names the run in the stall errors.
+// The machine is closed on every way out.
 //
 //lnuca:allow(determinism) Phases wall-time telemetry; stripped at Cache.Put so cached results stay byte-identical
 func measure(ctx context.Context, build func() (*hier.System, error), label string, mode Mode, progress func(done, total uint64)) (window, error) {
@@ -153,6 +154,7 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 	if err != nil {
 		return w, err
 	}
+	defer sys.Close()
 	w.sys = sys
 	kernelStart := sys.Kernel.Stats()
 	warmupStart := time.Now()
@@ -168,10 +170,13 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 			progress(done, uint64(len(sys.Cores))*total)
 		}
 	}
-	// A stalled machine must fail loudly, not spin: with the slowest
-	// catalog profiles under full contention IPC stays above ~1/50, so
-	// this cap is two orders of magnitude of headroom.
+	// A stalled machine must fail loudly, not spin: the watchdog fails a
+	// machine on which no core commits for stallCycles, and the cap one
+	// that crawls — with the slowest catalog profiles under full
+	// contention IPC stays above ~1/50, so it is two orders of magnitude
+	// of headroom.
 	cycleCap := 1000*total + 1_000_000
+	var dog watchdog
 
 	// advance runs chunks until committed() — the slowest core's count,
 	// or one core's — reaches target. The final chunks are clamped to the
@@ -184,6 +189,13 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 		for committed() < target && !sys.Kernel.Stopped() {
 			if err := ctx.Err(); err != nil {
 				return err
+			}
+			if idle, stalled := dog.check(committedSum(sys), sys.Kernel.Cycle()); stalled {
+				committed := make([]uint64, len(sys.Cores))
+				for i, c := range sys.Cores {
+					committed[i] = c.Committed
+				}
+				return fmt.Errorf("exp: %s made no progress for %d cycles; committed per core %v", label, idle, committed)
 			}
 			if sys.Kernel.Cycle() > cycleCap {
 				return fmt.Errorf("exp: %s stalled: min committed %d/%d after %d cycles",
@@ -224,6 +236,25 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 	w.phases.fillMeasure(committedSum(sys)-startCommitted, time.Since(measureStart))
 	w.phases.fillKernel(sys.Kernel.Stats().Delta(kernelStart))
 	return w, nil
+}
+
+// stallCycles is how long measure lets a machine go without a commit on
+// any core before it fails the run: several hundred DRAM round trips.
+const stallCycles = 100_000
+
+// watchdog is measure's no-progress rule. It holds the committed total
+// it last saw change and the cycle that happened at.
+type watchdog struct{ committed, at uint64 }
+
+// check records the machine's committed total at cycle now and returns
+// how long the total has stood still, and whether that is stallCycles or
+// more.
+func (d *watchdog) check(committed, now uint64) (idle uint64, stalled bool) {
+	if committed != d.committed {
+		d.committed, d.at = committed, now
+	}
+	idle = now - d.at
+	return idle, idle >= stallCycles
 }
 
 // committedSum totals committed instructions over the machine's cores.

@@ -121,6 +121,7 @@ type System struct {
 	ids      mem.IDSource
 	levels   int
 	profiles []workload.Profile
+	supplies []*cpu.Ahead // the cores' run-ahead supplies, for Close
 }
 
 // CMPSystem is a System built by BuildCMP.
@@ -217,8 +218,9 @@ func BuildCMP(kind Kind, profs []workload.Profile, opt CMPOptions) (*CMPSystem, 
 // at CoreOffset(i)), then the last level and memory once. shared puts
 // the arbiter in front of the last level and the core index into
 // component names; without it the single private side feeds the last
-// level directly.
-func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*System, error) {
+// level directly. A generated stream runs ahead (cpu.RunAhead); a build
+// that fails closes the supplies it started.
+func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (_ *System, err error) {
 	levels, err := Levels(kind, opt.LNUCALevels)
 	if err != nil {
 		return nil, err
@@ -229,6 +231,11 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*Syst
 		levels:   levels,
 		profiles: profs,
 	}
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
 	org := kinds[kind]
 
 	var comps []sim.Component
@@ -245,7 +252,9 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (*Syst
 			if err != nil {
 				return nil, err
 			}
-			stream = gen
+			ahead := cpu.RunAhead(gen, opt.MaxInstr)
+			s.supplies = append(s.supplies, ahead)
+			stream = ahead
 		}
 		cpuPort := mem.NewPort(8, 8)
 		core := cpu.New(coreName, cpu.Config{}, stream, cpuPort, &s.ids, opt.MaxInstr)
@@ -439,6 +448,14 @@ func prewarmDN(dn *dnuca.DNUCA, hotB mem.Addr, hotKB int, warmB mem.Addr, warmKB
 // count.
 func (s *System) Run(maxCycles uint64) uint64 {
 	return s.Kernel.Run(maxCycles)
+}
+
+// Close stops the cores' run-ahead supplies; the system must not run
+// after it. The garbage collector closes a system dropped unclosed.
+func (s *System) Close() {
+	for _, a := range s.supplies {
+		a.Close()
+	}
 }
 
 // MinCommitted returns the smallest committed-instruction count across
