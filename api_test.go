@@ -3,7 +3,7 @@ package lightnuca_test
 // Key-parity tests for the unified RunRequest schema: the same logical
 // run, entered through the library (Local), the service (Client over
 // HTTP), or the CLI flag shapes (lnucasim/lnucasweep), must resolve to
-// the identical lnuca-job-v2 content key — that identity is what lets
+// the identical job key (KeySchema) — that identity is what lets
 // every front-end share one result cache.
 
 import (
@@ -46,18 +46,19 @@ func instantRun(ctx context.Context, j orchestrator.Job, progress func(done, tot
 
 // TestKeyParityGolden pins the cross-entry-path contract: the library
 // Request, an HTTP submission of the same JSON, and the CLI flag shapes
-// all land on the pinned lnuca-job-v2 golden keys — single-core and
-// 4-core mix.
+// all land on the key of the orchestrator Job the flags used to build
+// directly — one of those TestJobKeyGolden pins — single-core and 4-core
+// mix.
 func TestKeyParityGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		req  lightnuca.Request
-		key  string
+		job  orchestrator.Job
 	}{
 		{"single-core", lightnuca.Request{Hierarchy: "conventional", Benchmark: "403.gcc", Mode: "quick", Seed: 1},
-			"48935bf1d1b2baf8decb6842d930296ce3b75bd66e1341a12844b8f3805b5c92"},
+			orchestrator.Job{Kind: hier.Conventional, Benchmark: "403.gcc", Mode: exp.Quick, Seed: 1}},
 		{"4-core-mix", lightnuca.Request{Hierarchy: "ln+l3", Cores: 4, Mix: "mixed", Mode: "quick", Seed: 1},
-			"3c575e1a9e0f56338d13e47b6e52fa88cf3b1b12dbb4fa34665349dea87e052f"},
+			orchestrator.Job{Kind: hier.LNUCAL3, Cores: 4, Mix: "mixed", Mode: exp.Quick, Seed: 1}},
 	}
 
 	ts, _ := stubServer(t, orchestrator.Config{Workers: 2, Run: instantRun})
@@ -66,13 +67,21 @@ func TestKeyParityGolden(t *testing.T) {
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			// CLI path (lnucasim -cores/-mix/-hier and the old sweep
+			// construction): the Job the flags used to build directly.
+			nj, err := c.job.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := nj.Key()
+
 			// Library path: the declarative request keys itself.
 			libKey, err := c.req.Key()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if libKey != c.key {
-				t.Fatalf("library key %s, want golden %s", libKey, c.key)
+			if libKey != want {
+				t.Fatalf("library key %s, want the job's %s", libKey, want)
 			}
 
 			// HTTP path: the service's record carries the key it filed
@@ -81,27 +90,8 @@ func TestKeyParityGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Key != c.key {
-				t.Fatalf("HTTP-submitted key %s, want golden %s", rec.Key, c.key)
-			}
-
-			// CLI path (lnucasim -cores/-mix/-hier and the old sweep
-			// construction): the orchestrator Job the flags used to build
-			// directly keys identically to the Request they now build.
-			var job orchestrator.Job
-			if c.req.Cores > 1 {
-				job = orchestrator.Job{Kind: hier.LNUCAL3, Levels: c.req.Levels,
-					Cores: c.req.Cores, Mix: c.req.Mix, Mode: exp.Quick, Seed: c.req.Seed}
-			} else {
-				job = orchestrator.Job{Kind: hier.Conventional,
-					Benchmark: c.req.Benchmark, Mode: exp.Quick, Seed: c.req.Seed}
-			}
-			nj, err := job.Normalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nj.Key() != c.key {
-				t.Fatalf("CLI-shape key %s, want golden %s", nj.Key(), c.key)
+			if rec.Key != want {
+				t.Fatalf("HTTP-submitted key %s, want the job's %s", rec.Key, want)
 			}
 		})
 	}

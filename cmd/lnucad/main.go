@@ -112,7 +112,7 @@ func main() {
 
 	build := obs.Build()
 	if *version {
-		fmt.Println("lnucad", build)
+		fmt.Println("lnucad", build, "key_schema", orchestrator.KeySchema)
 		return
 	}
 

@@ -8,6 +8,13 @@
 // aggregate throughput, and weighted speedup against the single-core
 // baselines.
 //
+// -exp digests prints the digest ledger instead: one line per stored
+// result of both figure matrices and of every named mix on 4 cores of
+// each hierarchy — config, benchmark or mix, and the sha256 of the
+// <key>.json the store holds for it. testdata/digests_{quick,full}.txt
+// are its committed output; a change that moves them bumps the job key's
+// KeySchema.
+//
 // Capturing and replaying instruction traces is lnucatrace's job.
 //
 // Examples:
@@ -16,17 +23,20 @@
 //	lnucasim -exp fig4a,fig4b -mode full
 //	lnucasim -exp all -benches 403.gcc,482.sphinx3
 //	lnucasim -exp all -cache /tmp/lnuca-results   (a rerun simulates nothing)
+//	lnucasim -exp digests -mode full | diff - cmd/lnucasim/testdata/digests_full.txt
 //	lnucasim -cores 4 -mix mixed -hier ln+l3
 //	lnucasim -cores 2 -mix 429.mcf,470.lbm -hier conventional -seed 3
 package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"slices"
 	"strings"
 	"syscall"
@@ -34,13 +44,14 @@ import (
 	lightnuca "repro"
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/orchestrator"
 	"repro/internal/profiling"
 	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		expFlag    = flag.String("exp", "all", "comma list of: table1,table2,table3,fig4a,fig4b,fig5a,fig5b,all")
+		expFlag    = flag.String("exp", "all", "comma list of: table1,table2,table3,fig4a,fig4b,fig5a,fig5b,all; or digests, the stored-result ledger")
 		modeFlag   = flag.String("mode", "quick", "quick or full simulation windows")
 		benchFlag  = flag.String("benches", "", "comma list of benchmarks (default: the full 28-benchmark suite)")
 		seedFlag   = flag.Uint64("seed", 1, "simulation seed")
@@ -56,7 +67,7 @@ func main() {
 	flag.Parse()
 
 	if *version {
-		fmt.Println("lnucasim", obs.Build())
+		fmt.Println("lnucasim", obs.Build(), "key_schema", orchestrator.KeySchema)
 		return
 	}
 
@@ -84,7 +95,21 @@ func main() {
 	// the runs in flight.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	runner := &lightnuca.Local{CacheDir: *cacheFlag}
+	want := map[string]bool{}
+	for _, e := range strings.Split(*expFlag, ",") {
+		want[strings.TrimSpace(e)] = true
+	}
+	digests := want["digests"] && *coresFlag == 0
+	// The ledger hashes what a store holds, so it always has one: the
+	// -cache directory, or a scratch one removed on the way out.
+	cacheDir, scratch := *cacheFlag, ""
+	if digests && cacheDir == "" {
+		if scratch, err = os.MkdirTemp("", "lnucasim-digests-"); err != nil {
+			fatalf("%v", err)
+		}
+		cacheDir = scratch
+	}
+	runner := &lightnuca.Local{CacheDir: cacheDir}
 
 	if *coresFlag > 0 {
 		runCMPMix(ctx, runner, lightnuca.Request{
@@ -107,16 +132,23 @@ func main() {
 				benches = append(benches, p)
 			}
 		}
-		want := map[string]bool{}
-		for _, e := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(e)] = true
+		err := printExperiments(ctx, os.Stdout, runner, want, benches, *modeFlag, *seedFlag)
+		if err == nil && digests {
+			err = printDigests(ctx, os.Stdout, runner, cacheDir, benches, *modeFlag, *seedFlag)
 		}
-		if err := printExperiments(ctx, os.Stdout, runner, want, benches, *modeFlag, *seedFlag); err != nil {
+		if scratch != "" {
+			os.RemoveAll(scratch)
+		}
+		if err != nil {
 			fatalf("simulation failed: %v", err)
 		}
 	}
 	if hits, misses := runner.CacheStats(); hits+misses > 0 {
-		fmt.Println(runner.CacheSummary())
+		out := os.Stdout
+		if digests {
+			out = os.Stderr // the ledger's stdout is diffed against a committed file
+		}
+		fmt.Fprintln(out, runner.CacheSummary())
 	}
 }
 
@@ -134,14 +166,10 @@ var (
 	fig5Set = figureSet{"D-NUCA", exp.DNUCASpecs()}
 )
 
-// run executes the set over benches through the runner, every cell a
-// get-or-simulate by content key, and hands the cells to the table
-// generators. Sweep.Expand yields hierarchy x levels x benchmark in the
-// order of specs x benches, so run i is cell (i / len(benches), i %
-// len(benches)).
-func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner, benches []workload.Profile, mode string, seed uint64) ([]exp.Result, error) {
-	fmt.Fprintf(w, "running %s matrix (%d benchmarks x %d configs, %s mode)...\n",
-		s.name, len(benches), len(s.specs), mode)
+// requests is the set over benches as one Request per cell. Sweep.Expand
+// yields hierarchy x levels x benchmark in the order of specs x benches,
+// so request i is cell (i / len(benches), i % len(benches)).
+func (s figureSet) requests(benches []workload.Profile, mode string, seed uint64) ([]lightnuca.Request, error) {
 	sweep := lightnuca.Sweep{Levels: []int{2, 3, 4}, Mode: mode, Seed: seed}
 	for _, spec := range s.specs {
 		if h := spec.Kind.RequestName(); !slices.Contains(sweep.Hierarchies, h) {
@@ -151,7 +179,16 @@ func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner
 	for _, b := range benches {
 		sweep.Benchmarks = append(sweep.Benchmarks, b.Name)
 	}
-	reqs, err := sweep.Expand()
+	return sweep.Expand()
+}
+
+// run executes the set over benches through the runner, every cell a
+// get-or-simulate by content key, and hands the cells to the table
+// generators.
+func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner, benches []workload.Profile, mode string, seed uint64) ([]exp.Result, error) {
+	fmt.Fprintf(w, "running %s matrix (%d benchmarks x %d configs, %s mode)...\n",
+		s.name, len(benches), len(s.specs), mode)
+	reqs, err := s.requests(benches, mode, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -214,6 +251,46 @@ func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner,
 			show(exp.FigEnergy("Fig 5(b): total energy normalized to DN-4x8", fig5Set.specs, results),
 				"savings 4.25% (LN2+DN) .. 0.2% (LN4+DN)")
 		}
+	}
+	return nil
+}
+
+// mixHierarchies are the four Fig. 1 organizations the ledger runs every
+// named mix on, 4 cores each.
+var mixHierarchies = []string{"conventional", "ln+l3", "dn-4x8", "ln+dn-4x8"}
+
+// printDigests writes the digest ledger: for each cell of the Fig. 4 and
+// Fig. 5 matrices over benches, then of every named mix on 4 cores of each
+// hierarchy, "config<TAB>benchmark-or-mix<TAB>sha256" of the <key>.json
+// that dir, the runner's store, holds for it.
+func printDigests(ctx context.Context, w io.Writer, runner lightnuca.Runner, dir string, benches []workload.Profile, mode string, seed uint64) error {
+	var reqs []lightnuca.Request
+	for _, s := range []figureSet{fig4Set, fig5Set} {
+		cells, err := s.requests(benches, mode, seed)
+		if err != nil {
+			return err
+		}
+		reqs = append(reqs, cells...)
+	}
+	for _, h := range mixHierarchies {
+		for _, mix := range workload.MixNames() {
+			reqs = append(reqs, lightnuca.Request{Hierarchy: h, Cores: 4, Mix: mix, Mode: mode, Seed: seed})
+		}
+	}
+	runs, err := lightnuca.RunAll(ctx, runner, reqs, 0)
+	if err != nil {
+		return err
+	}
+	for i, r := range runs {
+		stored, err := os.ReadFile(filepath.Join(dir, r.Key+".json"))
+		if err != nil {
+			return err
+		}
+		name := r.Benchmark
+		if reqs[i].Mix != "" {
+			name = reqs[i].Mix
+		}
+		fmt.Fprintf(w, "%s\t%s\t%x\n", r.Config, name, sha256.Sum256(stored))
 	}
 	return nil
 }

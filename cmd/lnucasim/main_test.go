@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -68,4 +69,34 @@ func TestFigureSetThroughTheCache(t *testing.T) {
 	if warm != cold {
 		t.Fatalf("tables differ between the simulated and the cached pass:\n--- cold\n%s\n--- warm\n%s", cold, warm)
 	}
+}
+
+// TestDigestLedgerQuick recomputes the Quick digest ledger — the 224
+// figure cells and the 20 named 4-core mixes, simulated into an empty
+// store — and requires testdata/digests_quick.txt byte for byte. A
+// change that moves a line changes what every store serves for that
+// cell: it bumps orchestrator.KeySchema and regenerates both ledgers.
+func TestDigestLedgerQuick(t *testing.T) {
+	want, err := os.ReadFile("testdata/digests_quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var got bytes.Buffer
+	if err := printDigests(context.Background(), &got, &lightnuca.Local{CacheDir: dir}, dir, workload.Suite(), "quick", 1); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	var moved []string
+	for _, line := range strings.Split(got.String(), "\n") {
+		if !bytes.Contains(want, []byte(line+"\n")) {
+			moved = append(moved, line)
+		}
+	}
+	t.Fatalf("stored results moved (%d lines are new):\n%s\nbump orchestrator.KeySchema, then regenerate with\n"+
+		"  go run ./cmd/lnucasim -exp digests > cmd/lnucasim/testdata/digests_quick.txt\n"+
+		"  go run ./cmd/lnucasim -exp digests -mode full > cmd/lnucasim/testdata/digests_full.txt",
+		len(moved), strings.Join(moved, "\n"))
 }

@@ -21,6 +21,7 @@ import (
 	lightnuca "repro"
 	"repro/internal/lnuca"
 	"repro/internal/obs"
+	"repro/internal/orchestrator"
 	"repro/internal/profiling"
 	"repro/internal/stats"
 )
@@ -39,7 +40,7 @@ func main() {
 	flag.Parse()
 
 	if *version {
-		fmt.Println("lnucasweep", obs.Build())
+		fmt.Println("lnucasweep", obs.Build(), "key_schema", orchestrator.KeySchema)
 		return
 	}
 	a, err := ablationNamed(*ablate)

@@ -491,16 +491,19 @@ func (c *Core) issueFrom(q *issueQueue, width int, now sim.Cycle) int {
 func (c *Core) tryExecute(e *robEntry, now sim.Cycle) bool {
 	switch e.op.Class {
 	case ClassLoad:
+		// Translate only a load that executes: one the full port refuses
+		// must pay its TLB miss when it retries, not lose it.
+		forward := c.storeForward(e.op.Addr)
+		if !forward && !c.port.Down.CanPush() {
+			return false
+		}
 		extra := c.tlbLookup(e.op.Addr)
-		if c.storeForward(e.op.Addr) {
+		if forward {
 			e.issued = true
 			e.done = true
 			e.doneAt = now + 2 + sim.Cycle(extra)
 			c.LoadsIssued++
 			return true
-		}
-		if !c.port.Down.CanPush() {
-			return false
 		}
 		id := c.ids.Next()
 		c.port.Down.Push(mem.Req{ID: id, Addr: e.op.Addr, Kind: mem.Read, Issued: now})

@@ -229,6 +229,51 @@ func TestTLBMissSlowsLoads(t *testing.T) {
 	}
 }
 
+// gatedMem is a fastMem that takes nothing off its port before cycle open.
+type gatedMem struct {
+	fastMem
+	open sim.Cycle
+}
+
+func (m *gatedMem) Eval(k *sim.Kernel) {
+	if k.Cycle() >= m.open {
+		m.fastMem.Eval(k)
+	}
+}
+
+// TestRefusedLoadPaysItsTLBMiss: two independent loads to two pages issue
+// in one cycle into a one-entry port that the level below does not drain
+// before cycle 40, so the second is refused until then. A refused load is
+// not translated: when it does go it pays its TLB miss, and the run ends
+// at least TLBMissLatency cycles later than with its page already in the
+// TLB.
+func TestRefusedLoadPaysItsTLBMiss(t *testing.T) {
+	cfg := DefaultConfig()
+	run := func(secondPageMapped bool) uint64 {
+		port := mem.NewPort(1, 8)
+		var ids mem.IDSource
+		ops := []Op{{Class: ClassLoad, Addr: 0}, {Class: ClassLoad, Addr: mem.Addr(cfg.PageBytes)}}
+		core := New("cpu", cfg, &sliceStream{ops: ops}, port, &ids, 0)
+		core.tlbLookup(0)
+		if secondPageMapped {
+			core.tlbLookup(mem.Addr(cfg.PageBytes))
+		}
+		k := sim.NewKernel()
+		k.MustRegister(core)
+		k.MustRegister(&gatedMem{fastMem: fastMem{port: port, delay: 4}, open: 40})
+		k.Run(10_000)
+		if !k.Stopped() || core.Committed != 2 {
+			t.Fatalf("run stopped=%v after %d commits, want 2", k.Stopped(), core.Committed)
+		}
+		return core.Cycles
+	}
+	missed, mapped := run(false), run(true)
+	if missed < mapped+uint64(cfg.TLBMissLatency) {
+		t.Fatalf("refused TLB-missing load finished the run at cycle %d, the TLB-hitting one at %d: want >= %d later",
+			missed, mapped, cfg.TLBMissLatency)
+	}
+}
+
 func TestLoadLatencyTracked(t *testing.T) {
 	ops := []Op{{Class: ClassLoad, Addr: 0x100, Dep1: 1}}
 	core, _ := runCore(t, ops, true, 500, 30)

@@ -10,11 +10,6 @@ package cpu
 // buffer, the TLB — is the embedded Core's own, so the two differ in
 // exactly how an op is found ready. The reference never links a wake
 // list and never reads a candidate set; the embedded Core's are empty.
-//
-// One model quirk the pair preserves on purpose: tryExecute runs
-// tlbLookup before it finds the memory port full, so the refused load's
-// retry sees a TLB hit and the miss penalty is lost. Both sides call
-// tryExecute on the same ops in the same order, so both lose it alike.
 
 import "repro/internal/sim"
 

@@ -451,7 +451,7 @@ func TestFleetWorkerFetchesTraceFromCoordinator(t *testing.T) {
 
 func TestFleetByteIdenticalToLocal(t *testing.T) {
 	// The invariant the whole design hangs on: a sweep executed by the
-	// fleet produces byte-identical lnuca-job-v2 cache entries to the
+	// fleet produces byte-identical job-key (KeySchema) cache entries to the
 	// same sweep executed in-process.
 	jobs := []orchestrator.Job{quickJob("403.gcc"), quickJob("429.mcf")}
 

@@ -8,7 +8,7 @@
 // The coordinator plugs into the orchestrator as its Config.Run
 // (Coordinator.Dispatch), so every invariant the single-process daemon
 // provides — singleflight coalescing, content-addressed caching,
-// balanced lifecycle counters, byte-identical lnuca-job-v2 cache
+// balanced lifecycle counters, byte-identical job-key (KeySchema) cache
 // entries — holds unchanged when execution is remote. The orchestrator
 // worker pool becomes the dispatch-concurrency bound; each in-process
 // worker blocks while its job runs on a fleet worker somewhere else.

@@ -27,8 +27,8 @@ const (
 // here plus whatever new component it needs in build.
 var kinds = [...]struct {
 	// label is the paper's name for the family. It is the hierarchy
-	// field of the lnuca-job-v2 content key: changing one orphans every
-	// stored result of that kind.
+	// field of the job key (orchestrator.KeySchema): changing one orphans
+	// every stored result of that kind.
 	label string
 	// names are the request spellings, case-insensitive: the canonical
 	// one (what RequestName returns) first, then the aliases.

@@ -12,7 +12,7 @@ import (
 var schemasJSON []byte
 
 // DeterminismPackages is the audited set: every package whose behaviour
-// feeds simulation results, content-addressed keys (lnuca-job-v2),
+// feeds simulation results, the job key (orchestrator.KeySchema),
 // trace identities (lnuca-trace-v1), or stats that land in cache
 // entries. Wall-clock telemetry in these packages must carry an
 // explicit //lnuca:allow(determinism) with its reason.
@@ -55,14 +55,16 @@ func RepoSchemaSpecs() []SchemaSpec {
 			Consts:  []string{"RequestSchema"},
 		},
 		{
-			// The content-key schema of the result cache (PR 2): the Job
-			// field set, the canon format strings in Job.Key, and the
-			// JobResult shape stored in cache entries.
-			Schema:  "lnuca-job-v2",
+			// The content-key schema of the result cache: the Job field
+			// set, the canon format strings in Job.Key, and the JobResult
+			// shape stored in cache entries. Its version is the KeySchema
+			// value, so the entry's name carries none and a bump edits
+			// only the constant.
+			Schema:  "lnuca-job",
 			Pkg:     "repro/internal/orchestrator",
 			Structs: []string{"Job", "JobResult"},
 			Funcs:   []string{"Job.Key"},
-			Consts:  []string{"keySchema"},
+			Consts:  []string{"KeySchema"},
 		},
 		{
 			// The trace capture format (PR 5): header provenance fields,

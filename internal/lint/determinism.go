@@ -9,7 +9,7 @@ import (
 
 // Determinism returns the analyzer that guards bit-identical results:
 // simulation statistics feed content-addressed cache entries
-// (lnuca-job-v2) and trace identities (lnuca-trace-v1), so any
+// (the job key, KeySchema) and trace identities (lnuca-trace-v1), so any
 // wall-clock read, global math/rand draw, or order-dependent map
 // iteration in a result-visible path silently poisons caching and
 // replay. The analyzer flags, in the packages it is configured for:

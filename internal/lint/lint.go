@@ -3,7 +3,7 @@
 // machine-checks the invariants the simulator's tests only catch after
 // the fact — the 0 allocs/cycle hot loop (PR 4), bit-identical
 // determinism for content-addressed caching and trace replay (PRs 3/5),
-// the frozen lnuca-run-v1 / lnuca-job-v2 / lnuca-trace-v1 schemas, and
+// the frozen lnuca-run-v1 / job key (KeySchema) / lnuca-trace-v1 schemas, and
 // the lnuca_* metric naming rules of the observability layer.
 //
 // The API mirrors go/analysis on purpose (Analyzer, Pass, Diagnostic,

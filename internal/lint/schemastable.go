@@ -16,8 +16,9 @@ import (
 // strings, and the constants whose values must not drift without a
 // deliberate version bump.
 type SchemaSpec struct {
-	// Schema is the version string the fingerprint protects
-	// ("lnuca-job-v2", ...). It is the manifest key.
+	// Schema names what the fingerprint protects ("lnuca-run-v1",
+	// "lnuca-job", ...). It is the manifest key. A schema whose version
+	// is one of its Consts leaves the version out of the name.
 	Schema string
 	// Pkg is the import path (matched exactly or by suffix) of the
 	// package defining the schema.

@@ -98,7 +98,7 @@ func TestEmbeddedManifest(t *testing.T) {
 	}
 	// The long Job.Key canon string must be stored exactly, never in the
 	// truncated display form go/constant produces via Value.String().
-	for _, f := range m["lnuca-job-v2"].Formats["Job.Key"] {
+	for _, f := range m["lnuca-job"].Formats["Job.Key"] {
 		if strings.Contains(f, "...") {
 			t.Errorf("Job.Key format stored truncated: %q", f)
 		}

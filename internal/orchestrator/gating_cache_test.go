@@ -13,9 +13,9 @@ import (
 
 // TestGatedRunCacheEntryIdentical asserts the equivalence the content
 // keys make directly checkable: a gated and an ungated execution of one
-// job write byte-identical <key>.json entries into the lnuca-job-v2
-// file store. A single divergent counter anywhere in the machine would
-// show up as a different cache file.
+// job write byte-identical <key>.json entries into the file store. A
+// single divergent counter anywhere in the machine would show up as a
+// different cache file.
 func TestGatedRunCacheEntryIdentical(t *testing.T) {
 	job, err := Job{Kind: hier.LNUCAL3, Levels: 3, Benchmark: "429.mcf", Mode: exp.Quick, Seed: 5}.Normalize()
 	if err != nil {

@@ -166,10 +166,36 @@ func (j Job) MixSpec() exp.MixSpec {
 	return exp.MixSpec{Kind: j.Kind, Levels: j.Levels, Machine: j.machine, Benchmarks: j.MixBenchmarks}
 }
 
-// keySchema versions the content-key format. Bump it whenever the canon
-// string changes meaning, so stale on-disk results become misses instead
-// of silently serving the wrong computation.
-const keySchema = "lnuca-job-v2"
+// KeySchema versions the content key, and with it every stored result.
+// Bump it whenever the canon string changes meaning — a field added or
+// reshaped, or a model change after which the same canon computes other
+// bytes — so stale on-disk results become misses instead of silently
+// serving the wrong computation. The digest ledger says which: a change
+// either leaves cmd/lnucasim/testdata/digests_{quick,full}.txt
+// byte-identical, or it bumps KeySchema and regenerates them with
+// `lnucasim -exp digests` (DESIGN.md, "Determinism and cacheability").
+//
+// Revisions:
+//   - v2: the hierarchy is keyed by its stable paper label, not the
+//     numeric hier.Kind.
+//   - v3: three model fixes that moved stored bytes.
+//     (a) A write-buffer write to a line with a live MSHR merges past the
+//     secondary limit (cache.MSHRFile.MergeWrite), and a fill waits for
+//     a write-buffer slot only when its victim is dirty: the Full-mode
+//     L2 deadlock. (b) A mix's measured window stays open until every
+//     core has measured its budget. Moved at seed 1: Full L2-256KB
+//     410.bwaves, 416.gamess, 433.milc, 437.leslie3d, 462.libquantum,
+//     470.lbm (which used to stall); LN2-72KB 462.libquantum, 470.lbm;
+//     LN3-144KB and LN4-248KB 410.bwaves, 470.lbm; Quick L2-256KB
+//     410.bwaves; of the Quick mixes sampled, 4x L2-256KB memory, fp,
+//     mixed, 4x LN3-144KB memory, fp, 4x DN-4x8 fp, and the 2-core
+//     L2-256KB 401.bzip2+436.cactusADM. (c) A load that a full memory
+//     port refuses looks up the TLB only once it is accepted, so its
+//     retry pays the miss it used to lose (cpu.Core.tryExecute). It
+//     moved 113 of the 244 Quick ledger lines and 194 of the 244 Full
+//     ones; the largest IPC move is Quick LN2 + DN-4x8 459.GemsFDTD,
+//     0.6772 -> 0.6731 (-0.61 %).
+const KeySchema = "lnuca-job-v3"
 
 // machineField ends a canon whose machine sets a row (TestMachineKeyGolden).
 const machineField = "|machine="
@@ -190,10 +216,10 @@ func (j Job) Key() string {
 	var canon string
 	if j.Trace != "" {
 		canon = fmt.Sprintf("%s|hier=%s|levels=%d|trace=%s",
-			keySchema, j.Kind.String(), j.Levels, j.Trace)
+			KeySchema, j.Kind.String(), j.Levels, j.Trace)
 	} else {
 		canon = fmt.Sprintf("%s|hier=%s|levels=%d|bench=%s|cores=%d|mix=%s|warmup=%d|measure=%d|seed=%d",
-			keySchema, j.Kind.String(), j.Levels, j.Benchmark, j.Cores,
+			KeySchema, j.Kind.String(), j.Levels, j.Benchmark, j.Cores,
 			strings.Join(j.MixBenchmarks, ","), j.Mode.Warmup, j.Mode.Measure, j.Seed)
 	}
 	if j.machine != "" {

@@ -145,6 +145,55 @@ func TestJournalEndBeforeSubmit(t *testing.T) {
 	}
 }
 
+// TestJournalRekeysStaleSubmits: a journal written before a KeySchema
+// bump holds submit lines under the old key. Reopening re-keys them
+// through Request.Key, so the job resumes under the current key and its
+// end line balances the compacted submit.
+func TestJournalRekeysStaleSubmits(t *testing.T) {
+	const v2Key = "48935bf1d1b2baf8decb6842d930296ce3b75bd66e1341a12844b8f3805b5c92" // quickJob("403.gcc") under lnuca-job-v2
+	job, err := quickJob("403.gcc").Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := RequestOf(job)
+	line, err := json.Marshal(journalEvent{Op: "submit", ID: "job-000001", Key: v2Key, Request: &req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "queue.journal")
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j := journalAt(t, path)
+	if pend := j.Pending(); len(pend) != 1 || !reflect.DeepEqual(pend[0], req) {
+		t.Fatalf("pending = %+v, want the stale submit's request", pend)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compacted journalEvent
+	if err := json.Unmarshal(raw, &compacted); err != nil || compacted.Key != job.Key() {
+		t.Fatalf("compacted line %q: key %s, want %s (%v)", raw, compacted.Key, job.Key(), err)
+	}
+
+	o := New(Config{Workers: 1, Journal: j, Run: countingRun(&sync.Mutex{}, new(int))})
+	rec, err := o.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Key != job.Key() {
+		t.Fatalf("resumed under key %s, want %s", rec.Key, job.Key())
+	}
+	waitDone(t, o, rec.ID)
+	o.Close()
+	j.Close()
+	if pend := journalAt(t, path).Pending(); len(pend) != 0 {
+		t.Fatalf("resumed job still pending after it finished: %+v", pend)
+	}
+}
+
 // TestJournalExplicitCancelNotResurrected: an API cancel is a user
 // decision and must be journaled — the job stays gone after a restart.
 func TestJournalExplicitCancelNotResurrected(t *testing.T) {

@@ -6,7 +6,7 @@ package orchestrator
 // decodes a Request verbatim). A Request is pure data — strings and
 // numbers, JSON-marshalable — and Job is its normalization: whatever
 // path a logical run arrives through, it parses into the same Job and
-// therefore the same lnuca-job-v2 content key, so all front-ends share
+// therefore the same job key (KeySchema), so all front-ends share
 // one result cache.
 
 import (
@@ -123,9 +123,9 @@ func (r Request) Job() (Job, error) {
 	return j.Normalize()
 }
 
-// Key returns the lnuca-job-v2 content address of the run the request
-// describes — identical across library, CLI and HTTP submissions of the
-// same logical run.
+// Key returns the job key (KeySchema), the content address of the run
+// the request describes — identical across library, CLI and HTTP
+// submissions of the same logical run.
 func (r Request) Key() (string, error) {
 	j, err := r.Job()
 	if err != nil {

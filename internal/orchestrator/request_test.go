@@ -11,40 +11,43 @@ import (
 )
 
 // TestRequestKeyMatchesJobGolden: the declarative Request path must
-// resolve to byte-for-byte the same lnuca-job-v2 keys the Job path is
-// pinned to in TestJobKeyGolden — the schema redesign must not move a
-// single on-disk cache entry.
+// resolve to byte-for-byte the key of the Job TestJobKeyGolden pins for
+// the same run — a request never moves an on-disk cache entry.
 func TestRequestKeyMatchesJobGolden(t *testing.T) {
 	golden := []struct {
 		req Request
-		key string
+		job Job
 	}{
 		{Request{Hierarchy: "conventional", Benchmark: "403.gcc", Mode: "quick", Seed: 1},
-			"48935bf1d1b2baf8decb6842d930296ce3b75bd66e1341a12844b8f3805b5c92"},
+			Job{Kind: hier.Conventional, Benchmark: "403.gcc", Mode: exp.Quick, Seed: 1}},
 		{Request{Hierarchy: "ln+l3", Levels: 3, Benchmark: "429.mcf", Mode: "full", Seed: 7},
-			"464e0df0c607bfc6a98f8505c962de731e635220e6ab395d88c77144d0900b18"},
+			Job{Kind: hier.LNUCAL3, Levels: 3, Benchmark: "429.mcf", Mode: exp.Full, Seed: 7}},
 		{Request{Hierarchy: "dn-4x8", Benchmark: "470.lbm", Mode: "quick", Seed: 1},
-			"e9c83daf6168f5d2d34e46473c05f454e9423fa48f3d7cb65780225dd1a4f879"},
+			Job{Kind: hier.DNUCAOnly, Benchmark: "470.lbm", Mode: exp.Quick, Seed: 1}},
 		{Request{Hierarchy: "ln+dn-4x8", Levels: 2, Benchmark: "482.sphinx3", Mode: "quick", Seed: 3},
-			"1321ee273aaafb89f24dee3a4c33b0d6e942fb7c1f01c2b52437b617043c6d96"},
+			Job{Kind: hier.LNUCADNUCA, Levels: 2, Benchmark: "482.sphinx3", Mode: exp.Quick, Seed: 3}},
 		{Request{Hierarchy: "ln+l3", Cores: 4, Mix: "mixed", Mode: "quick", Seed: 1},
-			"3c575e1a9e0f56338d13e47b6e52fa88cf3b1b12dbb4fa34665349dea87e052f"},
+			Job{Kind: hier.LNUCAL3, Cores: 4, Mix: "mixed", Mode: exp.Quick, Seed: 1}},
 		{Request{Hierarchy: "conventional", Cores: 2, Mix: "403.gcc,470.lbm", Mode: "quick", Seed: 5},
-			"93405dc1294d2dc3221b3d6ce6419f6878bc572d1afcb6ac105d19e5f5fe32e9"},
+			Job{Kind: hier.Conventional, Cores: 2, Mix: "403.gcc,470.lbm", Mode: exp.Quick, Seed: 5}},
 	}
 	for i, g := range golden {
+		nj, err := g.job.Normalize()
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
 		got, err := g.req.Key()
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if got != g.key {
-			t.Errorf("case %d (%s): request key diverged from job golden:\n got %s\nwant %s",
-				i, g.req.Hierarchy, got, g.key)
+		if got != nj.Key() {
+			t.Errorf("case %d (%s): request key diverged from the job's:\n got %s\nwant %s",
+				i, g.req.Hierarchy, got, nj.Key())
 		}
 		// Alias spellings and the stamped schema are the same content.
 		withSchema := g.req
 		withSchema.Schema = RequestSchema
-		if k2, _ := withSchema.Key(); k2 != g.key {
+		if k2, _ := withSchema.Key(); k2 != got {
 			t.Errorf("case %d: explicit schema changed the key", i)
 		}
 	}

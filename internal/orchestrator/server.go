@@ -191,6 +191,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"version":        s.build.Version,
 		"commit":         s.build.Commit,
 		"go_version":     s.build.GoVersion,
+		"key_schema":     KeySchema,
 		"uptime_seconds": s.orch.Uptime().Seconds(),
 	})
 }

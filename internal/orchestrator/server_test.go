@@ -295,6 +295,9 @@ func TestHTTPHealthzAndBenchmarks(t *testing.T) {
 			t.Errorf("healthz missing %s: %v", key, h)
 		}
 	}
+	if h["key_schema"] != KeySchema {
+		t.Errorf("healthz key_schema = %v, want %s", h["key_schema"], KeySchema)
+	}
 	if up, ok := h["uptime_seconds"].(float64); !ok || up < 0 {
 		t.Errorf("healthz uptime = %v", h["uptime_seconds"])
 	}

@@ -103,9 +103,9 @@ func TestTraceJobKeyGolden(t *testing.T) {
 		key string
 	}{
 		{Job{Kind: hier.LNUCAL3, Levels: 3, Trace: id},
-			"a2eba9ad32491dd885a20c72243292f7b0ed67e656b8d936a0c14c2fba363f59"},
+			"3c0f78784dda926e91ae1cbc70708f3986eb5a1798daca35bc37b1e16e81fd34"},
 		{Job{Kind: hier.Conventional, Trace: id},
-			"343b589dc154a16bd0f0c5ecb0fd480d19d3f6157be664471b7c5d5d328bf25e"},
+			"d89a77d3677508a5a0daf6210eeb13a832e66eba28ff5b80beaf7430e12e2c55"},
 	}
 	for i, g := range golden {
 		n, err := g.job.Normalize()

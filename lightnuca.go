@@ -13,7 +13,7 @@
 // cores+mix, window, seed. The CLIs build a Request from flags, the
 // lnucad service decodes it from JSON, and library callers hand it to a
 // Runner. All paths normalize into the same canonical job and the same
-// lnuca-job-v2 content key, so a result computed through any front-end
+// job key (KeySchema), so a result computed through any front-end
 // is a cache hit for every other.
 //
 // Two Runner implementations ship:
@@ -146,10 +146,11 @@ const (
 	StatusCanceled = orchestrator.StatusCanceled
 )
 
-// Result summarizes one measured window. Key is the run's lnuca-job-v2
-// content address — identical for the same logical run regardless of
-// which Runner (or CLI, or HTTP call) produced it — and Cached reports
-// whether it was served from the result store without simulating.
+// Result summarizes one measured window. Key is the run's job key
+// (KeySchema), its content address — identical for the same logical run
+// regardless of which Runner (or CLI, or HTTP call) produced it — and
+// Cached reports whether it was served from the result store without
+// simulating.
 type Result struct {
 	// Key is the content address of the run.
 	Key string

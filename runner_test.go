@@ -1,8 +1,11 @@
 package lightnuca_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +33,34 @@ func holdUntilMiss(t *testing.T, local *lightnuca.Local, started chan<- struct{}
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestStaleStoreIsAMiss: a store written under an older job-key version
+// is not served. Its file for conventional / 403.gcc / quick / seed 1 —
+// named by that run's lnuca-job-v2 key and a valid result — is a miss,
+// not an error, and it is left where it was.
+func TestStaleStoreIsAMiss(t *testing.T) {
+	const v2Key = "48935bf1d1b2baf8decb6842d930296ce3b75bd66e1341a12844b8f3805b5c92"
+	dir := t.TempDir()
+	stale := filepath.Join(dir, v2Key+".json")
+	old := []byte(`{"config":"L2-256KB","benchmark":"403.gcc","ipc":1.5,"cycles":1000,"energy_pj":[1,2,3,4]}`)
+	if err := os.WriteFile(stale, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	local := &lightnuca.Local{CacheDir: dir}
+	res, err := local.Run(context.Background(), lightnuca.Request{Hierarchy: "conventional", Benchmark: "403.gcc", Mode: "quick", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached || res.Key == v2Key || res.IPC == 1.5 {
+		t.Fatalf("served the stale entry: cached=%v key %s IPC %v", res.Cached, res.Key, res.IPC)
+	}
+	if hits, _ := local.CacheStats(); hits != 0 {
+		t.Fatalf("%d cache hits, want 0", hits)
+	}
+	if got, err := os.ReadFile(stale); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("stale entry not left in place: %q, %v", got, err)
 	}
 }
 
