@@ -26,7 +26,10 @@ type Config struct {
 	Rows, Cols int
 	// Bank geometry: 256KB, 2-way, 128B blocks.
 	Bank cache.BankConfig
-	// BankCompletion / BankInitiation: 3-cycle completion and initiation.
+	// BankCompletion / BankInitiation: Table I's 3-cycle completion and
+	// initiation. Only BankInitiation is modelled: a bank sends its hit
+	// or nack the cycle the access starts and is busy for BankInitiation
+	// cycles. BankCompletion is never read (ROADMAP item 3).
 	BankCompletion, BankInitiation int
 	// VCs / VCDepth: 4 virtual channels, 4-flit buffers.
 	VCs, VCDepth int
@@ -645,6 +648,10 @@ func (d *DNUCA) SkipTo(now, target sim.Cycle) {
 
 // Mesh exposes the network (stats/energy).
 func (d *DNUCA) Mesh() *noc.Mesh[payload] { return d.mesh }
+
+// CheckInvariants verifies the mesh's bookkeeping against the state it
+// summarises (used by tests).
+func (d *DNUCA) CheckInvariants() error { return d.mesh.CheckInvariants() }
 
 // MSHROccupancy returns live MSHR entries (tests).
 func (d *DNUCA) MSHROccupancy() int { return d.mshr.Len() }

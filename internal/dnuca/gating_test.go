@@ -157,7 +157,8 @@ func refNextEvent(d *DNUCA, now sim.Cycle) (sim.Cycle, bool) {
 
 // TestNextEventMatchesFullBankScan: under bursty load, on every cycle,
 // NextEvent's (wake, idle) and reject bookkeeping equal the full-scan
-// reference's, and the bank set is exactly the banks with queued jobs.
+// reference's, the bank set is exactly the banks with queued jobs, and
+// the mesh's invariants hold.
 func TestNextEventMatchesFullBankScan(t *testing.T) {
 	cfg := DefaultConfig()
 	// A long initiation interval keeps banks busy past the moment the
@@ -199,6 +200,9 @@ func TestNextEventMatchesFullBankScan(t *testing.T) {
 				t.Fatalf("cycle %d: bank %d in set = %v with %d queued jobs",
 					now, i, h.d.queued.Has(i), b.jobs.Len())
 			}
+		}
+		if err := h.d.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
 		}
 		h.k.Step()
 	}

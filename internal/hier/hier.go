@@ -560,12 +560,17 @@ func (s *System) addFabricDynamic(a *power.Accountant, set *stats.Set) {
 	a.AddDynamicPJ(float64(set.Counter("ln.replacement_hops")) * (transportLink.TraversalPJ() + TileFillPJ))
 }
 
-// CheckInvariants verifies per-fabric structural invariants (used by
-// tests).
+// CheckInvariants verifies per-fabric structural invariants and the
+// D-NUCA mesh's bookkeeping (used by tests).
 func (s *System) CheckInvariants() error {
 	for i, f := range s.Fabrics {
 		if err := f.CheckExclusion(); err != nil {
 			return fmt.Errorf("core %d: %w", i, err)
+		}
+	}
+	if s.DN != nil {
+		if err := s.DN.CheckInvariants(); err != nil {
+			return fmt.Errorf("%s: %w", s.DN.Name(), err)
 		}
 	}
 	return nil

@@ -238,6 +238,100 @@ func TestMeshLocalDelivery(t *testing.T) {
 	t.Fatal("loopback message never delivered")
 }
 
+// loadedMesh steps a mesh for 40 cycles of seeded traffic, most of it
+// aimed at one sink and none of it picked up, and requires that this
+// left messages at once staged, buffered in routers holding output
+// reservations, and delivered.
+func loadedMesh(t *testing.T, cfg MeshConfig) *Mesh[struct{}] {
+	t.Helper()
+	m := NewMesh[struct{}](cfg)
+	rng := sim.NewRand(3)
+	id := uint64(0)
+	for now := sim.Cycle(0); now < 40; now++ {
+		for i := 0; i < 4; i++ {
+			id++
+			dst := Coord{0, 0}
+			if rng.Bool(0.3) {
+				dst = Coord{rng.Intn(cfg.Width), rng.Intn(cfg.Height)}
+			}
+			m.Inject(testMessage{ID: id, Src: Coord{rng.Intn(cfg.Width), rng.Intn(cfg.Height)}, Dst: dst, Flits: 1 + rng.Intn(5)}, now)
+		}
+		m.Step(now)
+	}
+	owned := false
+	for _, o := range m.owner {
+		owned = owned || o
+	}
+	if m.staged.Next(0) < 0 || m.routers.Next(0) < 0 || m.delivered.Next(0) < 0 || !owned {
+		t.Fatal("traffic did not reach a state with staged, buffered, reserved and delivered messages")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestMeshCheckInvariantsCatchesBrokenBookkeeping breaks each piece of
+// bookkeeping CheckInvariants covers, one at a time, in a loaded mesh —
+// one whose routers fit a busy word, and one (65 slots) whose routers
+// span two — and requires every break to be reported.
+func TestMeshCheckInvariantsCatchesBrokenBookkeeping(t *testing.T) {
+	breaks := []struct {
+		name  string
+		apply func(m *Mesh[struct{}])
+	}{
+		{"busy bit dropped", func(m *Mesh[struct{}]) {
+			node := m.routers.Next(0)
+			words := m.busy[node*m.words : (node+1)*m.words]
+			for w := range words {
+				if words[w] != 0 {
+					words[w] &= words[w] - 1
+					return
+				}
+			}
+		}},
+		{"busy count off", func(m *Mesh[struct{}]) { m.busyN[m.routers.Next(0)]++ }},
+		{"router bit dropped", func(m *Mesh[struct{}]) { m.routers.Clear(m.routers.Next(0)) }},
+		{"staged bit dropped", func(m *Mesh[struct{}]) { m.staged.Clear(m.staged.Next(0)) }},
+		{"delivered bit dropped", func(m *Mesh[struct{}]) { m.delivered.Clear(m.delivered.Next(0)) }},
+		{"pool slot leaked", func(m *Mesh[struct{}]) { m.free = m.free[:len(m.free)-1] }},
+		{"held slot freed", func(m *Mesh[struct{}]) {
+			for i := range m.vcs {
+				if m.vcs[i].n > 0 {
+					m.free = append(m.free, m.vcs[i].msg)
+					return
+				}
+			}
+		}},
+		{"cached destination wrong", func(m *Mesh[struct{}]) {
+			for i := range m.vcs {
+				if m.vcs[i].n > 0 {
+					m.dest[m.vcs[i].msg]++
+					return
+				}
+			}
+		}},
+		{"reservation dropped", func(m *Mesh[struct{}]) {
+			for g := range m.owner {
+				if m.owner[g] {
+					m.owner[g] = false
+					return
+				}
+			}
+		}},
+		{"ejected count off", func(m *Mesh[struct{}]) { m.ejected++ }},
+	}
+	for _, cfg := range []MeshConfig{equivConfigs[0], equivConfigs[2]} {
+		for _, b := range breaks {
+			m := loadedMesh(t, cfg)
+			b.apply(m)
+			if err := m.CheckInvariants(); err == nil {
+				t.Errorf("%dx%d_vc%d: %s: CheckInvariants reported nothing", cfg.Width, cfg.Height, cfg.VCs, b.name)
+			}
+		}
+	}
+}
+
 func TestMeshAvgLatencyStat(t *testing.T) {
 	m := dnucaMesh()
 	if m.TotalLatency != 0 {
