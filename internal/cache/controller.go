@@ -390,6 +390,12 @@ func (c *Controller) Commit(k *sim.Kernel) {
 	c.down.Down.Tick()
 }
 
+// Wire implements sim.Wired.
+func (c *Controller) Wire(w sim.Waker) {
+	c.up.WireBelow(w)
+	c.down.WireAbove(w)
+}
+
 // portAvail reports whether a bank port is free at now, without
 // consuming it (the pure counterpart of takePort).
 func (c *Controller) portAvail(now sim.Cycle) bool {

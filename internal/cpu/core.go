@@ -355,6 +355,9 @@ func (c *Core) Commit(k *sim.Kernel) {
 	c.port.Down.Tick()
 }
 
+// Wire implements sim.Wired: the core sits above its memory port.
+func (c *Core) Wire(w sim.Waker) { c.port.WireAbove(w) }
+
 // drainResponses completes loads whose data arrived.
 func (c *Core) drainResponses(now sim.Cycle) {
 	for {

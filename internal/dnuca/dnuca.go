@@ -259,6 +259,12 @@ func (d *DNUCA) Commit(k *sim.Kernel) {
 	d.down.Down.Tick()
 }
 
+// Wire implements sim.Wired.
+func (d *DNUCA) Wire(w sim.Waker) {
+	d.up.WireBelow(w)
+	d.down.WireAbove(w)
+}
+
 // ejectController handles messages arriving at the controller node.
 func (d *DNUCA) ejectController(now sim.Cycle) {
 	for {

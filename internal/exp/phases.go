@@ -33,7 +33,7 @@ type Phases struct {
 	// Kernel activity over warmup+measure (simulated-time accounting):
 	// SteppedCycles were executed, FastForwardedCycles were bulk-skipped
 	// in FastForwards jumps, EvalsSkipped single components sat out
-	// partially-active cycles.
+	// stepped cycles, idle or asleep.
 	SteppedCycles       uint64 `json:"stepped_cycles,omitempty"`
 	FastForwardedCycles uint64 `json:"fastforwarded_cycles,omitempty"`
 	FastForwards        uint64 `json:"fastforwards,omitempty"`

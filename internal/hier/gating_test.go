@@ -3,8 +3,22 @@ package hier
 import (
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/cpu"
+	"repro/internal/dnuca"
+	"repro/internal/lnuca"
+	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// Every component a machine is built from sleeps between its inputs. A
+// type that stopped being sim.Wired would be polled every cycle and
+// compute the same results, so only this line would notice.
+var _ = []sim.Wired{
+	(*cpu.Core)(nil), (*cache.Controller)(nil), (*lnuca.Fabric)(nil),
+	(*dnuca.DNUCA)(nil), (*mem.Arbiter)(nil), (*mem.MainMemory)(nil),
+}
 
 // TestFastForwardEngages proves the quiescence protocol actually fires
 // on every hierarchy: a memory-bound window must spend at least the

@@ -312,6 +312,13 @@ func (f *Fabric) Commit(k *sim.Kernel) {
 	f.down.Down.Tick()
 }
 
+// Wire implements sim.Wired. The fabric's own links connect its tiles,
+// so only its two ports carry input from outside.
+func (f *Fabric) Wire(w sim.Waker) {
+	f.up.WireBelow(w)
+	f.down.WireAbove(w)
+}
+
 // refreshTransport enters tile id in the transport set when one of its
 // Transport inputs holds a visible message, and removes it otherwise.
 func (f *Fabric) refreshTransport(id int) {

@@ -38,9 +38,10 @@ type Arbiter struct {
 	next  int            // round-robin priority pointer
 	owner map[uint64]int // request ID -> upstream index, for response routing
 
-	// skipConflicts, set by NextEvent, records that blocked sources must
-	// accrue conflict cycles if the idle round is skipped.
-	skipConflicts bool
+	// waiting, set by NextEvent, records the sources whose queued work
+	// accrues a conflict per skipped idle cycle; SkipTo reads it, not the
+	// live queues, which may have filled since.
+	waiting []bool
 
 	// Stats.
 	Granted []uint64 // requests forwarded, per source
@@ -73,6 +74,7 @@ func NewArbiter(cfg ArbiterConfig, up []*Port, down *Port) (*Arbiter, error) {
 		up:        up,
 		down:      down,
 		owner:     make(map[uint64]int),
+		waiting:   make([]bool, len(up)),
 		Granted:   make([]uint64, len(up)),
 		Conflicts: make([]uint64, len(up)),
 	}, nil
@@ -153,6 +155,15 @@ func (a *Arbiter) Commit(k *sim.Kernel) {
 	}
 }
 
+// Wire implements sim.Wired: the arbiter is below every source's port
+// and above the shared one.
+func (a *Arbiter) Wire(w sim.Waker) {
+	for _, p := range a.up {
+		p.WireBelow(w)
+	}
+	a.down.WireAbove(w)
+}
+
 // NextEvent implements sim.Quiescent. The arbiter has no timed events of
 // its own: it is idle exactly when the head response (if any) cannot be
 // routed and no pending request can be granted. A source left waiting
@@ -164,13 +175,10 @@ func (a *Arbiter) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 			return 0, false // orphan pop or routable response
 		}
 	}
-	a.skipConflicts = false
 	for i := range a.up {
-		if a.up[i].Down.Len() > 0 {
-			if a.down.Down.CanPush() {
-				return 0, false // a grant would happen
-			}
-			a.skipConflicts = true
+		a.waiting[i] = a.up[i].Down.Len() > 0
+		if a.waiting[i] && a.down.Down.CanPush() {
+			return 0, false // a grant would happen
 		}
 	}
 	return sim.Never, true
@@ -179,14 +187,10 @@ func (a *Arbiter) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 // SkipTo implements sim.Quiescent: sources that sat on queued work
 // through the skipped cycles collect one conflict per cycle, exactly as
 // the per-cycle Eval would have counted.
-func (a *Arbiter) SkipTo(now, target sim.Cycle) {
-	if !a.skipConflicts {
-		return
-	}
-	delta := uint64(target - now)
-	for i := range a.up {
-		if a.up[i].Down.Len() > 0 {
-			a.Conflicts[i] += delta
+func (a *Arbiter) SkipTo(from, to sim.Cycle) {
+	for i, w := range a.waiting {
+		if w {
+			a.Conflicts[i] += to - from
 		}
 	}
 }

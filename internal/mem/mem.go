@@ -79,12 +79,16 @@ func (s *IDSource) Next() uint64 {
 // semantics: values pushed during a cycle become visible to the consumer
 // only after Tick (i.e. the next cycle), and the producer's CanPush view is
 // based on the occupancy latched at the start of the cycle, so behaviour
-// never depends on component evaluation order.
+// never depends on component evaluation order. A channel between two
+// components wakes the consumer when Tick publishes and the producer when
+// Pop frees space, so a sleeping end is polled again (sim.Wired).
 type Chan[T any] struct {
 	capacity int
 	items    []T
 	staged   []T
 	startLen int
+
+	consumer, producer sim.Waker
 }
 
 // NewChan returns a channel holding at most capacity items.
@@ -136,6 +140,7 @@ func (c *Chan[T]) Pop() (T, bool) {
 	// keeps memory stable.
 	copy(c.items, c.items[1:])
 	c.items = c.items[:len(c.items)-1]
+	c.producer.Wake()
 	return v, true
 }
 
@@ -145,6 +150,7 @@ func (c *Chan[T]) Tick() {
 	if len(c.staged) > 0 {
 		c.items = append(c.items, c.staged...)
 		c.staged = c.staged[:0]
+		c.consumer.Wake()
 	}
 	c.startLen = len(c.items)
 }
@@ -173,6 +179,20 @@ type Port struct {
 // NewPort creates a port with the given queue depths.
 func NewPort(downCap, upCap int) *Port {
 	return &Port{Down: NewChan[Req](downCap), Up: NewChan[Resp](upCap)}
+}
+
+// WireAbove attaches the component above the port, which pushes Down and
+// pops Up, to both channels' wakers.
+func (p *Port) WireAbove(w sim.Waker) {
+	p.Down.producer = w
+	p.Up.consumer = w
+}
+
+// WireBelow attaches the component below the port, which pops Down and
+// pushes Up.
+func (p *Port) WireBelow(w sim.Waker) {
+	p.Down.consumer = w
+	p.Up.producer = w
 }
 
 // MainMemoryConfig parameterizes the DRAM model (Table I).
@@ -281,6 +301,9 @@ func (m *MainMemory) Eval(k *sim.Kernel) {
 func (m *MainMemory) Commit(k *sim.Kernel) {
 	m.port.Up.Tick()
 }
+
+// Wire implements sim.Wired.
+func (m *MainMemory) Wire(w sim.Waker) { m.port.WireBelow(w) }
 
 // NextEvent implements sim.Quiescent. The memory is idle when no
 // transfer can start (no request, or the wires are busy) and no matured

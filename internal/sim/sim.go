@@ -9,7 +9,10 @@
 // the simulation is exactly reproducible.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycle is a simulation timestamp in processor clock cycles.
 type Cycle = uint64
@@ -45,14 +48,12 @@ type Component interface {
 //     wakes me".
 //   - NextEvent must not mutate any state that affects simulation
 //     results (in particular it must not draw from seeded RNGs).
-//   - SkipTo(now, target) applies exactly the bookkeeping that
-//     target-now idle Evals would have applied. The kernel calls it
-//     only immediately after a NextEvent poll in which this component
-//     reported idle: for multi-cycle skips every component was idle
-//     (nothing pushes, so nothing new becomes visible); for a
-//     single-cycle Eval skip on a partially-active cycle, the premise
-//     holds because pushes stage until Commit — no input becomes
-//     visible mid-cycle.
+//   - SkipTo(from, to) applies exactly the bookkeeping that to-from
+//     idle Evals would have applied. It covers only cycles after a
+//     NextEvent poll in which this component reported idle, and before
+//     its next poll. It may be applied late and in pieces, and reads
+//     only what the last NextEvent recorded, never live channel state:
+//     input that arrived meanwhile counts only from its next poll.
 //
 // Because two-phase channels publish pushes only at Commit, a component
 // that is idle at the start of a cycle cannot receive mid-cycle input;
@@ -61,8 +62,40 @@ type Component interface {
 type Quiescent interface {
 	Component
 	NextEvent(now Cycle) (wake Cycle, idle bool)
-	SkipTo(now, target Cycle)
+	SkipTo(from, to Cycle)
 }
+
+// Waker wakes one sleeping component of a kernel. A component's inputs
+// are its channel ends, so the channels call it: a publish wakes the
+// consumer, a pop wakes the producer (whose next Tick makes the space
+// visible). The zero Waker does nothing.
+type Waker struct {
+	poked *uint64
+	bit   uint64
+}
+
+// Wake marks the component as having new input: the kernel Commits it
+// this cycle and polls it on the next.
+func (w Waker) Wake() {
+	if w.poked != nil {
+		*w.poked |= w.bit
+	}
+}
+
+// Wired is implemented by a Quiescent component whose every input
+// arrives through channel ends it hands a Waker. Register wires it; a
+// gated Run then leaves it asleep, neither polled nor committed, from
+// the cycle it reports idle until a channel wakes it or its wake cycle
+// arrives. A Quiescent component that is not Wired is polled and
+// committed every cycle.
+type Wired interface {
+	Quiescent
+	Wire(w Waker)
+}
+
+// maxGated is the most components a gated Run tracks: one bit each in a
+// word. A larger kernel steps in lockstep.
+const maxGated = 64
 
 // Kernel owns the clock and the component list.
 type Kernel struct {
@@ -73,13 +106,18 @@ type Kernel struct {
 	stopped    bool
 	gating     bool
 
-	// idle is the per-poll active-set scratch, reused across cycles.
-	idle []bool
+	// The gated Run's sleep state, one bit per component index: wired
+	// components; those asleep (idle at their last poll, their SkipTo
+	// owed from idleFrom on); and those a channel woke. due is a lower
+	// bound on the sleepers' earliest wakeAt.
+	wired, asleep, poked uint64
+	idleFrom, wakeAt     []Cycle
+	due                  Cycle
 
 	// FastForwards counts bulk clock advances; SkippedCycles counts the
 	// cycles they covered (cycles never Stepped); EvalsSkipped counts
-	// single-component Eval skips on partially-active cycles. Exposed
-	// for tests and the MIPS benchmarks.
+	// single-component Eval skips on stepped cycles, sleepers included.
+	// Exposed for tests and the MIPS benchmarks.
 	FastForwards, SkippedCycles, EvalsSkipped uint64
 
 	// SteppedCycles counts cycles actually executed (full or partial
@@ -114,9 +152,16 @@ func (k *Kernel) Register(c Component) error {
 		return fmt.Errorf("sim: duplicate component name %q", c.Name())
 	}
 	k.names[c.Name()] = true
+	i := len(k.components)
 	k.components = append(k.components, c)
 	if q, ok := c.(Quiescent); ok {
 		k.quiescent = append(k.quiescent, q)
+	}
+	k.idleFrom = append(k.idleFrom, 0)
+	k.wakeAt = append(k.wakeAt, 0)
+	if w, ok := c.(Wired); ok && i < maxGated {
+		k.wired |= 1 << i
+		w.Wire(Waker{poked: &k.poked, bit: 1 << i})
 	}
 	return nil
 }
@@ -155,17 +200,24 @@ func (k *Kernel) Step() {
 // It returns the number of cycles executed (stepped or fast-forwarded).
 //
 // When gating is enabled and every registered component implements
-// Quiescent, Run polls the machine before each cycle and keeps an
-// active set:
+// Quiescent (and there are at most 64), Run keeps an active set. A
+// component that reports idle goes to sleep: it is not polled again
+// until a channel wakes it, its wake cycle arrives or, if it is not
+// Wired, the next cycle. Each cycle:
 //
-//   - all idle with a known earliest wake → the clock bulk-advances to
+//   - every component awake is polled; one that reports idle joins the
+//     sleepers, and its SkipTo is owed from this cycle;
+//   - all asleep with a known earliest wake → the clock bulk-advances to
 //     that wake (clamped to the cycle budget) instead of spinning no-op
 //     Steps;
-//   - some active → only the active components Eval; idle ones apply
-//     their one-cycle arithmetic bookkeeping (SkipTo) and skip the
-//     no-op Eval. Every component still Commits, which keeps the
-//     two-phase channel state (startLen refresh after consumer pops)
-//     exactly as a full Step would.
+//   - otherwise only the active components Eval. They Commit, and so do
+//     the unwired components and any sleeper a pop woke this cycle: its
+//     Tick makes the freed space visible, as a full Step would.
+//
+// A sleeper's owed SkipTo is applied once, just before its next poll,
+// and for every sleeper when Run returns, so counters are exact whenever
+// Run is not executing. Every component is polled on a Run's first
+// cycle: Step or prewarm may have changed it since the last one.
 //
 // An idle component's Eval is a no-op this cycle even while others are
 // active: pushes stage until Commit, so no input becomes visible
@@ -176,62 +228,82 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 	if limit < start { // budget overflow: run to the end of time
 		limit = Never
 	}
-	if !k.gating || len(k.quiescent) != len(k.components) || len(k.components) == 0 {
+	n := len(k.components)
+	if !k.gating || len(k.quiescent) != n || n == 0 || n > maxGated {
 		for !k.stopped && k.cycle < limit {
 			k.Step()
 		}
 		return k.cycle - start
 	}
-	if cap(k.idle) < len(k.quiescent) {
-		//lnuca:allow(hotalloc) one-time lazy scratch allocation; reused by every subsequent Run
-		k.idle = make([]bool, len(k.quiescent))
-	}
-	idle := k.idle[:len(k.quiescent)]
+	all := ^uint64(0) >> (maxGated - n)
+	k.poked, k.due = all, Never
 	for !k.stopped && k.cycle < limit {
 		now := k.cycle
-		allIdle := true
-		wake := Never
-		for i, q := range k.quiescent {
-			w, ok := q.NextEvent(now)
-			idle[i] = ok
-			if !ok {
-				allIdle = false
-			} else if w < wake {
-				wake = w
+		poll := all&^k.asleep | k.poked | all&^k.wired
+		k.poked = 0
+		if k.due <= now {
+			k.due = Never
+			for m := k.asleep &^ poll; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				if w := k.wakeAt[i]; w <= now {
+					poll |= 1 << i
+				} else if w < k.due {
+					k.due = w
+				}
 			}
 		}
-		if allIdle && wake > now && wake != Never {
-			// Fast-forward: skip [now, wake) entirely.
-			if wake > limit {
-				wake = limit
+		var active uint64
+		for m := poll; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			q := k.quiescent[i]
+			if k.asleep&(1<<i) != 0 {
+				q.SkipTo(k.idleFrom[i], now)
+				k.asleep &^= 1 << i
 			}
-			for _, q := range k.quiescent {
-				q.SkipTo(now, wake)
+			w, idle := q.NextEvent(now)
+			if !idle {
+				active |= 1 << i
+				continue
 			}
-			k.cycle = wake
-			k.FastForwards++
-			k.SkippedCycles += wake - now
-			continue
-		}
-		// Partial step: Eval the active set, advance the rest by one
-		// arithmetic cycle, Commit everyone.
-		active := 0
-		for i, q := range k.quiescent {
-			if idle[i] {
-				q.SkipTo(now, now+1)
-				k.EvalsSkipped++
-			} else {
-				q.Eval(k)
-				active++
+			k.asleep |= 1 << i
+			k.idleFrom[i], k.wakeAt[i] = now, w
+			if w < k.due {
+				k.due = w
 			}
 		}
-		for _, c := range k.components {
-			c.Commit(k)
+		if active == 0 {
+			// Everyone is asleep: the earliest wake is exact here, so a
+			// fast-forward lands where a poll of every component would.
+			wake := Never
+			for m := k.asleep; m != 0; m &= m - 1 {
+				wake = min(wake, k.wakeAt[bits.TrailingZeros64(m)])
+			}
+			k.due = wake
+			if wake > now && wake != Never {
+				// Fast-forward: skip [now, wake) entirely.
+				k.cycle = min(wake, limit)
+				k.FastForwards++
+				k.SkippedCycles += k.cycle - now
+				continue
+			}
 		}
+		for m := active; m != 0; m &= m - 1 {
+			k.quiescent[bits.TrailingZeros64(m)].Eval(k)
+		}
+		for m := active | k.poked | all&^k.wired; m != 0; m &= m - 1 {
+			k.components[bits.TrailingZeros64(m)].Commit(k)
+		}
+		evals := uint64(bits.OnesCount64(active))
 		k.cycle++
 		k.SteppedCycles++
-		k.ActiveEvals += uint64(active)
+		k.ActiveEvals += evals
+		k.EvalsSkipped += uint64(n) - evals
 	}
+	for m := k.asleep; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		k.quiescent[i].SkipTo(k.idleFrom[i], k.cycle)
+	}
+	k.asleep = 0
 	return k.cycle - start
 }
 
@@ -254,8 +326,8 @@ type KernelStats struct {
 	FastForwards uint64
 	// SkippedCycles counts cycles never stepped.
 	SkippedCycles uint64
-	// EvalsSkipped counts single-component Eval skips on
-	// partially-active cycles.
+	// EvalsSkipped counts single-component Eval skips on stepped
+	// cycles, sleepers included.
 	EvalsSkipped uint64
 	// ActiveEvals counts component Evals that ran.
 	ActiveEvals uint64
