@@ -2,6 +2,7 @@ package lightnuca_test
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -92,6 +93,19 @@ func TestTileTimingReport(t *testing.T) {
 	out := lightnuca.TileTimingReport()
 	if !strings.Contains(out, "FITS") {
 		t.Fatalf("8KB tile should fit the cycle:\n%s", out)
+	}
+}
+
+// TestStaticReportsGolden pins the rendered Table II and the Fig. 3(d)
+// tile analysis byte for byte: both read the Table I geometries, so a
+// parameter that moves while the machine should not shows here.
+func TestStaticReportsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/static_reports.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lightnuca.AreaTable() + "\n" + lightnuca.TileTimingReport(); got != string(want) {
+		t.Errorf("static reports moved:\n%s\nwant:\n%s", got, want)
 	}
 }
 
