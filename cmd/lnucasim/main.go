@@ -43,6 +43,7 @@ import (
 
 	lightnuca "repro"
 	"repro/internal/exp"
+	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
 	"repro/internal/profiling"
@@ -216,7 +217,7 @@ func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner,
 		fmt.Fprintln(w)
 	}
 	if all || want["table1"] {
-		fmt.Fprintln(w, exp.Table1())
+		fmt.Fprintln(w, hier.DefaultTableI().Render())
 	}
 	if all || want["table2"] {
 		show(exp.Table2(), "L2-256KB 0.91 mm2; LN2 0.46 / LN3 0.86 / LN4 1.59 mm2; network 14.0/18.8/19.0%")

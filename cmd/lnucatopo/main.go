@@ -15,9 +15,8 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/hier"
 	"repro/internal/lnuca"
-	"repro/internal/sram"
-	"repro/internal/tech"
 	"repro/internal/timing"
 )
 
@@ -67,15 +66,11 @@ func main() {
 func printTiming() {
 	fmt.Println("Fig. 3(d): cache access + one-hop routing in a single 19 FO4 cycle")
 	fmt.Println()
-	for _, kb := range []int{4, 8, 16} {
-		r := timing.Analyze(sram.Config{
-			SizeBytes:  kb << 10,
-			Ways:       2,
-			BlockBytes: 32,
-			Ports:      1,
-			Device:     tech.HP,
-		})
-		fmt.Print(r)
+	tile := hier.DefaultTableI().TileSRAM()
+	for _, size := range []int{tile.SizeBytes / 2, tile.SizeBytes, 2 * tile.SizeBytes} {
+		c := tile
+		c.SizeBytes = size
+		fmt.Print(timing.Analyze(c))
 		fmt.Println()
 	}
 	best := timing.LargestOneCycleTile()
@@ -84,17 +79,21 @@ func printTiming() {
 }
 
 func printHierarchies() {
-	fmt.Print(`Fig. 1: the four evaluated cache hierarchies
+	t := hier.DefaultTableI()
+	dn, m := t.DNUCA, t.Memory
+	fmt.Printf(`Fig. 1: the four evaluated cache hierarchies
 
 (a) Conventional             (b) L-NUCA + L3
-    L1 32KB                      L-NUCA (r-tile 32KB + 8KB tiles)
-    L2 256KB                       72KB / 144KB / 248KB for 2/3/4 levels
-    L3 8MB                       L3 8MB
+    L1 %[1]dKB                      L-NUCA (r-tile %[1]dKB + %[2]dKB tiles)
+    L2 %[3]dKB                       %[4]dKB / %[5]dKB / %[6]dKB for 2/3/4 levels
+    L3 %[7]dMB                       L3 %[7]dMB
 
 (c) D-NUCA                   (d) L-NUCA + D-NUCA
-    L1 32KB                      L-NUCA (as above)
-    D-NUCA 8MB (4x8 banks)       D-NUCA 8MB (4x8 banks)
+    L1 %[1]dKB                      L-NUCA (as above)
+    D-NUCA %[8]dMB (%[9]dx%[10]d banks)       D-NUCA %[8]dMB (%[9]dx%[10]d banks)
 
-All backed by main memory: 200-cycle first chunk + 4 cycles per 16B chunk.
-`)
+All backed by main memory: %[11]d-cycle first chunk + %[12]d cycles per %[13]dB chunk.
+`, t.L1.Bank.SizeBytes>>10, t.LNUCA.TileBank.SizeBytes>>10, t.L2.Bank.SizeBytes>>10,
+		lnuca.CapacityKB(2), lnuca.CapacityKB(3), lnuca.CapacityKB(4), t.L3.Bank.SizeBytes>>20,
+		dn.Rows*dn.Cols*dn.Bank.SizeBytes>>20, dn.Rows, dn.Cols, m.FirstChunkCycles, m.InterChunkCycles, m.ChunkBytes)
 }

@@ -5,33 +5,16 @@
 package area
 
 import (
+	"repro/internal/hier"
 	"repro/internal/lnuca"
 	"repro/internal/nocpower"
 	"repro/internal/sram"
-	"repro/internal/tech"
 )
-
-// Table I geometries used by the roll-up.
-var (
-	l1Cfg = sram.Config{SizeBytes: 32 << 10, Ways: 4, BlockBytes: 32, Ports: 2, Device: tech.HP}
-	l2Cfg = sram.Config{SizeBytes: 256 << 10, Ways: 8, BlockBytes: 64, Ports: 1, Device: tech.HP, Serial: true}
-	tile  = sram.Config{SizeBytes: 8 << 10, Ways: 2, BlockBytes: 32, Ports: 1, Device: tech.HP}
-)
-
-// transportBits is the Transport/Replacement message width: a 32-byte
-// block plus address/status (Section III.B: links are message-wide).
-const transportBits = 32*8 + 40
-
-// searchBits is the Search message width (block address plus status).
-const searchBits = 48
-
-// tilePitchMM approximates the inter-tile link length from the tile
-// footprint.
-const tilePitchMM = 0.25
 
 // Conventional returns the baseline L1+L2 area (Table II row 1).
 func Conventional() float64 {
-	return sram.AreaMM2(l1Cfg) + sram.AreaMM2(l2Cfg)
+	t := hier.DefaultTableI()
+	return sram.AreaMM2(hier.SRAM(t.L1)) + sram.AreaMM2(hier.SRAM(t.L2))
 }
 
 // Report describes one L-NUCA area roll-up.
@@ -49,43 +32,45 @@ type Report struct {
 
 // LNUCA computes the Table II roll-up for an n-level L-NUCA.
 func LNUCA(levels int) Report {
+	t := hier.DefaultTableI()
 	g := lnuca.MustGeometry(levels)
-	rt := sram.AreaMM2(l1Cfg)
-	tiles := float64(g.NumTiles()) * sram.AreaMM2(tile)
+	rt := sram.AreaMM2(hier.SRAM(t.L1)) // the r-tile is the L1's array
+	tiles := float64(g.NumTiles()) * sram.AreaMM2(t.TileSRAM())
+	buf, transport, search := t.LNUCA.LinkBufEntries, t.TransportLink, t.SearchLink
 
 	network := 0.0
 	for i := range g.Sites {
 		s := &g.Sites[i]
-		// Per-tile switch: MA register + two-entry buffers per link, the
+		// Per-tile switch: MA register + link buffers on every input, the
 		// cut-through transport crossbar (Section III.C: 3 inputs reduce
 		// to the 2 D buffers + cache; up to 2 outputs), and the U path.
 		r := nocpower.RouterSpec{
 			InLinks:       len(s.TransportIn) + len(s.ReplaceIn) + 1, // +1 search
 			OutLinks:      len(s.TransportOut) + len(s.ReplaceOut) + len(s.SearchChildren),
-			BufferEntries: 2*(len(s.TransportIn)+len(s.ReplaceIn)) + 1, // +MA
-			Bits:          transportBits,
+			BufferEntries: buf*(len(s.TransportIn)+len(s.ReplaceIn)) + 1, // +MA
+			Bits:          transport.Bits,
 			CrossbarIn:    3,
 			CrossbarOut:   max(len(s.TransportOut), 1),
-			AvgLinkMM:     tilePitchMM,
+			AvgLinkMM:     transport.LengthMM,
 		}
 		network += r.AreaMM2()
 		// The search MA path is narrow; charge it separately.
 		network += nocpower.RouterSpec{
 			BufferEntries: 1,
-			Bits:          searchBits,
+			Bits:          search.Bits,
 			CrossbarIn:    1, CrossbarOut: len(s.SearchChildren),
-			AvgLinkMM: tilePitchMM,
+			AvgLinkMM: search.LengthMM,
 		}.AreaMM2()
 	}
 	// R-tile flow-control extension: input D buffers and victim U path.
 	network += nocpower.RouterSpec{
 		InLinks:       len(g.RTileTransportIn),
 		OutLinks:      len(g.RTileReplaceOut) + len(g.RTileSearchChildren),
-		BufferEntries: 2*len(g.RTileTransportIn) + 2,
-		Bits:          transportBits,
+		BufferEntries: buf*len(g.RTileTransportIn) + 2,
+		Bits:          transport.Bits,
 		CrossbarIn:    len(g.RTileTransportIn),
 		CrossbarOut:   2,
-		AvgLinkMM:     tilePitchMM,
+		AvgLinkMM:     transport.LengthMM,
 	}.AreaMM2()
 
 	total := rt + tiles + network
@@ -100,16 +85,3 @@ func LNUCA(levels int) Report {
 		SavingsVsConventionalPct: 100 * (conv - total) / conv,
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// TileMM2 exposes the single-tile SRAM area (used by cmd tooling).
-func TileMM2() float64 { return sram.AreaMM2(tile) }
-
-// RTileMM2 exposes the r-tile SRAM area.
-func RTileMM2() float64 { return sram.AreaMM2(l1Cfg) }

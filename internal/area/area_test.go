@@ -3,6 +3,9 @@ package area
 import (
 	"math"
 	"testing"
+
+	"repro/internal/hier"
+	"repro/internal/sram"
 )
 
 // Table II published values.
@@ -78,10 +81,11 @@ func TestReportInternalConsistency(t *testing.T) {
 	if r.TilesMM2 <= 0 || r.RTileMM2 <= 0 || r.NetworkMM2 <= 0 {
 		t.Fatal("non-positive component")
 	}
-	if got := 14 * TileMM2(); math.Abs(got-r.TilesMM2) > 1e-9 {
+	tab := hier.DefaultTableI()
+	if got := 14 * sram.AreaMM2(tab.TileSRAM()); math.Abs(got-r.TilesMM2) > 1e-9 {
 		t.Fatalf("LN3 tile area %.4f != 14 x tile %.4f", r.TilesMM2, got)
 	}
-	if RTileMM2() != r.RTileMM2 {
+	if sram.AreaMM2(hier.SRAM(tab.L1)) != r.RTileMM2 {
 		t.Fatal("r-tile area mismatch")
 	}
 }

@@ -14,11 +14,12 @@ type BPred struct {
 	Lookups, Mispredicts uint64
 }
 
-const bpredBits = 16
+// BPredBits is the global-history width; each table has 2^BPredBits entries.
+const BPredBits = 16
 
 // NewBPred builds the predictor with 2^16-entry tables.
 func NewBPred() *BPred {
-	n := 1 << bpredBits
+	n := 1 << BPredBits
 	p := &BPred{
 		bimodal: make([]uint8, n),
 		gshare:  make([]uint8, n),

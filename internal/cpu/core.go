@@ -286,9 +286,6 @@ const loadLatBuckets = 512
 // maxInstr bounds the committed instruction count (0 = unbounded). A
 // RunAhead stream is read by indexing its blocks.
 func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSource, maxInstr uint64) *Core {
-	if cfg.FetchWidth <= 0 {
-		cfg = DefaultConfig()
-	}
 	ring := 1
 	for ring < cfg.ROBSize {
 		ring <<= 1

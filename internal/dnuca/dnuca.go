@@ -196,8 +196,11 @@ func New(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*DNUCA, error) {
 // Name implements sim.Component.
 func (d *DNUCA) Name() string { return d.cfg.Name }
 
-// column returns the bank set of a line (simple mapping).
-func (d *DNUCA) column(line mem.Addr) int {
+// Config returns the configuration the D-NUCA was built with.
+func (d *DNUCA) Config() Config { return d.cfg }
+
+// Column returns the bank set of a line (simple mapping).
+func (d *DNUCA) Column(line mem.Addr) int {
 	return int((uint64(line) / uint64(d.cfg.Bank.BlockBytes)) % uint64(d.cfg.Cols))
 }
 
@@ -488,7 +491,7 @@ func (d *DNUCA) endSearch(s *pendingSearch) {
 
 // launchSearch multicasts a lookup to every bank of the line's column.
 func (d *DNUCA) launchSearch(now sim.Cycle, line mem.Addr, write bool) {
-	col := d.column(line)
+	col := d.Column(line)
 	kind := mSearch
 	if write {
 		kind = mWrite
@@ -521,7 +524,7 @@ func (d *DNUCA) consumeMemory(now sim.Cycle) {
 				dirty = true
 			}
 		}
-		tail := d.bankAt(d.column(line), d.cfg.Rows-1)
+		tail := d.bankAt(d.Column(line), d.cfg.Rows-1)
 		d.send(now, d.ctrl, tail.pos, d.dataFlits(),
 			payload{kind: mFill, line: line, dirty: dirty, row: d.cfg.Rows - 1})
 	}

@@ -87,7 +87,7 @@ func TestGlobalMissFetchesFromMemoryAndFillsTail(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		h.k.Step()
 	}
-	col := h.d.column(0x10000)
+	col := h.d.Column(0x10000)
 	if !h.d.BankArray(col, h.d.cfg.Rows-1).Probe(0x10000) {
 		t.Fatal("fill did not land in the tail bank")
 	}
@@ -122,7 +122,7 @@ func TestPromotionMovesBlockCloser(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		h.k.Step()
 	}
-	col := h.d.column(addr)
+	col := h.d.Column(addr)
 	if !h.d.BankArray(col, 3).Probe(addr) {
 		t.Fatal("setup: block not at tail")
 	}
@@ -195,7 +195,7 @@ func TestWriteAllocateAndWriteback(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		h.k.Step()
 	}
-	col := h.d.column(0x60000)
+	col := h.d.Column(0x60000)
 	found := false
 	for r := 0; r < cfg.Rows; r++ {
 		if h.d.BankArray(col, r).IsDirty(0x60000) {
@@ -309,7 +309,7 @@ func TestColumnMapping(t *testing.T) {
 	// Consecutive 128B blocks map to consecutive columns (interleaving).
 	seen := map[int]bool{}
 	for i := 0; i < 8; i++ {
-		seen[h.d.column(mem.Addr(i*128))] = true
+		seen[h.d.Column(mem.Addr(i*128))] = true
 	}
 	if len(seen) != 8 {
 		t.Fatalf("consecutive blocks hit %d distinct columns, want 8", len(seen))

@@ -210,15 +210,6 @@ func TestTable2Rendering(t *testing.T) {
 	}
 }
 
-func TestTable1Rendering(t *testing.T) {
-	out := Table1().String()
-	for _, want := range []string{"ROB / LSQ", "128 / 64", "L-NUCA tile", "200-cycle first chunk"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table I missing %q", want)
-		}
-	}
-}
-
 // TestFullModeLBMFinishes: conventional / 470.lbm / full / seed 1 is the
 // cell whose L2 used to deadlock — write buffer full, its head waiting on
 // an MSHR, every MSHR on a fill, every fill on a buffer slot — and fail

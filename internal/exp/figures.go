@@ -160,34 +160,3 @@ func Table3Render(rows []Table3Row) *stats.Table {
 	}
 	return t
 }
-
-// Table1 renders the architectural parameters actually instantiated by
-// the simulator (Table I).
-func Table1() *stats.Table {
-	t := stats.NewTable("Table I: architectural and network parameters (as instantiated)",
-		"parameter", "value")
-	rows := [][2]string{
-		{"Fetch/Decode width", "4, up to 2 taken branches"},
-		{"Issue width", "4 (INT or MEM) + 4 FP"},
-		{"Commit width", "4"},
-		{"ROB / LSQ", "128 / 64"},
-		{"Store buffer", "48"},
-		{"INT/FP/MEM issue windows", "32 / 24 / 16"},
-		{"Branch predictor", "bimodal + gshare, 16-bit history"},
-		{"Branch mispredict delay", "8"},
-		{"MSHR L1/L2/L3", "16 / 16 / 8 (4 secondary)"},
-		{"TLB miss latency", "30"},
-		{"L1 / r-tile", "32KB 4-way 32B, 2-cycle, write-through, 2 ports, 21.2 pJ, 12.8 mW"},
-		{"L2", "256KB 8-way 64B, 4-cycle completion 2-cycle initiation, copy-back, 47.2 pJ, 66.9 mW"},
-		{"L-NUCA tile", "8KB 2-way 32B, 1-cycle, copy-back, 14 pJ, 2.2 mW"},
-		{"L3", "8MB 16-way 128B, 20-cycle completion 15-cycle initiation, LOP, 20.9 pJ, 600 mW"},
-		{"D-NUCA", "8MB, 8 bank sets x 4 rows, 256KB 2-way 128B banks, 3-cycle, 131.2 pJ, 33.5 mW/bank"},
-		{"Main memory", "200-cycle first chunk, 4-cycle inter-chunk, 16B wires"},
-		{"L-NUCA links", "message-wide, 2-entry buffers, On/Off flow control"},
-		{"D-NUCA network", "wormhole, 4 VCs, 4-flit buffers, 32B flits, 1-5 flits/message"},
-	}
-	for _, r := range rows {
-		t.AddRow(r[0], r[1])
-	}
-	return t
-}

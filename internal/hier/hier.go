@@ -3,8 +3,10 @@
 // the same L3, the D-NUCA baseline, and the L-NUCA backed by the D-NUCA.
 // There is one machine, System, with N >= 1 cores: Build wires the
 // single-core one, BuildCMP the same machine with an arbiter in front of
-// the shared last level and "c<i>."-prefixed statistics. It also owns the Table I energy constants and converts run statistics
-// into the Fig. 4(b)/5(b) energy breakdowns.
+// the shared last level and "c<i>."-prefixed statistics.
+//
+// Both build from one Table I (TableI), which also prices run statistics
+// as the Fig. 4(b)/5(b) energy breakdowns.
 package hier
 
 import (
@@ -15,32 +17,10 @@ import (
 	"repro/internal/dnuca"
 	"repro/internal/lnuca"
 	"repro/internal/mem"
-	"repro/internal/nocpower"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
-)
-
-// Table I energy constants (pJ per access, mW leakage).
-const (
-	L1ReadPJ, L1LeakMW     = 21.2, 12.8
-	L2ReadPJ, L2LeakMW     = 47.2, 66.9
-	TileReadPJ, TileLeakMW = 14.0, 2.2
-	L3ReadPJ, L3LeakMW     = 20.9, 600.0
-	DNReadPJ, DNBankLeakMW = 131.2, 33.5
-	TileTagProbePJ         = 0.25 * TileReadPJ // miss lookups stop at tags
-	TileFillPJ             = 1.1 * TileReadPJ
-	UComparePJ             = 0.5
-	RouterLeakPerTileMW    = 0.15
-)
-
-// Link energy specs: L-NUCA links are message-wide and a tile-pitch long;
-// the D-NUCA's 256-bit links span 256KB banks.
-var (
-	searchLink    = nocpower.LinkSpec{Bits: 48, LengthMM: 0.25}
-	transportLink = nocpower.LinkSpec{Bits: 32*8 + 40, LengthMM: 0.25}
-	dnucaLink     = nocpower.LinkSpec{Bits: 256, LengthMM: 1.0}
 )
 
 // MaxCMPCores bounds a CMP build; the paper-scale LLC stops making sense
@@ -119,6 +99,7 @@ type System struct {
 	Memory *mem.MainMemory
 
 	ids      mem.IDSource
+	table    TableI // what the machine was built from, for Energy
 	levels   int
 	profiles []workload.Profile
 	supplies []*cpu.Ahead // the cores' run-ahead supplies, for Close
@@ -134,59 +115,6 @@ func CoreOffset(i int) mem.Addr { return mem.Addr(i) * coreAddrStride }
 // two copies of one benchmark do not run in lockstep.
 func coreSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i)*0x9E3779B97F4A7C15
-}
-
-// l1Config returns the Table I L1 as a write-through controller, named
-// "L1"+suffix.
-func l1Config(suffix string) cache.ControllerConfig {
-	return cache.ControllerConfig{
-		Name:             "L1" + suffix,
-		Bank:             cache.BankConfig{SizeBytes: 32 << 10, Ways: 4, BlockBytes: 32},
-		CompletionCycles: 0, // port crossings model the 2-cycle completion
-		InitiationCycles: 1,
-		Ports:            2,
-		Policy:           cache.WriteThrough,
-		Mode:             cache.Parallel,
-		MSHREntries:      16,
-		MSHRSecondary:    4,
-		WriteBufEntries:  8,
-	}
-}
-
-// l2Config returns the Table I 256KB L2, named "L2"+suffix.
-func l2Config(suffix string) cache.ControllerConfig {
-	return cache.ControllerConfig{
-		Name:             "L2" + suffix,
-		Bank:             cache.BankConfig{SizeBytes: 256 << 10, Ways: 8, BlockBytes: 64},
-		CompletionCycles: 4,
-		InitiationCycles: 2,
-		Ports:            1,
-		Policy:           cache.CopyBack,
-		Mode:             cache.Serial,
-		MSHREntries:      16,
-		MSHRSecondary:    4,
-		WriteBufEntries:  32,
-		BusCycles:        2, // 64B over the L1-L2 link
-		TagMissCycles:    3, // serial-mode tag path before forwarding
-	}
-}
-
-// l3Config returns the Table I 8MB L3.
-func l3Config() cache.ControllerConfig {
-	return cache.ControllerConfig{
-		Name:             "L3",
-		Bank:             cache.BankConfig{SizeBytes: 8 << 20, Ways: 16, BlockBytes: 128},
-		CompletionCycles: 20,
-		InitiationCycles: 15,
-		Ports:            1,
-		Policy:           cache.CopyBack,
-		Mode:             cache.Serial,
-		MSHREntries:      8,
-		MSHRSecondary:    4,
-		WriteBufEntries:  32,
-		BusCycles:        4, // 128B block return to the L2/L-NUCA
-		TagMissCycles:    4,
-	}
 }
 
 // Build wires a single-core system running the given workload profile:
@@ -225,9 +153,11 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (_ *Sy
 	if err != nil {
 		return nil, err
 	}
+	t := DefaultTableI()
 	s := &System{
 		Kind:     kind,
 		Kernel:   sim.NewKernel(),
+		table:    t,
 		levels:   levels,
 		profiles: profs,
 	}
@@ -256,12 +186,15 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (_ *Sy
 			s.supplies = append(s.supplies, ahead)
 			stream = ahead
 		}
-		cpuPort := mem.NewPort(8, 8)
-		core := cpu.New(coreName, cpu.Config{}, stream, cpuPort, &s.ids, opt.MaxInstr)
+		cpuPort := mem.NewPort(t.PortDepth, t.PortDepth)
+		core := cpu.New(coreName, t.Core, stream, cpuPort, &s.ids, opt.MaxInstr)
 		s.Cores = append(s.Cores, core)
 		comps = append(comps, core)
 
-		llcSide := mem.NewPort(8, 8)
+		llcSide := mem.NewPort(t.PortDepth, t.PortDepth)
+		l1cfg, l2cfg := t.L1, t.L2
+		l1cfg.Name += suffix
+		l2cfg.Name += suffix
 		switch {
 		case org.hasLNUCA:
 			fcfg := lnuca.DefaultConfig(levels)
@@ -275,14 +208,14 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (_ *Sy
 			s.Fabrics = append(s.Fabrics, fab)
 			comps = append(comps, fab)
 		case org.hasL2:
-			l1l2 := mem.NewPort(8, 8)
-			l1 := cache.NewController(l1Config(suffix), cpuPort, l1l2, &s.ids)
-			l2 := cache.NewController(l2Config(suffix), l1l2, llcSide, &s.ids)
+			l1l2 := mem.NewPort(t.PortDepth, t.PortDepth)
+			l1 := cache.NewController(l1cfg, cpuPort, l1l2, &s.ids)
+			l2 := cache.NewController(l2cfg, l1l2, llcSide, &s.ids)
 			s.L1s = append(s.L1s, l1)
 			s.L2s = append(s.L2s, l2)
 			comps = append(comps, l1, l2)
 		default:
-			l1 := cache.NewController(l1Config(suffix), cpuPort, llcSide, &s.ids)
+			l1 := cache.NewController(l1cfg, cpuPort, llcSide, &s.ids)
 			s.L1s = append(s.L1s, l1)
 			comps = append(comps, l1)
 		}
@@ -312,18 +245,18 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (_ *Sy
 		comps = append(comps, arb)
 	}
 
-	memPort := mem.NewPort(8, 8)
+	memPort := mem.NewPort(t.PortDepth, t.PortDepth)
 	if org.dnucaLast {
-		s.DN, err = dnuca.New(dnuca.DefaultConfig(), llcUp, memPort, &s.ids)
+		s.DN, err = dnuca.New(t.DNUCA, llcUp, memPort, &s.ids)
 		if err != nil {
 			return nil, err
 		}
 		comps = append(comps, s.DN)
 	} else {
-		s.L3 = cache.NewController(l3Config(), llcUp, memPort, &s.ids)
+		s.L3 = cache.NewController(t.L3, llcUp, memPort, &s.ids)
 		comps = append(comps, s.L3)
 	}
-	s.Memory = mem.NewMainMemory("dram", mem.DefaultMainMemoryConfig(), memPort)
+	s.Memory = mem.NewMainMemory("dram", t.Memory, memPort)
 	comps = append(comps, s.Memory)
 	registerAll(s.Kernel, comps, opt.ShuffleRegistration)
 	s.Kernel.SetGating(!opt.Ungated)
@@ -404,8 +337,8 @@ func prewarmTiles(f *lnuca.Fabric, base mem.Addr, kb int) {
 	if len(order) == 0 {
 		return
 	}
-	idx := 0
-	for off := 0; off < kb<<10; off += 32 {
+	idx, block := 0, f.TileBank(order[0]).Config().BlockBytes
+	for off := 0; off < kb<<10; off += block {
 		line := base + mem.Addr(off)
 		// Try successive tiles until one has set space (exclusion: at
 		// most one copy).
@@ -424,11 +357,11 @@ func prewarmTiles(f *lnuca.Fabric, base mem.Addr, kb int) {
 // prewarmDN installs regions into the D-NUCA: warm in the closest rows,
 // cool behind, matching post-migration steady state.
 func prewarmDN(dn *dnuca.DNUCA, hotB mem.Addr, hotKB int, warmB mem.Addr, warmKB int, coolB mem.Addr, coolKB int) {
-	cfg := dnuca.DefaultConfig()
+	cfg := dn.Config()
 	put := func(base mem.Addr, kb int, startRow int) {
-		for off := 0; off < kb<<10; off += 128 {
+		for off := 0; off < kb<<10; off += cfg.Bank.BlockBytes {
 			line := base + mem.Addr(off)
-			col := int((uint64(line) / 128) % uint64(cfg.Cols))
+			col := dn.Column(line)
 			for r := startRow; r < cfg.Rows; r++ {
 				b := dn.BankArray(col, r)
 				if b.HasSpace(line) {
@@ -516,34 +449,37 @@ func (s *System) Collect() *stats.Set {
 // the Fig. 4(b)/5(b) breakdown. cycles is the measured window length.
 func (s *System) Energy(set *stats.Set, cycles uint64) power.Breakdown {
 	var a power.Accountant
+	e := &s.table.energy
 	// The private side, then the last level.
-	a.AddLeakage(power.StaticL1RT, L1LeakMW)
+	a.AddLeakage(power.StaticL1RT, e.l1.leakMW)
 	if s.Fabric != nil {
 		s.addFabricDynamic(&a, set)
 		tiles := float64(lnuca.NumTilesForLevels(s.levels))
-		a.AddLeakage(power.StaticMid, tiles*(TileLeakMW+RouterLeakPerTileMW))
+		a.AddLeakage(power.StaticMid, tiles*(e.tile.leakMW+e.routerLeakPerTileMW))
 	} else {
-		a.AddDynamicPJ(float64(set.Counter("l1.bank_accesses")) * L1ReadPJ)
+		a.AddDynamicPJ(float64(set.Counter("l1.bank_accesses")) * e.l1.readPJ)
 		if s.L2 != nil {
-			a.AddDynamicPJ(float64(set.Counter("l2.bank_accesses")) * L2ReadPJ)
-			a.AddLeakage(power.StaticMid, L2LeakMW)
+			a.AddDynamicPJ(float64(set.Counter("l2.bank_accesses")) * e.l2.readPJ)
+			a.AddLeakage(power.StaticMid, e.l2.leakMW)
 		}
 	}
 	if s.DN != nil {
-		a.AddDynamicPJ(float64(set.Counter("dn.bank_accesses")) * DNReadPJ)
-		a.AddDynamicPJ(float64(set.Counter("dn.net_flit_hops")) * dnucaLink.TraversalPJ())
-		a.AddLeakage(power.StaticLLC, 32*DNBankLeakMW)
+		dn := s.DN.Config()
+		a.AddDynamicPJ(float64(set.Counter("dn.bank_accesses")) * e.dnBank.readPJ)
+		a.AddDynamicPJ(float64(set.Counter("dn.net_flit_hops")) * s.table.DNUCALink.TraversalPJ())
+		a.AddLeakage(power.StaticLLC, float64(dn.Rows*dn.Cols)*e.dnBank.leakMW)
 	} else {
-		a.AddDynamicPJ(float64(set.Counter("l3.bank_accesses")) * L3ReadPJ)
-		a.AddLeakage(power.StaticLLC, L3LeakMW)
+		a.AddDynamicPJ(float64(set.Counter("l3.bank_accesses")) * e.l3.readPJ)
+		a.AddLeakage(power.StaticLLC, e.l3.leakMW)
 	}
 	return a.Finish(cycles)
 }
 
 // addFabricDynamic charges the L-NUCA's arrays and networks.
 func (s *System) addFabricDynamic(a *power.Accountant, set *stats.Set) {
+	e, search, transport := &s.table.energy, s.table.SearchLink, s.table.TransportLink
 	rtAccesses := set.Counter("ln.rt_reads") + set.Counter("ln.rt_writes") + set.Counter("ln.rt_fills")
-	a.AddDynamicPJ(float64(rtAccesses) * L1ReadPJ)
+	a.AddDynamicPJ(float64(rtAccesses) * e.l1.readPJ)
 	// Tile arrays: misses cost the tag path, hits read data, fills and
 	// evictions move whole blocks.
 	lookups := set.Counter("ln.search_lookups")
@@ -551,13 +487,13 @@ func (s *System) addFabricDynamic(a *power.Accountant, set *stats.Set) {
 	for lvl := 2; lvl <= s.levels; lvl++ {
 		hits += set.Counter(fmt.Sprintf("ln.hits_le%d", lvl))
 	}
-	a.AddDynamicPJ(float64(lookups) * TileTagProbePJ)
-	a.AddDynamicPJ(float64(hits) * TileReadPJ)
-	a.AddDynamicPJ(float64(set.Counter("ln.u_compares")) * UComparePJ)
+	a.AddDynamicPJ(float64(lookups) * e.tileTagProbePJ)
+	a.AddDynamicPJ(float64(hits) * e.tile.readPJ)
+	a.AddDynamicPJ(float64(set.Counter("ln.u_compares")) * e.uComparePJ)
 	// Networks (Orion-style event energy).
-	a.AddDynamicPJ(float64(set.Counter("ln.search_traversals")) * searchLink.TraversalPJ())
-	a.AddDynamicPJ(float64(set.Counter("ln.transport_hops")+set.Counter("ln.transport_delivered")) * transportLink.TraversalPJ())
-	a.AddDynamicPJ(float64(set.Counter("ln.replacement_hops")) * (transportLink.TraversalPJ() + TileFillPJ))
+	a.AddDynamicPJ(float64(set.Counter("ln.search_traversals")) * search.TraversalPJ())
+	a.AddDynamicPJ(float64(set.Counter("ln.transport_hops")+set.Counter("ln.transport_delivered")) * transport.TraversalPJ())
+	a.AddDynamicPJ(float64(set.Counter("ln.replacement_hops")) * (transport.TraversalPJ() + e.tileFillPJ))
 }
 
 // CheckInvariants verifies per-fabric structural invariants and the

@@ -10,16 +10,31 @@ import (
 )
 
 // params is the one table of machine parameters a request may set, sorted by
-// name: Table I's wording, the range a request may ask for, the config field
-// it sets. A row comes with the caller that varies it, not ahead of one.
-var params = [...]struct {
-	name, tableI  string
-	def, min, max int
-	set           func(*lnuca.Config, int)
-}{
-	{"ln.link_buf", "link buffer entries, Table I 2", 2, 1, 8, func(c *lnuca.Config, v int) { c.LinkBufEntries = v }},
-	{"ln.routing", "transport routing, 0 random as in the paper or 1 deterministic", 0, 0, 1, func(c *lnuca.Config, v int) { c.DeterministicRouting = v == 1 }},
-	{"ln.tile_kb", "tile size in KB, Table I 8", 8, 2, 16, func(c *lnuca.Config, v int) { c.TileBank.SizeBytes = v << 10 }},
+// name: what the row is, the range a request may ask for, the config field
+// it sets. Its Table I value is read from lnuca.DefaultConfig (tableI). A row
+// comes with the caller that varies it, not ahead of one.
+var params = [...]param{
+	{"ln.link_buf", "link buffer entries", 1, 8, func(c *lnuca.Config, v int) { c.LinkBufEntries = v }},
+	{"ln.routing", "transport routing, 0 random as in the paper or 1 deterministic", 0, 1, func(c *lnuca.Config, v int) { c.DeterministicRouting = v == 1 }},
+	{"ln.tile_kb", "tile size in KB", 2, 16, func(c *lnuca.Config, v int) { c.TileBank.SizeBytes = v << 10 }},
+}
+
+type param struct {
+	name, about string
+	min, max    int
+	set         func(*lnuca.Config, int)
+}
+
+// tableI returns the row's Table I value: the one in range that leaves the
+// Table I fabric def as it is.
+func (p param) tableI(def lnuca.Config) int {
+	for v := p.min; v < p.max; v++ {
+		probe := def
+		if p.set(&probe, v); probe == def {
+			return v
+		}
+	}
+	return p.max
 }
 
 // Machine is a resolved machine member: "name=value" for each row that
@@ -33,15 +48,17 @@ func ResolveMachine(k Kind, set map[string]float64) (Machine, error) {
 	if len(set) == 0 {
 		return "", nil
 	}
-	cfg, found, bad := lnuca.DefaultConfig(DefaultLevels), 0, false
+	def := lnuca.DefaultConfig(DefaultLevels)
+	cfg, found, bad := def, 0, false
 	var kept, rows []string
 	for _, p := range params {
-		rows = append(rows, fmt.Sprintf("%s %d..%d (%s)", p.name, p.min, p.max, p.tableI))
+		tableI := p.tableI(def)
+		rows = append(rows, fmt.Sprintf("%s %d..%d (%s, Table I %d)", p.name, p.min, p.max, p.about, tableI))
 		if v, ok := set[p.name]; ok {
 			found++
 			bad = bad || v != math.Trunc(v) || v < float64(p.min) || v > float64(p.max)
 			p.set(&cfg, int(v))
-			if int(v) != p.def && k.HasLNUCA() {
+			if int(v) != tableI && k.HasLNUCA() {
 				kept = append(kept, fmt.Sprintf("%s=%d", p.name, int(v)))
 			}
 		}

@@ -11,21 +11,34 @@ import (
 )
 
 // TestMachineTable: rows are sorted (a Machine lists them in table
-// order, which is what keeps its pairs sorted), and every default is
-// what the component is built with when no row is set.
+// order, which is what keeps its pairs sorted), and every row's Table I
+// value is the lnuca.DefaultConfig field it sets, so a row at that value
+// drops to the plain key.
 func TestMachineTable(t *testing.T) {
 	var names []string
 	cfg := lnuca.DefaultConfig(DefaultLevels)
+	field := map[string]int{
+		"ln.link_buf": cfg.LinkBufEntries,
+		"ln.routing":  0, // DeterministicRouting false
+		"ln.tile_kb":  cfg.TileBank.SizeBytes >> 10,
+	}
 	for _, p := range params {
 		names = append(names, p.name)
+		want, ok := field[p.name]
+		if got := p.tableI(cfg); !ok || got != want {
+			t.Errorf("%s: Table I value %d, want the config's %d", p.name, got, want)
+		}
 		probe := cfg
-		p.set(&probe, p.def)
+		p.set(&probe, want)
 		if !reflect.DeepEqual(probe, cfg) {
-			t.Errorf("%s: default %d is not Table I's", p.name, p.def)
+			t.Errorf("%s: %d is not Table I's", p.name, want)
 		}
-		if p.def < p.min || p.def > p.max {
-			t.Errorf("%s: default %d outside %d..%d", p.name, p.def, p.min, p.max)
+		if m, err := ResolveMachine(LNUCAL3, map[string]float64{p.name: float64(want)}); err != nil || m != "" {
+			t.Errorf("%s at Table I resolves to %q, %v; want the plain machine", p.name, m, err)
 		}
+	}
+	if cfg.DeterministicRouting {
+		t.Error("Table I routing is random")
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("rows not sorted by name: %v", names)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/dnuca"
 	"repro/internal/mem"
 	"repro/internal/workload"
 )
@@ -80,7 +79,7 @@ func banksOf(s *System) map[string]*cache.Bank {
 	if s.L3 != nil {
 		out["l3"] = s.L3.Bank()
 	} else {
-		cfg := dnuca.DefaultConfig()
+		cfg := s.DN.Config()
 		for col := 0; col < cfg.Cols; col++ {
 			for row := 0; row < cfg.Rows; row++ {
 				out[fmt.Sprintf("dn%d.%d", col, row)] = s.DN.BankArray(col, row)

@@ -195,9 +195,6 @@ func NewFabric(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*Fabric, erro
 	if cfg.RTilePorts <= 0 {
 		cfg.RTilePorts = 1
 	}
-	if cfg.LinkBufEntries <= 0 {
-		cfg.LinkBufEntries = 2
-	}
 	f := &Fabric{
 		cfg:   cfg,
 		geom:  geom,

@@ -78,9 +78,13 @@ func NumTilesForLevels(n int) int {
 	return total
 }
 
-// CapacityKB returns the total capacity of an n-level L-NUCA, the 32KB
-// r-tile plus 8KB per tile: 72, 144, 248 for n = 2, 3, 4.
-func CapacityKB(n int) int { return 32 + 8*NumTilesForLevels(n) }
+// CapacityKB returns the total capacity of an n-level L-NUCA of Table I
+// tiles, the r-tile plus one tile bank per tile: 72, 144, 248 for n = 2,
+// 3, 4.
+func CapacityKB(n int) int {
+	c := DefaultConfig(n)
+	return (c.RTileBank.SizeBytes + NumTilesForLevels(n)*c.TileBank.SizeBytes) >> 10
+}
 
 // NewGeometry constructs the fabric structure for the given number of
 // levels (including the r-tile level, so levels >= 2).

@@ -163,8 +163,9 @@ func (g *Geometry) RenderDOT(n network) string {
 // with in Section III.A.
 func (g *Geometry) RenderSummary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "L-NUCA %d levels: %d tiles + r-tile (%d KB with 8KB tiles and a 32KB r-tile)\n",
-		g.Levels, g.NumTiles(), CapacityKB(g.Levels))
+	c := DefaultConfig(g.Levels)
+	fmt.Fprintf(&b, "L-NUCA %d levels: %d tiles + r-tile (%d KB with %dKB tiles and a %dKB r-tile)\n",
+		g.Levels, g.NumTiles(), CapacityKB(g.Levels), c.TileBank.SizeBytes>>10, c.RTileBank.SizeBytes>>10)
 	fmt.Fprintf(&b, "  search network:      %3d links (broadcast tree, one per tile — the minimum)\n", g.SearchLinks())
 	fmt.Fprintf(&b, "  transport network:   %3d links (inward 2-D mesh, path diversity)\n", g.TransportLinks())
 	fmt.Fprintf(&b, "  replacement network: %3d links (latency-ordered domino chains)\n", g.ReplacementLinks())

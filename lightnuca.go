@@ -49,13 +49,12 @@ import (
 	"fmt"
 
 	"repro/internal/exp"
+	"repro/internal/hier"
 	"repro/internal/lnuca"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
 	"repro/internal/power"
-	"repro/internal/sram"
 	"repro/internal/stats"
-	"repro/internal/tech"
 	"repro/internal/timing"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -267,13 +266,7 @@ func Topology(levels int) (string, error) {
 // TileTimingReport returns the Fig. 3(d) single-cycle feasibility
 // analysis for the paper's 8KB 2-way tile.
 func TileTimingReport() string {
-	return timing.Analyze(sram.Config{
-		SizeBytes:  8 << 10,
-		Ways:       2,
-		BlockBytes: 32,
-		Ports:      1,
-		Device:     tech.HP,
-	}).String()
+	return timing.Analyze(hier.DefaultTableI().TileSRAM()).String()
 }
 
 // AreaTable returns the Table II area comparison.
