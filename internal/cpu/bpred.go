@@ -17,7 +17,7 @@ type BPred struct {
 // BPredBits is the global-history width; each table has 2^BPredBits entries.
 const BPredBits = 16
 
-// NewBPred builds the predictor with 2^16-entry tables.
+// NewBPred builds the predictor with 2^BPredBits-entry tables.
 func NewBPred() *BPred {
 	n := 1 << BPredBits
 	p := &BPred{
