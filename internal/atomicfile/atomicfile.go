@@ -117,7 +117,6 @@ func SweepOrphans(dir string, grace time.Duration) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lnuca:allow(determinism) orphan age is an operational disk-hygiene cutoff, never result content
 	now := time.Now()
 	var removed []string
 	for _, e := range entries {

@@ -112,8 +112,9 @@ func NewController(cfg ControllerConfig, up, down *mem.Port, ids *mem.IDSource) 
 	if cfg.Ports <= 0 {
 		cfg.Ports = 1
 	}
-	// CompletionCycles 0 is legal: the port channel crossings already add
-	// two cycles, which is exactly the L1's 2-cycle completion.
+	// CompletionCycles 0 is legal: Eval answers a hit the cycle it accepts
+	// the read, so the request's and the response's port crossings make
+	// the L1's 2-cycle completion on their own.
 	if cfg.CompletionCycles < 0 {
 		cfg.CompletionCycles = 0
 	}
@@ -153,13 +154,15 @@ func (c *Controller) takePort(now sim.Cycle) bool {
 	return false
 }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. It accepts before it delivers, as the
+// L-NUCA's r-tile does: a response that matures this cycle, a hit with
+// no completion cycles among them, leaves this cycle.
 func (c *Controller) Eval(k *sim.Kernel) {
 	now := k.Cycle()
 	c.handleFills(now)
 	c.issueFetches(now)
-	c.deliverResponses(now)
 	c.acceptRequests(now)
+	c.deliverResponses(now)
 	c.drainWriteBuffer(now)
 }
 

@@ -29,7 +29,7 @@ type Config struct {
 	// BankCompletion / BankInitiation: Table I's 3-cycle completion and
 	// initiation. Only BankInitiation is modelled: a bank sends its hit
 	// or nack the cycle the access starts and is busy for BankInitiation
-	// cycles. BankCompletion is never read (ROADMAP item 3).
+	// cycles. BankCompletion is never read (ROADMAP item 2).
 	BankCompletion, BankInitiation int
 	// VCs / VCDepth: 4 virtual channels, 4-flit buffers.
 	VCs, VCDepth int
@@ -199,9 +199,11 @@ func (d *DNUCA) Name() string { return d.cfg.Name }
 // Config returns the configuration the D-NUCA was built with.
 func (d *DNUCA) Config() Config { return d.cfg }
 
-// Column returns the bank set of a line (simple mapping).
+// Column returns the bank set of a line: its block number's bits above a
+// bank's set index. Taking it from the set-index bits themselves would
+// leave each bank one set in Cols.
 func (d *DNUCA) Column(line mem.Addr) int {
-	return int((uint64(line) / uint64(d.cfg.Bank.BlockBytes)) % uint64(d.cfg.Cols))
+	return int(uint64(line) / uint64(d.cfg.Bank.BlockBytes) / uint64(d.cfg.Bank.NumSets()) % uint64(d.cfg.Cols))
 }
 
 func (d *DNUCA) bankAt(col, row int) *bank { return d.banks[row*d.cfg.Cols+col] }

@@ -306,12 +306,51 @@ func TestConfigValidation(t *testing.T) {
 
 func TestColumnMapping(t *testing.T) {
 	h := newDNHarness(t, DefaultConfig())
-	// Consecutive 128B blocks map to consecutive columns (interleaving).
-	seen := map[int]bool{}
-	for i := 0; i < 8; i++ {
-		seen[h.d.Column(mem.Addr(i*128))] = true
+	cfg := h.d.Config()
+	// A span is one block per bank set (128 KB): its blocks share a
+	// column, and consecutive spans take consecutive columns.
+	span := cfg.Bank.NumSets() * cfg.Bank.BlockBytes
+	for s := 0; s < 2*cfg.Cols; s++ {
+		for _, off := range []int{0, cfg.Bank.BlockBytes, span / 2, span - cfg.Bank.BlockBytes} {
+			a := mem.Addr(s*span + off)
+			if got := h.d.Column(a); got != s%cfg.Cols {
+				t.Fatalf("block %#x (span %d) in column %d, want %d", a, s, got, s%cfg.Cols)
+			}
+		}
 	}
-	if len(seen) != 8 {
-		t.Fatalf("consecutive blocks hit %d distinct columns, want 8", len(seen))
+}
+
+// TestHoldsItsCapacity: a contiguous region the size of the D-NUCA, each
+// line placed in the first bank of its column with room (as
+// hier.System.Prewarm places one), is held whole. A column taken from
+// the bank's own set-index bits leaves each bank one set in Cols.
+func TestHoldsItsCapacity(t *testing.T) {
+	small := DefaultConfig()
+	small.Rows, small.Cols = 2, 4
+	small.Bank.SizeBytes = 64 << 10
+	for _, cfg := range []Config{DefaultConfig(), small} {
+		h := newDNHarness(t, cfg)
+		capacity := cfg.Rows * cfg.Cols * cfg.Bank.SizeBytes
+		base := mem.Addr(0x4000_0000)
+		for off := 0; off < capacity; off += cfg.Bank.BlockBytes {
+			line := base + mem.Addr(off)
+			col := h.d.Column(line)
+			for r := 0; r < cfg.Rows; r++ {
+				if b := h.d.BankArray(col, r); b.HasSpace(line) {
+					b.Fill(line, false)
+					break
+				}
+			}
+		}
+		held := 0
+		for col := 0; col < cfg.Cols; col++ {
+			for r := 0; r < cfg.Rows; r++ {
+				held += len(h.d.BankArray(col, r).Lines(nil))
+			}
+		}
+		if want := capacity / cfg.Bank.BlockBytes; held != want {
+			t.Errorf("%dx%d banks of %d KB: hold %d of the %d lines of a %d KB region",
+				cfg.Rows, cfg.Cols, cfg.Bank.SizeBytes>>10, held, want, capacity>>10)
+		}
 	}
 }

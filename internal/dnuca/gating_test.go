@@ -172,7 +172,7 @@ func TestNextEventMatchesFullBankScan(t *testing.T) {
 		// Bursts of traffic to a few bank sets, then silence long enough
 		// for the mesh to drain while banks still hold work.
 		if cyc%400 < 120 && h.up.Down.CanPush() && rng.Bool(0.5) {
-			addr := mem.Addr(rng.Intn(1<<16)) &^ 0x7F
+			addr := mem.Addr(rng.Intn(1<<20)) &^ 0x7F
 			if rng.Bool(0.3) {
 				h.write(addr)
 			} else {
@@ -204,6 +204,11 @@ func TestNextEventMatchesFullBankScan(t *testing.T) {
 		if err := h.d.CheckInvariants(); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
+		h.k.Step()
+	}
+	// Reads still queued when the traffic stops complete, at bank
+	// throughput, within a bounded drain.
+	for i := 0; i < 10000 && uint64(len(h.got)) != id; i++ {
 		h.k.Step()
 	}
 	if uint64(len(h.got)) != id {

@@ -147,7 +147,6 @@ func (o Outcome) Sleep(ctx context.Context) error {
 	if o.Delay <= 0 {
 		return nil
 	}
-	//lnuca:allow(determinism) injected latency is the fault being simulated, never result content
 	t := time.NewTimer(o.Delay)
 	defer t.Stop()
 	select {

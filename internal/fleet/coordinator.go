@@ -202,7 +202,6 @@ func (c *Coordinator) register(reg *obs.Registry) {
 	reg.GaugeFunc("lnuca_fleet_workers_active",
 		"Distinct workers that polled for work within three lease TTLs.",
 		func() float64 {
-			//lnuca:allow(determinism) operational telemetry; never result content
 			cutoff := time.Now().Add(-3 * c.cfg.LeaseTTL)
 			c.mu.Lock()
 			seen := make([]time.Time, 0, len(c.workers))
@@ -245,12 +244,11 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Dispatch(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
 	span, sctx := tracez.StartSpan(ctx, "lnuca.fleet.dispatch")
 	fj := &fleetJob{
-		key:      j.Key(),
-		priority: j.Priority,
-		req:      orchestrator.RequestOf(j),
-		progress: progress,
-		done:     make(chan dispatchResult, 1),
-		//lnuca:allow(determinism) dispatch latency telemetry; never result content
+		key:         j.Key(),
+		priority:    j.Priority,
+		req:         orchestrator.RequestOf(j),
+		progress:    progress,
+		done:        make(chan dispatchResult, 1),
 		enqueuedAt:  time.Now(),
 		traceparent: tracez.Inject(sctx),
 		traceID:     tracez.TraceIDFrom(sctx),
@@ -310,7 +308,6 @@ func (c *Coordinator) event(kind, traceID, detail string) {
 }
 
 func (c *Coordinator) observeDispatch(fj *fleetJob) {
-	//lnuca:allow(determinism) dispatch latency telemetry; never result content
 	c.dispatchSeconds.Observe(time.Since(fj.enqueuedAt).Seconds())
 }
 
@@ -327,7 +324,6 @@ func (c *Coordinator) dropWaitingLocked(fj *fleetJob) {
 // skipped until their backoff has passed — or nil when there is none.
 // Implements the POST /fleet/v1/lease semantics.
 func (c *Coordinator) Lease(worker string) *LeaseResponse {
-	//lnuca:allow(determinism) lease deadlines are wall-clock by nature; never result content
 	now := time.Now()
 	c.mu.Lock()
 	c.workers[worker] = now
@@ -388,7 +384,6 @@ func (c *Coordinator) Lease(worker string) *LeaseResponse {
 // unknown or expired lease (the worker should abort — its job has been
 // requeued). cancel tells the worker the submitter gave up.
 func (c *Coordinator) Heartbeat(leaseID string, done, total uint64) (cancel, ok bool) {
-	//lnuca:allow(determinism) lease deadlines are wall-clock by nature; never result content
 	now := time.Now()
 	c.mu.Lock()
 	l, ok := c.leases[leaseID]
@@ -470,7 +465,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 		"key", fj.key, "worker", l.worker, "attempt", fj.attempt,
 		"retryable", retryable, "error", errMsg)
 	if retryable {
-		//lnuca:allow(determinism) retry backoff scheduling; never result content
 		c.requeueLocked(fj, errMsg, time.Now())
 		c.mu.Unlock()
 		return true
@@ -549,7 +543,6 @@ func (c *Coordinator) reaper(ctx context.Context) {
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	//lnuca:allow(determinism) lease expiry is wall-clock behavior by definition; never result content
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {

@@ -132,7 +132,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 func (w *Worker) Run(ctx context.Context) error {
 	w.cfg.Logger.Info("fleet worker started", "worker", w.cfg.Name,
 		"coordinator", w.cfg.Coordinator, "poll_interval", w.cfg.PollInterval)
-	//lnuca:allow(determinism) lease-wait span boundary; telemetry only, never result content
 	w.idleSince = time.Now()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -148,7 +147,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.sleep(ctx, w.cfg.PollInterval)
 		default:
 			w.execute(ctx, lease)
-			//lnuca:allow(determinism) lease-wait span boundary; telemetry only, never result content
 			w.idleSince = time.Now()
 		}
 	}
@@ -156,7 +154,6 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // sleep waits d or until ctx cancels.
 func (w *Worker) sleep(ctx context.Context, d time.Duration) {
-	//lnuca:allow(determinism) idle poll pacing; never result content
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -275,7 +272,6 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 			draining = true
 			if g := w.cfg.DrainGrace; g > 0 {
 				log.Info("worker draining; letting job finish", "grace", g)
-				//lnuca:allow(determinism) shutdown drain pacing; never result content
 				t := time.NewTimer(g)
 				select {
 				case <-execDone:
@@ -347,7 +343,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancelRun context.CancelFunc
 	if interval <= 0 {
 		interval = time.Second
 	}
-	//lnuca:allow(determinism) lease keepalive pacing; never result content
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {

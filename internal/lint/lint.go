@@ -1,10 +1,12 @@
 // Package lint is the repository's static-analysis suite: a small,
 // dependency-free analogue of golang.org/x/tools/go/analysis that
-// machine-checks the invariants the simulator's tests only catch after
-// the fact — the 0 allocs/cycle hot loop (PR 4), bit-identical
-// determinism for content-addressed caching and trace replay (PRs 3/5),
-// the frozen lnuca-run-v1 / job key (KeySchema) / lnuca-trace-v1 schemas, and
-// the lnuca_* metric naming rules of the observability layer.
+// machine-checks the invariants the simulator's tests catch only after
+// the fact, or only by luck — the 0 allocs/cycle hot loop, bit-identical
+// determinism for content-addressed caching and trace replay, and the
+// lnuca_* metric naming rules of the observability layer. The frozen
+// schemas (lnuca-run-v1, the job key, lnuca-trace-v1) are pinned at run
+// time instead, by orchestrator.TestFrozenSchemas and the key and bytes
+// goldens.
 //
 // The API mirrors go/analysis on purpose (Analyzer, Pass, Diagnostic,
 // "// want" golden tests) so that, should the x/tools dependency ever

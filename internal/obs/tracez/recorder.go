@@ -117,7 +117,6 @@ func (fr *FlightRecorder) Event(kind, traceID, detail string) {
 	if fr == nil {
 		return
 	}
-	//lnuca:allow(determinism) event timestamp; telemetry only, never in result content or keys
 	now := time.Now()
 	fr.mu.Lock()
 	fr.events[fr.eventPos] = Event{Time: now, Kind: kind, TraceID: traceID, Detail: detail}

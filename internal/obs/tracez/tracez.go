@@ -192,7 +192,6 @@ func (s *Span) SetError(err error) {
 // Finish ends the span now and hands it to the tracer's recorder.
 // Safe on nil; finishing twice records once.
 func (s *Span) Finish() {
-	//lnuca:allow(determinism) span end timestamp; telemetry only, never in result content or keys
 	s.FinishAt(time.Now())
 }
 
@@ -232,7 +231,6 @@ func New(rec Recorder) *Tracer {
 	var b [8]byte
 	if _, err := cryptorand.Read(b[:]); err != nil {
 		// Fall back to the wall clock; uniqueness, not secrecy, is the bar.
-		//lnuca:allow(determinism) tracer ID seed fallback; telemetry only, never in result content or keys
 		binary.LittleEndian.PutUint64(b[:], uint64(time.Now().UnixNano()))
 	}
 	return NewSeeded(rec, int64(binary.LittleEndian.Uint64(b[:])))
@@ -279,7 +277,6 @@ func (t *Tracer) newID(nbytes int) string {
 // new span's identity and this tracer. On a nil tracer it returns
 // (nil, ctx) — the nil span absorbs all use.
 func (t *Tracer) Start(ctx context.Context, name string) (*Span, context.Context) {
-	//lnuca:allow(determinism) span start timestamp; telemetry only, never in result content or keys
 	return t.StartAt(ctx, name, time.Now())
 }
 

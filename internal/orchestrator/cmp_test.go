@@ -27,17 +27,17 @@ func TestJobKeyGolden(t *testing.T) {
 		key string
 	}{
 		{Job{Kind: hier.Conventional, Benchmark: "403.gcc", Mode: exp.Quick, Seed: 1},
-			"d8e4d270c2395e4ea23f5a04dcebb158c2a70ac46857e28243521bb088fbd3fa"},
+			"92ba32bec49de3d7599a488be48b8f34859504cc371b09785310971e540c2f82"},
 		{Job{Kind: hier.LNUCAL3, Levels: 3, Benchmark: "429.mcf", Mode: exp.Full, Seed: 7},
-			"ecabbb42bf550287478caed3c64f3821f6a01066547ebc5d6304c93e1e85775b"},
+			"8a6c7bedeb9fac8bc0bede68c832186f7b9ea44e7c0bf1ba494c0216ff876afe"},
 		{Job{Kind: hier.DNUCAOnly, Benchmark: "470.lbm", Mode: exp.Quick, Seed: 1},
-			"4752ba6ae742d3d4b396027ee984133fd24f8c83494de887380355f9fc2da66e"},
+			"6f01f12b4b314116002da346047d3956861b4818a050f5651314fe964413f93c"},
 		{Job{Kind: hier.LNUCADNUCA, Levels: 2, Benchmark: "482.sphinx3", Mode: exp.Quick, Seed: 3},
-			"819f0ff626d80b57c2615d844242f706e3055851023b4d8a1a1faa059c8e2063"},
+			"6979957a9c684fdc36189a8d9f0ac63161d260f42ad727f2fa78bcb34448aebc"},
 		{Job{Kind: hier.LNUCAL3, Cores: 4, Mix: "mixed", Mode: exp.Quick, Seed: 1},
-			"71228bcd1919c9cae3610a1a8cf00178b692c731a3f73c2aa2e851b8b6e963ae"},
+			"80643e74db60cc1d7d757f9b0dc41563b8309c55d33682d51e6dade82bc5b1ac"},
 		{Job{Kind: hier.Conventional, Cores: 2, Mix: "403.gcc,470.lbm", Mode: exp.Quick, Seed: 5},
-			"4ba0d5eeb9b435eeb3dca54f0ed0906036cd7ccf5125d074f250028e0f7eb991"},
+			"ed734377ca14b1ccc1bd1b93380f7b4b501f992bcf0d311daf0be839a52593e4"},
 	}
 	for i, g := range golden {
 		n, err := g.job.Normalize()

@@ -29,7 +29,7 @@ func TestResultBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "7403819339efcc607d1d0348150483caf376ac93b8ad1be97a7f4f07b57d2a09"
+	const want = "9aeb6c934eeef402497dc31ed48903101a837089d44b9ca910a28f5a3cae0829"
 	job, err := Job{Kind: hier.Conventional, Trace: hdr.ID}.Normalize()
 	if err != nil {
 		t.Fatal(err)

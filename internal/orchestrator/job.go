@@ -195,7 +195,18 @@ func (j Job) MixSpec() exp.MixSpec {
 //     moved 113 of the 244 Quick ledger lines and 194 of the 244 Full
 //     ones; the largest IPC move is Quick LN2 + DN-4x8 459.GemsFDTD,
 //     0.6772 -> 0.6731 (-0.61 %).
-const KeySchema = "lnuca-job-v3"
+//   - v4: two model fixes, both found by exp.TestLatencyStaircase.
+//     (a) The conventional L1 delivers a hit the cycle it accepts the
+//     read (cache.Controller.Eval accepts, then delivers, as the r-tile
+//     does), so a hit costs Table I's 2 cycles, not 3. (b) The D-NUCA
+//     takes a line's bank set from the block-number bits above the
+//     bank's set index (dnuca.DNUCA.Column), so its banks use every set
+//     and the 8 MB D-NUCA holds 8 MB, not 1 MB. Every cell with a
+//     conventional L1 or a D-NUCA moved, 155 of the 244 lines of each
+//     ledger; LN+L3 cells did not. The largest IPC move is Quick 4x
+//     DN-4x8 fp, 1.0630 -> 1.3472 (+26.7 %); at Full, LN2 + DN-4x8
+//     410.bwaves, 0.7300 -> 0.9110 (+24.8 %).
+const KeySchema = "lnuca-job-v4"
 
 // machineField ends a canon whose machine sets a row (TestMachineKeyGolden).
 const machineField = "|machine="

@@ -103,9 +103,9 @@ func TestTraceJobKeyGolden(t *testing.T) {
 		key string
 	}{
 		{Job{Kind: hier.LNUCAL3, Levels: 3, Trace: id},
-			"3c0f78784dda926e91ae1cbc70708f3986eb5a1798daca35bc37b1e16e81fd34"},
+			"94cd7d2a59928c0bc504bafafc251cbcc3ae50210f7688cde19b8a31092b78fd"},
 		{Job{Kind: hier.Conventional, Trace: id},
-			"d89a77d3677508a5a0daf6210eeb13a832e66eba28ff5b80beaf7430e12e2c55"},
+			"9fbb6c3e256524d7aa764caa5270f31dd0dc4e75d66544748187d77fe741b842"},
 	}
 	for i, g := range golden {
 		n, err := g.job.Normalize()

@@ -54,16 +54,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestContentHashGolden pins the trace identity. The hash covers the
-// record encoding, so it is part of the on-disk and job-key contract: if
-// this test fails, stored traces and cached trace-run results written by
-// other builds will not be found. Change the format only with a schema
-// bump, and regenerate this constant deliberately.
+// TestContentHashGolden pins the trace identity and the file's framing.
+// The hash covers the record encoding, so it is part of the on-disk and
+// job-key contract: if this test fails, stored traces and cached
+// trace-run results written by other builds will not be found. Change
+// the format only with a schema bump, and regenerate these constants
+// deliberately.
 func TestContentHashGolden(t *testing.T) {
 	tr := New(sampleMeta(), sampleOps())
 	const want = "fc104111218e1f4d4c550ede6235b191fcbdb17fcb318065a4bfc6847400d5ca"
 	if tr.ID() != want {
 		t.Errorf("content hash drifted:\n got %s\nwant %s", tr.ID(), want)
+	}
+	// The header line a trace file carries after its magic line.
+	const header = `{"schema":"lnuca-trace-v1","benchmark":"400.perlbench","seed":7,"warmup":100,"measure":400,"ops":8,"id":"` + want + `"}`
+	if b, err := json.Marshal(tr.Header); err != nil || string(b) != header {
+		t.Errorf("header line drifted (%v):\n got %s\nwant %s", err, b, header)
+	}
+	if magic != "LNUCATRACEv1\n" {
+		t.Errorf("magic line drifted: %q", magic)
 	}
 }
 
