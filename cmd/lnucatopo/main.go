@@ -73,7 +73,7 @@ func printTiming() {
 		fmt.Print(timing.Analyze(c))
 		fmt.Println()
 	}
-	best := timing.LargestOneCycleTile()
+	best := timing.LargestOneCycleTile(tile)
 	fmt.Printf("largest one-cycle tile found: %dKB %d-way %dB (paper: 8KB-2Way-32B)\n",
 		best.SizeBytes/1024, best.Ways, best.BlockBytes)
 }

@@ -69,8 +69,16 @@ func (c Config) Validate() error {
 	if err := c.Bank.Validate(); err != nil {
 		return fmt.Errorf("dnuca: bank: %w", err)
 	}
+	if c.FlitBytes <= 0 || c.Bank.BlockBytes/c.FlitBytes+1 > maxMessageFlits {
+		return fmt.Errorf("dnuca: a %dB block in %dB flits plus a head flit exceeds %d flits",
+			c.Bank.BlockBytes, c.FlitBytes, maxMessageFlits)
+	}
 	return nil
 }
+
+// maxMessageFlits is the longest D-NUCA message: the paper's messages
+// carry 1 to 5 flits.
+const maxMessageFlits = 5
 
 // msgKind discriminates D-NUCA network payloads.
 type msgKind uint8
@@ -222,16 +230,9 @@ func (d *DNUCA) send(now sim.Cycle, src, dst noc.Coord, flits int, p payload) {
 }
 
 // dataFlits returns the flit count of a block-carrying message: the block
-// plus a head flit, capped to the paper's 1-5 flit range.
+// plus a head flit, which Validate bounds by maxMessageFlits.
 func (d *DNUCA) dataFlits() int {
-	n := d.cfg.Bank.BlockBytes/d.cfg.FlitBytes + 1
-	if n < 1 {
-		n = 1
-	}
-	if n > 5 {
-		n = 5
-	}
-	return n
+	return d.cfg.Bank.BlockBytes/d.cfg.FlitBytes + 1
 }
 
 // Eval implements sim.Component.

@@ -8,7 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
-// dnHarness wires driver -> DNUCA -> MainMemory.
+// dnHarness wires driver -> DNUCA -> MainMemory. The driver is
+// Quiescent, so a gated Run can put the machine to sleep: it is idle
+// while no response waits and no pushed request waits for its Tick.
 type dnHarness struct {
 	k    *sim.Kernel
 	up   *mem.Port
@@ -17,7 +19,8 @@ type dnHarness struct {
 	mm   *mem.MainMemory
 	ids  mem.IDSource
 
-	got map[uint64]sim.Cycle
+	got    map[uint64]sim.Cycle
+	pushed bool // a request is staged on up.Down
 }
 
 func newDNHarness(t *testing.T, cfg Config) *dnHarness {
@@ -50,14 +53,25 @@ func (h *dnHarness) Eval(k *sim.Kernel) {
 		h.got[r.ID] = k.Cycle()
 	}
 }
-func (h *dnHarness) Commit(k *sim.Kernel) { h.up.Down.Tick() }
+func (h *dnHarness) Commit(k *sim.Kernel) {
+	h.up.Down.Tick()
+	h.pushed = false
+}
+
+func (h *dnHarness) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
+	return sim.Never, !h.pushed && h.up.Up.Len() == 0
+}
+
+func (h *dnHarness) SkipTo(now, target sim.Cycle) {}
 
 func (h *dnHarness) read(id uint64, a mem.Addr) {
 	h.up.Down.Push(mem.Req{ID: id, Addr: a, Kind: mem.Read, Issued: h.k.Cycle()})
+	h.pushed = true
 }
 
 func (h *dnHarness) write(a mem.Addr) {
 	h.up.Down.Push(mem.Req{ID: 0, Addr: a, Kind: mem.Write, Issued: h.k.Cycle()})
+	h.pushed = true
 }
 
 func (h *dnHarness) runUntil(t *testing.T, id uint64, max int) sim.Cycle {
@@ -301,6 +315,18 @@ func TestConfigValidation(t *testing.T) {
 	bad.Bank.SizeBytes = 100
 	if _, err := New(bad, up, down, &ids); err == nil {
 		t.Fatal("invalid bank must be rejected")
+	}
+	// Table I's 128B block in 32B flits plus a head flit is the paper's
+	// 5-flit maximum; 16B flits would make a 9-flit message.
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("Table I D-NUCA rejected: %v", err)
+	}
+	for _, flit := range []int{16, 0} {
+		bad = DefaultConfig()
+		bad.FlitBytes = flit
+		if _, err := New(bad, up, down, &ids); err == nil {
+			t.Fatalf("%dB flits for a %dB block must be rejected", flit, bad.Bank.BlockBytes)
+		}
 	}
 }
 

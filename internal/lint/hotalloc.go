@@ -21,6 +21,12 @@ import (
 // and Commit (i.e. is Component-shaped), or a Step/Run method on a type
 // named Kernel. Reachability is the static call graph within the
 // package, with interface calls resolved to every local implementation.
+//
+// Boxing is flagged only where it is spelled out, as an any(x) or other
+// conversion to an interface type. Implicit boxing by assignment — a
+// concrete value stored into an interface-typed variable, field or
+// package-level any — is not flagged; hier.TestSteadyStateAllocatesNothing,
+// which counts allocations per simulated cycle, owns that case.
 func HotAlloc() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",

