@@ -88,12 +88,12 @@ type Controller struct {
 	Reads, ReadHits, ReadMisses  uint64
 	WritesApplied, WriteHits     uint64
 	Fills, WritebacksOut         uint64
-	WBufForwards, BankAccesses   uint64
+	BankAccesses                 uint64
 	StallMSHRFull, StallWBufFull uint64
 
-	// Quiescence bookkeeping: per-cycle counter increments of a blocked
+	// Quiescence bookkeeping: per-cycle stall increments of a blocked
 	// idle state, recorded by NextEvent and applied by SkipTo.
-	skipMSHRFull, skipWBufFull, skipMergeRejects, skipWBufRejects uint64
+	skipMSHRFull, skipWBufFull uint64
 }
 
 type timedResp struct {
@@ -269,7 +269,6 @@ func (c *Controller) acceptRead(now sim.Cycle, req mem.Req) bool {
 	if c.wbuf.Contains(line) {
 		c.Reads++
 		c.ReadHits++
-		c.WBufForwards++
 		c.pending.Push(timedResp{
 			resp:  mem.Resp{ID: req.ID, Addr: req.Addr},
 			ready: now + sim.Cycle(c.cfg.CompletionCycles+c.cfg.BusCycles),
@@ -424,11 +423,11 @@ func (c *Controller) minPortFree() sim.Cycle {
 // NextEvent implements sim.Quiescent. The controller is idle when no
 // fill, fetch, response, demand request or buffered write can make
 // progress this cycle; timed wakes come from response/fetch maturity
-// and bank-port initiation gaps. Blocked states that tick a stall (or
-// merge/full-reject) counter every cycle are recorded for SkipTo.
+// and bank-port initiation gaps. Blocked states that tick a stall
+// counter every cycle are recorded for SkipTo.
 func (c *Controller) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	wake := sim.Never
-	c.skipMSHRFull, c.skipWBufFull, c.skipMergeRejects, c.skipWBufRejects = 0, 0, 0, 0
+	c.skipMSHRFull, c.skipWBufFull = 0, 0
 	needPort := false
 
 	// handleFills: a visible downstream response.
@@ -476,7 +475,6 @@ func (c *Controller) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 				if c.mshr.CanMerge(m) {
 					return 0, false
 				}
-				c.skipMergeRejects++ // Merge is retried (and rejected) every cycle
 			case c.mshr.Full():
 				c.skipMSHRFull++
 			case c.portAvail(now):
@@ -490,7 +488,6 @@ func (c *Controller) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 				return 0, false
 			}
 			c.skipWBufFull++
-			c.skipWBufRejects++
 		}
 	}
 	// drainWriteBuffer head.
@@ -526,8 +523,6 @@ func (c *Controller) SkipTo(now, target sim.Cycle) {
 	delta := uint64(target - now)
 	c.StallMSHRFull += c.skipMSHRFull * delta
 	c.StallWBufFull += c.skipWBufFull * delta
-	c.mshr.MergeRejects += c.skipMergeRejects * delta
-	c.wbuf.FullRejects += c.skipWBufRejects * delta
 }
 
 // Collect adds this level's counters to s under the given prefix.

@@ -32,7 +32,7 @@ type MSHRFile struct {
 	maxSecondary int
 
 	// Stats
-	Primary, Secondary, MergeRejects, FullStalls uint64
+	Primary, Secondary uint64
 }
 
 // NewMSHRFile builds a file with maxEntries entries, each accepting
@@ -80,7 +80,6 @@ func (f *MSHRFile) Cap() int { return f.maxEntries }
 // can hold was built with it, so a miss stream allocates nothing.
 func (f *MSHRFile) Allocate(line mem.Addr, t Target) *MSHR {
 	if f.Full() {
-		f.FullStalls++
 		return nil
 	}
 	n := len(f.freelist) - 1
@@ -99,7 +98,6 @@ func (f *MSHRFile) Allocate(line mem.Addr, t Target) *MSHR {
 // the per-entry secondary limit is reached (the caller must stall).
 func (f *MSHRFile) Merge(m *MSHR, t Target) bool {
 	if !f.CanMerge(m) {
-		f.MergeRejects++
 		return false
 	}
 	//lnuca:allow(hotalloc) appends into the entry's Targets capacity; CanMerge bounds the length
@@ -121,8 +119,7 @@ func (f *MSHRFile) MergeWrite(m *MSHR, t Target) {
 	f.Secondary++
 }
 
-// CanMerge reports whether m still has secondary-miss room, without
-// touching any counter (the pure predicate quiescence checks use).
+// CanMerge reports whether m still has secondary-miss room.
 func (f *MSHRFile) CanMerge(m *MSHR) bool {
 	return len(m.Targets)-1 < f.maxSecondary
 }

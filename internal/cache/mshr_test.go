@@ -41,8 +41,8 @@ func TestMSHRCapacity(t *testing.T) {
 	if f.Allocate(0x300, Target{ReqID: 3}) != nil {
 		t.Fatal("allocation beyond capacity should fail")
 	}
-	if f.FullStalls != 1 {
-		t.Fatalf("FullStalls = %d, want 1", f.FullStalls)
+	if f.Len() != 2 || f.Lookup(0x300) != nil {
+		t.Fatalf("Len = %d after a refused allocation, want 2 and no entry for it", f.Len())
 	}
 }
 
@@ -58,8 +58,8 @@ func TestMSHRSecondaryMergeLimit(t *testing.T) {
 	if f.Merge(m, Target{ReqID: 99}) {
 		t.Fatal("fifth secondary merge should be rejected")
 	}
-	if f.Secondary != 4 || f.MergeRejects != 1 {
-		t.Fatalf("Secondary=%d MergeRejects=%d", f.Secondary, f.MergeRejects)
+	if f.Secondary != 4 || len(m.Targets) != 5 {
+		t.Fatalf("Secondary=%d with %d targets, want 4 and 5", f.Secondary, len(m.Targets))
 	}
 	targets := f.Free(0x100)
 	if len(targets) != 5 {

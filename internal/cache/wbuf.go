@@ -16,9 +16,6 @@ type WBEntry struct {
 type WriteBuffer struct {
 	entries []WBEntry
 	max     int
-
-	// Stats
-	Coalesced, Inserted, FullRejects uint64
 }
 
 // NewWriteBuffer builds a buffer with max entries.
@@ -39,17 +36,14 @@ func (w *WriteBuffer) Add(line mem.Addr, kind mem.Kind) bool {
 			if kind == mem.Writeback {
 				w.entries[i].Kind = mem.Writeback
 			}
-			w.Coalesced++
 			return true
 		}
 	}
 	if len(w.entries) >= w.max {
-		w.FullRejects++
 		return false
 	}
 	//lnuca:allow(hotalloc) appends into capacity fixed at max; the check above bounds the length
 	w.entries = append(w.entries, WBEntry{Line: line, Kind: kind})
-	w.Inserted++
 	return true
 }
 

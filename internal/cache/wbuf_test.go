@@ -18,8 +18,8 @@ func TestWriteBufferCoalescing(t *testing.T) {
 	if w.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (coalesced)", w.Len())
 	}
-	if w.Coalesced != 1 || w.Inserted != 1 {
-		t.Fatalf("Coalesced=%d Inserted=%d", w.Coalesced, w.Inserted)
+	if !w.Add(0x200, mem.Write) || w.Len() != 2 {
+		t.Fatalf("Len = %d after a second line, want 2 (inserted)", w.Len())
 	}
 }
 
@@ -46,8 +46,8 @@ func TestWriteBufferCapacity(t *testing.T) {
 	if !w.Add(0x100, mem.Write) {
 		t.Fatal("coalescing into a full buffer must still succeed")
 	}
-	if w.FullRejects != 1 {
-		t.Fatalf("FullRejects = %d, want 1", w.FullRejects)
+	if w.Len() != 2 || w.Contains(0x300) {
+		t.Fatalf("Len = %d, holds the rejected line %v; want 2 without it", w.Len(), w.Contains(0x300))
 	}
 }
 

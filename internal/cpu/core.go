@@ -260,9 +260,8 @@ type Core struct {
 	TLBMisses                           uint64
 	StallROBFull, StallIQFull, StallLSQ uint64
 	StallSBFull, FetchBlockedCycles     uint64
-	LoadLatencySum, LoadsCompleted      uint64
 	// LoadLatHist buckets the dispatch-to-complete latency of every load
-	// that went to memory (the same events LoadLatencySum accumulates).
+	// that went to memory.
 	LoadLatHist *stats.Histogram
 }
 
@@ -372,8 +371,6 @@ func (c *Core) drainResponses(now sim.Cycle) {
 			e.done = true
 			e.doneAt = now + sim.Cycle(e.tlbExtra)
 			c.wake(e)
-			c.LoadLatencySum += uint64(e.doneAt - e.dispatched)
-			c.LoadsCompleted++
 			c.LoadLatHist.Observe(int(e.doneAt - e.dispatched))
 		}
 	}
@@ -813,12 +810,7 @@ func (c *Core) IPC() float64 {
 }
 
 // AvgLoadLatency returns mean load dispatch-to-complete cycles.
-func (c *Core) AvgLoadLatency() float64 {
-	if c.LoadsCompleted == 0 {
-		return 0
-	}
-	return float64(c.LoadLatencySum) / float64(c.LoadsCompleted)
-}
+func (c *Core) AvgLoadLatency() float64 { return c.LoadLatHist.Mean() }
 
 // BranchAccuracy returns the predictor accuracy.
 func (c *Core) BranchAccuracy() float64 { return c.bpred.Accuracy() }

@@ -202,7 +202,7 @@ type coreCounters struct {
 
 func countersOf(c *Core) coreCounters {
 	return coreCounters{c.Committed, c.Cycles, c.LoadsIssued, c.StoresCommitted, c.Mispredicts, c.Branches, c.TLBMisses,
-		c.StallROBFull, c.StallIQFull, c.StallLSQ, c.StallSBFull, c.FetchBlockedCycles, c.LoadLatencySum, c.LoadsCompleted}
+		c.StallROBFull, c.StallIQFull, c.StallLSQ, c.StallSBFull, c.FetchBlockedCycles, c.LoadLatHist.Sum(), c.LoadLatHist.Count()}
 }
 
 // skipFlags is the bookkeeping NextEvent leaves for SkipTo; the stall
@@ -266,7 +266,7 @@ func compareCores(t *testing.T, now sim.Cycle, p, r *Core) {
 }
 
 // coreWords flattens what compareCores compares of c but the histogram
-// — which LoadLatencySum sums — for the digest.
+// — of which it folds the sum and count — for the digest.
 func coreWords(c *Core) []uint64 {
 	k, pl := countersOf(c), pipelineOf(c)
 	w := []uint64{k.committed, k.cycles, k.loads, k.stores, k.mispredicts, k.branches, k.tlbMisses,
@@ -458,8 +458,8 @@ func TestIssueMatchesPollingReference(t *testing.T) {
 			}
 			c := p.core
 			for name, n := range map[string]uint64{
-				"commits": c.Committed, "loads": c.LoadsCompleted, "mispredicts": c.Mispredicts,
-				"tlb misses": c.TLBMisses, "forwarded loads": c.LoadsIssued - uint64(c.loads.n) - c.LoadsCompleted,
+				"commits": c.Committed, "loads": c.LoadLatHist.Count(), "mispredicts": c.Mispredicts,
+				"tlb misses": c.TLBMisses, "forwarded loads": c.LoadsIssued - uint64(c.loads.n) - c.LoadLatHist.Count(),
 				"rob-full stalls": c.StallROBFull, "iq-full stalls": c.StallIQFull, "lsq-full stalls": c.StallLSQ,
 				"store-buffer-full stalls": c.StallSBFull, "fetch-blocked cycles": c.FetchBlockedCycles,
 			} {

@@ -150,20 +150,15 @@ type DNUCA struct {
 
 	pendingResp sim.Queue[mem.Resp]
 
-	// Quiescence bookkeeping: per-cycle counter increments of blocked
-	// idle states, recorded by NextEvent and applied by SkipTo.
-	skipMergeRejects, skipWBufRejects, skipBlockedReads uint64
-
 	// Counters.
-	Reads, ReadHits, ReadMisses uint64
-	Writes                      uint64
-	HitsByRow                   []uint64
-	Promotions, Demotions       uint64
-	Fills, Writebacks           uint64
-	BankAccesses                uint64
-	GlobalMisses                uint64
-	SearchLatencySum            uint64
-	SearchesResolved            uint64
+	Reads, Writes         uint64
+	HitsByRow             []uint64
+	Promotions, Demotions uint64
+	Fills, Writebacks     uint64
+	BankAccesses          uint64
+	GlobalMisses          uint64
+	SearchLatencySum      uint64
+	SearchesResolved      uint64
 }
 
 // New builds the D-NUCA between up (processor side) and down (memory).
@@ -454,22 +449,38 @@ func (d *DNUCA) acceptUpstream(now sim.Cycle) {
 	}
 }
 
+// acceptRead takes one read, or reports false when the MSHR file
+// refuses it. A read is counted when it is accepted, so a refused one
+// counts once, on the cycle it gets in.
 func (d *DNUCA) acceptRead(now sim.Cycle, req mem.Req, line mem.Addr) bool {
-	d.Reads++
-	if d.wbuf.Contains(line) {
-		d.pendingResp.Push(mem.Resp{ID: req.ID, Addr: req.Addr})
-		return true
-	}
-	tg := cache.Target{ReqID: req.ID, Addr: req.Addr, Kind: mem.Read, Issued: req.Issued}
-	if m := d.mshr.Lookup(line); m != nil {
-		return d.mshr.Merge(m, tg)
-	}
-	if d.mshr.Full() {
+	if d.readBlocked(line) {
 		return false
 	}
-	d.mshr.Allocate(line, tg)
-	d.launchSearch(now, line, false)
+	d.Reads++
+	tg := cache.Target{ReqID: req.ID, Addr: req.Addr, Kind: mem.Read, Issued: req.Issued}
+	switch m := d.mshr.Lookup(line); {
+	case d.wbuf.Contains(line):
+		d.pendingResp.Push(mem.Resp{ID: req.ID, Addr: req.Addr})
+	case m != nil:
+		d.mshr.Merge(m, tg)
+	default:
+		d.mshr.Allocate(line, tg)
+		d.launchSearch(now, line, false)
+	}
 	return true
+}
+
+// readBlocked reports whether the MSHR file refuses a read of line: no
+// pending write serves it, and its MSHR can take no more merges or it
+// has none and the file is full.
+func (d *DNUCA) readBlocked(line mem.Addr) bool {
+	if d.wbuf.Contains(line) {
+		return false
+	}
+	if m := d.mshr.Lookup(line); m != nil {
+		return !d.mshr.CanMerge(m)
+	}
+	return d.mshr.Full()
 }
 
 // search returns the multicast in flight for line, or nil. The pointer
@@ -574,8 +585,9 @@ func (d *DNUCA) deliverResponses(now sim.Cycle) {
 // move nothing (no fill, grantable request, drainable write, memory
 // fetch or response). Its only timed wakes are busy banks finishing
 // their initiation interval; everything else waits on external input.
+// A refused request or write ticks no counter, so SkipTo replays only
+// the mesh's rotation.
 func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
-	d.skipMergeRejects, d.skipWBufRejects, d.skipBlockedReads = 0, 0, 0
 	// Any queued injection or in-network flit: the mesh (or the inject
 	// drain) acts. A blocked injection implies in-flight traffic, so
 	// treating any pending injection as active is exact.
@@ -599,29 +611,11 @@ func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	if req, ok := d.up.Down.Peek(); ok {
 		line := req.Addr.Line(d.cfg.Bank.BlockBytes)
 		if req.Kind == mem.Read {
-			switch m := d.mshr.Lookup(line); {
-			case d.wbuf.Contains(line):
-				return 0, false
-			case m != nil:
-				if d.mshr.CanMerge(m) {
-					return 0, false
-				}
-				// The blocked head re-runs acceptRead every cycle:
-				// Reads++ then a rejected Merge.
-				d.skipMergeRejects++
-				d.skipBlockedReads++
-			case d.mshr.Full():
-				// Stalled until a fill frees an entry (external), but the
-				// retried acceptRead still counts a read per cycle.
-				d.skipBlockedReads++
-			default:
-				return 0, false // would allocate and launch a search
+			if !d.readBlocked(line) {
+				return 0, false // would be accepted
 			}
-		} else {
-			if d.wbuf.Contains(line) || !d.wbuf.Full() {
-				return 0, false
-			}
-			d.skipWBufRejects++ // wbuf.Add rejected every cycle
+		} else if d.wbuf.Contains(line) || !d.wbuf.Full() {
+			return 0, false
 		}
 	}
 	// Buffered-write head.
@@ -631,7 +625,6 @@ func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 			if d.mshr.CanMerge(m) {
 				return 0, false
 			}
-			d.skipMergeRejects++
 		case d.search(e.Line) != nil:
 			// A write search is already out: wait for it (its traffic is
 			// covered by the mesh/bank checks above).
@@ -649,14 +642,8 @@ func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 }
 
 // SkipTo implements sim.Quiescent: advance the mesh's round-robin
-// pointer over the skipped cycles and apply per-cycle reject counters.
-func (d *DNUCA) SkipTo(now, target sim.Cycle) {
-	delta := target - now
-	d.mesh.SkipIdle(delta)
-	d.mshr.MergeRejects += d.skipMergeRejects * delta
-	d.wbuf.FullRejects += d.skipWBufRejects * delta
-	d.Reads += d.skipBlockedReads * delta
-}
+// pointer over the skipped cycles.
+func (d *DNUCA) SkipTo(now, target sim.Cycle) { d.mesh.SkipIdle(target - now) }
 
 // Mesh exposes the network (stats/energy).
 func (d *DNUCA) Mesh() *noc.Mesh[payload] { return d.mesh }

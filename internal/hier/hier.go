@@ -496,8 +496,9 @@ func (s *System) addFabricDynamic(a *power.Accountant, set *stats.Set) {
 	a.AddDynamicPJ(float64(set.Counter("ln.replacement_hops")) * (transport.TraversalPJ() + e.tileFillPJ))
 }
 
-// CheckInvariants verifies per-fabric structural invariants and the
-// D-NUCA mesh's bookkeeping (used by tests).
+// CheckInvariants verifies per-fabric structural invariants, the
+// D-NUCA mesh's bookkeeping and, behind an arbiter, that every response
+// went back to the core that asked for it (used by tests).
 func (s *System) CheckInvariants() error {
 	for i, f := range s.Fabrics {
 		if err := f.CheckExclusion(); err != nil {
@@ -508,6 +509,9 @@ func (s *System) CheckInvariants() error {
 		if err := s.DN.CheckInvariants(); err != nil {
 			return fmt.Errorf("%s: %w", s.DN.Name(), err)
 		}
+	}
+	if s.Arb != nil && s.Arb.RespOrphans != 0 {
+		return fmt.Errorf("%s: dropped %d responses that matched no forwarded read", s.Arb.Name(), s.Arb.RespOrphans)
 	}
 	return nil
 }

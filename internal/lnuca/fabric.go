@@ -67,9 +67,6 @@ type tile struct {
 
 	// rrIn rotates the replacement input served first.
 	rrIn int
-
-	// Stats.
-	Hits, UHits uint64
 }
 
 // Counters aggregates the fabric-wide event counts used by the statistics
@@ -78,14 +75,12 @@ type Counters struct {
 	RTileReads, RTileReadHits, RTileReadMisses uint64
 	RTileWrites, RTileWriteHits                uint64
 	RTileFills, RTileEvictions                 uint64
-	WBufForwards                               uint64
 
 	SearchesLaunched, SearchLookups, SearchTraversals uint64
 	UCompares, UHitsTotal                             uint64
 
-	TileHitsByLevel                               []uint64 // indexed by level (0..Levels)
-	TileReadHitsByLevel                           []uint64
-	TileDataReads, TileFillWrites, TileEvictReads uint64
+	TileHitsByLevel     []uint64 // indexed by level (0..Levels)
+	TileReadHitsByLevel []uint64
 
 	TransportDelivered    uint64
 	TransportActualCycles uint64
@@ -166,9 +161,9 @@ type Fabric struct {
 	// loads never wait behind store bursts at the port.
 	storeQ sim.Queue[mem.Req]
 
-	// Quiescence bookkeeping: per-cycle counter increments of blocked
+	// Quiescence bookkeeping: per-cycle stall increments of blocked
 	// idle states, recorded by NextEvent and applied by SkipTo.
-	skipNoVictim, skipMSHRFull, skipMergeRejects, skipBlockedReads uint64
+	skipNoVictim, skipMSHRFull uint64
 
 	C Counters
 }
@@ -379,14 +374,11 @@ func (f *Fabric) evalSearch(now sim.Cycle) {
 			var blk blockMsg
 			if inU != nil {
 				blk, _ = inU.remove(line)
-				t.UHits++
 				f.C.UHitsTotal++
 			} else {
 				dirty, _ := t.bank.Invalidate(line)
 				blk = blockMsg{line: line, dirty: dirty}
-				f.C.TileDataReads++
 			}
-			t.Hits++
 			f.C.TileHitsByLevel[t.site.Level]++
 			if msg.isRead {
 				f.C.TileReadHitsByLevel[t.site.Level]++
@@ -594,7 +586,6 @@ func (f *Fabric) evalReplacement(now sim.Cycle) {
 			if t.bank.HasSpace(blk.line) {
 				in.pop()
 				t.bank.Fill(blk.line, blk.dirty)
-				f.C.TileFillWrites++
 			} else if !f.evictFrom(t, blk.line) {
 				continue // no room and no On output: wait
 			}
@@ -626,7 +617,6 @@ func (f *Fabric) evictFrom(t *tile, line mem.Addr) bool {
 			t.bank.Invalidate(v.Addr)
 			f.C.ExitDrops++
 		}
-		f.C.TileEvictReads++
 		f.C.ReplacementHops++
 		return true
 	}
@@ -639,7 +629,6 @@ func (f *Fabric) evictFrom(t *tile, line mem.Addr) bool {
 		return true
 	}
 	out.send(blockMsg{line: v.Addr, dirty: v.Dirty})
-	f.C.TileEvictReads++
 	f.C.ReplacementHops++
 	return true
 }
@@ -741,25 +730,25 @@ func (f *Fabric) fillRTile(now sim.Cycle, blk blockMsg) bool {
 }
 
 // acceptCPU handles one CPU request; false means stall (leave it queued).
+// A read is counted when it is accepted, so a refused one counts once,
+// on the cycle it gets in.
 func (f *Fabric) acceptCPU(now sim.Cycle, req mem.Req) bool {
 	line := req.Addr.Line(f.cfg.RTileBank.BlockBytes)
 	switch req.Kind {
 	case mem.Read:
+		// A pending forwarded write serves the read from the buffer.
+		hit := f.rtile.Access(line, false) || f.wbuf.Contains(line)
+		if !hit && !f.missCPU(now, req, line, mem.Read) {
+			return false
+		}
 		f.C.RTileReads++
-		if f.rtile.Access(line, false) {
-			f.C.RTileReadHits++
-			f.pendingResp.Push(mem.Resp{ID: req.ID, Addr: line})
+		if !hit {
+			f.C.RTileReadMisses++
 			return true
 		}
-		if f.wbuf.Contains(line) {
-			// Pending forwarded write: serve from the buffer.
-			f.C.RTileReadHits++
-			f.C.WBufForwards++
-			f.pendingResp.Push(mem.Resp{ID: req.ID, Addr: line})
-			return true
-		}
-		f.C.RTileReadMisses++
-		return f.missCPU(now, req, line, mem.Read)
+		f.C.RTileReadHits++
+		f.pendingResp.Push(mem.Resp{ID: req.ID, Addr: line})
+		return true
 	case mem.Write, mem.Writeback:
 		// Absorb into the store queue (the r-tile is "a conventional L1
 		// cache extended with flow control", Section II); the array is
@@ -780,19 +769,17 @@ func (f *Fabric) drainStores(now sim.Cycle) {
 	}
 	req := *f.storeQ.Front()
 	line := req.Addr.Line(f.cfg.RTileBank.BlockBytes)
+	// The L-NUCA ensemble is copy-back: the r-tile absorbs a store hit;
+	// the dirty bit migrates outwards with the block.
+	hit := f.rtile.Access(line, true)
+	if !hit && !f.missCPU(now, req, line, mem.Write) {
+		return // retried next cycle
+	}
 	f.C.RTileWrites++
-	if f.rtile.Access(line, true) {
-		// The L-NUCA ensemble is copy-back: the r-tile absorbs the
-		// store; the dirty bit migrates outwards with the block.
+	if hit {
 		f.C.RTileWriteHits++
-		f.storeQ.Pop()
-		return
 	}
-	if f.missCPU(now, req, line, mem.Write) {
-		f.storeQ.Pop()
-	} else {
-		f.C.RTileWrites-- // retried next cycle
-	}
+	f.storeQ.Pop()
 }
 
 // missCPU merges or allocates an MSHR and queues the search launch.
@@ -881,14 +868,10 @@ func (f *Fabric) canFillRTile(line mem.Addr) bool {
 
 // missCPUIdle classifies a blocked r-tile miss for line: it returns
 // false when missCPU would make progress (merge or allocate), true when
-// the miss is stuck, recording the per-cycle counters the retry ticks.
+// the miss is stuck, recording the MSHR-full stall the retry ticks.
 func (f *Fabric) missCPUIdle(line mem.Addr) bool {
 	if m := f.mshr.Lookup(line); m != nil {
-		if f.mshr.CanMerge(m) {
-			return false
-		}
-		f.skipMergeRejects++ // Merge retried (and rejected) every cycle
-		return true
+		return !f.mshr.CanMerge(m)
 	}
 	if f.mshr.Full() {
 		f.skipMSHRFull++
@@ -902,12 +885,11 @@ func (f *Fabric) missCPUIdle(line mem.Addr) bool {
 // no queued launch/retry/global miss is due, and the r-tile can make no
 // progress on CPU requests, stores, fills or responses. Timed wakes come
 // from the retry and global-miss queues; everything else waits on
-// external input. Blocked states that tick counters every cycle (the
-// no-victim-slot stall, MSHR-full stalls, merge rejects, and the blocked
-// read head re-counting rt_reads/rt_read_misses) are recorded for SkipTo.
+// external input. Blocked states that tick a stall counter every cycle
+// (the no-victim-slot stall, MSHR-full stalls) are recorded for SkipTo.
 func (f *Fabric) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	wake := sim.Never
-	f.skipNoVictim, f.skipMSHRFull, f.skipMergeRejects, f.skipBlockedReads = 0, 0, 0, 0
+	f.skipNoVictim, f.skipMSHRFull = 0, 0
 
 	// A pending search launch or an in-flight search always acts.
 	if f.searchQ.Len() > 0 {
@@ -989,9 +971,6 @@ func (f *Fabric) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 			if f.rtile.Probe(line) || f.wbuf.Contains(line) || !f.missCPUIdle(line) {
 				return 0, false
 			}
-			// The blocked read head re-runs its lookup every cycle,
-			// re-counting a read and a read miss.
-			f.skipBlockedReads++
 		default:
 			if f.storeQ.Len() < storeQueueEntries {
 				return 0, false
@@ -1020,9 +999,6 @@ func (f *Fabric) SkipTo(now, target sim.Cycle) {
 	delta := target - now
 	f.C.StallNoVictimSlot += f.skipNoVictim * delta
 	f.C.StallMSHRFull += f.skipMSHRFull * delta
-	f.mshr.MergeRejects += f.skipMergeRejects * delta
-	f.C.RTileReads += f.skipBlockedReads * delta
-	f.C.RTileReadMisses += f.skipBlockedReads * delta
 }
 
 // MSHROccupancy returns live r-tile MSHR entries (tests).

@@ -243,8 +243,25 @@ func (s *equivSide) allIdle(now sim.Cycle) (sim.Cycle, bool) {
 }
 
 // skipCounters is the bookkeeping NextEvent leaves for SkipTo.
-func skipCounters(f *Fabric) [4]uint64 {
-	return [4]uint64{f.skipNoVictim, f.skipMSHRFull, f.skipMergeRejects, f.skipBlockedReads}
+func skipCounters(f *Fabric) [2]uint64 {
+	return [2]uint64{f.skipNoVictim, f.skipMSHRFull}
+}
+
+// readRefused reports whether the request at the head of f's CPU port
+// is a read the r-tile's MSHR file refuses.
+func readRefused(f *Fabric) bool {
+	req, ok := f.up.Down.Peek()
+	if !ok || req.Kind != mem.Read {
+		return false
+	}
+	line := req.Addr.Line(f.cfg.RTileBank.BlockBytes)
+	if f.rtile.Probe(line) || f.wbuf.Contains(line) {
+		return false
+	}
+	if m := f.mshr.Lookup(line); m != nil {
+		return !f.mshr.CanMerge(m)
+	}
+	return f.mshr.Full()
 }
 
 // dlinkState is everything observable of a Transport link.
@@ -282,8 +299,8 @@ func compareFabrics(t *testing.T, now sim.Cycle, p, r *Fabric) {
 	}
 	for i, pt := range p.tiles {
 		rt := r.tiles[i]
-		if pt.ma != rt.ma || pt.rrIn != rt.rrIn || pt.Hits != rt.Hits || pt.UHits != rt.UHits {
-			t.Fatalf("cycle %d: tile %d MA/rrIn/hits differ: %+v vs %+v", now, i, *pt, *rt)
+		if pt.ma != rt.ma || pt.rrIn != rt.rrIn {
+			t.Fatalf("cycle %d: tile %d MA/rrIn differ: %+v vs %+v", now, i, *pt, *rt)
 		}
 		if now%16 == 0 && !reflect.DeepEqual(pt.bank.Lines(nil), rt.bank.Lines(nil)) {
 			t.Fatalf("cycle %d: tile %d contents differ", now, i)
@@ -294,12 +311,11 @@ func compareFabrics(t *testing.T, now sim.Cycle, p, r *Fabric) {
 	}
 	type queues struct {
 		search, gm, votes, resp, toL3, store, mshr, wbuf int
-		rejects                                          uint64
 		retries                                          []retryEntry
 	}
 	q := func(f *Fabric) queues {
 		return queues{f.searchQ.Len(), f.gmQ.Len(), len(f.votes), f.pendingResp.Len(), f.toL3Q.Len(),
-			f.storeQ.Len(), f.mshr.Len(), f.wbuf.Len(), f.mshr.MergeRejects, append([]retryEntry(nil), f.retryQ...)}
+			f.storeQ.Len(), f.mshr.Len(), f.wbuf.Len(), append([]retryEntry(nil), f.retryQ...)}
 	}
 	if got, want := q(p), q(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cycle %d: queues = %+v, twin %+v", now, got, want)
@@ -346,11 +362,16 @@ func checkActivitySets(t *testing.T, now sim.Cycle, f *Fabric) {
 
 // fabricWords flattens what compareFabrics compares of f — counters,
 // routing RNG, links, tiles, queues; the arrays' contents every 16th
-// cycle — for the digest.
+// cycle — for the digest. It leaves out rt_reads and rt_read_misses,
+// which counted a refused read once per cycle when the digests were
+// recorded.
 func fabricWords(f *Fabric, now sim.Cycle) []uint64 {
 	var w []uint64
 	c := reflect.ValueOf(f.C)
 	for i := 0; i < c.NumField(); i++ {
+		if name := c.Type().Field(i).Name; name == "RTileReads" || name == "RTileReadMisses" {
+			continue
+		}
 		if v := c.Field(i); v.Kind() == reflect.Uint64 {
 			w = append(w, v.Uint())
 		} else {
@@ -373,7 +394,7 @@ func fabricWords(f *Fabric, now sim.Cycle) []uint64 {
 	}
 	for _, t := range f.tiles {
 		m, ok := t.ma.Get()
-		w = append(w, bit(ok), uint64(m.line), m.reqID, bit(m.isRead), bit(m.marked), uint64(t.rrIn), t.Hits, t.UHits)
+		w = append(w, bit(ok), uint64(m.line), m.reqID, bit(m.isRead), bit(m.marked), uint64(t.rrIn))
 		if now%16 == 0 {
 			for _, l := range t.bank.Lines(nil) {
 				w = append(w, uint64(l))
@@ -386,7 +407,7 @@ func fabricWords(f *Fabric, now sim.Cycle) []uint64 {
 		}
 	}
 	w = append(w, uint64(f.searchQ.Len()), uint64(f.gmQ.Len()), uint64(len(f.votes)), uint64(f.pendingResp.Len()),
-		uint64(f.toL3Q.Len()), uint64(f.storeQ.Len()), uint64(f.mshr.Len()), uint64(f.wbuf.Len()), f.mshr.MergeRejects)
+		uint64(f.toL3Q.Len()), uint64(f.storeQ.Len()), uint64(f.mshr.Len()), uint64(f.wbuf.Len()))
 	for _, r := range f.retryQ {
 		w = append(w, r.at, uint64(r.msg.line), r.msg.reqID)
 	}
@@ -415,18 +436,20 @@ func bit(b bool) uint64 {
 // Eval's passes over every tile, Commit's ticks of every register and
 // link, NextEvent's scans of every tile — on the same traffic and
 // matched the gated fabric on every cycle: each digest is the full
-// scan's behaviour on its traffic. They pin the order of the walks over
+// scan's behaviour on its traffic. They were re-recorded at commit
+// cb2a50f over the same fold less the counters the fabric no longer
+// keeps and the two it now counts once. They pin the order of the walks over
 // the tile sets, which decides which tile draws which routing number and
 // which the ungated twin, walking the same sets, cannot see. A digest
 // changes only with a deliberate change to the fabric, recorded in
 // CHANGES.md, and never to turn the test green.
 var fullScanDigests = map[string]uint64{
-	"LN2/deterministic=false": 0x64df1a055be39e61,
-	"LN2/deterministic=true":  0xf02277d6dcccb0e6,
-	"LN4/deterministic=false": 0xbc34a6adc98e5e8c,
-	"LN4/deterministic=true":  0xa4531594d101165f,
-	"LN6/deterministic=false": 0x7a9fd3cb56ad2802,
-	"LN6/deterministic=true":  0x1edae044184af9a,
+	"LN2/deterministic=false": 0x53f654e81970e1d6,
+	"LN2/deterministic=true":  0xb098a8edbe7f8c90,
+	"LN4/deterministic=false": 0xf9531dea1efe5066,
+	"LN4/deterministic=true":  0xe58beba374d4d920,
+	"LN6/deterministic=false": 0x25735135d6720541,
+	"LN6/deterministic=true":  0xabe7f88237d07126,
 }
 
 // TestFabricMatchesFullScanReference drives a fabric through gated and
@@ -474,7 +497,7 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 					if pi {
 						seen["idle polls"]++
 						seen["skipped mshr-full stalls"] += p.fab.skipMSHRFull
-						seen["skipped blocked reads"] += p.fab.skipBlockedReads
+						seen["idle polls with a refused read"] += bit(readRefused(p.fab))
 					}
 					// One cycle, or — when the whole machine is idle until
 					// a known wake — one fast-forward over the gap.
@@ -518,7 +541,7 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 	for _, name := range []string{
 		"responses", "searches", "u-buffer hits", "r-tile evictions", "exit writebacks", "transport hops",
 		"marked restarts", "no-victim-slot stalls", "idle polls", "fast-forwards", "ungated cycles",
-		"skipped mshr-full stalls", "skipped blocked reads",
+		"skipped mshr-full stalls", "idle polls with a refused read",
 	} {
 		if seen[name] == 0 {
 			t.Errorf("the traffic never produced %s", name)

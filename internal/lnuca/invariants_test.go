@@ -120,7 +120,7 @@ func TestReplacementStarvationFreedom(t *testing.T) {
 	if h.f.C.RTileEvictions == 0 {
 		t.Fatal("no r-tile evictions despite set pressure")
 	}
-	if h.f.C.TileFillWrites == 0 {
+	if h.f.TotalBlocks() == h.f.RTileBank().Occupancy() {
 		t.Fatal("victims never written into tiles: replacement starved")
 	}
 	if h.f.C.StallNoVictimSlot > h.f.C.RTileFills {

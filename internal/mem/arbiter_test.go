@@ -262,3 +262,32 @@ func TestArbiterBandwidthBound(t *testing.T) {
 		t.Fatalf("granted %d, expected near-saturation with 3 streamers", got)
 	}
 }
+
+// TestArbiterCountsOrphanResponse: a response whose ID the arbiter never
+// forwarded is dropped and counted, and the responses behind it still
+// reach their source.
+func TestArbiterCountsOrphanResponse(t *testing.T) {
+	up, down := []*Port{NewPort(2, 2), NewPort(2, 2)}, NewPort(2, 2)
+	a, err := NewArbiter(ArbiterConfig{}, up, down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.NewKernel()
+	k.MustRegister(a)
+	up[1].Down.Push(Req{ID: 7, Addr: 0x40, Kind: Read})
+	up[1].Down.Tick()
+	k.Run(2)
+	if _, ok := down.Down.Pop(); !ok {
+		t.Fatal("the read was not forwarded")
+	}
+	down.Up.Push(Resp{ID: 99, Addr: 0x80})
+	down.Up.Push(Resp{ID: 7, Addr: 0x40})
+	down.Up.Tick()
+	k.Run(3)
+	if a.RespOrphans != 1 || a.RespRouted != 1 {
+		t.Fatalf("%d orphans and %d routed, want 1 and 1", a.RespOrphans, a.RespRouted)
+	}
+	if r, ok := up[1].Up.Pop(); !ok || r.ID != 7 {
+		t.Fatalf("source 1 got %+v (%v), want response 7", r, ok)
+	}
+}

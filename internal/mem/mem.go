@@ -251,7 +251,6 @@ type MainMemory struct {
 
 	// Stats
 	Reads, Writebacks uint64
-	TotalLatency      uint64
 }
 
 type pendingResp struct {
@@ -292,7 +291,6 @@ func (m *MainMemory) Eval(k *sim.Kernel) {
 	// Deliver matured responses in arrival order, as channel space allows.
 	for m.inFlight.Len() > 0 && m.inFlight.Front().done <= now && m.port.Up.CanPush() {
 		p, _ := m.inFlight.Pop()
-		m.TotalLatency += uint64(now - p.req.Issued)
 		m.port.Up.Push(Resp{ID: p.req.ID, Addr: p.req.Addr, Done: now})
 	}
 }

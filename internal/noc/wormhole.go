@@ -134,8 +134,6 @@ type Mesh[P any] struct {
 	// Stats
 	MsgsInjected, MsgsDelivered uint64
 	FlitHops                    uint64
-	TotalLatency                uint64
-	TotalHops                   uint64
 }
 
 // NewMesh builds a mesh; it panics on invalid configuration (wiring bug).
@@ -347,8 +345,6 @@ func (m *Mesh[P]) Step(now sim.Cycle) {
 				msg := &m.msgs[h]
 				msg.Delivered = now
 				m.MsgsDelivered++
-				m.TotalLatency += uint64(now - msg.Injected)
-				m.TotalHops += uint64(Manhattan(msg.Src, msg.Dst))
 				m.ejectQ[node].Push(h)
 				m.delivered.Set(node)
 				m.ejected++

@@ -132,8 +132,8 @@ func (p *meshPair) compare() {
 			p.t.Fatalf("cycle %d: %v", p.now, err)
 		}
 	}
-	counters := func(x *Mesh[struct{}]) [8]uint64 {
-		return [8]uint64{x.MsgsInjected, x.MsgsDelivered, x.FlitHops, x.TotalLatency, x.TotalHops,
+	counters := func(x *Mesh[struct{}]) [6]uint64 {
+		return [6]uint64{x.MsgsInjected, x.MsgsDelivered, x.FlitHops,
 			bit(x.Quiet()), uint64(x.InFlight()), uint64(x.rr)}
 	}
 	c := counters(m)
@@ -222,21 +222,23 @@ func (p *meshPair) settle() {
 // recorded at commit e8e60a4, where the same traffic also drove the
 // full-scan mesh — every router's every slot probed each Step — and
 // that reference matched m on every cycle: each digest is the full
-// scan's behaviour on its traffic. They pin the arbitration order —
+// scan's behaviour on its traffic. They were re-recorded at commit
+// cb2a50f over the same fold less the latency and hop totals the mesh
+// no longer keeps. They pin the arbitration order —
 // for one, across a router's two busy words on the 65-slot mesh —
 // which the twin, stepping the same code, cannot see. A digest changes
 // only with a deliberate change to the mesh, recorded in CHANGES.md,
 // and never to turn the test green.
 var fullScanDigests = map[string]uint64{
-	"8x5_vc4_seed1":  0x9fda94d36a156808,
-	"8x5_vc4_seed2":  0xc6261176242cd8f8,
-	"8x5_vc4_seed3":  0x827b4de62b2d6a41,
-	"9x8_vc2_seed1":  0x65bfe2ad93485489,
-	"9x8_vc2_seed2":  0xe4a80bc8e2d91a6,
-	"9x8_vc2_seed3":  0xce26eb582173684c,
-	"3x3_vc13_seed1": 0x893c89497a68210c,
-	"3x3_vc13_seed2": 0x103e3602c6d64cb5,
-	"3x3_vc13_seed3": 0xb0d028a36a948abb,
+	"8x5_vc4_seed1":  0x3a9dae73dbaab833,
+	"8x5_vc4_seed2":  0xf79d5a8b5efe3d3e,
+	"8x5_vc4_seed3":  0x672cf28cdb11d58d,
+	"9x8_vc2_seed1":  0x28a2dd7e3a8f8b1d,
+	"9x8_vc2_seed2":  0x47e283077603be1c,
+	"9x8_vc2_seed3":  0x5086c216a59803ef,
+	"3x3_vc13_seed1": 0x461bef6e1c471068,
+	"3x3_vc13_seed2": 0x7974e53df15f1a05,
+	"3x3_vc13_seed3": 0x16b425a79a3c4585,
 }
 
 // TestMeshMatchesFullScanReference drives two production meshes with

@@ -161,11 +161,13 @@ func TestMeshContentionIncreasesLatency(t *testing.T) {
 	solo := dnucaMesh()
 	msg := testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{7, 0}, Flits: 3}
 	solo.Inject(msg, 0)
-	for now := sim.Cycle(0); now < 200 && solo.MsgsDelivered == 0; now++ {
+	for now := sim.Cycle(0); now < 200 && msg.Delivered == 0; now++ {
 		solo.Step(now)
-		drain(solo, Coord{7, 0})
+		if got, ok := solo.EjectOne(Coord{7, 0}); ok {
+			msg = got
+		}
 	}
-	soloLat := solo.TotalLatency
+	soloLat := uint64(msg.Delivered - msg.Injected)
 
 	busy := dnucaMesh()
 	// Background: many same-row messages fighting for the same links.
@@ -337,14 +339,13 @@ func TestMeshCheckInvariantsCatchesBrokenBookkeeping(t *testing.T) {
 
 func TestMeshAvgLatencyStat(t *testing.T) {
 	m := dnucaMesh()
-	if m.TotalLatency != 0 {
-		t.Fatal("idle mesh should have accumulated no latency")
-	}
 	m.Inject(testMessage{ID: 1, Src: Coord{0, 0}, Dst: Coord{1, 0}, Flits: 1}, 0)
 	for now := sim.Cycle(0); now < 50 && m.MsgsDelivered == 0; now++ {
 		m.Step(now)
 	}
-	if m.MsgsDelivered != 1 || m.TotalLatency == 0 {
-		t.Fatalf("delivered %d messages over %d cycles of latency, want 1 over a positive count", m.MsgsDelivered, m.TotalLatency)
+	got, ok := m.EjectOne(Coord{1, 0})
+	if m.MsgsDelivered != 1 || !ok || got.Delivered <= got.Injected {
+		t.Fatalf("delivered %d messages, the first injected at %d and delivered at %d, want 1 taking a positive time",
+			m.MsgsDelivered, got.Injected, got.Delivered)
 	}
 }

@@ -27,17 +27,17 @@ func TestJobKeyGolden(t *testing.T) {
 		key string
 	}{
 		{Job{Kind: hier.Conventional, Benchmark: "403.gcc", Mode: exp.Quick, Seed: 1},
-			"92ba32bec49de3d7599a488be48b8f34859504cc371b09785310971e540c2f82"},
+			"fa310c2333098aa40cec9bcb75ff176f074b0ca420c7cc081b10bec4cd267ab0"},
 		{Job{Kind: hier.LNUCAL3, Levels: 3, Benchmark: "429.mcf", Mode: exp.Full, Seed: 7},
-			"8a6c7bedeb9fac8bc0bede68c832186f7b9ea44e7c0bf1ba494c0216ff876afe"},
+			"7b205b5d2e6431c64887e7d4a70877ff78375ec543f1e9c906b21b95f9f71a10"},
 		{Job{Kind: hier.DNUCAOnly, Benchmark: "470.lbm", Mode: exp.Quick, Seed: 1},
-			"6f01f12b4b314116002da346047d3956861b4818a050f5651314fe964413f93c"},
+			"753c99d970b2e95349daebf30a8356801df6b7b5b765ffc845229425ce6d5923"},
 		{Job{Kind: hier.LNUCADNUCA, Levels: 2, Benchmark: "482.sphinx3", Mode: exp.Quick, Seed: 3},
-			"6979957a9c684fdc36189a8d9f0ac63161d260f42ad727f2fa78bcb34448aebc"},
+			"79e4973279baabefa34a3d9671a2c987cbe11ad18cd691f0c234d11951b155f8"},
 		{Job{Kind: hier.LNUCAL3, Cores: 4, Mix: "mixed", Mode: exp.Quick, Seed: 1},
-			"80643e74db60cc1d7d757f9b0dc41563b8309c55d33682d51e6dade82bc5b1ac"},
+			"26367b547b2bde594d729ba075c97d73dca76e9445dedd58370a16a67acadbd5"},
 		{Job{Kind: hier.Conventional, Cores: 2, Mix: "403.gcc,470.lbm", Mode: exp.Quick, Seed: 5},
-			"ed734377ca14b1ccc1bd1b93380f7b4b501f992bcf0d311daf0be839a52593e4"},
+			"352ff53f8ba60e86b094e0021c755a72f9887835d1b2f789ee84160eb7cf7a29"},
 	}
 	for i, g := range golden {
 		n, err := g.job.Normalize()

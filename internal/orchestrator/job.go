@@ -206,7 +206,13 @@ func (j Job) MixSpec() exp.MixSpec {
 //     ledger; LN+L3 cells did not. The largest IPC move is Quick 4x
 //     DN-4x8 fp, 1.0630 -> 1.3472 (+26.7 %); at Full, LN2 + DN-4x8
 //     410.bwaves, 0.7300 -> 0.9110 (+24.8 %).
-const KeySchema = "lnuca-job-v4"
+//   - v5: the D-NUCA counts a read when it accepts it (dnuca.DNUCA.
+//     acceptRead), not again on every cycle a full MSHR file refuses
+//     it. Only dn.reads moved: 9 Quick and 24 Full ledger lines, every
+//     one a D-NUCA cell; IPC, cycles, energy and every other counter
+//     are byte-identical. The largest move is Quick 4x DN-4x8 fp,
+//     31,029 -> 4,575 reads.
+const KeySchema = "lnuca-job-v5"
 
 // machineField ends a canon whose machine sets a row (TestMachineKeyGolden).
 const machineField = "|machine="

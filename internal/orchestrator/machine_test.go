@@ -30,20 +30,20 @@ func TestMachineKeyGolden(t *testing.T) {
 		key  string // sha256 of canon
 		conf string
 	}{
-		// lnuca-job-v4|hier=LN+L3|levels=3|bench=403.gcc|cores=0|mix=|warmup=4000|measure=20000|seed=1
-		{plainGCC, "4f9bd2f03a7d4c794cf34db67458da20516a81bc04cb1470427a55960cd78fd9", "LN3-144KB"},
+		// lnuca-job-v5|hier=LN+L3|levels=3|bench=403.gcc|cores=0|mix=|warmup=4000|measure=20000|seed=1
+		{plainGCC, "7080478d3e2bea0efa1f8715bdf77a904cf2eb41d405a79c7af7f24b398ff949", "LN3-144KB"},
 		{withMachine(plainGCC, map[string]float64{"ln.link_buf": 2, "ln.tile_kb": 8}),
-			"4f9bd2f03a7d4c794cf34db67458da20516a81bc04cb1470427a55960cd78fd9", "LN3-144KB"},
+			"7080478d3e2bea0efa1f8715bdf77a904cf2eb41d405a79c7af7f24b398ff949", "LN3-144KB"},
 		// ... + |machine=ln.link_buf=1
 		{withMachine(plainGCC, map[string]float64{"ln.link_buf": 1}),
-			"e0e51031f68641a3d3d43f4657e4afb1923763770b5a257419290d20f8963a96", "LN3-144KB {ln.link_buf=1}"},
-		// lnuca-job-v4|hier=LN+DN-4x8|levels=2|bench=|cores=2|mix=403.gcc,470.lbm|warmup=500|measure=3000|seed=5|machine=ln.routing=1,ln.tile_kb=4
+			"e1a84e2fe14a945663a7bca3ba82bc44b59c073c2d45aa2520815f51d087460a", "LN3-144KB {ln.link_buf=1}"},
+		// lnuca-job-v5|hier=LN+DN-4x8|levels=2|bench=|cores=2|mix=403.gcc,470.lbm|warmup=500|measure=3000|seed=5|machine=ln.routing=1,ln.tile_kb=4
 		{Request{Hierarchy: "ln+dn", Levels: 2, Cores: 2, Mix: "403.gcc,470.lbm", Warmup: 500, Measure: 3000, Seed: 5,
 			Machine: map[string]float64{"ln.tile_kb": 4, "ln.routing": 1}},
-			"634a760da231379d6d3bd68cae6f0f52f68b9068f0ddf06e6160ff47527b2cca", "2x LN2 + DN-4x8 {ln.routing=1,ln.tile_kb=4}"},
+			"aadef9e9b6fdaf2eb5c91a968588ec81e0f2db13f4aa5098569d605342b1a00c", "2x LN2 + DN-4x8 {ln.routing=1,ln.tile_kb=4}"},
 		// conventional has no fabric: the golden key of TestJobKeyGolden.
 		{Request{Hierarchy: "conventional", Benchmark: "403.gcc", Mode: "quick", Seed: 1, Machine: map[string]float64{"ln.link_buf": 1}},
-			"92ba32bec49de3d7599a488be48b8f34859504cc371b09785310971e540c2f82", "L2-256KB"},
+			"fa310c2333098aa40cec9bcb75ff176f074b0ca420c7cc081b10bec4cd267ab0", "L2-256KB"},
 	} {
 		j, err := c.req.Job()
 		if err != nil {

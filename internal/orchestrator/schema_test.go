@@ -86,7 +86,7 @@ func TestFrozenSchemas(t *testing.T) {
 
 	for _, c := range []struct{ name, got, want string }{
 		{"RequestSchema", RequestSchema, "lnuca-run-v1"},
-		{"KeySchema", KeySchema, "lnuca-job-v4"},
+		{"KeySchema", KeySchema, "lnuca-job-v5"},
 		{"trace.Schema", trace.Schema, "lnuca-trace-v1"},
 	} {
 		if c.got != c.want {

@@ -103,9 +103,9 @@ func TestTraceJobKeyGolden(t *testing.T) {
 		key string
 	}{
 		{Job{Kind: hier.LNUCAL3, Levels: 3, Trace: id},
-			"94cd7d2a59928c0bc504bafafc251cbcc3ae50210f7688cde19b8a31092b78fd"},
+			"7da57dc26ac4064ce8f48191bee6e37a1f04f5c0cfc0e743d3ee1fb89155e2a2"},
 		{Job{Kind: hier.Conventional, Trace: id},
-			"9fbb6c3e256524d7aa764caa5270f31dd0dc4e75d66544748187d77fe741b842"},
+			"909dee69c53c284d80897fd75e7a17c903757e018a2bd474d7e6204bb14d9501"},
 	}
 	for i, g := range golden {
 		n, err := g.job.Normalize()
