@@ -91,9 +91,11 @@ type Controller struct {
 	BankAccesses                 uint64
 	StallMSHRFull, StallWBufFull uint64
 
-	// Quiescence bookkeeping: per-cycle stall increments of a blocked
-	// idle state, recorded by NextEvent and applied by SkipTo.
+	// Quiescence bookkeeping: the stall increments of the last Eval,
+	// which SkipTo applies per skipped cycle.
 	skipMSHRFull, skipWBufFull uint64
+
+	sim.Activity
 }
 
 type timedResp struct {
@@ -142,15 +144,18 @@ func (c *Controller) Bank() *Bank { return c.bank }
 // MSHROccupancy returns the number of live MSHR entries.
 func (c *Controller) MSHROccupancy() int { return c.mshr.Len() }
 
-// takePort consumes a bank port for this cycle if one is free.
+// takePort consumes a bank port for this cycle if one is free; if none
+// is, it records the earliest release as a wake.
 func (c *Controller) takePort(now sim.Cycle) bool {
 	for i := range c.portFreeAt {
 		if c.portFreeAt[i] <= now {
 			c.portFreeAt[i] = now + sim.Cycle(c.cfg.InitiationCycles)
 			c.BankAccesses++
+			c.Acted()
 			return true
 		}
 	}
+	c.WakeAt(c.minPortFree())
 	return false
 }
 
@@ -159,11 +164,14 @@ func (c *Controller) takePort(now sim.Cycle) bool {
 // no completion cycles among them, leaves this cycle.
 func (c *Controller) Eval(k *sim.Kernel) {
 	now := k.Cycle()
+	c.Begin()
+	mshrFull, wbufFull := c.StallMSHRFull, c.StallWBufFull
 	c.handleFills(now)
 	c.issueFetches(now)
 	c.acceptRequests(now)
 	c.deliverResponses(now)
 	c.drainWriteBuffer(now)
+	c.skipMSHRFull, c.skipWBufFull = c.StallMSHRFull-mshrFull, c.StallWBufFull-wbufFull
 }
 
 // handleFills consumes downstream responses: fill the array, retire the
@@ -222,17 +230,25 @@ func (c *Controller) fillWaitsForWBuf(a mem.Addr) bool {
 // determination has elapsed and as channel space allows.
 func (c *Controller) issueFetches(now sim.Cycle) {
 	for c.fetchQ.Len() > 0 && c.fetchQ.Front().ready <= now && c.down.Down.CanPush() {
+		c.Acted()
 		r, _ := c.fetchQ.Pop()
 		c.down.Down.Push(r.req)
+	}
+	if c.fetchQ.Len() > 0 && c.fetchQ.Front().ready > now {
+		c.WakeAt(c.fetchQ.Front().ready)
 	}
 }
 
 // deliverResponses sends matured responses upstream.
 func (c *Controller) deliverResponses(now sim.Cycle) {
 	for c.pending.Len() > 0 && c.pending.Front().ready <= now && c.up.Up.CanPush() {
+		c.Acted()
 		r, _ := c.pending.Pop()
 		r.resp.Done = now
 		c.up.Up.Push(r.resp)
+	}
+	if c.pending.Len() > 0 && c.pending.Front().ready > now {
+		c.WakeAt(c.pending.Front().ready)
 	}
 }
 
@@ -256,6 +272,7 @@ func (c *Controller) acceptRequests(now sim.Cycle) {
 				return
 			}
 		}
+		c.Acted()
 		c.up.Down.Pop()
 	}
 }
@@ -331,6 +348,7 @@ func (c *Controller) drainWriteBuffer(now sim.Cycle) {
 	case c.mshr.Lookup(line) != nil:
 		// The block is on its way; the fill will apply the write via the
 		// MSHR target below.
+		c.Acted()
 		c.mshr.MergeWrite(c.mshr.Lookup(line), Target{ReqID: 0, Addr: line, Kind: mem.Write})
 		c.wbuf.Pop()
 		c.WritesApplied++
@@ -354,6 +372,7 @@ func (c *Controller) drainWriteBuffer(now sim.Cycle) {
 			if !c.down.Down.CanPush() {
 				return
 			}
+			c.Acted()
 			c.wbuf.Pop()
 			c.forwardDown(line, e.Kind)
 			c.WritesApplied++
@@ -364,6 +383,7 @@ func (c *Controller) drainWriteBuffer(now sim.Cycle) {
 				c.StallMSHRFull++
 				return
 			}
+			c.Acted()
 			c.wbuf.Pop()
 			c.mshr.Allocate(line, Target{ReqID: 0, Addr: line, Kind: mem.Write, Issued: now})
 			c.queueFetch(line, now, now)
@@ -398,17 +418,6 @@ func (c *Controller) Wire(w sim.Waker) {
 	c.down.WireAbove(w)
 }
 
-// portAvail reports whether a bank port is free at now, without
-// consuming it (the pure counterpart of takePort).
-func (c *Controller) portAvail(now sim.Cycle) bool {
-	for _, t := range c.portFreeAt {
-		if t <= now {
-			return true
-		}
-	}
-	return false
-}
-
 // minPortFree returns the earliest cycle any bank port frees.
 func (c *Controller) minPortFree() sim.Cycle {
 	min := c.portFreeAt[0]
@@ -418,104 +427,6 @@ func (c *Controller) minPortFree() sim.Cycle {
 		}
 	}
 	return min
-}
-
-// NextEvent implements sim.Quiescent. The controller is idle when no
-// fill, fetch, response, demand request or buffered write can make
-// progress this cycle; timed wakes come from response/fetch maturity
-// and bank-port initiation gaps. Blocked states that tick a stall
-// counter every cycle are recorded for SkipTo.
-func (c *Controller) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
-	wake := sim.Never
-	c.skipMSHRFull, c.skipWBufFull = 0, 0
-	needPort := false
-
-	// handleFills: a visible downstream response.
-	if resp, ok := c.down.Up.Peek(); ok {
-		if c.fillWaitsForWBuf(resp.Addr) {
-			c.skipWBufFull++ // StallWBufFull ticks until the buffer drains
-		} else if c.portAvail(now) {
-			return 0, false
-		} else {
-			needPort = true
-		}
-	}
-	// issueFetches.
-	if c.fetchQ.Len() > 0 {
-		switch r := c.fetchQ.Front().ready; {
-		case r <= now:
-			if c.down.Down.CanPush() {
-				return 0, false
-			}
-			// Blocked on channel space: external.
-		case r < wake:
-			wake = r
-		}
-	}
-	// deliverResponses.
-	if c.pending.Len() > 0 {
-		switch r := c.pending.Front().ready; {
-		case r <= now:
-			if c.up.Up.CanPush() {
-				return 0, false
-			}
-		case r < wake:
-			wake = r
-		}
-	}
-	// acceptRequests: the head request blocks the queue, so only it
-	// decides idleness.
-	if req, ok := c.up.Down.Peek(); ok {
-		line := c.bank.Line(req.Addr)
-		if req.Kind == mem.Read {
-			switch m := c.mshr.Lookup(line); {
-			case c.wbuf.Contains(line):
-				return 0, false
-			case m != nil:
-				if c.mshr.CanMerge(m) {
-					return 0, false
-				}
-			case c.mshr.Full():
-				c.skipMSHRFull++
-			case c.portAvail(now):
-				return 0, false
-			default:
-				needPort = true
-			}
-		} else {
-			// Write/Writeback: wbuf.Add coalesces even when full.
-			if c.wbuf.Contains(line) || !c.wbuf.Full() {
-				return 0, false
-			}
-			c.skipWBufFull++
-		}
-	}
-	// drainWriteBuffer head.
-	if e, ok := c.wbuf.Peek(); ok {
-		switch {
-		case c.mshr.Lookup(e.Line) != nil:
-			return 0, false // MergeWrite always takes it
-		case c.bank.Probe(e.Line):
-			if c.portAvail(now) {
-				return 0, false
-			}
-			needPort = true
-		case e.Kind == mem.Writeback || c.cfg.Policy == WriteThrough:
-			if c.down.Down.CanPush() {
-				return 0, false
-			}
-		case c.mshr.Full():
-			c.skipMSHRFull++
-		default:
-			return 0, false // would allocate and fetch
-		}
-	}
-	if needPort {
-		if p := c.minPortFree(); p < wake {
-			wake = p
-		}
-	}
-	return wake, true
 }
 
 // SkipTo implements sim.Quiescent.

@@ -288,9 +288,10 @@ func TestFullWriteBufferMergesPastSecondaryLimit(t *testing.T) {
 	if !h.c.wbuf.Full() {
 		t.Fatal("setup: write buffer not full")
 	}
-	// Nothing else is pending, so the head alone decides idleness.
-	if _, idle := h.c.NextEvent(h.k.Cycle()); idle {
-		t.Fatal("a head write to a line in flight reads as blocked")
+	// Nothing else is pending: the head alone decides what one Eval does.
+	h.k.Step()
+	if h.c.wbuf.Len() != 1 || m.Targets[len(m.Targets)-1].Kind != mem.Write {
+		t.Fatal("a head write to a line in flight did not merge in one Eval")
 	}
 	queueFetch()
 	h.runUntil(t, 1, 2000)
@@ -319,8 +320,9 @@ func TestFillOfCleanVictimSkipsFullWriteBuffer(t *testing.T) {
 	for i := 0; i < 2000 && h.down.Up.Len() == 0; i++ {
 		h.k.Step()
 	}
-	if _, idle := h.c.NextEvent(h.k.Cycle()); idle {
-		t.Fatal("a fill that evicts a clean victim reads as blocked on the write buffer")
+	h.k.Step()
+	if !h.c.Bank().Probe(x) || h.c.mshr.Lookup(x) != nil {
+		t.Fatal("a fill that evicts a clean victim did not land in one Eval past the full write buffer")
 	}
 	h.runUntil(t, 1, 2000)
 	for i := 0; i < 2000 && h.c.wbuf.Len() > 0; i++ {
@@ -328,6 +330,24 @@ func TestFillOfCleanVictimSkipsFullWriteBuffer(t *testing.T) {
 	}
 	if h.c.wbuf.Len() != 0 || !h.c.Bank().IsDirty(w) {
 		t.Fatalf("write buffer did not drain (%d left) into a dirty W", h.c.wbuf.Len())
+	}
+}
+
+// TestSecondaryMissMergeReportsActive: the Eval that merges a read into
+// a miss already in flight takes no bank port, and still leaves a
+// record that reports active.
+func TestSecondaryMissMergeReportsActive(t *testing.T) {
+	h := newCtrlHarness(t, l2Config())
+	const x = mem.Addr(0x1000)
+	m, _ := h.missOn(1, x)
+	h.read(2, x)
+	h.k.Step() // the driver's Commit publishes the read
+	h.k.Step()
+	if len(m.Targets) != 2 || h.up.Down.Len() != 0 {
+		t.Fatalf("the read did not merge: %d targets, %d reads queued", len(m.Targets), h.up.Down.Len())
+	}
+	if _, idle := h.c.NextEvent(h.k.Cycle()); idle {
+		t.Fatal("the Eval that merged a read reports idle")
 	}
 }
 

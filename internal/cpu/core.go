@@ -247,11 +247,10 @@ type Core struct {
 	streamDone bool
 	maxInstr   uint64
 
-	// Quiescence bookkeeping: which per-cycle stall counters an idle
-	// cycle increments, recorded by NextEvent and applied by SkipTo.
-	skipSB           bool
-	skipStall        *uint64
-	skipFetchBlocked bool
+	// Quiescence bookkeeping: the last Eval's increments of the stall
+	// counters (in stalls order), which SkipTo applies per skipped cycle.
+	skip [numStalls]uint64
+	sim.Activity
 
 	// Stats.
 	Committed, Cycles                   uint64
@@ -331,9 +330,22 @@ func (c *Core) robAt(seq uint64) *robEntry {
 // robOccupancy returns in-flight op count.
 func (c *Core) robOccupancy() int { return int(c.tailSeq - c.headSeq) }
 
+// numStalls is the number of per-cycle stall counters (Core.stalls).
+const numStalls = 5
+
+// stalls returns the counters a blocked cycle increments.
+func (c *Core) stalls() [numStalls]*uint64 {
+	return [numStalls]*uint64{&c.StallSBFull, &c.StallROBFull, &c.StallIQFull, &c.StallLSQ, &c.FetchBlockedCycles}
+}
+
 // Eval implements sim.Component.
 func (c *Core) Eval(k *sim.Kernel) {
 	now := k.Cycle()
+	c.Begin()
+	stalls := c.stalls()
+	for i, p := range stalls {
+		c.skip[i] = *p
+	}
 	c.Cycles++
 	c.drainResponses(now)
 	c.commit(now, k)
@@ -343,6 +355,9 @@ func (c *Core) Eval(k *sim.Kernel) {
 	c.fetch(now)
 	if c.streamDone && c.robOccupancy() == 0 && c.decq.Len() == 0 {
 		k.Stop()
+	}
+	for i, p := range stalls {
+		c.skip[i] = *p - c.skip[i]
 	}
 }
 
@@ -361,6 +376,7 @@ func (c *Core) drainResponses(now sim.Cycle) {
 		if !ok {
 			return
 		}
+		c.Acted()
 		seq, ok := c.loads.take(resp.ID)
 		if !ok {
 			continue // store ack or stale
@@ -380,7 +396,11 @@ func (c *Core) drainResponses(now sim.Cycle) {
 func (c *Core) commit(now sim.Cycle, k *sim.Kernel) {
 	for n := 0; n < c.cfg.CommitWidth && c.headSeq < c.tailSeq; n++ {
 		e := c.robAt(c.headSeq)
-		if !e.done || e.doneAt > now {
+		if !e.done {
+			return
+		}
+		if e.doneAt > now {
+			c.WakeAt(e.doneAt)
 			return
 		}
 		if e.op.Class == ClassStore {
@@ -395,6 +415,7 @@ func (c *Core) commit(now sim.Cycle, k *sim.Kernel) {
 		if e.op.Class == ClassLoad {
 			c.lsqCount--
 		}
+		c.Acted()
 		c.headSeq++
 		c.Committed++
 		if c.maxInstr > 0 && c.Committed >= c.maxInstr {
@@ -409,6 +430,7 @@ func (c *Core) drainStoreBuffer(now sim.Cycle) {
 	if c.storeBuf.Len() == 0 || !c.port.Down.CanPush() {
 		return
 	}
+	c.Acted()
 	addr, _ := c.storeBuf.Pop()
 	c.storeLines[storeLineSlot(addr)]--
 	c.port.Down.Push(mem.Req{ID: c.ids.Next(), Addr: addr, Kind: mem.Write, Issued: now})
@@ -467,9 +489,14 @@ func (c *Core) issueFrom(q *issueQueue, width int, now sim.Cycle) int {
 	for left := q.cand; left > 0 && used < width; left-- {
 		i = q.next(i)
 		e := &c.rob[i]
-		if e.readyAt > now || !c.tryExecute(e, now) {
+		if e.readyAt > now {
+			c.WakeAt(e.readyAt)
 			continue
 		}
+		if !c.tryExecute(e, now) {
+			continue
+		}
+		c.Acted()
 		q.ready.Clear(i)
 		q.cand--
 		q.n--
@@ -570,6 +597,7 @@ func (c *Core) dispatch(now sim.Cycle) {
 			c.StallIQFull++
 			return
 		}
+		c.Acted()
 		dec, _ := c.decq.Pop()
 		seq := c.tailSeq
 		c.tailSeq++
@@ -603,6 +631,9 @@ func (c *Core) fetch(now sim.Cycle) {
 		return
 	}
 	if c.fetchBlocked || now < c.fetchResumeAt {
+		if !c.fetchBlocked {
+			c.WakeAt(c.fetchResumeAt)
+		}
 		c.FetchBlockedCycles++
 		return
 	}
@@ -611,6 +642,7 @@ func (c *Core) fetch(now sim.Cycle) {
 		if c.decq.Len() >= c.cfg.DecodeQueue {
 			return
 		}
+		c.Acted()
 		var op Op
 		ok := true
 		if c.ahead != nil {
@@ -644,114 +676,13 @@ func (c *Core) fetch(now sim.Cycle) {
 	}
 }
 
-// NextEvent implements sim.Quiescent. The core is idle when no response
-// is visible, nothing can retire, issue, dispatch, drain or fetch this
-// cycle; its timed wakes are completion times of done-but-unretired or
-// dependency-producing ops, issue eligibility (dispatched+1), and the
-// post-misprediction fetch resume. Blocked phases that tick a stall
-// counter every cycle (store buffer full, dispatch stalls, gated fetch)
-// are recorded for SkipTo.
-func (c *Core) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
-	if c.port.Up.Len() > 0 {
-		return 0, false // a response would be drained
-	}
-	if c.streamDone && c.robOccupancy() == 0 && c.decq.Len() == 0 {
-		return 0, false // Eval must run to Stop the kernel
-	}
-	wake := sim.Never
-	c.skipSB = false
-	c.skipStall = nil
-	c.skipFetchBlocked = false
-
-	// Commit: can the head retire, and if not, when could it?
-	if c.robOccupancy() > 0 {
-		e := c.robAt(c.headSeq)
-		if e.done {
-			if e.doneAt <= now {
-				if e.op.Class == ClassStore && c.storeBuf.Len() >= c.cfg.StoreBufSize {
-					c.skipSB = true // StallSBFull ticks every blocked cycle
-				} else {
-					return 0, false
-				}
-			} else if e.doneAt < wake {
-				wake = e.doneAt
-			}
-		}
-		// !e.done: an in-flight load (external) or an un-issued op
-		// (covered by the issue-queue scan below).
-	}
-
-	// Store buffer drain.
-	if c.storeBuf.Len() > 0 && c.port.Down.CanPush() {
-		return 0, false
-	}
-
-	// Dispatch: would the decode-queue head move into the ROB?
-	if c.decq.Len() > 0 {
-		switch qi := queueOf(c.decq.Front().op.Class); {
-		case c.robOccupancy() >= c.cfg.ROBSize:
-			c.skipStall = &c.StallROBFull
-		case qi == qMem && c.lsqCount >= c.cfg.LSQSize:
-			c.skipStall = &c.StallLSQ
-		case c.iq[qi].n >= c.iq[qi].limit:
-			c.skipStall = &c.StallIQFull
-		default:
-			return 0, false // the head would dispatch
-		}
-	}
-
-	// Fetch.
-	if !c.streamDone {
-		if c.fetchBlocked {
-			c.skipFetchBlocked = true // resolves when the branch issues
-		} else if now < c.fetchResumeAt {
-			c.skipFetchBlocked = true
-			if c.fetchResumeAt < wake {
-				wake = c.fetchResumeAt
-			}
-		} else if c.decq.Len() < c.cfg.DecodeQueue {
-			return 0, false // would fetch
-		}
-	}
-
-	// Issue queues: only the candidates, whose readyAt is final. An op
-	// with a producer not yet done waits on an in-flight load (an external
-	// wake: the response drain is an active cycle) or on an op that is
-	// itself in a queue.
-	for qi := range c.iq {
-		q := &c.iq[qi]
-		for i, left := -1, q.cand; left > 0; left-- {
-			i = q.next(i)
-			e := &c.rob[i]
-			if e.readyAt > now {
-				if e.readyAt < wake {
-					wake = e.readyAt
-				}
-				continue
-			}
-			// Ready now: everything but a load blocked on a full memory
-			// port (and with no forwarding hit) executes.
-			if e.op.Class != ClassLoad || c.storeForward(e.op.Addr) || c.port.Down.CanPush() {
-				return 0, false
-			}
-		}
-	}
-	return wake, true
-}
-
 // SkipTo implements sim.Quiescent: apply the arithmetic bookkeeping of
 // the skipped idle cycles.
 func (c *Core) SkipTo(now, target sim.Cycle) {
 	delta := uint64(target - now)
 	c.Cycles += delta
-	if c.skipSB {
-		c.StallSBFull += delta
-	}
-	if c.skipStall != nil {
-		*c.skipStall += delta
-	}
-	if c.skipFetchBlocked {
-		c.FetchBlockedCycles += delta
+	for i, p := range c.stalls() {
+		*p += c.skip[i] * delta
 	}
 }
 

@@ -317,3 +317,31 @@ func TestDeterminism(t *testing.T) {
 			a.Cycles, a.Committed, b.Cycles, b.Committed)
 	}
 }
+
+// TestResponseDrainReportsActive: the Eval that takes a load's response
+// leaves a record that reports active, and the one before it, with the
+// load in memory and nothing else to do, reports idle with no wake of
+// its own: only the response, through the channel, ends that wait.
+func TestResponseDrainReportsActive(t *testing.T) {
+	port := mem.NewPort(4, 4)
+	c := New("cpu", DefaultConfig(), &sliceStream{ops: []Op{{Class: ClassLoad, Addr: 0x1000}}}, port, &mem.IDSource{}, 0)
+	k := sim.NewKernel()
+	k.MustRegister(c)
+	for i := 0; i < 10 && port.Down.Len() == 0; i++ {
+		k.Step()
+	}
+	req, ok := port.Down.Pop()
+	if !ok {
+		t.Fatal("the load never reached the port")
+	}
+	k.Step()
+	if wake, idle := c.NextEvent(k.Cycle()); !idle || wake != sim.Never {
+		t.Fatalf("a core waiting on its only load: NextEvent = (%d, %v), want (Never, true)", wake, idle)
+	}
+	port.Up.Push(mem.Resp{ID: req.ID, Addr: req.Addr})
+	port.Up.Tick()
+	k.Step()
+	if _, idle := c.NextEvent(k.Cycle()); idle {
+		t.Fatal("the Eval that took the load's response reports idle")
+	}
+}

@@ -136,7 +136,7 @@ type DNUCA struct {
 
 	banks []*bank // index = row*Cols + col; bank i sits at mesh node i+Cols
 	// queued is the set of banks whose job queue is non-empty: runBanks
-	// and NextEvent walk it instead of every bank.
+	// walks it instead of every bank.
 	queued sim.BitSet
 	ctrl   noc.Coord
 	mshr   *cache.MSHRFile
@@ -149,6 +149,8 @@ type DNUCA struct {
 	msgID    uint64
 
 	pendingResp sim.Queue[mem.Resp]
+
+	sim.Activity
 
 	// Counters.
 	Reads, Writes         uint64
@@ -233,6 +235,13 @@ func (d *DNUCA) dataFlits() int {
 // Eval implements sim.Component.
 func (d *DNUCA) Eval(k *sim.Kernel) {
 	now := k.Cycle()
+	d.Begin()
+	// Messages waiting to inject or in the network move, or wait on each
+	// other; a quiet mesh's Step only turns its rotation, which SkipTo
+	// replays.
+	if len(d.injectQ) > 0 || !d.mesh.Quiet() {
+		d.Acted()
+	}
 	// Drain injection queue into the mesh as staging allows.
 	rest := d.injectQ[:0]
 	for _, m := range d.injectQ {
@@ -349,8 +358,10 @@ func (d *DNUCA) runBanks(now sim.Cycle) {
 	for i := d.queued.Next(0); i >= 0; i = d.queued.Next(i + 1) {
 		b := d.banks[i]
 		if b.busyUntil > now {
+			d.WakeAt(b.busyUntil)
 			continue
 		}
+		d.Acted()
 		job, _ := b.jobs.Pop()
 		if b.jobs.Len() == 0 {
 			d.queued.Clear(i)
@@ -445,6 +456,7 @@ func (d *DNUCA) acceptUpstream(now sim.Cycle) {
 			}
 			d.Writes++
 		}
+		d.Acted()
 		d.up.Down.Pop()
 	}
 }
@@ -526,6 +538,7 @@ func (d *DNUCA) consumeMemory(now sim.Cycle) {
 		if !ok {
 			return
 		}
+		d.Acted()
 		d.down.Up.Pop()
 		line := resp.Addr.Line(d.cfg.Bank.BlockBytes)
 		d.Fills++
@@ -547,6 +560,7 @@ func (d *DNUCA) consumeMemory(now sim.Cycle) {
 // drainDown pushes memory fetches and buffered writes downstream.
 func (d *DNUCA) drainDown(now sim.Cycle) {
 	for d.memQ.Len() > 0 && d.down.Down.CanPush() {
+		d.Acted()
 		r, _ := d.memQ.Pop()
 		d.down.Down.Push(r)
 	}
@@ -557,12 +571,14 @@ func (d *DNUCA) drainDown(now sim.Cycle) {
 		case d.mshr.Lookup(e.Line) != nil:
 			m := d.mshr.Lookup(e.Line)
 			if d.mshr.Merge(m, cache.Target{ReqID: 0, Addr: e.Line, Kind: mem.Write}) {
+				d.Acted()
 				d.wbuf.Pop()
 			}
 		case d.search(e.Line) != nil:
 			// A write search for this line is already out; wait.
 		default:
 			if !d.mshr.Full() {
+				d.Acted()
 				d.wbuf.Pop()
 				d.mshr.Allocate(e.Line, cache.Target{ReqID: 0, Addr: e.Line, Kind: mem.Write})
 				d.launchSearch(now, e.Line, true)
@@ -574,71 +590,11 @@ func (d *DNUCA) drainDown(now sim.Cycle) {
 // deliverResponses pushes matured responses upstream.
 func (d *DNUCA) deliverResponses(now sim.Cycle) {
 	for d.pendingResp.Len() > 0 && d.up.Up.CanPush() {
+		d.Acted()
 		r, _ := d.pendingResp.Pop()
 		r.Done = now
 		d.up.Up.Push(r)
 	}
-}
-
-// NextEvent implements sim.Quiescent. The D-NUCA is idle when the mesh
-// holds no traffic, no bank has runnable work, and the controller can
-// move nothing (no fill, grantable request, drainable write, memory
-// fetch or response). Its only timed wakes are busy banks finishing
-// their initiation interval; everything else waits on external input.
-// A refused request or write ticks no counter, so SkipTo replays only
-// the mesh's rotation.
-func (d *DNUCA) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
-	// Any queued injection or in-network flit: the mesh (or the inject
-	// drain) acts. A blocked injection implies in-flight traffic, so
-	// treating any pending injection as active is exact.
-	if len(d.injectQ) > 0 || !d.mesh.Quiet() {
-		return 0, false
-	}
-	wake := sim.Never
-	for i := d.queued.Next(0); i >= 0; i = d.queued.Next(i + 1) {
-		b := d.banks[i]
-		if b.busyUntil <= now {
-			return 0, false
-		}
-		if b.busyUntil < wake {
-			wake = b.busyUntil
-		}
-	}
-	if d.down.Up.Len() > 0 {
-		return 0, false // a memory fill would be consumed
-	}
-	// Upstream head request.
-	if req, ok := d.up.Down.Peek(); ok {
-		line := req.Addr.Line(d.cfg.Bank.BlockBytes)
-		if req.Kind == mem.Read {
-			if !d.readBlocked(line) {
-				return 0, false // would be accepted
-			}
-		} else if d.wbuf.Contains(line) || !d.wbuf.Full() {
-			return 0, false
-		}
-	}
-	// Buffered-write head.
-	if e, ok := d.wbuf.Peek(); ok {
-		switch m := d.mshr.Lookup(e.Line); {
-		case m != nil:
-			if d.mshr.CanMerge(m) {
-				return 0, false
-			}
-		case d.search(e.Line) != nil:
-			// A write search is already out: wait for it (its traffic is
-			// covered by the mesh/bank checks above).
-		case !d.mshr.Full():
-			return 0, false // would allocate and launch
-		}
-	}
-	if d.memQ.Len() > 0 && d.down.Down.CanPush() {
-		return 0, false
-	}
-	if d.pendingResp.Len() > 0 && d.up.Up.CanPush() {
-		return 0, false
-	}
-	return wake, true
 }
 
 // SkipTo implements sim.Quiescent: advance the mesh's round-robin

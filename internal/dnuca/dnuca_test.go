@@ -8,9 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
-// dnHarness wires driver -> DNUCA -> MainMemory. The driver is
-// Quiescent, so a gated Run can put the machine to sleep: it is idle
-// while no response waits and no pushed request waits for its Tick.
+// dnHarness wires driver -> DNUCA -> MainMemory. The driver is wired,
+// so a gated Run can put the machine to sleep: it is idle while no
+// response waits and no pushed request waits for its Tick.
 type dnHarness struct {
 	k    *sim.Kernel
 	up   *mem.Port
@@ -57,6 +57,8 @@ func (h *dnHarness) Commit(k *sim.Kernel) {
 	h.up.Down.Tick()
 	h.pushed = false
 }
+
+func (h *dnHarness) Wire(w sim.Waker) { h.up.WireAbove(w) }
 
 func (h *dnHarness) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	return sim.Never, !h.pushed && h.up.Up.Len() == 0

@@ -13,7 +13,7 @@ import (
 )
 
 // Every component a machine is built from sleeps between its inputs. A
-// type that stopped being sim.Wired would be polled every cycle and
+// type that stopped being sim.Wired would be evaluated every cycle and
 // compute the same results, so only this line would notice.
 var _ = []sim.Wired{
 	(*cpu.Core)(nil), (*cache.Controller)(nil), (*lnuca.Fabric)(nil),
@@ -26,7 +26,10 @@ var _ = []sim.Wired{
 // count of simulated cycles, so it repeats exactly on any host — it is
 // what CI's old "gated >= 2x ungated" wall-clock ratio stood in for,
 // without punishing a change that makes stepped cycles cheap. Floors
-// sit a few points under the measured shares (62.4, 66.0, 51.4, 61.2).
+// were set a few points under the shares then measured (62.4, 66.0,
+// 51.4, 61.2). A component that acted is evaluated once more before it
+// sleeps, so each fast-forward starts a cycle after the last action: the
+// shares read 60.6, 62.1, 49.9 and 55.1.
 // (Bit-identity of the results is pinned separately by the exp-level
 // equivalence tests.)
 func TestFastForwardEngages(t *testing.T) {

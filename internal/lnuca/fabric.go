@@ -161,9 +161,10 @@ type Fabric struct {
 	// loads never wait behind store bursts at the port.
 	storeQ sim.Queue[mem.Req]
 
-	// Quiescence bookkeeping: per-cycle stall increments of blocked
-	// idle states, recorded by NextEvent and applied by SkipTo.
+	// Quiescence bookkeeping: the stall increments of the last Eval,
+	// which SkipTo applies per skipped cycle.
 	skipNoVictim, skipMSHRFull uint64
+	sim.Activity
 
 	C Counters
 }
@@ -260,6 +261,8 @@ func (f *Fabric) Geometry() *Geometry { return f.geom }
 // Eval implements sim.Component.
 func (f *Fabric) Eval(k *sim.Kernel) {
 	now := k.Cycle()
+	f.Begin()
+	noVictim, mshrFull := f.C.StallNoVictimSlot, f.C.StallMSHRFull
 	f.launchedNow = false
 	f.votes = f.votes[:0]
 
@@ -270,6 +273,7 @@ func (f *Fabric) Eval(k *sim.Kernel) {
 	f.evalRTile(now)
 	f.evalRetries(now)
 	f.drainOutputs(now)
+	f.skipNoVictim, f.skipMSHRFull = f.C.StallNoVictimSlot-noVictim, f.C.StallMSHRFull-mshrFull
 }
 
 // Commit implements sim.Component. It ticks the MA registers in
@@ -345,6 +349,7 @@ func (f *Fabric) evalSearch(now sim.Cycle) {
 		if !ok {
 			continue // set by a parent this cycle; valid from the next
 		}
+		f.Acted()
 		f.C.SearchLookups++
 		line := msg.line
 
@@ -451,6 +456,7 @@ func (f *Fabric) evalGlobalMiss(now sim.Cycle) {
 
 	// Mature global misses: decide fetch vs forwarded write miss.
 	for f.gmQ.Len() > 0 && f.gmQ.Front().readyAt <= now {
+		f.Acted()
 		g, _ := f.gmQ.Pop()
 		f.C.GlobalMisses++
 		m := f.mshr.Lookup(g.msg.line)
@@ -477,6 +483,9 @@ func (f *Fabric) evalGlobalMiss(now sim.Cycle) {
 		f.toL3Q.Push(mem.Req{
 			ID: f.ids.Next(), Addr: g.msg.line, Kind: mem.Read, Issued: now,
 		})
+	}
+	if f.gmQ.Len() > 0 {
+		f.WakeAt(f.gmQ.Front().readyAt)
 	}
 }
 
@@ -558,6 +567,7 @@ func (f *Fabric) evalTransportForward(now sim.Cycle) {
 			if out == nil {
 				continue // back-pressure: message waits in the buffer
 			}
+			f.Acted()
 			in.pop()
 			out.send(m)
 			f.C.TransportHops++
@@ -589,6 +599,7 @@ func (f *Fabric) evalReplacement(now sim.Cycle) {
 			} else if !f.evictFrom(t, blk.line) {
 				continue // no room and no On output: wait
 			}
+			f.Acted()
 			t.rrIn = (t.rrIn + k + 1) % n
 			break // one array action per cycle
 		}
@@ -646,6 +657,7 @@ func (f *Fabric) evalRTile(now sim.Cycle) {
 			f.C.StallNoVictimSlot++
 			continue // back-pressure: no victim slot this cycle
 		}
+		f.Acted()
 		in.pop()
 		f.C.TransportDelivered++
 		f.C.TransportActualCycles += uint64(now - m.hitCycle)
@@ -663,6 +675,7 @@ func (f *Fabric) evalRTile(now sim.Cycle) {
 			f.C.StallNoVictimSlot++
 			break
 		}
+		f.Acted()
 		f.down.Up.Pop()
 		f.C.L3Fills++
 	}
@@ -676,6 +689,7 @@ func (f *Fabric) evalRTile(now sim.Cycle) {
 		if !f.acceptCPU(now, req) {
 			break
 		}
+		f.Acted()
 		f.up.Down.Pop()
 	}
 
@@ -683,12 +697,14 @@ func (f *Fabric) evalRTile(now sim.Cycle) {
 
 	// Launch one search per cycle.
 	if !f.launchedNow && f.searchQ.Len() > 0 {
+		f.Acted()
 		msg, _ := f.searchQ.Pop()
 		f.launchSearch(msg)
 	}
 
 	// Deliver responses generated this cycle (and any backlog).
 	for f.pendingResp.Len() > 0 && f.up.Up.CanPush() {
+		f.Acted()
 		r, _ := f.pendingResp.Pop()
 		r.Done = now
 		f.up.Up.Push(r)
@@ -775,6 +791,7 @@ func (f *Fabric) drainStores(now sim.Cycle) {
 	if !hit && !f.missCPU(now, req, line, mem.Write) {
 		return // retried next cycle
 	}
+	f.Acted()
 	f.C.RTileWrites++
 	if hit {
 		f.C.RTileWriteHits++
@@ -814,11 +831,14 @@ func (f *Fabric) evalRetries(now sim.Cycle) {
 	for _, r := range f.retryQ {
 		switch {
 		case r.at > now:
+			f.WakeAt(r.at)
 			//lnuca:allow(hotalloc) in-place filter into the slice's own backing array; no growth
 			kept = append(kept, r)
 		case f.mshr.Lookup(r.msg.line) == nil:
 			// Already satisfied; drop the stale retry.
+			f.Acted()
 		default:
+			f.Acted()
 			f.searchQ.Push(r.msg)
 		}
 	}
@@ -828,170 +848,16 @@ func (f *Fabric) evalRetries(now sim.Cycle) {
 // drainOutputs pushes next-level fetches and buffered writes downstream.
 func (f *Fabric) drainOutputs(now sim.Cycle) {
 	for f.toL3Q.Len() > 0 && f.down.Down.CanPush() {
+		f.Acted()
 		r, _ := f.toL3Q.Pop()
 		f.down.Down.Push(r)
 	}
 	// One buffered write per cycle, after demand fetches.
 	if e, ok := f.wbuf.Peek(); ok && f.down.Down.CanPush() {
+		f.Acted()
 		f.wbuf.Pop()
 		f.down.Down.Push(mem.Req{ID: f.ids.Next(), Addr: e.Line, Kind: e.Kind, Issued: now})
 	}
-}
-
-// anyDLinkOn reports whether any Transport output link can accept a
-// message, without drawing from the routing RNG (the pure existence
-// check quiescence uses instead of pickDLink).
-func anyDLinkOn(links []*dlink) bool {
-	for _, l := range links {
-		if l.on() {
-			return true
-		}
-	}
-	return false
-}
-
-// anyULinkOn is anyDLinkOn for Replacement links.
-func anyULinkOn(links []*ulink) bool {
-	for _, l := range links {
-		if l.on() {
-			return true
-		}
-	}
-	return false
-}
-
-// canFillRTile reports whether a block for line could be inserted into
-// the r-tile this cycle (set space, or a victim slot on an On link).
-func (f *Fabric) canFillRTile(line mem.Addr) bool {
-	return f.rtile.HasSpace(line) || anyULinkOn(f.rtUOut)
-}
-
-// missCPUIdle classifies a blocked r-tile miss for line: it returns
-// false when missCPU would make progress (merge or allocate), true when
-// the miss is stuck, recording the MSHR-full stall the retry ticks.
-func (f *Fabric) missCPUIdle(line mem.Addr) bool {
-	if m := f.mshr.Lookup(line); m != nil {
-		return !f.mshr.CanMerge(m)
-	}
-	if f.mshr.Full() {
-		f.skipMSHRFull++
-		return true
-	}
-	return false // would allocate and queue a search
-}
-
-// NextEvent implements sim.Quiescent. The fabric is idle only when no
-// search is in flight, no message on any of the three networks can move,
-// no queued launch/retry/global miss is due, and the r-tile can make no
-// progress on CPU requests, stores, fills or responses. Timed wakes come
-// from the retry and global-miss queues; everything else waits on
-// external input. Blocked states that tick a stall counter every cycle
-// (the no-victim-slot stall, MSHR-full stalls) are recorded for SkipTo.
-func (f *Fabric) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
-	wake := sim.Never
-	f.skipNoVictim, f.skipMSHRFull = 0, 0
-
-	// A pending search launch or an in-flight search always acts.
-	if f.searchQ.Len() > 0 {
-		return 0, false
-	}
-	if f.searching.Next(0) >= 0 {
-		return 0, false
-	}
-	// Timed queues.
-	for i := range f.retryQ {
-		switch at := f.retryQ[i].at; {
-		case at <= now:
-			return 0, false
-		case at < wake:
-			wake = at
-		}
-	}
-	if f.gmQ.Len() > 0 {
-		switch r := f.gmQ.Front().readyAt; {
-		case r <= now:
-			return 0, false
-		case r < wake:
-			wake = r
-		}
-	}
-	// Transport forwarding: a buffered message moves when its tile has
-	// any On output (blocked messages wait silently).
-	for i := f.transport.Next(0); i >= 0; i = f.transport.Next(i + 1) {
-		if anyDLinkOn(f.tiles[i].dOut) {
-			return 0, false
-		}
-	}
-	// Replacement: a tile with an incoming block acts when its set has
-	// room or a victim can leave (exit corners drop clean victims and
-	// need write-buffer space for dirty ones).
-	for i := f.replacement.Next(0); i >= 0; i = f.replacement.Next(i + 1) {
-		t := f.tiles[i]
-		for _, in := range t.uIn {
-			blk, ok := in.peek()
-			if !ok {
-				continue
-			}
-			if t.bank.HasSpace(blk.line) {
-				return 0, false
-			}
-			if t.site.ExitsToNextLevel {
-				v, full := t.bank.VictimFor(blk.line)
-				if !full || !v.Dirty || !f.wbuf.Full() {
-					return 0, false
-				}
-			} else if anyULinkOn(t.uOut) {
-				return 0, false
-			}
-		}
-	}
-	// R-tile arrivals: Transport deliveries and L3 fills; each blocked
-	// head ticks the no-victim-slot stall once per cycle.
-	for _, in := range f.rtDIn {
-		m, ok := in.ch.Peek()
-		if !ok {
-			continue
-		}
-		if f.canFillRTile(m.blk.line) {
-			return 0, false
-		}
-		f.skipNoVictim++
-	}
-	if resp, ok := f.down.Up.Peek(); ok {
-		if f.canFillRTile(resp.Addr.Line(f.cfg.RTileBank.BlockBytes)) {
-			return 0, false
-		}
-		f.skipNoVictim++
-	}
-	// CPU request head.
-	if req, ok := f.up.Down.Peek(); ok {
-		line := req.Addr.Line(f.cfg.RTileBank.BlockBytes)
-		switch req.Kind {
-		case mem.Read:
-			if f.rtile.Probe(line) || f.wbuf.Contains(line) || !f.missCPUIdle(line) {
-				return 0, false
-			}
-		default:
-			if f.storeQ.Len() < storeQueueEntries {
-				return 0, false
-			}
-		}
-	}
-	// Store-queue head.
-	if f.storeQ.Len() > 0 {
-		line := f.storeQ.Front().Addr.Line(f.cfg.RTileBank.BlockBytes)
-		if f.rtile.Probe(line) || !f.missCPUIdle(line) {
-			return 0, false
-		}
-	}
-	// Responses and downstream outputs.
-	if f.pendingResp.Len() > 0 && f.up.Up.CanPush() {
-		return 0, false
-	}
-	if f.down.Down.CanPush() && (f.toL3Q.Len() > 0 || f.wbuf.Len() > 0) {
-		return 0, false
-	}
-	return wake, true
 }
 
 // SkipTo implements sim.Quiescent.

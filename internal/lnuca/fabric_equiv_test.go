@@ -20,7 +20,9 @@ import (
 // bursts with cold reads (dirty blocks, next-level misses, exit
 // writebacks); and idle gaps long enough for the machine to go quiet.
 // Its draws depend only on its seed and on when the fabric frees the
-// port, so two fabrics that behave alike see identical traffic.
+// port, so two fabrics that behave alike see identical traffic. Like
+// slowL3 it is wired, so a gated kernel can put the machine to sleep,
+// and answers NextEvent from its own state.
 type equivDriver struct {
 	port      *mem.Port
 	rng       *sim.Rand
@@ -96,6 +98,8 @@ func (d *equivDriver) Eval(k *sim.Kernel) {
 }
 
 func (d *equivDriver) Commit(k *sim.Kernel) { d.port.Down.Tick() }
+
+func (d *equivDriver) Wire(w sim.Waker) { d.port.WireAbove(w) }
 
 func (d *equivDriver) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	switch {
@@ -175,6 +179,8 @@ func (l *slowL3) Eval(k *sim.Kernel) {
 
 func (l *slowL3) Commit(k *sim.Kernel) { l.port.Up.Tick() }
 
+func (l *slowL3) Wire(w sim.Waker) { l.port.WireBelow(w) }
+
 func (l *slowL3) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	wake := sim.Never
 	if l.port.Down.Len() > 0 {
@@ -224,27 +230,6 @@ func newEquivSide(t *testing.T, cfg Config, seed uint64) *equivSide {
 	s.k.MustRegister(s.fab)
 	s.k.MustRegister(s.l3)
 	return s
-}
-
-// allIdle polls the three components the way the kernel will and
-// returns the earliest wake when every one is idle.
-func (s *equivSide) allIdle(now sim.Cycle) (sim.Cycle, bool) {
-	wake := sim.Never
-	for _, q := range []sim.Quiescent{s.drv, s.fab, s.l3} {
-		w, idle := q.NextEvent(now)
-		if !idle {
-			return 0, false
-		}
-		if w < wake {
-			wake = w
-		}
-	}
-	return wake, true
-}
-
-// skipCounters is the bookkeeping NextEvent leaves for SkipTo.
-func skipCounters(f *Fabric) [2]uint64 {
-	return [2]uint64{f.skipNoVictim, f.skipMSHRFull}
 }
 
 // readRefused reports whether the request at the head of f's CPU port
@@ -430,35 +415,36 @@ func bit(b bool) uint64 {
 }
 
 // fullScanDigests holds, per subtest of TestFabricMatchesFullScanReference,
-// the digest of the gated fabric's NextEvent answers and, after every
-// Run, its fabricWords and the responses delivered. They were recorded
-// at commit e8e60a4, where a third machine ran the full-scan fabric —
-// Eval's passes over every tile, Commit's ticks of every register and
-// link, NextEvent's scans of every tile — on the same traffic and
-// matched the gated fabric on every cycle: each digest is the full
-// scan's behaviour on its traffic. They were re-recorded at commit
-// cb2a50f over the same fold less the counters the fabric no longer
-// keeps and the two it now counts once. They pin the order of the walks over
-// the tile sets, which decides which tile draws which routing number and
-// which the ungated twin, walking the same sets, cannot see. A digest
-// changes only with a deliberate change to the fabric, recorded in
-// CHANGES.md, and never to turn the test green.
+// the digest of the gated fabric's fabricWords and the responses
+// delivered after every Run. The first digests were recorded at commit
+// e8e60a4, where a third machine ran the full-scan fabric — Eval's passes
+// over every tile, Commit's ticks of every register and link — on the
+// same traffic and matched the gated fabric on every cycle: each digest
+// is the full scan's behaviour on its traffic. They were re-recorded at
+// commit cb2a50f over the same fold less the counters the fabric no
+// longer keeps and the two it now counts once, and at commit 3161d64
+// over this fold, which keeps the state after each Run and no longer the
+// kernel's polls, with Run budgets drawn from the phase RNG. They pin the
+// order of the walks over the tile sets, which decides which tile draws
+// which routing number and which the ungated twin, walking the same
+// sets, cannot see. A digest changes only with a deliberate change to
+// the fabric, recorded in CHANGES.md, and never to turn the test green.
 var fullScanDigests = map[string]uint64{
-	"LN2/deterministic=false": 0x53f654e81970e1d6,
-	"LN2/deterministic=true":  0xb098a8edbe7f8c90,
-	"LN4/deterministic=false": 0xf9531dea1efe5066,
-	"LN4/deterministic=true":  0xe58beba374d4d920,
-	"LN6/deterministic=false": 0x25735135d6720541,
-	"LN6/deterministic=true":  0xabe7f88237d07126,
+	"LN2/deterministic=false": 0x28b8a2703bf47930,
+	"LN2/deterministic=true":  0x8aad9a95e4faf90e,
+	"LN4/deterministic=false": 0x7262dcdbe131e8ee,
+	"LN4/deterministic=true":  0x75b146a398979,
+	"LN6/deterministic=false": 0x2471550745a2502d,
+	"LN6/deterministic=true":  0x8b6f04c4993f3ce5,
 }
 
 // TestFabricMatchesFullScanReference drives a fabric through gated and
-// ungated phases, single cycles and multi-cycle fast-forwards, and a
-// twin whose kernel is never gated with the same seeded traffic, and
-// compares everything observable on every cycle both reach. Between
-// cycles every activity set must equal its recount from the state, and
-// at the end the digest must be the one the full-scan reference
-// produced on this traffic.
+// ungated phases, single cycles and multi-cycle Runs of seeded lengths,
+// and a twin whose kernel is never gated with the same seeded traffic,
+// and compares everything observable on every cycle both reach. Between
+// Runs every activity set must equal its recount from the state, and at
+// the end the digest must be the one the full-scan reference produced
+// on this traffic.
 func TestFabricMatchesFullScanReference(t *testing.T) {
 	cycles := sim.Cycle(4000)
 	if testing.Short() {
@@ -486,27 +472,24 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 				}
 				dig := uint64(0xcbf29ce484222325)
 				phase := sim.NewRand(seed ^ 0x5ca1ab1e)
-				for now := sim.Cycle(0); now < cycles; now = p.k.Cycle() {
-					if now%128 == 0 {
+				for now, switchAt := sim.Cycle(0), sim.Cycle(0); now < cycles; now = p.k.Cycle() {
+					if now >= switchAt {
 						p.k.SetGating(phase.Bool(0.7))
+						switchAt = now + 128
 					}
-					pw, pi := p.fab.NextEvent(now)
-					sc := skipCounters(p.fab)
-					dig = fold(dig, now, pw, bit(pi))
-					dig = fold(dig, sc[:]...)
-					if pi {
+					if _, idle := p.fab.NextEvent(now); idle {
 						seen["idle polls"]++
 						seen["skipped mshr-full stalls"] += p.fab.skipMSHRFull
 						seen["idle polls with a refused read"] += bit(readRefused(p.fab))
 					}
-					// One cycle, or — when the whole machine is idle until
-					// a known wake — one fast-forward over the gap.
+					// One cycle, or a Run long enough to sleep and
+					// fast-forward.
 					budget := uint64(1)
-					if wake, idle := p.allIdle(now); idle && wake != sim.Never && p.k.Gating() {
-						budget = wake - now
-						seen["fast-forwards"]++
-					} else if !p.k.Gating() {
-						seen["ungated cycles"]++
+					if phase.Bool(0.3) {
+						budget = 2 + uint64(phase.Intn(100))
+					}
+					if !p.k.Gating() {
+						seen["ungated cycles"] += budget
 					}
 					if a, b := p.k.Run(budget), u.k.Run(budget); a != b || p.k.Cycle() != u.k.Cycle() {
 						t.Fatalf("cycle %d: kernels advanced %d and %d cycles", now, a, b)
@@ -521,6 +504,7 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 					}
 					compareFabrics(t, p.k.Cycle(), p.fab, u.fab)
 					checkActivitySets(t, p.k.Cycle(), p.fab)
+					dig = fold(dig, p.k.Cycle())
 					dig = fold(dig, fabricWords(p.fab, p.k.Cycle())...)
 				}
 				if want := fullScanDigests[name]; dig != want {
@@ -531,6 +515,7 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 					"r-tile evictions": p.fab.C.RTileEvictions, "exit writebacks": p.fab.C.ExitWritebacks,
 					"transport hops": p.fab.C.TransportHops, "marked restarts": p.fab.C.MarkedRestarts,
 					"no-victim-slot stalls": p.fab.C.StallNoVictimSlot, "responses": uint64(len(p.drv.got)),
+					"fast-forwards": p.k.FastForwards,
 				} {
 					seen[name] += n
 				}
@@ -550,18 +535,38 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 }
 
 // TestNextEventWakesForADueRetry: a fabric whose only work is a bounced
-// search sleeps until the retry is due, and no longer. The driven
-// traffic above rarely leaves a retry as the only work, so this wake is
-// checked on its own.
+// search's retry, or a global miss waiting out its cycle, records at
+// each Eval before the work is due that it is idle until that cycle, and
+// acts on that cycle. The driven traffic above rarely leaves a retry as
+// the only work, and a global miss matures on the cycle after the search
+// that found it, which acted, so these wakes are checked on their own.
 func TestNextEventWakesForADueRetry(t *testing.T) {
-	h := newFabHarness(t, 2)
 	line := mem.Addr(0x6000)
-	h.f.mshr.Allocate(line, cache.Target{ReqID: 1, Addr: line, Kind: mem.Read})
-	h.f.retryQ = append(h.f.retryQ, retryEntry{at: 3, msg: searchMsg{line: line, reqID: 1, isRead: true}})
-	if wake, idle := h.f.NextEvent(0); !idle || wake != 3 {
-		t.Fatalf("NextEvent(0) = (%d, %v), want (3, true)", wake, idle)
-	}
-	if _, idle := h.f.NextEvent(3); idle {
-		t.Fatal("NextEvent(3) idle with the retry due")
+	msg := searchMsg{line: line, reqID: 1, isRead: true}
+	for _, c := range []struct {
+		name string
+		due  func(f *Fabric)
+		done func(f *Fabric) bool
+	}{
+		{"retry", func(f *Fabric) { f.retryQ = append(f.retryQ, retryEntry{at: 3, msg: msg}) },
+			func(f *Fabric) bool { return len(f.retryQ) == 0 && f.searchQ.Len() == 1 }},
+		{"global miss", func(f *Fabric) { f.gmQ.Push(gmEntry{readyAt: 3, msg: msg}) },
+			func(f *Fabric) bool { return f.gmQ.Len() == 0 && f.C.GlobalMisses == 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newFabHarness(t, 2)
+			h.f.mshr.Allocate(line, cache.Target{ReqID: 1, Addr: line, Kind: mem.Read})
+			c.due(h.f)
+			for h.k.Cycle() < 3 {
+				h.k.Step()
+				if wake, idle := h.f.NextEvent(h.k.Cycle()); !idle || wake != 3 {
+					t.Fatalf("after the Eval at cycle %d: NextEvent = (%d, %v), want (3, true)", h.k.Cycle()-1, wake, idle)
+				}
+			}
+			h.k.Step()
+			if _, idle := h.f.NextEvent(h.k.Cycle()); idle || !c.done(h.f) {
+				t.Fatalf("the Eval at cycle 3 did not act on the %s (idle %v)", c.name, idle)
+			}
+		})
 	}
 }

@@ -38,10 +38,12 @@ type Arbiter struct {
 	next  int            // round-robin priority pointer
 	owner map[uint64]int // request ID -> upstream index, for response routing
 
-	// waiting, set by NextEvent, records the sources whose queued work
-	// accrues a conflict per skipped idle cycle; SkipTo reads it, not the
-	// live queues, which may have filled since.
+	// waiting, set by Eval, records the sources whose queued work
+	// accrued a conflict this cycle, and so per skipped idle cycle;
+	// SkipTo reads it, not the live queues, which may have filled since.
 	waiting []bool
+
+	sim.Activity
 
 	// Stats.
 	Granted []uint64 // requests forwarded, per source
@@ -86,6 +88,7 @@ func (a *Arbiter) Name() string { return a.cfg.Name }
 // Eval implements sim.Component: route matured responses up, then grant
 // pending requests down round-robin within the cycle's bandwidth.
 func (a *Arbiter) Eval(k *sim.Kernel) {
+	a.Begin()
 	// Responses: in-order per the downstream channel. A response whose
 	// destination queue is full blocks the ones behind it (head-of-line),
 	// which models the single return bus.
@@ -97,6 +100,7 @@ func (a *Arbiter) Eval(k *sim.Kernel) {
 		src, known := a.owner[resp.ID]
 		if !known {
 			// No requester to deliver to; drop (e.g. an unexpected ack).
+			a.Acted()
 			a.down.Up.Pop()
 			a.RespOrphans++
 			continue
@@ -104,6 +108,7 @@ func (a *Arbiter) Eval(k *sim.Kernel) {
 		if !a.up[src].Up.CanPush() {
 			break
 		}
+		a.Acted()
 		a.down.Up.Pop()
 		delete(a.owner, resp.ID)
 		a.up[src].Up.Push(resp)
@@ -126,6 +131,7 @@ func (a *Arbiter) Eval(k *sim.Kernel) {
 		if gi < 0 {
 			break
 		}
+		a.Acted()
 		req, _ := a.up[gi].Down.Pop()
 		// Only reads produce responses in this hierarchy (writes and
 		// writebacks are absorbed downstream); tracking anything else
@@ -141,7 +147,8 @@ func (a *Arbiter) Eval(k *sim.Kernel) {
 	// A source with work that got no grant this cycle experienced
 	// contention; the counter is the saturation signal /metrics exposes.
 	for i := range a.up {
-		if a.up[i].Down.Len() > 0 {
+		a.waiting[i] = a.up[i].Down.Len() > 0
+		if a.waiting[i] {
 			a.Conflicts[i]++
 		}
 	}
@@ -162,26 +169,6 @@ func (a *Arbiter) Wire(w sim.Waker) {
 		p.WireBelow(w)
 	}
 	a.down.WireAbove(w)
-}
-
-// NextEvent implements sim.Quiescent. The arbiter has no timed events of
-// its own: it is idle exactly when the head response (if any) cannot be
-// routed and no pending request can be granted. A source left waiting
-// accrues its per-cycle conflict count arithmetically via SkipTo.
-func (a *Arbiter) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
-	if resp, ok := a.down.Up.Peek(); ok {
-		src, known := a.owner[resp.ID]
-		if !known || a.up[src].Up.CanPush() {
-			return 0, false // orphan pop or routable response
-		}
-	}
-	for i := range a.up {
-		a.waiting[i] = a.up[i].Down.Len() > 0
-		if a.waiting[i] && a.down.Down.CanPush() {
-			return 0, false // a grant would happen
-		}
-	}
-	return sim.Never, true
 }
 
 // SkipTo implements sim.Quiescent: sources that sat on queued work

@@ -81,7 +81,7 @@ func (s *IDSource) Next() uint64 {
 // based on the occupancy latched at the start of the cycle, so behaviour
 // never depends on component evaluation order. A channel between two
 // components wakes the consumer when Tick publishes and the producer when
-// Pop frees space, so a sleeping end is polled again (sim.Wired).
+// Pop frees space, so a sleeping end is evaluated again (sim.Wired).
 type Chan[T any] struct {
 	capacity int
 	items    []T
@@ -249,6 +249,8 @@ type MainMemory struct {
 	busFreeAt sim.Cycle
 	inFlight  sim.Queue[pendingResp]
 
+	sim.Activity
+
 	// Stats
 	Reads, Writebacks uint64
 }
@@ -270,28 +272,34 @@ func (m *MainMemory) Name() string { return m.name }
 // Eval implements sim.Component.
 func (m *MainMemory) Eval(k *sim.Kernel) {
 	now := k.Cycle()
+	m.Begin()
 	// Accept at most one new transfer per cycle, gated by wire occupancy.
-	if m.busFreeAt <= now {
-		if req, ok := m.port.Down.Peek(); ok {
-			m.port.Down.Pop()
-			m.busFreeAt = now + m.cfg.BusOccupancyCycles()
-			switch req.Kind {
-			case Writeback:
-				m.Writebacks++
-				// No response for writebacks.
-			default:
-				m.Reads++
-				m.inFlight.Push(pendingResp{
-					req:  req,
-					done: now + m.cfg.TransferCycles(),
-				})
-			}
+	if m.port.Down.Len() > 0 && m.busFreeAt > now {
+		m.WakeAt(m.busFreeAt)
+	} else if req, ok := m.port.Down.Peek(); ok {
+		m.Acted()
+		m.port.Down.Pop()
+		m.busFreeAt = now + m.cfg.BusOccupancyCycles()
+		switch req.Kind {
+		case Writeback:
+			m.Writebacks++
+			// No response for writebacks.
+		default:
+			m.Reads++
+			m.inFlight.Push(pendingResp{
+				req:  req,
+				done: now + m.cfg.TransferCycles(),
+			})
 		}
 	}
 	// Deliver matured responses in arrival order, as channel space allows.
 	for m.inFlight.Len() > 0 && m.inFlight.Front().done <= now && m.port.Up.CanPush() {
+		m.Acted()
 		p, _ := m.inFlight.Pop()
 		m.port.Up.Push(Resp{ID: p.req.ID, Addr: p.req.Addr, Done: now})
+	}
+	if m.inFlight.Len() > 0 && m.inFlight.Front().done > now {
+		m.WakeAt(m.inFlight.Front().done)
 	}
 }
 
@@ -302,33 +310,6 @@ func (m *MainMemory) Commit(k *sim.Kernel) {
 
 // Wire implements sim.Wired.
 func (m *MainMemory) Wire(w sim.Waker) { m.port.WireBelow(w) }
-
-// NextEvent implements sim.Quiescent. The memory is idle when no
-// transfer can start (no request, or the wires are busy) and no matured
-// response can be delivered; its timed wakes are the bus release and
-// the oldest in-flight completion.
-func (m *MainMemory) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
-	wake := sim.Never
-	if m.port.Down.Len() > 0 {
-		if m.busFreeAt <= now {
-			return 0, false
-		}
-		wake = m.busFreeAt
-	}
-	if m.inFlight.Len() > 0 {
-		done := m.inFlight.Front().done
-		if done <= now {
-			if m.port.Up.CanPush() {
-				return 0, false
-			}
-			// Blocked on channel space: only the consumer popping
-			// (external activity) unblocks delivery.
-		} else if done < wake {
-			wake = done
-		}
-	}
-	return wake, true
-}
 
 // SkipTo implements sim.Quiescent: idle memory cycles touch no counters.
 func (m *MainMemory) SkipTo(now, target sim.Cycle) {}

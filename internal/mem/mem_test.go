@@ -275,3 +275,50 @@ func TestMainMemoryManyRequestsAllServed(t *testing.T) {
 		t.Errorf("Pending = %d, want 0", h.mm.Pending())
 	}
 }
+
+// TestMainMemoryRecordsItsWaits: each Eval of the memory leaves the
+// record NextEvent answers from. One that accepts or delivers reports
+// active; one that only waits reports idle until the earliest of the
+// bus release a queued request needs and the oldest response's
+// maturity.
+func TestMainMemoryRecordsItsWaits(t *testing.T) {
+	cfg := DefaultMainMemoryConfig()
+	port := NewPort(4, 4)
+	m := NewMainMemory("mem", cfg, port)
+	k := sim.NewKernel()
+	k.MustRegister(m)
+	port.Down.Push(Req{ID: 1, Addr: 0x1000, Kind: Read})
+	port.Down.Push(Req{ID: 2, Addr: 0x2000, Kind: Read})
+	port.Down.Tick()
+
+	record := func(wantIdle bool, wantWake sim.Cycle) {
+		t.Helper()
+		wake, idle := m.NextEvent(k.Cycle())
+		if idle != wantIdle || (idle && wake != wantWake) {
+			t.Fatalf("after the Eval at cycle %d: NextEvent = (%d, %v), want (%d, %v)",
+				k.Cycle()-1, wake, idle, wantWake, wantIdle)
+		}
+	}
+	bus, first := cfg.BusOccupancyCycles(), cfg.TransferCycles()
+	k.Step() // accepts request 1
+	record(false, 0)
+	k.Step() // request 2 waits for the wires
+	record(true, bus)
+	for k.Cycle() < bus {
+		k.Step()
+	}
+	k.Step() // accepts request 2
+	record(false, 0)
+	k.Step() // both responses are in flight
+	record(true, first)
+	for k.Cycle() < first {
+		k.Step()
+	}
+	k.Step() // delivers response 1
+	record(false, 0)
+	if port.Up.Len() != 1 {
+		t.Fatalf("%d responses delivered at cycle %d, want 1", port.Up.Len(), first)
+	}
+	k.Step()
+	record(true, bus+first)
+}

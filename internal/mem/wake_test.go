@@ -25,6 +25,7 @@ type wnode struct {
 	polls, evals, commits  uint64
 	skipped                uint64 // cycles covered by SkipTo
 	commitAt, canPushAfter []sim.Cycle
+	pollAt, evalAt         []sim.Cycle
 }
 
 func (n *wnode) Name() string { return n.name }
@@ -55,6 +56,10 @@ func (n *wnode) ownDue(now sim.Cycle) bool {
 func (n *wnode) Eval(k *sim.Kernel) {
 	now := k.Cycle()
 	n.evals++
+	n.evalAt = append(n.evalAt, now)
+	if n.down != nil && n.down.Down.CanPush() {
+		n.canPushAfter = append(n.canPushAfter, now)
+	}
 	if n.canTake(now) {
 		req, _ := n.up.Down.Pop()
 		n.log = append(n.log, fmt.Sprintf("%d take %d", now, req.ID))
@@ -78,9 +83,7 @@ func (n *wnode) Commit(k *sim.Kernel) {
 
 func (n *wnode) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 	n.polls++
-	if n.down != nil && n.down.Down.CanPush() {
-		n.canPushAfter = append(n.canPushAfter, now)
-	}
+	n.pollAt = append(n.pollAt, now)
 	if now < n.busyUntil || n.canTake(now) || n.ownDue(now) {
 		return 0, false
 	}
@@ -140,10 +143,10 @@ func TestSleeperWokenByPublish(t *testing.T) {
 	if want := []string{"101 take 100"}; !reflect.DeepEqual(dst.log, want) {
 		t.Fatalf("dst log %q, want %q", dst.log, want)
 	}
-	// Polled on the first cycle, on the one after the publish, and on the
-	// one after that, having been active.
-	if dst.polls != 3 || dst.evals != 1 {
-		t.Errorf("dst polled %d times and evaluated %d, want 3 and 1", dst.polls, dst.evals)
+	// Evaluated on the first cycle and on the one after the publish, and
+	// polled on the cycle after each.
+	if dst.polls != 2 || dst.evals != 2 {
+		t.Errorf("dst polled %d times and evaluated %d, want 2 and 2", dst.polls, dst.evals)
 	}
 	checkCovered(t, k, src, dst, busy)
 	if k.FastForwards != 0 {
@@ -153,7 +156,8 @@ func TestSleeperWokenByPublish(t *testing.T) {
 
 // TestSleeperWokenByPop: a producer asleep on a full channel is woken by
 // its consumer's Pop. It Commits that same cycle, so its Tick makes the
-// space visible, and sees CanPush on the next cycle, when it pushes.
+// space visible, and sees CanPush in its Eval on the next cycle, when it
+// pushes.
 func TestSleeperWokenByPop(t *testing.T) {
 	src := &wnode{name: "src", at: []sim.Cycle{0, 1, 2}}
 	dst := &wnode{name: "dst", acceptFrom: 50}
@@ -178,8 +182,9 @@ func TestSleeperWokenByPop(t *testing.T) {
 	checkCovered(t, k, src, dst)
 }
 
-// TestSleeperWokenByTimer: a component asleep with a wake cycle is polled
-// again at that cycle, not before, while a peer keeps the machine busy.
+// TestSleeperWokenByTimer: a component asleep with a wake cycle is
+// evaluated again at that cycle, not before, while a peer keeps the
+// machine busy.
 func TestSleeperWokenByTimer(t *testing.T) {
 	src := &wnode{name: "src", at: []sim.Cycle{500}}
 	dst := &wnode{name: "dst"}
@@ -191,15 +196,86 @@ func TestSleeperWokenByTimer(t *testing.T) {
 	if want := []string{"500 push 500"}; !reflect.DeepEqual(src.log, want) {
 		t.Fatalf("src log %q, want %q", src.log, want)
 	}
-	// The first cycle, the wake cycle, the cycle after the push, and the
-	// cycle after dst's pop woke it.
-	if src.polls != 4 || src.evals != 1 {
-		t.Errorf("src polled %d times and evaluated %d, want 4 and 1", src.polls, src.evals)
+	// Evaluated on the first cycle, the wake cycle and the cycle after
+	// dst's pop woke it; polled on the cycle after each.
+	if src.polls != 3 || src.evals != 3 {
+		t.Errorf("src polled %d times and evaluated %d, want 3 and 3", src.polls, src.evals)
 	}
 	if want := []string{"501 take 500"}; !reflect.DeepEqual(dst.log, want) {
 		t.Fatalf("dst log %q, want %q", dst.log, want)
 	}
 	checkCovered(t, k, src, dst, busy)
+}
+
+// TestWokenSleeperEvaluatesWithoutAPoll: a publish that wakes a sleeping
+// consumer has it evaluated on the next cycle, and the kernel does not
+// ask its NextEvent on that cycle: only input arrived, and Eval decides
+// what to do with it.
+func TestWokenSleeperEvaluatesWithoutAPoll(t *testing.T) {
+	src := &wnode{name: "src", at: []sim.Cycle{100}}
+	dst := &wnode{name: "dst"}
+	busy := &wnode{name: "busy", busyUntil: 300}
+	chain(4, src, dst)
+	k := kernelOf(true, src, dst, busy)
+	k.Run(300)
+
+	if want := []string{"101 take 100"}; !reflect.DeepEqual(dst.log, want) {
+		t.Fatalf("dst log %q, want %q", dst.log, want)
+	}
+	if !contains(dst.evalAt, 101) {
+		t.Errorf("dst evaluated at %v, not on the cycle after the publish", dst.evalAt)
+	}
+	if contains(dst.pollAt, 101) {
+		t.Errorf("dst polled at %v: a woken sleeper is evaluated without a poll", dst.pollAt)
+	}
+	checkCovered(t, k, src, dst, busy)
+}
+
+// lastEval is a consumer that is not wired — no channel can wake it —
+// and whose NextEvent reports what its last Eval did: idle unless it
+// took an item, and active before its first Eval.
+type lastEval struct {
+	node      *wnode
+	evaluated bool
+	took      bool
+}
+
+func (l *lastEval) Name() string              { return l.node.Name() }
+func (l *lastEval) Commit(k *sim.Kernel)      { l.node.Commit(k) }
+func (l *lastEval) SkipTo(from, to sim.Cycle) { l.node.SkipTo(from, to) }
+
+func (l *lastEval) Eval(k *sim.Kernel) {
+	before := len(l.node.log)
+	l.node.Eval(k)
+	l.evaluated, l.took = true, len(l.node.log) > before
+}
+
+func (l *lastEval) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
+	if !l.evaluated {
+		return 0, false
+	}
+	return sim.Never, !l.took
+}
+
+// TestUnwiredRecordConsumesAPublish: a component that is not wired is
+// evaluated on every cycle, so one whose NextEvent only reports its last
+// Eval still consumes an item published to it. Were it put to sleep on
+// that report, nothing would wake it: its channel has no waker.
+func TestUnwiredRecordConsumesAPublish(t *testing.T) {
+	src := &wnode{name: "src", at: []sim.Cycle{100}}
+	dst := &lastEval{node: &wnode{name: "dst"}}
+	chain(4, src, dst.node)
+	k := sim.NewKernel()
+	k.MustRegister(src)
+	k.MustRegister(dst)
+	k.Run(300)
+
+	if want := []string{"101 take 100"}; !reflect.DeepEqual(dst.node.log, want) {
+		t.Fatalf("dst log %q, want %q", dst.node.log, want)
+	}
+	if dst.node.evals != 300 {
+		t.Errorf("dst evaluated %d times in 300 cycles, want every cycle", dst.node.evals)
+	}
 }
 
 // TestDeferredSkipToExactWhenRunReturns: whatever the Run sizes — single
@@ -278,8 +354,8 @@ func TestSleepingKernelEqualsLockstep(t *testing.T) {
 }
 
 // TestArbiterSkipToReadsThePoll: SkipTo charges conflicts to the sources
-// that were waiting when the arbiter reported idle, not to one whose
-// request was published while it slept.
+// that were waiting at the arbiter's last Eval, which did not act, not
+// to one whose request was published while it slept.
 func TestArbiterSkipToReadsThePoll(t *testing.T) {
 	up := []*Port{NewPort(4, 4), NewPort(4, 4)}
 	down := NewPort(1, 1)
@@ -291,13 +367,14 @@ func TestArbiterSkipToReadsThePoll(t *testing.T) {
 	down.Down.Tick()
 	up[0].Down.Push(Req{ID: 2, Kind: Read})
 	up[0].Down.Tick()
+	arb.Eval(sim.NewKernel())
 	if _, idle := arb.NextEvent(10); !idle {
 		t.Fatal("arbiter with a full shared port reported active")
 	}
 	up[1].Down.Push(Req{ID: 3, Kind: Read}) // arrives during the sleep
 	up[1].Down.Tick()
 	arb.SkipTo(10, 15)
-	if want := []uint64{5, 0}; !reflect.DeepEqual(arb.Conflicts, want) {
+	if want := []uint64{6, 0}; !reflect.DeepEqual(arb.Conflicts, want) {
 		t.Fatalf("conflicts %v, want %v", arb.Conflicts, want)
 	}
 }

@@ -2,8 +2,10 @@ package sim
 
 import "testing"
 
-// tickComp is a Quiescent test component: it "acts" at scheduled
-// cycles, counts Evals and skipped cycles, and is idle in between.
+// tickComp is a Wired test component: it "acts" at scheduled cycles,
+// counts Evals and skipped cycles, and is idle in between. It has no
+// channels, so its Wire is a no-op and only its wake cycles wake it; its
+// NextEvent answers from its own state.
 type tickComp struct {
 	name     string
 	events   []Cycle // sorted cycles at which the component is active
@@ -13,6 +15,7 @@ type tickComp struct {
 
 func (c *tickComp) Name() string     { return c.name }
 func (c *tickComp) Commit(k *Kernel) {}
+func (c *tickComp) Wire(Waker)       {}
 func (c *tickComp) Eval(k *Kernel) {
 	c.evals++
 	for len(c.events) > 0 && c.events[0] <= k.Cycle() {
@@ -68,7 +71,8 @@ func TestFastForwardSkipsToEarliestWake(t *testing.T) {
 }
 
 // TestFastForwardClampsToBudget: a wake beyond the Run budget must not
-// overshoot the requested cycle count.
+// overshoot the requested cycle count. The component is evaluated on the
+// Run's first cycle and skips the rest.
 func TestFastForwardClampsToBudget(t *testing.T) {
 	a := &tickComp{name: "a", events: []Cycle{5000}}
 	k := NewKernel()
@@ -79,14 +83,14 @@ func TestFastForwardClampsToBudget(t *testing.T) {
 	if k.Cycle() != 100 {
 		t.Fatalf("clock at %d, want 100", k.Cycle())
 	}
-	if a.idleSeen != 100 {
-		t.Fatalf("component skipped %d cycles, want 100", a.idleSeen)
+	if a.evals != 1 || a.idleSeen != 99 {
+		t.Fatalf("component evaluated %d cycles and skipped %d, want 1 and 99", a.evals, a.idleSeen)
 	}
 }
 
 // TestActiveSetSkipsIdleEvals: while one component is active every
 // cycle, an idle peer must advance arithmetically instead of being
-// evaluated.
+// evaluated, after the Eval every component gets on a Run's first cycle.
 func TestActiveSetSkipsIdleEvals(t *testing.T) {
 	busy := &tickComp{name: "busy"}
 	for c := Cycle(0); c < 200; c++ {
@@ -102,11 +106,11 @@ func TestActiveSetSkipsIdleEvals(t *testing.T) {
 	if busy.evals != 200 {
 		t.Errorf("busy evaluated %d cycles, want 200", busy.evals)
 	}
-	if idle.evals != 0 || idle.idleSeen != 200 {
-		t.Errorf("idle: evals=%d skipped=%d, want 0/200", idle.evals, idle.idleSeen)
+	if idle.evals != 1 || idle.idleSeen != 199 {
+		t.Errorf("idle: evals=%d skipped=%d, want 1/199", idle.evals, idle.idleSeen)
 	}
-	if k.EvalsSkipped != 200 {
-		t.Errorf("kernel recorded %d skipped Evals, want 200", k.EvalsSkipped)
+	if k.EvalsSkipped != 199 {
+		t.Errorf("kernel recorded %d skipped Evals, want 199", k.EvalsSkipped)
 	}
 }
 

@@ -39,21 +39,23 @@ type Component interface {
 //
 // The contract (see DESIGN.md, "Quiescence and fast-forward"):
 //
-//   - NextEvent(now) returns idle=true only if, absent any new input on
-//     the component's inbound channels, Eval at every cycle in
-//     [now, wake) would change NOTHING except the purely arithmetic
-//     per-cycle bookkeeping that SkipTo replicates (cycle counters,
-//     stall counters). wake may be conservatively early — Eval at wake
-//     runs normally — but never late. Never means "only external input
-//     wakes me".
+//   - NextEvent(now) is asked only of a Wired component that evaluated
+//     on the previous stepped cycle and has had no input since. It
+//     returns idle=true only if, absent new input on the component's
+//     inbound channels, Eval at every cycle in [now, wake) would change
+//     NOTHING except the purely arithmetic per-cycle bookkeeping that
+//     SkipTo replicates (cycle counters, stall counters). wake may be
+//     conservatively early — Eval at wake runs normally — but never
+//     late; a wake <= now counts as active. Never means "only external
+//     input wakes me". A component that embeds Activity answers from
+//     what its last Eval recorded.
 //   - NextEvent must not mutate any state that affects simulation
 //     results (in particular it must not draw from seeded RNGs).
 //   - SkipTo(from, to) applies exactly the bookkeeping that to-from
-//     idle Evals would have applied. It covers only cycles after a
-//     NextEvent poll in which this component reported idle, and before
-//     its next poll. It may be applied late and in pieces, and reads
-//     only what the last NextEvent recorded, never live channel state:
-//     input that arrived meanwhile counts only from its next poll.
+//     idle Evals would have applied: what the last Eval, which did not
+//     act, applied once per cycle. It may be applied late and in
+//     pieces, and reads only that record, never live channel state:
+//     input that arrived meanwhile counts from the next Eval.
 //
 // Because two-phase channels publish pushes only at Commit, a component
 // that is idle at the start of a cycle cannot receive mid-cycle input;
@@ -65,6 +67,35 @@ type Quiescent interface {
 	SkipTo(from, to Cycle)
 }
 
+// Activity is the record an Eval leaves of what it found, and the
+// NextEvent a component answers from it. A component embeds it and
+// calls Begin at the top of Eval, Acted wherever Eval changes state, and
+// WakeAt for each wait that ends at a known cycle without new input; a
+// wait that only a channel ends records nothing, since the channel wakes
+// the component. The zero value reports active, so a component is
+// evaluated before it first sleeps.
+type Activity struct {
+	acted bool
+	wake  Cycle
+}
+
+// Begin resets the record at the top of Eval.
+func (a *Activity) Begin() { a.acted, a.wake = false, Never }
+
+// Acted records that Eval changed state.
+func (a *Activity) Acted() { a.acted = true }
+
+// WakeAt records a wait that ends at cycle c without new input.
+func (a *Activity) WakeAt(c Cycle) {
+	if c < a.wake {
+		a.wake = c
+	}
+}
+
+// NextEvent implements Quiescent from the record: idle when the last
+// Eval did not act, until the earliest wake it recorded.
+func (a *Activity) NextEvent(Cycle) (wake Cycle, idle bool) { return a.wake, !a.acted }
+
 // Waker wakes one sleeping component of a kernel. A component's inputs
 // are its channel ends, so the channels call it: a publish wakes the
 // consumer, a pop wakes the producer (whose next Tick makes the space
@@ -75,7 +106,7 @@ type Waker struct {
 }
 
 // Wake marks the component as having new input: the kernel Commits it
-// this cycle and polls it on the next.
+// this cycle and evaluates it on the next.
 func (w Waker) Wake() {
 	if w.poked != nil {
 		*w.poked |= w.bit
@@ -84,10 +115,10 @@ func (w Waker) Wake() {
 
 // Wired is implemented by a Quiescent component whose every input
 // arrives through channel ends it hands a Waker. Register wires it; a
-// gated Run then leaves it asleep, neither polled nor committed, from
+// gated Run then leaves it asleep, neither evaluated nor committed, from
 // the cycle it reports idle until a channel wakes it or its wake cycle
-// arrives. A Quiescent component that is not Wired is polled and
-// committed every cycle.
+// arrives. Only a Wired component sleeps: one that is not is evaluated
+// and committed every cycle.
 type Wired interface {
 	Quiescent
 	Wire(w Waker)
@@ -200,24 +231,27 @@ func (k *Kernel) Step() {
 // It returns the number of cycles executed (stepped or fast-forwarded).
 //
 // When gating is enabled and every registered component implements
-// Quiescent (and there are at most 64), Run keeps an active set. A
-// component that reports idle goes to sleep: it is not polled again
-// until a channel wakes it, its wake cycle arrives or, if it is not
-// Wired, the next cycle. Each cycle:
+// Quiescent (and there are at most 64), Run keeps an active set, and a
+// Wired component that reports idle goes to sleep until a channel wakes
+// it or its wake cycle arrives. Each cycle:
 //
-//   - every component awake is polled; one that reports idle joins the
-//     sleepers, and its SkipTo is owed from this cycle;
+//   - a component a channel woke, a sleeper whose wake is due and one
+//     that is not Wired are evaluated without a poll;
+//   - every other awake component evaluated on the previous stepped
+//     cycle and has had no input since, so it is polled: active, it is
+//     evaluated again; idle, it joins the sleepers, and its SkipTo is
+//     owed from this cycle;
 //   - all asleep with a known earliest wake → the clock bulk-advances to
 //     that wake (clamped to the cycle budget) instead of spinning no-op
 //     Steps;
-//   - otherwise only the active components Eval. They Commit, and so do
-//     the unwired components and any sleeper a pop woke this cycle: its
-//     Tick makes the freed space visible, as a full Step would.
+//   - otherwise the evaluated components Commit, and so does any sleeper
+//     a pop woke this cycle: its Tick makes the freed space visible, as
+//     a full Step would.
 //
-// A sleeper's owed SkipTo is applied once, just before its next poll,
+// A sleeper's owed SkipTo is applied once, just before its next Eval,
 // and for every sleeper when Run returns, so counters are exact whenever
-// Run is not executing. Every component is polled on a Run's first
-// cycle: Step or prewarm may have changed it since the last one.
+// Run is not executing. Every component is evaluated on a Run's first
+// cycle: Step or prewarm may have changed it since its last Eval.
 //
 // An idle component's Eval is a no-op this cycle even while others are
 // active: pushes stage until Commit, so no input becomes visible
@@ -237,49 +271,47 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 	}
 	all := ^uint64(0) >> (maxGated - n)
 	k.poked, k.due = all, Never
+	var evaluated uint64 // the components evaluated on the last stepped cycle
 	for !k.stopped && k.cycle < limit {
 		now := k.cycle
-		poll := all&^k.asleep | k.poked | all&^k.wired
+		eval := k.poked | all&^k.wired
 		k.poked = 0
 		if k.due <= now {
 			k.due = Never
-			for m := k.asleep &^ poll; m != 0; m &= m - 1 {
+			for m := k.asleep &^ eval; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
 				if w := k.wakeAt[i]; w <= now {
-					poll |= 1 << i
+					eval |= 1 << i
 				} else if w < k.due {
 					k.due = w
 				}
 			}
 		}
-		var active uint64
-		for m := poll; m != 0; m &= m - 1 {
+		for m := evaluated &^ eval; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			q := k.quiescent[i]
-			if k.asleep&(1<<i) != 0 {
-				q.SkipTo(k.idleFrom[i], now)
-				k.asleep &^= 1 << i
-			}
-			w, idle := q.NextEvent(now)
-			if !idle {
-				active |= 1 << i
-				continue
-			}
-			k.asleep |= 1 << i
-			k.idleFrom[i], k.wakeAt[i] = now, w
-			if w < k.due {
-				k.due = w
+			if w, idle := k.quiescent[i].NextEvent(now); !idle || w <= now {
+				eval |= 1 << i
+			} else {
+				k.asleep |= 1 << i
+				k.idleFrom[i], k.wakeAt[i] = now, w
+				k.due = min(k.due, w)
 			}
 		}
-		if active == 0 {
+		for m := eval & k.asleep; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			k.quiescent[i].SkipTo(k.idleFrom[i], now)
+		}
+		k.asleep &^= eval
+		evaluated = eval
+		if eval == 0 {
 			// Everyone is asleep: the earliest wake is exact here, so a
-			// fast-forward lands where a poll of every component would.
+			// fast-forward lands where stepping would next evaluate.
 			wake := Never
 			for m := k.asleep; m != 0; m &= m - 1 {
 				wake = min(wake, k.wakeAt[bits.TrailingZeros64(m)])
 			}
 			k.due = wake
-			if wake > now && wake != Never {
+			if wake != Never {
 				// Fast-forward: skip [now, wake) entirely.
 				k.cycle = min(wake, limit)
 				k.FastForwards++
@@ -287,13 +319,13 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 				continue
 			}
 		}
-		for m := active; m != 0; m &= m - 1 {
-			k.quiescent[bits.TrailingZeros64(m)].Eval(k)
+		for m := eval; m != 0; m &= m - 1 {
+			k.components[bits.TrailingZeros64(m)].Eval(k)
 		}
-		for m := active | k.poked | all&^k.wired; m != 0; m &= m - 1 {
+		for m := eval | k.poked; m != 0; m &= m - 1 {
 			k.components[bits.TrailingZeros64(m)].Commit(k)
 		}
-		evals := uint64(bits.OnesCount64(active))
+		evals := uint64(bits.OnesCount64(eval))
 		k.cycle++
 		k.SteppedCycles++
 		k.ActiveEvals += evals
