@@ -91,10 +91,6 @@ type Controller struct {
 	BankAccesses                 uint64
 	StallMSHRFull, StallWBufFull uint64
 
-	// Quiescence bookkeeping: the stall increments of the last Eval,
-	// which SkipTo applies per skipped cycle.
-	skipMSHRFull, skipWBufFull uint64
-
 	sim.Activity
 }
 
@@ -123,7 +119,7 @@ func NewController(cfg ControllerConfig, up, down *mem.Port, ids *mem.IDSource) 
 	if cfg.InitiationCycles < 1 {
 		cfg.InitiationCycles = 1
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:        cfg,
 		bank:       NewBank(cfg.Bank),
 		mshr:       NewMSHRFile(cfg.MSHREntries, cfg.MSHRSecondary),
@@ -133,6 +129,8 @@ func NewController(cfg ControllerConfig, up, down *mem.Port, ids *mem.IDSource) 
 		ids:        ids,
 		portFreeAt: make([]sim.Cycle, cfg.Ports),
 	}
+	c.Track(&c.StallMSHRFull, &c.StallWBufFull)
+	return c
 }
 
 // Name implements sim.Component.
@@ -165,13 +163,11 @@ func (c *Controller) takePort(now sim.Cycle) bool {
 func (c *Controller) Eval(k *sim.Kernel) {
 	now := k.Cycle()
 	c.Begin()
-	mshrFull, wbufFull := c.StallMSHRFull, c.StallWBufFull
 	c.handleFills(now)
 	c.issueFetches(now)
 	c.acceptRequests(now)
 	c.deliverResponses(now)
 	c.drainWriteBuffer(now)
-	c.skipMSHRFull, c.skipWBufFull = c.StallMSHRFull-mshrFull, c.StallWBufFull-wbufFull
 }
 
 // handleFills consumes downstream responses: fill the array, retire the
@@ -427,13 +423,6 @@ func (c *Controller) minPortFree() sim.Cycle {
 		}
 	}
 	return min
-}
-
-// SkipTo implements sim.Quiescent.
-func (c *Controller) SkipTo(now, target sim.Cycle) {
-	delta := uint64(target - now)
-	c.StallMSHRFull += c.skipMSHRFull * delta
-	c.StallWBufFull += c.skipWBufFull * delta
 }
 
 // Collect adds this level's counters to s under the given prefix.

@@ -351,6 +351,41 @@ func TestSecondaryMissMergeReportsActive(t *testing.T) {
 	}
 }
 
+// TestSkipToReplaysWriteBufferStall: a store waits on a full write
+// buffer whose head, a write miss, waits for the one MSHR, held by a
+// miss whose fetch never leaves. Each cycle stalls on both. On a gated
+// kernel the controller sleeps through the wait, and its SkipTo must
+// count the same stalls as an Eval every cycle.
+func TestSkipToReplaysWriteBufferStall(t *testing.T) {
+	run := func(gated bool) (*Controller, *sim.Kernel) {
+		up, down := mem.NewPort(4, 4), mem.NewPort(4, 4)
+		c := NewController(smallL2(1, 1, 2), up, down, &mem.IDSource{})
+		c.mshr.Allocate(0x1000, Target{ReqID: 1, Addr: 0x1000, Kind: mem.Read})
+		c.wbuf.Add(0x20000, mem.Write)
+		c.wbuf.Add(0x30000, mem.Write)
+		up.Down.Push(mem.Req{ID: 2, Addr: 0x40000, Kind: mem.Write})
+		up.Down.Tick()
+		k := sim.NewKernel()
+		k.MustRegister(c)
+		k.SetGating(gated)
+		k.Run(1000)
+		return c, k
+	}
+	stepped, _ := run(false)
+	skipped, k := run(true)
+	if k.EvalsSkipped < 900 {
+		t.Fatalf("the gated kernel skipped %d Evals: the controller never slept", k.EvalsSkipped)
+	}
+	if stepped.StallWBufFull != 1000 || stepped.StallMSHRFull != 1000 {
+		t.Fatalf("stepped: %d write-buffer and %d MSHR stalls in 1000 cycles, want 1000 each",
+			stepped.StallWBufFull, stepped.StallMSHRFull)
+	}
+	if skipped.StallWBufFull != stepped.StallWBufFull || skipped.StallMSHRFull != stepped.StallMSHRFull {
+		t.Errorf("gated: %d write-buffer and %d MSHR stalls, stepped %d and %d",
+			skipped.StallWBufFull, skipped.StallMSHRFull, stepped.StallWBufFull, stepped.StallMSHRFull)
+	}
+}
+
 func TestControllerManyRandomRequestsDrain(t *testing.T) {
 	h := newCtrlHarness(t, l2Config())
 	rng := sim.NewRand(42)

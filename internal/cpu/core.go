@@ -247,9 +247,6 @@ type Core struct {
 	streamDone bool
 	maxInstr   uint64
 
-	// Quiescence bookkeeping: the last Eval's increments of the stall
-	// counters (in stalls order), which SkipTo applies per skipped cycle.
-	skip [numStalls]uint64
 	sim.Activity
 
 	// Stats.
@@ -314,6 +311,7 @@ func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSour
 		c.tlbPow2 = true
 		c.pageShift = uint(bits.TrailingZeros(uint(cfg.PageBytes)))
 	}
+	c.Track(&c.Cycles, &c.StallSBFull, &c.StallROBFull, &c.StallIQFull, &c.StallLSQ, &c.FetchBlockedCycles)
 	return c
 }
 
@@ -330,22 +328,10 @@ func (c *Core) robAt(seq uint64) *robEntry {
 // robOccupancy returns in-flight op count.
 func (c *Core) robOccupancy() int { return int(c.tailSeq - c.headSeq) }
 
-// numStalls is the number of per-cycle stall counters (Core.stalls).
-const numStalls = 5
-
-// stalls returns the counters a blocked cycle increments.
-func (c *Core) stalls() [numStalls]*uint64 {
-	return [numStalls]*uint64{&c.StallSBFull, &c.StallROBFull, &c.StallIQFull, &c.StallLSQ, &c.FetchBlockedCycles}
-}
-
 // Eval implements sim.Component.
 func (c *Core) Eval(k *sim.Kernel) {
 	now := k.Cycle()
 	c.Begin()
-	stalls := c.stalls()
-	for i, p := range stalls {
-		c.skip[i] = *p
-	}
 	c.Cycles++
 	c.drainResponses(now)
 	c.commit(now, k)
@@ -355,9 +341,6 @@ func (c *Core) Eval(k *sim.Kernel) {
 	c.fetch(now)
 	if c.streamDone && c.robOccupancy() == 0 && c.decq.Len() == 0 {
 		k.Stop()
-	}
-	for i, p := range stalls {
-		c.skip[i] = *p - c.skip[i]
 	}
 }
 
@@ -673,16 +656,6 @@ func (c *Core) fetch(now sim.Cycle) {
 				return
 			}
 		}
-	}
-}
-
-// SkipTo implements sim.Quiescent: apply the arithmetic bookkeeping of
-// the skipped idle cycles.
-func (c *Core) SkipTo(now, target sim.Cycle) {
-	delta := uint64(target - now)
-	c.Cycles += delta
-	for i, p := range c.stalls() {
-		*p += c.skip[i] * delta
 	}
 }
 

@@ -237,8 +237,8 @@ func (d *DNUCA) Eval(k *sim.Kernel) {
 	now := k.Cycle()
 	d.Begin()
 	// Messages waiting to inject or in the network move, or wait on each
-	// other; a quiet mesh's Step only turns its rotation, which SkipTo
-	// replays.
+	// other; a quiet mesh's Step does nothing (its rotation is a function
+	// of the cycle).
 	if len(d.injectQ) > 0 || !d.mesh.Quiet() {
 		d.Acted()
 	}
@@ -596,10 +596,6 @@ func (d *DNUCA) deliverResponses(now sim.Cycle) {
 		d.up.Up.Push(r)
 	}
 }
-
-// SkipTo implements sim.Quiescent: advance the mesh's round-robin
-// pointer over the skipped cycles.
-func (d *DNUCA) SkipTo(now, target sim.Cycle) { d.mesh.SkipIdle(target - now) }
 
 // Mesh exposes the network (stats/energy).
 func (d *DNUCA) Mesh() *noc.Mesh[payload] { return d.mesh }

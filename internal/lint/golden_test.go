@@ -25,17 +25,30 @@ import (
 // nothing).
 func RunGolden(t *testing.T, importPath string, analyzers ...*Analyzer) {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", "src"), importPath)
-	if err != nil {
-		t.Fatalf("loading testdata package %s: %v", importPath, err)
+	runGolden(t, []string{importPath}, analyzers)
+}
+
+// runGolden is RunGolden over several testdata packages analyzed in one
+// run, for a check that reads across package lines. Their file names
+// must differ: a want is matched by base name and line.
+func runGolden(t *testing.T, importPaths []string, analyzers []*Analyzer) {
+	t.Helper()
+	var pkgs []*Package
+	var wants []wantAnnotation
+	for _, path := range importPaths {
+		pkg, err := LoadDir(filepath.Join("testdata", "src"), path)
+		if err != nil {
+			t.Fatalf("loading testdata package %s: %v", path, err)
+		}
+		w, err := collectWants(pkg.Dir)
+		if err != nil {
+			t.Fatalf("parsing want annotations in %s: %v", pkg.Dir, err)
+		}
+		pkgs, wants = append(pkgs, pkg), append(wants, w...)
 	}
-	diags, _, err := Run([]*Package{pkg}, analyzers)
+	diags, _, err := Run(pkgs, analyzers)
 	if err != nil {
-		t.Fatalf("running analyzers on %s: %v", importPath, err)
-	}
-	wants, err := collectWants(pkg.Dir)
-	if err != nil {
-		t.Fatalf("parsing want annotations in %s: %v", pkg.Dir, err)
+		t.Fatalf("running analyzers on %v: %v", importPaths, err)
 	}
 	matched := make([]bool, len(wants))
 	for _, d := range diags {

@@ -18,9 +18,11 @@ import (
 //
 // Hot roots are recognized structurally, not by import: a method named
 // Eval/Commit/NextEvent/SkipTo whose receiver also declares both Eval
-// and Commit (i.e. is Component-shaped), or a Step/Run method on a type
-// named Kernel. Reachability is the static call graph within the
-// package, with interface calls resolved to every local implementation.
+// and Commit (i.e. is Component-shaped), any method of a type that a
+// Component-shaped type of any linted package embeds (a record such as
+// sim.Activity), or a Step/Run method on a type named Kernel.
+// Reachability is the static call graph within the package, with
+// interface calls resolved to every local implementation.
 //
 // Boxing is flagged only where it is spelled out, as an any(x) or other
 // conversion to an interface type. Implicit boxing by assignment — a
@@ -49,13 +51,14 @@ func runHotAlloc(pass *Pass) error {
 		root string // display name of the root that made it hot
 	}
 	var work []item
+	records := embeddedRecords(pass)
 	for fn := range decls {
 		recv := recvNamed(fn)
 		if recv == nil {
 			continue
 		}
 		switch {
-		case hotRootNames[fn.Name()] && componentShaped(recv):
+		case hotRootNames[fn.Name()] && componentShaped(recv), records[recv.Obj().Name()]:
 			work = append(work, item{fn, recv.Obj().Name() + "." + fn.Name()})
 		case (fn.Name() == "Step" || fn.Name() == "Run") && recv.Obj().Name() == "Kernel":
 			work = append(work, item{fn, recv.Obj().Name() + "." + fn.Name()})
@@ -128,6 +131,29 @@ func recvNamed(fn *types.Func) *types.Named {
 func componentShaped(named *types.Named) bool {
 	ms := types.NewMethodSet(types.NewPointer(named))
 	return ms.Lookup(named.Obj().Pkg(), "Eval") != nil && ms.Lookup(named.Obj().Pkg(), "Commit") != nil
+}
+
+// embeddedRecords names this package's types whose methods a
+// Component-shaped type of any package in the run has by embedding,
+// matched by path and name: another package imports its own view.
+func embeddedRecords(pass *Pass) map[string]bool {
+	records := map[string]bool{}
+	for _, pkg := range pass.Program {
+		for _, name := range pkg.Types.Scope().Names() {
+			named, ok := pkg.Types.Scope().Lookup(name).Type().(*types.Named)
+			if !ok || !componentShaped(named) {
+				continue
+			}
+			ms := types.NewMethodSet(types.NewPointer(named))
+			for i := 0; i < ms.Len(); i++ {
+				r := recvNamed(ms.At(i).Obj().(*types.Func))
+				if len(ms.At(i).Index()) > 1 && r != nil && r.Obj().Pkg().Path() == pass.Pkg.Path() {
+					records[r.Obj().Name()] = true
+				}
+			}
+		}
+	}
+	return records
 }
 
 // localCallees resolves the static callees of decl that are defined in

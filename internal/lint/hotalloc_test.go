@@ -3,5 +3,7 @@ package lint
 import "testing"
 
 func TestHotAllocGolden(t *testing.T) {
-	RunGolden(t, "hot", HotAlloc())
+	// hotuse embeds hot's record in a component, which makes the
+	// record's methods roots.
+	runGolden(t, []string{"hot", "hotuse"}, []*Analyzer{HotAlloc()})
 }

@@ -52,6 +52,9 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// Program is every package of the run, for a check that crosses
+	// package lines (no go/analysis counterpart).
+	Program []*Package
 	// Report records a finding. The driver attributes it to
 	// Pass.Analyzer and applies //lnuca:allow suppression afterwards.
 	Report func(pos token.Pos, format string, args ...any)
@@ -90,6 +93,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (diags []Diagnostic, suppressed
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
+				Program:  pkgs,
 			}
 			pass.Report = func(pos token.Pos, format string, args ...any) {
 				raw = append(raw, Diagnostic{

@@ -61,6 +61,13 @@ func (k *Kernel) Step() {
 	_ = s
 }
 
+// Meter is a record that package hotuse embeds in a component, so its
+// methods are hot roots, the promoted SkipTo among them.
+type Meter struct{ seen []int }
+
+func (m *Meter) Begin()              { m.seen = append(m.seen, 0) }    // want `append in Begin \(hot: reachable from Meter.Begin\)`
+func (m *Meter) SkipTo(from, to int) { m.seen = make([]int, to-from) } // want `make in SkipTo \(hot: reachable from Meter.SkipTo\) allocates`
+
 // Tuner has an Eval but no Commit: not Component-shaped, so its Eval is
 // not a hot root and may allocate.
 type Tuner struct{}

@@ -161,9 +161,6 @@ type Fabric struct {
 	// loads never wait behind store bursts at the port.
 	storeQ sim.Queue[mem.Req]
 
-	// Quiescence bookkeeping: the stall increments of the last Eval,
-	// which SkipTo applies per skipped cycle.
-	skipNoVictim, skipMSHRFull uint64
 	sim.Activity
 
 	C Counters
@@ -249,6 +246,7 @@ func NewFabric(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*Fabric, erro
 		f.rtUOut = append(f.rtUOut, l)
 		f.tiles[dst].uIn = append(f.tiles[dst].uIn, l)
 	}
+	f.Track(&f.C.StallNoVictimSlot, &f.C.StallMSHRFull)
 	return f, nil
 }
 
@@ -262,7 +260,6 @@ func (f *Fabric) Geometry() *Geometry { return f.geom }
 func (f *Fabric) Eval(k *sim.Kernel) {
 	now := k.Cycle()
 	f.Begin()
-	noVictim, mshrFull := f.C.StallNoVictimSlot, f.C.StallMSHRFull
 	f.launchedNow = false
 	f.votes = f.votes[:0]
 
@@ -273,7 +270,6 @@ func (f *Fabric) Eval(k *sim.Kernel) {
 	f.evalRTile(now)
 	f.evalRetries(now)
 	f.drainOutputs(now)
-	f.skipNoVictim, f.skipMSHRFull = f.C.StallNoVictimSlot-noVictim, f.C.StallMSHRFull-mshrFull
 }
 
 // Commit implements sim.Component. It ticks the MA registers in
@@ -858,13 +854,6 @@ func (f *Fabric) drainOutputs(now sim.Cycle) {
 		f.wbuf.Pop()
 		f.down.Down.Push(mem.Req{ID: f.ids.Next(), Addr: e.Line, Kind: e.Kind, Issued: now})
 	}
-}
-
-// SkipTo implements sim.Quiescent.
-func (f *Fabric) SkipTo(now, target sim.Cycle) {
-	delta := target - now
-	f.C.StallNoVictimSlot += f.skipNoVictim * delta
-	f.C.StallMSHRFull += f.skipMSHRFull * delta
 }
 
 // MSHROccupancy returns live r-tile MSHR entries (tests).

@@ -477,11 +477,12 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 						p.k.SetGating(phase.Bool(0.7))
 						switchAt = now + 128
 					}
-					if _, idle := p.fab.NextEvent(now); idle {
+					_, idle := p.fab.NextEvent(now)
+					if idle {
 						seen["idle polls"]++
-						seen["skipped mshr-full stalls"] += p.fab.skipMSHRFull
 						seen["idle polls with a refused read"] += bit(readRefused(p.fab))
 					}
+					mshrFull := p.fab.C.StallMSHRFull
 					// One cycle, or a Run long enough to sleep and
 					// fast-forward.
 					budget := uint64(1)
@@ -493,6 +494,9 @@ func TestFabricMatchesFullScanReference(t *testing.T) {
 					}
 					if a, b := p.k.Run(budget), u.k.Run(budget); a != b || p.k.Cycle() != u.k.Cycle() {
 						t.Fatalf("cycle %d: kernels advanced %d and %d cycles", now, a, b)
+					}
+					if idle && p.k.Gating() {
+						seen["skipped mshr-full stalls"] += p.fab.C.StallMSHRFull - mshrFull
 					}
 					a, b := len(p.drv.got), len(u.drv.got)
 					if a != b || (a > 0 && p.drv.got[a-1] != u.drv.got[b-1]) {

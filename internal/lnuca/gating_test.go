@@ -104,8 +104,8 @@ func TestSkipToReplaysNoVictimSlotStall(t *testing.T) {
 	}
 	stepped, _ := run(false)
 	skipped, k := run(true)
-	if _, idle := skipped.NextEvent(k.Cycle()); !idle || skipped.skipNoVictim == 0 {
-		t.Fatalf("the fabric ended awake or with no fill waiting for a victim slot")
+	if _, idle := skipped.NextEvent(k.Cycle()); !idle {
+		t.Fatalf("the fabric ended awake")
 	}
 	if k.EvalsSkipped < 10000 {
 		t.Fatalf("the gated kernel skipped %d Evals: the fabric never slept", k.EvalsSkipped)
@@ -115,5 +115,12 @@ func TestSkipToReplaysNoVictimSlotStall(t *testing.T) {
 	}
 	if stepped.C.StallNoVictimSlot < 10000 {
 		t.Errorf("%d no-victim-slot stalls in 20000 cycles: the fill never stayed blocked", stepped.C.StallNoVictimSlot)
+	}
+	// The fabric slept with a fill waiting for a victim slot: one more
+	// cycle of it is one more such stall.
+	n := skipped.C.StallNoVictimSlot
+	k.Step()
+	if got := skipped.C.StallNoVictimSlot - n; got != 1 {
+		t.Errorf("a Step of the sleeping fabric added %d no-victim-slot stalls, want 1", got)
 	}
 }

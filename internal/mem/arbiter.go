@@ -38,11 +38,6 @@ type Arbiter struct {
 	next  int            // round-robin priority pointer
 	owner map[uint64]int // request ID -> upstream index, for response routing
 
-	// waiting, set by Eval, records the sources whose queued work
-	// accrued a conflict this cycle, and so per skipped idle cycle;
-	// SkipTo reads it, not the live queues, which may have filled since.
-	waiting []bool
-
 	sim.Activity
 
 	// Stats.
@@ -71,15 +66,18 @@ func NewArbiter(cfg ArbiterConfig, up []*Port, down *Port) (*Arbiter, error) {
 	if cfg.RespPerCycle <= 0 {
 		cfg.RespPerCycle = 1
 	}
-	return &Arbiter{
+	a := &Arbiter{
 		cfg:       cfg,
 		up:        up,
 		down:      down,
 		owner:     make(map[uint64]int),
-		waiting:   make([]bool, len(up)),
 		Granted:   make([]uint64, len(up)),
 		Conflicts: make([]uint64, len(up)),
-	}, nil
+	}
+	for i := range a.Conflicts {
+		a.Track(&a.Conflicts[i])
+	}
+	return a, nil
 }
 
 // Name implements sim.Component.
@@ -147,8 +145,7 @@ func (a *Arbiter) Eval(k *sim.Kernel) {
 	// A source with work that got no grant this cycle experienced
 	// contention; the counter is the saturation signal /metrics exposes.
 	for i := range a.up {
-		a.waiting[i] = a.up[i].Down.Len() > 0
-		if a.waiting[i] {
+		if a.up[i].Down.Len() > 0 {
 			a.Conflicts[i]++
 		}
 	}
@@ -169,17 +166,6 @@ func (a *Arbiter) Wire(w sim.Waker) {
 		p.WireBelow(w)
 	}
 	a.down.WireAbove(w)
-}
-
-// SkipTo implements sim.Quiescent: sources that sat on queued work
-// through the skipped cycles collect one conflict per cycle, exactly as
-// the per-cycle Eval would have counted.
-func (a *Arbiter) SkipTo(from, to sim.Cycle) {
-	for i, w := range a.waiting {
-		if w {
-			a.Conflicts[i] += to - from
-		}
-	}
 }
 
 // InFlight returns the number of requests forwarded down whose responses

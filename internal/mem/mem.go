@@ -311,8 +311,5 @@ func (m *MainMemory) Commit(k *sim.Kernel) {
 // Wire implements sim.Wired.
 func (m *MainMemory) Wire(w sim.Waker) { m.port.WireBelow(w) }
 
-// SkipTo implements sim.Quiescent: idle memory cycles touch no counters.
-func (m *MainMemory) SkipTo(now, target sim.Cycle) {}
-
 // Pending returns the number of fetches in flight (for tests).
 func (m *MainMemory) Pending() int { return m.inFlight.Len() }

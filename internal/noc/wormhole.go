@@ -116,11 +116,8 @@ type Mesh[P any] struct {
 	staged    sim.BitSet // nodes whose injectQ is non-empty
 	delivered sim.BitSet // nodes whose ejectQ is non-empty
 
-	// rr rotates switch-allocation priority for fairness: every router
-	// starts its scan of input VCs at slot rr, and rr advances once per
-	// cycle for all of them. hi and lo are per-Step masks over a router's
-	// busy words: the slots at or above rr, and those below it.
-	rr     int
+	// hi and lo are per-Step masks over a router's busy words: the slots
+	// at or above the cycle's rotation slot (see Step), and those below it.
 	hi, lo []uint64
 
 	// moves is per-Step scratch, hoisted out of the cycle loop so
@@ -270,7 +267,7 @@ func (m *Mesh[P]) clearBusy(node, s int) {
 	}
 }
 
-// Step advances the mesh by one cycle.
+// Step advances the mesh by one cycle, cycle now.
 func (m *Mesh[P]) Step(now sim.Cycle) {
 	vcs := m.cfg.VCs
 	// Stage injections: convert one message per node per cycle into flits
@@ -298,9 +295,10 @@ func (m *Mesh[P]) Step(now sim.Cycle) {
 	// flit per output direction, reading only current buffer state.
 	// Routers are visited in ascending index and a router's non-empty
 	// input VCs in rotation order: the slots at or above rr ascending,
-	// then those below it.
+	// then those below it. rr turns one slot per cycle, for fairness.
+	rr := int(now % sim.Cycle(m.slots))
 	for w := range m.lo {
-		below := m.rr - w<<6 // slots below rr in word w, clamped to 0..64
+		below := rr - w<<6 // slots below rr in word w, clamped to 0..64
 		if below < 0 {
 			below = 0
 		} else if below > 64 {
@@ -324,10 +322,6 @@ func (m *Mesh[P]) Step(now sim.Cycle) {
 			}
 		}
 	}
-	if m.rr++; m.rr == m.slots {
-		m.rr = 0
-	}
-
 	// Apply pass.
 	for _, mv := range moves {
 		node, from := int(mv.node), int(mv.from)
@@ -539,17 +533,10 @@ func (m *Mesh[P]) CheckInvariants() error {
 
 // Quiet reports whether the mesh holds no traffic at all: nothing
 // staged for injection, no flit buffered in any router, and no ejected
-// message awaiting pickup. A Quiet mesh's Step is a no-op except for
-// the round-robin pointer rotation, which SkipIdle replays.
+// message awaiting pickup. A Quiet mesh's Step is a no-op: its
+// switch-allocation rotation is a function of the cycle.
 func (m *Mesh[P]) Quiet() bool {
 	return m.InFlight() == 0 && m.ejected == 0
-}
-
-// SkipIdle advances the round-robin pointer by delta cycles, exactly
-// what delta no-op Steps of a Quiet mesh would have done. The owner of
-// the mesh calls it when it fast-forwards the clock.
-func (m *Mesh[P]) SkipIdle(delta uint64) {
-	m.rr = (m.rr + int(delta%uint64(m.slots))) % m.slots
 }
 
 // InFlight returns the number of injected-but-undelivered messages.

@@ -23,8 +23,8 @@ type delivery struct {
 	injected, delivered sim.Cycle
 }
 
-// meshPair drives two production meshes with the same calls: m skips
-// idle gaps with SkipIdle and picks up through its delivery walk, twin
+// meshPair drives two production meshes with the same calls: m jumps
+// idle gaps without a Step and picks up through its delivery walk, twin
 // steps through them and polls every node. It fails on the first
 // observable difference and folds m's state into a digest.
 type meshPair struct {
@@ -72,14 +72,13 @@ func (p *meshPair) step() {
 	p.compare()
 }
 
-// skip fast-forwards m over delta idle cycles and steps the twin
-// through them; both must be Quiet.
+// skip jumps m over delta idle cycles and steps the twin through them;
+// both must be Quiet.
 func (p *meshPair) skip(delta uint64) {
 	p.t.Helper()
 	if !p.m.Quiet() || !p.twin.Quiet() {
 		p.t.Fatalf("cycle %d: skip of a mesh that is not Quiet", p.now)
 	}
-	p.m.SkipIdle(delta)
 	for end := p.now + delta; p.now < end; p.now++ {
 		p.twin.Step(p.now)
 	}
@@ -134,7 +133,7 @@ func (p *meshPair) compare() {
 	}
 	counters := func(x *Mesh[struct{}]) [6]uint64 {
 		return [6]uint64{x.MsgsInjected, x.MsgsDelivered, x.FlitHops,
-			bit(x.Quiet()), uint64(x.InFlight()), uint64(x.rr)}
+			bit(x.Quiet()), uint64(x.InFlight()), p.now % uint64(x.slots)}
 	}
 	c := counters(m)
 	if want := counters(tw); c != want {
@@ -285,16 +284,16 @@ func bit(b bool) uint64 {
 	return 0
 }
 
-// TestMeshSkipIdleEqualsIdleSteps: n no-op Steps of a quiet mesh and one
-// SkipIdle(n) leave the mesh in the same state — the same contended
-// traffic afterwards is delivered on the same schedule.
+// TestMeshSkipIdleEqualsIdleSteps: a quiet mesh first stepped at cycle
+// n and one stepped through n idle cycles before it are in the same
+// state — the same contended traffic afterwards is delivered on the same
+// schedule.
 func TestMeshSkipIdleEqualsIdleSteps(t *testing.T) {
 	cfg := equivConfigs[0]
 	schedule := func(n int, skip bool) []delivery {
 		m := NewMesh[struct{}](cfg)
 		now := sim.Cycle(0)
 		if skip {
-			m.SkipIdle(uint64(n))
 			now += sim.Cycle(n)
 		} else {
 			for ; now < sim.Cycle(n); now++ {
@@ -328,8 +327,8 @@ func TestMeshSkipIdleEqualsIdleSteps(t *testing.T) {
 	for _, n := range []int{1, 7, 19, 20, 21, 1003} {
 		stepped, skipped := fmt.Sprint(schedule(n, false)), fmt.Sprint(schedule(n, true))
 		if stepped != skipped {
-			t.Errorf("n=%d: delivery schedule after SkipIdle differs from %d idle Steps\n stepped %s\n skipped %s",
-				n, n, stepped, skipped)
+			t.Errorf("n=%d: delivery schedule from a first Step at cycle %d differs from %d idle Steps\n stepped %s\n skipped %s",
+				n, n, n, stepped, skipped)
 		}
 		if stepped != base {
 			moved = true

@@ -4,13 +4,22 @@ import "testing"
 
 // tickComp is a Wired test component: it "acts" at scheduled cycles,
 // counts Evals and skipped cycles, and is idle in between. It has no
-// channels, so its Wire is a no-op and only its wake cycles wake it; its
-// NextEvent answers from its own state.
+// channels, so its Wire is a no-op and only its wake cycles wake it. Its
+// NextEvent and SkipTo are its Activity record's: idleSeen is tracked,
+// and each Eval leaves it where it found it but records one cycle as its
+// increment, so the replay counts exactly the cycles not evaluated.
 type tickComp struct {
 	name     string
 	events   []Cycle // sorted cycles at which the component is active
 	evals    uint64
 	idleSeen uint64 // cycles covered by SkipTo
+	Activity
+}
+
+func newTickComp(name string, events ...Cycle) *tickComp {
+	c := &tickComp{name: name, events: events}
+	c.Track(&c.idleSeen)
+	return c
 }
 
 func (c *tickComp) Name() string     { return c.name }
@@ -18,20 +27,16 @@ func (c *tickComp) Commit(k *Kernel) {}
 func (c *tickComp) Wire(Waker)       {}
 func (c *tickComp) Eval(k *Kernel) {
 	c.evals++
+	c.idleSeen--
+	c.Begin()
+	c.idleSeen++
 	for len(c.events) > 0 && c.events[0] <= k.Cycle() {
 		c.events = c.events[1:]
 	}
-}
-func (c *tickComp) NextEvent(now Cycle) (Cycle, bool) {
-	if len(c.events) == 0 {
-		return Never, true
+	if len(c.events) > 0 {
+		c.WakeAt(c.events[0])
 	}
-	if c.events[0] <= now {
-		return 0, false
-	}
-	return c.events[0], true
 }
-func (c *tickComp) SkipTo(now, target Cycle) { c.idleSeen += target - now }
 
 // plainComp does not implement Quiescent.
 type plainComp struct{ evals uint64 }
@@ -44,8 +49,8 @@ func (c *plainComp) Commit(k *Kernel) {}
 // Run jumps straight between event cycles and accounts the skipped
 // cycles via SkipTo.
 func TestFastForwardSkipsToEarliestWake(t *testing.T) {
-	a := &tickComp{name: "a", events: []Cycle{10, 500}}
-	b := &tickComp{name: "b", events: []Cycle{300}}
+	a := newTickComp("a", 10, 500)
+	b := newTickComp("b", 300)
 	k := NewKernel()
 	k.MustRegister(a)
 	k.MustRegister(b)
@@ -74,7 +79,7 @@ func TestFastForwardSkipsToEarliestWake(t *testing.T) {
 // overshoot the requested cycle count. The component is evaluated on the
 // Run's first cycle and skips the rest.
 func TestFastForwardClampsToBudget(t *testing.T) {
-	a := &tickComp{name: "a", events: []Cycle{5000}}
+	a := newTickComp("a", 5000)
 	k := NewKernel()
 	k.MustRegister(a)
 	if ran := k.Run(100); ran != 100 {
@@ -92,11 +97,11 @@ func TestFastForwardClampsToBudget(t *testing.T) {
 // cycle, an idle peer must advance arithmetically instead of being
 // evaluated, after the Eval every component gets on a Run's first cycle.
 func TestActiveSetSkipsIdleEvals(t *testing.T) {
-	busy := &tickComp{name: "busy"}
+	busy := newTickComp("busy")
 	for c := Cycle(0); c < 200; c++ {
 		busy.events = append(busy.events, c)
 	}
-	idle := &tickComp{name: "idle"}
+	idle := newTickComp("idle")
 	k := NewKernel()
 	k.MustRegister(busy)
 	k.MustRegister(idle)
@@ -117,7 +122,7 @@ func TestActiveSetSkipsIdleEvals(t *testing.T) {
 // TestGatingDisabledFallsBackToLockstep: SetGating(false) and mixed
 // component sets must take the plain Step path.
 func TestGatingDisabledFallsBackToLockstep(t *testing.T) {
-	a := &tickComp{name: "a", events: []Cycle{900}}
+	a := newTickComp("a", 900)
 	k := NewKernel()
 	k.SetGating(false)
 	k.MustRegister(a)
@@ -126,13 +131,68 @@ func TestGatingDisabledFallsBackToLockstep(t *testing.T) {
 		t.Errorf("gating disabled: evals=%d skipped=%d, want 100/0", a.evals, k.SkippedCycles)
 	}
 
-	b := &tickComp{name: "b", events: nil}
+	b := newTickComp("b")
 	k2 := NewKernel()
 	k2.MustRegister(b)
 	k2.MustRegister(&plainComp{}) // not Quiescent: machine can never gate
 	k2.Run(100)
 	if b.evals != 100 || k2.SkippedCycles != 0 {
 		t.Errorf("mixed set: evals=%d skipped=%d, want 100/0", b.evals, k2.SkippedCycles)
+	}
+}
+
+// TestActivitySkipToReplaysTrackedCounters: SkipTo adds what the last
+// Eval added to each tracked counter once per skipped cycle, the same
+// whether applied in pieces or at once; it leaves an untracked counter
+// alone, a zero-value record's SkipTo does nothing, and Begin allocates
+// nothing.
+func TestActivitySkipToReplaysTrackedCounters(t *testing.T) {
+	type comp struct {
+		stall, cycles, other uint64
+		Activity
+	}
+	eval := func(c *comp) {
+		c.Begin()
+		c.cycles++
+		c.stall += 3
+		c.other += 5
+	}
+	newComp := func() *comp {
+		c := &comp{stall: 100, cycles: 7}
+		c.Track(&c.stall, &c.cycles)
+		eval(c)
+		return c
+	}
+	pieces, once := newComp(), newComp()
+	pieces.SkipTo(10, 13)
+	pieces.SkipTo(13, 13)
+	pieces.SkipTo(13, 20)
+	once.SkipTo(10, 20)
+	for _, c := range []*comp{pieces, once} {
+		if c.stall != 103+3*10 || c.cycles != 8+10 {
+			t.Errorf("stall %d, cycles %d after 10 skipped cycles; want %d and %d", c.stall, c.cycles, 103+3*10, 8+10)
+		}
+		if c.other != 5 {
+			t.Errorf("untracked counter %d after SkipTo, want the 5 Eval added", c.other)
+		}
+	}
+	// The next Eval records its own increments, whatever SkipTo added.
+	eval(pieces)
+	pieces.SkipTo(20, 22)
+	if pieces.stall != 136+3*2 || pieces.cycles != 19+2 {
+		t.Errorf("stall %d, cycles %d after an Eval and 2 skipped cycles; want %d and %d", pieces.stall, pieces.cycles, 136+3*2, 19+2)
+	}
+
+	var zero comp
+	zero.other = 9
+	zero.SkipTo(0, 1000)
+	if zero.stall != 0 || zero.cycles != 0 || zero.other != 9 {
+		t.Errorf("zero-value record's SkipTo changed the counters: %d, %d, %d", zero.stall, zero.cycles, zero.other)
+	}
+
+	c := newComp()
+	if n := testing.AllocsPerRun(100, c.Begin); n != 0 {
+		t.Errorf("Begin allocates %.1f times per call, want 0", n)
 	}
 }
 

@@ -6,8 +6,8 @@ import "testing"
 // closes — stepped plus skipped cycles cover the whole window — and the
 // derived ratios stay inside their bounds.
 func TestStatsCoverGatedRun(t *testing.T) {
-	a := &tickComp{name: "a", events: []Cycle{10, 500}}
-	b := &tickComp{name: "b", events: []Cycle{300}}
+	a := newTickComp("a", 10, 500)
+	b := newTickComp("b", 300)
 	k := NewKernel()
 	k.MustRegister(a)
 	k.MustRegister(b)
@@ -50,7 +50,7 @@ func TestStatsOnPlainSteps(t *testing.T) {
 
 // TestStatsDelta: Delta isolates the activity of one window.
 func TestStatsDelta(t *testing.T) {
-	a := &tickComp{name: "a", events: []Cycle{10, 500, 1500}}
+	a := newTickComp("a", 10, 500, 1500)
 	k := NewKernel()
 	k.MustRegister(a)
 	k.Run(1000)

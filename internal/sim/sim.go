@@ -68,19 +68,38 @@ type Quiescent interface {
 }
 
 // Activity is the record an Eval leaves of what it found, and the
-// NextEvent a component answers from it. A component embeds it and
-// calls Begin at the top of Eval, Acted wherever Eval changes state, and
-// WakeAt for each wait that ends at a known cycle without new input; a
-// wait that only a channel ends records nothing, since the channel wakes
-// the component. The zero value reports active, so a component is
-// evaluated before it first sleeps.
+// NextEvent and SkipTo a component answers from it. A component embeds
+// it, registers its per-cycle counters once with Track, and calls Begin
+// at the top of Eval, Acted wherever Eval changes state, and WakeAt for
+// each wait that ends at a known cycle without new input; a wait that
+// only a channel ends records nothing, since the channel wakes the
+// component. The zero value reports active, so a component is evaluated
+// before it first sleeps. Only the component's own Eval may write a
+// tracked counter, never a Commit, Collect or harness.
 type Activity struct {
-	acted bool
-	wake  Cycle
+	acted   bool
+	wake    Cycle
+	tracked []*uint64 // counters an idle Eval may advance
+	from    []uint64  // their values when the last Eval began
+}
+
+// Track registers counters an idle Eval may advance, such as cycle and
+// stall counts. Call it once, from the constructor.
+//
+//lnuca:allow(hotalloc) Track runs once, from a constructor
+func (a *Activity) Track(counters ...*uint64) {
+	for _, p := range counters {
+		a.tracked, a.from = append(a.tracked, p), append(a.from, *p)
+	}
 }
 
 // Begin resets the record at the top of Eval.
-func (a *Activity) Begin() { a.acted, a.wake = false, Never }
+func (a *Activity) Begin() {
+	a.acted, a.wake = false, Never
+	for i, p := range a.tracked {
+		a.from[i] = *p
+	}
+}
 
 // Acted records that Eval changed state.
 func (a *Activity) Acted() { a.acted = true }
@@ -95,6 +114,17 @@ func (a *Activity) WakeAt(c Cycle) {
 // NextEvent implements Quiescent from the record: idle when the last
 // Eval did not act, until the earliest wake it recorded.
 func (a *Activity) NextEvent(Cycle) (wake Cycle, idle bool) { return a.wake, !a.acted }
+
+// SkipTo implements Quiescent from the record: each tracked counter
+// grows by what the last Eval added to it, per skipped cycle. The
+// snapshot moves with it, so SkipTo in pieces equals SkipTo at once.
+func (a *Activity) SkipTo(from, to Cycle) {
+	for i, p := range a.tracked {
+		d := (*p - a.from[i]) * (to - from)
+		*p += d
+		a.from[i] += d
+	}
+}
 
 // Waker wakes one sleeping component of a kernel. A component's inputs
 // are its channel ends, so the channels call it: a publish wakes the
