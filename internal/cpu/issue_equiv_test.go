@@ -374,10 +374,7 @@ var pollingDigests = map[string]uint64{
 // their recount from the ROB, and at the end the digest must be the one
 // the polling reference produced on this stream.
 func TestIssueMatchesPollingReference(t *testing.T) {
-	cycles := sim.Cycle(30_000)
-	if testing.Short() {
-		cycles = 8_000
-	}
+	const cycles = sim.Cycle(30_000) // the recorded digests are of this many
 	seen := map[string]uint64{}
 	for _, v := range []struct {
 		rob, lsq, intLat int

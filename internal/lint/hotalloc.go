@@ -14,7 +14,10 @@ import (
 // constructs that heap-allocate or hash on every cycle — make/new,
 // append growth, reference composite literals, closures, fmt calls,
 // interface boxing conversions, string concatenation, and map
-// iteration.
+// iteration. Boxing is flagged where it is spelled out, as an any(x) or
+// other conversion to an interface type, and where it is implicit, as a
+// concrete value assigned to an interface-typed variable, field or
+// package-level any.
 //
 // Hot roots are recognized structurally, not by import: a method named
 // Eval/Commit/NextEvent/SkipTo whose receiver also declares both Eval
@@ -23,12 +26,6 @@ import (
 // sim.Activity), or a Step/Run method on a type named Kernel.
 // Reachability is the static call graph within the package, with
 // interface calls resolved to every local implementation.
-//
-// Boxing is flagged only where it is spelled out, as an any(x) or other
-// conversion to an interface type. Implicit boxing by assignment — a
-// concrete value stored into an interface-typed variable, field or
-// package-level any — is not flagged; hier.TestSteadyStateAllocatesNothing,
-// which counts allocations per simulated cycle, owns that case.
 func HotAlloc() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",
@@ -250,9 +247,31 @@ func checkHotBody(pass *Pass, decl *ast.FuncDecl, fn *types.Func, root string) {
 			}
 		case *ast.GoStmt:
 			pass.Report(node.Pos(), "goroutine launch in %s allocates and breaks cycle determinism", where)
+		case *ast.AssignStmt:
+			if len(node.Lhs) == len(node.Rhs) {
+				for i, lhs := range node.Lhs {
+					checkHotBoxing(pass, pass.Info.Types[lhs].Type, node.Rhs[i], where)
+				}
+			}
+		case *ast.ValueSpec:
+			if node.Type != nil && len(node.Names) == len(node.Values) {
+				for _, value := range node.Values {
+					checkHotBoxing(pass, pass.Info.Types[node.Type].Type, value, where)
+				}
+			}
 		}
 		return true
 	})
+}
+
+// checkHotBoxing flags a concrete value stored where an interface is
+// held: the store boxes it.
+func checkHotBoxing(pass *Pass, dst types.Type, value ast.Expr, where string) {
+	tv, ok := pass.Info.Types[value]
+	if dst == nil || !ok || tv.IsNil() || !types.IsInterface(dst) || types.IsInterface(tv.Type) {
+		return
+	}
+	pass.Report(value.Pos(), "assignment to an interface in %s boxes its value", where)
 }
 
 func checkHotCall(pass *Pass, call *ast.CallExpr, where string) {

@@ -13,13 +13,28 @@ type Pump struct {
 	tick int
 	m    map[int]int
 	out  []*req
+	held interface{}
 }
+
+// last is a package-level any that hot code must not box into.
+var last any
 
 func (p *Pump) Eval() {
 	p.q = append(p.q, p.tick) // want `append in Eval .* may grow its backing array`
 	buf := make([]int, 4)     // want `make in Eval .* allocates`
 	_ = buf
 	p.fill()
+	p.box()
+}
+
+// box is hot through Eval: each store of a concrete value into an
+// interface boxes it; nil, another interface and the blank do not.
+func (p *Pump) box() {
+	last = p.tick         // want `assignment to an interface in box .* boxes its value`
+	p.held, p.tick = p, 0 // want `assignment to an interface in box .* boxes its value`
+	var v any = p.tick    // want `assignment to an interface in box .* boxes its value`
+	last, p.held = nil, v
+	_ = p.tick
 }
 
 func (p *Pump) Commit() {
@@ -46,6 +61,7 @@ func (p *Pump) SkipTo(target int) {
 
 // Setup is cold: identical constructs, zero findings.
 func Setup() *Pump {
+	last = 1
 	return &Pump{m: map[int]int{}, q: make([]int, 0, 8)}
 }
 

@@ -446,10 +446,7 @@ var fullScanDigests = map[string]uint64{
 // the end the digest must be the one the full-scan reference produced
 // on this traffic.
 func TestFabricMatchesFullScanReference(t *testing.T) {
-	cycles := sim.Cycle(4000)
-	if testing.Short() {
-		cycles = 1500
-	}
+	const cycles = sim.Cycle(4000) // the recorded digests are of this many
 	// What the traffic exercised, summed over the matrix.
 	seen := map[string]uint64{}
 	for _, levels := range []int{2, 4, 6} { // LN6: 65 tiles, two BitSet words

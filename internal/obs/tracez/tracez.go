@@ -252,23 +252,23 @@ func (t *Tracer) Recorder() Recorder {
 	return t.sink.rec
 }
 
-func (t *Tracer) newID(nbytes int) string {
-	b := make([]byte, nbytes)
+// newID returns n random bytes, n a multiple of 8 up to 16, as lowercase
+// hex: one draw per 8 bytes.
+func (t *Tracer) newID(n int) string {
+	var raw [16]byte
 	t.mu.Lock()
-	for i := range b {
-		b[i] = byte(t.rng.Intn(256))
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(raw[i:], t.rng.Uint64())
 	}
 	t.mu.Unlock()
-	s := hex.EncodeToString(b)
 	// An all-zero ID is reserved; the chance is negligible but the
 	// contract ("zero means absent") must hold unconditionally.
-	for _, c := range s {
-		if c != '0' {
-			return s
-		}
+	if raw == ([16]byte{}) {
+		raw[0] = 1
 	}
-	b[0] = 1
-	return hex.EncodeToString(b)
+	var text [32]byte
+	hex.Encode(text[:], raw[:n])
+	return string(text[:2*n])
 }
 
 // Start opens a span named name, parented under ctx's span context when
@@ -287,28 +287,46 @@ func (t *Tracer) StartAt(ctx context.Context, name string, at time.Time) (*Span,
 	if t == nil {
 		return nil, ctx
 	}
-	parent := FromContext(ctx)
+	parent := scopeOf(ctx)
 	s := &Span{
 		Name:   name,
 		Start:  at,
 		tracer: t.sink,
 		SpanID: t.newID(spanIDHexLen / 2),
 	}
-	if parent.Valid() {
-		s.TraceID = parent.TraceID
-		if parent.HasParent() {
-			s.Parent = parent.SpanID
-		}
-	} else {
+	if parent.sc.TraceID == "" {
 		s.TraceID = t.newID(traceIDHexLen / 2)
+	} else {
+		s.TraceID = parent.sc.TraceID
+		if parent.hasParent {
+			s.Parent = parent.sc.SpanID
+		}
 	}
-	ctx = WithTracer(ctx, t)
-	ctx = WithSpanContext(ctx, s.Context())
-	return s, ctx
+	return s, withScope(ctx, scope{tracer: t, sc: s.Context(), hasParent: true})
 }
 
-type tracerKey struct{}
-type spanCtxKey struct{}
+// scope is what a context carries for tracing, as one value: the tracer
+// that opens spans and the span context they parent under. Each scope is
+// checked once, when it is made (a tracer's own span context is valid by
+// construction), so reading one re-checks nothing.
+type scope struct {
+	tracer    *Tracer
+	sc        SpanContext // valid, or zero
+	hasParent bool        // sc.HasParent()
+}
+
+type scopeKey struct{}
+
+func scopeOf(ctx context.Context) scope {
+	if s, ok := ctx.Value(scopeKey{}).(*scope); ok {
+		return *s
+	}
+	return scope{}
+}
+
+func withScope(ctx context.Context, s scope) context.Context {
+	return context.WithValue(ctx, scopeKey{}, &s)
+}
 
 // WithTracer attaches a tracer to ctx so downstream code can open spans
 // without holding a Tracer reference. Attaching nil is a no-op.
@@ -316,13 +334,14 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	if t == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, tracerKey{}, t)
+	s := scopeOf(ctx)
+	s.tracer = t
+	return withScope(ctx, s)
 }
 
 // TracerFrom returns ctx's tracer, or nil.
 func TracerFrom(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
+	return scopeOf(ctx).tracer
 }
 
 // WithSpanContext attaches a propagated span context. Attaching an
@@ -331,21 +350,19 @@ func WithSpanContext(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
 		return ctx
 	}
-	return context.WithValue(ctx, spanCtxKey{}, sc)
+	s := scopeOf(ctx)
+	s.sc, s.hasParent = sc, sc.HasParent()
+	return withScope(ctx, s)
 }
 
 // FromContext returns ctx's span context (zero when absent).
 func FromContext(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc
+	return scopeOf(ctx).sc
 }
 
 // TraceIDFrom returns ctx's trace ID, or "".
 func TraceIDFrom(ctx context.Context) string {
-	if sc := FromContext(ctx); sc.Valid() {
-		return sc.TraceID
-	}
-	return ""
+	return scopeOf(ctx).sc.TraceID
 }
 
 // StartSpan opens a span through ctx's ambient tracer; with no tracer

@@ -133,6 +133,39 @@ func TestParentage(t *testing.T) {
 	}
 }
 
+// TestContextCarriesTracerAndParent: a context's tracer and span context
+// travel together whichever was attached first, and a propagated parent
+// is adopted as a tracer-made one is.
+func TestContextCarriesTracerAndParent(t *testing.T) {
+	tr := NewSeeded(nil, 4)
+	header := "00-" + strings.Repeat("ab", 16) + "-" + strings.Repeat("cd", 8) + "-01"
+	for name, ctx := range map[string]context.Context{
+		"tracer first":  Extract(WithTracer(context.Background(), tr), header),
+		"tracer second": WithTracer(Extract(context.Background(), header), tr),
+	} {
+		s, ctx := StartSpan(ctx, "lnuca.test.child")
+		if s == nil || s.TraceID != strings.Repeat("ab", 16) || s.Parent != strings.Repeat("cd", 8) {
+			t.Fatalf("%s: span %+v, want trace ab… under parent cd…", name, s)
+		}
+		if TracerFrom(ctx) != tr || FromContext(ctx) != s.Context() || TraceIDFrom(ctx) != s.TraceID {
+			t.Fatalf("%s: the span's context does not carry it and its tracer", name)
+		}
+	}
+}
+
+// TestSeededIDs: IDs are lowercase hex of their width, never zero, and
+// repeat for a seed.
+func TestSeededIDs(t *testing.T) {
+	a, b := NewSeeded(nil, 5), NewSeeded(nil, 5)
+	for i := 0; i < 100; i++ {
+		sa, _ := a.Start(context.Background(), "lnuca.test.root")
+		sb, _ := b.Start(context.Background(), "lnuca.test.root")
+		if err := ValidSpan(*sa); err != nil || sa.TraceID != sb.TraceID || sa.SpanID != sb.SpanID {
+			t.Fatalf("span %d: %s/%s and %s/%s (%v)", i, sa.TraceID, sa.SpanID, sb.TraceID, sb.SpanID, err)
+		}
+	}
+}
+
 func TestDoubleFinishRecordsOnce(t *testing.T) {
 	var col Collector
 	tr := NewSeeded(&col, 4)

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/exp"
@@ -230,19 +231,30 @@ const machineField = "|machine="
 // before traces existed, keeping every previously cached result
 // reachable — and only a machine that sets a row adds a field.
 func (j Job) Key() string {
-	var canon string
+	var buf [256]byte
+	canon := append(append(buf[:0], KeySchema...), "|hier="...)
+	canon = append(canon, j.Kind.String()...)
+	canon = strconv.AppendInt(append(canon, "|levels="...), int64(j.Levels), 10)
 	if j.Trace != "" {
-		canon = fmt.Sprintf("%s|hier=%s|levels=%d|trace=%s",
-			KeySchema, j.Kind.String(), j.Levels, j.Trace)
+		canon = append(append(canon, "|trace="...), j.Trace...)
 	} else {
-		canon = fmt.Sprintf("%s|hier=%s|levels=%d|bench=%s|cores=%d|mix=%s|warmup=%d|measure=%d|seed=%d",
-			KeySchema, j.Kind.String(), j.Levels, j.Benchmark, j.Cores,
-			strings.Join(j.MixBenchmarks, ","), j.Mode.Warmup, j.Mode.Measure, j.Seed)
+		canon = append(append(canon, "|bench="...), j.Benchmark...)
+		canon = strconv.AppendInt(append(canon, "|cores="...), int64(j.Cores), 10)
+		canon = append(canon, "|mix="...)
+		for i, b := range j.MixBenchmarks {
+			if i > 0 {
+				canon = append(canon, ',')
+			}
+			canon = append(canon, b...)
+		}
+		canon = strconv.AppendUint(append(canon, "|warmup="...), j.Mode.Warmup, 10)
+		canon = strconv.AppendUint(append(canon, "|measure="...), j.Mode.Measure, 10)
+		canon = strconv.AppendUint(append(canon, "|seed="...), j.Seed, 10)
 	}
 	if j.machine != "" {
-		canon += machineField + string(j.machine)
+		canon = append(append(canon, machineField...), j.machine...)
 	}
-	sum := sha256.Sum256([]byte(canon))
+	sum := sha256.Sum256(canon)
 	return hex.EncodeToString(sum[:])
 }
 

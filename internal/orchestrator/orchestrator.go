@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -635,7 +636,7 @@ func (o *Orchestrator) TraceIDOf(jobID string) (string, bool) {
 func (o *Orchestrator) newTaskLocked(j Job, key string) *task {
 	o.seq++
 	t := &task{
-		id:      fmt.Sprintf("job-%06d", o.seq),
+		id:      jobID(o.seq),
 		key:     key,
 		job:     j,
 		seq:     o.seq,
@@ -643,6 +644,16 @@ func (o *Orchestrator) newTaskLocked(j Job, key string) *task {
 	}
 	o.records[t.id] = t
 	return t
+}
+
+// jobID is fmt.Sprintf("job-%06d", seq).
+func jobID(seq uint64) string {
+	var buf [32]byte
+	b := append(buf[:0], "job-"...)
+	for limit := uint64(100000); limit > 1 && seq < limit; limit /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, seq, 10))
 }
 
 // setStatusLocked is the one place a task's status changes. It stamps the

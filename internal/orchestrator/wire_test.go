@@ -236,7 +236,7 @@ var wireShapes = []func() interface{}{
 	func() interface{} { return new(SweepStatus) },
 	func() interface{} { return new(SweepSubmission) },
 	func() interface{} { return new(JobResult) },
-	func() interface{} { return new(Request) }, // carries no result: json.Unmarshal itself
+	func() interface{} { return new(Request) }, // carries no result: read from its plan
 }
 
 // FuzzRecordJSON: whatever the bytes and whichever the type, Unmarshal and

@@ -62,7 +62,7 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 				b = append(b, ',')
 			}
 			var err error
-			if b, err = appendFloat(appendKey(b, k), s.scalars[k]); err != nil {
+			if b, err = AppendFloat(appendKey(b, k), s.scalars[k]); err != nil {
 				return nil, err
 			}
 		}
@@ -100,22 +100,28 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendKey appends k as a member name with its colon: copied when it is the
-// printable ASCII encoding/json copies, rendered by encoding/json when not.
+// appendKey appends k as a member name with its colon.
 func appendKey(b []byte, k string) []byte {
-	for i := 0; i < len(k); i++ {
-		if c := k[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(k) // a string always marshals
-			return append(append(b, quoted...), ':')
-		}
-	}
-	return append(append(append(b, '"'), k...), '"', ':')
+	return append(AppendString(b, k), ':')
 }
 
-// appendFloat appends f as encoding/json's float64 encoder renders it:
+// AppendString appends s as encoding/json renders a string: copied when it
+// is the printable ASCII encoding/json copies, rendered by encoding/json
+// when not.
+func AppendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// AppendFloat appends f as encoding/json's float64 encoder renders it:
 // shortest round-trip digits, exponent form below 1e-6 and from 1e21, and
 // its UnsupportedValueError for NaN and infinities.
-func appendFloat(b []byte, f float64) ([]byte, error) {
+func AppendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
@@ -206,7 +212,7 @@ func (p *Scanner) set() (setJSON, bool) {
 		var ok bool
 		switch k, _ := p.Key(); {
 		case k == "counters" && w.Counters == nil:
-			w.Counters, ok = scanMap(p, (*Scanner).uint)
+			w.Counters, ok = scanMap(p, (*Scanner).Uint)
 		case k == "scalars" && w.Scalars == nil:
 			w.Scalars, ok = scanMap(p, (*Scanner).float)
 		}
@@ -254,12 +260,12 @@ func (p *Scanner) histogram() (histogramJSON, bool) {
 		seen |= 1 << i
 		if i > 0 {
 			var ok bool
-			num[i], ok = p.uint()
+			num[i], ok = p.Uint()
 			return ok
 		}
 		w.Buckets = make([]uint64, 0, p.hint(",", ']')+1)
 		return p.List('[', ']', func() bool {
-			v, ok := p.uint()
+			v, ok := p.Uint()
 			w.Buckets = append(w.Buckets, v)
 			return ok
 		})
@@ -333,17 +339,22 @@ func (p *Scanner) hint(sep string, end byte) int {
 // Key scans a member name of unescaped ASCII and the colon after it; the
 // name is "" whenever it fails.
 func (p *Scanner) Key() (string, bool) {
+	if k, ok := p.Text(); ok && p.eat(':') {
+		return k, true
+	}
+	return "", false
+}
+
+// Text scans a string of unescaped ASCII, which is its own value.
+func (p *Scanner) Text() (string, bool) {
 	if !p.eat('"') {
 		return "", false
 	}
 	for start := p.Pos; p.Pos < len(p.Src); p.Pos++ {
 		switch c := p.Src[p.Pos]; {
 		case c == '"':
-			k := p.Src[start:p.Pos]
-			if p.Pos++; !p.eat(':') {
-				return "", false
-			}
-			return k, true
+			p.Pos++
+			return p.Src[start : p.Pos-1], true
 		case c < ' ' || c >= utf8.RuneSelf || c == '\\':
 			return "", false
 		}
@@ -394,9 +405,9 @@ func (p *Scanner) integer() bool {
 	return zero != (p.digits() > 0)
 }
 
-// uint scans an unsigned decimal integer that fits 64 bits. A fraction or
-// an exponent after it is for the caller's next eat to refuse.
-func (p *Scanner) uint() (v uint64, ok bool) {
+// Uint scans an unsigned decimal integer that fits 64 bits. A fraction or
+// an exponent after it is for the caller's next List to refuse.
+func (p *Scanner) Uint() (v uint64, ok bool) {
 	p.space()
 	start := p.Pos
 	ok = p.integer()
