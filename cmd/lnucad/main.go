@@ -177,19 +177,7 @@ func main() {
 		spanLogFile = f
 		spanSink = tracez.Tee(flight, tracez.NewJSONLRecorder(f))
 	}
-	spanCounts := registry.CounterVec("lnuca_spans_recorded_total",
-		"Finished spans landed in the daemon's recorder, by span name.", "name")
-	spanRec := tracez.RecorderFunc(func(s tracez.Span) {
-		spanCounts.With(s.Name).Inc()
-		spanSink.Record(s)
-	})
-	registry.CounterFunc("lnuca_spans_dropped_total",
-		"Spans the flight recorder dropped at its per-trace bound (the JSONL log still sees them).",
-		func() uint64 { return uint64(flight.DroppedSpans()) })
-	registry.GaugeFunc("lnuca_trace_buffer_traces",
-		"Traces currently retained in the flight recorder's ring.",
-		flight.RetainedTraces)
-	tracer := tracez.New(spanRec)
+	tracer := tracez.New(flight.Metered(registry, spanSink))
 
 	traces := trace.NewStore(*traceDir)
 	cache := orchestrator.NewCache(*cacheCap, *cacheDir)
@@ -399,9 +387,7 @@ func armChaos(seed int64, worker bool, reg *obs.Registry, flight *tracez.FlightR
 		in.Enable(faultinject.PointCoordHTTP, faultinject.Plan{Rate: 0.03, Status: http.StatusServiceUnavailable})
 	}
 	if reg != nil {
-		vec := reg.CounterVec("lnuca_fault_injected_total",
-			"Faults fired by the -chaos-seed injector, by injection point.", "point")
-		in.OnFire(func(p faultinject.Point) { vec.With(string(p)).Inc() })
+		in.Count(reg)
 	}
 	if flight != nil {
 		in.OnEvent(func(e faultinject.Event) { flight.Event("fault", e.TraceID, string(e.Point)) })

@@ -1,6 +1,6 @@
 // Command lnucalint runs the repository's static-analysis suite
-// (internal/lint): hotalloc, determinism and obsnames, the checks of
-// invariants that no run-time pin catches by the line that broke them.
+// (internal/lint): hotalloc and determinism, the checks of invariants
+// that no run-time pin catches by the line that broke them.
 //
 // Linting, over import patterns (the CI entry point):
 //

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 )
 
@@ -223,12 +224,20 @@ func (in *Injector) Disable(p Point) {
 }
 
 // OnFire registers fn to be called (outside the injector's lock) each
-// time any point fires — the hook the obs layer uses to count
-// lnuca_fault_injected_total{point} without faultinject importing obs.
+// time any point fires — the hook Count uses for
+// lnuca_fault_injected_total{point}.
 func (in *Injector) OnFire(fn func(Point)) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.onFire = fn
+}
+
+// Count registers lnuca_fault_injected_total{point} on reg and counts
+// every fire in it (through OnFire).
+func (in *Injector) Count(reg *obs.Registry) {
+	vec := reg.CounterVec("lnuca_fault_injected_total",
+		"Faults fired by the -chaos-seed injector, by injection point.", "point")
+	in.OnFire(func(p Point) { vec.With(string(p)).Inc() })
 }
 
 // OnEvent registers fn to be called (outside the injector's lock) each

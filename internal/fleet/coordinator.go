@@ -120,11 +120,7 @@ type Coordinator struct {
 	leasesGranted   *obs.Counter
 	requeues        *obs.Counter
 	workerErrors    *obs.Counter
-	jobsFailed      *obs.Counter
-	results         *obs.Counter
-	lateCompletions *obs.Counter
 	releases        *obs.Counter
-	heartbeats      *obs.Counter
 	dispatchSeconds *obs.Histogram
 }
 
@@ -172,16 +168,8 @@ func (c *Coordinator) register(reg *obs.Registry) {
 		"Jobs requeued after a lease expired or a worker reported a retryable failure.")
 	c.workerErrors = reg.Counter("lnuca_fleet_worker_errors_total",
 		"Lease completions that carried an error instead of a result.")
-	c.jobsFailed = reg.Counter("lnuca_fleet_jobs_failed_total",
-		"Fleet jobs that failed terminally (attempts exhausted or a deterministic error).")
-	c.results = reg.Counter("lnuca_fleet_results_total",
-		"Results accepted from workers.")
-	c.lateCompletions = reg.Counter("lnuca_fleet_late_completions_total",
-		"Completions for leases already expired or requeued (answered 410 Gone).")
 	c.releases = reg.Counter("lnuca_fleet_releases_total",
 		"Leases explicitly handed back by draining workers (attempt refunded, job requeued immediately).")
-	c.heartbeats = reg.Counter("lnuca_fleet_heartbeats_total",
-		"Worker heartbeats received.")
 	c.dispatchSeconds = reg.Histogram("lnuca_fleet_dispatch_seconds",
 		"Wall time from fleet dispatch to terminal outcome, retries included.",
 		[]float64{0.05, 0.25, 1, 5, 30, 120, 600})
@@ -395,7 +383,6 @@ func (c *Coordinator) Heartbeat(leaseID string, done, total uint64) (cancel, ok 
 	canceled := l.job.canceled
 	progress := l.job.progress
 	c.mu.Unlock()
-	c.heartbeats.Inc()
 	if progress != nil && total > 0 {
 		progress(done, total)
 	}
@@ -414,7 +401,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 	l, found := c.leases[req.LeaseID]
 	if !found {
 		c.mu.Unlock()
-		c.lateCompletions.Inc()
 		return false
 	}
 	delete(c.leases, req.LeaseID)
@@ -427,7 +413,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 	}
 	if req.Error == "" && req.Result != nil {
 		c.mu.Unlock()
-		c.results.Inc()
 		c.log.Info("fleet result", "lease_id", l.id, "fleet_id", fj.id,
 			"key", fj.key, "worker", l.worker, "attempt", fj.attempt)
 		c.event("completed", fj.traceID,
@@ -495,7 +480,6 @@ func (c *Coordinator) requeueLocked(fj *fleetJob, reason string, now time.Time) 
 
 // failJob delivers a terminal failure to the blocked Dispatch.
 func (c *Coordinator) failJob(fj *fleetJob, err error) {
-	c.jobsFailed.Inc()
 	c.log.Warn("fleet job failed", "fleet_id", fj.id, "key", fj.key,
 		"attempts", fj.attempt, "error", err)
 	c.event("failed", fj.traceID, err.Error())

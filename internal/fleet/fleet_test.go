@@ -162,14 +162,15 @@ func TestFleetEndToEnd(t *testing.T) {
 		}
 	}
 	checkBalance(t, s.orch)
-	if got := s.coord.results.Value(); got != uint64(len(benches)) {
-		t.Fatalf("fleet results = %d, want %d", got, len(benches))
+	m := s.orch.Metrics()
+	if m.Executed != uint64(len(benches)) {
+		t.Fatalf("runs executed = %d, want %d", m.Executed, len(benches))
 	}
 	if s.coord.leasesGranted.Value() < uint64(len(benches)) {
 		t.Fatalf("leases granted = %d, want >= %d", s.coord.leasesGranted.Value(), len(benches))
 	}
-	if s.coord.jobsFailed.Value() != 0 || s.coord.requeues.Value() != 0 {
-		t.Fatalf("unexpected failures/requeues: %d/%d", s.coord.jobsFailed.Value(), s.coord.requeues.Value())
+	if m.Failed != 0 || s.coord.requeues.Value() != 0 {
+		t.Fatalf("unexpected failures/requeues: %d/%d", m.Failed, s.coord.requeues.Value())
 	}
 }
 
@@ -251,9 +252,6 @@ func TestFleetRequeueExactlyOnce(t *testing.T) {
 	if ok := coord.Complete(CompleteRequest{LeaseID: zombie.LeaseID, Result: stubResult(quickJob("403.gcc"))}); ok {
 		t.Fatal("late completion on an expired lease must be rejected")
 	}
-	if coord.lateCompletions.Value() != 1 {
-		t.Fatalf("late completions = %d, want 1", coord.lateCompletions.Value())
-	}
 	checkBalance(t, orch)
 }
 
@@ -284,9 +282,8 @@ func TestFleetTerminalErrorNotRetried(t *testing.T) {
 	if s.coord.requeues.Value() != 0 {
 		t.Fatalf("requeues = %d, want 0 for a terminal error", s.coord.requeues.Value())
 	}
-	if s.coord.jobsFailed.Value() != 1 || s.coord.workerErrors.Value() != 1 {
-		t.Fatalf("failed/workerErrors = %d/%d, want 1/1",
-			s.coord.jobsFailed.Value(), s.coord.workerErrors.Value())
+	if failed := s.orch.Metrics().Failed; failed != 1 || s.coord.workerErrors.Value() != 1 {
+		t.Fatalf("failed/workerErrors = %d/%d, want 1/1", failed, s.coord.workerErrors.Value())
 	}
 	checkBalance(t, s.orch)
 }
@@ -342,9 +339,6 @@ func TestFleetRetryExhaustion(t *testing.T) {
 	}
 	if coord.requeues.Value() != 1 {
 		t.Fatalf("requeues = %d, want 1 (second failure is terminal, not requeued)", coord.requeues.Value())
-	}
-	if coord.jobsFailed.Value() != 1 {
-		t.Fatalf("jobs failed = %d, want 1", coord.jobsFailed.Value())
 	}
 }
 
@@ -413,13 +407,12 @@ func TestFleetWorkerFetchesTraceFromCoordinator(t *testing.T) {
 	reg := obs.NewRegistry()
 	coord := NewCoordinator(Config{LeaseTTL: 2 * time.Second, Traces: traces})
 	orch := orchestrator.New(orchestrator.Config{Workers: 1, Run: coord.Dispatch, Traces: traces})
-	srv := httptest.NewServer(coord.Handler())
+	srv := httptest.NewServer(obs.Middleware(coord.Handler(), nil, reg, RouteLabel))
 	ctx, cancel := context.WithCancel(context.Background())
 	w := NewWorker(WorkerConfig{
 		Coordinator:  srv.URL,
 		Name:         "fetcher",
 		PollInterval: 5 * time.Millisecond,
-		Registry:     reg,
 		// Default Run: the real simulator replaying the fetched trace.
 	})
 	var done sync.WaitGroup
@@ -444,8 +437,8 @@ func TestFleetWorkerFetchesTraceFromCoordinator(t *testing.T) {
 	if got.Result == nil || !got.Result.Valid() {
 		t.Fatalf("trace job returned invalid result %+v", got.Result)
 	}
-	if n := w.traceFetches.Value(); n != 1 {
-		t.Fatalf("trace fetches = %d, want 1", n)
+	if n := gaugeValue(t, reg, `lnuca_http_requests_total{method="GET",route="/fleet/v1/traces/{id}",code="200"}`); n != "1" {
+		t.Fatalf("trace fetches = %s, want 1", n)
 	}
 }
 

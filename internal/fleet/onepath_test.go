@@ -60,8 +60,8 @@ func TestWorkerServesLeasedKeyFromItsCache(t *testing.T) {
 	}
 }
 
-// gaugeValue reads one unlabeled sample from the registry's Prometheus
-// rendering.
+// gaugeValue reads one sample, named with its label set as rendered,
+// from the registry's Prometheus rendering.
 func gaugeValue(t *testing.T, reg *obs.Registry, name string) string {
 	t.Helper()
 	var b strings.Builder
@@ -241,10 +241,9 @@ func TestJSONBodiesAreBounded(t *testing.T) {
 	coord.mu.Lock()
 	workers := len(coord.workers)
 	coord.mu.Unlock()
-	if m := orch.Metrics(); m.Submitted != 0 || spans.Load() != 0 || workers != 0 ||
-		coord.heartbeats.Value() != 0 || coord.lateCompletions.Value() != 0 {
-		t.Fatalf("oversize bodies changed state: submitted %d, spans %d, workers seen %d, heartbeats %d, late completions %d",
-			m.Submitted, spans.Load(), workers, coord.heartbeats.Value(), coord.lateCompletions.Value())
+	if m := orch.Metrics(); m.Submitted != 0 || spans.Load() != 0 || workers != 0 {
+		t.Fatalf("oversize bodies changed state: submitted %d, spans %d, workers seen %d",
+			m.Submitted, spans.Load(), workers)
 	}
 
 	for _, r := range routes {

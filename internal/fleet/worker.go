@@ -54,8 +54,6 @@ type WorkerConfig struct {
 	DrainGrace time.Duration
 	// Logger receives worker lifecycle events (default: discard).
 	Logger *slog.Logger
-	// Registry, when set, exports the lnuca_fleet_worker_* metrics.
-	Registry *obs.Registry
 	// Faults, when armed, drives the worker-execution injection points
 	// (worker_crash, worker_stall). HTTP faults are injected by wrapping
 	// Client.Transport with faultinject.Transport instead.
@@ -69,12 +67,6 @@ type WorkerConfig struct {
 // mid-job only costs a lease timeout and a retry elsewhere.
 type Worker struct {
 	cfg WorkerConfig
-
-	jobs         *obs.Counter
-	failures     *obs.Counter
-	pollErrors   *obs.Counter
-	traceFetches *obs.Counter
-	busy         *obs.Gauge
 
 	// idleSince marks when this worker last went idle; the next lease's
 	// lnuca.worker.leasewait span stretches from here to the grant.
@@ -110,20 +102,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Logger = obs.Discard()
 	}
 	cfg.Coordinator = strings.TrimRight(cfg.Coordinator, "/")
-	w := &Worker{cfg: cfg}
-	if reg := cfg.Registry; reg != nil {
-		w.jobs = reg.Counter("lnuca_fleet_worker_jobs_total",
-			"Leased jobs this worker finished (result or error pushed).")
-		w.failures = reg.Counter("lnuca_fleet_worker_failures_total",
-			"Leased jobs this worker completed with an error.")
-		w.pollErrors = reg.Counter("lnuca_fleet_worker_poll_errors_total",
-			"Lease polls that failed (coordinator unreachable or bad response).")
-		w.traceFetches = reg.Counter("lnuca_fleet_worker_trace_fetches_total",
-			"Traces fetched from the coordinator on a local store miss.")
-		w.busy = reg.Gauge("lnuca_fleet_worker_busy",
-			"1 while this worker is executing a leased job.")
-	}
-	return w
+	return &Worker{cfg: cfg}
 }
 
 // Run pulls and executes jobs until ctx is canceled. A coordinator that
@@ -140,7 +119,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		lease, err := w.poll(ctx)
 		switch {
 		case err != nil:
-			w.pollErrors.Inc()
 			w.cfg.Logger.Warn("lease poll failed", "worker", w.cfg.Name, "error", err)
 			w.sleep(ctx, w.cfg.PollInterval)
 		case lease == nil:
@@ -183,8 +161,6 @@ func (w *Worker) poll(ctx context.Context) (*LeaseResponse, error) {
 // job from its lnuca-run-v1 request, resolve any trace it names, run it
 // under a heartbeat, and push the outcome.
 func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
-	w.busy.Set(1)
-	defer w.busy.Set(0)
 	log := w.cfg.Logger.With("worker", w.cfg.Name, "lease_id", lease.LeaseID,
 		"fleet_id", lease.JobID, "key", lease.Key)
 	log.Info("lease accepted", "attempt", lease.Attempt)
@@ -387,10 +363,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancelRun context.CancelFunc
 func (w *Worker) complete(ctx context.Context, log *slog.Logger, lease *LeaseResponse, req CompleteRequest) {
 	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
-	w.jobs.Inc()
-	if req.Error != "" {
-		w.failures.Inc()
-	}
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
@@ -445,7 +417,6 @@ func (w *Worker) fetchTrace(ctx context.Context, id string) error {
 	if hdr.ID != id {
 		return fmt.Errorf("trace %s: coordinator served content %s", id, hdr.ID)
 	}
-	w.traceFetches.Inc()
 	w.cfg.Logger.Info("trace fetched", "trace", id, "worker", w.cfg.Name)
 	return nil
 }

@@ -63,10 +63,10 @@ func TestAllowBad(t *testing.T) {
 	}
 }
 
-// TestRepoAnalyzers: the configured suite has all three analyzers, with
+// TestRepoAnalyzers: the configured suite has both analyzers, with
 // names unique and usable in directives.
 func TestRepoAnalyzers(t *testing.T) {
-	want := map[string]bool{"hotalloc": true, "determinism": true, "obsnames": true}
+	want := map[string]bool{"hotalloc": true, "determinism": true}
 	for _, a := range RepoAnalyzers() {
 		if !want[a.Name] {
 			t.Errorf("unexpected analyzer %q", a.Name)

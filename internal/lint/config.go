@@ -37,6 +37,5 @@ func RepoAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		HotAlloc(),
 		Determinism(DeterminismPackages()...),
-		ObsNames(),
 	}
 }

@@ -8,12 +8,13 @@ import (
 )
 
 // equivConfigs are the meshes the driven traffic runs on: the D-NUCA's
-// own, one whose node sets span more than one bitset word, and one whose
-// per-router VC range does.
+// own, one whose node sets span more than one bitset word, and two whose
+// per-router VC range does (one and six slots in the second word).
 var equivConfigs = []MeshConfig{
 	{Width: 8, Height: 5, VCs: 4, VCDepth: 4},  // DN-4x8 plus the controller row
 	{Width: 9, Height: 8, VCs: 2, VCDepth: 2},  // 72 routers
 	{Width: 3, Height: 3, VCs: 13, VCDepth: 3}, // NumDirs*VCs = 65
+	{Width: 3, Height: 3, VCs: 14, VCDepth: 3}, // NumDirs*VCs = 70: six slots in the second word
 }
 
 // delivery is one picked-up message as either mesh reports it.
@@ -238,6 +239,12 @@ var fullScanDigests = map[string]uint64{
 	"3x3_vc13_seed1": 0x461bef6e1c471068,
 	"3x3_vc13_seed2": 0x7974e53df15f1a05,
 	"3x3_vc13_seed3": 0x16b425a79a3c4585,
+	// Recorded from the production mesh at commit 3056981, not from the
+	// full-scan reference, which was deleted before this cell was added:
+	// the first cell whose second busy word holds more than one slot.
+	"3x3_vc14_seed1": 0x75d5c10a82bee73e,
+	"3x3_vc14_seed2": 0x6314458b835e7ca4,
+	"3x3_vc14_seed3": 0x6448df03ffcd08df,
 }
 
 // TestMeshMatchesFullScanReference drives two production meshes with

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Event is one trace-correlated occurrence that is not a span: a fault
@@ -33,8 +35,10 @@ type Event struct {
 type FlightRecorder struct {
 	mu       sync.Mutex
 	traces   map[string]*traceBuf
-	order    []string // trace IDs, oldest first, for eviction
-	events   []Event  // ring
+	order    []string // ring of the retained trace IDs, for eviction
+	orderPos int      // next slot; the oldest ID when the ring is full
+	nTraces  int
+	events   []Event // ring
 	eventPos int
 	nEvents  int
 
@@ -73,6 +77,7 @@ func NewFlightRecorder(maxTraces, maxSpansPerTrace, maxEvents int) *FlightRecord
 	}
 	return &FlightRecorder{
 		traces:      make(map[string]*traceBuf),
+		order:       make([]string, maxTraces),
 		events:      make([]Event, maxEvents),
 		maxTraces:   maxTraces,
 		maxPerTrace: maxSpansPerTrace,
@@ -81,9 +86,11 @@ func NewFlightRecorder(maxTraces, maxSpansPerTrace, maxEvents int) *FlightRecord
 }
 
 // Record lands one finished span. Spans of a brand-new trace may evict
-// the oldest retained trace; spans past a trace's cap are counted and
-// dropped (the trace keeps its earliest spans — roots arrive early, and
-// a rooted partial tree beats a rootless complete one).
+// the oldest retained trace, whose buffer the new trace then reuses
+// (Spans and Traces copy out under the lock, so no caller holds it);
+// spans past a trace's cap are counted and dropped (the trace keeps its
+// earliest spans — roots arrive early, and a rooted partial tree beats a
+// rootless complete one).
 func (fr *FlightRecorder) Record(s Span) {
 	if fr == nil {
 		return
@@ -92,15 +99,19 @@ func (fr *FlightRecorder) Record(s Span) {
 	defer fr.mu.Unlock()
 	tb, ok := fr.traces[s.TraceID]
 	if !ok {
-		for len(fr.order) >= fr.maxTraces {
-			oldest := fr.order[0]
-			fr.order = fr.order[1:]
+		if fr.nTraces == fr.maxTraces {
+			oldest := fr.order[fr.orderPos]
+			tb = fr.traces[oldest]
+			tb.spans, tb.lastSeen = tb.spans[:0], time.Time{}
 			delete(fr.traces, oldest)
 			fr.evictedTraces++
+		} else {
+			tb = &traceBuf{}
+			fr.nTraces++
 		}
-		tb = &traceBuf{}
 		fr.traces[s.TraceID] = tb
-		fr.order = append(fr.order, s.TraceID)
+		fr.order[fr.orderPos] = s.TraceID
+		fr.orderPos = (fr.orderPos + 1) % fr.maxTraces
 	}
 	if len(tb.spans) >= fr.maxPerTrace {
 		fr.droppedSpans++
@@ -179,8 +190,9 @@ func (fr *FlightRecorder) Traces() []TraceSummary {
 		return nil
 	}
 	fr.mu.Lock()
-	out := make([]TraceSummary, 0, len(fr.order))
-	for _, id := range fr.order {
+	out := make([]TraceSummary, 0, fr.nTraces)
+	for i := fr.maxTraces - fr.nTraces; i < fr.maxTraces; i++ {
+		id := fr.order[(fr.orderPos+i)%fr.maxTraces]
 		tb := fr.traces[id]
 		ts := TraceSummary{TraceID: id, Spans: len(tb.spans), LastSeen: tb.lastSeen}
 		var rootStart time.Time
@@ -202,6 +214,25 @@ func (fr *FlightRecorder) Traces() []TraceSummary {
 	fr.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].LastSeen.After(out[j].LastSeen) })
 	return out
+}
+
+// Metered registers the flight recorder's instruments on reg and
+// returns rec wrapped to count every finished span it is handed, by
+// name, in lnuca_spans_recorded_total. rec is what a daemon's tracer
+// records to: fr itself, or fr teed with a span log.
+func (fr *FlightRecorder) Metered(reg *obs.Registry, rec Recorder) Recorder {
+	recorded := reg.CounterVec("lnuca_spans_recorded_total",
+		"Finished spans landed in the daemon's recorder, by span name.", "name")
+	reg.CounterFunc("lnuca_spans_dropped_total",
+		"Spans the flight recorder dropped at its per-trace bound (the JSONL log still sees them).",
+		func() uint64 { return uint64(fr.DroppedSpans()) })
+	reg.GaugeFunc("lnuca_trace_buffer_traces",
+		"Traces currently retained in the flight recorder's ring.",
+		fr.RetainedTraces)
+	return RecorderFunc(func(s Span) {
+		recorded.With(s.Name).Inc()
+		rec.Record(s)
+	})
 }
 
 // DroppedSpans counts spans refused by a full per-trace buffer — the

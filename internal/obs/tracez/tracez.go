@@ -16,15 +16,16 @@
 //     the outside using exp.Phases durations after the fact; nothing in
 //     this package is ever called from the simulator hot loop, and
 //     nothing here lands in content-addressed cache payloads.
-//   - Dependency-free. Standard library only; the package does not even
-//     import the repo's own obs registry — metrics wrapping is the
-//     caller's recorder decision.
+//   - Dependency-free. Standard library only, plus the repo's own obs
+//     registry, on which FlightRecorder.Metered exports the recorder's
+//     instruments.
 //
-// Span names are compile-time string literals in the `lnuca.` dotted
-// namespace (lnuca.orch.run, lnuca.worker.execute, ...), enforced by
-// lnucalint's obsnames analyzer exactly like metric names, and attr
-// keys follow the same low-cardinality denylist. That is what keeps
-// the lnuca_spans_recorded_total{name} metric bounded.
+// Span names are string literals in the `lnuca.` dotted namespace
+// (lnuca.orch.run, lnuca.worker.execute, ...), and attr keys follow the
+// metric labels' low-cardinality denylist. The root package's
+// TestInstrumentCatalog checks both against testdata/instruments.txt
+// over a run of the whole stack. That is what keeps the
+// lnuca_spans_recorded_total{name} metric bounded.
 package tracez
 
 import (
@@ -126,8 +127,8 @@ func isHex(s string, n int) bool {
 	return true
 }
 
-// Attr is one span attribute. Keys are compile-time literals vetted by
-// lnucalint (snake_case, not on the high-cardinality denylist); values
+// Attr is one span attribute. Keys are literals (snake_case, not on the
+// high-cardinality denylist, checked by TestInstrumentCatalog); values
 // should come from bounded sets (benchmark names, worker names, status
 // words) — never raw job IDs, keys or URLs.
 type Attr struct {
@@ -171,8 +172,8 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.TraceID, SpanID: s.SpanID}
 }
 
-// SetAttr attaches one attribute. The key must be a compile-time
-// literal (enforced by lnucalint). No-op on nil or finished spans.
+// SetAttr attaches one attribute. The key must be a literal. No-op on
+// nil or finished spans.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil || s.finished {
 		return

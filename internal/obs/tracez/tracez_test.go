@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +220,45 @@ func TestFlightRecorderBounds(t *testing.T) {
 	}
 	if got := len(fr.Events("nope")); got != 0 {
 		t.Fatalf("filtered events: want 0, got %d", got)
+	}
+
+	// A ring of 3 over 10 traces of 1, 2 and 3 spans in turn keeps the
+	// last 3, each in a recycled buffer that holds its own spans only.
+	fr = NewFlightRecorder(3, 3, 4)
+	tr = NewSeeded(fr, 6)
+	var ids []string
+	for i := 0; i < 10; i++ {
+		ids = append(ids, mk(1+i%3))
+	}
+	var kept []string
+	for _, ts := range fr.Traces() {
+		kept = append(kept, ts.TraceID)
+	}
+	sort.Strings(kept)
+	last := append([]string(nil), ids[7:]...)
+	sort.Strings(last)
+	if !reflect.DeepEqual(kept, last) {
+		t.Fatalf("Traces covers %v, want the last 3 IDs %v", kept, last)
+	}
+	if fr.EvictedTraces() != 7 {
+		t.Fatalf("want 7 evicted traces, got %v", fr.EvictedTraces())
+	}
+	for i, id := range ids {
+		spans := fr.Spans(id)
+		if i < 7 {
+			if spans != nil {
+				t.Fatalf("evicted trace %d still has %d spans", i, len(spans))
+			}
+			continue
+		}
+		if len(spans) != 1+i%3 {
+			t.Fatalf("trace %d: %d spans, want %d", i, len(spans), 1+i%3)
+		}
+		for _, s := range spans {
+			if s.TraceID != id {
+				t.Fatalf("trace %d's buffer holds a span of trace %s", i, s.TraceID)
+			}
+		}
 	}
 }
 

@@ -180,7 +180,7 @@ func TestJobTimeline(t *testing.T) {
 
 // TestRegistryExport: with a Registry configured, the orchestrator's
 // Prometheus scrape reports job totals consistent with the JSON
-// snapshot, including the lnuca_jobs_completed_total counter the CI
+// snapshot, including the lnuca_runs_executed_total counter the CI
 // smoke test asserts on.
 func TestRegistryExport(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -205,7 +205,6 @@ func TestRegistryExport(t *testing.T) {
 	text := sb.String()
 	wantSamples := map[string]float64{
 		"lnuca_jobs_submitted_total": 2,
-		"lnuca_jobs_completed_total": 2, // 1 executed + 1 cached
 		"lnuca_runs_executed_total":  1,
 		"lnuca_jobs_cached_total":    1,
 		"lnuca_queue_depth":          0,

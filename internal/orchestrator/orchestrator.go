@@ -290,9 +290,6 @@ func (o *Orchestrator) register(reg *obs.Registry) {
 	reg.CounterFunc("lnuca_jobs_cached_total",
 		"Submissions served straight from the result cache.",
 		snap(func(m *Metrics) uint64 { return m.Cached }))
-	reg.CounterFunc("lnuca_jobs_completed_total",
-		"Jobs that reached done: simulations executed plus cache hits.",
-		snap(func(m *Metrics) uint64 { return m.Executed + m.Cached }))
 	reg.CounterFunc("lnuca_runs_executed_total",
 		"Simulations run to completion by the worker pool.",
 		snap(func(m *Metrics) uint64 { return m.Executed }))

@@ -364,7 +364,7 @@ func TestHTTPMetricsNegotiation(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE lnuca_jobs_submitted_total counter",
 		"lnuca_jobs_submitted_total 1",
-		"lnuca_jobs_completed_total 1",
+		"lnuca_runs_executed_total 1",
 		"lnuca_job_run_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {

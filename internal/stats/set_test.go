@@ -14,7 +14,7 @@ func TestSetCloneIndependent(t *testing.T) {
 		t.Fatalf("clone differs from its original:\n%s", c)
 	}
 	c.Add("l1.hits", 1)
-	c.Inc("l1.misses")
+	c.Add("l1.misses", 1)
 	c.SetScalar("core.ipc", 2)
 	c.SetScalar("new", 3)
 	if s.Counter("l1.hits") != 7 || s.Counter("l1.misses") != 0 || s.Scalar("core.ipc") != 1.5 || len(s.Names()) != 1 || len(s.ScalarNames()) != 1 {

@@ -35,11 +35,6 @@ func (s *Set) Add(name string, n uint64) {
 	s.counters[name] += n
 }
 
-// Inc increments the named counter by one.
-func (s *Set) Inc(name string) {
-	s.counters[name]++
-}
-
 // Counter returns the current value of a counter (zero if never touched).
 func (s *Set) Counter(name string) uint64 {
 	return s.counters[name]
@@ -48,11 +43,6 @@ func (s *Set) Counter(name string) uint64 {
 // SetScalar records a named floating-point result.
 func (s *Set) SetScalar(name string, v float64) {
 	s.scalars[name] = v
-}
-
-// AddScalar accumulates into a named floating-point result.
-func (s *Set) AddScalar(name string, v float64) {
-	s.scalars[name] += v
 }
 
 // Scalar returns a named floating-point result (zero if never set).
@@ -94,16 +84,6 @@ func (s *Set) Clone() *Set {
 		out.scalars[k] = v
 	}
 	return out
-}
-
-// Merge adds every counter and scalar of other into s.
-func (s *Set) Merge(other *Set) {
-	for k, v := range other.counters {
-		s.counters[k] += v
-	}
-	for k, v := range other.scalars {
-		s.scalars[k] += v
-	}
 }
 
 // MergePrefixed adds every counter and scalar of other into s with
@@ -152,15 +132,6 @@ func Delta(end, start *Set) *Set {
 		out.scalars[k] = v
 	}
 	return out
-}
-
-// Ratio returns counter(num)/counter(den), or 0 when the denominator is 0.
-func (s *Set) Ratio(num, den string) float64 {
-	d := s.counters[den]
-	if d == 0 {
-		return 0
-	}
-	return float64(s.counters[num]) / float64(d)
 }
 
 // String renders the set as "name=value" lines, counters first.

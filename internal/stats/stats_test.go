@@ -11,7 +11,7 @@ import (
 
 func TestCounters(t *testing.T) {
 	s := NewSet()
-	s.Inc("hits")
+	s.Add("hits", 1)
 	s.Add("hits", 4)
 	s.Add("misses", 2)
 	if got := s.Counter("hits"); got != 5 {
@@ -28,44 +28,19 @@ func TestCounters(t *testing.T) {
 func TestScalars(t *testing.T) {
 	s := NewSet()
 	s.SetScalar("ipc", 1.25)
-	s.AddScalar("ipc", 0.25)
-	if got := s.Scalar("ipc"); got != 1.5 {
-		t.Errorf("ipc = %v, want 1.5", got)
+	if got := s.Scalar("ipc"); got != 1.25 {
+		t.Errorf("ipc = %v, want 1.25", got)
 	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := NewSet(), NewSet()
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 3)
-	b.SetScalar("e", 1.5)
-	a.Merge(b)
-	if a.Counter("x") != 3 || a.Counter("y") != 3 {
-		t.Errorf("merge counters wrong: x=%d y=%d", a.Counter("x"), a.Counter("y"))
-	}
-	if a.Scalar("e") != 1.5 {
-		t.Errorf("merge scalar wrong: e=%v", a.Scalar("e"))
-	}
-}
-
-func TestRatio(t *testing.T) {
-	s := NewSet()
-	s.Add("num", 3)
-	s.Add("den", 4)
-	if got := s.Ratio("num", "den"); got != 0.75 {
-		t.Errorf("Ratio = %v, want 0.75", got)
-	}
-	if got := s.Ratio("num", "zero"); got != 0 {
-		t.Errorf("Ratio with zero denominator = %v, want 0", got)
+	if got := s.Scalar("absent"); got != 0 {
+		t.Errorf("absent = %v, want 0", got)
 	}
 }
 
 func TestNamesSorted(t *testing.T) {
 	s := NewSet()
-	s.Inc("b")
-	s.Inc("a")
-	s.Inc("c")
+	s.Add("b", 1)
+	s.Add("a", 1)
+	s.Add("c", 1)
 	names := s.Names()
 	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Errorf("Names = %v, want [a b c]", names)
@@ -355,7 +330,7 @@ func TestSetJSONRoundTrip(t *testing.T) {
 		t.Errorf("scalar lost: %s", back.String())
 	}
 	// The restored set must be fully usable, not just readable.
-	back.Inc("l1.hits")
+	back.Add("l1.hits", 1)
 	back.SetScalar("new", 2)
 	if back.Counter("l1.hits") != 1235 || back.Scalar("new") != 2 {
 		t.Error("restored set not mutable")
@@ -369,8 +344,8 @@ func TestSetJSONEmpty(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{}`), &s); err != nil {
 		t.Fatal(err)
 	}
-	s.Inc("x")
-	s.AddScalar("y", 1)
+	s.Add("x", 1)
+	s.SetScalar("y", 1)
 	if s.Counter("x") != 1 || s.Scalar("y") != 1 {
 		t.Error("empty-restored set unusable")
 	}
