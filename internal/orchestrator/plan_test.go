@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,18 @@ func awkwardValues(t *testing.T, typ reflect.Type) []reflect.Value {
 		for _, m := range []map[string]float64{nil, {}, {"ln.link_buf": 1, "<&> ": 0.5}} {
 			add(m)
 		}
+	case typ == reflect.TypeOf(map[Status]int(nil)):
+		every := map[Status]int{}
+		for i, st := range []Status{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCanceled} {
+			every[st] = i
+		}
+		for _, m := range []map[Status]int{nil, {}, every, {"<&>\"é": 1, "": -1, "Done": 2}} {
+			add(m)
+		}
+	case typ == recordsType:
+		for _, l := range [][]JobRecord{nil, {}, wireRecords(t)[:5]} {
+			add(l)
+		}
 	default:
 		t.Fatalf("no awkward values for a field of type %v", typ)
 	}
@@ -140,7 +153,7 @@ func TestRecordPlanMatchesEncodingJSON(t *testing.T) {
 	eachAwkward(t, &rec, func(field string) {
 		cases++
 		want, werr := json.Marshal(rec)
-		for _, v := range []interface{}{rec, &rec, SweepSubmission{ID: "s", Jobs: []JobRecord{rec, base}}} {
+		for _, v := range []interface{}{rec, &rec, SweepSubmission{ID: "s", Jobs: []JobRecord{rec, base}}, sweepOf(rec, base)} {
 			ref, _ := json.Marshal(v)
 			got, err := AppendJSON(nil, v)
 			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() || err == nil && !bytes.Equal(got, ref) {
@@ -156,6 +169,91 @@ func TestRecordPlanMatchesEncodingJSON(t *testing.T) {
 	})
 	if cases < 150 {
 		t.Fatalf("%d cases: the walk no longer reaches every field", cases)
+	}
+
+	// A sweep's answer, its own members set in turn, its list of records
+	// among them.
+	sp := planOf(reflect.TypeOf(SweepStatus{}))
+	if sp == nil || !sp.writes {
+		t.Fatal("SweepStatus has no plan that writes it")
+	}
+	st := sweepOf(base)
+	eachAwkward(t, &st, func(field string) {
+		want, werr := json.Marshal(st)
+		for _, v := range []interface{}{st, &st} {
+			got, err := AppendJSON(nil, v)
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() || err == nil && !bytes.Equal(got, want) {
+				t.Fatalf("SweepStatus%s: %T wrote (%v)\n%s\njson.Marshal (%v)\n%s", field, v, err, got, werr, want)
+			}
+		}
+		if got, ok := sp.write(nil, reflect.ValueOf(st)); werr == nil && (!ok || !bytes.Equal(got, want)) {
+			t.Fatalf("SweepStatus%s: the plan wrote (%v)\n%s\nwant\n%s", field, ok, got, want)
+		}
+	})
+}
+
+// negative finds a negative number in a JSON text.
+var negative = regexp.MustCompile(`[:,\[]-`)
+
+// sweepOf is a sweep's answer that lists recs.
+func sweepOf(recs ...JobRecord) SweepStatus {
+	return SweepStatus{ID: "sweep-0001", Total: len(recs) + 1, ByState: map[Status]int{StatusDone: len(recs), StatusQueued: 1}, Jobs: recs, Cursor: 7}
+}
+
+// TestRecordPlanReadsAsEncodingJSON is TestRecordPlanMatchesEncodingJSON
+// read the other way: a record as json.Marshal writes it reads as
+// json.Unmarshal reads it, whatever any one field holds — alone, by
+// pointer, in a sweep's answer and in a submission's — and the plan itself
+// reads each one whose text is printable ASCII without escapes or
+// negative numbers.
+func TestRecordPlanReadsAsEncodingJSON(t *testing.T) {
+	p := planOf(reflect.TypeOf(JobRecord{}))
+	if p == nil || !p.reads {
+		t.Fatal("JobRecord has no plan that reads it")
+	}
+	base := wireRecords(t)[2]
+	started := base.Timeline.SubmittedAt.Add(time.Millisecond)
+	base.Timeline.StartedAt, base.Timeline.FinishedAt = &started, &started
+	base.Job.MixBenchmarks = []string{"403.gcc"}
+	base.Error, base.Worker, base.Result = "exp: L2-256KB / 470.lbm stalled", "w1", wireResults(t)[4] // nothing encoding/json escapes
+	rec := base
+	taken := 0
+	eachAwkward(t, &rec, func(field string) {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			return // a NaN, an infinity, a time RFC 3339 cannot hold
+		}
+		sweep, _ := json.Marshal(sweepOf(rec, base))
+		sub, _ := json.Marshal(SweepSubmission{ID: "s", Jobs: []JobRecord{base, rec}})
+		for _, c := range []struct {
+			text      []byte
+			got, want interface{}
+		}{
+			{data, new(JobRecord), new(JobRecord)},
+			{data, new(*JobRecord), new(*JobRecord)},
+			{sweep, new(SweepStatus), new(SweepStatus)},
+			{sub, new(SweepSubmission), new(SweepSubmission)},
+		} {
+			err, werr := Unmarshal(bytes.Clone(c.text), c.got), json.Unmarshal(c.text, c.want)
+			if err != nil || werr != nil || !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("%s: %s read into %T as %+v (%v), json.Unmarshal %+v (%v)", field, c.text, c.got, c.got, err, c.want, werr)
+			}
+		}
+		plain := !bytes.Contains(data, []byte(`\`)) && !negative.Match(data)
+		for _, c := range data {
+			plain = plain && c >= ' ' && c < utf8.RuneSelf
+		}
+		var planned, want JobRecord
+		_ = json.Unmarshal(data, &want)
+		if ok := p.read(data, reflect.ValueOf(&planned).Elem()); plain && !ok || ok && !reflect.DeepEqual(planned, want) {
+			t.Fatalf("%s: the plan read %s (%v) as %+v", field, data, ok, planned)
+		}
+		if plain {
+			taken++
+		}
+	})
+	if taken < 110 {
+		t.Fatalf("the plan read %d records: it no longer takes plain ones", taken)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,34 +19,39 @@ import (
 // list records, a fleet completion, a bare JobResult. AppendJSON writes the
 // half kilobyte around a result from a plan compiled from the struct's own
 // fields and tags, or has encoding/json write it, and splices the result's
-// 2.4-11 KB in untouched; Unmarshal decodes a result's statistics with the
-// stats scanners, cuts their text out and has encoding/json read the rest,
-// and reads a flat body such as a Request from its plan. The bytes are
-// json.Marshal's and the values json.Unmarshal's: the tests keep both as the
-// reference, and encoding/json writes and reads whatever a plan does not
-// take. DESIGN.md, "Result wire form".
+// 2.4-11 KB in untouched. Unmarshal reads any of them, and a flat body such
+// as a Request, in one walk driven by the same plans, the statistics by the
+// stats scanners where they stand; a text with anything the walk does not
+// expect goes to json.Unmarshal untouched. The bytes are json.Marshal's and
+// the values json.Unmarshal's: the tests keep both as the reference.
+// DESIGN.md, "Result wire form".
 
 var (
-	resultType  = reflect.TypeOf((*JobResult)(nil))
-	recordsType = reflect.TypeOf([]JobRecord(nil))
-	timeType    = reflect.TypeOf(time.Time{})
+	resultType    = reflect.TypeOf((*JobResult)(nil))
+	recordsType   = reflect.TypeOf([]JobRecord(nil))
+	timeType      = reflect.TypeOf(time.Time{})
+	setType       = reflect.TypeOf((*stats.Set)(nil))
+	histogramType = reflect.TypeOf((*stats.Histogram)(nil))
 
-	// Types that write or read themselves: encoding/json calls their methods.
-	selfCoded = []reflect.Type{
+	// Types that write themselves, and types that read themselves:
+	// encoding/json calls their methods.
+	selfWriting = []reflect.Type{
 		reflect.TypeOf((*json.Marshaler)(nil)).Elem(),
 		reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem(),
+	}
+	selfReading = []reflect.Type{
 		reflect.TypeOf((*json.Unmarshaler)(nil)).Elem(),
 		reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem(),
 	}
 )
 
 // splice is how a struct type with a *JobResult or []JobRecord field is
-// written and read: the field, its member name, and the fields either side
-// of it as two struct types made of the type's own fields, tags and all, so
-// that nothing here names a member or can drift from the struct.
+// written: the field, its member name, and the fields either side of it as
+// two struct types made of the type's own fields, tags and all, so that
+// nothing here names a member or can drift from the struct.
 type splice struct {
 	at         int
-	name, key  string // result and "result":
+	key        string // "result":
 	head, tail reflect.Type
 }
 
@@ -64,7 +70,7 @@ func spliceOf(t reflect.Type) *splice {
 		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
 		if f.Type == resultType && opts == "omitempty" || f.Type == recordsType && opts == "" {
 			key, _ := json.Marshal(name) // a string always marshals
-			sp = &splice{i, name, string(key) + ":", reflect.StructOf(fields[:i]), reflect.StructOf(fields[i+1:])}
+			sp = &splice{i, string(key) + ":", reflect.StructOf(fields[:i]), reflect.StructOf(fields[i+1:])}
 		}
 		if len(f.Index) > 1 || !f.IsExported() || f.Anonymous {
 			sp = nil
@@ -159,15 +165,19 @@ func appendSpliced(b []byte, key string, f reflect.Value) (_ []byte, err error) 
 
 // A plan writes and reads a struct type's members as encoding/json does,
 // compiled once from the type's own fields and tags. It writes strings,
-// bools, integers, float64s, time.Times, and structs, pointers and slices
-// of those; it reads an object whose members are each once, by the exact
-// name, a printable-ASCII string without escapes or a non-negative integer
-// that fits. Whatever else a value or a text holds, encoding/json writes or
-// reads it.
+// bools, integers, float64s, time.Times, and structs, pointers, slices and
+// string-keyed maps of those. It reads an object whose members are each
+// there once and by the exact name: strings of printable ASCII without
+// escapes, bools, integers that fit and are not negative, float64s in
+// range, times their UnmarshalJSON takes, the statistics the stats scanners
+// take, arrays of exactly their length, and structs, pointers, slices and
+// string-keyed maps of those; null only where encoding/json makes it nil.
+// Whatever else a value or a text holds, encoding/json writes or reads it.
 type plan struct {
 	members []member
 	splice  int  // the field a splice writes, or -1
 	writes  bool // every member has a writer, the splice's aside
+	reads   bool // every member has a reader, and there are at most 64
 }
 
 // A member is one field as encoding/json names it.
@@ -177,12 +187,23 @@ type member struct {
 	at    int    // the field's index
 	omit  bool   // omitempty
 	write writer // nil where only encoding/json writes the value
-	read  bool   // the field is a string or an integer a plan reads
+	read  reader // nil where only encoding/json reads the value
 }
 
 // A writer appends v as encoding/json writes it, or reports false for a
 // value encoding/json must write: a NaN, a time RFC 3339 cannot hold.
 type writer func(b []byte, v reflect.Value) ([]byte, bool)
+
+// A reader reads the value at the cursor into v, a zero value, as
+// json.Unmarshal does, or reports false for a text encoding/json must read.
+type reader func(w *walk, v reflect.Value) bool
+
+// A walk is the cursor of one Unmarshal, over a copy of the bytes it keeps:
+// the strings it reads are slices of the copy, and a time reads its own.
+type walk struct {
+	stats.Scanner
+	data []byte
+}
 
 var plans sync.Map // reflect.Type to its *plan, nil when it has none
 
@@ -197,15 +218,16 @@ func planOf(t reflect.Type) *plan {
 
 // compile plans struct type t. It returns nil for a type with an embedded
 // field, a tag option other than omitempty, a member name that is not plain
-// or is there twice, for one that codes itself, and for one that holds
-// itself (open lists the types being compiled).
+// or is there twice, and for one that holds itself (open lists the types
+// being compiled). A type that writes or reads itself has a plan that does
+// not.
 func compile(t reflect.Type, open map[reflect.Type]bool) *plan {
-	if t.Kind() != reflect.Struct || selfCodes(t) || open[t] {
+	if t.Kind() != reflect.Struct || open[t] {
 		return nil
 	}
 	open[t] = true
 	defer delete(open, t)
-	p := &plan{splice: -1, writes: true}
+	p := &plan{splice: -1, writes: !codes(t, selfWriting), reads: !codes(t, selfReading)}
 	if sp := spliceOf(t); sp != nil {
 		p.splice = sp.at
 	}
@@ -228,18 +250,15 @@ func compile(t reflect.Type, open map[reflect.Type]bool) *plan {
 		}
 		seen[name] = true
 		key, _ := json.Marshal(name) // a string always marshals
-		m := member{name: name, key: string(key) + ":", at: i, omit: opts != ""}
+		m := member{name: name, key: string(key) + ":", at: i, omit: opts != "", read: readerOf(f.Type, open)}
 		if i != p.splice {
 			m.write = writerOf(f.Type, open)
 			p.writes = p.writes && m.write != nil
 		}
-		switch f.Type.Kind() {
-		case reflect.String, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			m.read = !selfCodes(f.Type)
-		}
+		p.reads = p.reads && m.read != nil
 		p.members = append(p.members, m)
 	}
+	p.reads = p.reads && len(p.members) <= 64
 	return p
 }
 
@@ -254,15 +273,21 @@ func plainName(name string) bool {
 	return name != ""
 }
 
-// selfCodes reports whether encoding/json writes or reads a t, or a field
-// or element of type t, through a method.
-func selfCodes(t reflect.Type) bool {
-	for _, m := range selfCoded {
+// codes reports whether encoding/json writes or reads a t, or a field or
+// element of type t, through a method of one of the interfaces in coded.
+func codes(t reflect.Type, coded []reflect.Type) bool {
+	for _, m := range coded {
 		if t.Implements(m) || reflect.PointerTo(t).Implements(m) {
 			return true
 		}
 	}
 	return false
+}
+
+// stringKeys reports whether map type t has keys encoding/json writes and
+// reads as the strings they are.
+func stringKeys(t reflect.Type) bool {
+	return t.Key().Kind() == reflect.String && !codes(t.Key(), selfWriting) && !codes(t.Key(), selfReading)
 }
 
 // writerOf returns the writer of a t, or nil when only encoding/json writes
@@ -282,7 +307,7 @@ func writerOf(t reflect.Type, open map[reflect.Type]bool) writer {
 			}
 		}
 		return nil
-	case selfCodes(t):
+	case codes(t, selfWriting):
 		return nil
 	}
 	switch t.Kind() {
@@ -319,6 +344,26 @@ func writerOf(t reflect.Type, open map[reflect.Type]bool) writer {
 					b, ok = elem(b, v.Index(i))
 				}
 				return append(b, ']'), ok
+			}
+		}
+	case reflect.Map:
+		// Members in the bytewise order of their keys, as encoding/json sorts.
+		if elem := writerOf(t.Elem(), open); elem != nil && stringKeys(t) {
+			return func(b []byte, v reflect.Value) ([]byte, bool) {
+				if v.IsNil() {
+					return append(b, "null"...), true
+				}
+				keys := v.MapKeys()
+				slices.SortFunc(keys, func(x, y reflect.Value) int { return strings.Compare(x.String(), y.String()) })
+				b = append(b, '{')
+				ok := true
+				for i := 0; i < len(keys) && ok; i++ {
+					if i > 0 {
+						b = append(b, ',')
+					}
+					b, ok = elem(append(stats.AppendString(b, keys[i].String()), ':'), v.MapIndex(keys[i]))
+				}
+				return append(b, '}'), ok
 			}
 		}
 	}
@@ -379,155 +424,204 @@ func empty(v reflect.Value) bool {
 	return false
 }
 
-// read is json.Unmarshal(data, v) for a zero struct v when data is an
-// object the plan reads whole, and false, v left zero, when it is not.
-func (p *plan) read(data []byte, v reflect.Value) bool {
-	if len(p.members) > 64 {
-		return false
-	}
-	var seen uint64
-	s := stats.Scanner{Src: string(data)}
-	ok := s.List('{', '}', func() bool {
-		k, _ := s.Key() // "" names no member
-		for i, m := range p.members {
-			if k != m.name || !m.read || seen&(1<<i) != 0 {
-				continue
+// readerOf returns the reader of a t, or nil when only encoding/json reads
+// one. A null is read where encoding/json makes the value nil — a pointer,
+// a slice, a map — and left to encoding/json where it keeps the value.
+func readerOf(t reflect.Type, open map[reflect.Type]bool) reader {
+	switch {
+	case t == timeType:
+		return readTime
+	case t == setType || t == histogramType:
+		// The scans their UnmarshalJSON runs, where they stand.
+		return func(w *walk, v reflect.Value) bool {
+			if w.Literal("null") {
+				return true
 			}
-			seen |= 1 << i
-			f := v.Field(m.at)
-			switch f.Kind() {
-			case reflect.String:
-				text, ok := s.Text()
-				f.SetString(text)
-				return ok
-			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-				n, ok := s.Uint()
-				f.SetInt(int64(n))
-				return ok && n <= math.MaxInt64 && f.Int() == int64(n)
-			default:
-				n, ok := s.Uint()
-				f.SetUint(n)
-				return ok && f.Uint() == n
+			var stat interface{}
+			var ok bool
+			if t == setType {
+				stat, ok = w.Set()
+			} else {
+				stat, ok = w.Histogram()
+			}
+			v.Set(reflect.ValueOf(stat))
+			return ok
+		}
+	case t.Kind() == reflect.Pointer:
+		if elem := readerOf(t.Elem(), open); elem != nil {
+			return func(w *walk, v reflect.Value) bool {
+				if w.Literal("null") {
+					return true
+				}
+				v.Set(reflect.New(t.Elem()))
+				return elem(w, v.Elem())
 			}
 		}
-		return false
-	}) && s.End()
-	if !ok {
-		v.SetZero()
+		return nil
+	case codes(t, selfReading):
+		return nil
+	}
+	switch t.Kind() {
+	case reflect.String:
+		return func(w *walk, v reflect.Value) bool {
+			text, ok := w.Text()
+			v.SetString(text)
+			return ok
+		}
+	case reflect.Bool:
+		return func(w *walk, v reflect.Value) bool {
+			if w.Literal("true") {
+				v.SetBool(true)
+				return true
+			}
+			return w.Literal("false")
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return func(w *walk, v reflect.Value) bool {
+			n, ok := w.Uint()
+			v.SetInt(int64(n))
+			return ok && n <= math.MaxInt64 && v.Int() == int64(n)
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return func(w *walk, v reflect.Value) bool {
+			n, ok := w.Uint()
+			v.SetUint(n)
+			return ok && v.Uint() == n
+		}
+	case reflect.Float64:
+		return func(w *walk, v reflect.Value) bool {
+			f, ok := w.Float()
+			v.SetFloat(f)
+			return ok
+		}
+	case reflect.Struct:
+		if p := compile(t, open); p != nil && p.reads {
+			return p.object
+		}
+	case reflect.Slice:
+		// A byte slice is base64 text.
+		if elem := readerOf(t.Elem(), open); elem != nil && t.Elem().Kind() != reflect.Uint8 {
+			return func(w *walk, v reflect.Value) bool {
+				if w.Literal("null") {
+					return true
+				}
+				more, ok := w.Open('[', ']')
+				if ok && !more {
+					v.Set(reflect.MakeSlice(t, 0, 0)) // [] is empty, not nil
+				}
+				for n := 0; more; more, ok = w.Next(']') {
+					v.Grow(1)
+					v.SetLen(n + 1)
+					if !elem(w, v.Index(n)) {
+						return false
+					}
+					n++
+				}
+				return ok
+			}
+		}
+	case reflect.Array:
+		// encoding/json zero-fills a short array and drops what overflows one.
+		if elem := readerOf(t.Elem(), open); elem != nil {
+			return func(w *walk, v reflect.Value) bool {
+				more, ok := w.Open('[', ']')
+				n := 0
+				for ; more; more, ok = w.Next(']') {
+					if n == v.Len() || !elem(w, v.Index(n)) {
+						return false
+					}
+					n++
+				}
+				return ok && n == v.Len()
+			}
+		}
+	case reflect.Map:
+		// A repeated key keeps its last value, as in encoding/json.
+		if elem := readerOf(t.Elem(), open); elem != nil && stringKeys(t) {
+			return func(w *walk, v reflect.Value) bool {
+				if w.Literal("null") {
+					return true
+				}
+				more, ok := w.Open('{', '}')
+				if !ok {
+					return false
+				}
+				v.Set(reflect.MakeMap(t))
+				key, val := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+				for ; more; more, ok = w.Next('}') {
+					k, kok := w.Key()
+					val.SetZero()
+					if !kok || !elem(w, val) {
+						return false
+					}
+					key.SetString(k)
+					v.SetMapIndex(key, val)
+				}
+				return ok
+			}
+		}
+	}
+	return nil
+}
+
+// readTime reads a time.Time through its UnmarshalJSON, given the quoted
+// text as it stands.
+func readTime(w *walk, v reflect.Value) bool {
+	text, ok := w.Text()
+	return ok && v.Addr().Interface().(*time.Time).UnmarshalJSON(w.data[w.Pos-len(text)-2:w.Pos]) == nil
+}
+
+// object reads the object at the cursor into struct v. The search for a
+// member starts after the one before it, as a text the plan wrote has them
+// in field order.
+func (p *plan) object(w *walk, v reflect.Value) bool {
+	var seen uint64
+	next := 0
+	more, ok := w.Open('{', '}')
+	for ; more; more, ok = w.Next('}') {
+		k, _ := w.Key() // "" names no member
+		i := -1
+		for j := range p.members {
+			if at := (next + j) % len(p.members); p.members[at].name == k {
+				i = at
+				break
+			}
+		}
+		if i < 0 || seen&(1<<i) != 0 || !p.members[i].read(w, v.Field(p.members[i].at)) {
+			return false
+		}
+		seen |= 1 << i
+		next = i + 1
 	}
 	return ok
 }
 
-// Unmarshal is json.Unmarshal(data, v) for a zero v, and may overwrite data.
-// For a type AppendJSON splices, it decodes each result's stats and
-// load_latency itself, puts null where they were, has json.Unmarshal decode
-// the rest and hands each result its two. Another struct it reads from its
-// plan. A text with anything the walk or the plan does not expect — an
-// escaped, repeated, unknown or differently-cased member name where it
-// looks, a null or malformed value, statistics the scanners refuse — goes to
-// json.Unmarshal as it came, which so decides what is accepted and words
-// every error.
-func Unmarshal(data []byte, v interface{}) error {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return json.Unmarshal(data, v)
+// read is json.Unmarshal(data, v) for a zero struct v when data is an
+// object the plan reads whole, and false, v left zero, when it is not.
+func (p *plan) read(data []byte, v reflect.Value) bool {
+	if !p.reads {
+		return false
 	}
-	if rv.Type() != resultType && spliceOf(rv.Type().Elem()) == nil {
+	w := walk{Scanner: stats.Scanner{Src: string(data)}, data: data}
+	if p.object(&w, v) && w.End() {
+		return true
+	}
+	v.SetZero()
+	return false
+}
+
+// Unmarshal is json.Unmarshal(data, v) for a zero v. It reads a struct in
+// one walk from the plan of its type, and the statistics of each result
+// with the stats scanners. A text with anything the walk does not expect —
+// an escaped, repeated, unknown or differently-cased member name, a null
+// where encoding/json keeps a value, a malformed or overflowing value,
+// statistics the scanners refuse — goes to json.Unmarshal as it came, which
+// so decides what is accepted and words every error.
+func Unmarshal(data []byte, v interface{}) error {
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		if p := planOf(rv.Type().Elem()); p != nil && p.read(data, rv.Elem()) {
 			return nil
 		}
-		return json.Unmarshal(data, v)
 	}
-	c := cutter{p: stats.Scanner{Src: string(data)}}
-	if !c.value(rv.Type().Elem()) || !c.p.End() {
-		return json.Unmarshal(data, v)
-	}
-	// Each span held a valid value where a value may stand, and so does the
-	// null: json.Unmarshal finds in the rest what it would have in it all.
-	w, r := 0, 0
-	for _, span := range c.spans {
-		w += copy(data[w:], data[r:span[0]])
-		w += copy(data[w:], "null")
-		r = span[1]
-	}
-	w += copy(data[w:], data[r:])
-	if err := json.Unmarshal(data[:w], v); err != nil {
-		return err
-	}
-	c.results(rv.Elem(), func(r *JobResult) {
-		r.Stats, r.LoadLatency = c.found[0].Stats, c.found[0].LoadLatency
-		c.found = c.found[1:]
-	})
-	return nil
-}
-
-// cutter walks a text as json.Unmarshal will decode it into a type that
-// carries results. It knows the member names the splices give it, stats and
-// load_latency, and no other.
-type cutter struct {
-	p     stats.Scanner
-	spans [][2]int     // where the text of each value decoded here is
-	found []*JobResult // those values, held for each result object in text order
-}
-
-// object walks the object at the cursor, calling member(i) at the value of
-// the member called names[i], which it must be once and in that case only,
-// and stepping over every other.
-func (c *cutter) object(names []string, member func(i int) bool) bool {
-	var seen uint
-	return c.p.List('{', '}', func() bool {
-		k, ok := c.p.Key()
-		for i, name := range names {
-			if k == name && seen&(1<<i) == 0 {
-				seen |= 1 << i
-				return member(i)
-			}
-			ok = ok && !strings.EqualFold(k, name)
-		}
-		return ok && c.p.Value()
-	})
-}
-
-// value walks the value at the cursor, which is to decode into a t: a type
-// with a splice, or JobResult.
-func (c *cutter) value(t reflect.Type) bool {
-	if sp := spliceOf(t); sp != nil {
-		return c.object([]string{sp.name}, func(int) bool {
-			if t.Field(sp.at).Type == resultType {
-				return c.value(resultType.Elem())
-			}
-			return c.p.List('[', ']', func() bool { return c.value(recordsType.Elem()) })
-		})
-	}
-	res := new(JobResult)
-	c.found = append(c.found, res)
-	return c.object([]string{"stats", "load_latency"}, func(i int) (ok bool) {
-		start := c.p.Pos
-		if i == 0 {
-			res.Stats, ok = c.p.Set()
-		} else {
-			res.LoadLatency, ok = c.p.Histogram()
-		}
-		c.spans = append(c.spans, [2]int{start, c.p.Pos})
-		return ok && c.p.Pos-start >= len("null")
-	})
-}
-
-// results calls each with the results json.Unmarshal made in rv: one for
-// each result object of the text, in text order.
-func (c *cutter) results(rv reflect.Value, each func(*JobResult)) {
-	if rv.Type() == resultType.Elem() {
-		each(rv.Addr().Interface().(*JobResult))
-		return
-	}
-	switch f := rv.Field(spliceOf(rv.Type()).at).Interface().(type) {
-	case *JobResult:
-		if f != nil {
-			each(f)
-		}
-	case []JobRecord:
-		for i := range f {
-			c.results(reflect.ValueOf(&f[i]).Elem(), each)
-		}
-	}
+	return json.Unmarshal(data, v)
 }

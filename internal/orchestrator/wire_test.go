@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/hier"
 	"repro/internal/stats"
 )
 
@@ -284,6 +285,24 @@ func FuzzRecordJSON(f *testing.F) {
 			f.Add([]byte(text), uint8(shape))
 		}
 	}
+	// The values the plans read, and those next to them they leave to
+	// encoding/json, one member of a record at a time.
+	for _, sub := range [][2]string{
+		{`"progress":1`, `"progress":1e400`}, {`"progress":1`, `"progress":-0`}, {`"progress":1`, `"progress":1e-7`},
+		{`"cached":true`, `"cached":null`}, {`"levels":3`, `"levels":-1`},
+		{`"12:00:00Z"`, `"12:00:00+05:30"`}, {`"12:00:00Z"`, `"12:00:00-23:59"`}, {`"12:00:00Z"`, `"12:00:00+24:00"`},
+		{`"2026-10-03T12:00:00Z"`, `"yesterday"`}, {`"2026-10-03T12:00:00Z"`, `null`},
+	} {
+		f.Add([]byte(strings.Replace(record, sub[0], sub[1], 1)), uint8(0))
+	}
+	for _, member := range []string{
+		`"energy_pj":[1,2,3]`, `"energy_pj":[1,2,3,4,5]`, `"energy_pj":null`, `"energy_pj":[1,2,3,4]`,
+		`"per_core":null`, `"per_core":[]`, `"per_core":[{}]`,
+	} {
+		result := `{"config":"c","cycles":1,` + member + `}`
+		f.Add([]byte(result), uint8(3))
+		f.Add([]byte(recordText(result)), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
 		got, want := wireShapes[int(shape)%len(wireShapes)](), wireShapes[int(shape)%len(wireShapes)]()
 		err, werr := Unmarshal(bytes.Clone(data), got), json.Unmarshal(data, want)
@@ -304,39 +323,115 @@ func FuzzRecordJSON(f *testing.F) {
 	})
 }
 
-// TestRecordReadCutsRealRecord: a real record, a sweep of them and a bare
-// result are decoded by the walk, not handed whole to encoding/json — the
-// buffer comes back with the statistics cut out of it — and decode to what
-// json.Unmarshal decodes.
-func TestRecordReadCutsRealRecord(t *testing.T) {
+// TestRealRecordReadInOneWalk: a real record, a sweep of them and a bare
+// result are read by the plan of their type, statistics and all, not handed
+// to encoding/json, and decode to what json.Unmarshal decodes.
+func TestRealRecordReadInOneWalk(t *testing.T) {
 	result := string(realResult(t))
 	record := recordText(result)
-	sweep := `{"id":"sweep-0001","total":2,"by_state":{"done":2},"done":true,"jobs":[` + record + "," + record + `],"cursor":2}` + "\n"
+	jobs := `"jobs":[` + record + "," + record + "]"
+	sweep := `{"id":"sweep-0001","total":2,"by_state":{"done":2},"done":true,` + jobs + `,"cursor":2}` + "\n"
 	for _, c := range []struct {
 		text      string
 		got, want interface{}
-		results   int
 	}{
-		{record + "\n", new(JobRecord), new(JobRecord), 1},
-		{sweep, new(SweepStatus), new(SweepStatus), 2},
-		{sweep, new(SweepSubmission), new(SweepSubmission), 2},
-		{result, new(JobResult), new(JobResult), 1},
+		{record + "\n", new(JobRecord), new(JobRecord)},
+		{sweep, new(SweepStatus), new(SweepStatus)},
+		{`{"id":"sweep-0001",` + jobs + "}\n", new(SweepSubmission), new(SweepSubmission)},
+		{result, new(JobResult), new(JobResult)},
+		{string(warmRecord(t)), new(JobRecord), new(JobRecord)},
 	} {
-		data := []byte(c.text)
-		if err := Unmarshal(data, c.got); err != nil {
-			t.Fatalf("%T: %v", c.got, err)
+		v := reflect.ValueOf(c.got).Elem()
+		if p := planOf(v.Type()); p == nil || !p.read([]byte(c.text), v) {
+			t.Fatalf("%T: its plan does not read it", c.got)
 		}
 		if err := json.Unmarshal([]byte(c.text), c.want); err != nil || !reflect.DeepEqual(c.got, c.want) {
 			t.Errorf("%T: decoded %+v, json.Unmarshal %+v (%v)", c.got, c.got, c.want, err)
 		}
-		// What was cut is each result's two statistics less the null put
-		// in their place: all but ~200 bytes of a 2.6 KB result.
-		left := bytes.Index(data, []byte(`,"cursor"`))
-		if left < 0 {
-			left = bytes.Index(data, []byte(`,"timeline"`))
+	}
+}
+
+// warmRecord is a cache hit's answer to POST /v1/jobs: a done, cached
+// record around a real stored result.
+func warmRecord(tb testing.TB) []byte {
+	tb.Helper()
+	res := new(JobResult)
+	if err := json.Unmarshal(realResult(tb), res); err != nil {
+		tb.Fatal(err)
+	}
+	job, err := Job{Kind: hier.LNUCAL3, Levels: 3, Benchmark: "403.gcc", Mode: exp.Quick, Seed: 1}.Normalize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at := time.Date(2026, 10, 3, 12, 0, 0, 123456789, time.UTC)
+	rec := JobRecord{
+		ID: "job-000001", Key: job.Key(), Job: job, Status: StatusDone, Progress: 1, Cached: true, Result: res,
+		Timeline: Timeline{SubmittedAt: at, FinishedAt: &at}, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
+	}
+	data, err := AppendJSON(nil, &rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// warmRecordAllocs is what decoding warmRecord into a new record allocates:
+// the record, the walk and the copy of the text it reads, the result and
+// its finished time, the set and its two maps (four and two), the histogram
+// and its buckets. encoding/json takes 35.
+const warmRecordAllocs = 14
+
+// TestWarmRecordTakesPlan: decoding a cache hit's record allocates what the
+// walk does and no more, so a record that falls back to encoding/json fails
+// here and not only on the clock.
+func TestWarmRecordTakesPlan(t *testing.T) {
+	data := warmRecord(t)
+	n := testing.AllocsPerRun(200, func() {
+		var rec JobRecord
+		if err := Unmarshal(data, &rec); err != nil || rec.Result == nil || rec.Result.Stats == nil {
+			t.Fatalf("decoding a warm record: %v", err)
 		}
-		if max := len(c.text) - c.results*(len(result)-250); left > max || bytes.Contains(data[:max], []byte(`"counters"`)) {
-			t.Errorf("%T: the walk left the statistics for encoding/json: %d bytes of %d before the tail, want <= %d", c.got, left, len(c.text), max)
+	})
+	if n > warmRecordAllocs+2 {
+		t.Errorf("decoding a warm record: %.0f allocations, want <= %d", n, warmRecordAllocs+2)
+	}
+}
+
+// BenchmarkUnmarshalWarmRecord is the client's half of a cache hit: a
+// warm record's bytes, read into a buffer as the client reads a body, to a
+// JobRecord.
+func BenchmarkUnmarshalWarmRecord(b *testing.B) {
+	data := warmRecord(b)
+	body := make([]byte, len(data))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var rec JobRecord
+		if err := Unmarshal(body[:copy(body, data)], &rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendJSONWarmRecord is the server's half: the record of a
+// cache hit, its result a store file's bytes, to the body it sends.
+func BenchmarkAppendJSONWarmRecord(b *testing.B) {
+	var rec JobRecord
+	if err := json.Unmarshal(warmRecord(b), &rec); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	NewCache(0, dir).Put(rec.Key, rec.Result)
+	if rec.Result, _ = NewCache(0, dir).Get(rec.Key); rec.Result == nil || rec.Result.stored == nil {
+		b.Fatal("the result carries no stored bytes")
+	}
+	b.SetBytes(int64(len(warmRecord(b))))
+	b.ReportAllocs()
+	var buf []byte
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = AppendJSON(buf[:0], &rec); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -208,16 +208,20 @@ func (p *Scanner) Set() (*Set, bool) {
 // decoded set costs one string for all of them.
 func (p *Scanner) set() (setJSON, bool) {
 	var w setJSON
-	ok := p.List('{', '}', func() bool {
-		var ok bool
+	more, ok := p.Open('{', '}')
+	for ; more; more, ok = p.Next('}') {
 		switch k, _ := p.Key(); {
 		case k == "counters" && w.Counters == nil:
 			w.Counters, ok = scanMap(p, (*Scanner).Uint)
 		case k == "scalars" && w.Scalars == nil:
-			w.Scalars, ok = scanMap(p, (*Scanner).float)
+			w.Scalars, ok = scanMap(p, (*Scanner).Float)
+		default:
+			ok = false
 		}
-		return ok
-	})
+		if !ok {
+			return w, false
+		}
+	}
 	return w, ok
 }
 
@@ -225,13 +229,15 @@ func (p *Scanner) set() (setJSON, bool) {
 // name keeps its last value, as in encoding/json.
 func scanMap[V any](p *Scanner, value func(*Scanner) (V, bool)) (map[string]V, bool) {
 	m := make(map[string]V, p.hint(":", '}'))
-	ok := p.List('{', '}', func() bool {
-		k, ok := p.Key()
-		if ok {
-			m[k], ok = value(p)
+	more, ok := p.Open('{', '}')
+	for ; more; more, ok = p.Next('}') {
+		k, kok := p.Key()
+		v, vok := value(p)
+		if !kok || !vok {
+			return m, false
 		}
-		return ok
-	})
+		m[k] = v
+	}
 	return m, ok
 }
 
@@ -251,27 +257,57 @@ func (p *Scanner) histogram() (histogramJSON, bool) {
 	var w histogramJSON
 	var seen uint
 	var num [6]uint64 // the number members' values, placed as in histogramMembers
-	ok := p.List('{', '}', func() bool {
+	more, ok := p.Open('{', '}')
+	for ; more; more, ok = p.Next('}') {
 		k, _ := p.Key()
 		i := slices.Index(histogramMembers, k)
 		if i < 0 || seen&(1<<i) != 0 {
-			return false
+			return w, false
 		}
 		seen |= 1 << i
 		if i > 0 {
-			var ok bool
-			num[i], ok = p.Uint()
-			return ok
+			if num[i], ok = p.Uint(); !ok {
+				return w, false
+			}
+			continue
 		}
-		w.Buckets = make([]uint64, 0, p.hint(",", ']')+1)
-		return p.List('[', ']', func() bool {
-			v, ok := p.Uint()
-			w.Buckets = append(w.Buckets, v)
-			return ok
-		})
-	})
+		if w.Buckets, ok = p.uints(make([]uint64, 0, p.hint(",", ']')+1)); !ok {
+			return w, false
+		}
+	}
 	w.Overflow, w.Count, w.Sum, w.Min, w.Max = num[1], num[2], num[3], int(num[4]), int(num[5])
 	return w, ok && num[4] <= math.MaxInt && num[5] <= math.MaxInt
+}
+
+// uints appends the elements of the array of unsigned integers at the
+// cursor to into: what Open, Uint and Next scan, in one loop that hands
+// them only what is not a short number and a comma.
+func (p *Scanner) uints(into []uint64) ([]uint64, bool) {
+	more, ok := p.Open('[', ']')
+	src, i := p.Src, p.Pos // the cursor, kept in a register while the numbers are short
+	for more {
+		start := i
+		var v uint64
+		for ; i < len(src) && src[i]-'0' <= 9; i++ {
+			v = v*10 + uint64(src[i]-'0')
+		}
+		if n := i - start; n == 0 || n > 1 && src[start] == '0' || n > 19 {
+			p.Pos = start // whitespace first, a leading zero, 20 digits or none
+			if v, ok = p.Uint(); !ok {
+				return into, false
+			}
+			i = p.Pos
+		}
+		into = append(into, v)
+		if i < len(src) && src[i] == ',' {
+			i++
+			continue
+		}
+		p.Pos = i
+		more, ok = p.Next(']')
+		i = p.Pos
+	}
+	return into, ok
 }
 
 // Scanner is a cursor over one JSON text. False means "not the canonical
@@ -283,7 +319,7 @@ type Scanner struct {
 
 // space skips whitespace.
 func (p *Scanner) space() {
-	for p.Pos < len(p.Src) && (p.Src[p.Pos] == ' ' || p.Src[p.Pos] == '\n' || p.Src[p.Pos] == '\t' || p.Src[p.Pos] == '\r') {
+	for p.Pos < len(p.Src) && p.Src[p.Pos] <= ' ' && (p.Src[p.Pos] == ' ' || p.Src[p.Pos] == '\n' || p.Src[p.Pos] == '\t' || p.Src[p.Pos] == '\r') {
 		p.Pos++
 	}
 }
@@ -309,21 +345,23 @@ func (p *Scanner) End() bool {
 	return p.Pos == len(p.Src)
 }
 
-// List scans the object or array that open begins and end closes, calling
-// member with the cursor at each of its members or elements.
-func (p *Scanner) List(open, end byte, member func() bool) bool {
+// Open consumes the opener of a list that end closes, and the closer too
+// when the list is empty: more reports whether a member or element follows,
+// ok whether the text is such a list so far.
+func (p *Scanner) Open(open, end byte) (more, ok bool) {
 	if !p.eat(open) {
-		return false
+		return false, false
 	}
-	if p.eat(end) {
-		return true
+	return !p.eat(end), true
+}
+
+// Next consumes what follows a list's member or element: the comma before
+// another (more) or the closer end (not more). Anything else is not ok.
+func (p *Scanner) Next(end byte) (more, ok bool) {
+	if p.eat(',') {
+		return true, true
 	}
-	for member() {
-		if !p.eat(',') {
-			return p.eat(end)
-		}
-	}
-	return false
+	return false, p.eat(end)
 }
 
 // hint is how much room to make for the list about to be scanned: a member
@@ -350,11 +388,12 @@ func (p *Scanner) Text() (string, bool) {
 	if !p.eat('"') {
 		return "", false
 	}
-	for start := p.Pos; p.Pos < len(p.Src); p.Pos++ {
-		switch c := p.Src[p.Pos]; {
+	src, start := p.Src, p.Pos
+	for i := start; i < len(src); i++ {
+		switch c := src[i]; {
 		case c == '"':
-			p.Pos++
-			return p.Src[start : p.Pos-1], true
+			p.Pos = i + 1
+			return src[start:i], true
 		case c < ' ' || c >= utf8.RuneSelf || c == '\\':
 			return "", false
 		}
@@ -362,31 +401,15 @@ func (p *Scanner) Text() (string, bool) {
 	return "", false
 }
 
-// Value skips the value the cursor is at, of any shape, up to the comma or
-// closer that ends it. It checks nothing inside: whether that is JSON is for
-// encoding/json to say.
-func (p *Scanner) Value() bool {
-	for depth := 0; p.Pos < len(p.Src); p.Pos++ {
-		switch p.Src[p.Pos] {
-		case '"':
-			for p.Pos++; p.Pos < len(p.Src) && p.Src[p.Pos] != '"'; p.Pos++ {
-				if p.Src[p.Pos] == '\\' {
-					p.Pos++
-				}
-			}
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth--; depth < 0 {
-				return true
-			}
-		case ',':
-			if depth == 0 {
-				return true
-			}
-		}
+// Literal consumes lit, a JSON literal such as null, if it is next after
+// any whitespace.
+func (p *Scanner) Literal(lit string) bool {
+	p.space()
+	if !strings.HasPrefix(p.Src[p.Pos:], lit) {
+		return false
 	}
-	return false
+	p.Pos += len(lit)
+	return true
 }
 
 // digits skips a run of decimal digits and returns its length.
@@ -406,22 +429,28 @@ func (p *Scanner) integer() bool {
 }
 
 // Uint scans an unsigned decimal integer that fits 64 bits. A fraction or
-// an exponent after it is for the caller's next List to refuse.
-func (p *Scanner) Uint() (v uint64, ok bool) {
+// an exponent after it is for the caller's next Next to refuse.
+func (p *Scanner) Uint() (uint64, bool) {
 	p.space()
-	start := p.Pos
-	ok = p.integer()
-	for _, c := range []byte(p.Src[start:p.Pos]) {
-		d := uint64(c - '0')
-		ok = ok && v <= (math.MaxUint64-d)/10
-		v = v*10 + d
+	src, start, end := p.Src, p.Pos, p.Pos // locals the loop keeps in registers
+	var v uint64
+	for ; end < len(src) && src[end]-'0' <= 9; end++ {
+		v = v*10 + uint64(src[end]-'0')
 	}
-	return v, ok
+	p.Pos = end
+	switch n := end - start; {
+	case n == 0 || n > 1 && src[start] == '0':
+		return 0, false
+	case n > 19: // past 19 digits a sum can wrap
+		v, err := strconv.ParseUint(src[start:end], 10, 64)
+		return v, err == nil
+	}
+	return v, true
 }
 
-// float scans a number in JSON's grammar and converts it the way
-// encoding/json does, out-of-range included.
-func (p *Scanner) float() (float64, bool) {
+// Float scans a number in JSON's grammar and converts it the way
+// encoding/json does; one out of float64's range is not ok.
+func (p *Scanner) Float() (float64, bool) {
 	p.space()
 	start := p.Pos
 	p.skip('-')
