@@ -117,6 +117,15 @@ func coreSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i)*0x9E3779B97F4A7C15
 }
 
+// streamKey names a generated stream for cpu.RunAhead's memo: what
+// workload.NewGeneratorAt reads. The profile is held by value, so an
+// override is a stream of its own.
+type streamKey struct {
+	prof workload.Profile
+	seed uint64
+	base mem.Addr
+}
+
 // Build wires a single-core system running the given workload profile:
 // the private side of the kind wired straight to the last level.
 func Build(kind Kind, prof workload.Profile, opt Options) (*System, error) {
@@ -146,8 +155,8 @@ func BuildCMP(kind Kind, profs []workload.Profile, opt CMPOptions) (*CMPSystem, 
 // at CoreOffset(i)), then the last level and memory once. shared puts
 // the arbiter in front of the last level and the core index into
 // component names; without it the single private side feeds the last
-// level directly. A generated stream runs ahead (cpu.RunAhead); a build
-// that fails closes the supplies it started.
+// level directly. A generated stream runs ahead (cpu.RunAhead), keyed by
+// its streamKey; a build that fails closes the supplies it started.
 func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (_ *System, err error) {
 	levels, err := Levels(kind, opt.LNUCALevels)
 	if err != nil {
@@ -182,7 +191,7 @@ func build(kind Kind, profs []workload.Profile, opt Options, shared bool) (_ *Sy
 			if err != nil {
 				return nil, err
 			}
-			ahead := cpu.RunAhead(gen, opt.MaxInstr)
+			ahead := cpu.RunAhead(gen, opt.MaxInstr, streamKey{prof, seed, CoreOffset(i)})
 			s.supplies = append(s.supplies, ahead)
 			stream = ahead
 		}
