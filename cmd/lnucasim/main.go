@@ -193,7 +193,7 @@ func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner
 	if err != nil {
 		return nil, err
 	}
-	runs, err := lightnuca.RunAll(ctx, runner, reqs, 0)
+	runs, err := runByStream(ctx, runner, reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +205,47 @@ func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner
 		}
 	}
 	return cells, nil
+}
+
+// memoStreams is how many benchmarks runByStream runs at once. Every
+// hierarchy a benchmark runs on reads one instruction stream, which the
+// process generates once and keeps in a 64 MiB memo: 8 Full streams of
+// 7.5 MiB fit it (a Quick one is 768 KiB).
+const memoStreams = 8
+
+// runByStream runs reqs through runner, memoStreams benchmarks at a time and
+// in request order inside each chunk, and returns the results in request
+// order. A matrix that RunAll ran whole would cycle every benchmark's stream
+// through the memo before its second hierarchy came round, so a Full one
+// would find none there; a chunk's streams stay in it until the chunk is
+// done. A mix (no benchmark) is one more member of its chunk.
+func runByStream(ctx context.Context, runner lightnuca.Runner, reqs []lightnuca.Request) ([]lightnuca.Result, error) {
+	var streams []string // benchmarks, in order of first request
+	for _, r := range reqs {
+		if !slices.Contains(streams, r.Benchmark) {
+			streams = append(streams, r.Benchmark)
+		}
+	}
+	out := make([]lightnuca.Result, len(reqs))
+	for len(streams) > 0 {
+		chunk := streams[:min(memoStreams, len(streams))]
+		streams = streams[len(chunk):]
+		var at []int
+		var part []lightnuca.Request
+		for i, r := range reqs {
+			if slices.Contains(chunk, r.Benchmark) {
+				at, part = append(at, i), append(part, r)
+			}
+		}
+		runs, err := lightnuca.RunAll(ctx, runner, part, 0)
+		for j, i := range at {
+			out[i] = runs[j]
+		}
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // printExperiments regenerates the tables and figures want names ("all"
@@ -278,7 +319,7 @@ func printDigests(ctx context.Context, w io.Writer, runner lightnuca.Runner, dir
 			reqs = append(reqs, lightnuca.Request{Hierarchy: h, Cores: 4, Mix: mix, Mode: mode, Seed: seed})
 		}
 	}
-	runs, err := lightnuca.RunAll(ctx, runner, reqs, 0)
+	runs, err := runByStream(ctx, runner, reqs)
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -99,4 +101,68 @@ func TestDigestLedgerQuick(t *testing.T) {
 		"  go run ./cmd/lnucasim -exp digests > cmd/lnucasim/testdata/digests_quick.txt\n"+
 		"  go run ./cmd/lnucasim -exp digests -mode full > cmd/lnucasim/testdata/digests_full.txt",
 		len(moved), strings.Join(moved, "\n"))
+}
+
+// callLog is a Runner that simulates nothing: it logs the benchmark of
+// every request in the order it is run, and answers each with the request
+// itself, spelled out in Key.
+type callLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (c *callLog) Run(_ context.Context, req lightnuca.Request) (lightnuca.Result, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls = append(c.calls, req.Benchmark)
+	return lightnuca.Result{Key: fmt.Sprintf("%+v", req)}, nil
+}
+
+// TestRunByStreamBoundsLiveStreams runs the digest ledger's requests at
+// Full: both figure matrices over the 28 benchmarks, then the mixes. Each
+// result must land at its request's index, and between the first and the
+// last run of any benchmark no more than memoStreams benchmarks (a mix
+// counting as one) may run, so that every stream a chunk generates is
+// still in the memo when its last hierarchy reads it.
+func TestRunByStreamBoundsLiveStreams(t *testing.T) {
+	var reqs []lightnuca.Request
+	for _, s := range []figureSet{fig4Set, fig5Set} {
+		cells, err := s.requests(workload.Suite(), "full", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, cells...)
+	}
+	for _, mix := range workload.MixNames() {
+		reqs = append(reqs, lightnuca.Request{Hierarchy: "ln+l3", Cores: 4, Mix: mix, Mode: "full", Seed: 1})
+	}
+	log := &callLog{}
+	runs, err := runByStream(context.Background(), log, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range runs {
+		if want := fmt.Sprintf("%+v", reqs[i]); r.Key != want {
+			t.Fatalf("result %d answers %s, want %s", i, r.Key, want)
+		}
+	}
+	if len(log.calls) != len(reqs) {
+		t.Fatalf("%d runs for %d requests", len(log.calls), len(reqs))
+	}
+	first, last := map[string]int{}, map[string]int{}
+	for i, b := range log.calls {
+		if _, ok := first[b]; !ok {
+			first[b] = i
+		}
+		last[b] = i
+	}
+	for b := range first {
+		live := map[string]bool{}
+		for _, other := range log.calls[first[b] : last[b]+1] {
+			live[other] = true
+		}
+		if len(live) > memoStreams {
+			t.Errorf("%q: %d streams run between its first and last cell, want <= %d", b, len(live), memoStreams)
+		}
+	}
 }

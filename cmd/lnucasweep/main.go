@@ -149,13 +149,15 @@ func (a ablation) sweep(instr uint64, jobs int, runner lightnuca.Runner) error {
 		row := append(cells, hmean(i), stats.SpeedupPercent(hmean(i), hmean(a.base)))
 		if a.fabric {
 			var ratios []float64
-			var restarts, latSum, loads uint64
+			total := stats.NewSet() // the row's counters, summed over its benchmarks
 			for _, r := range results[i*n : (i+1)*n] {
-				ratios = append(ratios, r.Stats.Scalar("ln.transport_ratio"))
-				restarts += r.Stats.Counter("ln.marked_restarts")
-				latSum, loads = latSum+r.LoadLatency.Sum(), loads+r.LoadLatency.Count()
+				ratios = append(ratios, r.Stats.Ratio("ln.transport_actual_cycles", "ln.transport_min_cycles"))
+				for _, c := range []string{"ln.marked_restarts", "core.load_latency_sum", "core.load_latency_count"} {
+					total.Add(c, r.Stats.Counter(c))
+				}
 			}
-			row = append(row, stats.ArithmeticMean(ratios), restarts, float64(latSum)/float64(loads))
+			row = append(row, stats.ArithmeticMean(ratios), total.Counter("ln.marked_restarts"),
+				total.Ratio("core.load_latency_sum", "core.load_latency_count"))
 		}
 		t.AddRowf(row...)
 	}

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 
 	lightnuca "repro"
 	"repro/internal/cpu"
@@ -122,8 +121,8 @@ func cmdRecord(args []string) {
 }
 
 // compareRuns asserts two results carry identical measurements: IPC,
-// cycles, every counter and scalar, energy, and the load-latency
-// histogram.
+// cycles, every counter (the load-latency sum and count among them) and
+// energy.
 func compareRuns(live, replay lightnuca.Result) error {
 	switch {
 	case live.IPC != replay.IPC:
@@ -134,8 +133,6 @@ func compareRuns(live, replay lightnuca.Result) error {
 		return fmt.Errorf("statistics diverged:\nlive:\n%sreplay:\n%s", live.Stats, replay.Stats)
 	case live.Energy != replay.Energy:
 		return fmt.Errorf("energy diverged: live %+v, replay %+v", live.Energy, replay.Energy)
-	case !reflect.DeepEqual(live.LoadLatency, replay.LoadLatency):
-		return fmt.Errorf("load-latency histogram diverged")
 	}
 	return nil
 }
@@ -198,9 +195,9 @@ func cmdReplay(args []string) {
 	}
 	fmt.Printf("replayed %s (%s, seed %d) on %s: IPC %.3f over %d cycles [%s]\n",
 		tr.Header.Benchmark, fs.Arg(0), tr.Header.Seed, res.Config, res.IPC, res.Cycles, src)
-	if res.LoadLatency != nil && res.LoadLatency.Count() > 0 {
-		fmt.Printf("load latency: mean %.1f cycles, min %d, max %d over %d loads\n",
-			res.LoadLatency.Mean(), res.LoadLatency.Min(), res.LoadLatency.Max(), res.LoadLatency.Count())
+	if loads := res.Stats.Counter("core.load_latency_count"); loads > 0 {
+		fmt.Printf("load latency: mean %.1f cycles over %d loads\n",
+			res.Stats.Ratio("core.load_latency_sum", "core.load_latency_count"), loads)
 	}
 	fmt.Printf("content key: %s\n", res.Key)
 }

@@ -32,7 +32,7 @@ func main() {
 		res.Stats.Counter("ln.hits_le2"), res.Stats.Counter("ln.hits_le3"))
 	fmt.Printf("  global misses:     %d (to the L3)\n", res.Stats.Counter("ln.global_misses"))
 	fmt.Printf("  transport ratio:   %.4f (1.0 = never contended)\n",
-		res.Stats.Scalar("ln.transport_ratio"))
+		res.Stats.Ratio("ln.transport_actual_cycles", "ln.transport_min_cycles"))
 	fmt.Printf("  energy:            %s\n", res.Energy)
 
 	fmt.Println()

@@ -88,14 +88,6 @@ func (p *BPred) Update(pc uint64, taken bool) (mispredicted bool) {
 	return mispredicted
 }
 
-// Accuracy returns the fraction of correct predictions so far.
-func (p *BPred) Accuracy() float64 {
-	if p.Lookups == 0 {
-		return 1
-	}
-	return 1 - float64(p.Mispredicts)/float64(p.Lookups)
-}
-
 func satInc(c uint8) uint8 {
 	if c < 3 {
 		return c + 1

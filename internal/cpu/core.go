@@ -256,9 +256,9 @@ type Core struct {
 	TLBMisses                           uint64
 	StallROBFull, StallIQFull, StallLSQ uint64
 	StallSBFull, FetchBlockedCycles     uint64
-	// LoadLatHist buckets the dispatch-to-complete latency of every load
-	// that went to memory.
-	LoadLatHist *stats.Histogram
+	// LoadLatSum and LoadLatCount total the dispatch-to-complete
+	// cycles of every load that went to memory, and count those loads.
+	LoadLatSum, LoadLatCount uint64
 }
 
 // forwardLineBytes is the granularity at which a load matches an older
@@ -272,10 +272,6 @@ const storeLineSlots = 256
 func storeLineSlot(a mem.Addr) int {
 	return int(a/forwardLineBytes) & (storeLineSlots - 1)
 }
-
-// loadLatBuckets bounds the per-cycle load-latency buckets; DRAM-bound
-// loads beyond it land in the histogram's overflow bucket.
-const loadLatBuckets = 512
 
 // New builds a core reading ops from stream and accessing memory via port.
 // maxInstr bounds the committed instruction count (0 = unbounded). A
@@ -297,8 +293,6 @@ func New(name string, cfg Config, stream Stream, port *mem.Port, ids *mem.IDSour
 		loads:    newLoadTable(cfg.LSQSize),
 		tlb:      make([]uint64, cfg.TLBEntries),
 		maxInstr: maxInstr,
-
-		LoadLatHist: stats.NewHistogram(loadLatBuckets),
 	}
 	c.ahead, _ = stream.(*Ahead)
 	for qi, limit := range [numIQ]int{qMem: cfg.MemIQ, qInt: cfg.IntIQ, qFP: cfg.FPIQ} {
@@ -370,7 +364,8 @@ func (c *Core) drainResponses(now sim.Cycle) {
 			e.done = true
 			e.doneAt = now + sim.Cycle(e.tlbExtra)
 			c.wake(e)
-			c.LoadLatHist.Observe(int(e.doneAt - e.dispatched))
+			c.LoadLatSum += uint64(e.doneAt - e.dispatched)
+			c.LoadLatCount++
 		}
 	}
 }
@@ -705,20 +700,6 @@ func (c *Core) tlbLookup(a mem.Addr) int {
 // on retirement (window-boundary clamping in the experiment harness).
 func (c *Core) MaxCommitPerCycle() int { return c.cfg.CommitWidth }
 
-// IPC returns committed instructions per cycle.
-func (c *Core) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Committed) / float64(c.Cycles)
-}
-
-// AvgLoadLatency returns mean load dispatch-to-complete cycles.
-func (c *Core) AvgLoadLatency() float64 { return c.LoadLatHist.Mean() }
-
-// BranchAccuracy returns the predictor accuracy.
-func (c *Core) BranchAccuracy() float64 { return c.bpred.Accuracy() }
-
 // Done reports whether the committed-instruction budget is exhausted.
 func (c *Core) Done() bool {
 	return c.maxInstr > 0 && c.Committed >= c.maxInstr
@@ -738,7 +719,6 @@ func (c *Core) Collect(prefix string, s *stats.Set) {
 	s.Add(prefix+".stall_lsq", c.StallLSQ)
 	s.Add(prefix+".stall_sb", c.StallSBFull)
 	s.Add(prefix+".fetch_blocked", c.FetchBlockedCycles)
-	s.SetScalar(prefix+".ipc", c.IPC())
-	s.SetScalar(prefix+".bpred_accuracy", c.BranchAccuracy())
-	s.SetScalar(prefix+".avg_load_latency", c.AvgLoadLatency())
+	s.Add(prefix+".load_latency_sum", c.LoadLatSum)
+	s.Add(prefix+".load_latency_count", c.LoadLatCount)
 }

@@ -87,21 +87,24 @@ func runCoreCfg(t *testing.T, cfg Config, ops []Op, repeat bool, maxInstr uint64
 	return core, fm
 }
 
+// ipc is c's committed instructions per cycle.
+func ipc(c *Core) float64 { return float64(c.Committed) / float64(c.Cycles) }
+
 func intOp() Op   { return Op{Class: ClassInt} }
 func chainOp() Op { return Op{Class: ClassInt, Dep1: 1} }
 
 func TestIndependentIntIPCNearWidth(t *testing.T) {
 	core, _ := runCore(t, []Op{intOp()}, true, 20000, 2)
 	// 4-wide fetch/issue/commit: IPC should approach 4.
-	if core.IPC() < 3.5 {
-		t.Fatalf("IPC = %v, want ~4 for independent int ops", core.IPC())
+	if ipc(core) < 3.5 {
+		t.Fatalf("IPC = %v, want ~4 for independent int ops", ipc(core))
 	}
 }
 
 func TestDependentChainIPCNearOne(t *testing.T) {
 	core, _ := runCore(t, []Op{chainOp()}, true, 10000, 2)
-	if core.IPC() > 1.1 || core.IPC() < 0.8 {
-		t.Fatalf("IPC = %v, want ~1 for a serial dependency chain", core.IPC())
+	if ipc(core) > 1.1 || ipc(core) < 0.8 {
+		t.Fatalf("IPC = %v, want ~1 for a serial dependency chain", ipc(core))
 	}
 }
 
@@ -109,8 +112,8 @@ func TestFPChainSlowerThanIntChain(t *testing.T) {
 	fp := []Op{{Class: ClassFP, Dep1: 1}}
 	core, _ := runCore(t, fp, true, 5000, 2)
 	// FP latency 4: chain IPC ~ 1/4.
-	if core.IPC() > 0.35 {
-		t.Fatalf("FP chain IPC = %v, want ~0.25", core.IPC())
+	if ipc(core) > 0.35 {
+		t.Fatalf("FP chain IPC = %v, want ~0.25", ipc(core))
 	}
 }
 
@@ -126,9 +129,9 @@ func TestMemoryLevelParallelism(t *testing.T) {
 	}
 	coreI, _ := runCore(t, indep, true, 4000, 20)
 	coreC, _ := runCore(t, chain, true, 4000, 20)
-	if coreI.IPC() < 2*coreC.IPC() {
+	if ipc(coreI) < 2*ipc(coreC) {
 		t.Fatalf("independent loads IPC %v not much faster than chained %v",
-			coreI.IPC(), coreC.IPC())
+			ipc(coreI), ipc(coreC))
 	}
 }
 
@@ -144,11 +147,11 @@ func TestMispredictionsHurtIPC(t *testing.T) {
 	}
 	biased, _ := runCore(t, mixed(func(i int) bool { return true }), true, 20000, 2)
 	random, _ := runCore(t, mixed(func(i int) bool { return rng.Bool(0.5) }), true, 20000, 2)
-	if random.IPC() >= biased.IPC() {
-		t.Fatalf("random branches IPC %v not below biased %v", random.IPC(), biased.IPC())
+	if ipc(random) >= ipc(biased) {
+		t.Fatalf("random branches IPC %v not below biased %v", ipc(random), ipc(biased))
 	}
-	if biased.BranchAccuracy() < 0.95 {
-		t.Fatalf("biased accuracy = %v", biased.BranchAccuracy())
+	if accuracy(biased.bpred) < 0.95 {
+		t.Fatalf("biased accuracy = %v", accuracy(biased.bpred))
 	}
 	if random.Mispredicts == 0 {
 		t.Fatal("random branches produced no mispredicts")
@@ -223,9 +226,9 @@ func TestTLBMissSlowsLoads(t *testing.T) {
 	}
 	coreHot, _ := runCore(t, hot, true, 3000, 4)
 	coreCold, _ := runCore(t, cold, true, 3000, 4)
-	if coreCold.IPC() >= coreHot.IPC() {
+	if ipc(coreCold) >= ipc(coreHot) {
 		t.Fatalf("TLB-missing loads IPC %v not below TLB-hitting %v",
-			coreCold.IPC(), coreHot.IPC())
+			ipc(coreCold), ipc(coreHot))
 	}
 }
 
@@ -274,11 +277,11 @@ func TestRefusedLoadPaysItsTLBMiss(t *testing.T) {
 	}
 }
 
-func TestLoadLatencyTracked(t *testing.T) {
+func TestLoadLatenciesCounted(t *testing.T) {
 	ops := []Op{{Class: ClassLoad, Addr: 0x100, Dep1: 1}}
 	core, _ := runCore(t, ops, true, 500, 30)
-	if core.AvgLoadLatency() < 30 {
-		t.Fatalf("AvgLoadLatency = %v, want >= memory delay 30", core.AvgLoadLatency())
+	if mean := float64(core.LoadLatSum) / float64(core.LoadLatCount); core.LoadLatCount == 0 || mean < 30 {
+		t.Fatalf("mean load latency = %v over %d loads, want >= memory delay 30", mean, core.LoadLatCount)
 	}
 }
 
@@ -289,8 +292,8 @@ func TestCollect(t *testing.T) {
 	if s.Counter("cpu.committed") != 1000 {
 		t.Fatalf("Collect missing committed: %s", s)
 	}
-	if s.Scalar("cpu.ipc") <= 0 {
-		t.Fatal("Collect missing ipc")
+	if s.Counter("cpu.load_latency_sum") != core.LoadLatSum || s.Counter("cpu.load_latency_count") != core.LoadLatCount {
+		t.Fatalf("Collect missing the load-latency counters: %s", s)
 	}
 }
 

@@ -189,7 +189,7 @@ type coreCounters struct {
 
 func countersOf(c *Core) coreCounters {
 	return coreCounters{c.Committed, c.Cycles, c.LoadsIssued, c.StoresCommitted, c.Mispredicts, c.Branches, c.TLBMisses,
-		c.StallROBFull, c.StallIQFull, c.StallLSQ, c.StallSBFull, c.FetchBlockedCycles, c.LoadLatHist.Sum(), c.LoadLatHist.Count()}
+		c.StallROBFull, c.StallIQFull, c.StallLSQ, c.StallSBFull, c.FetchBlockedCycles, c.LoadLatSum, c.LoadLatCount}
 }
 
 // pipelineState is the core's state outside the ROB entries.
@@ -208,7 +208,7 @@ func pipelineOf(c *Core) pipelineState {
 }
 
 // compareCores fails on the first difference between the cores p and
-// r: counters, pipeline state, TLB, load-latency histogram, every ROB
+// r: counters, pipeline state, TLB, every ROB
 // entry with its wake-up state, and each issue queue's count and
 // candidate set.
 func compareCores(t *testing.T, now sim.Cycle, p, r *Core) {
@@ -219,8 +219,8 @@ func compareCores(t *testing.T, now sim.Cycle, p, r *Core) {
 	if got, want := pipelineOf(p), pipelineOf(r); got != want {
 		t.Fatalf("cycle %d: pipeline state differs:\n got %+v\nwant %+v", now, got, want)
 	}
-	if !reflect.DeepEqual(p.tlb, r.tlb) || !reflect.DeepEqual(p.LoadLatHist, r.LoadLatHist) {
-		t.Fatalf("cycle %d: TLB contents or load-latency histogram differ", now)
+	if !reflect.DeepEqual(p.tlb, r.tlb) {
+		t.Fatalf("cycle %d: TLB contents differ", now)
 	}
 	for seq := p.headSeq; seq < p.tailSeq; seq++ {
 		if pe, re := p.robAt(seq), r.robAt(seq); *pe != *re {
@@ -425,8 +425,8 @@ func TestIssueMatchesPollingReference(t *testing.T) {
 			}
 			c := p.core
 			for name, n := range map[string]uint64{
-				"commits": c.Committed, "loads": c.LoadLatHist.Count(), "mispredicts": c.Mispredicts,
-				"tlb misses": c.TLBMisses, "forwarded loads": c.LoadsIssued - uint64(c.loads.n) - c.LoadLatHist.Count(),
+				"commits": c.Committed, "loads": c.LoadLatCount, "mispredicts": c.Mispredicts,
+				"tlb misses": c.TLBMisses, "forwarded loads": c.LoadsIssued - uint64(c.loads.n) - c.LoadLatCount,
 				"rob-full stalls": c.StallROBFull, "iq-full stalls": c.StallIQFull, "lsq-full stalls": c.StallLSQ,
 				"store-buffer-full stalls": c.StallSBFull, "fetch-blocked cycles": c.FetchBlockedCycles,
 				"fast-forwards": p.k.FastForwards,

@@ -49,9 +49,9 @@ func TestROBSizeKeepsModuloRingResults(t *testing.T) {
 		cfg.ROBSize = want.rob
 		c, _ := runCoreCfg(t, cfg, ops, true, 30_000, 70)
 		if c.Committed != 30_000 || c.Cycles != want.cycles || c.LoadsIssued != want.loads ||
-			c.StallROBFull != want.stallROB || c.LoadLatHist.Sum() != want.loadLatency {
+			c.StallROBFull != want.stallROB || c.LoadLatSum != want.loadLatency {
 			t.Errorf("ROBSize %d: committed %d cycles %d loads %d stallROB %d loadLatency %d, want 30000 %d %d %d %d",
-				want.rob, c.Committed, c.Cycles, c.LoadsIssued, c.StallROBFull, c.LoadLatHist.Sum(),
+				want.rob, c.Committed, c.Cycles, c.LoadsIssued, c.StallROBFull, c.LoadLatSum,
 				want.cycles, want.loads, want.stallROB, want.loadLatency)
 		}
 		if uint64(len(c.rob)) != want.ring || c.robMask != want.ring-1 {

@@ -610,14 +610,6 @@ func (d *DNUCA) MSHROccupancy() int { return d.mshr.Len() }
 // BankArray exposes bank (col,row) for tests.
 func (d *DNUCA) BankArray(col, row int) *cache.Bank { return d.bankAt(col, row).arr }
 
-// AvgSearchLatency returns mean cycles from search injection to hit.
-func (d *DNUCA) AvgSearchLatency() float64 {
-	if d.SearchesResolved == 0 {
-		return 0
-	}
-	return float64(d.SearchLatencySum) / float64(d.SearchesResolved)
-}
-
 // Collect adds counters to s under prefix.
 func (d *DNUCA) Collect(prefix string, s *stats.Set) {
 	s.Add(prefix+".reads", d.Reads)
@@ -633,5 +625,6 @@ func (d *DNUCA) Collect(prefix string, s *stats.Set) {
 	for r := 0; r < d.cfg.Rows; r++ {
 		s.Add(fmt.Sprintf("%s.hits_row%d", prefix, r), d.HitsByRow[r])
 	}
-	s.SetScalar(prefix+".avg_search_latency", d.AvgSearchLatency())
+	s.Add(prefix+".search_latency_sum", d.SearchLatencySum)
+	s.Add(prefix+".searches_resolved", d.SearchesResolved)
 }

@@ -63,9 +63,6 @@ type Result struct {
 	Cycles uint64
 	Stats  *stats.Set
 	Energy power.Breakdown
-	// LoadLat is the measured window's load-latency histogram
-	// (dispatch-to-complete cycles of loads that went to memory).
-	LoadLat *stats.Histogram
 	// Phases is the run's wall-time and kernel-activity breakdown. It
 	// describes this execution, not the experiment (cached replays of
 	// the same job carry no Phases), so it is excluded from result
@@ -113,7 +110,7 @@ func runOne(ctx context.Context, spec Spec, prof workload.Profile, mode Mode, se
 		res.Err = err
 		return res, w.sys
 	}
-	res.Stats, res.Cycles, res.LoadLat = w.stats, w.cycles, w.loadLat
+	res.Stats, res.Cycles = w.stats, w.cycles
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Stats.Counter("core.committed")) / float64(res.Cycles)
 	}
@@ -122,14 +119,13 @@ func runOne(ctx context.Context, spec Spec, prof workload.Profile, mode Mode, se
 }
 
 // window is what measure hands back: the machine, the measured window's
-// delta statistics, its length on the shared clock, core 0's
-// load-latency delta, and the run's Phases (filled as far as it got).
+// delta statistics, its length on the shared clock, and the run's Phases
+// (filled as far as it got).
 type window struct {
-	sys     *hier.System
-	stats   *stats.Set
-	cycles  uint64
-	loadLat *stats.Histogram
-	phases  *Phases
+	sys    *hier.System
+	stats  *stats.Set
+	cycles uint64
+	phases *Phases
 }
 
 // measure is the one measurement loop, shared by live, recording, replay
@@ -212,7 +208,6 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 	}
 	startStats := sys.Collect()
 	startCycles := sys.Kernel.Cycle()
-	startLoadLat := sys.Core.LoadLatHist.Clone()
 	startCommitted := committedSum(sys)
 	starts := make([]uint64, len(sys.Cores))
 	for i, c := range sys.Cores {
@@ -232,7 +227,6 @@ func measure(ctx context.Context, build func() (*hier.System, error), label stri
 	}
 	w.stats = stats.Delta(sys.Collect(), startStats)
 	w.cycles = sys.Kernel.Cycle() - startCycles
-	w.loadLat = sys.Core.LoadLatHist.Delta(startLoadLat)
 	w.phases.fillMeasure(committedSum(sys)-startCommitted, time.Since(measureStart))
 	w.phases.fillKernel(sys.Kernel.Stats().Delta(kernelStart))
 	return w, nil

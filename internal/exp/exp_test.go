@@ -179,6 +179,42 @@ func TestTable3Shape(t *testing.T) {
 	}
 }
 
+// TestTable3RatioIsEachCellsWindow: Table III's avg/min column is worked
+// out from each cell's measured window, ln.transport_actual_cycles over
+// ln.transport_min_cycles, so a table of one L-NUCA cell and its baseline
+// reads exactly that cell's quotient in the cell's class.
+func TestTable3RatioIsEachCellsWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix run in -short mode")
+	}
+	results := sharedConvCells(t)
+	base := map[string]Result{}
+	for _, r := range results {
+		if r.Spec.Kind == hier.Conventional {
+			base[r.Bench.Name] = r
+		}
+	}
+	checked := 0
+	for _, r := range results {
+		if r.Spec.Kind != hier.LNUCAL3 {
+			continue
+		}
+		cls := 0
+		if r.Bench.Class == workload.FP {
+			cls = 1
+		}
+		actual, least := r.Stats.Counter("ln.transport_actual_cycles"), r.Stats.Counter("ln.transport_min_cycles")
+		row := Table3([]Result{base[r.Bench.Name], r})[r.Spec.Levels-2]
+		if got, want := row.AvgMinIntFP[cls], float64(actual)/float64(least); least == 0 || got != want {
+			t.Errorf("%s / %s: avg/min %v, want the window's %d / %d = %v", r.Spec.Label(), r.Bench.Name, got, actual, least, want)
+		}
+		checked++
+	}
+	if checked != 3*len(testBenches()) {
+		t.Fatalf("checked %d L-NUCA cells, want %d", checked, 3*len(testBenches()))
+	}
+}
+
 func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")

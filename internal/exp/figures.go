@@ -78,11 +78,12 @@ type Table3Row struct {
 	Levels      int
 	PctByLevel  map[int][2]float64 // level -> [int%, fp%] of baseline L2 read hits
 	AllLevels   [2]float64
-	AvgMinIntFP [2]float64 // avg/min transport latency ratio per class
+	AvgMinIntFP [2]float64 // mean over the class of each cell's avg/min transport latency ratio
 }
 
 // Table3 computes the read-hit distribution relative to the baseline's L2
-// read hits, and the transport latency ratios. It needs results covering
+// read hits, and the transport latency ratios, each cell's worked out from
+// its measured window's counters. It needs results covering
 // the Conventional spec and the three LNUCAL3 specs over the same
 // benchmarks.
 func Table3(results []Result) []Table3Row {
@@ -127,7 +128,7 @@ func Table3(results []Result) []Table3Row {
 				perLevel[lvl][cls] = append(perLevel[lvl][cls], pct)
 			}
 			sums[cls] = append(sums[cls], all)
-			ratios[cls] = append(ratios[cls], r.Stats.Scalar("ln.transport_ratio"))
+			ratios[cls] = append(ratios[cls], r.Stats.Ratio("ln.transport_actual_cycles", "ln.transport_min_cycles"))
 		}
 		for lvl, acc := range perLevel {
 			if len(acc[0])+len(acc[1]) > 0 {

@@ -165,6 +165,17 @@ func FuzzCompleteRequest(f *testing.F) {
 			f.Add(data[:n])
 		}
 	}
+	// A completion from a worker that stores lnuca-job-v5 results: members
+	// no struct has any more, for encoding/json to skip.
+	legacy, err := os.ReadFile(filepath.Join("..", "stats", "testdata", "quick_ln3_403gcc_v5.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy = append(append([]byte(`{"lease_id":"lease-000001","result":`), bytes.TrimSpace(legacy)...), '}')
+	for n := 0; n < len(legacy); n += 97 {
+		f.Add(legacy[:n])
+	}
+	f.Add(legacy)
 	f.Add([]byte(`{"lease_id":"l","result":null}`))
 	f.Add([]byte(`{"lease_id":"l","result":{"stats":{"counters":{"a":1}}},"result":{"cycles":2}}`))
 	f.Add([]byte(`{"lease_id":"l","Result":{"stats":{"counters":{"a":1}}}}`))

@@ -25,12 +25,18 @@ func buildAndRun(t *testing.T, kind Kind, prof workload.Profile, instr uint64, l
 	return s, cycles
 }
 
+// ipc and loadLatency are s's core figures, worked out from its counters.
+func ipc(s *System) float64 { return s.Collect().Ratio("core.committed", "core.cycles") }
+func loadLatency(s *System) float64 {
+	return s.Collect().Ratio("core.load_latency_sum", "core.load_latency_count")
+}
+
 func TestAllHierarchiesComplete(t *testing.T) {
 	prof, _ := workload.ByName("403.gcc")
 	for _, kind := range []Kind{Conventional, LNUCAL3, DNUCAOnly, LNUCADNUCA} {
 		s, cycles := buildAndRun(t, kind, prof, 8000, 3)
-		if s.Core.IPC() <= 0.05 || s.Core.IPC() > 4 {
-			t.Errorf("%v: implausible IPC %.3f", kind, s.Core.IPC())
+		if ipc(s) <= 0.05 || ipc(s) > 4 {
+			t.Errorf("%v: implausible IPC %.3f", kind, ipc(s))
 		}
 		if cycles == 0 {
 			t.Errorf("%v: zero cycles", kind)
@@ -53,14 +59,14 @@ func TestLNUCAFasterThanConventionalOnWarmWorkload(t *testing.T) {
 	prof, _ := workload.ByName("482.sphinx3")
 	conv, _ := buildAndRun(t, Conventional, prof, 12000, 3)
 	ln, _ := buildAndRun(t, LNUCAL3, prof, 12000, 3)
-	if ln.Core.IPC() <= conv.Core.IPC() {
+	if ipc(ln) <= ipc(conv) {
 		t.Fatalf("LN3 IPC %.3f not above conventional %.3f (avg load lat %.1f vs %.1f)",
-			ln.Core.IPC(), conv.Core.IPC(),
-			ln.Core.AvgLoadLatency(), conv.Core.AvgLoadLatency())
+			ipc(ln), ipc(conv),
+			loadLatency(ln), loadLatency(conv))
 	}
-	if ln.Core.AvgLoadLatency() >= conv.Core.AvgLoadLatency() {
+	if loadLatency(ln) >= loadLatency(conv) {
 		t.Fatalf("LN3 load latency %.2f not below conventional %.2f",
-			ln.Core.AvgLoadLatency(), conv.Core.AvgLoadLatency())
+			loadLatency(ln), loadLatency(conv))
 	}
 }
 

@@ -49,7 +49,7 @@ func TestPointerChaserLeastHelped(t *testing.T) {
 	gain := func(p workload.Profile) float64 {
 		conv, _ := buildAndRun(t, Conventional, p, 10000, 3)
 		ln, _ := buildAndRun(t, LNUCAL3, p, 10000, 3)
-		return ln.Core.IPC() / conv.Core.IPC()
+		return ipc(ln) / ipc(conv)
 	}
 	gm, gp := gain(mcf), gain(pov)
 	// povray is cache-resident: near-zero gain but near-zero loss; mcf

@@ -132,10 +132,13 @@ func TestClosedMidStreamPublishesNothing(t *testing.T) {
 // TestConcurrentSystemsShareStreams: two systems of one stream run at
 // once, first as two misses that both generate it, then as two hits on
 // what one of them published, and all four end alike. Under go test
-// -race this is the check that readers only read shared blocks.
+// -race this is the check that readers only read shared blocks. The
+// budget is 6 blocks, more than a producer fills ahead of a reader that
+// has not started, so the first system's stream cannot be published
+// before the second system is built.
 func TestConcurrentSystemsShareStreams(t *testing.T) {
 	prof, _ := workload.ByName("429.mcf")
-	opt := Options{Seed: freshSeed(), MaxInstr: 12_000}
+	opt := Options{Seed: freshSeed(), MaxInstr: 48_000}
 	var results []string
 	for _, wantHits := range []uint64{0, 2} {
 		before := cpu.ReadMemo().Hits

@@ -920,15 +920,6 @@ func (f *Fabric) TotalBlocks() int {
 	return n
 }
 
-// AvgTransportRatio returns the average-to-minimum transport latency
-// ratio (Table III right columns).
-func (f *Fabric) AvgTransportRatio() float64 {
-	if f.C.TransportMinCycles == 0 {
-		return 1
-	}
-	return float64(f.C.TransportActualCycles) / float64(f.C.TransportMinCycles)
-}
-
 // Collect adds the fabric counters to s under prefix.
 func (f *Fabric) Collect(prefix string, s *stats.Set) {
 	c := &f.C
@@ -960,5 +951,4 @@ func (f *Fabric) Collect(prefix string, s *stats.Set) {
 	s.Add(prefix+".l3_fills", c.L3Fills)
 	s.Add(prefix+".stall_mshr_full", c.StallMSHRFull)
 	s.Add(prefix+".stall_no_victim_slot", c.StallNoVictimSlot)
-	s.SetScalar(prefix+".transport_ratio", f.AvgTransportRatio())
 }

@@ -347,9 +347,9 @@ func TestTransportRatioNearOneUnderLightLoad(t *testing.T) {
 		h.read(id, mem.Addr(0x10000+i*0x20))
 		h.runUntil(t, id, 100)
 	}
-	ratio := h.f.AvgTransportRatio()
-	if ratio != 1.0 {
-		t.Fatalf("uncontended transport ratio = %v, want exactly 1.0", ratio)
+	if c := h.f.C; c.TransportMinCycles == 0 || c.TransportActualCycles != c.TransportMinCycles {
+		t.Fatalf("uncontended transport took %d cycles against a minimum of %d, want exactly the minimum",
+			c.TransportActualCycles, c.TransportMinCycles)
 	}
 }
 
@@ -430,8 +430,8 @@ func TestCollectExposesPerLevelHits(t *testing.T) {
 	if s.Counter("ln.hits_le2") != 1 || s.Counter("ln.read_hits_le2") != 1 {
 		t.Fatalf("per-level hit counters wrong:\n%s", s)
 	}
-	if s.Scalar("ln.transport_ratio") != 1.0 {
-		t.Fatalf("transport ratio = %v", s.Scalar("ln.transport_ratio"))
+	if r := s.Ratio("ln.transport_actual_cycles", "ln.transport_min_cycles"); r != 1.0 {
+		t.Fatalf("transport ratio = %v", r)
 	}
 }
 

@@ -27,17 +27,17 @@ func TestJobKeyGolden(t *testing.T) {
 		key string
 	}{
 		{Job{Kind: hier.Conventional, Benchmark: "403.gcc", Mode: exp.Quick, Seed: 1},
-			"fa310c2333098aa40cec9bcb75ff176f074b0ca420c7cc081b10bec4cd267ab0"},
+			"84b8786005e0a87f62d725b9c917791f5d426ede40d38a0a24ff59ebec48f985"},
 		{Job{Kind: hier.LNUCAL3, Levels: 3, Benchmark: "429.mcf", Mode: exp.Full, Seed: 7},
-			"7b205b5d2e6431c64887e7d4a70877ff78375ec543f1e9c906b21b95f9f71a10"},
+			"d1c1bd19c40e739611742d82265bd51234319a98089a80086084e2a36cc01e5c"},
 		{Job{Kind: hier.DNUCAOnly, Benchmark: "470.lbm", Mode: exp.Quick, Seed: 1},
-			"753c99d970b2e95349daebf30a8356801df6b7b5b765ffc845229425ce6d5923"},
+			"488fce855ba0e4853457001965bdf8c03cf23b07ce22b60f5d00d665e3a585b6"},
 		{Job{Kind: hier.LNUCADNUCA, Levels: 2, Benchmark: "482.sphinx3", Mode: exp.Quick, Seed: 3},
-			"79e4973279baabefa34a3d9671a2c987cbe11ad18cd691f0c234d11951b155f8"},
+			"4fc3ec8ccf9a9b30739e35884412c0e6b218a3e913e3364fce3a3a8b98782f00"},
 		{Job{Kind: hier.LNUCAL3, Cores: 4, Mix: "mixed", Mode: exp.Quick, Seed: 1},
-			"26367b547b2bde594d729ba075c97d73dca76e9445dedd58370a16a67acadbd5"},
+			"99ff1f3ac99a20eaaeb6c68d194a71e272f3fb2e1cc5436b7ef470fd9cb212c3"},
 		{Job{Kind: hier.Conventional, Cores: 2, Mix: "403.gcc,470.lbm", Mode: exp.Quick, Seed: 5},
-			"352ff53f8ba60e86b094e0021c755a72f9887835d1b2f789ee84160eb7cf7a29"},
+			"8e13823e493c499f8f3a670c20b7b427a0ad69e7784d2bb64276d2c82aeaae00"},
 	}
 	for i, g := range golden {
 		n, err := g.job.Normalize()

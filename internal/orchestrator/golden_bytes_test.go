@@ -29,7 +29,7 @@ func TestResultBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "9aeb6c934eeef402497dc31ed48903101a837089d44b9ca910a28f5a3cae0829"
+	const want = "d2c046c0ccde35a0e7e477e70ccd31fe19fe0e13b78bde4a5970ba5f19c5ebc8"
 	job, err := Job{Kind: hier.Conventional, Trace: hdr.ID}.Normalize()
 	if err != nil {
 		t.Fatal(err)

@@ -213,7 +213,15 @@ func (j Job) MixSpec() exp.MixSpec {
 //     one a D-NUCA cell; IPC, cycles, energy and every other counter
 //     are byte-identical. The largest move is Quick 4x DN-4x8 fp,
 //     31,029 -> 4,575 reads.
-const KeySchema = "lnuca-job-v5"
+//   - v6: a result is its measured window's counters. The load-latency
+//     histogram (load_latency) and the set's five scalars (core.ipc,
+//     core.bpred_accuracy, core.avg_load_latency, ln.transport_ratio and
+//     dn.avg_search_latency, end-of-run values, warmup included) left
+//     the result; core.load_latency_sum, core.load_latency_count,
+//     dn.search_latency_sum and dn.searches_resolved joined its counters,
+//     and readers work each mean out from them. No simulated quantity
+//     moved: every other member of every ledger line is v5's.
+const KeySchema = "lnuca-job-v6"
 
 // machineField ends a canon whose machine sets a row (TestMachineKeyGolden).
 const machineField = "|machine="
@@ -287,10 +295,6 @@ type JobResult struct {
 	ThroughputIPC   float64          `json:"throughput_ipc,omitempty"`
 	WeightedSpeedup float64          `json:"weighted_speedup,omitempty"`
 
-	// LoadLatency is the measured window's load-latency histogram
-	// (single-core runs).
-	LoadLatency *stats.Histogram `json:"load_latency,omitempty"`
-
 	Stats *stats.Set `json:"stats,omitempty"`
 
 	// Phases is the wall-time and kernel-activity breakdown of the run
@@ -338,13 +342,12 @@ func (r *JobResult) Valid() bool {
 // ResultOf converts a successful exp.Result.
 func ResultOf(r exp.Result) *JobResult {
 	out := &JobResult{
-		Config:      r.Spec.Label(),
-		Benchmark:   r.Bench.Name,
-		IPC:         r.IPC,
-		Cycles:      r.Cycles,
-		LoadLatency: r.LoadLat,
-		Stats:       r.Stats,
-		Phases:      r.Phases,
+		Config:    r.Spec.Label(),
+		Benchmark: r.Bench.Name,
+		IPC:       r.IPC,
+		Cycles:    r.Cycles,
+		Stats:     r.Stats,
+		Phases:    r.Phases,
 	}
 	for b := power.Bucket(0); b < 4; b++ {
 		out.EnergyPJ[b] = r.Energy.Get(b)

@@ -30,20 +30,20 @@ func TestMachineKeyGolden(t *testing.T) {
 		key  string // sha256 of canon
 		conf string
 	}{
-		// lnuca-job-v5|hier=LN+L3|levels=3|bench=403.gcc|cores=0|mix=|warmup=4000|measure=20000|seed=1
-		{plainGCC, "7080478d3e2bea0efa1f8715bdf77a904cf2eb41d405a79c7af7f24b398ff949", "LN3-144KB"},
+		// lnuca-job-v6|hier=LN+L3|levels=3|bench=403.gcc|cores=0|mix=|warmup=4000|measure=20000|seed=1
+		{plainGCC, "4726c2b782676ecaa5a626474676d8e605ece7d211cf06aff0bf81d269691953", "LN3-144KB"},
 		{withMachine(plainGCC, map[string]float64{"ln.link_buf": 2, "ln.tile_kb": 8}),
-			"7080478d3e2bea0efa1f8715bdf77a904cf2eb41d405a79c7af7f24b398ff949", "LN3-144KB"},
+			"4726c2b782676ecaa5a626474676d8e605ece7d211cf06aff0bf81d269691953", "LN3-144KB"},
 		// ... + |machine=ln.link_buf=1
 		{withMachine(plainGCC, map[string]float64{"ln.link_buf": 1}),
-			"e1a84e2fe14a945663a7bca3ba82bc44b59c073c2d45aa2520815f51d087460a", "LN3-144KB {ln.link_buf=1}"},
-		// lnuca-job-v5|hier=LN+DN-4x8|levels=2|bench=|cores=2|mix=403.gcc,470.lbm|warmup=500|measure=3000|seed=5|machine=ln.routing=1,ln.tile_kb=4
+			"a58ccec954b98ae39bc9d0360602aa5e4e6bf9675272b8329bb4593dbc44c604", "LN3-144KB {ln.link_buf=1}"},
+		// lnuca-job-v6|hier=LN+DN-4x8|levels=2|bench=|cores=2|mix=403.gcc,470.lbm|warmup=500|measure=3000|seed=5|machine=ln.routing=1,ln.tile_kb=4
 		{Request{Hierarchy: "ln+dn", Levels: 2, Cores: 2, Mix: "403.gcc,470.lbm", Warmup: 500, Measure: 3000, Seed: 5,
 			Machine: map[string]float64{"ln.tile_kb": 4, "ln.routing": 1}},
-			"aadef9e9b6fdaf2eb5c91a968588ec81e0f2db13f4aa5098569d605342b1a00c", "2x LN2 + DN-4x8 {ln.routing=1,ln.tile_kb=4}"},
+			"671608f188d7136d33c543f57f70320858e1e693429a33dd9d10d18647637db7", "2x LN2 + DN-4x8 {ln.routing=1,ln.tile_kb=4}"},
 		// conventional has no fabric: the golden key of TestJobKeyGolden.
 		{Request{Hierarchy: "conventional", Benchmark: "403.gcc", Mode: "quick", Seed: 1, Machine: map[string]float64{"ln.link_buf": 1}},
-			"fa310c2333098aa40cec9bcb75ff176f074b0ca420c7cc081b10bec4cd267ab0", "L2-256KB"},
+			"84b8786005e0a87f62d725b9c917791f5d426ede40d38a0a24ff59ebec48f985", "L2-256KB"},
 	} {
 		j, err := c.req.Job()
 		if err != nil {

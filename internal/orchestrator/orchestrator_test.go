@@ -390,11 +390,6 @@ func TestJobResultJSONRoundTrip(t *testing.T) {
 			t.Fatalf("counter %s: %d != %d", k, back.Stats.Counter(k), res.Stats.Counter(k))
 		}
 	}
-	for _, k := range res.Stats.ScalarNames() {
-		if back.Stats.Scalar(k) != res.Stats.Scalar(k) {
-			t.Fatalf("scalar %s mismatch", k)
-		}
-	}
 }
 
 // TestParseKind: a request names its hierarchy by request name, alias or

@@ -73,7 +73,6 @@ func TestFrozenSchemas(t *testing.T) {
 			`PerCore []exp.CoreResult json:"per_core,omitempty"`,
 			`ThroughputIPC float64 json:"throughput_ipc,omitempty"`,
 			`WeightedSpeedup float64 json:"weighted_speedup,omitempty"`,
-			`LoadLatency *stats.Histogram json:"load_latency,omitempty"`,
 			`Stats *stats.Set json:"stats,omitempty"`,
 			`Phases *exp.Phases json:"phases,omitempty"`,
 		}},
@@ -86,7 +85,7 @@ func TestFrozenSchemas(t *testing.T) {
 
 	for _, c := range []struct{ name, got, want string }{
 		{"RequestSchema", RequestSchema, "lnuca-run-v1"},
-		{"KeySchema", KeySchema, "lnuca-job-v5"},
+		{"KeySchema", KeySchema, "lnuca-job-v6"},
 		{"trace.Schema", trace.Schema, "lnuca-trace-v1"},
 	} {
 		if c.got != c.want {

@@ -175,8 +175,7 @@ func TestCachePutMarshalFailure(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(0, dir)
 	res := stubResult(quickJob("403.gcc"))
-	res.Stats = stats.NewSet()
-	res.Stats.SetScalar("core.ipc", math.NaN())
+	res.IPC = math.NaN()
 	c.Put("k", res)
 	got, ok := c.Get("k")
 	if !ok || got.stored != nil || got.Cycles != res.Cycles {
@@ -186,7 +185,7 @@ func TestCachePutMarshalFailure(t *testing.T) {
 		t.Errorf("write errors = %d, want 1", n)
 	}
 	if _, err := json.Marshal(got); err == nil {
-		t.Error("a NaN scalar encoded")
+		t.Error("a NaN IPC encoded")
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Errorf("store holds %d files (%v), want none", len(entries), err)

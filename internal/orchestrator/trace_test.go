@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -103,9 +102,9 @@ func TestTraceJobKeyGolden(t *testing.T) {
 		key string
 	}{
 		{Job{Kind: hier.LNUCAL3, Levels: 3, Trace: id},
-			"7da57dc26ac4064ce8f48191bee6e37a1f04f5c0cfc0e743d3ee1fb89155e2a2"},
+			"8fcc23de9183433daa6ffb869afb9059a232864f382e432a998da040191fc8af"},
 		{Job{Kind: hier.Conventional, Trace: id},
-			"909dee69c53c284d80897fd75e7a17c903757e018a2bd474d7e6204bb14d9501"},
+			"c5795c34b9593730dea33f73b4b669c661571d05d5f904da52121d90bbcf9cb6"},
 	}
 	for i, g := range golden {
 		n, err := g.job.Normalize()
@@ -176,8 +175,8 @@ func TestOrchestratorTraceRun(t *testing.T) {
 	if res.Stats.String() != live.Stats.String() {
 		t.Error("replay statistics diverged from the live run")
 	}
-	if res.LoadLatency == nil || res.LoadLatency.Count() == 0 {
-		t.Error("trace result missing the load-latency histogram")
+	if res.Stats.Counter("core.load_latency_count") == 0 {
+		t.Error("trace result missing the load-latency counters")
 	}
 
 	// The identical resubmission is a cache hit, not a re-simulation.
@@ -288,9 +287,9 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 	if rec.Result.IPC != live.IPC || rec.Result.Cycles != live.Cycles {
 		t.Errorf("HTTP replay diverged from live: IPC %v/%v", rec.Result.IPC, live.IPC)
 	}
-	// The histogram survives the HTTP JSON round trip intact.
-	if rec.Result.LoadLatency == nil || rec.Result.LoadLatency.Count() != live.LoadLat.Count() {
-		t.Errorf("histogram lost over HTTP: %+v", rec.Result.LoadLatency)
+	// The counters survive the HTTP JSON round trip intact.
+	if rec.Result.Stats.String() != live.Stats.String() {
+		t.Errorf("statistics changed over HTTP:\n%s\nwant\n%s", rec.Result.Stats, live.Stats)
 	}
 
 	// HTTP decode rejections (the satellite's HTTP path).
@@ -326,34 +325,5 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown trace submit: status %d, want 422", resp.StatusCode)
-	}
-}
-
-// TestJobResultHistogramJSONRoundTrip: the full servable result —
-// histogram included — survives marshal/unmarshal, the shape both the
-// file cache and the HTTP API rely on.
-func TestJobResultHistogramJSONRoundTrip(t *testing.T) {
-	_, live := recordTestTrace(t)
-	jr := ResultOf(live)
-	data, err := json.Marshal(jr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got JobResult
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Valid() {
-		t.Fatal("round-tripped result is invalid")
-	}
-	if got.LoadLatency == nil {
-		t.Fatal("histogram dropped")
-	}
-	if got.LoadLatency.Count() != jr.LoadLatency.Count() ||
-		got.LoadLatency.Sum() != jr.LoadLatency.Sum() ||
-		got.LoadLatency.Min() != jr.LoadLatency.Min() ||
-		got.LoadLatency.Max() != jr.LoadLatency.Max() ||
-		got.LoadLatency.Mean() != jr.LoadLatency.Mean() {
-		t.Errorf("histogram round trip diverged: got %+v want %+v", got.LoadLatency, jr.LoadLatency)
 	}
 }

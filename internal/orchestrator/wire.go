@@ -19,19 +19,18 @@ import (
 // list records, a fleet completion, a bare JobResult. AppendJSON writes the
 // half kilobyte around a result from a plan compiled from the struct's own
 // fields and tags, or has encoding/json write it, and splices the result's
-// 2.4-11 KB in untouched. Unmarshal reads any of them, and a flat body such
+// 1.3-11 KB in untouched. Unmarshal reads any of them, and a flat body such
 // as a Request, in one walk driven by the same plans, the statistics by the
-// stats scanners where they stand; a text with anything the walk does not
+// stats scanner where they stand; a text with anything the walk does not
 // expect goes to json.Unmarshal untouched. The bytes are json.Marshal's and
 // the values json.Unmarshal's: the tests keep both as the reference.
 // DESIGN.md, "Result wire form".
 
 var (
-	resultType    = reflect.TypeOf((*JobResult)(nil))
-	recordsType   = reflect.TypeOf([]JobRecord(nil))
-	timeType      = reflect.TypeOf(time.Time{})
-	setType       = reflect.TypeOf((*stats.Set)(nil))
-	histogramType = reflect.TypeOf((*stats.Histogram)(nil))
+	resultType  = reflect.TypeOf((*JobResult)(nil))
+	recordsType = reflect.TypeOf([]JobRecord(nil))
+	timeType    = reflect.TypeOf(time.Time{})
+	setType     = reflect.TypeOf((*stats.Set)(nil))
 
 	// Types that write themselves, and types that read themselves:
 	// encoding/json calls their methods.
@@ -431,20 +430,14 @@ func readerOf(t reflect.Type, open map[reflect.Type]bool) reader {
 	switch {
 	case t == timeType:
 		return readTime
-	case t == setType || t == histogramType:
-		// The scans their UnmarshalJSON runs, where they stand.
+	case t == setType:
+		// The scan its UnmarshalJSON runs, where it stands.
 		return func(w *walk, v reflect.Value) bool {
 			if w.Literal("null") {
 				return true
 			}
-			var stat interface{}
-			var ok bool
-			if t == setType {
-				stat, ok = w.Set()
-			} else {
-				stat, ok = w.Histogram()
-			}
-			v.Set(reflect.ValueOf(stat))
+			set, ok := w.Set()
+			v.Set(reflect.ValueOf(set))
 			return ok
 		}
 	case t.Kind() == reflect.Pointer:

@@ -28,7 +28,20 @@ import (
 // realResult is a stored result as a store file holds it.
 func realResult(tb testing.TB) []byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "stats", "testdata", "quick_ln3_403gcc.json"))
+	return testdata(tb, "quick_ln3_403gcc.json")
+}
+
+// legacyResult is the same result as lnuca-job-v5 stored it, with the
+// load-latency histogram and the set's scalars that left the schema.
+func legacyResult(tb testing.TB) []byte {
+	tb.Helper()
+	return testdata(tb, "quick_ln3_403gcc_v5.json")
+}
+
+// testdata is the stats package's test file name.
+func testdata(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "stats", "testdata", name))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -61,10 +74,8 @@ func wireResults(t *testing.T) []*JobResult {
 		Config: "LN3-144KB x2", Cycles: 40000, Cores: 2, ThroughputIPC: 1.25, WeightedSpeedup: 1.9, Stats: base.Stats,
 		PerCore: []exp.CoreResult{{Benchmark: "403.gcc", IPC: 0.5, Committed: 20000}, {Benchmark: "470.lbm", IPC: 0.75, Committed: 30000}},
 	}
-	awkward := &JobResult{Config: "<L2>&", Benchmark: "\"q\"", Cycles: 1, Stats: stats.NewSet(), LoadLatency: stats.NewHistogram(4)}
+	awkward := &JobResult{Config: "<L2>&", Benchmark: "\"q\"", IPC: 1e-9, Cycles: 1, Stats: stats.NewSet()}
 	awkward.Stats.Add("a<b>&\"c\\\xff", 7)
-	awkward.Stats.SetScalar("é", 1e-9)
-	awkward.LoadLatency.Observe(3)
 
 	dir := t.TempDir()
 	disk, memory := NewCache(0, dir), NewCache(0, "")
@@ -178,8 +189,7 @@ func TestRecordWireMatchesReflective(t *testing.T) {
 
 	bad := recs[0]
 	bad.Result = stubResult(quickJob("403.gcc"))
-	bad.Result.Stats = stats.NewSet()
-	bad.Result.Stats.SetScalar("core.ipc", math.NaN())
+	bad.Result.IPC = math.NaN()
 	nan := recs[1]
 	nan.Progress = math.NaN()
 	for name, v := range map[string]interface{}{
@@ -198,7 +208,7 @@ func TestRecordWireMatchesReflective(t *testing.T) {
 // design names, so a renamed, added or reordered field cannot leave them
 // behind.
 func TestWireNamesNoOtherMember(t *testing.T) {
-	allowed := map[string]bool{"result": true, "jobs": true, "stats": true, "load_latency": true}
+	allowed := map[string]bool{"result": true, "jobs": true, "stats": true}
 	var names []string
 	for _, v := range []interface{}{JobRecord{}, Job{}, Timeline{}, JobResult{}} {
 		for i, typ := 0, reflect.TypeOf(v); i < typ.NumField(); i++ {
@@ -247,23 +257,28 @@ func FuzzRecordJSON(f *testing.F) {
 	result := string(realResult(f))
 	record := recordText(result)
 	queued := `{"id":"job-000002","key":"k2","job":{"hierarchy":"L2-256KB","benchmark":"429.mcf","mode":{"name":"quick","warmup":4000,"measure":20000},"seed":1},"status":"queued","progress":0,"timeline":{"submitted_at":"2026-10-03T12:00:00Z","queue_seconds":0.5}}`
-	sweep := `{"id":"sweep-0001","total":3,"by_state":{"done":2,"queued":1},"done":false,"jobs":[` + record + `,` + queued + `,` + record + `],"cursor":7}`
-	for shape, text := range []string{record, sweep, sweep, result} {
-		// Every truncation where the envelope and the results meet, a sample
-		// of them inside the statistics, which FuzzSetJSON and
-		// FuzzHistogramJSON truncate at every byte.
-		for n := 0; n <= len(text); n++ {
-			near := n < 140 || n > len(text)-140
-			for _, name := range []string{`"result"`, `"load_latency"`, `"stats"`, `"timeline"`} {
-				at := strings.LastIndex(text[:min(n+len(name), len(text))], name)
-				near = near || at >= 0 && n-at < 24
+	// The result as this schema stores it, and as lnuca-job-v5 stored it,
+	// with members no struct has any more, for encoding/json to skip.
+	for _, res := range []string{result, string(legacyResult(f))} {
+		rec := recordText(res)
+		sweep := `{"id":"sweep-0001","total":3,"by_state":{"done":2,"queued":1},"done":false,"jobs":[` + rec + `,` + queued + `,` + rec + `],"cursor":7}`
+		for shape, text := range []string{rec, sweep, sweep, res} {
+			// Every truncation where the envelope and the results meet, and a
+			// sample of them inside the statistics, which FuzzSetJSON
+			// truncates at every byte.
+			for n := 0; n <= len(text); n++ {
+				near := n < 140 || n > len(text)-140
+				for _, name := range []string{`"result"`, `"load_latency"`, `"stats"`, `"timeline"`} {
+					at := strings.LastIndex(text[:min(n+len(name), len(text))], name)
+					near = near || at >= 0 && n-at < 24
+				}
+				if near || n%97 == 0 {
+					f.Add([]byte(text[:n]), uint8(shape))
+				}
 			}
-			if near || n%97 == 0 {
-				f.Add([]byte(text[:n]), uint8(shape))
+			for _, around := range []string{" %s ", "\n\t%s\r\n", "%s\x00", "\x00%s", "\ufeff%s", "%s\ufeff", "%s%[1]s", "%s,", "[%s]", "%s}"} {
+				f.Add([]byte(fmt.Sprintf(around, text)), uint8(shape))
 			}
-		}
-		for _, around := range []string{" %s ", "\n\t%s\r\n", "%s\x00", "\x00%s", "\ufeff%s", "%s\ufeff", "%s%[1]s", "%s,", "[%s]", "%s}"} {
-			f.Add([]byte(fmt.Sprintf(around, text)), uint8(shape))
 		}
 	}
 	small := `{"config":"c","cycles":1,"stats":{"counters":{"a":1}},"load_latency":{"buckets":[1],"count":1,"sum":0}}`
@@ -377,9 +392,8 @@ func warmRecord(tb testing.TB) []byte {
 
 // warmRecordAllocs is what decoding warmRecord into a new record allocates:
 // the record, the walk and the copy of the text it reads, the result and
-// its finished time, the set and its two maps (four and two), the histogram
-// and its buckets. encoding/json takes 35.
-const warmRecordAllocs = 14
+// its finished time, the set and its map (four). encoding/json takes 27.
+const warmRecordAllocs = 10
 
 // TestWarmRecordTakesPlan: decoding a cache hit's record allocates what the
 // walk does and no more, so a record that falls back to encoding/json fails
@@ -437,7 +451,7 @@ func BenchmarkAppendJSONWarmRecord(b *testing.B) {
 }
 
 // TestWriteJSONEncodesBeforeStatus: a result that cannot be encoded (a NaN
-// scalar, which a memory-only cache holds without having tried) is a 500
+// IPC, which a memory-only cache holds without having tried) is a 500
 // with the error envelope on every route that carries it, not a 200 or 202
 // with an empty body.
 func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
@@ -452,8 +466,7 @@ func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
 	cache := NewCache(0, "")
 	cache.Put(good.Key(), stubResult(good))
 	res := stubResult(bad)
-	res.Stats = stats.NewSet()
-	res.Stats.SetScalar("core.ipc", math.NaN())
+	res.IPC = math.NaN()
 	cache.Put(bad.Key(), res)
 	orch := New(Config{Workers: 1, Cache: cache})
 	defer orch.Close()

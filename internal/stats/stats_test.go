@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/json"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,14 +24,19 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestScalars(t *testing.T) {
+func TestRatio(t *testing.T) {
 	s := NewSet()
-	s.SetScalar("ipc", 1.25)
-	if got := s.Scalar("ipc"); got != 1.25 {
-		t.Errorf("ipc = %v, want 1.25", got)
+	s.Add("ln.transport_actual_cycles", 1013)
+	s.Add("ln.transport_min_cycles", 1000)
+	if got := s.Ratio("ln.transport_actual_cycles", "ln.transport_min_cycles"); got != 1.013 {
+		t.Errorf("ratio = %v, want 1.013", got)
 	}
-	if got := s.Scalar("absent"); got != 0 {
-		t.Errorf("absent = %v, want 0", got)
+	if got := s.Ratio("absent", "ln.transport_min_cycles"); got != 0 {
+		t.Errorf("absent numerator: ratio = %v, want 0", got)
+	}
+	// A mean over nothing is no number, which a table renders as a dash.
+	if got := s.Ratio("ln.transport_actual_cycles", "absent"); !math.IsNaN(got) {
+		t.Errorf("absent denominator: ratio = %v, want NaN", got)
 	}
 }
 
@@ -120,145 +124,6 @@ func TestSpeedupPercent(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(4)
-	for _, v := range []int{0, 1, 1, 3, 7} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d, want 5", h.Count())
-	}
-	if h.Bucket(1) != 2 {
-		t.Errorf("Bucket(1) = %d, want 2", h.Bucket(1))
-	}
-	if h.Overflow() != 1 {
-		t.Errorf("Overflow = %d, want 1", h.Overflow())
-	}
-	if h.Min() != 0 || h.Max() != 7 {
-		t.Errorf("Min/Max = %d/%d, want 0/7", h.Min(), h.Max())
-	}
-	if got := h.Mean(); math.Abs(got-12.0/5.0) > 1e-12 {
-		t.Errorf("Mean = %v, want 2.4", got)
-	}
-}
-
-func TestHistogramNegativeClamped(t *testing.T) {
-	h := NewHistogram(2)
-	h.Observe(-5)
-	if h.Bucket(0) != 1 {
-		t.Errorf("negative sample not clamped to bucket 0")
-	}
-}
-
-func TestHistogramMeanProperty(t *testing.T) {
-	f := func(vals []uint8) bool {
-		h := NewHistogram(64)
-		sum := 0
-		for _, v := range vals {
-			h.Observe(int(v))
-			sum += int(v)
-		}
-		if len(vals) == 0 {
-			return h.Mean() == 0
-		}
-		want := float64(sum) / float64(len(vals))
-		return math.Abs(h.Mean()-want) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEmptyHistogram(t *testing.T) {
-	h := NewHistogram(0) // degenerate size must not panic
-	if h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-	h.Observe(0)
-	if h.Count() != 1 {
-		t.Error("degenerate histogram should still count")
-	}
-}
-
-func TestHistogramJSONRoundTrip(t *testing.T) {
-	h := NewHistogram(8)
-	for _, v := range []int{0, 2, 2, 5, 7, 31} {
-		h.Observe(v)
-	}
-	data, err := json.Marshal(h)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var got Histogram
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !reflect.DeepEqual(h, &got) {
-		t.Errorf("round trip changed the histogram:\n got %+v\nwant %+v", got, *h)
-	}
-	// An unmarshaled histogram keeps observing with the original range.
-	got.Observe(100)
-	if got.Overflow() != h.Overflow()+1 {
-		t.Errorf("overflow after re-observe = %d, want %d", got.Overflow(), h.Overflow()+1)
-	}
-}
-
-func TestHistogramJSONEmptyRoundTrip(t *testing.T) {
-	h := NewHistogram(4)
-	data, err := json.Marshal(h)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var got Histogram
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !reflect.DeepEqual(h, &got) {
-		t.Errorf("empty round trip changed the histogram:\n got %+v\nwant %+v", got, *h)
-	}
-}
-
-func TestHistogramClone(t *testing.T) {
-	h := NewHistogram(4)
-	h.Observe(1)
-	c := h.Clone()
-	h.Observe(1)
-	h.Observe(9)
-	if c.Count() != 1 || c.Bucket(1) != 1 || c.Overflow() != 0 {
-		t.Errorf("clone mutated by later observes: %+v", *c)
-	}
-	if (*Histogram)(nil).Clone() != nil {
-		t.Error("nil Clone should stay nil")
-	}
-}
-
-func TestHistogramDelta(t *testing.T) {
-	h := NewHistogram(8)
-	h.Observe(1)
-	h.Observe(20) // pre-window overflow
-	start := h.Clone()
-	h.Observe(3)
-	h.Observe(3)
-	h.Observe(30)
-	d := h.Delta(start)
-	if d.Count() != 3 || d.Bucket(3) != 2 || d.Bucket(1) != 0 || d.Overflow() != 1 {
-		t.Errorf("delta wrong: %+v", *d)
-	}
-	if d.Sum() != 36 {
-		t.Errorf("delta sum = %d, want 36", d.Sum())
-	}
-	if d.Min() != 3 {
-		t.Errorf("delta min = %d, want 3", d.Min())
-	}
-	// Window saw overflow, so Max falls back to the run-wide maximum.
-	if d.Max() != 30 {
-		t.Errorf("delta max = %d, want 30", d.Max())
-	}
-	if got := h.Delta(nil); !reflect.DeepEqual(got, h) {
-		t.Errorf("Delta(nil) should copy: %+v", *got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "config", "ipc")
 	tb.AddRowf("L2-256KB", 1.0)
@@ -303,9 +168,8 @@ func TestTableShortRowPadded(t *testing.T) {
 func TestSetString(t *testing.T) {
 	s := NewSet()
 	s.Add("n", 2)
-	s.SetScalar("x", 0.5)
-	out := s.String()
-	if !strings.Contains(out, "n=2") || !strings.Contains(out, "x=0.5") {
+	s.Add("m", 1)
+	if out := s.String(); out != "m=1\nn=2\n" {
 		t.Errorf("String output wrong:\n%s", out)
 	}
 }
@@ -314,7 +178,6 @@ func TestSetJSONRoundTrip(t *testing.T) {
 	s := NewSet()
 	s.Add("l1.hits", 1234)
 	s.Add("l1.misses", 56)
-	s.SetScalar("ln.transport_ratio", 1.013)
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -326,13 +189,10 @@ func TestSetJSONRoundTrip(t *testing.T) {
 	if back.Counter("l1.hits") != 1234 || back.Counter("l1.misses") != 56 {
 		t.Errorf("counters lost: %s", back.String())
 	}
-	if back.Scalar("ln.transport_ratio") != 1.013 {
-		t.Errorf("scalar lost: %s", back.String())
-	}
 	// The restored set must be fully usable, not just readable.
 	back.Add("l1.hits", 1)
-	back.SetScalar("new", 2)
-	if back.Counter("l1.hits") != 1235 || back.Scalar("new") != 2 {
+	back.Add("new", 2)
+	if back.Counter("l1.hits") != 1235 || back.Counter("new") != 2 {
 		t.Error("restored set not mutable")
 	}
 }
@@ -345,8 +205,7 @@ func TestSetJSONEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Add("x", 1)
-	s.SetScalar("y", 1)
-	if s.Counter("x") != 1 || s.Scalar("y") != 1 {
+	if s.Counter("x") != 1 {
 		t.Error("empty-restored set unusable")
 	}
 }
@@ -355,7 +214,6 @@ func TestMergePrefixedAndSub(t *testing.T) {
 	core := NewSet()
 	core.Add("core.committed", 100)
 	core.Add("l1.misses", 7)
-	core.SetScalar("core.ipc", 1.5)
 
 	all := NewSet()
 	all.MergePrefixed("c0", core)
@@ -368,16 +226,10 @@ func TestMergePrefixedAndSub(t *testing.T) {
 	if got := all.Counter("c1.l1.misses"); got != 7 {
 		t.Fatalf("c1.l1.misses = %d", got)
 	}
-	if got := all.Scalar("c1.core.ipc"); got != 1.5 {
-		t.Fatalf("c1.core.ipc = %v", got)
-	}
 
 	c0 := all.Sub("c0")
 	if got := c0.Counter("core.committed"); got != 100 {
 		t.Fatalf("Sub counter = %d", got)
-	}
-	if got := c0.Scalar("core.ipc"); got != 1.5 {
-		t.Fatalf("Sub scalar = %v", got)
 	}
 	// Shared counters and other cores' entries stay out.
 	if got := len(c0.Names()); got != 2 {

@@ -4,45 +4,31 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 )
 
-// The JSON wire form of a Set and a Histogram, which every stored and served
-// result carries. The encoders append exactly the bytes json.Marshal gives
-// for setJSON and histogramJSON (keys sorted bytewise, floats and awkward
-// keys as encoding/json renders them): the test keeps that reflective
-// encoder as the reference, so cache files do not depend on which wrote
-// them. The decoders scan that canonical shape once and leave any other
-// input — escapes, unknown, repeated or differently-cased members, null, a
-// negative or fractional count, overflow — to json.Unmarshal into the same
-// structs, which stays the definition of what the types accept. DESIGN.md,
-// "Result wire form".
+// The JSON wire form of a Set, which every stored and served result
+// carries. The encoder appends exactly the bytes json.Marshal gives for
+// setJSON (keys sorted bytewise, awkward keys as encoding/json renders
+// them): the test keeps that reflective encoder as the reference, so cache
+// files do not depend on which wrote them. The decoder scans that canonical
+// shape once and leaves any other input — escapes, unknown, repeated or
+// differently-cased members, null, a negative or fractional count,
+// overflow — to json.Unmarshal into the same struct, which stays the
+// definition of what the type accepts. DESIGN.md, "Result wire form".
 
-// setJSON is the wire form of a Set: two plain maps.
+// setJSON is the wire form of a Set: one plain map.
 type setJSON struct {
-	Counters map[string]uint64  `json:"counters"`
-	Scalars  map[string]float64 `json:"scalars,omitempty"`
+	Counters map[string]uint64 `json:"counters"`
 }
 
-// histogramJSON is the wire form of a Histogram, every bucket included
-// (index = sample value), so a decoded histogram keeps the original's range.
-type histogramJSON struct {
-	Buckets  []uint64 `json:"buckets"`
-	Overflow uint64   `json:"overflow,omitempty"`
-	Count    uint64   `json:"count"`
-	Sum      uint64   `json:"sum"`
-	Min      int      `json:"min,omitempty"`
-	Max      int      `json:"max,omitempty"`
-}
-
-// MarshalJSON renders the set as {"counters": {...}, "scalars": {...}}.
+// MarshalJSON renders the set as {"counters": {...}}.
 func (s *Set) MarshalJSON() ([]byte, error) {
-	counters, scalars := s.Names(), s.ScalarNames()
+	counters := s.Names()
 	// 32 bytes a member is room to spare for a real run; append grows the rest.
-	b := append(make([]byte, 0, 32*(1+len(counters)+len(scalars))), `{"counters":`...)
+	b := append(make([]byte, 0, 32*(1+len(counters))), `{"counters":`...)
 	if s.counters == nil {
 		b = append(b, "null"...)
 	} else {
@@ -54,48 +40,6 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 			b = strconv.AppendUint(appendKey(b, k), s.counters[k], 10)
 		}
 		b = append(b, '}')
-	}
-	if len(scalars) > 0 {
-		b = append(b, `,"scalars":{`...)
-		for i, k := range scalars {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			var err error
-			if b, err = AppendFloat(appendKey(b, k), s.scalars[k]); err != nil {
-				return nil, err
-			}
-		}
-		b = append(b, '}')
-	}
-	return append(b, '}'), nil
-}
-
-// MarshalJSON renders the histogram in its wire form.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	b := append(make([]byte, 0, 3*len(h.buckets)+128), `{"buckets":`...)
-	if h.buckets == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range h.buckets {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendUint(b, v, 10)
-		}
-		b = append(b, ']')
-	}
-	if h.overflow != 0 {
-		b = strconv.AppendUint(append(b, `,"overflow":`...), h.overflow, 10)
-	}
-	b = strconv.AppendUint(append(b, `,"count":`...), h.count, 10)
-	b = strconv.AppendUint(append(b, `,"sum":`...), h.sum, 10)
-	if v := h.Min(); v != 0 {
-		b = strconv.AppendInt(append(b, `,"min":`...), int64(v), 10)
-	}
-	if v := h.Max(); v != 0 {
-		b = strconv.AppendInt(append(b, `,"max":`...), int64(v), 10)
 	}
 	return append(b, '}'), nil
 }
@@ -155,43 +99,8 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 // setWire makes s the set w describes.
 func (s *Set) setWire(w setJSON) {
 	s.counters = w.Counters
-	s.scalars = w.Scalars
 	if s.counters == nil {
 		s.counters = make(map[string]uint64)
-	}
-	if s.scalars == nil {
-		s.scalars = make(map[string]float64)
-	}
-}
-
-// UnmarshalJSON restores a histogram written by MarshalJSON. The receiver
-// is reset; a zero-value Histogram becomes usable.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	p := Scanner{Src: string(data)}
-	w, ok := p.histogram()
-	if !ok || !p.End() {
-		w = histogramJSON{}
-		if err := json.Unmarshal(data, &w); err != nil {
-			return err
-		}
-	}
-	h.setWire(w)
-	return nil
-}
-
-// setWire makes h the histogram w describes.
-func (h *Histogram) setWire(w histogramJSON) {
-	if w.Buckets == nil {
-		w.Buckets = make([]uint64, 1)
-	}
-	*h = Histogram{
-		buckets:  w.Buckets,
-		overflow: w.Overflow,
-		count:    w.Count,
-		sum:      w.Sum,
-		min:      w.Min,
-		max:      w.Max,
-		any:      w.Count > 0,
 	}
 }
 
@@ -210,104 +119,30 @@ func (p *Scanner) set() (setJSON, bool) {
 	var w setJSON
 	more, ok := p.Open('{', '}')
 	for ; more; more, ok = p.Next('}') {
-		switch k, _ := p.Key(); {
-		case k == "counters" && w.Counters == nil:
-			w.Counters, ok = scanMap(p, (*Scanner).Uint)
-		case k == "scalars" && w.Scalars == nil:
-			w.Scalars, ok = scanMap(p, (*Scanner).Float)
-		default:
-			ok = false
+		if k, _ := p.Key(); k != "counters" || w.Counters != nil {
+			return w, false
 		}
-		if !ok {
+		if w.Counters, ok = p.counters(); !ok {
 			return w, false
 		}
 	}
 	return w, ok
 }
 
-// scanMap scans {"name":value,...} into a new non-nil map; a repeated
+// counters scans {"name":count,...} into a new non-nil map; a repeated
 // name keeps its last value, as in encoding/json.
-func scanMap[V any](p *Scanner, value func(*Scanner) (V, bool)) (map[string]V, bool) {
-	m := make(map[string]V, p.hint(":", '}'))
+func (p *Scanner) counters() (map[string]uint64, bool) {
+	m := make(map[string]uint64, p.hint())
 	more, ok := p.Open('{', '}')
 	for ; more; more, ok = p.Next('}') {
 		k, kok := p.Key()
-		v, vok := value(p)
+		v, vok := p.Uint()
 		if !kok || !vok {
 			return m, false
 		}
 		m[k] = v
 	}
 	return m, ok
-}
-
-// histogramMembers are histogramJSON's member names, in field order.
-var histogramMembers = []string{"buckets", "overflow", "count", "sum", "min", "max"}
-
-// Histogram is Set for a histogram.
-func (p *Scanner) Histogram() (*Histogram, bool) {
-	w, ok := p.histogram()
-	h := new(Histogram)
-	h.setWire(w)
-	return h, ok
-}
-
-// histogram is set for a histogram.
-func (p *Scanner) histogram() (histogramJSON, bool) {
-	var w histogramJSON
-	var seen uint
-	var num [6]uint64 // the number members' values, placed as in histogramMembers
-	more, ok := p.Open('{', '}')
-	for ; more; more, ok = p.Next('}') {
-		k, _ := p.Key()
-		i := slices.Index(histogramMembers, k)
-		if i < 0 || seen&(1<<i) != 0 {
-			return w, false
-		}
-		seen |= 1 << i
-		if i > 0 {
-			if num[i], ok = p.Uint(); !ok {
-				return w, false
-			}
-			continue
-		}
-		if w.Buckets, ok = p.uints(make([]uint64, 0, p.hint(",", ']')+1)); !ok {
-			return w, false
-		}
-	}
-	w.Overflow, w.Count, w.Sum, w.Min, w.Max = num[1], num[2], num[3], int(num[4]), int(num[5])
-	return w, ok && num[4] <= math.MaxInt && num[5] <= math.MaxInt
-}
-
-// uints appends the elements of the array of unsigned integers at the
-// cursor to into: what Open, Uint and Next scan, in one loop that hands
-// them only what is not a short number and a comma.
-func (p *Scanner) uints(into []uint64) ([]uint64, bool) {
-	more, ok := p.Open('[', ']')
-	src, i := p.Src, p.Pos // the cursor, kept in a register while the numbers are short
-	for more {
-		start := i
-		var v uint64
-		for ; i < len(src) && src[i]-'0' <= 9; i++ {
-			v = v*10 + uint64(src[i]-'0')
-		}
-		if n := i - start; n == 0 || n > 1 && src[start] == '0' || n > 19 {
-			p.Pos = start // whitespace first, a leading zero, 20 digits or none
-			if v, ok = p.Uint(); !ok {
-				return into, false
-			}
-			i = p.Pos
-		}
-		into = append(into, v)
-		if i < len(src) && src[i] == ',' {
-			i++
-			continue
-		}
-		p.Pos = i
-		more, ok = p.Next(']')
-		i = p.Pos
-	}
-	return into, ok
 }
 
 // Scanner is a cursor over one JSON text. False means "not the canonical
@@ -364,14 +199,14 @@ func (p *Scanner) Next(end byte) (more, ok bool) {
 	return false, p.eat(end)
 }
 
-// hint is how much room to make for the list about to be scanned: a member
-// per separator before its closer, but no more than a large result holds.
-func (p *Scanner) hint(sep string, end byte) int {
+// hint is how much room to make for the object about to be scanned: a
+// member per colon before its closer, but no more than a large result holds.
+func (p *Scanner) hint() int {
 	rest := p.Src[p.Pos:]
-	if i := strings.IndexByte(rest, end); i >= 0 {
+	if i := strings.IndexByte(rest, '}'); i >= 0 {
 		rest = rest[:i]
 	}
-	return min(strings.Count(rest, sep), 1024)
+	return min(strings.Count(rest, ":"), 1024)
 }
 
 // Key scans a member name of unescaped ASCII and the colon after it; the

@@ -176,12 +176,10 @@ type Result struct {
 	ThroughputIPC   float64
 	WeightedSpeedup float64
 
-	// LoadLatency is the measured window's load-latency histogram:
-	// dispatch-to-complete cycles of every load that went to memory
-	// (single-core runs).
-	LoadLatency *stats.Histogram
-
-	// Stats exposes every counter the simulator collected.
+	// Stats exposes every counter the simulator collected over the
+	// measured window; a mean or a ratio is Stats.Ratio of two of them
+	// (the mean load latency is core.load_latency_sum over
+	// core.load_latency_count).
 	Stats *stats.Set
 
 	// Phases breaks down how this execution spent its time; nil for
@@ -190,7 +188,7 @@ type Result struct {
 }
 
 // resultFrom converts the orchestrator's servable result into the public
-// Result shape, handing it jr's Stats, LoadLatency, PerCore and Phases
+// Result shape, handing it jr's Stats, PerCore and Phases
 // rather than copies: jr must be the caller's own — a record Client just
 // decoded, a run nobody else holds — never a live cache entry (see
 // Local.Run).
@@ -206,7 +204,6 @@ func resultFrom(key string, jr *orchestrator.JobResult, cached bool) Result {
 		PerCore:         jr.PerCore,
 		ThroughputIPC:   jr.ThroughputIPC,
 		WeightedSpeedup: jr.WeightedSpeedup,
-		LoadLatency:     jr.LoadLatency,
 		Stats:           jr.Stats,
 		Phases:          jr.Phases,
 	}

@@ -17,7 +17,7 @@ import (
 // content renders what a Result holds by reference.
 func content(t *testing.T, r lightnuca.Result) []byte {
 	t.Helper()
-	b, err := json.Marshal([]interface{}{r.Stats, r.LoadLatency, r.PerCore})
+	b, err := json.Marshal([]interface{}{r.Stats, r.PerCore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +27,7 @@ func content(t *testing.T, r lightnuca.Result) []byte {
 // scribble changes everything a Result holds by reference.
 func scribble(r lightnuca.Result) {
 	r.Stats.Add("core.committed", 1_000_000)
-	r.Stats.SetScalar("scribbled", 1)
-	if r.LoadLatency != nil {
-		r.LoadLatency.Observe(7)
-	}
+	r.Stats.Add("scribbled", 1)
 	for i := range r.PerCore {
 		r.PerCore[i].IPC = -1
 	}

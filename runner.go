@@ -88,7 +88,6 @@ func (l *Local) Run(ctx context.Context, req Request) (Result, error) {
 	// Phases are this execution's alone; an entry has none.)
 	out := resultFrom(job.Key(), res, cached)
 	out.PerCore = append([]CoreResult(nil), out.PerCore...)
-	out.LoadLatency = out.LoadLatency.Clone()
 	out.Stats = out.Stats.Clone()
 	return out, nil
 }

@@ -6,7 +6,6 @@ package lightnuca_test
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,8 +37,8 @@ func TestRecordThenLocalReplay(t *testing.T) {
 	if tr.Header.Benchmark != "400.perlbench" || tr.Header.Seed != 2 {
 		t.Fatalf("trace provenance wrong: %+v", tr.Header)
 	}
-	if live.LoadLatency == nil || live.LoadLatency.Count() == 0 {
-		t.Error("recorded result misses the load-latency histogram")
+	if live.Stats.Counter("core.load_latency_count") == 0 {
+		t.Error("recorded result misses the load-latency counters")
 	}
 
 	runner := &lightnuca.Local{}
@@ -59,9 +58,6 @@ func TestRecordThenLocalReplay(t *testing.T) {
 	}
 	if replay.Stats.String() != live.Stats.String() {
 		t.Error("replay statistics diverged from the live run")
-	}
-	if !reflect.DeepEqual(replay.LoadLatency, live.LoadLatency) {
-		t.Error("replay load-latency histogram diverged")
 	}
 	if replay.Benchmark != "400.perlbench" {
 		t.Errorf("replay lost provenance: %q", replay.Benchmark)
@@ -132,8 +128,8 @@ func TestRecordThenClientReplay(t *testing.T) {
 	if res.IPC != live.IPC || res.Cycles != live.Cycles {
 		t.Errorf("service replay diverged: IPC %v/%v", res.IPC, live.IPC)
 	}
-	if res.LoadLatency == nil || res.LoadLatency.Count() != live.LoadLatency.Count() {
-		t.Error("service replay lost the load-latency histogram")
+	if res.Stats.String() != live.Stats.String() {
+		t.Error("service replay statistics diverged from the live run")
 	}
 }
 
