@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -325,5 +326,34 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown trace submit: status %d, want 422", resp.StatusCode)
+	}
+}
+
+// TestJobResultHistogramJSONRoundTrip: the full servable result — the
+// load-latency counters that replaced the histogram included — survives
+// marshal/unmarshal, the shape both the file cache and the HTTP API rely
+// on.
+func TestJobResultHistogramJSONRoundTrip(t *testing.T) {
+	_, live := recordTestTrace(t)
+	jr := ResultOf(live)
+	data, err := json.Marshal(jr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got JobResult
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Valid() {
+		t.Fatal("round-tripped result is invalid")
+	}
+	const sum, count = "core.load_latency_sum", "core.load_latency_count"
+	if got.Stats.Counter(count) == 0 {
+		t.Fatal("load-latency counters dropped")
+	}
+	if got.Stats.Counter(sum) != jr.Stats.Counter(sum) || got.Stats.Counter(count) != jr.Stats.Counter(count) ||
+		got.Stats.Ratio(sum, count) != jr.Stats.Ratio(sum, count) {
+		t.Errorf("load-latency round trip diverged: got %d/%d want %d/%d",
+			got.Stats.Counter(sum), got.Stats.Counter(count), jr.Stats.Counter(sum), jr.Stats.Counter(count))
 	}
 }

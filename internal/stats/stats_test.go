@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,6 +38,27 @@ func TestRatio(t *testing.T) {
 	// A mean over nothing is no number, which a table renders as a dash.
 	if got := s.Ratio("ln.transport_actual_cycles", "absent"); !math.IsNaN(got) {
 		t.Errorf("absent denominator: ratio = %v, want NaN", got)
+	}
+}
+
+// TestScalars: a set holds counters alone. The scalars lnuca-job-v5
+// stored beside them (core.ipc and four more, end-of-run values) decode
+// to nothing, as encoding/json reads them, and no encoding writes them: a
+// reader works each out from two window counters with Ratio.
+func TestScalars(t *testing.T) {
+	var s Set
+	if err := json.Unmarshal(legacyResult(t), &s); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Names()); n != 54 || s.Counter("core.ipc") != 0 {
+		t.Errorf("a v5 set decoded to %d counters, core.ipc %d; want its 54 counters and no scalar among them", n, s.Counter("core.ipc"))
+	}
+	enc, err := s.MarshalJSON()
+	if err != nil || strings.Contains(string(enc), "scalars") || strings.Contains(string(enc), "core.ipc") {
+		t.Errorf("re-encoded a v5 set with its scalars (%v): %s", err, enc)
+	}
+	if got := s.Ratio("ln.transport_actual_cycles", "ln.transport_min_cycles"); math.IsNaN(got) || got < 1 {
+		t.Errorf("transport ratio from the set's counters = %v, want a number >= 1", got)
 	}
 }
 
@@ -121,6 +143,149 @@ func TestSpeedupPercent(t *testing.T) {
 	}
 	if !math.IsNaN(SpeedupPercent(1, 0)) {
 		t.Error("SpeedupPercent with zero base should be NaN")
+	}
+}
+
+// Load latency is the counter pair core.load_latency_sum and
+// core.load_latency_count, and its mean their Ratio. The Histogram tests
+// ask of that pair what they asked of the 512-bucket histogram it replaced.
+const latSum, latCount = "core.load_latency_sum", "core.load_latency_count"
+
+// observe counts one load latency into s, as the core does.
+func observe(s *Set, cycles uint64) {
+	s.Add(latSum, cycles)
+	s.Add(latCount, 1)
+}
+
+func meanLatency(s *Set) float64 { return s.Ratio(latSum, latCount) }
+
+func TestHistogramBasics(t *testing.T) {
+	s := NewSet()
+	for _, v := range []uint64{0, 1, 1, 3, 7} {
+		observe(s, v)
+	}
+	if s.Counter(latCount) != 5 || s.Counter(latSum) != 12 {
+		t.Errorf("count/sum = %d/%d, want 5/12", s.Counter(latCount), s.Counter(latSum))
+	}
+	if got := meanLatency(s); math.Abs(got-12.0/5.0) > 1e-12 {
+		t.Errorf("mean = %v, want 2.4", got)
+	}
+	if got := s.Names(); len(got) != 2 {
+		t.Errorf("observing load latencies made counters %v, want the pair", got)
+	}
+}
+
+// TestHistogramNegativeClamped: a latency pair that went backwards between
+// two snapshots has no window value; Delta leaves it out, so the window's
+// mean is no number, never one of a wrapped sum.
+func TestHistogramNegativeClamped(t *testing.T) {
+	start, end := NewSet(), NewSet()
+	for i := 0; i < 4; i++ {
+		observe(start, 9)
+	}
+	observe(end, 5)
+	d := Delta(end, start)
+	if d.Counter(latSum) != 0 || d.Counter(latCount) != 0 || !math.IsNaN(meanLatency(d)) {
+		t.Errorf("window of a pair below its start: sum %d, count %d, mean %v; want 0, 0, NaN",
+			d.Counter(latSum), d.Counter(latCount), meanLatency(d))
+	}
+}
+
+func TestHistogramMeanProperty(t *testing.T) {
+	f := func(vals []uint8) bool {
+		s := NewSet()
+		xs := make([]float64, len(vals))
+		for i, v := range vals {
+			observe(s, uint64(v))
+			xs[i] = float64(v)
+		}
+		if len(vals) == 0 {
+			return math.IsNaN(meanLatency(s))
+		}
+		return math.Abs(meanLatency(s)-ArithmeticMean(xs)) < 1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestEmptyHistogram: with no loads the mean is no number, which a table
+// prints as a dash; one load of latency 0 is counted.
+func TestEmptyHistogram(t *testing.T) {
+	s := NewSet()
+	if !math.IsNaN(meanLatency(s)) {
+		t.Errorf("mean over no loads = %v, want NaN", meanLatency(s))
+	}
+	observe(s, 0)
+	if s.Counter(latCount) != 1 || meanLatency(s) != 0 {
+		t.Errorf("one load of latency 0: count %d, mean %v", s.Counter(latCount), meanLatency(s))
+	}
+}
+
+func TestHistogramJSONRoundTrip(t *testing.T) {
+	s := NewSet()
+	for _, v := range []uint64{0, 2, 2, 5, 7, 31} {
+		observe(s, v)
+	}
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var got Set
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !reflect.DeepEqual(s, &got) {
+		t.Errorf("round trip changed the pair:\n got %s\nwant %s", &got, s)
+	}
+	// A decoded set keeps counting.
+	observe(&got, 1)
+	if got.Counter(latCount) != s.Counter(latCount)+1 {
+		t.Errorf("count after another load = %d, want %d", got.Counter(latCount), s.Counter(latCount)+1)
+	}
+}
+
+func TestHistogramJSONEmptyRoundTrip(t *testing.T) {
+	s := NewSet()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var got Set
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !reflect.DeepEqual(s, &got) || !math.IsNaN(meanLatency(&got)) {
+		t.Errorf("empty round trip: got %s (mean %v), want an empty set", &got, meanLatency(&got))
+	}
+}
+
+func TestHistogramClone(t *testing.T) {
+	s := NewSet()
+	observe(s, 1)
+	c := s.Clone()
+	observe(s, 1)
+	observe(s, 9)
+	if c.Counter(latCount) != 1 || c.Counter(latSum) != 1 {
+		t.Errorf("clone moved by later loads:\n%s", c)
+	}
+}
+
+// TestHistogramDelta: the window's mean is its own loads', not the run's.
+func TestHistogramDelta(t *testing.T) {
+	s := NewSet()
+	observe(s, 1)
+	observe(s, 20) // before the window
+	start := s.Clone()
+	observe(s, 3)
+	observe(s, 3)
+	observe(s, 30)
+	d := Delta(s, start)
+	if d.Counter(latCount) != 3 || d.Counter(latSum) != 36 || meanLatency(d) != 12 {
+		t.Errorf("window count/sum/mean = %d/%d/%v, want 3/36/12", d.Counter(latCount), d.Counter(latSum), meanLatency(d))
+	}
+	if meanLatency(s) != 57.0/5 {
+		t.Errorf("run-wide mean = %v, want 11.4", meanLatency(s))
 	}
 }
 

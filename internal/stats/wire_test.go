@@ -36,7 +36,7 @@ func refSetUnmarshal(s *Set, data []byte) error {
 // 403.gcc, seed 1): 56 counters.
 func realResult(t testing.TB) []byte {
 	t.Helper()
-	return storedSet(t, "testdata/quick_ln3_403gcc.json")
+	return storedMember(t, "testdata/quick_ln3_403gcc.json", "stats")
 }
 
 // legacyResult is the same result's statistics as lnuca-job-v5 stored
@@ -45,23 +45,31 @@ func realResult(t testing.TB) []byte {
 // encoding/json does.
 func legacyResult(t testing.TB) []byte {
 	t.Helper()
-	return storedSet(t, "testdata/quick_ln3_403gcc_v5.json")
+	return storedMember(t, "testdata/quick_ln3_403gcc_v5.json", "stats")
 }
 
-// storedSet is the "stats" member of the stored result in file.
-func storedSet(t testing.TB, file string) []byte {
+// legacyHistogram is the load-latency histogram lnuca-job-v5 stored beside
+// that set: 512 buckets, a count, a sum, a min, a max and an overflow.
+func legacyHistogram(t testing.TB) []byte {
+	t.Helper()
+	return storedMember(t, "testdata/quick_ln3_403gcc_v5.json", "load_latency")
+}
+
+// storedMember is the named member of the stored result in file, as stored.
+func storedMember(t testing.TB, file, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entry struct {
-		Stats json.RawMessage `json:"stats"`
-	}
+	var entry map[string]json.RawMessage
 	if err := json.Unmarshal(data, &entry); err != nil {
 		t.Fatal(err)
 	}
-	return entry.Stats
+	if entry[name] == nil {
+		t.Fatalf("%s stores no %q", file, name)
+	}
+	return entry[name]
 }
 
 // awkwardKeys are names encoding/json escapes, replaces or quotes
@@ -165,24 +173,45 @@ func FuzzSetJSON(f *testing.F) {
 	for _, seed := range append(wireSeeds(real, literals...), wireSeeds(legacyResult(f))...) {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var got, want Set
-		err, werr := got.UnmarshalJSON(data), refSetUnmarshal(&want, data)
-		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-			t.Fatalf("%q: UnmarshalJSON error %v, reference %v", data, err, werr)
-		}
-		if err != nil {
-			return
-		}
-		if !reflect.DeepEqual(&got, &want) {
-			t.Fatalf("%q: decoded %+v, reference %+v", data, got, want)
-		}
-		enc, err := got.MarshalJSON()
-		wenc, werr := refSetMarshal(&want)
-		if err != nil || werr != nil || !bytes.Equal(enc, wenc) {
-			t.Fatalf("%q: re-encoded %s (%v), reference %s (%v)", data, enc, err, wenc, werr)
-		}
-	})
+	f.Fuzz(agreesWithReference)
+}
+
+// FuzzHistogramJSON is FuzzSetJSON over the load-latency histogram
+// lnuca-job-v5 stored beside the set, and its shapes: an object of
+// members no set has, which the scanning decoder must leave to
+// encoding/json and agree with, as it does for any other bytes.
+func FuzzHistogramJSON(f *testing.F) {
+	literals := append(numberSeeds(`{"buckets":[%s]}`, `{"buckets":[1,%s],"count":1}`, `{"buckets":[1],"count":%s}`, `{"buckets":[1],"min":%s}`, `{"max":%s}`, `{"overflow":%s,"sum":%[1]s}`),
+		`{}`, `null`, `[]`, `{"buckets":[]}`, `{"buckets":null}`, `{"buckets":[ ]}`, `{"buckets":[],"count":0,"sum":0}`,
+		`{"buckets":[1],"buckets":[2,3]}`, `{"buckets":[1,2],"buckets":[]}`, `{"count":1,"count":2}`, `{"Buckets":[1]}`, `{"COUNT":3}`, `{"buckets":[1],"Count":2,"count":3}`,
+		`{"buckets":[1,]}`, `{"buckets":[,1]}`, `{"buckets":[1 2]}`, `{"buckets":[1]],"count":1}`, `{"buckets":{"0":1}}`, `{"buckets":[[1]]}`, `{"buckets"[]}`, `{"count" 1}`,
+		`{"min":-3,"max":-1,"count":1}`, `{"min":9223372036854775808}`, `{"max":9223372036854775807,"count":1}`, `{"extra":1}`, `{"coun\u0074":1}`,
+		`{"buckets":[1],"count":1,"sum":0,"min":0,"max":0,"overflow":0}`, "{\"count\":1}\x00", `{"count":1}}`, `{"count":1},`)
+	for _, seed := range wireSeeds(legacyHistogram(f), literals...) {
+		f.Add(seed)
+	}
+	f.Fuzz(agreesWithReference)
+}
+
+// agreesWithReference: the scanning decoder and the reflective one agree
+// on whether data is a Set, on the Set, and on its encoding.
+func agreesWithReference(t *testing.T, data []byte) {
+	var got, want Set
+	err, werr := got.UnmarshalJSON(data), refSetUnmarshal(&want, data)
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("%q: UnmarshalJSON error %v, reference %v", data, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(&got, &want) {
+		t.Fatalf("%q: decoded %+v, reference %+v", data, got, want)
+	}
+	enc, err := got.MarshalJSON()
+	wenc, werr := refSetMarshal(&want)
+	if err != nil || werr != nil || !bytes.Equal(enc, wenc) {
+		t.Fatalf("%q: re-encoded %s (%v), reference %s (%v)", data, enc, err, wenc, werr)
+	}
 }
 
 // TestWireRealResultTakesFastPath: a stored result's set is in the
