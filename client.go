@@ -33,7 +33,10 @@ type Client struct {
 	BaseURL string
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client
-	// PollInterval spaces Wait's status polls (default 50ms).
+	// PollInterval spaces Wait's and WaitSweep's status polls (default
+	// 50ms). WaitSweep asks the service to hold each poll that long while
+	// the sweep runs, so it sees the sweep end when it ends; against a
+	// service that answers at once it still polls once per PollInterval.
 	PollInterval time.Duration
 
 	// MaxRetries bounds how many times an idempotent request (a GET —
@@ -460,15 +463,23 @@ func (c *Client) SubmitSweep(ctx context.Context, sweep Sweep) (SweepSubmission,
 
 // Sweep polls a sweep's aggregated status, every cell's record included.
 func (c *Client) Sweep(ctx context.Context, id string) (SweepStatus, error) {
-	return c.sweepSince(ctx, id, 0)
+	return c.sweepSince(ctx, id, 0, 0)
 }
 
 // sweepSince fetches a sweep's status with only the records that changed
-// after cursor since (0: all of them).
-func (c *Client) sweepSince(ctx context.Context, id string, since uint64) (SweepStatus, error) {
-	path := "/v1/sweeps/" + url.PathEscape(id)
+// after cursor since (0: all of them), held up to wait while the sweep
+// runs.
+func (c *Client) sweepSince(ctx context.Context, id string, since uint64, wait time.Duration) (SweepStatus, error) {
+	q := url.Values{}
 	if since > 0 {
-		path += "?since=" + strconv.FormatUint(since, 10)
+		q.Set("since", strconv.FormatUint(since, 10))
+	}
+	if ms := wait.Milliseconds(); ms > 0 {
+		q.Set("wait", strconv.FormatInt(ms, 10))
+	}
+	path := "/v1/sweeps/" + url.PathEscape(id)
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	var st SweepStatus
 	err := c.do(ctx, http.MethodGet, path, nil, &st)
@@ -487,14 +498,21 @@ func (c *Client) sweepSince(ctx context.Context, id string, since uint64) (Sweep
 // snapshot. The counts in a snapshot are as of its poll; a live cell's
 // progress and timeline are as of that cell's last transition —
 // GET /v1/sweeps/{id}/progress is the live view.
+//
+// Each poll asks the service to hold it for PollInterval while the sweep
+// runs (wait=), and the next starts no sooner than PollInterval after it
+// began.
 func (c *Client) WaitSweep(ctx context.Context, id string, onUpdate func(SweepStatus)) (SweepStatus, error) {
-	ticker := time.NewTicker(c.pollInterval())
-	defer ticker.Stop()
+	interval := c.pollInterval()
 	var merged SweepStatus
 	var at map[string][]int // job ID -> its positions in merged.Jobs
 	for {
-		st, err := c.sweepSince(ctx, id, merged.Cursor)
+		began := time.Now()
+		st, err := c.sweepSince(ctx, id, merged.Cursor, interval)
 		if err != nil {
+			if ctx.Err() != nil {
+				return merged, ctx.Err() // canceled while the poll was held
+			}
 			return SweepStatus{}, err
 		}
 		if at == nil {
@@ -520,10 +538,14 @@ func (c *Client) WaitSweep(ctx context.Context, id string, onUpdate func(SweepSt
 		if merged.Done {
 			return merged, nil
 		}
+		// A held poll has spent the interval already; a service that
+		// ignores wait= answered at once.
+		t := time.NewTimer(interval - time.Since(began))
 		select {
 		case <-ctx.Done():
+			t.Stop()
 			return merged, ctx.Err()
-		case <-ticker.C:
+		case <-t.C:
 		}
 	}
 }

@@ -3,6 +3,7 @@ package lightnuca_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -116,7 +117,8 @@ func TestWaitSweepBytesAreLinear(t *testing.T) {
 
 // TestWaitSweepMerge: a cell the sweep lists twice is one job at two
 // positions, and both end with its result; and a service that ignores
-// since= (every answer is the full one) merges to the same final status.
+// since= and wait= (every answer is the full one, at once) merges to the
+// same final status, polled no more than once per PollInterval.
 // Snapshots handed to onUpdate are the callback's to keep.
 func TestWaitSweepMerge(t *testing.T) {
 	for _, ignoreSince := range []bool{false, true} {
@@ -128,7 +130,11 @@ func TestWaitSweepMerge(t *testing.T) {
 			},
 		})
 		api := orchestrator.NewServer(orch)
+		var polls atomic.Int64
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/sweeps/") {
+				polls.Add(1)
+			}
 			if ignoreSince {
 				r.URL.RawQuery = ""
 			}
@@ -139,6 +145,7 @@ func TestWaitSweepMerge(t *testing.T) {
 		ctx := context.Background()
 
 		var snaps []lightnuca.SweepStatus
+		start := time.Now()
 		st, err := client.RunSweep(ctx, lightnuca.Sweep{
 			Hierarchies: []string{"conventional", "ln+l3"},
 			Benchmarks:  []string{"403.gcc", "429.mcf", "403.gcc", "470.lbm"},
@@ -146,6 +153,9 @@ func TestWaitSweepMerge(t *testing.T) {
 		}, func(s lightnuca.SweepStatus) { snaps = append(snaps, s) })
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n, limit := polls.Load(), int64(time.Since(start)/client.PollInterval)+1; n > limit {
+			t.Errorf("ignoreSince=%v: %d status polls in %v, more than one per %v", ignoreSince, n, time.Since(start), client.PollInterval)
 		}
 		if len(st.Jobs) != 8 || st.Jobs[0].ID != st.Jobs[2].ID || st.Jobs[0].ID == st.Jobs[1].ID {
 			t.Fatalf("ignoreSince=%v: %d cells, IDs %s %s %s", ignoreSince, len(st.Jobs), st.Jobs[0].ID, st.Jobs[1].ID, st.Jobs[2].ID)
@@ -168,5 +178,52 @@ func TestWaitSweepMerge(t *testing.T) {
 		}
 		ts.Close()
 		orch.Close()
+	}
+}
+
+// TestWaitSweepEndsWithTheSweep: WaitSweep asks the service to hold each
+// poll for its PollInterval, and the service answers a held poll when the
+// sweep is done, so a sweep far shorter than the interval is seen done as
+// it ends, not an interval later. A caller that gives up while a poll is
+// held gets its context's error at once.
+func TestWaitSweepEndsWithTheSweep(t *testing.T) {
+	release := make(chan struct{})
+	ts, orch := stubServer(t, orchestrator.Config{
+		Workers: 1,
+		Run: func(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
+			select {
+			case <-release:
+				return instantRun(ctx, j, progress)
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
+	})
+	defer orch.Close()
+	client := lightnuca.NewClient(ts.URL)
+	client.PollInterval = 10 * time.Second
+	ctx := context.Background()
+	sweep := lightnuca.Sweep{Hierarchies: []string{"conventional"}, Benchmarks: []string{"403.gcc", "429.mcf"}, Seed: 1}
+	sub, err := client.SubmitSweep(ctx, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	st, err := client.WaitSweep(cctx, sub.ID, nil)
+	if took := time.Since(start); !errors.Is(err, context.Canceled) || st.Done || took > 5*time.Second {
+		t.Fatalf("canceled while held: %v after %v, status %+v", err, took, st)
+	}
+
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+	start = time.Now()
+	st, err = client.WaitSweep(ctx, sub.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); !st.Done || took > 5*time.Second {
+		t.Fatalf("WaitSweep returned done=%v after %v, at a %v poll interval", st.Done, took, client.PollInterval)
 	}
 }

@@ -183,28 +183,39 @@ func (s figureSet) requests(benches []workload.Profile, mode string, seed uint64
 	return sweep.Expand()
 }
 
-// run executes the set over benches through the runner, every cell a
-// get-or-simulate by content key, and hands the cells to the table
-// generators.
-func (s figureSet) run(ctx context.Context, w io.Writer, runner lightnuca.Runner, benches []workload.Profile, mode string, seed uint64) ([]exp.Result, error) {
-	fmt.Fprintf(w, "running %s matrix (%d benchmarks x %d configs, %s mode)...\n",
-		s.name, len(benches), len(s.specs), mode)
-	reqs, err := s.requests(benches, mode, seed)
-	if err != nil {
-		return nil, err
+// runSets executes every set over benches through the runner, each cell
+// a get-or-simulate by content key, and hands back each set's cells for
+// the table generators. All the sets' cells go through one runByStream,
+// so a benchmark's stream serves every hierarchy of every set while it is
+// in the memo, not once per set.
+func runSets(ctx context.Context, w io.Writer, runner lightnuca.Runner, sets []figureSet, benches []workload.Profile, mode string, seed uint64) ([][]exp.Result, error) {
+	var reqs []lightnuca.Request
+	for _, s := range sets {
+		fmt.Fprintf(w, "running %s matrix (%d benchmarks x %d configs, %s mode)...\n",
+			s.name, len(benches), len(s.specs), mode)
+		cells, err := s.requests(benches, mode, seed)
+		if err != nil {
+			return nil, err
+		}
+		reqs = append(reqs, cells...)
 	}
 	runs, err := runByStream(ctx, runner, reqs)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]exp.Result, len(runs))
-	for i, r := range runs {
-		cells[i] = exp.Result{
-			Spec: s.specs[i/len(benches)], Bench: benches[i%len(benches)],
-			IPC: r.IPC, Cycles: r.Cycles, Stats: r.Stats, Energy: r.Energy,
+	out := make([][]exp.Result, len(sets))
+	for k, s := range sets {
+		cells := make([]exp.Result, len(s.specs)*len(benches))
+		for i := range cells {
+			r := runs[i]
+			cells[i] = exp.Result{
+				Spec: s.specs[i/len(benches)], Bench: benches[i%len(benches)],
+				IPC: r.IPC, Cycles: r.Cycles, Stats: r.Stats, Energy: r.Energy,
+			}
 		}
+		out[k], runs = cells, runs[len(cells):]
 	}
-	return cells, nil
+	return out, nil
 }
 
 // memoStreams is how many benchmarks runByStream runs at once. Every
@@ -249,7 +260,7 @@ func runByStream(ctx context.Context, runner lightnuca.Runner, reqs []lightnuca.
 }
 
 // printExperiments regenerates the tables and figures want names ("all"
-// for every one), simulating each matrix it needs once.
+// for every one), simulating the matrices it needs once, together.
 func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner, want map[string]bool, benches []workload.Profile, mode string, seed uint64) error {
 	all := want["all"]
 	show := func(t fmt.Stringer, paper string) {
@@ -263,34 +274,44 @@ func printExperiments(ctx context.Context, w io.Writer, runner lightnuca.Runner,
 	if all || want["table2"] {
 		show(exp.Table2(), "L2-256KB 0.91 mm2; LN2 0.46 / LN3 0.86 / LN4 1.59 mm2; network 14.0/18.8/19.0%")
 	}
-	if all || want["fig4a"] || want["fig4b"] || want["table3"] {
-		results, err := fig4Set.run(ctx, w, runner, benches, mode, seed)
-		if err != nil {
-			return err
-		}
+	fig4 := all || want["fig4a"] || want["fig4b"] || want["table3"]
+	fig5 := all || want["fig5a"] || want["fig5b"]
+	var sets []figureSet
+	if fig4 {
+		sets = append(sets, fig4Set)
+	}
+	if fig5 {
+		sets = append(sets, fig5Set)
+	}
+	if len(sets) == 0 {
+		return nil
+	}
+	results, err := runSets(ctx, w, runner, sets, benches, mode, seed)
+	if err != nil {
+		return err
+	}
+	if fig4 {
+		cells := results[0]
 		if all || want["fig4a"] {
-			show(exp.FigIPC("Fig 4(a): IPC harmonic mean, conventional hierarchies", fig4Set.specs, results),
+			show(exp.FigIPC("Fig 4(a): IPC harmonic mean, conventional hierarchies", fig4Set.specs, cells),
 				"LN2..LN4 gain 5.4-6.2% (int), 14.3-15.4% (fp) over L2-256KB")
 		}
 		if all || want["fig4b"] {
-			show(exp.FigEnergy("Fig 4(b): total energy normalized to L2-256KB", fig4Set.specs, results),
+			show(exp.FigEnergy("Fig 4(b): total energy normalized to L2-256KB", fig4Set.specs, cells),
 				"savings 16.5% (LN2) .. 10.5% (LN4); L3 static dominates")
 		}
 		if all || want["table3"] {
-			show(exp.Table3Render(exp.Table3(results)), "Le2 58.7/40.9% (int/fp), all-levels up to 88.6/87.7%; ratio <= 1.014")
+			show(exp.Table3Render(exp.Table3(cells)), "Le2 58.7/40.9% (int/fp), all-levels up to 88.6/87.7%; ratio <= 1.014")
 		}
 	}
-	if all || want["fig5a"] || want["fig5b"] {
-		results, err := fig5Set.run(ctx, w, runner, benches, mode, seed)
-		if err != nil {
-			return err
-		}
+	if fig5 {
+		cells := results[len(results)-1]
 		if all || want["fig5a"] {
-			show(exp.FigIPC("Fig 5(a): IPC harmonic mean, D-NUCA hierarchies", fig5Set.specs, results),
+			show(exp.FigIPC("Fig 5(a): IPC harmonic mean, D-NUCA hierarchies", fig5Set.specs, cells),
 				"LN2+DN gains 4.2% (int) / 6.8% (fp), roughly flat in levels")
 		}
 		if all || want["fig5b"] {
-			show(exp.FigEnergy("Fig 5(b): total energy normalized to DN-4x8", fig5Set.specs, results),
+			show(exp.FigEnergy("Fig 5(b): total energy normalized to DN-4x8", fig5Set.specs, cells),
 				"savings 4.25% (LN2+DN) .. 0.2% (LN4+DN)")
 		}
 	}

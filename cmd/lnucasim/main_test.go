@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -105,7 +107,7 @@ func TestDigestLedgerQuick(t *testing.T) {
 
 // callLog is a Runner that simulates nothing: it logs the benchmark of
 // every request in the order it is run, and answers each with the request
-// itself, spelled out in Key.
+// itself, spelled out in Key and hashed into Cycles.
 type callLog struct {
 	mu    sync.Mutex
 	calls []string
@@ -115,7 +117,36 @@ func (c *callLog) Run(_ context.Context, req lightnuca.Request) (lightnuca.Resul
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls = append(c.calls, req.Benchmark)
-	return lightnuca.Result{Key: fmt.Sprintf("%+v", req)}, nil
+	return lightnuca.Result{Key: fmt.Sprintf("%+v", req), Cycles: requestHash(req)}, nil
+}
+
+// requestHash names a request in a number a table cell carries.
+func requestHash(req lightnuca.Request) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", req)
+	return h.Sum64()
+}
+
+// checkLiveStreams requires that between the first and the last run of
+// any benchmark in calls no more than memoStreams benchmarks run.
+func checkLiveStreams(t *testing.T, calls []string) {
+	t.Helper()
+	first, last := map[string]int{}, map[string]int{}
+	for i, b := range calls {
+		if _, ok := first[b]; !ok {
+			first[b] = i
+		}
+		last[b] = i
+	}
+	for b := range first {
+		live := map[string]bool{}
+		for _, other := range calls[first[b] : last[b]+1] {
+			live[other] = true
+		}
+		if len(live) > memoStreams {
+			t.Errorf("%q: %d streams run between its first and last cell, want <= %d", b, len(live), memoStreams)
+		}
+	}
 }
 
 // TestRunByStreamBoundsLiveStreams runs the digest ledger's requests at
@@ -149,20 +180,40 @@ func TestRunByStreamBoundsLiveStreams(t *testing.T) {
 	if len(log.calls) != len(reqs) {
 		t.Fatalf("%d runs for %d requests", len(log.calls), len(reqs))
 	}
-	first, last := map[string]int{}, map[string]int{}
-	for i, b := range log.calls {
-		if _, ok := first[b]; !ok {
-			first[b] = i
-		}
-		last[b] = i
+	checkLiveStreams(t, log.calls)
+}
+
+// TestRunSetsSharesEachStream runs what -exp all simulates at Full: the
+// Fig. 4 and the Fig. 5 matrix over the 28 benchmarks. Every cell of both
+// must land in its own set at its own index, and each benchmark's cells of
+// both matrices must run inside one chunk, so that its stream is generated
+// once for the two, not once per matrix.
+func TestRunSetsSharesEachStream(t *testing.T) {
+	benches := workload.Suite()
+	sets := []figureSet{fig4Set, fig5Set}
+	log := &callLog{}
+	results, err := runSets(context.Background(), io.Discard, log, sets, benches, "full", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for b := range first {
-		live := map[string]bool{}
-		for _, other := range log.calls[first[b] : last[b]+1] {
-			live[other] = true
+	total := 0
+	for k, s := range sets {
+		reqs, err := s.requests(benches, "full", 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(live) > memoStreams {
-			t.Errorf("%q: %d streams run between its first and last cell, want <= %d", b, len(live), memoStreams)
+		total += len(reqs)
+		if len(results[k]) != len(reqs) {
+			t.Fatalf("%s: %d cells for %d requests", s.name, len(results[k]), len(reqs))
+		}
+		for i, cell := range results[k] {
+			if cell.Cycles != requestHash(reqs[i]) {
+				t.Fatalf("%s cell %d (%s, %s) holds another request's result", s.name, i, cell.Spec.Label(), cell.Bench.Name)
+			}
 		}
 	}
+	if len(log.calls) != total {
+		t.Fatalf("%d runs for %d cells", len(log.calls), total)
+	}
+	checkLiveStreams(t, log.calls)
 }

@@ -110,6 +110,10 @@ type Coordinator struct {
 	workers map[string]time.Time // worker name -> last poll
 	seq     uint64
 	closed  bool
+	// wake is closed, and cleared, when a job joins waiting or the
+	// coordinator closes: a held lease poll (Lease) then looks again.
+	// It is made only while a poll is held.
+	wake chan struct{}
 
 	stopReaper context.CancelFunc
 	reaperDone chan struct{}
@@ -208,9 +212,9 @@ func (c *Coordinator) register(reg *obs.Registry) {
 		})
 }
 
-// Close stops the lease reaper. Close the orchestrator first: its
-// shutdown cancels every blocked Dispatch, which is what unwinds
-// in-flight fleet jobs.
+// Close stops the lease reaper and ends every held lease poll. Close the
+// orchestrator first: its shutdown cancels every blocked Dispatch, which
+// is what unwinds in-flight fleet jobs.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -219,6 +223,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	c.wakeLocked()
 	c.mu.Unlock()
 	c.stopReaper()
 	<-c.reaperDone
@@ -255,6 +260,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, j orchestrator.Job, progress
 	fj.id = fmt.Sprintf("fleet-%06d", c.seq)
 	fj.seq = c.seq
 	c.waiting = append(c.waiting, fj)
+	c.wakeLocked()
 	c.mu.Unlock()
 	c.log.Info("fleet dispatch", "fleet_id", fj.id, "key", fj.key)
 
@@ -307,31 +313,84 @@ func (c *Coordinator) dropWaitingLocked(fj *fleetJob) {
 	}
 }
 
+// wakeLocked ends the current wait of every held lease poll, so each
+// scans waiting again. Callers hold c.mu.
+func (c *Coordinator) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+}
+
 // Lease grants the next dispatchable job to a polling worker — highest
 // priority first, dispatch order within one priority, requeued jobs
-// skipped until their backoff has passed — or nil when there is none.
-// Implements the POST /fleet/v1/lease semantics.
-func (c *Coordinator) Lease(worker string) *LeaseResponse {
-	now := time.Now()
-	c.mu.Lock()
-	c.workers[worker] = now
-	if c.closed {
+// skipped until their backoff has passed. While there is none it holds
+// the poll for up to wait: it answers as soon as a job becomes leasable
+// — dispatched, requeued or released, or its backoff has passed — and
+// nil once wait passes, ctx ends or the coordinator closes. Implements
+// the POST /fleet/v1/lease semantics.
+func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Duration) *LeaseResponse {
+	deadline := time.Now().Add(wait)
+	for {
+		now := time.Now()
+		c.mu.Lock()
+		c.workers[worker] = now
+		if c.closed {
+			c.mu.Unlock()
+			return nil
+		}
+		fj, readyAt := c.nextLocked(now)
+		if fj != nil {
+			return c.grantLocked(fj, worker, now)
+		}
+		// Nothing to grant: hold until the next backoff ends, the hold
+		// does, or wake says waiting changed.
+		d := deadline.Sub(now)
+		if !readyAt.IsZero() {
+			d = min(d, readyAt.Sub(now))
+		}
+		if d <= 0 {
+			c.mu.Unlock()
+			return nil
+		}
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake := c.wake
 		c.mu.Unlock()
-		return nil
+		t := time.NewTimer(d)
+		select {
+		case <-wake:
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return nil
+		}
+		t.Stop()
 	}
-	var fj *fleetJob
+}
+
+// nextLocked picks the job to lease at now, or, when none is ready, the
+// earliest time a backed-off one will be (zero when none waits).
+// Callers hold c.mu.
+func (c *Coordinator) nextLocked(now time.Time) (fj *fleetJob, readyAt time.Time) {
 	for _, w := range c.waiting {
 		if w.readyAt.After(now) {
+			if readyAt.IsZero() || w.readyAt.Before(readyAt) {
+				readyAt = w.readyAt
+			}
 			continue
 		}
 		if fj == nil || w.priority > fj.priority || (w.priority == fj.priority && w.seq < fj.seq) {
 			fj = w
 		}
 	}
-	if fj == nil {
-		c.mu.Unlock()
-		return nil
-	}
+	return fj, readyAt
+}
+
+// grantLocked leases fj to worker. Called with c.mu held; returns with
+// it released.
+func (c *Coordinator) grantLocked(fj *fleetJob, worker string, now time.Time) *LeaseResponse {
 	c.dropWaitingLocked(fj)
 	c.seq++
 	l := &lease{
@@ -429,6 +488,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 			fj.attempt--
 		}
 		c.waiting = append(c.waiting, fj)
+		c.wakeLocked()
 		c.releases.Inc()
 		c.log.Info("lease released by draining worker", "lease_id", l.id,
 			"fleet_id", fj.id, "key", fj.key, "worker", l.worker)
@@ -471,6 +531,7 @@ func (c *Coordinator) requeueLocked(fj *fleetJob, reason string, now time.Time) 
 	delay := c.backoff(fj.attempt)
 	fj.readyAt = now.Add(delay)
 	c.waiting = append(c.waiting, fj)
+	c.wakeLocked() // held polls time their wait to the new readyAt
 	c.requeues.Inc()
 	c.log.Warn("fleet requeue", "fleet_id", fj.id, "key", fj.key,
 		"attempt", fj.attempt, "backoff_seconds", delay.Seconds(), "reason", reason)

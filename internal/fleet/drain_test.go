@@ -85,7 +85,7 @@ func TestFleetWorkerDrainReleasesLease(t *testing.T) {
 	var l *LeaseResponse
 	deadline = time.Now().Add(10 * time.Second)
 	for l == nil && time.Now().Before(deadline) {
-		if l = coord.Lease("successor"); l == nil {
+		if l = coord.Lease(context.Background(), "successor", 0); l == nil {
 			time.Sleep(time.Millisecond)
 		}
 	}

@@ -203,7 +203,7 @@ func TestFleetRequeueExactlyOnce(t *testing.T) {
 	var zombie *LeaseResponse
 	deadline := time.Now().Add(5 * time.Second)
 	for zombie == nil && time.Now().Before(deadline) {
-		if zombie = coord.Lease("zombie"); zombie == nil {
+		if zombie = coord.Lease(context.Background(), "zombie", 0); zombie == nil {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -314,7 +314,7 @@ func TestFleetRetryExhaustion(t *testing.T) {
 		var l *LeaseResponse
 		deadline := time.Now().Add(5 * time.Second)
 		for l == nil && time.Now().Before(deadline) {
-			if l = coord.Lease("w1"); l == nil {
+			if l = coord.Lease(context.Background(), "w1", 0); l == nil {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -362,7 +362,7 @@ func TestFleetCancelPropagatesToWorker(t *testing.T) {
 	var l *LeaseResponse
 	deadline := time.Now().Add(5 * time.Second)
 	for l == nil && time.Now().Before(deadline) {
-		if l = coord.Lease("w1"); l == nil {
+		if l = coord.Lease(context.Background(), "w1", 0); l == nil {
 			time.Sleep(time.Millisecond)
 		}
 	}

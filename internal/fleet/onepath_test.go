@@ -135,7 +135,7 @@ func TestLeaseOrderAndBackoffOneList(t *testing.T) {
 	}
 	lease := func(wantKey string, wantAttempt int) *LeaseResponse {
 		t.Helper()
-		l := coord.Lease("w")
+		l := coord.Lease(context.Background(), "w", 0)
 		if l == nil || l.Key != wantKey || l.Attempt != wantAttempt {
 			t.Fatalf("lease = %+v, want key %s attempt %d", l, wantKey, wantAttempt)
 		}
@@ -181,7 +181,7 @@ func TestLeaseOrderAndBackoffOneList(t *testing.T) {
 			t.Fatalf("canceled dispatch of %s still on the waiting list", lowLast)
 		}
 	}
-	if l := coord.Lease("w"); l != nil {
+	if l := coord.Lease(context.Background(), "w", 0); l != nil {
 		t.Fatalf("leased %+v from an empty list", l)
 	}
 }

@@ -31,8 +31,16 @@ const (
 // LeaseRequest asks the coordinator for one job. Worker is a
 // self-reported name used for logs and the active-worker gauge; it
 // carries no trust.
+//
+// WaitMS asks the coordinator to hold the poll, for up to that many
+// milliseconds (capped at maxLeaseWait), while it has nothing to grant:
+// the answer comes as soon as a job becomes leasable, and is a 204 only
+// once the hold ends empty. Zero answers at once. A worker sends its
+// PollInterval, so an idle worker always has one poll in the coordinator
+// and starts a dispatched job without waiting out a sleep.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
+	WaitMS int64  `json:"wait_ms,omitempty"`
 }
 
 // LeaseResponse grants one job under a lease. The worker must

@@ -3,9 +3,16 @@ package fleet
 import (
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/orchestrator"
 )
+
+// maxLeaseWait caps how long the coordinator holds one empty lease poll,
+// whatever wait_ms asks: under the worker's default 30s HTTP timeout,
+// and a bound on how long a held poll can keep an http.Server's
+// Shutdown waiting.
+const maxLeaseWait = 10 * time.Second
 
 // Handler exposes the coordinator's lease protocol as an http.Handler.
 // lnucad mounts it next to the orchestrator API on the same listener,
@@ -28,7 +35,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		orchestrator.WriteError(w, http.StatusBadRequest, "lease request names no worker")
 		return
 	}
-	resp := c.Lease(req.Worker)
+	if req.WaitMS < 0 {
+		orchestrator.WriteError(w, http.StatusBadRequest, "bad wait_ms %d", req.WaitMS)
+		return
+	}
+	// The hold ends early when the worker goes away: its request's
+	// context ends with the connection.
+	wait := time.Duration(min(req.WaitMS, maxLeaseWait.Milliseconds())) * time.Millisecond
+	resp := c.Lease(r.Context(), req.Worker, wait)
 	if resp == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return

@@ -23,7 +23,7 @@ func leaseAs(t *testing.T, coord *Coordinator, worker string) *LeaseResponse {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if l := coord.Lease(worker); l != nil {
+		if l := coord.Lease(context.Background(), worker, 0); l != nil {
 			return l
 		}
 		time.Sleep(time.Millisecond)

@@ -44,7 +44,12 @@ type WorkerConfig struct {
 	// job names are fetched from the coordinator on a local miss
 	// (default: a fresh memory-only store).
 	Traces *trace.Store
-	// PollInterval is the idle delay between lease polls (default 100ms).
+	// PollInterval paces an idle worker's lease polls (default 100ms).
+	// Each poll asks the coordinator to hold it that long while there is
+	// no job, and the next poll starts no sooner than PollInterval after
+	// this one began: an idle worker waits in the coordinator, not in a
+	// sleep, and a coordinator that answers at once is still polled only
+	// once per PollInterval.
 	PollInterval time.Duration
 	// DrainGrace is how long a shutdown (Run's ctx canceled) lets an
 	// in-flight job keep running — heartbeats included — before the run
@@ -116,13 +121,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		began := time.Now()
 		lease, err := w.poll(ctx)
 		switch {
 		case err != nil:
 			w.cfg.Logger.Warn("lease poll failed", "worker", w.cfg.Name, "error", err)
 			w.sleep(ctx, w.cfg.PollInterval)
 		case lease == nil:
-			w.sleep(ctx, w.cfg.PollInterval)
+			// A coordinator that held the poll has spent the interval
+			// already; one that answered at once has not.
+			w.sleep(ctx, w.cfg.PollInterval-time.Since(began))
 		default:
 			w.execute(ctx, lease)
 			w.idleSince = time.Now()
@@ -132,6 +140,9 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // sleep waits d or until ctx cancels.
 func (w *Worker) sleep(ctx context.Context, d time.Duration) {
+	if d <= 0 {
+		return
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -140,10 +151,11 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// poll asks the coordinator for a lease; (nil, nil) means no work.
+// poll asks the coordinator for a lease, held up to PollInterval; (nil,
+// nil) means no work.
 func (w *Worker) poll(ctx context.Context) (*LeaseResponse, error) {
 	var lease LeaseResponse
-	status, err := w.post(ctx, PathLease, LeaseRequest{Worker: w.cfg.Name}, &lease)
+	status, err := w.post(ctx, PathLease, LeaseRequest{Worker: w.cfg.Name, WaitMS: w.cfg.PollInterval.Milliseconds()}, &lease)
 	if err != nil {
 		return nil, err
 	}

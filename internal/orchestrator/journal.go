@@ -35,6 +35,15 @@ import (
 // final line is skipped on load, costing at worst one duplicate
 // resubmission — which the orchestrator's coalescing and cache make free.
 //
+// One accepted request costs one fsync: a submit line is synced before
+// its 202 (a sweep's N lines are written, then synced once), and so is an
+// API cancel's end line, so a crash can neither lose accepted work nor
+// bring back a job the user canceled. The end line of a job that finished
+// (done or failed) is written without a sync of its own: it is durable at
+// the next synced append, or at Close. A crash that loses it leaves the
+// job pending, so the restart resubmits it: a done job's result is then a
+// cache hit, and a failed job fails again.
+//
 // Graceful shutdown (Orchestrator.Close) deliberately does not write
 // end events for the jobs it cancels: a drained queue is exactly what
 // must come back after a restart. Only API cancels and real
@@ -58,10 +67,15 @@ type Journal struct {
 	faults *faultinject.Injector
 
 	// writeErrs counts consecutive append failures; any successful
-	// append resets it. At degradedAfter the journal reports Degraded
+	// sync resets it. At degradedAfter the journal reports Degraded
 	// and the orchestrator stops accepting work it could not make
 	// durable.
 	writeErrs atomic.Int64
+
+	// dirty is set while lines are written but not yet synced; syncs
+	// counts the fsyncs made. Both are guarded by mu.
+	dirty bool
+	syncs int
 }
 
 // degradedAfter is how many consecutive durable-write failures flip a
@@ -258,16 +272,18 @@ func (j *Journal) Degraded() bool {
 // a successful probe resets the failure count and the next submit is
 // accepted again.
 func (j *Journal) probe() {
-	j.append(journalEvent{Op: "probe"})
+	j.append(journalEvent{Op: "probe"}, true)
 }
 
-// Close releases the journal file. Pending state stays on disk.
+// Close syncs what is written and releases the journal file. Pending
+// state stays on disk.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
+	j.syncLocked()
 	err := j.f.Close()
 	j.f = nil
 	return err
@@ -285,25 +301,59 @@ func (j *Journal) takeCredit(key string) bool {
 	return true
 }
 
-// submitted records a job entering the queue. A key the open-time
-// compaction already wrote a line for consumes its replay credit
-// instead of appending a duplicate.
+// submitted records a job entering the queue, synced. A key the
+// open-time compaction already wrote a line for consumes its replay
+// credit instead of appending a duplicate.
 func (j *Journal) submitted(id, key string, req Request) {
 	if !j.takeCredit(key) {
-		j.append(journalEvent{Op: "submit", ID: id, Key: key, Request: &req})
+		j.append(journalEvent{Op: "submit", ID: id, Key: key, Request: &req}, true)
 	}
 }
 
-// ended records a job reaching a terminal state.
-func (j *Journal) ended(id, key string, status Status) {
-	j.append(journalEvent{Op: "end", ID: id, Key: key, Status: status})
+// queued is submitted without the sync: the caller syncs once for every
+// line its request adds.
+func (j *Journal) queued(id, key string, req Request) {
+	if !j.takeCredit(key) {
+		j.append(journalEvent{Op: "submit", ID: id, Key: key, Request: &req}, false)
+	}
 }
 
-// append writes one event line and syncs it: the journal exists to
-// survive crashes, so an event the orchestrator acted on must be on
-// disk before the next one. Event volume is one line per job lifecycle
+// ended records a job reaching a terminal state. Only a cancel is synced:
+// losing a finished job's end line costs a resubmission, which the cache
+// answers for a done job; losing a cancel's would run what the user
+// canceled.
+func (j *Journal) ended(id, key string, status Status) {
+	j.append(journalEvent{Op: "end", ID: id, Key: key, Status: status}, status == StatusCanceled)
+}
+
+// sync makes every line written so far durable.
+func (j *Journal) sync() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f != nil {
+		j.syncLocked()
+	}
+}
+
+// syncLocked fsyncs the file if a line was written since the last sync.
+// Callers hold j.mu, with the file open.
+func (j *Journal) syncLocked() {
+	if !j.dirty {
+		return
+	}
+	j.syncs++
+	if err := j.f.Sync(); err != nil {
+		j.noteAppendError(fmt.Errorf("journal sync: %w", err))
+		return
+	}
+	j.dirty = false
+	j.writeErrs.Store(0)
+}
+
+// append writes one event line, and with sync makes it and every line
+// before it durable. Event volume is one line per job lifecycle
 // transition — far off any hot path.
-func (j *Journal) append(ev journalEvent) {
+func (j *Journal) append(ev journalEvent, sync bool) {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "orchestrator: journal marshal: %v\n", err)
@@ -323,11 +373,10 @@ func (j *Journal) append(ev journalEvent) {
 		j.noteAppendError(fmt.Errorf("journal append: %w", err))
 		return
 	}
-	if err := j.f.Sync(); err != nil {
-		j.noteAppendError(fmt.Errorf("journal sync: %w", err))
-		return
+	j.dirty = true
+	if sync {
+		j.syncLocked()
 	}
-	j.writeErrs.Store(0)
 }
 
 // noteAppendError logs a failed durable write and advances the

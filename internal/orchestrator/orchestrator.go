@@ -187,6 +187,12 @@ type Orchestrator struct {
 	closed   bool
 	wg       sync.WaitGroup
 
+	// moved is closed, and cleared, at every status transition and at
+	// Close: a held sweep poll (SweepWait) then checks whether its sweep
+	// is done. It is made only while a poll is held, so a cache hit
+	// allocates nothing for it. Guarded by mu.
+	moved chan struct{}
+
 	started time.Time
 
 	// Lifecycle counters, guarded by mu and updated in the same critical
@@ -421,11 +427,13 @@ func (o *Orchestrator) SubmitCtx(ctx context.Context, j Job) (JobRecord, error) 
 	if err != nil {
 		return JobRecord{}, err
 	}
-	return o.submit(ctx, nj)
+	return o.submit(ctx, nj, true)
 }
 
-// submit accepts a pre-normalized job under a submit span.
-func (o *Orchestrator) submit(ctx context.Context, nj Job) (_ JobRecord, err error) {
+// submit accepts a pre-normalized job under a submit span. With
+// syncJournal its journal line is durable when submit returns; without,
+// the caller syncs the journal.
+func (o *Orchestrator) submit(ctx context.Context, nj Job, syncJournal bool) (_ JobRecord, err error) {
 	span, ctx := o.cfg.Tracer.Start(ctx, "lnuca.orch.submit")
 	defer func() {
 		span.SetError(err)
@@ -541,8 +549,12 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (_ JobRecord, err err
 	o.cond.Signal()
 	rec := o.snapshot(t)
 	o.mu.Unlock()
-	if o.cfg.Journal != nil {
-		o.cfg.Journal.submitted(t.id, key, RequestOf(nj))
+	switch j := o.cfg.Journal; {
+	case j == nil:
+	case syncJournal:
+		j.submitted(t.id, key, RequestOf(nj))
+	default:
+		j.queued(t.id, key, RequestOf(nj))
 	}
 	o.log.Info("job submitted", "job_id", rec.ID, "key", key, "priority", nj.Priority)
 	return rec, nil
@@ -659,6 +671,15 @@ func jobID(seq uint64) string {
 func (o *Orchestrator) setStatusLocked(t *task, s Status) {
 	o.rev++
 	t.status, t.rev = s, o.rev
+	o.wakeLocked()
+}
+
+// wakeLocked ends the current wait of every held sweep poll.
+func (o *Orchestrator) wakeLocked() {
+	if o.moved != nil {
+		close(o.moved)
+		o.moved = nil
+	}
 }
 
 // finishLocked is the one terminal transition of a task that was queued
@@ -789,7 +810,8 @@ func (o *Orchestrator) Cancel(id string) (JobRecord, bool) {
 // SubmitSweep expands a benchmark x hierarchy matrix into jobs and
 // submits each one, returning the sweep ID and the per-cell records.
 // Every job is validated before any is enqueued, so an invalid cell
-// rejects the whole sweep instead of leaving orphaned runs behind.
+// rejects the whole sweep instead of leaving orphaned runs behind. The
+// cells' journal lines are synced once, before it returns.
 func (o *Orchestrator) SubmitSweep(jobs []Job) (string, []JobRecord, error) {
 	if len(jobs) == 0 {
 		return "", nil, errors.New("orchestrator: empty sweep")
@@ -802,10 +824,13 @@ func (o *Orchestrator) SubmitSweep(jobs []Job) (string, []JobRecord, error) {
 		}
 		normalized[i] = nj
 	}
+	if j := o.cfg.Journal; j != nil {
+		defer j.sync() // the cells accepted before an error too
+	}
 	recs := make([]JobRecord, 0, len(normalized))
 	ids := make([]string, 0, len(normalized))
 	for _, nj := range normalized {
-		rec, err := o.submit(context.Background(), nj)
+		rec, err := o.submit(context.Background(), nj, false)
 		if err != nil {
 			return "", nil, err
 		}
@@ -877,6 +902,58 @@ func (o *Orchestrator) SweepSince(id string, since uint64) (SweepStatus, bool) {
 		}
 	}
 	return st, true
+}
+
+// SweepWait is SweepSince held, for up to wait, while the sweep is not
+// done: it answers as soon as every cell is terminal, or once wait
+// passes, ctx ends or the orchestrator closes — with the same delta
+// SweepSince would. The hold does not end at a cell's transition, so a
+// client polling once per interval is sent as many answers as before it
+// held, each of them sooner when the sweep ends.
+func (o *Orchestrator) SweepWait(ctx context.Context, id string, since uint64, wait time.Duration) (SweepStatus, bool) {
+	if wait > 0 {
+		o.holdSweep(ctx, id, wait)
+	}
+	return o.SweepSince(id, since)
+}
+
+// holdSweep returns once sweep id is done or unknown, wait has passed,
+// ctx has ended or the orchestrator has closed.
+func (o *Orchestrator) holdSweep(ctx context.Context, id string, wait time.Duration) {
+	//lnuca:allow(determinism) how long a status poll is held; never result content or keys
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	for {
+		o.mu.Lock()
+		ids, ok := o.sweeps[id]
+		if !ok || o.closed || o.sweepDoneLocked(ids) {
+			o.mu.Unlock()
+			return
+		}
+		if o.moved == nil {
+			o.moved = make(chan struct{})
+		}
+		moved := o.moved
+		o.mu.Unlock()
+		select {
+		case <-moved:
+		case <-t.C:
+			return
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// sweepDoneLocked reports whether every retained cell of a sweep is
+// terminal (pruned cells were).
+func (o *Orchestrator) sweepDoneLocked(ids []string) bool {
+	for _, jid := range ids {
+		if t, ok := o.records[jid]; ok && !t.status.Terminal() {
+			return false
+		}
+	}
+	return true
 }
 
 // ExpandSweep builds the job list for hierarchies x benchmarks. Levels
@@ -968,6 +1045,7 @@ func (o *Orchestrator) Close() {
 		return
 	}
 	o.closed = true
+	o.wakeLocked()
 	// Shutdown cancellations are deliberately NOT journaled: a drained
 	// queue is exactly the state a restarted daemon must resubmit, so the
 	// journal keeps these jobs pending.

@@ -23,7 +23,8 @@ import (
 //	GET    /v1/jobs/{id}   poll one job (result inlined when done)
 //	DELETE /v1/jobs/{id}   cancel a queued or running job
 //	POST   /v1/sweeps      submit a benchmark x hierarchy matrix
-//	GET    /v1/sweeps/{id} aggregated sweep status (?since=<cursor>: only the records changed since)
+//	GET    /v1/sweeps/{id} aggregated sweep status (?since=<cursor>: only the records changed since;
+//	                       ?wait=<ms>: held until the sweep is done or that long has passed)
 //	GET    /v1/sweeps/{id}/progress  per-point progress, ETA, stragglers
 //	POST   /v1/traces      upload a recorded lnuca-trace-v1 stream
 //	GET    /v1/traces      list stored traces
@@ -361,6 +362,11 @@ type SweepSubmission struct {
 	Jobs []JobRecord `json:"jobs"`
 }
 
+// maxSweepWait caps how long one GET /v1/sweeps/{id} is held, whatever
+// its wait= asks: a bound on how long a held poll can keep an
+// http.Server's Shutdown waiting.
+const maxSweepWait = 10 * time.Second
+
 func (s *Server) handleSweepByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -377,15 +383,26 @@ func (s *Server) handleSweepByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// since is the cursor of an earlier answer: absent, every record.
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
+	// wait, in milliseconds, holds the answer until the sweep is done or
+	// that long has passed (capped at maxSweepWait): absent, at once.
+	q := r.URL.Query()
+	var since, waitMS uint64
+	if v := q.Get("since"); v != "" {
 		var err error
 		if since, err = strconv.ParseUint(v, 10, 64); err != nil {
 			WriteError(w, http.StatusBadRequest, "bad since: %v", err)
 			return
 		}
 	}
-	st, ok := s.orch.SweepSince(id, since)
+	if v := q.Get("wait"); v != "" {
+		var err error
+		if waitMS, err = strconv.ParseUint(v, 10, 64); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad wait: %v", err)
+			return
+		}
+	}
+	wait := time.Duration(min(waitMS, uint64(maxSweepWait/time.Millisecond))) * time.Millisecond
+	st, ok := s.orch.SweepWait(r.Context(), id, since, wait)
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown sweep %q", id)
 		return
