@@ -100,7 +100,7 @@ func TestWriteBufferInvariants(t *testing.T) {
 			}
 			seen := map[mem.Addr]bool{}
 			for i := 0; i < w.Len(); i++ {
-				e := w.entries[i]
+				e := w.at(i)
 				if seen[e.Line] {
 					return false
 				}

@@ -20,17 +20,22 @@ const BPredBits = 16
 // NewBPred builds the predictor with 2^BPredBits-entry tables.
 func NewBPred() *BPred {
 	n := 1 << BPredBits
-	p := &BPred{
-		bimodal: make([]uint8, n),
-		gshare:  make([]uint8, n),
-		chooser: make([]uint8, n),
+	return &BPred{
+		bimodal: filled(n, 1), // weakly not-taken
+		gshare:  filled(n, 1),
+		chooser: filled(n, 2), // weakly prefer gshare
 	}
-	for i := range p.bimodal {
-		p.bimodal[i] = 1 // weakly not-taken
-		p.gshare[i] = 1
-		p.chooser[i] = 2 // weakly prefer gshare
+}
+
+// filled returns n counters set to v, each copy doubling the filled
+// prefix: a core build pays 16 copies a table, not 64 Ki stores.
+func filled(n int, v uint8) []uint8 {
+	t := make([]uint8, n)
+	t[0] = v
+	for k := 1; k < n; k *= 2 {
+		copy(t[k:], t[:k])
 	}
-	return p
+	return t
 }
 
 func (p *BPred) idxBimodal(pc uint64) int {

@@ -84,3 +84,29 @@ func TestAccuracyEmptyPredictor(t *testing.T) {
 		t.Error("a new predictor has counted lookups")
 	}
 }
+
+// TestBPredTablesStartAsTheLoopSetThem compares the tables NewBPred
+// fills by doubling copies with the values a per-entry loop writes, and
+// filled with that loop at lengths that are not powers of two.
+func TestBPredTablesStartAsTheLoopSetThem(t *testing.T) {
+	p := NewBPred()
+	for i := 0; i < 1<<BPredBits; i++ {
+		if p.bimodal[i] != 1 || p.gshare[i] != 1 || p.chooser[i] != 2 {
+			t.Fatalf("entry %d: bimodal %d, gshare %d, chooser %d; want 1, 1, 2", i, p.bimodal[i], p.gshare[i], p.chooser[i])
+		}
+	}
+	if len(p.bimodal) != 1<<BPredBits || len(p.gshare) != 1<<BPredBits || len(p.chooser) != 1<<BPredBits {
+		t.Fatalf("table lengths %d, %d, %d; want %d", len(p.bimodal), len(p.gshare), len(p.chooser), 1<<BPredBits)
+	}
+	for _, n := range []int{1, 2, 3, 5, 1000, 4097} {
+		got := filled(n, 3)
+		if len(got) != n {
+			t.Fatalf("filled(%d) has %d entries", n, len(got))
+		}
+		for i, v := range got {
+			if v != 3 {
+				t.Fatalf("filled(%d)[%d] = %d, want 3", n, i, v)
+			}
+		}
+	}
+}

@@ -121,17 +121,13 @@ type decoded struct {
 	mispredict bool
 }
 
-// robEntry tracks one in-flight op.
+// robEntry tracks one in-flight op: of the op, only what issue and
+// commit read, so an entry is one 64-byte cache line (TestOpSizes).
 type robEntry struct {
-	op         Op
+	addr       mem.Addr
 	seq        uint64
 	dispatched sim.Cycle
-	issued     bool
-	done       bool
 	doneAt     sim.Cycle
-	inFlight   bool // load waiting on memory
-	mispredict bool
-	tlbExtra   int
 
 	// Wake-up state. readyAt is the first cycle the op may issue,
 	// max(dispatched+1, doneAt of every done producer); it is final once
@@ -141,10 +137,18 @@ type robEntry struct {
 	// the list this op joined for its k-th dependency. A link is
 	// 1 + 2*slot + k; zero ends a list.
 	readyAt  sim.Cycle
-	waitFor  uint8
-	queue    uint8
 	wakeHead int32
 	wakeNext [2]int32
+
+	tlbExtra   int32 // TLB-miss cycles a load's data arrives after its response
+	class      Class
+	lat        uint8 // the op's Lat
+	issued     bool
+	done       bool
+	inFlight   bool // load waiting on memory
+	mispredict bool
+	waitFor    uint8
+	queue      uint8
 }
 
 // The issue queues, in issue priority order.
@@ -381,16 +385,16 @@ func (c *Core) commit(now sim.Cycle, k *sim.Kernel) {
 			c.WakeAt(e.doneAt)
 			return
 		}
-		if e.op.Class == ClassStore {
+		if e.class == ClassStore {
 			if c.storeBuf.Len() >= c.cfg.StoreBufSize {
 				c.StallSBFull++
 				return
 			}
-			c.storeBuf.Push(e.op.Addr)
+			c.storeBuf.Push(e.addr)
 			c.StoresCommitted++
 			c.lsqCount--
 		}
-		if e.op.Class == ClassLoad {
+		if e.class == ClassLoad {
 			c.lsqCount--
 		}
 		c.Acted()
@@ -491,15 +495,15 @@ func (c *Core) issueFrom(q *issueQueue, width int, now sim.Cycle) int {
 // tryExecute starts execution of a ready op; false means structural stall
 // (e.g. the memory port is full).
 func (c *Core) tryExecute(e *robEntry, now sim.Cycle) bool {
-	switch e.op.Class {
+	switch e.class {
 	case ClassLoad:
 		// Translate only a load that executes: one the full port refuses
 		// must pay its TLB miss when it retries, not lose it.
-		forward := c.storeForward(e.op.Addr)
+		forward := c.storeForward(e.addr)
 		if !forward && !c.port.Down.CanPush() {
 			return false
 		}
-		extra := c.tlbLookup(e.op.Addr)
+		extra := c.tlbLookup(e.addr)
 		if forward {
 			e.issued = true
 			e.done = true
@@ -508,24 +512,24 @@ func (c *Core) tryExecute(e *robEntry, now sim.Cycle) bool {
 			return true
 		}
 		id := c.ids.Next()
-		c.port.Down.Push(mem.Req{ID: id, Addr: e.op.Addr, Kind: mem.Read, Issued: now})
+		c.port.Down.Push(mem.Req{ID: id, Addr: e.addr, Kind: mem.Read, Issued: now})
 		c.loads.put(id, e.seq)
 		e.issued = true
 		e.inFlight = true
-		e.tlbExtra = extra // TLB walk delays data visibility
+		e.tlbExtra = int32(extra) // TLB walk delays data visibility
 		c.LoadsIssued++
 		return true
 	case ClassStore:
-		_ = c.tlbLookup(e.op.Addr)
-		c.storeLines[storeLineSlot(e.op.Addr)]++
+		_ = c.tlbLookup(e.addr)
+		c.storeLines[storeLineSlot(e.addr)]++
 		e.issued = true
 		e.done = true
 		e.doneAt = now + 1
 		return true
 	case ClassFP:
 		lat := c.cfg.FPLatency
-		if e.op.Lat > 0 {
-			lat = int(e.op.Lat)
+		if e.lat > 0 {
+			lat = int(e.lat)
 		}
 		e.issued = true
 		e.done = true
@@ -533,13 +537,13 @@ func (c *Core) tryExecute(e *robEntry, now sim.Cycle) bool {
 		return true
 	default: // Int, Branch
 		lat := c.cfg.IntLatency
-		if e.op.Lat > 0 {
-			lat = int(e.op.Lat)
+		if e.lat > 0 {
+			lat = int(e.lat)
 		}
 		e.issued = true
 		e.done = true
 		e.doneAt = now + sim.Cycle(lat)
-		if e.op.Class == ClassBranch && e.mispredict {
+		if e.class == ClassBranch && e.mispredict {
 			// Redirect: fetch resumes after the misprediction delay.
 			c.fetchResumeAt = now + sim.Cycle(lat) + sim.Cycle(c.cfg.MispredictDelay)
 			c.fetchBlocked = false
@@ -557,15 +561,16 @@ func (c *Core) issue(now sim.Cycle) {
 	c.issueFrom(&c.iq[qFP], c.cfg.FPIssue, now)
 }
 
-// dispatch moves decoded ops into the ROB and issue queues.
+// dispatch moves decoded ops into the ROB and issue queues, reading
+// each from its decode-queue slot.
 func (c *Core) dispatch(now sim.Cycle) {
 	for c.decq.Len() > 0 {
 		if c.robOccupancy() >= c.cfg.ROBSize {
 			c.StallROBFull++
 			return
 		}
-		op := c.decq.Front().op
-		qi := queueOf(op.Class)
+		d := c.decq.Front()
+		qi := queueOf(d.op.Class)
 		if qi == qMem && c.lsqCount >= c.cfg.LSQSize {
 			c.StallLSQ++
 			return
@@ -576,14 +581,15 @@ func (c *Core) dispatch(now sim.Cycle) {
 			return
 		}
 		c.Acted()
-		dec, _ := c.decq.Pop()
 		seq := c.tailSeq
 		c.tailSeq++
 		e := c.robAt(seq)
-		*e = robEntry{op: op, seq: seq, dispatched: now, mispredict: dec.mispredict, readyAt: now + 1, queue: uint8(qi)}
-		c.await(e, seq, op.Dep1, 0)
-		if op.Dep2 != op.Dep1 {
-			c.await(e, seq, op.Dep2, 1)
+		*e = robEntry{}
+		e.addr, e.seq, e.dispatched, e.readyAt = d.op.Addr, seq, now, now+1
+		e.class, e.lat, e.mispredict, e.queue = d.op.Class, d.op.Lat, d.mispredict, uint8(qi)
+		c.await(e, seq, d.op.Dep1, 0)
+		if d.op.Dep2 != d.op.Dep1 {
+			c.await(e, seq, d.op.Dep2, 1)
 		}
 		q.n++
 		if e.waitFor == 0 {
@@ -592,12 +598,13 @@ func (c *Core) dispatch(now sim.Cycle) {
 		if qi == qMem {
 			c.lsqCount++
 		}
-		if op.Class == ClassBranch {
+		if d.op.Class == ClassBranch {
 			c.Branches++
-			if dec.mispredict {
+			if d.mispredict {
 				c.Mispredicts++
 			}
 		}
+		c.decq.Drop()
 	}
 }
 
@@ -670,7 +677,7 @@ func (c *Core) scanStores(line mem.Addr) bool {
 	}
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		e := c.robAt(seq)
-		if e.op.Class == ClassStore && e.issued && e.op.Addr.Line(forwardLineBytes) == line {
+		if e.class == ClassStore && e.issued && e.addr.Line(forwardLineBytes) == line {
 			return true
 		}
 	}

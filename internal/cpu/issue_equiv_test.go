@@ -160,20 +160,39 @@ func (m *slowMem) NextEvent(now sim.Cycle) (sim.Cycle, bool) {
 
 func (m *slowMem) SkipTo(now, target sim.Cycle) {}
 
+// fedStream logs every op it passes on. The core numbers ops in the
+// order it fetches them, so an op's seq is its index in ops: the log
+// holds what the ROB keeps no copy of.
+type fedStream struct {
+	Stream
+	ops []Op
+}
+
+func (s *fedStream) Next() (Op, bool) {
+	op, ok := s.Stream.Next()
+	if ok {
+		s.ops = append(s.ops, op)
+	}
+	return op, ok
+}
+
 // issueSide is one machine of the pair: core -> slowMem on its own
 // kernel.
 type issueSide struct {
 	k    *sim.Kernel
 	core *Core
 	mem  *slowMem
+	fed  *fedStream
 }
 
 func newIssueSide(cfg Config, seed uint64) *issueSide {
 	port := mem.NewPort(2, 2)
+	fed := &fedStream{Stream: &phasedStream{rng: sim.NewRand(seed)}}
 	s := &issueSide{
 		k:    sim.NewKernel(),
-		core: New("cpu", cfg, &phasedStream{rng: sim.NewRand(seed)}, port, &mem.IDSource{}, 0),
+		core: New("cpu", cfg, fed, port, &mem.IDSource{}, 0),
 		mem:  &slowMem{port: port, delay: 30, every: 4},
+		fed:  fed,
 	}
 	s.k.MustRegister(s.core)
 	s.k.MustRegister(s.mem)
@@ -236,8 +255,9 @@ func compareCores(t *testing.T, now sim.Cycle, p, r *Core) {
 }
 
 // coreWords flattens what compareCores compares of c but the histogram
-// — of which it folds the sum and count — for the digest.
-func coreWords(c *Core) []uint64 {
+// — of which it folds the sum and count — for the digest. The fields of
+// an op the ROB does not keep it reads from fed, the ops c was fed.
+func coreWords(c *Core, fed []Op) []uint64 {
 	k, pl := countersOf(c), pipelineOf(c)
 	w := []uint64{k.committed, k.cycles, k.loads, k.stores, k.mispredicts, k.branches, k.tlbMisses,
 		k.stallROB, k.stallIQ, k.stallLSQ, k.stallSB, k.fetchBlocked, k.loadLatency, k.loadsCompleted,
@@ -248,9 +268,9 @@ func coreWords(c *Core) []uint64 {
 	}
 	w = append(w, c.tlb...)
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		e := c.robAt(seq)
-		w = append(w, uint64(e.op.Addr), e.op.PC, uint64(e.op.Dep1), uint64(e.op.Dep2), uint64(e.op.Class),
-			bit(e.op.Taken), uint64(e.op.Lat), e.seq, e.dispatched, bit(e.issued), bit(e.done), e.doneAt,
+		e, op := c.robAt(seq), fed[seq]
+		w = append(w, uint64(e.addr), op.PC, uint64(op.Dep1), uint64(op.Dep2), uint64(e.class),
+			bit(op.Taken), uint64(e.lat), e.seq, e.dispatched, bit(e.issued), bit(e.done), e.doneAt,
 			bit(e.inFlight), bit(e.mispredict), uint64(e.tlbExtra), e.readyAt, uint64(e.waitFor))
 	}
 	for qi := range c.iq {
@@ -280,7 +300,8 @@ func bit(b bool) uint64 {
 // candidate exactly when every producer still in the ROB is done, its
 // readyAt is then max(dispatched+1, their doneAt) or already past,
 // waitFor counts its un-done producers, and nothing else is in a set.
-func checkCandidateSets(t *testing.T, now sim.Cycle, c *Core) {
+// An op's dependencies are read from fed, the ops c was fed.
+func checkCandidateSets(t *testing.T, now sim.Cycle, c *Core, fed []Op) {
 	t.Helper()
 	var want [numIQ]sim.BitSet
 	for qi := range want {
@@ -292,8 +313,9 @@ func checkCandidateSets(t *testing.T, now sim.Cycle, c *Core) {
 			continue
 		}
 		readyAt, waiting := e.dispatched+1, 0
-		deps := []int32{e.op.Dep1, e.op.Dep2}
-		if e.op.Dep1 == e.op.Dep2 {
+		op := fed[seq]
+		deps := []int32{op.Dep1, op.Dep2}
+		if op.Dep1 == op.Dep2 {
 			deps = deps[:1]
 		}
 		for _, d := range deps {
@@ -340,7 +362,7 @@ func refusedLoad(c *Core, now sim.Cycle) bool {
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		e := c.robAt(seq)
 		if !e.issued && e.queue == qMem && c.iq[qMem].ready.Has(int(seq&c.robMask)) && e.readyAt <= now {
-			return e.op.Class == ClassLoad && !c.storeForward(e.op.Addr)
+			return e.class == ClassLoad && !c.storeForward(e.addr)
 		}
 	}
 	return false
@@ -416,9 +438,9 @@ func TestIssueMatchesPollingReference(t *testing.T) {
 					t.Fatalf("cycle %d: kernels advanced %d and %d cycles", now, a, b)
 				}
 				compareCores(t, p.k.Cycle(), p.core, u.core)
-				checkCandidateSets(t, p.k.Cycle(), p.core)
+				checkCandidateSets(t, p.k.Cycle(), p.core, p.fed.ops)
 				dig = fold(dig, p.k.Cycle())
-				dig = fold(dig, coreWords(p.core)...)
+				dig = fold(dig, coreWords(p.core, p.fed.ops)...)
 			}
 			if want := pollingDigests[name]; dig != want {
 				t.Errorf("digest %#x, recorded %#x: the core's cycles differ from the polling stage's", dig, want)

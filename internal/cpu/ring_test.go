@@ -67,8 +67,8 @@ func liveStoreCounts(c *Core) (counts [storeLineSlots]uint32) {
 		counts[storeLineSlot(c.storeBuf.At(i))]++
 	}
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		if e := c.robAt(seq); e.op.Class == ClassStore && e.issued {
-			counts[storeLineSlot(e.op.Addr)]++
+		if e := c.robAt(seq); e.class == ClassStore && e.issued {
+			counts[storeLineSlot(e.addr)]++
 		}
 	}
 	return counts

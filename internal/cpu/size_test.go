@@ -7,8 +7,10 @@ import (
 
 // TestOpSizes pins the sizes an op costs where it is copied: once into a
 // run-ahead block and across to the core, once into the decode queue,
-// once into the ROB at dispatch. Op's fields run widest first so it
-// packs into 32 bytes; a reordering that pads it moves all three.
+// and the part of it the ROB reads once into a ROB entry at dispatch.
+// Op's fields run widest first so it packs into 32 bytes, and a ROB
+// entry fills one 64-byte cache line; a reordering that pads either
+// moves its size.
 func TestOpSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -16,7 +18,7 @@ func TestOpSizes(t *testing.T) {
 	}{
 		{"Op", unsafe.Sizeof(Op{}), 32},
 		{"decoded", unsafe.Sizeof(decoded{}), 40},
-		{"robEntry", unsafe.Sizeof(robEntry{}), 104},
+		{"robEntry", unsafe.Sizeof(robEntry{}), 64},
 	} {
 		if c.got != c.want {
 			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", c.name, c.got, c.want)

@@ -220,7 +220,7 @@ func NewFabric(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*Fabric, erro
 	for i := range geom.Sites {
 		s := &geom.Sites[i]
 		for _, dst := range s.TransportOut {
-			l := newDLink(cfg.LinkBufEntries, linkRef{id: len(f.allD), dst: dst, touched: f.touchedD})
+			l := newLink[transMsg](cfg.LinkBufEntries, linkRef{id: len(f.allD), dst: dst, touched: f.touchedD})
 			f.allD = append(f.allD, l)
 			f.tiles[i].dOut = append(f.tiles[i].dOut, l)
 			if dst == RTileID {
@@ -234,14 +234,14 @@ func NewFabric(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*Fabric, erro
 	for i := range geom.Sites {
 		s := &geom.Sites[i]
 		for _, dst := range s.ReplaceOut {
-			l := newULink(cfg.LinkBufEntries, linkRef{id: len(f.allU), dst: dst, touched: f.touchedU})
+			l := newLink[blockMsg](cfg.LinkBufEntries, linkRef{id: len(f.allU), dst: dst, touched: f.touchedU})
 			f.allU = append(f.allU, l)
 			f.tiles[i].uOut = append(f.tiles[i].uOut, l)
 			f.tiles[dst].uIn = append(f.tiles[dst].uIn, l)
 		}
 	}
 	for _, dst := range geom.RTileReplaceOut {
-		l := newULink(cfg.LinkBufEntries, linkRef{id: len(f.allU), dst: dst, touched: f.touchedU})
+		l := newLink[blockMsg](cfg.LinkBufEntries, linkRef{id: len(f.allU), dst: dst, touched: f.touchedU})
 		f.allU = append(f.allU, l)
 		f.rtUOut = append(f.rtUOut, l)
 		f.tiles[dst].uIn = append(f.tiles[dst].uIn, l)
@@ -326,7 +326,7 @@ func (f *Fabric) refreshTransport(id int) {
 // refreshReplacement is refreshTransport for the Replacement inputs.
 func (f *Fabric) refreshReplacement(id int) {
 	for _, in := range f.tiles[id].uIn {
-		if in.len() > 0 {
+		if in.ch.Len() > 0 {
 			f.replacement.Set(id)
 			return
 		}
@@ -352,9 +352,11 @@ func (f *Fabric) evalSearch(now sim.Cycle) {
 		// Tag array and U-buffer comparators look up in parallel.
 		inBank := t.bank.Probe(line)
 		var inU *ulink
+		//lnuca:allow(hotalloc) does not escape (-gcflags=-m): Contains and remove only call it
+		isLine := func(b blockMsg) bool { return b.line == line }
 		for _, l := range t.uIn {
-			f.C.UCompares += uint64(l.len())
-			if l.contains(line) {
+			f.C.UCompares += uint64(l.ch.Len())
+			if l.ch.Contains(isLine) {
 				inU = l
 			}
 		}
@@ -374,7 +376,7 @@ func (f *Fabric) evalSearch(now sim.Cycle) {
 			}
 			var blk blockMsg
 			if inU != nil {
-				blk, _ = inU.remove(line)
+				blk, _ = inU.remove(isLine)
 				f.C.UHitsTotal++
 			} else {
 				dirty, _ := t.bank.Invalidate(line)
@@ -585,7 +587,7 @@ func (f *Fabric) evalReplacement(now sim.Cycle) {
 		n := len(t.uIn)
 		for k := 0; k < n; k++ {
 			in := t.uIn[(t.rrIn+k)%n]
-			blk, ok := in.peek()
+			blk, ok := in.ch.Peek()
 			if !ok {
 				continue
 			}
@@ -890,13 +892,12 @@ func (f *Fabric) CheckExclusion() error {
 		}
 	}
 	for i, l := range f.allU {
-		for _, b := range l.items {
-			if err := place(b.line, fmt.Sprintf("ulink%d", i)); err != nil {
-				return err
+		for j, b := range l.ch.Snapshot() {
+			where := fmt.Sprintf("ulink%d", i)
+			if j >= l.ch.Len() {
+				where += "(staged)"
 			}
-		}
-		for _, b := range l.staged {
-			if err := place(b.line, fmt.Sprintf("ulink%d(staged)", i)); err != nil {
+			if err := place(b.line, where); err != nil {
 				return err
 			}
 		}

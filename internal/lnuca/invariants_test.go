@@ -37,7 +37,7 @@ func TestBlockConservation(t *testing.T) {
 	resident := uint64(h.f.TotalBlocks())
 	inTransit := uint64(0)
 	for _, l := range h.f.allU {
-		inTransit += uint64(l.len())
+		inTransit += uint64(l.ch.Len())
 	}
 	for _, l := range h.f.allD {
 		inTransit += uint64(len(l.ch.Snapshot()))

@@ -41,128 +41,55 @@ type linkRef struct {
 
 func (r *linkRef) touch() { r.touched.Set(r.id) }
 
-// dlink is one unidirectional Transport link with its two-entry
-// store-and-forward buffer and On/Off back-pressure (Section III.B). The
-// used flag enforces one message per link per cycle.
-type dlink struct {
+// link is one unidirectional fabric link: a two-phase buffer whose
+// used flag enforces one message per link per cycle. A Transport link
+// (dlink) is the two-entry store-and-forward buffer with On/Off
+// back-pressure of Section III.B; the entries of a Replacement link
+// (ulink) carry address comparators (Section III.C), so the Search
+// operation can find and extract in-transit blocks, which is what
+// prevents false misses.
+type link[T any] struct {
 	linkRef
-	ch   *mem.Chan[transMsg]
+	ch   *mem.Chan[T]
 	used bool
 }
 
-func newDLink(depth int, ref linkRef) *dlink {
-	return &dlink{linkRef: ref, ch: mem.NewChan[transMsg](depth)}
+type (
+	dlink = link[transMsg]
+	ulink = link[blockMsg]
+)
+
+func newLink[T any](depth int, ref linkRef) *link[T] {
+	return &link[T]{linkRef: ref, ch: mem.NewChan[T](depth)}
 }
 
 // on reports whether the link can accept a message this cycle (the On/Off
 // back-pressure signal seen by the sender).
-func (l *dlink) on() bool { return !l.used && l.ch.CanPush() }
+func (l *link[T]) on() bool { return !l.used && l.ch.CanPush() }
 
-func (l *dlink) send(m transMsg) {
+func (l *link[T]) send(m T) {
 	l.ch.Push(m)
 	l.used = true
 	l.touch()
 }
 
 // pop removes the oldest visible message.
-func (l *dlink) pop() {
+func (l *link[T]) pop() {
 	l.ch.Pop()
 	l.touch()
 }
 
-func (l *dlink) tick() {
+// remove extracts the oldest visible message that matches (on a
+// Replacement link, the U-buffer comparator hit of the Search operation).
+func (l *link[T]) remove(match func(T) bool) (T, bool) {
+	m, ok := l.ch.Remove(match)
+	if ok {
+		l.touch()
+	}
+	return m, ok
+}
+
+func (l *link[T]) tick() {
 	l.ch.Tick()
-	l.used = false
-}
-
-// ulink is one unidirectional Replacement link. Its buffer entries carry
-// address comparators (Section III.C): the Search operation can find and
-// extract in-transit blocks, which is what prevents false misses.
-type ulink struct {
-	linkRef
-	items    []blockMsg
-	staged   []blockMsg
-	startLen int
-	depth    int
-	used     bool
-}
-
-func newULink(depth int, ref linkRef) *ulink {
-	if depth <= 0 {
-		depth = 1
-	}
-	return &ulink{linkRef: ref, depth: depth, items: make([]blockMsg, 0, depth), staged: make([]blockMsg, 0, depth)}
-}
-
-// on reports whether the link can accept a block this cycle.
-func (l *ulink) on() bool {
-	return !l.used && l.startLen+len(l.staged) < l.depth
-}
-
-func (l *ulink) send(b blockMsg) {
-	if !l.on() {
-		panic("lnuca: ulink overflow — caller must check on()")
-	}
-	//lnuca:allow(hotalloc) appends into capacity fixed at depth; on() bounds the length
-	l.staged = append(l.staged, b)
-	l.used = true
-	l.touch()
-}
-
-// peek returns the oldest visible block without removing it.
-func (l *ulink) peek() (blockMsg, bool) {
-	if len(l.items) == 0 {
-		return blockMsg{}, false
-	}
-	return l.items[0], true
-}
-
-// pop removes the oldest visible block. The shift keeps the (tiny)
-// backing array reusable instead of leaking front capacity.
-func (l *ulink) pop() (blockMsg, bool) {
-	if len(l.items) == 0 {
-		return blockMsg{}, false
-	}
-	b := l.items[0]
-	copy(l.items, l.items[1:])
-	l.items = l.items[:len(l.items)-1]
-	l.touch()
-	return b, true
-}
-
-// remove extracts the in-transit block for line, if present (the U-buffer
-// comparator hit of the Search operation).
-func (l *ulink) remove(line mem.Addr) (blockMsg, bool) {
-	for i := range l.items {
-		if l.items[i].line == line {
-			b := l.items[i]
-			//lnuca:allow(hotalloc) in-place filter into the slice's own backing array; no growth
-			l.items = append(l.items[:i], l.items[i+1:]...)
-			l.touch()
-			return b, true
-		}
-	}
-	return blockMsg{}, false
-}
-
-// contains reports whether line is in transit on this link.
-func (l *ulink) contains(line mem.Addr) bool {
-	for i := range l.items {
-		if l.items[i].line == line {
-			return true
-		}
-	}
-	return false
-}
-
-func (l *ulink) len() int { return len(l.items) }
-
-func (l *ulink) tick() {
-	if len(l.staged) > 0 {
-		//lnuca:allow(hotalloc) appends into capacity fixed at depth; on() bounded what was staged
-		l.items = append(l.items, l.staged...)
-		l.staged = l.staged[:0]
-	}
-	l.startLen = len(l.items)
 	l.used = false
 }

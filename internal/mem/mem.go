@@ -82,11 +82,19 @@ func (s *IDSource) Next() uint64 {
 // never depends on component evaluation order. A channel between two
 // components wakes the consumer when Tick publishes and the producer when
 // Pop frees space, so a sleeping end is evaluated again (sim.Wired).
+//
+// The items live in a power-of-two ring between three absolute indices:
+// [head, vis) is visible to the consumer and [vis, tail) is staged. Pop
+// advances head, Tick moves vis to tail, and nothing else moves an item
+// but Remove. A ring of at least capacity slots never overflows: the
+// visible items are at most the latched occupancy, which CanPush adds to
+// the staged count.
 type Chan[T any] struct {
-	capacity int
-	items    []T
-	staged   []T
-	startLen int
+	buf             []T
+	mask            uint64
+	head, vis, tail uint64
+	latched         int // occupancy at the last Tick; pops free no space until the next
+	capacity        int
 
 	consumer, producer sim.Waker
 }
@@ -96,16 +104,20 @@ func NewChan[T any](capacity int) *Chan[T] {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	// Both buffers are bounded by capacity; allocating them here keeps
-	// Push and Tick from growing them at a later high-water mark.
-	return &Chan[T]{capacity: capacity, items: make([]T, 0, capacity), staged: make([]T, 0, capacity)}
+	ring := 1
+	for ring < capacity {
+		ring <<= 1
+	}
+	// The ring is bounded by capacity; allocating it here keeps Push and
+	// Tick from growing it at a later high-water mark.
+	return &Chan[T]{buf: make([]T, ring), mask: uint64(ring - 1), capacity: capacity}
 }
 
 // CanPush reports whether a push this cycle is guaranteed to fit. It is
 // deliberately conservative: items popped this cycle do not free space
 // until the next cycle, mirroring registered-FIFO hardware.
 func (c *Chan[T]) CanPush() bool {
-	return c.startLen+len(c.staged) < c.capacity
+	return c.latched+int(c.tail-c.vis) < c.capacity
 }
 
 // Push stages v for delivery next cycle. It panics when called without a
@@ -114,56 +126,85 @@ func (c *Chan[T]) Push(v T) {
 	if !c.CanPush() {
 		panic("mem: Chan overflow — caller must check CanPush")
 	}
-	c.staged = append(c.staged, v)
+	c.buf[c.tail&c.mask] = v
+	c.tail++
 }
 
 // Len returns the number of items currently visible to the consumer.
-func (c *Chan[T]) Len() int { return len(c.items) }
+func (c *Chan[T]) Len() int { return int(c.vis - c.head) }
 
 // Peek returns the oldest visible item without removing it.
 func (c *Chan[T]) Peek() (T, bool) {
-	var zero T
-	if len(c.items) == 0 {
+	if c.head == c.vis {
+		var zero T
 		return zero, false
 	}
-	return c.items[0], true
+	return c.buf[c.head&c.mask], true
 }
 
 // Pop removes and returns the oldest visible item.
 func (c *Chan[T]) Pop() (T, bool) {
-	var zero T
-	if len(c.items) == 0 {
+	if c.head == c.vis {
+		var zero T
 		return zero, false
 	}
-	v := c.items[0]
-	// Shift; channels are short (tens of entries), so O(n) is fine and
-	// keeps memory stable.
-	copy(c.items, c.items[1:])
-	c.items = c.items[:len(c.items)-1]
+	v := c.buf[c.head&c.mask]
+	c.head++
 	c.producer.Wake()
 	return v, true
+}
+
+// Contains reports whether a visible item matches.
+func (c *Chan[T]) Contains(match func(T) bool) bool {
+	for i := c.head; i != c.vis; i++ {
+		if match(c.buf[i&c.mask]) {
+			return true
+		}
+	}
+	return false
+}
+
+// Remove extracts the oldest visible item that matches. Every younger
+// item, staged ones included, moves up one slot; like a pop, the removal
+// frees no space until the next Tick.
+func (c *Chan[T]) Remove(match func(T) bool) (T, bool) {
+	for i := c.head; i != c.vis; i++ {
+		v := c.buf[i&c.mask]
+		if !match(v) {
+			continue
+		}
+		for ; i+1 != c.tail; i++ {
+			c.buf[i&c.mask] = c.buf[(i+1)&c.mask]
+		}
+		c.vis--
+		c.tail--
+		c.producer.Wake()
+		return v, true
+	}
+	var zero T
+	return zero, false
 }
 
 // Tick publishes staged pushes. Call exactly once per cycle from the
 // owning component's Commit.
 func (c *Chan[T]) Tick() {
-	if len(c.staged) > 0 {
-		c.items = append(c.items, c.staged...)
-		c.staged = c.staged[:0]
+	if c.vis != c.tail {
+		c.vis = c.tail
 		c.consumer.Wake()
 	}
-	c.startLen = len(c.items)
+	c.latched = int(c.vis - c.head)
 }
 
 // Capacity returns the channel bound.
 func (c *Chan[T]) Capacity() int { return c.capacity }
 
 // Snapshot returns copies of every item in the channel, visible and
-// staged. Intended for invariant-checking tests.
+// staged, oldest first. Intended for invariant-checking tests.
 func (c *Chan[T]) Snapshot() []T {
-	out := make([]T, 0, len(c.items)+len(c.staged))
-	out = append(out, c.items...)
-	out = append(out, c.staged...)
+	out := make([]T, 0, c.tail-c.head)
+	for i := c.head; i != c.tail; i++ {
+		out = append(out, c.buf[i&c.mask])
+	}
 	return out
 }
 

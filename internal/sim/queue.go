@@ -49,15 +49,25 @@ func (q *Queue[T]) Front() *T {
 
 // Pop removes and returns the front item.
 func (q *Queue[T]) Pop() (T, bool) {
-	var zero T
 	if q.n == 0 {
+		var zero T
 		return zero, false
 	}
 	v := q.buf[q.head]
+	q.Drop()
+	return v, true
+}
+
+// Drop removes the front item, which a caller has read in place through
+// Front; it panics on an empty queue.
+func (q *Queue[T]) Drop() {
+	if q.n == 0 {
+		panic("sim: Drop of empty Queue")
+	}
+	var zero T
 	q.buf[q.head] = zero // drop references for GC
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return v, true
 }
 
 // At returns the item at position i from the front (0 = front); it

@@ -135,6 +135,10 @@ type Waker struct {
 	bit   uint64
 }
 
+// NewWaker returns a Waker that sets bit in *poked: a kernel passes its
+// own word, and a test of a channel its own, to see which ends it woke.
+func NewWaker(poked *uint64, bit uint64) Waker { return Waker{poked: poked, bit: bit} }
+
 // Wake marks the component as having new input: the kernel Commits it
 // this cycle and evaluates it on the next.
 func (w Waker) Wake() {
@@ -222,7 +226,7 @@ func (k *Kernel) Register(c Component) error {
 	k.wakeAt = append(k.wakeAt, 0)
 	if w, ok := c.(Wired); ok && i < maxGated {
 		k.wired |= 1 << i
-		w.Wire(Waker{poked: &k.poked, bit: 1 << i})
+		w.Wire(NewWaker(&k.poked, 1<<i))
 	}
 	return nil
 }
